@@ -94,8 +94,16 @@ class QueryCursor(Generic[T], Iterator[T]):
         return results
 
     def all(self) -> List[T]:
-        """Every remaining result, materialised."""
-        return list(self)
+        """Every remaining result, materialised.
+
+        Drains the source in one ``list()`` call rather than one
+        :meth:`__next__` per hit; the bookkeeping lands where a hit-by-hit
+        drain would have left it.
+        """
+        results = list(self._source)
+        self._consumed += len(results)
+        self._exhausted = True
+        return results
 
     @property
     def consumed(self) -> int:

@@ -35,9 +35,10 @@ class IndexConfig:
       CPU-side choice: answers and I/O counts are identical;
     * ``page_store`` — what a simulated disk page holds: ``"object"`` (the
       node object itself, the default the paper figures are calibrated
-      against) or ``"binary"`` (a fixed-format binary image encoded and
-      decoded on every page access).  The logical/physical access mapping is
-      1:1 either way.
+      against) or ``"binary"`` (a fixed-format binary image; the buffer
+      pool decodes it once per physical read and encodes once per physical
+      write, its frames hold live nodes either way).  The logical/physical
+      access mapping is 1:1 either way.
     """
 
     page_size: int = 1024

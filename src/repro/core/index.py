@@ -107,11 +107,15 @@ class MovingObjectIndex(SpatialIndexFacade):
         self.disk = DiskManager(page_size=self.config.page_size, stats=self.stats)
         # The buffer is sized after loading (it depends on the database size);
         # start unbuffered so that nothing is cached before the measured phase.
-        self.buffer = BufferPool(self.disk, capacity=0, stats=self.stats)
-        page_codec = (
-            NodeCodec(node_layout=self.config.node_layout)
-            if self.config.page_store == "binary"
-            else None
+        self.buffer = BufferPool(
+            self.disk,
+            capacity=0,
+            stats=self.stats,
+            codec=(
+                NodeCodec(node_layout=self.config.node_layout)
+                if self.config.page_store == "binary"
+                else None
+            ),
         )
         self.tree = RTree(
             self.buffer,
@@ -120,7 +124,6 @@ class MovingObjectIndex(SpatialIndexFacade):
             store_parent_pointers=self.config.needs_parent_pointers,
             reinsert_on_underflow=self.config.reinsert_on_underflow,
             node_layout=self.config.node_layout,
-            page_codec=page_codec,
         )
         self.hash_index = ObjectHashIndex.build_from_tree(
             self.tree, stats=self.stats, charge_io=self.config.charge_hash_io

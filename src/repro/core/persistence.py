@@ -93,8 +93,8 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
         restored_pages[page_id] = node
 
     # Allocate page ids on the fresh disk until every checkpointed id exists,
-    # then write the node images into place — in whatever representation the
-    # tree's page store holds (node objects or binary page images).
+    # then write the nodes into place through the (still unbuffered) pool,
+    # whose disk boundary stores them as the configured page store does.
     disk = index.disk
     needed = set(restored_pages)
     allocated = set()
@@ -103,7 +103,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     for page_id in sorted(allocated - needed):
         disk.deallocate_page(page_id)
     for page_id, node in restored_pages.items():
-        disk.write_page(page_id, index.tree.encode_page_payload(node))
+        index.buffer.write(page_id, node)
 
     index.tree.root_page_id = tree_meta["root_page_id"]
     index.tree.height = tree_meta["height"]

@@ -386,7 +386,11 @@ def min_distance_many(coords: CoordBuffer, x: float, y: float) -> List[float]:
     """Minimum Euclidean distance from the point to each rectangle.
 
     Mirrors :meth:`Rect.min_distance_to_point` (``(dx*dx + dy*dy) ** 0.5``
-    with clamped axis distances); zero when the point lies inside.
+    with clamped axis distances); zero when the point lies inside.  The
+    clamp ``max(lo - v, 0.0, v - hi)`` is spelled as the comparison that
+    picks its winner — for ``lo <= hi`` at most one of the two differences
+    is positive — which selects the very same float without two builtin
+    calls per entry.
     """
     if _backend == _NUMPY:
         np = _np
@@ -398,14 +402,15 @@ def min_distance_many(coords: CoordBuffer, x: float, y: float) -> List[float]:
         # not np.sqrt: the two can disagree in the last ULP, and the contract
         # is bit-exact agreement with Rect.min_distance_to_point.  The
         # clamped differences, squares and sum above are exactly-rounded
-        # IEEE ops, so they already match the scalar path bit for bit.
-        return [float(v) ** 0.5 for v in dx * dx + dy * dy]
+        # IEEE ops, so they already match the scalar path bit for bit;
+        # ``tolist`` hands them over as Python floats in one call.
+        return [v**0.5 for v in (dx * dx + dy * dy).tolist()]
     out: List[float] = []
     append = out.append
     it = iter(coords)
     for exmin, eymin, exmax, eymax in zip(it, it, it, it):
-        dx = max(exmin - x, 0.0, x - exmax)
-        dy = max(eymin - y, 0.0, y - eymax)
+        dx = exmin - x if x < exmin else x - exmax if x > exmax else 0.0
+        dy = eymin - y if y < eymin else y - eymax if y > eymax else 0.0
         append((dx * dx + dy * dy) ** 0.5)
     return out
 

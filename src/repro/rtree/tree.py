@@ -38,7 +38,6 @@ from repro.rtree.node import Entry, Node, make_node
 from repro.rtree.observers import ObserverList, TreeObserver
 from repro.rtree.split import QuadraticSplit, SplitStrategy
 from repro.storage.buffer import BufferPool
-from repro.storage.serialization import NodeCodec
 from repro.storage.sizing import PageLayout
 
 
@@ -48,7 +47,10 @@ class RTree:
     Parameters
     ----------
     buffer:
-        Buffer pool through which every node read/write flows.
+        Buffer pool through which every node read/write flows.  Its frames
+        hold the live nodes; whether the disk behind it holds node objects
+        or binary page images is the pool's ``codec`` (applied at the disk
+        boundary only), which the tree never sees.
     layout:
         Page layout used to derive leaf/internal capacities.
     split_strategy:
@@ -66,14 +68,6 @@ class RTree:
         :class:`Entry` objects, the default) or ``"packed"`` (flat columnar
         coordinate/id buffers swept by the batch kernels).  Both layouts
         produce identical answers and identical I/O counts.
-    page_codec:
-        When given, pages hold fixed-format binary images instead of node
-        objects: every :meth:`write_node` encodes and every
-        :meth:`read_node`/:meth:`peek_node` decodes through the codec.  The
-        default (``None``) keeps the simulated-disk object store, whose I/O
-        counts the paper figures are calibrated against (the mapping is 1:1
-        either way — the codec changes what a page holds, never how many
-        pages are touched).
     """
 
     def __init__(
@@ -84,7 +78,6 @@ class RTree:
         store_parent_pointers: bool = False,
         reinsert_on_underflow: bool = True,
         node_layout: str = "object",
-        page_codec: Optional[NodeCodec] = None,
     ) -> None:
         self.buffer = buffer
         self.disk = buffer.disk
@@ -93,7 +86,6 @@ class RTree:
         self.store_parent_pointers = store_parent_pointers
         self.reinsert_on_underflow = reinsert_on_underflow
         self.node_layout = node_layout
-        self.page_codec = page_codec
 
         self.leaf_capacity = self.layout.leaf_capacity(
             with_parent_pointer=store_parent_pointers
@@ -126,20 +118,20 @@ class RTree:
     # Node I/O
     # ------------------------------------------------------------------
     def read_node(self, page_id: int) -> Node:
-        """Read the node stored on *page_id* through the buffer pool."""
-        payload = self.buffer.read(page_id)
-        if payload is None:
+        """Read the node stored on *page_id* through the buffer pool.
+
+        A buffer hit returns the resident node itself; only a physical read
+        materialises a new one (decoded from the page image when the pool
+        has a codec).
+        """
+        node = self.buffer.read(page_id)
+        if node is None:
             raise LookupError(f"page {page_id} does not hold an R-tree node")
-        if self.page_codec is not None:
-            return self.page_codec.decode(page_id, payload)
-        return payload
+        return node
 
     def write_node(self, node: Node) -> None:
         """Write *node* back to its page and notify observers."""
-        if self.page_codec is not None:
-            self.buffer.write(node.page_id, self.page_codec.encode(node))
-        else:
-            self.buffer.write(node.page_id, node)
+        self.buffer.write(node.page_id, node)
         self.observers.node_written(node)
 
     def peek_node(self, page_id: int) -> Node:
@@ -149,20 +141,7 @@ class RTree:
         reached the disk yet are seen — lock-scope prediction runs against
         the live tree, not the possibly stale on-disk image.
         """
-        payload = self.buffer.peek(page_id)
-        if self.page_codec is not None:
-            return self.page_codec.decode(page_id, payload)
-        return payload
-
-    def encode_page_payload(self, node: Node) -> object:
-        """What a page holds for *node*: a binary image or the node itself.
-
-        Used by checkpoint restore, which writes pages directly to the disk
-        manager and must match the store the tree is configured with.
-        """
-        if self.page_codec is not None:
-            return self.page_codec.encode(node)
-        return node
+        return self.buffer.peek(page_id)
 
     def _allocate_node(self, level: int) -> Node:
         node = make_node(self.node_layout, page_id=self.disk.allocate_page(), level=level)
@@ -738,6 +717,16 @@ class RTree:
         exactly like the materialised :meth:`knn` — consuming the stream to
         *k* pairs yields the identical answer.
 
+        With a *k* the search is **k-bounded**: it tracks the k-th smallest
+        object distance seen so far and never queues an entry (node or
+        object) whose minimum distance lies strictly beyond it.  Such an
+        entry cannot reach the first *k* pairs, and the unbounded search
+        would never have expanded it before the k-th pair either, so the
+        nodes read, their order, and the pairs yielded are the same as the
+        first *k* of the unbounded stream — only the queues are shorter.
+        Entries *at* the bound are kept: an equal-distance object with a
+        smaller oid still displaces one already seen.
+
         With ``k=None`` the stream is unbounded: it ranks every object in
         the tree by distance (distance-browsing semantics).
         """
@@ -745,37 +734,48 @@ class RTree:
             return
         if self.size == 0:
             return
+        push, pop = heapq.heappush, heapq.heappop
         counter = 0
-        #: Frontier of unexpanded nodes/objects ordered by (distance, arrival).
-        frontier: List[Tuple[float, int, int, bool]] = []
-        heapq.heappush(frontier, (0.0, counter, self.root_page_id, True))
-        #: Objects already popped from the frontier, ordered by (distance, oid)
-        #: so equal-distance results surface in oid order.
+        #: Unexpanded nodes ordered by (min-distance, arrival).
+        frontier: List[Tuple[float, int, int]] = [(0.0, counter, self.root_page_id)]
+        #: Objects of the expanded leaves ordered by (distance, oid), so
+        #: equal-distance results surface in oid order.
         ready: List[Tuple[float, int]] = []
+        #: Max-heap (negated) of the k smallest object distances seen; once
+        #: it holds k of them its top is the pruning bound.
+        nearest: List[float] = []
+        bound = float("inf")
         yielded = 0
         while frontier or ready:
-            # Expand the frontier until its closest element lies strictly
+            # Expand nodes until the closest unexpanded one lies strictly
             # beyond the closest ready object: only then is that object
             # provably the global next (an equal-distance node could still
             # contain an equal-distance object with a smaller oid).
             while frontier and (not ready or frontier[0][0] <= ready[0][0]):
-                distance, _, identifier, is_node = heapq.heappop(frontier)
-                if is_node:
-                    node = self.read_node(identifier)
-                    child_is_node = not node.is_leaf
-                    for entry_distance, child in node.entry_distances(point):
-                        counter += 1
-                        heapq.heappush(
-                            frontier,
-                            (entry_distance, counter, child, child_is_node),
-                        )
+                node = self.read_node(pop(frontier)[2])
+                if node.is_leaf:
+                    for pair in node.entry_distances(point):
+                        distance = pair[0]
+                        if distance > bound:
+                            continue
+                        push(ready, pair)
+                        if k is not None:
+                            if len(nearest) < k:
+                                push(nearest, -distance)
+                            else:
+                                heapq.heappushpop(nearest, -distance)
+                            if len(nearest) == k:
+                                bound = -nearest[0]
                 else:
-                    heapq.heappush(ready, (distance, identifier))
+                    for distance, child in node.entry_distances(point):
+                        if distance <= bound:
+                            counter += 1
+                            push(frontier, (distance, counter, child))
             if not ready:
                 return
-            yield heapq.heappop(ready)
+            yield pop(ready)
             yielded += 1
-            if k is not None and yielded >= k:
+            if yielded == k:
                 return
 
     # ------------------------------------------------------------------

@@ -10,6 +10,13 @@ All R-tree node access in this repository goes through a buffer pool, so the
 "Avg Disk I/O" metric of the benchmarks is the number of *physical* page
 transfers after the buffer has absorbed whatever it can — exactly what the
 paper measures.
+
+Frames hold what callers read and write (live R-tree nodes).  With a page
+codec the disk holds binary page images instead, and the codec runs at the
+pool's **disk boundary** only: one decode per physical read (and per
+uncharged peek of a non-resident page), one encode per physical write.  A
+buffer hit hands back the resident node itself, exactly as the codec-less
+object store always did.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Protocol, Tuple
 
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStatistics
@@ -27,6 +34,14 @@ AccessRecord = Tuple[str, int]
 
 #: Sentinel distinguishing "frame absent" from any real payload.
 _MISSING = object()
+
+
+class PageCodec(Protocol):
+    """What the pool needs of a page codec (see ``NodeCodec``)."""
+
+    def encode(self, payload: Any) -> bytes: ...
+
+    def decode(self, page_id: int, data: bytes) -> Any: ...
 
 
 @dataclass
@@ -55,6 +70,16 @@ class BufferPool:
     stats:
         Shared I/O counters; defaults to the disk manager's counters so a
         single :class:`IOStatistics` describes the whole storage stack.
+    codec:
+        When given, the disk holds ``codec.encode(payload)`` images while
+        frames keep holding the payloads themselves: every physical read
+        (and every :meth:`peek` of a non-resident page) decodes once, every
+        physical write — dirty eviction, :meth:`flush`, unbuffered
+        :meth:`write` — encodes once, and buffer hits touch no codec.  A
+        dirty frame is encoded when it leaves the pool, so the image is the
+        payload's state at that moment.  ``None`` (default) stores the
+        payloads on the disk as they are.  The codec never changes which
+        pages are touched: every I/O counter is the same either way.
     """
 
     def __init__(
@@ -62,12 +87,14 @@ class BufferPool:
         disk: DiskManager,
         capacity: int = 0,
         stats: Optional[IOStatistics] = None,
+        codec: Optional[PageCodec] = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.disk = disk
         self.capacity = capacity
         self.stats = stats if stats is not None else disk.stats
+        self.codec = codec
         # page_id -> payload; insertion order is LRU order (oldest first).
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
         self._dirty: set = set()
@@ -184,7 +211,7 @@ class BufferPool:
                 self.stats.buffer_hits += 1
                 frames.move_to_end(page_id)
                 return payload
-        payload = self.disk.read_page(page_id)
+        payload = self._decoded(page_id, self.disk.read_page(page_id))
         self._charge_client(reads=1)
         self._admit(page_id, payload)
         return payload
@@ -201,7 +228,7 @@ class BufferPool:
         if self._access_log is not None:
             self._access_log.append(("write", page_id))
         if self.capacity == 0:
-            self.disk.write_page(page_id, payload)
+            self._write_through(page_id, payload)
             self._charge_client(writes=1)
             return
         if page_id in self._frames:
@@ -222,7 +249,7 @@ class BufferPool:
         """
         if page_id in self._frames:
             return self._frames[page_id]
-        return self.disk.peek(page_id)
+        return self._decoded(page_id, self.disk.peek(page_id))
 
     def pin(self, page_id: int) -> None:
         """Exempt *page_id* from eviction until a matching :meth:`unpin`.
@@ -269,7 +296,7 @@ class BufferPool:
         written = 0
         for page_id in list(self._frames.keys()):
             if page_id in self._dirty:
-                self.disk.write_page(page_id, self._frames[page_id])
+                self._write_through(page_id, self._frames[page_id])
                 self._dirty.discard(page_id)
                 written += 1
         return written
@@ -281,6 +308,22 @@ class BufferPool:
         self._dirty.clear()
 
     # -- internals ------------------------------------------------------------
+    def _decoded(self, page_id: int, stored: Any) -> Any:
+        """The frame payload for what the disk holds on *page_id*.
+
+        A page that was allocated but never written holds ``None``, with or
+        without a codec.
+        """
+        if self.codec is None or stored is None:
+            return stored
+        return self.codec.decode(page_id, stored)
+
+    def _write_through(self, page_id: int, payload: Any) -> None:
+        """One physical write of *payload* (its page image under a codec)."""
+        if self.codec is not None:
+            payload = self.codec.encode(payload)
+        self.disk.write_page(page_id, payload)
+
     def _admit(self, page_id: int, payload: Any) -> None:
         if self.capacity == 0:
             return
@@ -314,7 +357,7 @@ class BufferPool:
             return False
         payload = self._frames.pop(victim_id)
         if victim_id in self._dirty:
-            self.disk.write_page(victim_id, payload)
+            self._write_through(victim_id, payload)
             self._charge_client(writes=1)
             self._dirty.discard(victim_id)
             self.stats.dirty_evictions += 1

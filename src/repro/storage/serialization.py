@@ -19,16 +19,20 @@ Two encoders live here:
   lossless — at the cost of a larger entry and hence a smaller fan-out,
   which the sizing model accounts for automatically.
 
-* :class:`NodeCodec` — the **page-store codec** used when the tree is
-  configured with binary pages (``page_store="binary"``).  Every
-  :meth:`~repro.rtree.tree.RTree.write_node` encodes the node into a page
-  image and every read decodes it back, so the buffer pool holds ``bytes``
-  instead of live node objects.  The format is columnar and always binary64
-  (the live index must not quantize coordinates): a fixed header, then all
-  entry MBRs as one contiguous f64 block, then all entry ids as one
-  contiguous u32 block.  Decoding into the packed node layout is
-  zero-parse — the two blocks are loaded with ``array.frombytes`` straight
-  into the node's column buffers.
+* :class:`NodeCodec` — the **page-store codec** used when the index is
+  configured with binary pages (``page_store="binary"``).  It sits at the
+  buffer pool's **disk boundary** (:class:`~repro.storage.buffer.BufferPool`):
+  frames hold decoded nodes, :meth:`NodeCodec.decode` runs once per physical
+  read (and per uncharged peek of a page that is not resident), and
+  :meth:`NodeCodec.encode` once per physical write — a dirty eviction, a
+  flush, or an unbuffered write.  A buffer hit costs no codec work and keeps
+  whatever the node memoised (its MBR) alive between visits; the simulated
+  disk holds ``bytes``.  The format is columnar and always binary64 (the
+  live index must not quantize coordinates): a fixed header, then all entry
+  MBRs as one contiguous f64 block, then all entry ids as one contiguous u32
+  block.  Decoding into the packed node layout is zero-parse — the two
+  blocks are loaded with ``array.frombytes`` straight into the node's column
+  buffers.
 
   The physical image of a full node (36 bytes per entry) exceeds the
   paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
@@ -214,21 +218,21 @@ class NodeCodec:
             stored_tuple = (0.0, 0.0, 0.0, 0.0)
         parent = node.parent_page_id if node.parent_page_id is not None else _NO_PARENT
 
-        image = bytearray(
-            _PAGE_HEADER.pack(node.level, count, parent, flags, *stored_tuple)
-        )
+        header = _PAGE_HEADER.pack(node.level, count, parent, flags, *stored_tuple)
         if isinstance(node, PackedNode) and _LITTLE_ENDIAN and _ARRAY_U32_OK:
-            image += node.coords.tobytes()
-            image += node.children.tobytes()
-        else:
-            coords: List[float] = []
-            children: List[int] = []
-            for entry in node.entries:
-                coords.extend(entry.rect.as_tuple())
-                children.append(entry.child)
-            image += struct.pack(f"<{4 * count}d", *coords)
-            image += struct.pack(f"<{count}I", *children)
-        return bytes(image)
+            return b"".join((header, node.coords.tobytes(), node.children.tobytes()))
+        coords: List[float] = []
+        children: List[int] = []
+        for entry in node.entries:
+            coords.extend(entry.rect.as_tuple())
+            children.append(entry.child)
+        return b"".join(
+            (
+                header,
+                struct.pack(f"<{4 * count}d", *coords),
+                struct.pack(f"<{count}I", *children),
+            )
+        )
 
     # -- decode ----------------------------------------------------------------
     def decode(self, page_id: int, data: bytes) -> Node:
@@ -238,9 +242,7 @@ class NodeCodec:
             )
         if len(data) < _PAGE_HEADER.size:
             raise SerializationError("page image shorter than the node header")
-        level, count, parent, flags, sx0, sy0, sx1, sy1 = _PAGE_HEADER.unpack(
-            data[: _PAGE_HEADER.size]
-        )
+        level, count, parent, flags, sx0, sy0, sx1, sy1 = _PAGE_HEADER.unpack_from(data)
         coords_start = _PAGE_HEADER.size
         coords_end = coords_start + count * 4 * _COORD_BYTES
         children_end = coords_end + count * _CHILD_BYTES

@@ -508,20 +508,21 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
             return None
 
         # The bit vector identifies non-full siblings without disk access, but
-        # the sibling MBRs live in the parent node, which has to be read.
+        # the sibling MBRs live in the parent node, which has to be read —
+        # unless no sibling has room at all.  Fullness is then tested only
+        # on the siblings whose MBR covers the new position.
         is_full = self.summary.leaf_bits.is_full
-        candidate_pages = {
-            page
+        leaf_page = leaf.page_id
+        if not any(
+            page != leaf_page and not is_full(page)
             for page in parent_entry.child_page_ids
-            if page != leaf.page_id and not is_full(page)
-        }
-        if not candidate_pages:
+        ):
             return None
 
         parent_node = self.tree.read_node(parent_entry.page_id)
         chosen_page: Optional[int] = None
         for page in parent_node.contains_point_children(new_location):
-            if page in candidate_pages:
+            if page != leaf_page and not is_full(page):
                 chosen_page = page
                 break
         if chosen_page is None:

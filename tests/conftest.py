@@ -9,11 +9,12 @@ randomness is seeded; tests are deterministic.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core import IndexConfig, MovingObjectIndex
-from repro.geometry import Point
+from repro.geometry import Point, kernels
 from repro.rtree import RTree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 from repro.workload import WorkloadGenerator, WorkloadSpec
@@ -52,6 +53,17 @@ def empty_tree(unbuffered: BufferPool, small_layout: PageLayout) -> RTree:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20030915)  # VLDB 2003 conference date
+
+
+@contextmanager
+def using_backend(name: str):
+    """Run the block under kernel backend *name*, then restore the previous one."""
+    previous = kernels.get_backend()
+    kernels.set_backend(name)
+    try:
+        yield
+    finally:
+        kernels.set_backend(previous)
 
 
 def make_points(count: int, seed: int = 7) -> list:

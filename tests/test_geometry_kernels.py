@@ -11,18 +11,24 @@ reference loop.
 """
 
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect, kernels, union_all
 
+from tests.conftest import using_backend
+
 # Mix plain floats with ones snapped to a coarse grid so exact ties and
 # exactly-touching edges occur often instead of almost never.
 _fine = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 _coarse = st.integers(min_value=0, max_value=8).map(lambda n: n / 8.0)
 coordinates = st.one_of(_fine, _coarse)
+# Query points well outside the data square, negatives included.
+_wide = st.one_of(
+    coordinates,
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
@@ -46,16 +52,6 @@ def rects_of(coords):
 
 
 BACKENDS = kernels.available_backends()
-
-
-@contextmanager
-def using_backend(name):
-    previous = kernels.get_backend()
-    kernels.set_backend(name)
-    try:
-        yield
-    finally:
-        kernels.set_backend(previous)
 
 
 def on_every_backend(check):
@@ -302,6 +298,56 @@ class TestMinDistanceMany:
             assert kernels.min_distance_many(coords, 1.0, 0.5) == [0.0]
 
         on_every_backend(check)
+
+    @settings(max_examples=150)
+    @given(coord_buffers(), _wide, _wide)
+    def test_bit_exact_for_points_far_outside_the_unit_square(self, coords, x, y):
+        # ``==`` cannot tell 0.0 from -0.0; the contract is the same *bits*.
+        point = Point(x, y)
+        expected = _bits(rect.min_distance_to_point(point) for rect in rects_of(coords))
+        on_every_backend(
+            lambda name: _check_equal(
+                _bits(kernels.min_distance_many(coords, x, y)), expected, name
+            )
+        )
+
+    def test_bit_exact_in_every_region_of_the_clamp(self):
+        # One proper rectangle, a vertical and a horizontal segment, and a
+        # point-rect (the moving-object case), probed from the nine regions
+        # a rectangle cuts the plane into: inside, on each edge, at each
+        # corner, and strictly beyond each side and corner.
+        coords = array(
+            "d",
+            [0.25, 0.375, 0.75, 0.625]
+            + [0.5, 0.125, 0.5, 0.875]
+            + [0.125, 0.5, 0.875, 0.5]
+            + [0.1, 0.7000000123456789, 0.1, 0.7000000123456789],
+        )
+        rects = rects_of(coords)
+        xs = sorted({v for r in rects for v in (r.xmin, r.xmax)} | {-0.3, 0.3, 0.6, 1.3})
+        ys = sorted({v for r in rects for v in (r.ymin, r.ymax)} | {-0.3, 0.45, 0.55, 1.3})
+
+        def check(name):
+            for x in xs:
+                for y in ys:
+                    point = Point(x, y)
+                    expected = _bits(r.min_distance_to_point(point) for r in rects)
+                    actual = _bits(kernels.min_distance_many(coords, x, y))
+                    assert actual == expected, f"backend {name!r} at ({x}, {y})"
+
+        on_every_backend(check)
+
+    def test_empty_buffer_yields_no_distances(self):
+        on_every_backend(
+            lambda name: _check_equal(
+                kernels.min_distance_many(array("d"), 0.5, 0.5), [], name
+            )
+        )
+
+
+def _bits(values):
+    """Exact representation of each float (tells 0.0 from -0.0)."""
+    return [float(value).hex() for value in values]
 
 
 def _check_equal(actual, expected, backend_name):

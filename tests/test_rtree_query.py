@@ -1,24 +1,35 @@
 """Tests of window queries, point queries and the kNN extension."""
 
+import itertools
 import random
 
-from repro.geometry import Point, Rect
+from hypothesis import given, settings, strategies as st
+
+from repro.geometry import Point, Rect, kernels
 from repro.rtree import RTree
+from repro.rtree.node import NODE_LAYOUTS
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 
-from tests.conftest import SMALL_PAGE_SIZE, make_points
+from tests.conftest import SMALL_PAGE_SIZE, make_points, using_backend
+
+
+def tree_of(objects, node_layout="object"):
+    """An unbuffered small-page tree holding *objects* (``(oid, Point)`` pairs)."""
+    stats = IOStatistics()
+    disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
+    tree = RTree(
+        BufferPool(disk, capacity=0, stats=stats),
+        layout=PageLayout(page_size=SMALL_PAGE_SIZE),
+        node_layout=node_layout,
+    )
+    for oid, point in objects:
+        tree.insert(oid, point)
+    return tree
 
 
 def loaded_tree(count=400, seed=7):
-    stats = IOStatistics()
-    disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
-    pool = BufferPool(disk, capacity=0, stats=stats)
-    tree = RTree(pool, layout=PageLayout(page_size=SMALL_PAGE_SIZE))
-    points = dict()
-    for oid, point in make_points(count, seed=seed):
-        tree.insert(oid, point)
-        points[oid] = point
-    return tree, points
+    points = dict(make_points(count, seed=seed))
+    return tree_of(points.items()), points
 
 
 class TestRangeQuery:
@@ -100,7 +111,71 @@ class TestKnn:
         assert tree.knn(Point(0.5, 0.5), -3) == []
 
     def test_knn_on_empty_tree(self):
-        stats = IOStatistics()
-        disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
-        tree = RTree(BufferPool(disk, 0, stats), layout=PageLayout(page_size=SMALL_PAGE_SIZE))
-        assert tree.knn(Point(0.5, 0.5), 3) == []
+        assert tree_of([]).knn(Point(0.5, 0.5), 3) == []
+
+
+# Few grid positions shared by many objects: equal distances are the norm and
+# one position's duplicates spill over several leaves (and, in the larger
+# trees, several level-1 nodes), so the oid tie-break and the "keep entries
+# *at* the bound" rule — for objects and for nodes — are exercised on almost
+# every example instead of almost never.
+def _grid_points(side):
+    axis = st.integers(min_value=0, max_value=side).map(lambda n: n / side)
+    return st.tuples(axis, axis)
+
+
+def _reads_of_first(tree, point, k, items):
+    """Logical reads charged for consuming *items* pairs of ``iter_knn(point, k)``."""
+    before = tree.buffer.stats.logical_reads
+    pairs = list(itertools.islice(tree.iter_knn(point, k), items))
+    return pairs, tree.buffer.stats.logical_reads - before
+
+
+class TestKnnBounded:
+    """``iter_knn(p, k)`` is the first *k* of ``iter_knn(p, None)``, I/O included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # A handful of objects (k often exceeds them), several leaves' worth,
+        # or a three-level tree of four positions.
+        positions=st.one_of(
+            st.lists(_grid_points(3), min_size=1, max_size=12),
+            st.lists(_grid_points(3), min_size=40, max_size=160),
+            st.lists(_grid_points(1), min_size=130, max_size=260),
+        ),
+        probe=st.one_of(
+            _grid_points(3), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        ),
+        k=st.integers(min_value=1, max_value=14),
+        node_layout=st.sampled_from(NODE_LAYOUTS),
+        backend=st.sampled_from(kernels.available_backends()),
+    )
+    def test_bounded_equals_unbounded_prefix(self, positions, probe, k, node_layout, backend):
+        tree = tree_of(
+            ((oid, Point(x, y)) for oid, (x, y) in enumerate(positions)), node_layout
+        )
+        point = Point(*probe)
+
+        with using_backend(backend):
+            everything, all_reads = _reads_of_first(tree, point, None, None)
+            assert [oid for _, oid in everything] == [
+                oid
+                for _, oid in sorted(
+                    (Rect.from_point(Point(x, y)).min_distance_to_point(point), oid)
+                    for oid, (x, y) in enumerate(positions)
+                )
+            ]
+
+            # Full consumption: same pairs, and the I/O of exactly k pairs
+            # of distance browsing (of the whole tree when k exceeds it).
+            bounded, bounded_reads = _reads_of_first(tree, point, k, None)
+            assert bounded == everything[:k]
+            if k >= len(positions):
+                assert bounded_reads == all_reads
+            # Partial consumption: stopping after 1..k pairs costs the same
+            # either way — the bound prunes queues, never node reads.
+            for items in range(1, min(k, len(positions)) + 1):
+                expected = _reads_of_first(tree, point, None, items)
+                assert _reads_of_first(tree, point, k, items) == expected
+                if items == k:
+                    assert bounded_reads == expected[1]

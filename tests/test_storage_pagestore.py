@@ -11,6 +11,8 @@ Two codecs, two contracts:
   index actually runs on what it decodes.
 """
 
+import random
+
 import pytest
 
 from repro.geometry import Point, Rect
@@ -24,6 +26,8 @@ from repro.storage.serialization import (
     serialize_node,
     serialized_size,
 )
+
+from tests.conftest import build_index
 
 # Coordinates deliberately not representable in binary32: 0.1's float64
 # expansion, a tiny offset, and a value needing more than 24 mantissa bits.
@@ -158,32 +162,35 @@ class TestNodeCodecRoundTrip:
             NodeCodec().decode(5, sample_node())
 
 
+def binary_store_tree(capacity=0, codec=None):
+    """A packed-layout tree whose pool encodes pages at the disk boundary."""
+    from repro.storage import BufferPool, DiskManager, IOStatistics
+    from repro.rtree import RTree
+
+    stats = IOStatistics()
+    disk = DiskManager(page_size=256, stats=stats)
+    codec = codec if codec is not None else NodeCodec(node_layout="packed")
+    tree = RTree(
+        BufferPool(disk, capacity, stats, codec=codec),
+        layout=PageLayout(page_size=256),
+        node_layout="packed",
+    )
+    return tree, stats
+
+
 class TestBinaryPageStoreBehaviour:
-    """Pages hold bytes; every logical read decodes a fresh node."""
-
-    def build_tree(self, node_layout="packed"):
-        from repro.storage import BufferPool, DiskManager, IOStatistics
-        from repro.rtree import RTree
-
-        stats = IOStatistics()
-        disk = DiskManager(page_size=256, stats=stats)
-        tree = RTree(
-            BufferPool(disk, 0, stats),
-            layout=PageLayout(page_size=256),
-            node_layout=node_layout,
-            page_codec=NodeCodec(node_layout=node_layout),
-        )
-        return tree, stats
+    """The disk holds bytes; every *physical* read decodes a fresh node."""
 
     def test_disk_frames_hold_bytes(self):
-        tree, _stats = self.build_tree()
+        tree, _stats = binary_store_tree()
         for oid in range(50):
             tree.insert(oid, Point(oid / 50.0, (oid * 7 % 50) / 50.0))
         assert isinstance(tree.disk.read_page(tree.root_page_id), bytes)
-        assert isinstance(tree.encode_page_payload(tree.read_node(tree.root_page_id)), bytes)
+        assert isinstance(tree.read_node(tree.root_page_id), PackedNode)
 
     def test_reads_decode_fresh_nodes(self):
-        tree, _stats = self.build_tree()
+        # Unbuffered: every read is physical, so nothing aliases.
+        tree, _stats = binary_store_tree()
         tree.insert(1, Point(0.1, 0.1))
         first = tree.read_node(tree.root_page_id)
         second = tree.read_node(tree.root_page_id)
@@ -195,10 +202,197 @@ class TestBinaryPageStoreBehaviour:
         )  # ...is invisible to later reads
 
     def test_queries_after_mixed_updates(self):
-        tree, _stats = self.build_tree()
+        tree, _stats = binary_store_tree()
         for oid in range(120):
             tree.insert(oid, Point((oid % 12) / 12.0, (oid // 12) / 10.0))
         for oid in range(0, 120, 3):
             tree.delete(oid, Rect.from_point(Point((oid % 12) / 12.0, (oid // 12) / 10.0)))
         survivors = sorted(tree.range_query(Rect(0.0, 0.0, 1.0, 1.0)))
         assert survivors == [oid for oid in range(120) if oid % 3 != 0]
+
+
+class CountingCodec(NodeCodec):
+    """A :class:`NodeCodec` that counts its calls (no ``__slots__``: has a dict)."""
+
+    def __init__(self, node_layout="packed"):
+        super().__init__(node_layout=node_layout)
+        self.encodes = 0
+        self.decodes = 0
+
+    def encode(self, node):
+        self.encodes += 1
+        return super().encode(node)
+
+    def decode(self, page_id, data):
+        self.decodes += 1
+        return super().decode(page_id, data)
+
+
+def _mixed_stream(index, seed, steps=260):
+    """Drive one seeded mix of every operation kind; return all the answers."""
+    rng = random.Random(seed)
+    live = set(range(len(index)))
+    next_oid = len(index)
+    answers = []
+
+    def somewhere():
+        return Point(rng.random(), rng.random())
+
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.55 and live:
+            oid = rng.choice(sorted(live))
+            old = index.position_of(oid)
+            # Mostly short moves (bottom-up paths), sometimes a jump.
+            if rng.random() < 0.8:
+                new = Point(
+                    min(1.0, max(0.0, old.x + rng.uniform(-0.04, 0.04))),
+                    min(1.0, max(0.0, old.y + rng.uniform(-0.04, 0.04))),
+                )
+            else:
+                new = somewhere()
+            answers.append(index.update(oid, new).value)
+        elif roll < 0.65:
+            index.insert(next_oid, somewhere())
+            live.add(next_oid)
+            next_oid += 1
+        elif roll < 0.72 and live:
+            oid = rng.choice(sorted(live))
+            answers.append(index.delete(oid))
+            live.discard(oid)
+        elif roll < 0.80 and live:
+            batch = [(oid, somewhere()) for oid in rng.sample(sorted(live), min(12, len(live)))]
+            result = index.update_many(batch)
+            answers.append((result.updates, result.groups, result.residuals))
+        elif roll < 0.90:
+            x, y = rng.random() * 0.8, rng.random() * 0.8
+            answers.append(sorted(index.range_query(Rect(x, y, x + 0.2, y + 0.2))))
+        else:
+            answers.append(index.knn(somewhere(), 6))
+    return answers
+
+
+class TestNodeResidentFrames:
+    """Frames hold nodes; the codec runs only where a page crosses the disk."""
+
+    @pytest.mark.parametrize("buffer_percent", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("strategy", ["GBU", "LBU"])
+    def test_object_and_binary_stores_agree_on_answers_and_io(self, strategy, buffer_percent):
+        runs = []
+        for page_store in ("object", "binary"):
+            index = build_index(
+                strategy,
+                num_objects=400,
+                node_layout="packed",
+                page_store=page_store,
+                buffer_percent=buffer_percent,
+            )
+            answers = _mixed_stream(index, seed=1303)
+            index.validate()
+            runs.append((answers, index.stats.as_dict()))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][1]["physical_reads"] > 0
+
+    @pytest.mark.parametrize("capacity", [0, 3, 10_000])
+    def test_codec_runs_once_per_physical_transfer(self, capacity):
+        codec = CountingCodec()
+        tree, stats = binary_store_tree(capacity, codec)
+        pool = tree.buffer
+        rng = random.Random(5)
+        positions = {oid: Point(rng.random(), rng.random()) for oid in range(150)}
+        for oid, point in positions.items():
+            tree.insert(oid, point)
+        for oid in range(0, 150, 4):
+            assert tree.delete(oid, positions.pop(oid))
+        tree.knn(Point(0.5, 0.5), 9)
+        tree.range_query(Rect(0.2, 0.2, 0.6, 0.6))
+
+        # Uncharged peeks decode only what is not resident.
+        cold_peeks = 0
+        for page_id in tree.disk.page_ids():
+            cold_peeks += page_id not in pool.resident_pages()
+            assert tree.peek_node(page_id).page_id == page_id
+        pool.flush()
+
+        assert codec.encodes == stats.physical_writes
+        assert codec.decodes == stats.physical_reads + cold_peeks
+        if capacity == 10_000:
+            # Everything fits: nothing was ever read back, hits decode nothing.
+            assert codec.decodes == cold_peeks == 0
+            assert stats.buffer_hits == stats.logical_reads
+
+    def test_stale_copy_held_across_eviction_can_still_be_written(self):
+        # The hybrid neither old store exercised: a node is read (resident),
+        # evicted, re-read as a *fresh* decode while the first copy is still
+        # held, and then the first copy is what gets written.
+        tree, stats = binary_store_tree(capacity=1)
+        for oid in range(30):
+            tree.insert(oid, Point(oid / 30.0, (oid * 7 % 30) / 30.0))
+        leaves = [leaf.page_id for leaf in tree.leaf_nodes()]
+        target, other = leaves[0], leaves[1]
+
+        held = tree.read_node(target)
+        assert tree.read_node(target) is held  # a hit hands back the frame
+        tree.read_node(other)  # capacity 1: evicts `target`
+        assert target not in tree.buffer.resident_pages()
+        fresh = tree.read_node(target)
+        assert fresh is not held
+        assert fresh.child_ids() == held.child_ids()
+
+        held.add_entry(Entry(Rect.from_point(Point(0.5, 0.5)), 999))
+        assert not tree.read_node(target).has_child(999)  # unwritten: invisible
+        tree.write_node(held)
+        assert tree.read_node(target) is held  # the written copy is the frame
+        tree.read_node(other)  # evict it dirty: encoded on the way out
+        assert isinstance(tree.disk.peek(target), bytes)
+        reread = tree.read_node(target)
+        assert reread is not held and reread.has_child(999)
+        assert stats.dirty_evictions >= 1
+
+    def test_checkpoint_restore_with_unflushed_dirty_frames(self, tmp_path):
+        from repro.core.persistence import load_index, save_index
+
+        index = build_index(
+            "GBU", num_objects=300, node_layout="packed", page_store="binary",
+            buffer_percent=100.0,
+        )
+        _mixed_stream(index, seed=77, steps=120)
+        assert index.buffer.dirty_count > 0  # the newest state is in frames only
+        window = Rect(0.1, 0.1, 0.9, 0.9)
+        expected = sorted(index.range_query(window))
+        neighbours = index.knn(Point(0.4, 0.6), 8)
+        save_index(index, tmp_path / "checkpoint.json")
+        restored = load_index(tmp_path / "checkpoint.json")
+        restored.validate()
+        assert sorted(restored.range_query(window)) == expected
+        assert restored.knn(Point(0.4, 0.6), 8) == neighbours
+        assert all(
+            isinstance(restored.disk.peek(page_id), bytes)
+            for page_id in restored.disk.page_ids()
+        )
+
+    def test_process_workers_hydrate_from_unflushed_dirty_frames(self):
+        from repro.core import IndexConfig
+        from repro.shard import GridPartitioner, ShardedIndex
+
+        config = IndexConfig(
+            strategy="GBU", page_size=256, node_layout="packed", page_store="binary",
+            buffer_percent=100.0,
+        )
+        index = ShardedIndex(config, partitioner=GridPartitioner.for_shards(2))
+        rng = random.Random(9)
+        index.load([(oid, Point(rng.random(), rng.random())) for oid in range(200)])
+        for oid in range(0, 200, 3):
+            index.update(oid, Point(rng.random(), rng.random()))
+        assert any(shard.buffer.dirty_count for shard in index.shards)
+        window = Rect(0.0, 0.0, 1.0, 0.5)
+        expected = sorted(index.range_query(window))
+        neighbours = index.knn(Point(0.5, 0.5), 7)
+        index.set_parallel("process", workers=2)
+        try:
+            assert sorted(index.range_query(window)) == expected
+            assert index.knn(Point(0.5, 0.5), 7) == neighbours
+        finally:
+            index.detach_parallel()
+        index.validate()
