@@ -42,6 +42,7 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
@@ -70,8 +71,6 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
         "charge_hash_io": config.charge_hash_io,
         "bulk_load_fill": config.bulk_load_fill,
         "min_fill_factor": config.min_fill_factor,
-        "node_layout": config.node_layout,
-        "page_store": config.page_store,
         "params": {
             "epsilon": config.params.epsilon,
             "distance_threshold": config.params.distance_threshold,
@@ -82,16 +81,33 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
     }
 
 
+# Format-version-2 checkpoints and saved ``index_spec`` JSON carry these two
+# representation switches.  Whatever they say, the page images beside them
+# were always the columnar codec format, so such documents load as they are.
+_RETIRED_CONFIG_KEYS = ("node_layout", "page_store")
+
+
+def _reject_unknown_keys(section: str, data: Dict[str, Any], schema: type) -> None:
+    unknown = set(data) - {field.name for field in dataclasses.fields(schema)}
+    if unknown:
+        raise ValueError(f"unknown spec keys {sorted(unknown)!r} in {section!r}")
+
+
 def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
-    """Rebuild an :class:`IndexConfig` from its (possibly partial) spec dict."""
-    data = dict(spec)
+    """Rebuild an :class:`IndexConfig` from its (possibly partial) spec dict.
+
+    Raises ``ValueError`` for a key neither :class:`IndexConfig` nor (under
+    ``"params"``) :class:`TuningParameters` declares.
+    """
+    data = {
+        key: value for key, value in spec.items() if key not in _RETIRED_CONFIG_KEYS
+    }
     params_data = data.pop("params", None)
-    params = (
-        TuningParameters(**params_data)
-        if params_data is not None
-        else TuningParameters.paper_defaults()
-    )
-    return IndexConfig(params=params, **data)
+    _reject_unknown_keys("config", data, IndexConfig)
+    if params_data is None:
+        return IndexConfig(**data)
+    _reject_unknown_keys("config.params", params_data, TuningParameters)
+    return IndexConfig(params=TuningParameters(**params_data), **data)
 
 
 def index_spec(index: "SpatialIndexFacade") -> Dict[str, Any]:

@@ -28,17 +28,11 @@ class IndexConfig:
     * ``use_summary_for_queries`` — let GBU answer window queries through the
       summary structure (Section 3.2); exposed for ablations;
     * ``charge_hash_io`` — charge one disk read per secondary-index probe
-      (Section 4.2's accounting); exposed for ablations;
-    * ``node_layout`` — physical in-memory node representation: ``"object"``
-      (one :class:`Entry` per slot, the default) or ``"packed"`` (flat
-      columnar coordinate/id buffers swept by the batch kernels).  Purely a
-      CPU-side choice: answers and I/O counts are identical;
-    * ``page_store`` — what a simulated disk page holds: ``"object"`` (the
-      node object itself, the default the paper figures are calibrated
-      against) or ``"binary"`` (a fixed-format binary image; the buffer
-      pool decodes it once per physical read and encodes once per physical
-      write, its frames hold live nodes either way).  The logical/physical
-      access mapping is 1:1 either way.
+      (Section 4.2's accounting); exposed for ablations.
+
+    The physical representation is not configurable: nodes are columnar
+    (:mod:`repro.rtree.node`) and the simulated disk holds their binary page
+    images (:class:`~repro.storage.serialization.NodeCodec`).
     """
 
     page_size: int = 1024
@@ -51,8 +45,6 @@ class IndexConfig:
     charge_hash_io: bool = True
     bulk_load_fill: float = 0.66
     min_fill_factor: float = 0.4
-    node_layout: str = "object"
-    page_store: str = "object"
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -67,10 +59,6 @@ class IndexConfig:
         object.__setattr__(self, "strategy", strategy)
         if self.split not in {"quadratic", "linear", "rstar"}:
             raise ValueError(f"unknown split algorithm {self.split!r}")
-        if self.node_layout not in {"object", "packed"}:
-            raise ValueError(f"unknown node layout {self.node_layout!r}")
-        if self.page_store not in {"object", "binary"}:
-            raise ValueError(f"unknown page store {self.page_store!r}")
 
     def with_overrides(self, **changes) -> "IndexConfig":
         """Return a copy of this configuration with the given fields replaced."""
@@ -92,8 +80,4 @@ class IndexConfig:
             f"D={self.params.distance_threshold:g}",
             f"L={'max' if self.params.level_threshold is None else self.params.level_threshold}",
         ]
-        if self.node_layout != "object":
-            bits.append(f"layout={self.node_layout}")
-        if self.page_store != "object":
-            bits.append(f"pages={self.page_store}")
         return " ".join(bits)

@@ -111,11 +111,7 @@ class MovingObjectIndex(SpatialIndexFacade):
             self.disk,
             capacity=0,
             stats=self.stats,
-            codec=(
-                NodeCodec(node_layout=self.config.node_layout)
-                if self.config.page_store == "binary"
-                else None
-            ),
+            codec=NodeCodec(),
         )
         self.tree = RTree(
             self.buffer,
@@ -123,7 +119,6 @@ class MovingObjectIndex(SpatialIndexFacade):
             split_strategy=make_split_strategy(self.config.split),
             store_parent_pointers=self.config.needs_parent_pointers,
             reinsert_on_underflow=self.config.reinsert_on_underflow,
-            node_layout=self.config.node_layout,
         )
         self.hash_index = ObjectHashIndex.build_from_tree(
             self.tree, stats=self.stats, charge_io=self.config.charge_hash_io

@@ -37,7 +37,6 @@ import repro.api.builder as api_builder
 from repro.api.errors import CheckpointError
 from repro.core.index import MovingObjectIndex
 from repro.geometry import Point
-from repro.storage.serialization import NodeCodec
 
 # Version 2: checkpoints use the lossless columnar page codec (binary64
 # coordinates) instead of the paper's 4-byte sizing-model format, so a
@@ -48,7 +47,7 @@ FORMAT_VERSION = 2
 def _index_document(index: MovingObjectIndex) -> Dict:
     """The checkpoint document body of one single-machine index."""
     index.buffer.flush()
-    codec = NodeCodec(node_layout=index.tree.node_layout)
+    codec = index.buffer.codec
     pages = {}
     for node, _parent in index.tree.iter_nodes():
         image = codec.encode(node)
@@ -84,7 +83,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     index.tree._free_node(empty_root)
 
     tree_meta = document["tree"]
-    codec = NodeCodec(node_layout=index.tree.node_layout)
+    codec = index.buffer.codec
     restored_pages = {}
     for page_text, image_text in document["pages"].items():
         page_id = int(page_text)
@@ -94,7 +93,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
 
     # Allocate page ids on the fresh disk until every checkpointed id exists,
     # then write the nodes into place through the (still unbuffered) pool,
-    # whose disk boundary stores them as the configured page store does.
+    # whose disk boundary encodes them again.
     disk = index.disk
     needed = set(restored_pages)
     allocated = set()
@@ -113,8 +112,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     # Rebuild the derived structures from the restored tree.
     index.hash_index._leaf_of.clear()
     for leaf in index.tree.leaf_nodes():
-        for entry in leaf.entries:
-            index.hash_index._leaf_of[entry.child] = leaf.page_id
+        index.hash_index.on_node_written(leaf)
     if index.summary is not None:
         index.summary.rebuild_from_tree()
 

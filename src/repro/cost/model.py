@@ -62,7 +62,7 @@ class TreeShape:
         """Measure the shape of an existing tree (no I/O charged)."""
         per_level: Dict[int, List[Tuple[float, float]]] = {}
         for node, _parent in tree.iter_nodes():
-            if not node.entries:
+            if not len(node):
                 continue
             mbr = node.mbr()
             per_level.setdefault(node.level, []).append((mbr.width, mbr.height))

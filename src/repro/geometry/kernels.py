@@ -1,7 +1,7 @@
 """Batch geometric kernels over packed coordinate buffers.
 
-The packed node layout (:class:`repro.rtree.node.PackedNode`) stores the MBRs
-of a node's entries as one flat coordinate buffer::
+An R-tree node (:class:`repro.rtree.node.Node`) stores the MBRs of its
+entries as one flat coordinate buffer::
 
     [xmin0, ymin0, xmax0, ymax0, xmin1, ymin1, xmax1, ymax1, ...]
 
@@ -13,9 +13,9 @@ shift-candidate scans.
 
 Every kernel is defined to agree **exactly** (bit-for-bit, not approximately)
 with the scalar :class:`~repro.geometry.rect.Rect` predicates: the arithmetic
-mirrors the scalar formulas operation for operation, so a packed-layout tree
-produces byte-identical answers to an object-layout tree.  The property suite
-in ``tests/test_geometry_kernels.py`` enforces this contract.
+mirrors the scalar formulas operation for operation, so a sweep over a node's
+buffer answers exactly what the per-entry ``Rect`` calls would.  The property
+suite in ``tests/test_geometry_kernels.py`` enforces this contract.
 
 Two interchangeable backends are provided:
 

@@ -73,8 +73,8 @@ def bulk_load_str(
         nodes = _pack_level(tree, upper_entries, level=level, fanout=internal_fanout)
         if tree.store_parent_pointers and level == 1:
             for parent in nodes:
-                for entry in parent.entries:
-                    child = tree.peek_node(entry.child)
+                for child_page in parent.child_ids():
+                    child = tree.peek_node(child_page)
                     child.parent_page_id = parent.page_id
                     tree.write_node(child)
         level += 1
@@ -108,7 +108,7 @@ def _pack_level(
         for node_start in range(0, len(by_y), fanout):
             group = by_y[node_start : node_start + fanout]
             node = tree._allocate_node(level)
-            node.entries = [entry.copy() for entry in group]
+            node.entries = group
             tree.write_node(node)
             nodes.append(node)
     return _rebalance_tail(tree, nodes, level)
@@ -126,16 +126,16 @@ def _rebalance_tail(tree: RTree, nodes: List[Node], level: int) -> List[Node]:
         return nodes
     min_entries = tree.min_entries_for_level(level)
     last = nodes[-1]
-    if len(last.entries) >= min_entries:
+    if len(last) >= min_entries:
         return nodes
     donor = nodes[-2]
-    needed = min_entries - len(last.entries)
-    movable = max(0, len(donor.entries) - min_entries)
+    needed = min_entries - len(last)
+    movable = max(0, len(donor) - min_entries)
     to_move = min(needed, movable)
     if to_move > 0:
-        moved = list(donor.entries[-to_move:])
-        donor.entries = list(donor.entries[:-to_move])
-        last.entries = moved + list(last.entries)
+        donor_entries = donor.entries
+        donor.entries = donor_entries[:-to_move]
+        last.entries = donor_entries[-to_move:] + last.entries
         tree.write_node(donor)
         tree.write_node(last)
     return nodes

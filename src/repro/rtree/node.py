@@ -15,55 +15,41 @@ LBU (Section 3.1) additionally stores a parent pointer in every leaf node;
 :attr:`Node.parent_page_id` holds it when the tree is configured with
 ``store_parent_pointers=True``.  GBU never uses parent pointers.
 
-Two physical layouts implement the same node interface:
+Physically a :class:`Node` is columnar: the entry MBRs live in one flat
+``array('d')`` (stride 4: xmin, ymin, xmax, ymax) and the entry ids in one
+``array('I')``.  The geometric hot paths sweep those buffers with the batch
+kernels in :mod:`repro.geometry.kernels`, whose arithmetic mirrors the scalar
+:class:`~repro.geometry.rect.Rect` predicates operation for operation, and
+the page codec (:class:`~repro.storage.serialization.NodeCodec`) moves them
+to and from page images with ``tobytes``/``frombytes``.
 
-* :class:`Node` — the **object layout**: a Python list of :class:`Entry`
-  objects.  This is the default and the layout all paper figures are
-  produced with.
-* :class:`PackedNode` — the **packed columnar layout**: entry MBRs live in
-  one flat ``array('d')`` (stride 4: xmin, ymin, xmax, ymax) and entry ids
-  in one ``array('I')``.  The geometric hot paths sweep those buffers with
-  the batch kernels in :mod:`repro.geometry.kernels` instead of touching an
-  ``Entry``/``Rect`` object per predicate, and the binary page codec encodes
-  and decodes the buffers with ``tobytes``/``frombytes`` (zero-parse I/O).
-  ``entries`` is materialised on demand as a sequence view and
-  :meth:`find_entry` returns a write-through proxy, so callers written
-  against the object layout work unchanged.
-
-Both layouts produce bit-identical geometry: every scan method either runs
-the very same scalar code (object layout) or a kernel whose arithmetic
-mirrors it operation for operation (packed layout).
+One rule governs access: **entries read out of a node are immutable values;
+a node is written only through its own methods** (:meth:`Node.add_entry`,
+:meth:`Node.set_rect`, the removal methods, assigning :attr:`Node.entries`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.geometry import Point, Rect, kernels, union_all
-
-#: Valid values for the ``node_layout`` configuration switch.
-NODE_LAYOUTS = ("object", "packed")
+from repro.geometry import Point, Rect, kernels
 
 
-class Entry:
-    """A single node entry: an MBR plus either an object id or a child page id."""
+class Entry(NamedTuple):
+    """A node entry as a value: an MBR plus either an object id or a child page id.
 
-    __slots__ = ("rect", "child")
+    Immutable — assigning to a field raises ``AttributeError``.  An entry
+    read out of a node is a copy of that slot; change the node with
+    :meth:`Node.set_rect`.
+    """
 
-    def __init__(self, rect: Rect, child: int) -> None:
-        self.rect = rect
-        self.child = child
-
-    def __repr__(self) -> str:
-        return f"Entry(child={self.child}, rect={self.rect!r})"
-
-    def copy(self) -> "Entry":
-        return Entry(self.rect, self.child)
+    rect: Rect
+    child: int
 
 
 class Node:
-    """An R-tree node stored on one disk page (object layout).
+    """An R-tree node stored on one disk page.
 
     Parameters
     ----------
@@ -72,7 +58,7 @@ class Node:
     level:
         Distance from the leaf level; ``0`` for leaves.
     entries:
-        Node entries (see :class:`Entry`).
+        Initial entries (see :class:`Entry`), packed into the columns.
     parent_page_id:
         Page id of the parent node; only maintained for leaves when the tree
         stores parent pointers (the LBU configuration).
@@ -81,99 +67,170 @@ class Node:
         strategy has deliberately enlarged it beyond the tight bound of the
         entries (the ε-enlargement of Section 3.1/3.2).  ``None`` means the
         tight bound applies.  :meth:`effective_mbr` folds it in.
+
+    The columns are :attr:`coords` and :attr:`children`; entry ids must fit
+    an unsigned 32-bit slot, matching the paper's 4-byte pointers
+    (:class:`~repro.storage.sizing.PageLayout`).
     """
 
-    __slots__ = ("page_id", "level", "entries", "parent_page_id", "stored_mbr")
-
-    #: Name of the physical layout this class implements.
-    layout = "object"
+    __slots__ = (
+        "page_id",
+        "level",
+        "parent_page_id",
+        "stored_mbr",
+        "coords",
+        "children",
+        "_mbr",
+    )
 
     def __init__(
         self,
         page_id: int,
         level: int,
-        entries: Optional[List[Entry]] = None,
+        entries: Optional[Iterable[Entry]] = None,
         parent_page_id: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
         self.level = level
-        self.entries = entries if entries is not None else []
         self.parent_page_id = parent_page_id
         self.stored_mbr: Optional[Rect] = None
+        #: Memoised union of all entry MBRs.  Safe because the columns are
+        #: written only by this class's methods, all of which reset it.
+        self._mbr: Optional[Rect] = None
+        self.entries = entries or ()  # creates the columns
 
     # -- classification -----------------------------------------------------
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
-    # -- entry management -----------------------------------------------------
+    # -- entries as values ----------------------------------------------------
+    @property
+    def entries(self) -> List[Entry]:
+        """The entries as a fresh list of values, in entry order.
+
+        Assigning an iterable of entries replaces the node's content (node
+        split, bulk load).
+        """
+        return self.materialized_entries()
+
+    @entries.setter
+    def entries(self, value: Iterable[Entry]) -> None:
+        coords = array("d")
+        children = array("I")
+        for entry in value:
+            rect = entry.rect
+            coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
+            children.append(entry.child)
+        self.coords = coords
+        self.children = children
+        self._mbr = None
+
+    def materialized_entries(self) -> List[Entry]:
+        """The entries as a plain list (safe to hold across node mutations)."""
+        it = iter(self.coords)
+        raw = Rect._raw
+        return [
+            Entry(raw(xmin, ymin, xmax, ymax), child)
+            for xmin, ymin, xmax, ymax, child in zip(it, it, it, it, self.children)
+        ]
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.children)
 
     def add_entry(self, entry: Entry) -> None:
-        self.entries.append(entry)
+        rect = entry.rect
+        self.coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
+        self.children.append(entry.child)
+        self._mbr = None
+
+    def _index_of(self, child: int) -> int:
+        """Position of the entry for *child*, or ``-1`` when absent."""
+        try:
+            return self.children.index(child)
+        except ValueError:
+            return -1
+
+    def _delete_at(self, index: int) -> None:
+        del self.children[index]
+        del self.coords[4 * index : 4 * index + 4]
+        self._mbr = None
 
     def find_entry(self, child: int) -> Optional[Entry]:
-        """Return the entry whose object id / child pointer equals *child*."""
-        for entry in self.entries:
-            if entry.child == child:
-                return entry
-        return None
+        """The entry whose object id / child pointer equals *child*, if any."""
+        index = self._index_of(child)
+        return self.entry_at(index) if index >= 0 else None
+
+    def set_rect(self, child: int, rect: Rect) -> bool:
+        """Overwrite the MBR stored for *child*; ``True`` when it differed.
+
+        The node's one in-place write.  Raises ``LookupError`` when the node
+        holds no entry for *child*.
+        """
+        base = 4 * self._index_of(child)
+        if base < 0:
+            raise LookupError(f"entry {child} not found in node {self.page_id}")
+        coords = self.coords
+        xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+        if (
+            coords[base] == xmin
+            and coords[base + 1] == ymin
+            and coords[base + 2] == xmax
+            and coords[base + 3] == ymax
+        ):
+            return False
+        coords[base] = xmin
+        coords[base + 1] = ymin
+        coords[base + 2] = xmax
+        coords[base + 3] = ymax
+        self._mbr = None
+        return True
 
     def remove_entry(self, child: int) -> Optional[Entry]:
         """Remove and return the entry for *child*, or ``None`` if absent."""
-        for index, entry in enumerate(self.entries):
-            if entry.child == child:
-                return self.entries.pop(index)
-        return None
+        index = self._index_of(child)
+        return self.pop_entry_at(index) if index >= 0 else None
 
     def discard_entry(self, child: int) -> bool:
         """Remove the entry for *child*; ``True`` when one was present.
 
-        Like :meth:`remove_entry` but without materialising the removed
-        entry — the packed layout skips building an :class:`Entry` the
+        Like :meth:`remove_entry` without building the :class:`Entry` the
         caller would throw away.
         """
-        return self.remove_entry(child) is not None
+        index = self._index_of(child)
+        if index >= 0:
+            self._delete_at(index)
+        return index >= 0
 
     def has_child(self, child: int) -> bool:
         """``True`` when an entry for *child* exists."""
-        return self.find_entry(child) is not None
+        return child in self.children
 
     def entry_at(self, index: int) -> Entry:
         """The entry at position *index* (entry order)."""
-        return self.entries[index]
+        return Entry(Rect._raw(*self.entry_bounds_at(index)), self.children[index])
 
     def entry_bounds_at(self, index: int) -> Tuple[float, float, float, float]:
-        """``(xmin, ymin, xmax, ymax)`` of the entry at *index*.
-
-        Bounds-only accessor for scans that never need an :class:`Entry`
-        object; the packed layout serves it straight from the coordinate
-        buffer.
-        """
-        return self.entries[index].rect.as_tuple()
+        """``(xmin, ymin, xmax, ymax)`` of the entry at *index*."""
+        base = 4 * index
+        coords = self.coords
+        return (coords[base], coords[base + 1], coords[base + 2], coords[base + 3])
 
     def pop_entry_at(self, index: int) -> Entry:
         """Remove and return the entry at position *index*."""
-        return self.entries.pop(index)
-
-    def materialized_entries(self) -> List[Entry]:
-        """The entries as a plain list (safe to hold across node mutations).
-
-        The object layout returns the live :class:`Entry` objects in a fresh
-        list; the packed layout returns detached copies.
-        """
-        return list(self.entries)
+        entry = self.entry_at(index)
+        self._delete_at(index)
+        return entry
 
     def child_ids(self) -> List[int]:
         """Object ids (leaf) or child page ids (internal) of all entries."""
-        return [entry.child for entry in self.entries]
+        return list(self.children)
 
     def is_full(self, capacity: int) -> bool:
-        return len(self.entries) >= capacity
+        return len(self.children) >= capacity
 
     def underflows(self, min_entries: int) -> bool:
-        return len(self.entries) < min_entries
+        return len(self.children) < min_entries
 
     # -- geometry ----------------------------------------------------------
     def mbr(self) -> Rect:
@@ -182,7 +239,10 @@ class Node:
         Raises ``ValueError`` for an empty node; only a brand-new empty root
         has no MBR and callers never ask for it.
         """
-        return union_all(entry.rect for entry in self.entries)
+        mbr = self._mbr
+        if mbr is None:
+            mbr = self._mbr = Rect._raw(*kernels.union_bounds(self.coords))
+        return mbr
 
     def effective_mbr(self) -> Rect:
         """The node's MBR including any deliberate ε-enlargement.
@@ -197,337 +257,9 @@ class Node:
             return tight
         return self.stored_mbr.union(tight)
 
-    # -- batch scans (layout-dispatched hot paths) ---------------------------
+    # -- batch scans (kernel-backed hot paths) -------------------------------
     def intersecting_children(self, window: Rect) -> List[int]:
         """Entry ids whose MBR intersects *window*, in entry order."""
-        return [
-            entry.child for entry in self.entries if entry.rect.intersects(window)
-        ]
-
-    def contains_point_children(self, point: Point) -> List[int]:
-        """Entry ids whose MBR contains *point*, in entry order."""
-        return [
-            entry.child
-            for entry in self.entries
-            if entry.rect.contains_point(point)
-        ]
-
-    def contained_entry_indices(
-        self, xmin: float, ymin: float, xmax: float, ymax: float
-    ) -> List[int]:
-        """Positions of entries whose MBR lies entirely inside the window.
-
-        Same predicate as :meth:`Rect.contains_rect` with the window as the
-        container; the piggyback scan uses this to find movable objects.
-        """
-        out: List[int] = []
-        append = out.append
-        for index, entry in enumerate(self.entries):
-            rect = entry.rect
-            if (
-                xmin <= rect.xmin
-                and ymin <= rect.ymin
-                and xmax >= rect.xmax
-                and ymax >= rect.ymax
-            ):
-                append(index)
-        return out
-
-    def choose_subtree_child(self, rect: Rect) -> int:
-        """Guttman's ChooseLeaf pick: least enlargement, ties by least area.
-
-        First entry wins exact ties, like the sequential scan the R-tree has
-        always used.  Raises ``LookupError`` on an empty node.
-        """
-        best_child: Optional[int] = None
-        best_enlargement = float("inf")
-        best_area = float("inf")
-        for entry in self.entries:
-            enlargement = entry.rect.enlargement_to_include(rect)
-            area = entry.rect.area()
-            if enlargement < best_enlargement or (
-                enlargement == best_enlargement and area < best_area
-            ):
-                best_child = entry.child
-                best_enlargement = enlargement
-                best_area = area
-        if best_child is None:
-            raise LookupError("cannot choose a subtree in an empty internal node")
-        return best_child
-
-    def entry_distances(self, point: Point) -> List[Tuple[float, int]]:
-        """``(min_distance, child)`` per entry, in entry order (kNN batch)."""
-        return [
-            (entry.rect.min_distance_to_point(point), entry.child)
-            for entry in self.entries
-        ]
-
-    # -- debugging ------------------------------------------------------------
-    def __repr__(self) -> str:
-        kind = "Leaf" if self.is_leaf else "Internal"
-        return (
-            f"{kind}Node(page={self.page_id}, level={self.level}, "
-            f"entries={len(self.entries)}, layout={self.layout})"
-        )
-
-
-class PackedEntryRef:
-    """Write-through proxy for one entry of a :class:`PackedNode`.
-
-    Mimics :class:`Entry`: reading ``.rect`` decodes the coordinates on the
-    fly, assigning ``.rect`` writes straight into the node's packed buffer.
-    The proxy is keyed by the entry id rather than a positional index, so it
-    stays valid across removals of *other* entries.
-    """
-
-    __slots__ = ("_node", "child", "_index")
-
-    def __init__(self, node: "PackedNode", child: int, index: int = -1) -> None:
-        self._node = node
-        self.child = child
-        self._index = index
-
-    def _position(self) -> int:
-        # The cached position is only a hint: removals of other entries may
-        # have shifted this entry, so verify before trusting it.
-        node = self._node
-        children = node.children
-        index = self._index
-        if 0 <= index < len(children) and children[index] == self.child:
-            return index
-        index = children.index(self.child)
-        self._index = index
-        return index
-
-    @property
-    def rect(self) -> Rect:
-        base = 4 * self._position()
-        coords = self._node.coords
-        return Rect._raw(
-            coords[base], coords[base + 1], coords[base + 2], coords[base + 3]
-        )
-
-    @rect.setter
-    def rect(self, value: Rect) -> None:
-        node = self._node
-        base = 4 * self._position()
-        coords = node.coords
-        coords[base] = value.xmin
-        coords[base + 1] = value.ymin
-        coords[base + 2] = value.xmax
-        coords[base + 3] = value.ymax
-        node._mbr = None
-
-    def copy(self) -> Entry:
-        """A detached plain :class:`Entry` snapshot."""
-        return Entry(self.rect, self.child)
-
-    def __repr__(self) -> str:
-        return f"PackedEntryRef(child={self.child}, rect={self.rect!r})"
-
-
-class PackedEntriesView(Sequence[Entry]):
-    """Read-only sequence view over a :class:`PackedNode`'s entries.
-
-    Iteration and indexing yield **detached** :class:`Entry` snapshots —
-    mutating a yielded entry does not write back into the node (use
-    :meth:`PackedNode.find_entry` for write-through access).
-    """
-
-    __slots__ = ("_node",)
-
-    def __init__(self, node: "PackedNode") -> None:
-        self._node = node
-
-    def __len__(self) -> int:
-        return len(self._node.children)
-
-    def __bool__(self) -> bool:
-        return bool(self._node.children)
-
-    @overload
-    def __getitem__(self, index: int) -> Entry: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> List[Entry]: ...
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[Entry, List[Entry]]:
-        node = self._node
-        if isinstance(index, slice):
-            return [
-                node.entry_at(position)
-                for position in range(*index.indices(len(node.children)))
-            ]
-        if index < 0:
-            index += len(node.children)
-        return node.entry_at(index)
-
-    def __iter__(self) -> Iterator[Entry]:
-        node = self._node
-        coords = node.coords
-        base = 0
-        for child in node.children:
-            yield Entry(
-                Rect._raw(
-                    coords[base], coords[base + 1], coords[base + 2], coords[base + 3]
-                ),
-                child,
-            )
-            base += 4
-
-    def __repr__(self) -> str:
-        return f"PackedEntriesView({list(self)!r})"
-
-
-class PackedNode(Node):
-    """An R-tree node in the packed columnar layout.
-
-    The primary store is a pair of flat buffers —
-
-    * :attr:`coords`: ``array('d')`` holding ``[xmin, ymin, xmax, ymax]``
-      per entry (stride 4),
-    * :attr:`children`: ``array('I')`` holding the object id / child page id
-      per entry —
-
-    which the batch kernels (:mod:`repro.geometry.kernels`) sweep in one
-    pass, and which the binary page codec moves to and from page images with
-    ``tobytes``/``frombytes``.  Entry ids must fit an unsigned 32-bit slot,
-    matching the paper's 4-byte pointers (:class:`~repro.storage.sizing.PageLayout`).
-
-    The :class:`Node` interface is preserved: ``entries`` is a sequence view
-    (detached snapshots), ``find_entry`` returns a write-through proxy, and
-    mutators (``add_entry``, ``remove_entry``, assigning ``entries``) repack
-    the buffers.
-    """
-
-    __slots__ = ("coords", "children", "_mbr")
-
-    layout = "packed"
-
-    def __init__(
-        self,
-        page_id: int,
-        level: int,
-        entries: Optional[Iterable[Entry]] = None,
-        parent_page_id: Optional[int] = None,
-    ) -> None:
-        self.page_id = page_id
-        self.level = level
-        self.parent_page_id = parent_page_id
-        self.stored_mbr = None
-        self.coords = array("d")
-        self.children = array("I")
-        #: Memoised union of all entry MBRs.  Safe because every mutation of
-        #: the packed buffers funnels through this class (``add_entry``,
-        #: ``pop_entry_at``, the ``entries`` setter) or through
-        #: :class:`PackedEntryRef` rect assignment, all of which reset it;
-        #: the object layout cannot cache this way because callers mutate its
-        #: entry list and Entry rects directly.
-        self._mbr: Optional[Rect] = None
-        if entries:
-            for entry in entries:
-                self.add_entry(entry)
-
-    # -- entries facade ------------------------------------------------------
-    @property  # type: ignore[override]
-    def entries(self) -> PackedEntriesView:
-        return PackedEntriesView(self)
-
-    @entries.setter
-    def entries(self, value: Iterable[Entry]) -> None:
-        # Materialise first: `value` may be a view over this very node.
-        items = [(entry.rect, entry.child) for entry in value]
-        coords = array("d")
-        children = array("I")
-        for rect, child in items:
-            coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
-            children.append(child)
-        self.coords = coords
-        self.children = children
-        self._mbr = None
-
-    # -- entry management -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.children)
-
-    def add_entry(self, entry: Entry) -> None:
-        rect = entry.rect
-        self.coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
-        self.children.append(entry.child)
-        self._mbr = None
-
-    def find_entry(self, child: int) -> Optional[PackedEntryRef]:
-        try:
-            index = self.children.index(child)
-        except ValueError:
-            return None
-        return PackedEntryRef(self, child, index)
-
-    def remove_entry(self, child: int) -> Optional[Entry]:
-        try:
-            index = self.children.index(child)
-        except ValueError:
-            return None
-        return self.pop_entry_at(index)
-
-    def discard_entry(self, child: int) -> bool:
-        try:
-            index = self.children.index(child)
-        except ValueError:
-            return False
-        base = 4 * index
-        del self.children[index]
-        del self.coords[base : base + 4]
-        self._mbr = None
-        return True
-
-    def has_child(self, child: int) -> bool:
-        return child in self.children
-
-    def entry_at(self, index: int) -> Entry:
-        base = 4 * index
-        coords = self.coords
-        return Entry(
-            Rect._raw(
-                coords[base], coords[base + 1], coords[base + 2], coords[base + 3]
-            ),
-            self.children[index],
-        )
-
-    def entry_bounds_at(self, index: int) -> Tuple[float, float, float, float]:
-        base = 4 * index
-        coords = self.coords
-        return (coords[base], coords[base + 1], coords[base + 2], coords[base + 3])
-
-    def pop_entry_at(self, index: int) -> Entry:
-        entry = self.entry_at(index)
-        base = 4 * index
-        del self.children[index]
-        del self.coords[base : base + 4]
-        self._mbr = None
-        return entry
-
-    def materialized_entries(self) -> List[Entry]:
-        return list(self.entries)
-
-    def child_ids(self) -> List[int]:
-        return list(self.children)
-
-    def is_full(self, capacity: int) -> bool:
-        return len(self.children) >= capacity
-
-    def underflows(self, min_entries: int) -> bool:
-        return len(self.children) < min_entries
-
-    # -- geometry (kernel-backed) ---------------------------------------------
-    def mbr(self) -> Rect:
-        mbr = self._mbr
-        if mbr is None:
-            xmin, ymin, xmax, ymax = kernels.union_bounds(self.coords)
-            mbr = self._mbr = Rect._raw(xmin, ymin, xmax, ymax)
-        return mbr
-
-    def intersecting_children(self, window: Rect) -> List[int]:
         return kernels.intersects_ids(
             self.coords,
             self.children,
@@ -538,6 +270,7 @@ class PackedNode(Node):
         )
 
     def contains_point_children(self, point: Point) -> List[int]:
+        """Entry ids whose MBR contains *point*, in entry order."""
         return kernels.contains_point_ids(
             self.coords, self.children, point.x, point.y
         )
@@ -545,9 +278,19 @@ class PackedNode(Node):
     def contained_entry_indices(
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> List[int]:
+        """Positions of entries whose MBR lies entirely inside the window.
+
+        Same predicate as :meth:`Rect.contains_rect` with the window as the
+        container; the piggyback scan uses this to find movable objects.
+        """
         return kernels.contained_in_many(self.coords, xmin, ymin, xmax, ymax)
 
     def choose_subtree_child(self, rect: Rect) -> int:
+        """Guttman's ChooseLeaf pick: least enlargement, ties by least area.
+
+        First entry wins exact ties, like the sequential scan the R-tree has
+        always used.  Raises ``LookupError`` on an empty node.
+        """
         if not self.children:
             raise LookupError("cannot choose a subtree in an empty internal node")
         index = kernels.argmin_enlargement(
@@ -556,30 +299,25 @@ class PackedNode(Node):
         return self.children[index]
 
     def entry_distances(self, point: Point) -> List[Tuple[float, int]]:
+        """``(min_distance, child)`` per entry, in entry order (kNN batch)."""
         distances = kernels.min_distance_many(self.coords, point.x, point.y)
         return list(zip(distances, self.children))
 
+    # -- debugging ------------------------------------------------------------
+    def __repr__(self) -> str:
+        kind = "Leaf" if self.is_leaf else "Internal"
+        return (
+            f"{kind}Node(page={self.page_id}, level={self.level}, "
+            f"entries={len(self.children)})"
+        )
 
-def make_node(
-    layout: str,
-    page_id: int,
-    level: int,
-    entries: Optional[List[Entry]] = None,
-    parent_page_id: Optional[int] = None,
-) -> Node:
-    """Construct a node in the requested physical *layout*."""
-    if layout == "packed":
-        return PackedNode(
-            page_id=page_id,
-            level=level,
-            entries=entries,
-            parent_page_id=parent_page_id,
-        )
-    if layout == "object":
-        return Node(
-            page_id=page_id,
-            level=level,
-            entries=entries,
-            parent_page_id=parent_page_id,
-        )
-    raise ValueError(f"unknown node layout: {layout!r} (expected one of {NODE_LAYOUTS})")
+
+# benchmarks/e2e/tracing.py (frozen) wraps the node layer by these two names:
+# ``PackedNode.<method>`` looked up in the class's own ``vars()``, and
+# ``make_node`` as a plain module-level function.
+PackedNode = Node
+
+
+def make_node(page_id: int, level: int) -> Node:
+    """Construct an empty node (the tree's allocation point for new nodes)."""
+    return Node(page_id=page_id, level=level)

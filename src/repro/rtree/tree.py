@@ -48,9 +48,9 @@ class RTree:
     ----------
     buffer:
         Buffer pool through which every node read/write flows.  Its frames
-        hold the live nodes; whether the disk behind it holds node objects
-        or binary page images is the pool's ``codec`` (applied at the disk
-        boundary only), which the tree never sees.
+        hold the live nodes; what the disk behind it holds is the pool's
+        ``codec`` (applied at the disk boundary only), which the tree never
+        sees.
     layout:
         Page layout used to derive leaf/internal capacities.
     split_strategy:
@@ -63,11 +63,6 @@ class RTree:
         When ``True`` (default) deletion uses Guttman's CondenseTree:
         underflowing nodes are dissolved and their entries re-inserted.
         When ``False`` underflowing nodes are simply left sparse.
-    node_layout:
-        Physical in-memory node representation: ``"object"`` (a list of
-        :class:`Entry` objects, the default) or ``"packed"`` (flat columnar
-        coordinate/id buffers swept by the batch kernels).  Both layouts
-        produce identical answers and identical I/O counts.
     """
 
     def __init__(
@@ -77,7 +72,6 @@ class RTree:
         split_strategy: Optional[SplitStrategy] = None,
         store_parent_pointers: bool = False,
         reinsert_on_underflow: bool = True,
-        node_layout: str = "object",
     ) -> None:
         self.buffer = buffer
         self.disk = buffer.disk
@@ -85,7 +79,6 @@ class RTree:
         self.split_strategy = split_strategy if split_strategy is not None else QuadraticSplit()
         self.store_parent_pointers = store_parent_pointers
         self.reinsert_on_underflow = reinsert_on_underflow
-        self.node_layout = node_layout
 
         self.leaf_capacity = self.layout.leaf_capacity(
             with_parent_pointer=store_parent_pointers
@@ -98,7 +91,7 @@ class RTree:
         self.size = 0  # number of indexed objects
         self.height = 1
 
-        root = make_node(self.node_layout, page_id=self.disk.allocate_page(), level=0)
+        root = make_node(page_id=self.disk.allocate_page(), level=0)
         self.root_page_id = root.page_id
         self.observers.node_created(root)
         self.write_node(root)
@@ -144,7 +137,7 @@ class RTree:
         return self.buffer.peek(page_id)
 
     def _allocate_node(self, level: int) -> Node:
-        node = make_node(self.node_layout, page_id=self.disk.allocate_page(), level=level)
+        node = make_node(page_id=self.disk.allocate_page(), level=level)
         self.observers.node_created(node)
         return node
 
@@ -269,8 +262,8 @@ class RTree:
                 if node.page_id in modified:
                     # The parent entry below is refreshed to the tight MBR,
                     # voiding any ε-slack; clear it *before* the write so the
-                    # page image (binary page store) matches the object's
-                    # final state.  Semantically a no-op when the parent entry
+                    # page image matches the node's final state.
+                    # Semantically a no-op when the parent entry
                     # already equals the tight bound (the slack was inside it).
                     if len(node) and (
                         index > 0 or upper_path or node.page_id != self.root_page_id
@@ -296,14 +289,7 @@ class RTree:
                     self._grow_root(node, split_sibling)
                 break
 
-            parent_entry = parent.find_entry(node.page_id)
-            if parent_entry is None:
-                raise LookupError(
-                    f"node {node.page_id} not found in parent {parent.page_id}"
-                )
-            new_mbr = node.mbr()
-            if parent_entry.rect != new_mbr:
-                parent_entry.rect = new_mbr
+            if parent.set_rect(node.page_id, node.mbr()):
                 modified.add(parent.page_id)
             if split_sibling is not None:
                 parent.add_entry(Entry(split_sibling.mbr(), split_sibling.page_id))
@@ -318,8 +304,8 @@ class RTree:
             node.materialized_entries(), min_entries
         )
         sibling = self._allocate_node(node.level)
-        node.entries = list(group_a)
-        sibling.entries = list(group_b)
+        node.entries = group_a
+        sibling.entries = group_b
         sibling.parent_page_id = node.parent_page_id
         node.stored_mbr = None  # entries were redistributed: any ε-slack is void
         self.write_node(node)
@@ -384,7 +370,7 @@ class RTree:
         ids = list(children)
         if len(set(ids)) != len(ids):
             raise LookupError(f"duplicate entry ids in removal from node {node.page_id}")
-        missing = [child for child in ids if node.find_entry(child) is None]
+        missing = [child for child in ids if not node.has_child(child)]
         if missing:
             raise LookupError(f"entries {missing} not found in node {node.page_id}")
         return [node.remove_entry(child) for child in ids]
@@ -396,10 +382,10 @@ class RTree:
         node is left unchanged in that case.
         """
         capacity = self.capacity_for_level(node.level)
-        if len(node.entries) + len(entries) > capacity:
+        if len(node) + len(entries) > capacity:
             raise ValueError(
                 f"adding {len(entries)} entries would overflow node "
-                f"{node.page_id} (capacity {capacity}, has {len(node.entries)})"
+                f"{node.page_id} (capacity {capacity}, has {len(node)})"
             )
         for entry in entries:
             node.add_entry(entry)
@@ -507,14 +493,7 @@ class RTree:
         before = parent.mbr() if len(parent) else None
         changed = False
         for child in children:
-            entry = parent.find_entry(child.page_id)
-            if entry is None:
-                raise LookupError(
-                    f"node {child.page_id} not found in parent {parent.page_id}"
-                )
-            target = child.effective_mbr()
-            if entry.rect != target:
-                entry.rect = target
+            if parent.set_rect(child.page_id, child.effective_mbr()):
                 changed = True
         if not changed:
             return False
@@ -533,7 +512,7 @@ class RTree:
                 )
             if ancestor_entry.rect.contains_rect(needed):
                 break
-            ancestor_entry.rect = ancestor_entry.rect.union(needed)
+            ancestor.set_rect(current.page_id, ancestor_entry.rect.union(needed))
             self.write_node(ancestor)
             current = ancestor
             needed = current.mbr()
@@ -616,8 +595,7 @@ class RTree:
                 orphans.extend((node.level, entry) for entry in node.entries)
                 self._free_node(node)
             else:
-                parent_entry = parent.find_entry(node.page_id)
-                if parent_entry is None:
+                if not parent.has_child(node.page_id):
                     raise LookupError(
                         f"node {node.page_id} not found in parent {parent.page_id}"
                     )
@@ -628,11 +606,8 @@ class RTree:
                     if len(node):
                         node.stored_mbr = None
                     self.write_node(node)
-                if len(node):
-                    new_mbr = node.mbr()
-                    if parent_entry.rect != new_mbr:
-                        parent_entry.rect = new_mbr
-                        modified.add(parent.page_id)
+                if len(node) and parent.set_rect(node.page_id, node.mbr()):
+                    modified.add(parent.page_id)
             index -= 1
 
         root = path[0]
@@ -643,7 +618,7 @@ class RTree:
         # dissolved leaf are data objects, entries of a dissolved internal
         # node are whole subtrees.
         for level, entry in orphans:
-            self._insert_entry(entry.copy(), target_level=level)
+            self._insert_entry(entry, target_level=level)
 
         self._shrink_root_if_needed()
 
@@ -820,7 +795,7 @@ class RTree:
     def root_mbr(self) -> Optional[Rect]:
         """MBR of the whole tree, or ``None`` when the tree is empty (no I/O charged)."""
         root = self.peek_node(self.root_page_id)
-        if not root.entries:
+        if not len(root):
             return None
         return root.mbr()
 

@@ -120,15 +120,15 @@ def _validate_node(
         )
 
     capacity = tree.capacity_for_level(node.level)
-    if len(node.entries) > capacity:
+    if len(node) > capacity:
         raise ValidationError(
-            f"node {node.page_id} holds {len(node.entries)} entries, capacity {capacity}"
+            f"node {node.page_id} holds {len(node)} entries, capacity {capacity}"
         )
     if check_min_fill and not is_root:
         minimum = tree.min_entries_for_level(node.level)
-        if len(node.entries) < minimum:
+        if len(node) < minimum:
             raise ValidationError(
-                f"node {node.page_id} holds {len(node.entries)} entries, minimum {minimum}"
+                f"node {node.page_id} holds {len(node)} entries, minimum {minimum}"
             )
 
     if node.is_leaf:
@@ -140,20 +140,20 @@ def _validate_node(
                     f"leaf {node.page_id} has parent pointer {node.parent_page_id}, "
                     f"actual parent {parent_page_id}"
                 )
-        for entry in node.entries:
-            if entry.child in seen_oids:
-                raise ValidationError(f"object id {entry.child} appears in two leaves")
-            seen_oids.add(entry.child)
+        for oid in node.child_ids():
+            if oid in seen_oids:
+                raise ValidationError(f"object id {oid} appears in two leaves")
+            seen_oids.add(oid)
             stats["objects"] += 1
         return
 
     stats["internals"] += 1
-    if not node.entries and not is_root:
+    if not len(node) and not is_root:
         raise ValidationError(f"internal node {node.page_id} has no entries")
-    node_mbr = node.mbr() if node.entries else None
+    node_mbr = node.mbr() if len(node) else None
     for entry in node.entries:
         child = tree.peek_node(entry.child)
-        child_mbr = child.mbr() if child.entries else None
+        child_mbr = child.mbr() if len(child) else None
         if child_mbr is not None and not entry.rect.contains_rect(child_mbr):
             raise ValidationError(
                 f"parent entry MBR {entry.rect} in node {node.page_id} does not cover "

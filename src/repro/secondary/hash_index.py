@@ -61,8 +61,7 @@ class ObjectHashIndex(TreeObserver):
         """
         index = cls(stats=stats if stats is not None else tree.disk.stats, charge_io=charge_io)
         for leaf in tree.leaf_nodes():
-            for entry in leaf.entries:
-                index._leaf_of[entry.child] = leaf.page_id
+            index.on_node_written(leaf)
         tree.register_observer(index)
         return index
 
@@ -129,8 +128,8 @@ class ObjectHashIndex(TreeObserver):
         errors = []
         actual: Dict[int, int] = {}
         for leaf in tree.leaf_nodes():
-            for entry in leaf.entries:
-                actual[entry.child] = leaf.page_id
+            for oid in leaf.child_ids():
+                actual[oid] = leaf.page_id
         for oid, page in actual.items():
             recorded = self._leaf_of.get(oid)
             if recorded != page:

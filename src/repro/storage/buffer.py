@@ -12,11 +12,12 @@ transfers after the buffer has absorbed whatever it can — exactly what the
 paper measures.
 
 Frames hold what callers read and write (live R-tree nodes).  With a page
-codec the disk holds binary page images instead, and the codec runs at the
-pool's **disk boundary** only: one decode per physical read (and per
-uncharged peek of a non-resident page), one encode per physical write.  A
-buffer hit hands back the resident node itself, exactly as the codec-less
-object store always did.
+codec — the index always passes one — the disk holds binary page images, and
+the codec runs at the pool's **disk boundary** only: one decode per physical
+read (and per uncharged peek of a non-resident page), one encode per physical
+write.  A buffer hit hands back the resident node itself.  Without a codec
+(the generic pool, as the storage tests use it) payloads go to the disk as
+they are.
 """
 
 from __future__ import annotations
@@ -185,18 +186,6 @@ class BufferPool:
         if percent_of_database > 0 and database_pages > 0:
             capacity = max(capacity, 1)
         return capacity
-
-    @classmethod
-    def for_percentage(
-        cls,
-        disk: DiskManager,
-        percent_of_database: float,
-        database_pages: int,
-        stats: Optional[IOStatistics] = None,
-    ) -> "BufferPool":
-        """Create a pool sized as *percent_of_database* % of *database_pages*."""
-        capacity = cls.capacity_for_percentage(percent_of_database, database_pages)
-        return cls(disk, capacity=capacity, stats=stats)
 
     # -- core API -----------------------------------------------------------
     def read(self, page_id: int) -> Any:

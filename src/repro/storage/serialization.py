@@ -19,20 +19,19 @@ Two encoders live here:
   lossless — at the cost of a larger entry and hence a smaller fan-out,
   which the sizing model accounts for automatically.
 
-* :class:`NodeCodec` — the **page-store codec** used when the index is
-  configured with binary pages (``page_store="binary"``).  It sits at the
-  buffer pool's **disk boundary** (:class:`~repro.storage.buffer.BufferPool`):
-  frames hold decoded nodes, :meth:`NodeCodec.decode` runs once per physical
-  read (and per uncharged peek of a page that is not resident), and
-  :meth:`NodeCodec.encode` once per physical write — a dirty eviction, a
-  flush, or an unbuffered write.  A buffer hit costs no codec work and keeps
-  whatever the node memoised (its MBR) alive between visits; the simulated
-  disk holds ``bytes``.  The format is columnar and always binary64 (the
-  live index must not quantize coordinates): a fixed header, then all entry
-  MBRs as one contiguous f64 block, then all entry ids as one contiguous u32
-  block.  Decoding into the packed node layout is zero-parse — the two
-  blocks are loaded with ``array.frombytes`` straight into the node's column
-  buffers.
+* :class:`NodeCodec` — the **page-store codec** the live index runs on.  It
+  sits at the buffer pool's **disk boundary**
+  (:class:`~repro.storage.buffer.BufferPool`): frames hold decoded nodes,
+  :meth:`NodeCodec.decode` runs once per physical read (and per uncharged
+  peek of a page that is not resident), and :meth:`NodeCodec.encode` once
+  per physical write — a dirty eviction, a flush, or an unbuffered write.  A
+  buffer hit costs no codec work and keeps whatever the node memoised (its
+  MBR) alive between visits; the simulated disk holds ``bytes``.  The format
+  is columnar and always binary64 (the live index must not quantize
+  coordinates): a fixed header, then all entry MBRs as one contiguous f64
+  block, then all entry ids as one contiguous u32 block — the node's own two
+  columns (:class:`~repro.rtree.node.Node`), moved with
+  ``array.tobytes``/``frombytes`` and no per-entry parsing.
 
   The physical image of a full node (36 bytes per entry) exceeds the
   paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
@@ -47,10 +46,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Optional
+from typing import Optional
 
 from repro.geometry import Rect
-from repro.rtree.node import Entry, Node, PackedNode, make_node
+from repro.rtree.node import Entry, Node
 from repro.storage.sizing import PageLayout
 
 _NO_PARENT = 0xFFFFFFFF
@@ -68,10 +67,11 @@ _PAGE_HEADER = _HEADER_F64
 _COORD_BYTES = 8  # one binary64 coordinate
 _CHILD_BYTES = 4  # one unsigned 32-bit id
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-# array('d') is always IEEE-754 binary64; 'I' is at least — and on every
-# supported platform exactly — 4 bytes.  The codec refuses to guess.
-_ARRAY_U32_OK = array("I").itemsize == _CHILD_BYTES
+# The node's columns are the image's blocks byte for byte on a little-endian
+# platform whose array('I') items are 4 bytes wide (array('d') is always
+# IEEE-754 binary64).  Anywhere else the codec packs and unpacks the columns
+# through ``struct`` — the only path on those platforms.
+_COLUMNS_ARE_IMAGE = sys.byteorder == "little" and array("I").itemsize == _CHILD_BYTES
 
 
 class SerializationError(ValueError):
@@ -85,6 +85,18 @@ def _structs_for(layout: PageLayout) -> tuple:
         return _HEADER_F64, _ENTRY_F64
     raise SerializationError(
         f"unsupported coordinate_size {layout.coordinate_size} (expected 4 or 8)"
+    )
+
+
+def _header_fields(node: Node) -> tuple:
+    """``(level, count, parent, flags, *stored MBR)`` as every header packs them."""
+    stored = node.stored_mbr
+    return (
+        node.level,
+        len(node),
+        node.parent_page_id if node.parent_page_id is not None else _NO_PARENT,
+        _FLAG_HAS_STORED_MBR if stored is not None else 0,
+        *(stored.as_tuple() if stored is not None else (0.0, 0.0, 0.0, 0.0)),
     )
 
 
@@ -106,7 +118,7 @@ def serialized_size(node: Node, layout: Optional[PageLayout] = None) -> int:
     layout = layout if layout is not None else PageLayout()
     header_struct, entry_struct = _structs_for(layout)
     header = max(header_struct.size, layout.header_size)
-    return header + len(node.entries) * entry_struct.size
+    return header + len(node) * entry_struct.size
 
 
 def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
@@ -118,18 +130,7 @@ def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
     """
     layout = layout if layout is not None else PageLayout()
     header_struct, entry_struct = _structs_for(layout)
-    flags = 0
-    stored = node.stored_mbr
-    if stored is not None:
-        flags |= _FLAG_HAS_STORED_MBR
-        stored_tuple = stored.as_tuple()
-    else:
-        stored_tuple = (0.0, 0.0, 0.0, 0.0)
-
-    parent = node.parent_page_id if node.parent_page_id is not None else _NO_PARENT
-    header = header_struct.pack(
-        node.level, len(node.entries), parent, flags, *stored_tuple
-    )
+    header = header_struct.pack(*_header_fields(node))
     header = header.ljust(max(header_struct.size, layout.header_size), b"\x00")
 
     body = bytearray(header)
@@ -138,7 +139,7 @@ def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
 
     if len(body) > layout.page_size:
         raise SerializationError(
-            f"node {node.page_id} with {len(node.entries)} entries needs "
+            f"node {node.page_id} with {len(node)} entries needs "
             f"{len(body)} bytes, page size is {layout.page_size}"
         )
     return bytes(body)
@@ -177,16 +178,7 @@ def deserialize_node(page_id: int, data: bytes, layout: Optional[PageLayout] = N
 
 
 class NodeCodec:
-    """Lossless columnar page codec for the live binary page store.
-
-    Parameters
-    ----------
-    node_layout:
-        Which node class :meth:`decode` materialises: ``"object"`` builds
-        :class:`~repro.rtree.node.Node` with an :class:`Entry` list,
-        ``"packed"`` builds :class:`~repro.rtree.node.PackedNode` by loading
-        the page's coordinate and id blocks directly into the node's column
-        buffers (zero parsing).
+    """Lossless columnar page codec for the live page store.
 
     Page image format (little-endian)::
 
@@ -199,42 +191,20 @@ class NodeCodec:
     encoded, so the page store never perturbs the index geometry.
     """
 
-    __slots__ = ("node_layout",)
+    __slots__ = ()
 
-    def __init__(self, node_layout: str = "object") -> None:
-        if node_layout not in ("object", "packed"):
-            raise ValueError(f"unknown node layout: {node_layout!r}")
-        self.node_layout = node_layout
-
-    # -- encode ----------------------------------------------------------------
     def encode(self, node: Node) -> bytes:
-        count = len(node)
-        flags = 0
-        stored = node.stored_mbr
-        if stored is not None:
-            flags |= _FLAG_HAS_STORED_MBR
-            stored_tuple = stored.as_tuple()
-        else:
-            stored_tuple = (0.0, 0.0, 0.0, 0.0)
-        parent = node.parent_page_id if node.parent_page_id is not None else _NO_PARENT
-
-        header = _PAGE_HEADER.pack(node.level, count, parent, flags, *stored_tuple)
-        if isinstance(node, PackedNode) and _LITTLE_ENDIAN and _ARRAY_U32_OK:
+        header = _PAGE_HEADER.pack(*_header_fields(node))
+        if _COLUMNS_ARE_IMAGE:
             return b"".join((header, node.coords.tobytes(), node.children.tobytes()))
-        coords: List[float] = []
-        children: List[int] = []
-        for entry in node.entries:
-            coords.extend(entry.rect.as_tuple())
-            children.append(entry.child)
         return b"".join(
             (
                 header,
-                struct.pack(f"<{4 * count}d", *coords),
-                struct.pack(f"<{count}I", *children),
+                struct.pack(f"<{len(node.coords)}d", *node.coords),
+                struct.pack(f"<{len(node.children)}I", *node.children),
             )
         )
 
-    # -- decode ----------------------------------------------------------------
     def decode(self, page_id: int, data: bytes) -> Node:
         if not isinstance(data, (bytes, bytearray)):
             raise SerializationError(
@@ -248,41 +218,21 @@ class NodeCodec:
         children_end = coords_end + count * _CHILD_BYTES
         if len(data) < children_end:
             raise SerializationError("truncated entry blocks in page image")
-        parent_page = None if parent == _NO_PARENT else parent
 
-        node: Node
-        if self.node_layout == "packed":
-            packed = PackedNode(page_id=page_id, level=level, parent_page_id=parent_page)
-            packed.coords.frombytes(data[coords_start:coords_end])
-            if _ARRAY_U32_OK:
-                packed.children.frombytes(data[coords_end:children_end])
-            else:
-                packed.children.extend(
-                    struct.unpack(f"<{count}I", data[coords_end:children_end])
-                )
-            if not _LITTLE_ENDIAN:
-                packed.coords.byteswap()
-                if _ARRAY_U32_OK:
-                    packed.children.byteswap()
-            node = packed
+        node = Node(
+            page_id=page_id,
+            level=level,
+            parent_page_id=None if parent == _NO_PARENT else parent,
+        )
+        if _COLUMNS_ARE_IMAGE:
+            node.coords.frombytes(data[coords_start:coords_end])
+            node.children.frombytes(data[coords_end:children_end])
         else:
-            values = struct.unpack(f"<{4 * count}d", data[coords_start:coords_end])
-            children = struct.unpack(f"<{count}I", data[coords_end:children_end])
-            entries = [
-                Entry(
-                    Rect._raw(
-                        values[base], values[base + 1], values[base + 2], values[base + 3]
-                    ),
-                    child,
-                )
-                for base, child in zip(range(0, 4 * count, 4), children)
-            ]
-            node = make_node(
-                "object",
-                page_id=page_id,
-                level=level,
-                entries=entries,
-                parent_page_id=parent_page,
+            node.coords.extend(
+                struct.unpack(f"<{4 * count}d", data[coords_start:coords_end])
+            )
+            node.children.extend(
+                struct.unpack(f"<{count}I", data[coords_end:children_end])
             )
         if flags & _FLAG_HAS_STORED_MBR:
             node.stored_mbr = Rect._raw(sx0, sy0, sx1, sy1)

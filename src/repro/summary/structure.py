@@ -229,7 +229,7 @@ class SummaryStructure(TreeObserver):
         for node, _parent in self.tree.iter_nodes():
             if node.is_leaf:
                 leaf_pages.add(node.page_id)
-                expected_full = len(node.entries) >= self.tree.leaf_capacity
+                expected_full = len(node) >= self.tree.leaf_capacity
                 if not self.leaf_bits.is_tracked(node.page_id):
                     errors.append(f"leaf {node.page_id} missing from bit vector")
                 elif self.leaf_bits.is_full(node.page_id) != expected_full:

@@ -163,11 +163,12 @@ class UpdateStrategy:
         residuals: List[BatchUpdate] = []
         dirty = False
         for request in group:
-            entry = leaf.find_entry(request.oid)
-            if entry is not None and mbr is not None and mbr.contains_point(
-                request.new_location
+            if (
+                leaf.has_child(request.oid)
+                and mbr is not None
+                and mbr.contains_point(request.new_location)
             ):
-                entry.rect = Rect.from_point(request.new_location)
+                leaf.set_rect(request.oid, Rect.from_point(request.new_location))
                 dirty = True
                 self.record_outcome(UpdateOutcome.IN_PLACE)
             else:

@@ -113,13 +113,12 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
             self.tree.insert(oid, new_location)
             return UpdateOutcome.INSERTED_NEW
         leaf = self.tree.read_node(leaf_page)
-        entry = leaf.find_entry(oid)
-        if entry is None:
+        if not leaf.has_child(oid):
             return self._top_down_update(oid, old_location, new_location)
 
         # In place: the new location lies within the leaf MBR.
         if leaf.effective_mbr().contains_point(new_location):
-            entry.rect = Rect.from_point(new_location)
+            leaf.set_rect(oid, Rect.from_point(new_location))
             self.tree.write_node(leaf)
             return UpdateOutcome.IN_PLACE
 
@@ -133,7 +132,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         attempts = ("sibling", "extend") if fast_mover else ("extend", "sibling")
         for attempt in attempts:
             if attempt == "extend":
-                outcome = self._try_extend(leaf, entry, new_location, parent_mbr, parent_entry)
+                outcome = self._try_extend(leaf, oid, new_location, parent_mbr, parent_entry)
             else:
                 outcome = self._try_sibling_shift(leaf, oid, new_location, parent_entry)
             if outcome is not None:
@@ -183,20 +182,19 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         needs_adjust = False  # in-place-only groups never touch the parent
 
         # 2. Batched directional extension.
-        if residuals and leaf.entries:
+        if residuals and len(leaf):
             running = leaf.effective_mbr()
             still: List[BatchUpdate] = []
             extended = False
             for request in residuals:
-                entry = leaf.find_entry(request.oid)
-                if entry is None:
+                if not leaf.has_child(request.oid):
                     still.append(request)
                     continue
                 candidate = running.extended_towards(
                     request.new_location, self.params.epsilon, bound=parent_mbr
                 )
                 if candidate.contains_point(request.new_location):
-                    entry.rect = Rect.from_point(request.new_location)
+                    leaf.set_rect(request.oid, Rect.from_point(request.new_location))
                     running = candidate
                     extended = True
                     self.record_outcome(UpdateOutcome.EXTENDED)
@@ -266,7 +264,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         moves: Dict[int, List[BatchUpdate]] = {}
         residuals: List[BatchUpdate] = []
         for request in requests:
-            if removable <= 0 or leaf.find_entry(request.oid) is None:
+            if removable <= 0 or not leaf.has_child(request.oid):
                 residuals.append(request)
                 continue
             target: Optional[int] = None
@@ -276,7 +274,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
                 if page not in siblings:
                     siblings[page] = self.tree.read_node(page)
                     planned[page] = 0
-                room = self.tree.leaf_capacity - len(siblings[page].entries)
+                room = self.tree.leaf_capacity - len(siblings[page])
                 if planned[page] < room:
                     target = page
                     break
@@ -290,10 +288,11 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         touched: List[Node] = []
         for page, routed in moves.items():
             sibling = siblings[page]
-            entries = self.tree.remove_entries(leaf, [r.oid for r in routed])
-            for entry, request in zip(entries, routed):
-                entry.rect = Rect.from_point(request.new_location)
-            self.tree.add_entries(sibling, entries)
+            self.tree.remove_entries(leaf, [r.oid for r in routed])
+            self.tree.add_entries(
+                sibling,
+                [Entry(Rect.from_point(r.new_location), r.oid) for r in routed],
+            )
             self.tree.write_node(sibling)
             touched.append(sibling)
             for _ in routed:
@@ -325,7 +324,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         if leaf_page is None:
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
-        if leaf.find_entry(oid) is None:
+        if not leaf.has_child(oid):
             return super().lock_scope(oid, old_location, new_location)
 
         requests = [GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE)]
@@ -463,7 +462,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
     def _try_extend(
         self,
         leaf: Node,
-        entry: Entry,
+        oid: int,
         new_location: Point,
         parent_mbr: Optional[Rect],
         parent_entry,
@@ -476,7 +475,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         if not extended.contains_point(new_location):
             return None
 
-        entry.rect = Rect.from_point(new_location)
+        leaf.set_rect(oid, Rect.from_point(new_location))
         leaf.stored_mbr = extended
         self.tree.write_node(leaf)
 
@@ -485,8 +484,9 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         if parent_entry is not None:
             parent_node = self.tree.read_node(parent_entry.page_id)
             child_entry = parent_node.find_entry(leaf.page_id)
-            if child_entry is not None and not child_entry.rect.contains_rect(extended):
-                child_entry.rect = child_entry.rect.union(extended)
+            if child_entry is not None and parent_node.set_rect(
+                leaf.page_id, child_entry.rect.union(extended)
+            ):
                 self.tree.write_node(parent_node)
         return UpdateOutcome.EXTENDED
 
@@ -543,22 +543,19 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         if self.params.piggyback:
             self._piggyback(leaf, sibling)
 
-        # Tightening the source leaf's MBR in the parent (below) voids any
-        # ε-slack; decide before the leaf write so the page image matches.
-        source_entry = parent_node.find_entry(leaf.page_id)
-        tightened: Optional[Rect] = None
-        if source_entry is not None and len(leaf):
-            candidate = leaf.mbr()
-            if source_entry.rect != candidate:
-                tightened = candidate
-                leaf.stored_mbr = None
-
+        # Tighten the source leaf's MBR in the parent to reduce overlap.  That
+        # voids any ε-slack; clear it before the leaf write so the page image
+        # matches.
+        tightened = (
+            len(leaf) > 0
+            and parent_node.has_child(leaf.page_id)
+            and parent_node.set_rect(leaf.page_id, leaf.mbr())
+        )
+        if tightened:
+            leaf.stored_mbr = None
         self.tree.write_node(leaf)
         self.tree.write_node(sibling)
-
-        # Tighten the source leaf's MBR in the parent to reduce overlap.
-        if source_entry is not None and tightened is not None:
-            source_entry.rect = tightened
+        if tightened:
             self.tree.write_node(parent_node)
         return UpdateOutcome.SIBLING_SHIFT
 

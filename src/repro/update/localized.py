@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.concurrency.dgl import TREE_GRANULE, GranuleLockRequest, merge_requests
 from repro.concurrency.locks import LockMode
 from repro.geometry import Point, Rect
-from repro.rtree.node import Node
+from repro.rtree.node import Entry, Node
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
 from repro.storage.stats import IOStatistics
@@ -94,13 +94,12 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
             self.tree.insert(oid, new_location)
             return UpdateOutcome.INSERTED_NEW
         leaf = self.tree.read_node(leaf_page)
-        entry = leaf.find_entry(oid)
-        if entry is None:
+        if not leaf.has_child(oid):
             return self._top_down_update(oid, old_location, new_location)
 
         # 1. In place: the new location lies within the (possibly enlarged) leaf MBR.
         if leaf.effective_mbr().contains_point(new_location):
-            entry.rect = Rect.from_point(new_location)
+            leaf.set_rect(oid, Rect.from_point(new_location))
             self.tree.write_node(leaf)
             return UpdateOutcome.IN_PLACE
 
@@ -113,8 +112,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
             # siblings to shift to; repair top-down.
             return self._top_down_update(oid, old_location, new_location)
         parent = self.tree.read_node(leaf.parent_page_id)
-        parent_entry = parent.find_entry(leaf.page_id)
-        if parent_entry is None:
+        if not parent.has_child(leaf.page_id):
             # Parent pointer is stale (should not happen when maintenance is
             # correct); fall back to the safe path.
             return self._top_down_update(oid, old_location, new_location)
@@ -123,10 +121,10 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         parent_mbr = parent.mbr()
         enlarged = leaf.effective_mbr().expanded(self.params.epsilon)
         if parent_mbr.contains_rect(enlarged) and enlarged.contains_point(new_location):
-            entry.rect = Rect.from_point(new_location)
+            leaf.set_rect(oid, Rect.from_point(new_location))
             leaf.stored_mbr = enlarged
             self.tree.write_node(leaf)
-            parent_entry.rect = enlarged
+            parent.set_rect(leaf.page_id, enlarged)
             self.tree.write_node(parent)
             return UpdateOutcome.EXTENDED
 
@@ -135,8 +133,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         if len(leaf) - 1 < self.tree.min_leaf_entries:
             return self._top_down_update(oid, old_location, new_location)
 
-        removed = leaf.remove_entry(oid)
-        assert removed is not None
+        leaf.discard_entry(oid)
         self.tree.write_node(leaf)
 
         # 3b. Shift to a sibling whose MBR contains the new location and which
@@ -144,7 +141,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         #     to be read from disk to check fullness.
         sibling = self._find_sibling(parent, exclude_page=leaf.page_id, location=new_location)
         if sibling is not None:
-            sibling.add_entry(removed.__class__(Rect.from_point(new_location), oid))
+            sibling.add_entry(Entry(Rect.from_point(new_location), oid))
             self.tree.write_node(sibling)
             return UpdateOutcome.SIBLING_SHIFT
 
@@ -174,23 +171,20 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
 
         if (
             residuals
-            and leaf.entries
+            and len(leaf)
             and leaf.parent_page_id is not None
             and self.tree.disk.contains(leaf.parent_page_id)
         ):
             parent = self.tree.read_node(leaf.parent_page_id)
-            parent_entry = parent.find_entry(leaf.page_id)
-            if parent_entry is not None:
+            if parent.has_child(leaf.page_id):
                 enlarged = leaf.effective_mbr().expanded(self.params.epsilon)
                 if parent.mbr().contains_rect(enlarged):
                     still: List[BatchUpdate] = []
                     extended = False
                     for request in residuals:
-                        entry = leaf.find_entry(request.oid)
-                        if entry is not None and enlarged.contains_point(
-                            request.new_location
-                        ):
-                            entry.rect = Rect.from_point(request.new_location)
+                        location = request.new_location
+                        if leaf.has_child(request.oid) and enlarged.contains_point(location):
+                            leaf.set_rect(request.oid, Rect.from_point(location))
                             extended = True
                             self.record_outcome(UpdateOutcome.EXTENDED)
                         else:
@@ -227,7 +221,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         if leaf_page is None:
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
-        if leaf.find_entry(oid) is None:
+        if not leaf.has_child(oid):
             return super().lock_scope(oid, old_location, new_location)
 
         requests = [GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE)]
@@ -243,7 +237,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         ):
             return super().lock_scope(oid, old_location, new_location)
         parent = self.tree.peek_node(leaf.parent_page_id)
-        if parent.find_entry(leaf_page) is None:
+        if not parent.has_child(leaf_page):
             return super().lock_scope(oid, old_location, new_location)
         requests.append(
             GranuleLockRequest(parent.page_id, LockMode.INTENTION_EXCLUSIVE)

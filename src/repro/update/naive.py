@@ -50,13 +50,12 @@ class NaiveBottomUpUpdate(UpdateStrategy):
             return UpdateOutcome.INSERTED_NEW
 
         leaf = self.tree.read_node(leaf_page)
-        entry = leaf.find_entry(oid)
-        if entry is None:
+        if not leaf.has_child(oid):
             # Stale secondary index (should not happen); repair via top-down.
             return self._top_down_update(oid, old_location, new_location)
 
         if leaf.effective_mbr().contains_point(new_location):
-            entry.rect = Rect.from_point(new_location)
+            leaf.set_rect(oid, Rect.from_point(new_location))
             self.tree.write_node(leaf)
             return UpdateOutcome.IN_PLACE
 
@@ -79,11 +78,7 @@ class NaiveBottomUpUpdate(UpdateStrategy):
         if leaf_page is None:
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
-        if (
-            leaf.find_entry(oid) is not None
-            and leaf.entries
-            and leaf.effective_mbr().contains_point(new_location)
-        ):
+        if leaf.has_child(oid) and leaf.effective_mbr().contains_point(new_location):
             return [
                 GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE),
                 GranuleLockRequest(TREE_GRANULE, LockMode.INTENTION_EXCLUSIVE),

@@ -44,6 +44,17 @@ class TestConfigCodec:
         assert config.page_size == IndexConfig().page_size
         assert config.params == TuningParameters.paper_defaults()
 
+    def test_unknown_config_and_params_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown spec keys \['bogus'\]"):
+            config_from_spec({"strategy": "TD", "bogus": 1})
+        with pytest.raises(ValueError, match=r"unknown spec keys \['speed'\]"):
+            config_from_spec({"params": {"epsilon": 0.01, "speed": 1}})
+
+    def test_retired_representation_keys_are_dropped(self):
+        # Saved specs from before the single representation carry them.
+        spec = dict(config_to_spec(IndexConfig()), node_layout="object", page_store="binary")
+        assert config_from_spec(spec) == IndexConfig()
+
 
 class TestOpenIndex:
     def test_default_spec_builds_a_single_index(self):
@@ -81,8 +92,12 @@ class TestOpenIndex:
         assert index.num_shards == 2
 
     def test_unknown_spec_keys_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown spec keys"):
             open_index({"shardz": 4})
+        with pytest.raises(ValueError, match="unknown spec keys"):
+            open_index({"config": {"bogus": 1}})
+        with pytest.raises(ValueError, match="unknown spec keys"):
+            open_index({"config": {"params": {"bogus": 1}}})
 
     def test_conflicting_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -186,3 +201,34 @@ class TestSpecCheckpointRoundTrip:
         # Engine defaults survive the checkpoint: sessions open identically.
         assert restored.engine().num_clients == index.engine().num_clients
         restored.validate()
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_checkpoint_naming_the_retired_representation_loads_as_it_is(
+        self, kind, tmp_path
+    ):
+        # Format-version-2 documents written before the representation was
+        # fixed say which node layout and page store produced them; their
+        # page images were the columnar codec format either way.
+        index = open_index(
+            {"kind": kind, "config": {"strategy": "GBU", "page_size": SMALL_PAGE_SIZE}}
+        )
+        index.load(make_points(300, seed=23))
+        rng = random.Random(9)
+        for _ in range(150):
+            index.update(rng.randrange(300), Point(rng.random(), rng.random()))
+
+        path = tmp_path / "checkpoint.json"
+        save_index(index, path)
+        document = json.loads(path.read_text())
+        sections = document["shards"] if kind == "sharded" else [document]
+        for section in sections:
+            section["config"].update(node_layout="object", page_store="object")
+        path.write_text(json.dumps(document))
+        restored = load_index(path)
+
+        restored.validate()
+        assert index_spec(restored) == index_spec(index)
+        assert all(restored.position_of(oid) == index.position_of(oid) for oid in range(300))
+        for window in (Rect(0.1, 0.1, 0.4, 0.4), Rect(0.0, 0.0, 1.0, 1.0)):
+            assert sorted(restored.range_query(window)) == sorted(index.range_query(window))
+        assert restored.knn(Point(0.5, 0.5), 9) == index.knn(Point(0.5, 0.5), 9)

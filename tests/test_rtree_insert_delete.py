@@ -254,9 +254,11 @@ class TestTraversalHelpers:
         tree = make_tree()
         for oid, point in make_points(150):
             tree.insert(oid, point)
-        # Corrupt a parent entry MBR directly.
+        validate_tree(tree)
+        # Corrupt a parent entry MBR through the node's write method.
         root = tree.peek_node(tree.root_page_id)
-        root.entries[0].rect = Rect(0.0, 0.0, 1e-6, 1e-6)
+        assert root.set_rect(root.child_ids()[0], Rect(0.0, 0.0, 1e-6, 1e-6))
+        tree.buffer.write(root.page_id, root)
         with pytest.raises(ValidationError):
             validate_tree(tree)
 

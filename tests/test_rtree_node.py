@@ -16,11 +16,11 @@ class TestEntry:
         assert entry.child == 42
         assert entry.rect == Rect(0, 0, 1, 1)
 
-    def test_copy_is_independent(self):
+    def test_entry_is_an_immutable_value(self):
         entry = Entry(Rect(0, 0, 1, 1), 42)
-        duplicate = entry.copy()
-        duplicate.rect = Rect(0, 0, 0.5, 0.5)
-        assert entry.rect == Rect(0, 0, 1, 1)
+        with pytest.raises(AttributeError):
+            entry.rect = Rect(0, 0, 0.5, 0.5)
+        assert entry == Entry(Rect(0, 0, 1, 1), 42)
 
     def test_repr_mentions_child(self):
         assert "42" in repr(Entry(Rect(0, 0, 1, 1), 42))

@@ -7,20 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect, kernels
 from repro.rtree import RTree
-from repro.rtree.node import NODE_LAYOUTS
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points, using_backend
 
 
-def tree_of(objects, node_layout="object"):
+def tree_of(objects):
     """An unbuffered small-page tree holding *objects* (``(oid, Point)`` pairs)."""
     stats = IOStatistics()
     disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
     tree = RTree(
         BufferPool(disk, capacity=0, stats=stats),
         layout=PageLayout(page_size=SMALL_PAGE_SIZE),
-        node_layout=node_layout,
     )
     for oid, point in objects:
         tree.insert(oid, point)
@@ -147,13 +145,10 @@ class TestKnnBounded:
             _grid_points(3), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
         ),
         k=st.integers(min_value=1, max_value=14),
-        node_layout=st.sampled_from(NODE_LAYOUTS),
         backend=st.sampled_from(kernels.available_backends()),
     )
-    def test_bounded_equals_unbounded_prefix(self, positions, probe, k, node_layout, backend):
-        tree = tree_of(
-            ((oid, Point(x, y)) for oid, (x, y) in enumerate(positions)), node_layout
-        )
+    def test_bounded_equals_unbounded_prefix(self, positions, probe, k, backend):
+        tree = tree_of((oid, Point(x, y)) for oid, (x, y) in enumerate(positions))
         point = Point(*probe)
 
         with using_backend(backend):

@@ -114,29 +114,26 @@ class TestBuffered:
         assert pool.dirty_count == 1
 
 
+def pool_for_percentage(percent, database_pages):
+    stats = IOStatistics()
+    disk = DiskManager(stats=stats)
+    capacity = BufferPool.capacity_for_percentage(percent, database_pages)
+    return BufferPool(disk, capacity=capacity, stats=stats)
+
+
 class TestSizing:
     def test_for_percentage_computes_capacity(self):
-        stats = IOStatistics()
-        disk = DiskManager(stats=stats)
-        pool = BufferPool.for_percentage(disk, 10.0, database_pages=200, stats=stats)
-        assert pool.capacity == 20
+        assert pool_for_percentage(10.0, database_pages=200).capacity == 20
 
     def test_for_percentage_rounds_up_to_one_page(self):
-        stats = IOStatistics()
-        disk = DiskManager(stats=stats)
-        pool = BufferPool.for_percentage(disk, 1.0, database_pages=10, stats=stats)
-        assert pool.capacity == 1
+        assert pool_for_percentage(1.0, database_pages=10).capacity == 1
 
     def test_for_percentage_zero_disables_buffering(self):
-        stats = IOStatistics()
-        disk = DiskManager(stats=stats)
-        pool = BufferPool.for_percentage(disk, 0.0, database_pages=1000, stats=stats)
-        assert pool.capacity == 0
+        assert pool_for_percentage(0.0, database_pages=1000).capacity == 0
 
     def test_for_percentage_negative_rejected(self):
-        disk = DiskManager()
         with pytest.raises(ValueError):
-            BufferPool.for_percentage(disk, -1.0, database_pages=10)
+            pool_for_percentage(-1.0, database_pages=10)
 
 
 class TestAccessLog:

@@ -7,8 +7,8 @@ Two codecs, two contracts:
   nearest binary32, **exactly** :func:`coordinate_quantum`, and become fully
   lossless with ``coordinate_size=8``;
 * the live page-store codec (:class:`NodeCodec`) is always binary64 and
-  must reproduce every node bit for bit, in both node layouts, because the
-  index actually runs on what it decodes.
+  must reproduce every node bit for bit, because the index actually runs on
+  what it decodes.
 """
 
 import random
@@ -16,8 +16,9 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry, Node, PackedNode
+from repro.rtree.node import Entry, Node
 from repro.storage import PageLayout
+from repro.storage import serialization
 from repro.storage.serialization import (
     NodeCodec,
     SerializationError,
@@ -27,6 +28,7 @@ from repro.storage.serialization import (
     serialized_size,
 )
 
+from tests import golden_object_layout as golden
 from tests.conftest import build_index
 
 # Coordinates deliberately not representable in binary32: 0.1's float64
@@ -34,8 +36,8 @@ from tests.conftest import build_index
 LOSSY_COORDS = (0.1, 0.1 + 1e-12, 1.0 / 3.0, 0.7000000123456789)
 
 
-def sample_node(cls=Node):
-    node = cls(page_id=5, level=0, parent_page_id=17)
+def sample_node():
+    node = Node(page_id=5, level=0, parent_page_id=17)
     node.add_entry(Entry(Rect(LOSSY_COORDS[0], LOSSY_COORDS[1], 0.5, 0.5), 7))
     node.add_entry(Entry(Rect(LOSSY_COORDS[2], 0.2, LOSSY_COORDS[3], 0.9), 8))
     node.stored_mbr = Rect(0.05, 0.05, 0.95, 0.95)
@@ -108,12 +110,10 @@ class TestSizingCodecF64:
 
 
 class TestNodeCodecRoundTrip:
-    @pytest.mark.parametrize("node_layout,cls", [("object", Node), ("packed", PackedNode)])
-    def test_lossless_round_trip(self, node_layout, cls):
-        codec = NodeCodec(node_layout=node_layout)
-        node = sample_node(cls)
+    def test_lossless_round_trip(self):
+        codec = NodeCodec()
+        node = sample_node()
         restored = codec.decode(5, codec.encode(node))
-        assert type(restored) is cls
         assert restored.level == 0
         assert restored.parent_page_id == 17
         assert restored.stored_mbr.as_tuple() == node.stored_mbr.as_tuple()
@@ -123,31 +123,24 @@ class TestNodeCodecRoundTrip:
             e.rect.as_tuple() for e in node.entries
         ]
 
-    def test_cross_layout_images_are_identical(self):
-        object_image = NodeCodec(node_layout="object").encode(sample_node(Node))
-        packed_image = NodeCodec(node_layout="packed").encode(sample_node(PackedNode))
-        assert object_image == packed_image
-
-    def test_decode_into_either_layout(self):
-        image = NodeCodec(node_layout="object").encode(sample_node(Node))
-        packed = NodeCodec(node_layout="packed").decode(5, image)
-        assert isinstance(packed, PackedNode)
-        assert [e.rect.as_tuple() for e in packed.entries] == [
-            e.rect.as_tuple() for e in sample_node().entries
-        ]
+    def test_struct_path_writes_and_reads_the_same_image(self, monkeypatch):
+        # The path big-endian platforms (or a wider array('I')) take.
+        codec = NodeCodec()
+        image = codec.encode(sample_node())
+        monkeypatch.setattr(serialization, "_COLUMNS_ARE_IMAGE", False)
+        assert codec.encode(sample_node()) == image
+        restored = codec.decode(5, image)
+        assert restored.coords == sample_node().coords
+        assert restored.children == sample_node().children
 
     def test_empty_node_round_trip(self):
-        codec = NodeCodec(node_layout="packed")
-        node = PackedNode(page_id=2, level=3)
+        codec = NodeCodec()
+        node = Node(page_id=2, level=3)
         restored = codec.decode(2, codec.encode(node))
         assert restored.level == 3
         assert len(restored) == 0
         assert restored.parent_page_id is None
         assert restored.stored_mbr is None
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError):
-            NodeCodec(node_layout="rowwise")
 
     def test_truncated_image_rejected(self):
         codec = NodeCodec()
@@ -163,17 +156,16 @@ class TestNodeCodecRoundTrip:
 
 
 def binary_store_tree(capacity=0, codec=None):
-    """A packed-layout tree whose pool encodes pages at the disk boundary."""
+    """A tree whose pool encodes pages at the disk boundary, as the index's does."""
     from repro.storage import BufferPool, DiskManager, IOStatistics
     from repro.rtree import RTree
 
     stats = IOStatistics()
     disk = DiskManager(page_size=256, stats=stats)
-    codec = codec if codec is not None else NodeCodec(node_layout="packed")
+    codec = codec if codec is not None else NodeCodec()
     tree = RTree(
         BufferPool(disk, capacity, stats, codec=codec),
         layout=PageLayout(page_size=256),
-        node_layout="packed",
     )
     return tree, stats
 
@@ -186,7 +178,7 @@ class TestBinaryPageStoreBehaviour:
         for oid in range(50):
             tree.insert(oid, Point(oid / 50.0, (oid * 7 % 50) / 50.0))
         assert isinstance(tree.disk.read_page(tree.root_page_id), bytes)
-        assert isinstance(tree.read_node(tree.root_page_id), PackedNode)
+        assert isinstance(tree.read_node(tree.root_page_id), Node)
 
     def test_reads_decode_fresh_nodes(self):
         # Unbuffered: every read is physical, so nothing aliases.
@@ -195,8 +187,7 @@ class TestBinaryPageStoreBehaviour:
         first = tree.read_node(tree.root_page_id)
         second = tree.read_node(tree.root_page_id)
         assert first is not second  # no aliasing through the page store
-        ref = first.find_entry(1)
-        ref.rect = Rect(0.9, 0.9, 0.9, 0.9)  # mutation not written back...
+        first.set_rect(1, Rect(0.9, 0.9, 0.9, 0.9))  # mutation not written back...
         assert tree.read_node(tree.root_page_id).find_entry(1).rect == Rect(
             0.1, 0.1, 0.1, 0.1
         )  # ...is invisible to later reads
@@ -214,8 +205,7 @@ class TestBinaryPageStoreBehaviour:
 class CountingCodec(NodeCodec):
     """A :class:`NodeCodec` that counts its calls (no ``__slots__``: has a dict)."""
 
-    def __init__(self, node_layout="packed"):
-        super().__init__(node_layout=node_layout)
+    def __init__(self):
         self.encodes = 0
         self.decodes = 0
 
@@ -277,22 +267,14 @@ class TestNodeResidentFrames:
 
     @pytest.mark.parametrize("buffer_percent", [0.0, 1.0, 100.0])
     @pytest.mark.parametrize("strategy", ["GBU", "LBU"])
-    def test_object_and_binary_stores_agree_on_answers_and_io(self, strategy, buffer_percent):
-        runs = []
-        for page_store in ("object", "binary"):
-            index = build_index(
-                strategy,
-                num_objects=400,
-                node_layout="packed",
-                page_store=page_store,
-                buffer_percent=buffer_percent,
-            )
-            answers = _mixed_stream(index, seed=1303)
-            index.validate()
-            runs.append((answers, index.stats.as_dict()))
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
-        assert runs[0][1]["physical_reads"] > 0
+    def test_binary_store_reproduces_object_store_answers_and_io(self, strategy, buffer_percent):
+        # The fixtures were recorded on a disk of node objects (no codec).
+        index = build_index(strategy, num_objects=400, buffer_percent=buffer_percent)
+        answers = _mixed_stream(index, seed=1303)
+        index.validate()
+        assert answers == golden.FRAMES_ANSWERS[strategy]
+        assert index.stats.as_dict() == golden.FRAMES_STATS[(strategy, buffer_percent)]
+        assert index.stats.physical_reads > 0
 
     @pytest.mark.parametrize("capacity", [0, 3, 10_000])
     def test_codec_runs_once_per_physical_transfer(self, capacity):
@@ -353,10 +335,7 @@ class TestNodeResidentFrames:
     def test_checkpoint_restore_with_unflushed_dirty_frames(self, tmp_path):
         from repro.core.persistence import load_index, save_index
 
-        index = build_index(
-            "GBU", num_objects=300, node_layout="packed", page_store="binary",
-            buffer_percent=100.0,
-        )
+        index = build_index("GBU", num_objects=300, buffer_percent=100.0)
         _mixed_stream(index, seed=77, steps=120)
         assert index.buffer.dirty_count > 0  # the newest state is in frames only
         window = Rect(0.1, 0.1, 0.9, 0.9)
@@ -376,10 +355,7 @@ class TestNodeResidentFrames:
         from repro.core import IndexConfig
         from repro.shard import GridPartitioner, ShardedIndex
 
-        config = IndexConfig(
-            strategy="GBU", page_size=256, node_layout="packed", page_store="binary",
-            buffer_percent=100.0,
-        )
+        config = IndexConfig(strategy="GBU", page_size=256, buffer_percent=100.0)
         index = ShardedIndex(config, partitioner=GridPartitioner.for_shards(2))
         rng = random.Random(9)
         index.load([(oid, Point(rng.random(), rng.random())) for oid in range(200)])

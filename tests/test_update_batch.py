@@ -36,8 +36,8 @@ class TestCapacityForPercentage:
             BufferPool.capacity_for_percentage(-1.0, 100)
 
     def test_for_percentage_uses_the_same_rule(self, disk):
-        pool = BufferPool.for_percentage(disk, 2.0, 250)
-        assert pool.capacity == BufferPool.capacity_for_percentage(2.0, 250)
+        pool = BufferPool(disk, capacity=BufferPool.capacity_for_percentage(2.0, 250))
+        assert pool.capacity == 5
 
     def test_configure_buffer_matches_classmethod(self):
         index = build_index("TD", num_objects=300)
@@ -155,7 +155,7 @@ class TestTreeGroupPrimitives:
         if parent.is_leaf:
             pytest.skip("tree too shallow for this check")
         child = tree.read_node(parent.entries[0].child)
-        parent.find_entry(child.page_id).rect = child.effective_mbr()
+        parent.set_rect(child.page_id, child.effective_mbr())
         writes_before = tree.disk.stats.logical_writes
         assert tree.adjust_upward(parent, [child]) in (True, False)
         # A second pass over unchanged children must not write at all.
