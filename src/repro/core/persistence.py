@@ -109,10 +109,9 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     index.tree.size = tree_meta["size"]
     index.tree.observers.root_changed(index.tree.root_page_id, index.tree.height)
 
-    # Rebuild the derived structures from the restored tree.
-    index.hash_index._leaf_of.clear()
-    for leaf in index.tree.leaf_nodes():
-        index.hash_index.on_node_written(leaf)
+    # Rebuild the derived structures from the restored tree: the pages were
+    # put in place below the tree, so no write event announced their entries.
+    index.hash_index.rebuild_from_tree(index.tree)
     if index.summary is not None:
         index.summary.rebuild_from_tree()
 

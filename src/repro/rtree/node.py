@@ -26,6 +26,11 @@ to and from page images with ``tobytes``/``frombytes``.
 One rule governs access: **entries read out of a node are immutable values;
 a node is written only through its own methods** (:meth:`Node.add_entry`,
 :meth:`Node.set_rect`, the removal methods, assigning :attr:`Node.entries`).
+Because of it a node can keep its own **membership delta**
+(:attr:`Node.arrived`): which ids entered since the node was last written.
+The tree's write event hands that to the observers
+(:mod:`repro.rtree.observers`), so keeping the hash index and the summary
+current costs what changed, not the fan-out.
 """
 
 from __future__ import annotations
@@ -71,6 +76,15 @@ class Node:
     The columns are :attr:`coords` and :attr:`children`; entry ids must fit
     an unsigned 32-bit slot, matching the paper's 4-byte pointers
     (:class:`~repro.storage.sizing.PageLayout`).
+
+    :attr:`arrived` is the membership delta since the last write: ``None``
+    while no entry came or went (:meth:`set_rect` alone never touches it),
+    otherwise the ids that entered and are still here — empty when entries
+    only left.  A node fresh from the constructor or the :attr:`entries`
+    setter reports every id ("everything is new");
+    :meth:`RTree.write_node <repro.rtree.tree.RTree.write_node>` resets it to
+    ``None`` once the observers have seen it, and the page codec hands back
+    decoded nodes with ``None``.  It is never part of the page image.
     """
 
     __slots__ = (
@@ -80,6 +94,7 @@ class Node:
         "stored_mbr",
         "coords",
         "children",
+        "arrived",
         "_mbr",
     )
 
@@ -124,6 +139,7 @@ class Node:
             children.append(entry.child)
         self.coords = coords
         self.children = children
+        self.arrived: Optional[List[int]] = children.tolist()
         self._mbr = None
 
     def materialized_entries(self) -> List[Entry]:
@@ -142,6 +158,10 @@ class Node:
         rect = entry.rect
         self.coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
         self.children.append(entry.child)
+        if self.arrived is None:
+            self.arrived = [entry.child]
+        else:
+            self.arrived.append(entry.child)
         self._mbr = None
 
     def _index_of(self, child: int) -> int:
@@ -152,6 +172,14 @@ class Node:
             return -1
 
     def _delete_at(self, index: int) -> None:
+        if self.arrived is None:
+            self.arrived = []
+        elif self.arrived:
+            # An id that entered and left between two writes never arrived.
+            try:
+                self.arrived.remove(self.children[index])
+            except ValueError:
+                pass
         del self.children[index]
         del self.coords[4 * index : 4 * index + 4]
         self._mbr = None

@@ -15,6 +15,30 @@ deleted, and whenever the root changes.  Auxiliary structures implement
 consistent regardless of which code path (top-down insert, bottom-up shift,
 bulk load, condense, ...) modified the index.
 
+**The write event says what changed.**  ``on_node_written(node)`` fires on
+every :meth:`RTree.write_node <repro.rtree.tree.RTree.write_node>`, and
+``node.arrived`` (:attr:`~repro.rtree.node.Node.arrived`) is the node's
+membership delta since its previous write event:
+
+* ``None`` — no entry came or went; at most entry MBRs (and so the node's own
+  MBR) moved.  An in-place or ε-extended update writes its leaf like this.
+* a list — the ids that entered the node and are still in it; empty when
+  entries only left.  A node that was just created, split or bulk-loaded
+  (its entries were assigned wholesale) lists every id.
+
+Ids that left are not listed: whoever took an id out either put it into
+another node, whose own event reports the arrival, or removed the object
+(``on_object_removed``), or freed the node (``on_node_deleted``).  The tree
+resets the delta after the fan-out and a node decoded from its page starts
+with ``None``, so an observer that was consistent with a node at its last
+write stays consistent by applying the delta — work proportional to the
+entries that changed, which is what the paper's Section 3.2 assumes when it
+calls the summary and the secondary index cheap to maintain.  An observer
+that has *not* seen a node's earlier writes (it attaches to a populated tree,
+or the tree was restored from page images) must first register every node
+whole from a traversal: ``ObjectHashIndex.rebuild_from_tree`` and
+``SummaryStructure.rebuild_from_tree`` are that bulk path.
+
 Observer callbacks are main-memory work: they never touch the buffer pool or
 the disk and therefore never affect the I/O metrics.
 """
@@ -37,7 +61,8 @@ class TreeObserver:
         """A node was allocated (it may still be empty)."""
 
     def on_node_written(self, node: "Node") -> None:
-        """A node was written to its page (entries and/or MBR may have changed)."""
+        """A node was written to its page; ``node.arrived`` is its membership
+        delta since the previous write event (see the module docstring)."""
 
     def on_node_deleted(self, node: "Node") -> None:
         """A node was removed from the tree and its page freed."""

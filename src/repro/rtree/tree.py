@@ -123,9 +123,16 @@ class RTree:
         return node
 
     def write_node(self, node: Node) -> None:
-        """Write *node* back to its page and notify observers."""
+        """Write *node* back to its page and notify observers.
+
+        The event carries the node's membership delta
+        (:attr:`Node.arrived <repro.rtree.node.Node.arrived>`); once every
+        observer has seen it the delta restarts, so the next write reports
+        only what changed after this one.
+        """
         self.buffer.write(node.page_id, node)
         self.observers.node_written(node)
+        node.arrived = None
 
     def peek_node(self, page_id: int) -> Node:
         """Read a node without charging I/O (planning, tests and validators).

@@ -9,10 +9,18 @@ the shared ``hash_index_reads`` counter.  Applications that pin the hash
 table in memory can disable the charge with ``charge_io=False``; the
 benchmark harness keeps the paper's accounting.
 
-Maintenance is free of I/O: the index is an in-memory dictionary that updates
-itself from the leaf-write events emitted by the tree, which is exactly how
-the paper treats it (only the R-tree pages count towards the I/O metric; the
-hash index is charged per probe, not per maintenance operation).
+Maintenance is free of I/O (only the R-tree pages count towards the paper's
+I/O metric; the hash index is charged per probe, not per maintenance
+operation) and proportional to what moved: a leaf-write event re-points only
+the ids that **arrived** in that leaf since its previous write
+(:attr:`Node.arrived <repro.rtree.node.Node.arrived>`, the event contract of
+:mod:`repro.rtree.observers`).  An update that stays in its leaf — in place
+or ε-extended — writes no key; a sibling shift writes one per object that
+changed leaf.  Registering a leaf whole is the bulk path only:
+:meth:`ObjectHashIndex.rebuild_from_tree` (bootstrap, checkpoint restore and
+worker hydration), and the events of nodes whose entries were assigned
+wholesale (bulk load, split), which list every id — one C-level
+``dict.update`` per leaf either way.
 """
 
 from __future__ import annotations
@@ -60,10 +68,19 @@ class ObjectHashIndex(TreeObserver):
         before the measured phase of every experiment.
         """
         index = cls(stats=stats if stats is not None else tree.disk.stats, charge_io=charge_io)
-        for leaf in tree.leaf_nodes():
-            index.on_node_written(leaf)
+        index.rebuild_from_tree(tree)
         tree.register_observer(index)
         return index
+
+    def rebuild_from_tree(self, tree: RTree) -> None:
+        """Bulk path: forget everything and register every leaf of *tree* whole.
+
+        For an index that has not followed the tree's write events — a fresh
+        one, or one whose tree was just restored from page images.
+        """
+        self._leaf_of.clear()
+        for leaf in tree.leaf_nodes():
+            self._leaf_of.update(zip(leaf.children, repeat(leaf.page_id)))
 
     # ------------------------------------------------------------------
     # Lookup
@@ -91,12 +108,12 @@ class ObjectHashIndex(TreeObserver):
     # TreeObserver interface
     # ------------------------------------------------------------------
     def on_node_written(self, node: Node) -> None:
-        """Record the current leaf of every object stored in a written leaf."""
-        if not node.is_leaf:
-            return
-        # dict.update over a zip runs the per-object loop in C; leaf writes
-        # are the single most frequent observer event on the update path.
-        self._leaf_of.update(zip(node.child_ids(), repeat(node.page_id)))
+        """Re-point the objects that arrived in a written leaf."""
+        arrived = node.arrived
+        if arrived and node.level == 0:
+            # dict.update over a zip runs the per-object loop in C (a split or
+            # bulk-loaded leaf lists all of its ids).
+            self._leaf_of.update(zip(arrived, repeat(node.page_id)))
 
     def on_node_deleted(self, node: Node) -> None:
         """Forget objects whose recorded leaf was deleted.

@@ -236,4 +236,6 @@ class NodeCodec:
             )
         if flags & _FLAG_HAS_STORED_MBR:
             node.stored_mbr = Rect._raw(sx0, sy0, sx1, sy1)
+        # The image is the node as last written: nothing has arrived since.
+        node.arrived = None
         return node

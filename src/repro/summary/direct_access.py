@@ -12,7 +12,8 @@ of a node's size and the whole table at roughly 0.16 % of the R-tree).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import Counter
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.geometry import Point, Rect
 
@@ -22,7 +23,9 @@ class DirectAccessEntry:
 
     __slots__ = ("page_id", "level", "mbr", "child_page_ids")
 
-    def __init__(self, page_id: int, level: int, mbr: Rect, child_page_ids: List[int]) -> None:
+    def __init__(
+        self, page_id: int, level: int, mbr: Rect, child_page_ids: Iterable[int]
+    ) -> None:
         self.page_id = page_id
         self.level = level
         self.mbr = mbr
@@ -56,8 +59,17 @@ class DirectAccessTable:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def upsert(self, page_id: int, level: int, mbr: Rect, child_page_ids: List[int]) -> None:
-        """Insert or update the entry for internal node *page_id*."""
+    def upsert(
+        self, page_id: int, level: int, mbr: Rect, child_page_ids: Iterable[int]
+    ) -> None:
+        """Insert the entry for internal node *page_id*, or replace its child list.
+
+        The whole-node registration: it re-derives the node's ``_parent_of``
+        keys, so it is for a node whose child list changed (split, condense,
+        new root) and for the bulk rebuild.  A write that only moved MBRs
+        goes through :meth:`set_mbr`.  The entry keeps its own copy of
+        *child_page_ids*.
+        """
         existing = self._entries.get(page_id)
         if existing is None:
             entry = DirectAccessEntry(page_id, level, mbr, child_page_ids)
@@ -77,8 +89,18 @@ class DirectAccessTable:
             existing.mbr = mbr
             existing.child_page_ids = list(child_page_ids)
             entry = existing
-        for child in child_page_ids:
+        for child in entry.child_page_ids:
             self._parent_of[child] = page_id
+
+    def set_mbr(self, page_id: int, mbr: Rect) -> None:
+        """Record the MBR of internal node *page_id*, whose child list is unchanged.
+
+        Compare and assign: no ``_parent_of`` or ``_by_level`` traffic.
+        """
+        entry = self._entries[page_id]
+        if entry.mbr != mbr:
+            entry.mbr = mbr
+            self.mbr_updates += 1
 
     def remove(self, page_id: int) -> None:
         """Remove the entry for *page_id* (the internal node was deleted)."""
@@ -138,6 +160,54 @@ class DirectAccessTable:
     def entries_containing(self, point: Point, level: int) -> List[DirectAccessEntry]:
         """Entries at *level* whose MBR contains *point* (used in tests/ablations)."""
         return [entry for entry in self.entries_at_level(level) if entry.mbr.contains_point(point)]
+
+    # ------------------------------------------------------------------
+    # Consistency checking (tests, ``index.validate()``)
+    # ------------------------------------------------------------------
+    def consistency_errors(self) -> List[str]:
+        """Mismatches between the derived maps and the entries they index.
+
+        ``_parent_of`` must hold exactly one key per child of every entry,
+        naming that entry, and ``_by_level`` must list every entry's page
+        once, under the entry's level — the state :meth:`parent_of` and
+        :meth:`entries_at_level` answer from.
+        """
+        errors: List[str] = []
+        parent_by_entries: Dict[int, int] = {}
+        for page_id, entry in self._entries.items():
+            for child in entry.child_page_ids:
+                if child in parent_by_entries:
+                    errors.append(
+                        f"page {child} is a child of both entry "
+                        f"{parent_by_entries[child]} and entry {page_id}"
+                    )
+                parent_by_entries[child] = page_id
+        for child, parent in parent_by_entries.items():
+            recorded = self._parent_of.get(child)
+            if recorded != parent:
+                errors.append(
+                    f"page {child}: parent map says {recorded}, its entry is {parent}"
+                )
+        for child in self._parent_of:
+            if child not in parent_by_entries:
+                errors.append(f"parent map keeps page {child}, which is no entry's child")
+
+        listed = Counter(page for pages in self._by_level.values() for page in pages)
+        for level, pages in self._by_level.items():
+            for page_id in pages:
+                entry = self._entries.get(page_id)
+                if entry is None:
+                    errors.append(f"level {level} lists page {page_id}, which has no entry")
+                elif entry.level != level:
+                    errors.append(
+                        f"page {page_id} of level {entry.level} is listed under level {level}"
+                    )
+        for page_id in self._entries:
+            if listed[page_id] != 1:
+                errors.append(
+                    f"entry {page_id} is listed {listed[page_id]} times in the level lists"
+                )
+        return errors
 
     # ------------------------------------------------------------------
     # Sizing

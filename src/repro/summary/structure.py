@@ -17,6 +17,25 @@ exposes the operations GBU needs:
   split above the insertion anchor can still propagate correctly.
 
 All methods are pure main-memory operations.
+
+**Maintenance follows the paper's accounting** — Section 3.2 changes a table
+entry only when an internal node's MBR moves or the node splits, and a bit
+only when a leaf's fullness changes — through the write event's membership
+delta (:mod:`repro.rtree.observers`):
+
+* a leaf written with the entries it had (``node.arrived is None`` — every
+  in-place and ε-extended update) costs nothing, its fullness bit is current;
+  a leaf whose membership changed has its bit set from its entry count;
+* an internal node written with the children it had only has its MBR compared
+  and assigned (:meth:`DirectAccessTable.set_mbr`);
+* an internal node whose child list changed — split, CondenseTree, a new
+  root — is registered whole (:meth:`DirectAccessTable.upsert`), the only
+  place ``_parent_of`` and ``_by_level`` are touched besides node deletion.
+
+:meth:`SummaryStructure.rebuild_from_tree` is the bulk path: it registers
+every node whole from one traversal, for a summary that has not followed the
+tree's events (bootstrap, a GBU hot swap, checkpoint restore, worker
+hydration).
 """
 
 from __future__ import annotations
@@ -80,7 +99,11 @@ class SummaryStructure(TreeObserver):
     # TreeObserver interface
     # ------------------------------------------------------------------
     def on_node_written(self, node: Node) -> None:
-        self._record_node(node)
+        if node.arrived is not None:
+            self._record_node(node)
+        elif node.level:
+            # Same children as at the last write: only the MBR can have moved.
+            self.table.set_mbr(node.page_id, node.mbr())
 
     def on_node_deleted(self, node: Node) -> None:
         if node.is_leaf:
@@ -93,6 +116,7 @@ class SummaryStructure(TreeObserver):
         self.height = height
 
     def _record_node(self, node: Node) -> None:
+        """Register *node* whole: fullness bit, or table entry with its children."""
         if node.is_leaf:
             self.leaf_bits.set_fullness(
                 node.page_id, len(node) >= self.tree.leaf_capacity
@@ -106,7 +130,7 @@ class SummaryStructure(TreeObserver):
             page_id=node.page_id,
             level=node.level,
             mbr=node.mbr(),
-            child_page_ids=node.child_ids(),
+            child_page_ids=node.children,  # the table takes its own copy
         )
 
     # ------------------------------------------------------------------
@@ -222,7 +246,11 @@ class SummaryStructure(TreeObserver):
     # Consistency checking (tests)
     # ------------------------------------------------------------------
     def consistency_errors(self) -> List[str]:
-        """Compare the summary against the live tree; return any mismatches."""
+        """Compare the summary against the live tree; return any mismatches.
+
+        Covers the entries (level, MBR, children), the leaf bits, the root,
+        and the table's derived ``_parent_of`` / ``_by_level`` maps.
+        """
         errors: List[str] = []
         internal_pages = set()
         leaf_pages = set()
@@ -249,6 +277,7 @@ class SummaryStructure(TreeObserver):
         for page_id in list(self.table._entries):
             if page_id not in internal_pages:
                 errors.append(f"table entry {page_id} refers to a node no longer in the tree")
+        errors.extend(self.table.consistency_errors())
         for page_id in self.leaf_bits:
             if page_id not in leaf_pages:
                 errors.append(f"bit vector tracks leaf {page_id} no longer in the tree")

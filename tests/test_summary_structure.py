@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.rtree import RTree, bulk_load_str
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
@@ -109,6 +110,59 @@ class TestMaintenance:
         counters_after = summary.maintenance_counters()
         assert counters_after["mbr_updates"] >= counters_before["mbr_updates"]
         assert counters_after["entry_insertions"] >= counters_before["entry_insertions"]
+
+
+class TestDerivedMapsAreValidated:
+    """``consistency_errors`` sees the maps ``parent_of`` / ``find_parent`` answer from."""
+
+    def a_level_one_entry(self, summary):
+        return next(summary.table.entries_at_level(1))
+
+    def test_missing_parent_key_is_reported(self):
+        _tree, summary, _points, _ = tree_with_summary()
+        child = self.a_level_one_entry(summary).child_page_ids[0]
+        del summary.table._parent_of[child]
+        assert any(f"page {child}:" in error for error in summary.consistency_errors())
+
+    def test_parent_key_naming_another_entry_is_reported(self):
+        _tree, summary, _points, _ = tree_with_summary()
+        first, second = list(summary.table.entries_at_level(1))[:2]
+        child = first.child_page_ids[0]
+        summary.table._parent_of[child] = second.page_id
+        errors = summary.consistency_errors()
+        assert any(f"parent map says {second.page_id}" in error for error in errors)
+
+    def test_parent_key_for_a_page_that_is_no_child_is_reported(self):
+        _tree, summary, _points, _ = tree_with_summary()
+        summary.table._parent_of[987_654] = self.a_level_one_entry(summary).page_id
+        assert any("987654" in error for error in summary.consistency_errors())
+
+    def test_level_list_errors_are_reported(self):
+        for corrupt, expected in (
+            (lambda by_level, page: by_level[1].append(page), "listed 2 times"),
+            (lambda by_level, page: by_level[1].remove(page), "listed 0 times"),
+            (
+                lambda by_level, page: (
+                    by_level[1].remove(page),
+                    by_level.setdefault(7, []).append(page),
+                ),
+                "listed under level 7",
+            ),
+            (lambda by_level, page: by_level[1].append(987_654), "has no entry"),
+        ):
+            _tree, summary, _points, _ = tree_with_summary()
+            corrupt(summary.table._by_level, self.a_level_one_entry(summary).page_id)
+            errors = summary.consistency_errors()
+            assert any(expected in error for error in errors), (expected, errors)
+
+    def test_index_validate_raises_on_a_stale_parent_map(self):
+        index = MovingObjectIndex(IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE))
+        index.load(make_points(300))
+        index.validate()
+        child = next(index.summary.table.entries_at_level(1)).child_page_ids[0]
+        del index.summary.table._parent_of[child]
+        with pytest.raises(AssertionError, match=f"page {child}"):
+            index.validate()
 
 
 class TestParentAndSiblingLookups:
