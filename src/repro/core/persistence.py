@@ -41,7 +41,11 @@ from repro.geometry import Point
 # Version 2: checkpoints use the lossless columnar page codec (binary64
 # coordinates) instead of the paper's 4-byte sizing-model format, so a
 # save/load round trip reproduces every coordinate bit for bit.
-FORMAT_VERSION = 2
+# Version 3: the page header of a non-empty node carries its tight MBR
+# (NodeCodec flag bit 1).  The one decoder reads images with and without the
+# bit, so a version-2 checkpoint loads unchanged.
+FORMAT_VERSION = 3
+READABLE_FORMAT_VERSIONS = (2, FORMAT_VERSION)
 
 
 def _index_document(index: MovingObjectIndex) -> Dict:
@@ -255,7 +259,7 @@ def load_index(path: Union[str, Path]):
         raise CheckpointError(
             f"checkpoint {source} is not valid JSON (torn write?): {error}"
         ) from error
-    if document.get("format_version") != FORMAT_VERSION:
+    if document.get("format_version") not in READABLE_FORMAT_VERSIONS:
         raise CheckpointError(
             f"unsupported checkpoint format {document.get('format_version')!r}"
         )

@@ -26,11 +26,22 @@ to and from page images with ``tobytes``/``frombytes``.
 One rule governs access: **entries read out of a node are immutable values;
 a node is written only through its own methods** (:meth:`Node.add_entry`,
 :meth:`Node.set_rect`, the removal methods, assigning :attr:`Node.entries`).
-Because of it a node can keep its own **membership delta**
-(:attr:`Node.arrived`): which ids entered since the node was last written.
-The tree's write event hands that to the observers
-(:mod:`repro.rtree.observers`), so keeping the hash index and the summary
-current costs what changed, not the fan-out.
+Because of it a node can keep two pieces of state about its own columns
+current at the cost of what a write changed, not the fan-out:
+
+* its **membership delta** (:attr:`Node.arrived`): which ids entered since the
+  node was last written.  The tree's write event hands that to the observers
+  (:mod:`repro.rtree.observers`), which apply only the delta to the hash
+  index and the summary.
+* its **tight MBR** (:meth:`Node.mbr`): every write method adjusts the
+  memoised bound by the rectangle that came or went — an arrival is unioned
+  in, a departure from the interior leaves it alone, and only a rectangle
+  that leaves the boundary drops the memo, which the next :meth:`Node.mbr`
+  rebuilds with one sweep.  The page codec stores the bound in the page
+  header and seeds a decoded node with it, so a node fresh from the disk
+  answers "is this point inside my MBR" without touching its entries.
+  Nothing outside the validators re-derives it, so
+  :func:`repro.rtree.validation.validate_tree` checks it against the columns.
 """
 
 from __future__ import annotations
@@ -109,10 +120,40 @@ class Node:
         self.level = level
         self.parent_page_id = parent_page_id
         self.stored_mbr: Optional[Rect] = None
-        #: Memoised union of all entry MBRs.  Safe because the columns are
-        #: written only by this class's methods, all of which reset it.
+        #: Memoised union of all entry MBRs; ``None`` = not known (or empty).
+        #: Safe because the columns are written only by this class's methods,
+        #: each of which adjusts it by the rectangle that came or went.
         self._mbr: Optional[Rect] = None
         self.entries = entries or ()  # creates the columns
+
+    @classmethod
+    def from_columns(
+        cls,
+        page_id: int,
+        level: int,
+        coords: "array[float]",
+        children: "array[int]",
+        parent_page_id: Optional[int] = None,
+        stored_mbr: Optional[Rect] = None,
+        mbr: Optional[Rect] = None,
+    ) -> "Node":
+        """A node *as last written*, adopting ready columns (the decode path).
+
+        *coords* and *children* become the node's columns without a copy;
+        *mbr*, when given, must be their tight bound.  Nothing has arrived
+        (:attr:`arrived` is ``None``): the caller describes a node the
+        observers have already seen.
+        """
+        node = cls.__new__(cls)
+        node.page_id = page_id
+        node.level = level
+        node.parent_page_id = parent_page_id
+        node.stored_mbr = stored_mbr
+        node.coords = coords
+        node.children = children
+        node.arrived = None
+        node._mbr = mbr
+        return node
 
     # -- classification -----------------------------------------------------
     @property
@@ -156,13 +197,24 @@ class Node:
 
     def add_entry(self, entry: Entry) -> None:
         rect = entry.rect
+        children = self.children
+        mbr = self._mbr
+        if mbr is not None:
+            if (
+                rect.xmin < mbr.xmin
+                or rect.ymin < mbr.ymin
+                or rect.xmax > mbr.xmax
+                or rect.ymax > mbr.ymax
+            ):
+                self._mbr = mbr.union(rect)
+        elif not children:
+            self._mbr = rect  # the first entry is the bound
         self.coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
-        self.children.append(entry.child)
+        children.append(entry.child)
         if self.arrived is None:
             self.arrived = [entry.child]
         else:
             self.arrived.append(entry.child)
-        self._mbr = None
 
     def _index_of(self, child: int) -> int:
         """Position of the entry for *child*, or ``-1`` when absent."""
@@ -181,8 +233,18 @@ class Node:
             except ValueError:
                 pass
         del self.children[index]
-        del self.coords[4 * index : 4 * index + 4]
-        self._mbr = None
+        coords = self.coords
+        base = 4 * index
+        mbr = self._mbr
+        if mbr is not None and (
+            coords[base] == mbr.xmin
+            or coords[base + 1] == mbr.ymin
+            or coords[base + 2] == mbr.xmax
+            or coords[base + 3] == mbr.ymax
+        ):
+            # The rectangle held a side of the bound, which may now shrink.
+            self._mbr = None
+        del coords[base : base + 4]
 
     def find_entry(self, child: int) -> Optional[Entry]:
         """The entry whose object id / child pointer equals *child*, if any."""
@@ -200,18 +262,30 @@ class Node:
             raise LookupError(f"entry {child} not found in node {self.page_id}")
         coords = self.coords
         xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
-        if (
-            coords[base] == xmin
-            and coords[base + 1] == ymin
-            and coords[base + 2] == xmax
-            and coords[base + 3] == ymax
-        ):
+        old_xmin = coords[base]
+        old_ymin = coords[base + 1]
+        old_xmax = coords[base + 2]
+        old_ymax = coords[base + 3]
+        if old_xmin == xmin and old_ymin == ymin and old_xmax == xmax and old_ymax == ymax:
             return False
         coords[base] = xmin
         coords[base + 1] = ymin
         coords[base + 2] = xmax
         coords[base + 3] = ymax
-        self._mbr = None
+        mbr = self._mbr
+        if mbr is not None:
+            mxmin, mymin, mxmax, mymax = mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax
+            if (
+                (old_xmin == mxmin and xmin > mxmin)
+                or (old_ymin == mymin and ymin > mymin)
+                or (old_xmax == mxmax and xmax < mxmax)
+                or (old_ymax == mymax and ymax < mymax)
+            ):
+                # The old rectangle held a side the new one no longer
+                # reaches: the bound may shrink, only a sweep can tell.
+                self._mbr = None
+            elif xmin < mxmin or ymin < mymin or xmax > mxmax or ymax > mymax:
+                self._mbr = mbr.union(rect)
         return True
 
     def remove_entry(self, child: int) -> Optional[Entry]:
@@ -264,6 +338,9 @@ class Node:
     def mbr(self) -> Rect:
         """Minimum bounding rectangle of all entries.
 
+        Memoised and kept current by the write methods (see the module
+        docstring); sweeps the columns only when no bound is known — after
+        :attr:`entries` was assigned or a rectangle left the boundary.
         Raises ``ValueError`` for an empty node; only a brand-new empty root
         has no MBR and callers never ask for it.
         """
@@ -278,12 +355,17 @@ class Node:
         The bottom-up strategies may record an enlarged MBR in
         :attr:`stored_mbr` (mirroring the rectangle kept in the parent's
         entry); the effective MBR is the union of that slack and the tight
-        bound of the current entries, so it is always a valid bound.
+        bound of the current entries, so it is always a valid bound.  An
+        ε-extension covers the tight bound by construction, and then the
+        answer is :attr:`stored_mbr` itself, not a new equal rectangle.
         """
         tight = self.mbr()
-        if self.stored_mbr is None:
+        stored = self.stored_mbr
+        if stored is None:
             return tight
-        return self.stored_mbr.union(tight)
+        if stored.contains_rect(tight):
+            return stored
+        return stored.union(tight)
 
     # -- batch scans (kernel-backed hot paths) -------------------------------
     def intersecting_children(self, window: Rect) -> List[int]:

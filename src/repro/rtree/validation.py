@@ -8,7 +8,10 @@ integrated into R-trees as they preserve the index structure"):
 1. every entry of an internal node points to an existing node one level
    below,
 2. the MBR stored in a parent entry covers the MBR of the child it points
-   to,
+   to, and the MBR a node reports (:meth:`Node.mbr`, a memo the node
+   maintains and the page header persists) is the bound of its entries —
+   both judged against a bound recomputed from the entry columns, never
+   against the memo itself,
 3. every leaf is at level 0 and every root-to-leaf path has the same length,
 4. no node exceeds its capacity,
 5. non-root nodes satisfy the minimum fill (optional: bottom-up shifting and
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.geometry import Rect, kernels
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 
@@ -69,6 +73,7 @@ def validate_tree(
     _validate_node(
         tree,
         node=root,
+        node_mbr=recomputed_mbr(root),
         expected_level=root.level,
         parent_page_id=None,
         is_root=True,
@@ -97,9 +102,26 @@ def validate_tree(
     return stats
 
 
+def recomputed_mbr(node: Node) -> Optional[Rect]:
+    """The tight bound of *node* swept fresh from its columns (``None`` if empty).
+
+    Raises :class:`ValidationError` when :meth:`Node.mbr` disagrees: a stale
+    memo would otherwise vouch for itself in every containment check.
+    """
+    if not len(node):
+        return None
+    fresh = kernels.union_rect(node.coords)
+    if node.mbr() != fresh:
+        raise ValidationError(
+            f"node {node.page_id} reports MBR {node.mbr()} but its entries span {fresh}"
+        )
+    return fresh
+
+
 def _validate_node(
     tree: RTree,
     node: Node,
+    node_mbr: Optional[Rect],
     expected_level: int,
     parent_page_id: Optional[int],
     is_root: bool,
@@ -150,10 +172,9 @@ def _validate_node(
     stats["internals"] += 1
     if not len(node) and not is_root:
         raise ValidationError(f"internal node {node.page_id} has no entries")
-    node_mbr = node.mbr() if len(node) else None
     for entry in node.entries:
         child = tree.peek_node(entry.child)
-        child_mbr = child.mbr() if len(child) else None
+        child_mbr = recomputed_mbr(child)
         if child_mbr is not None and not entry.rect.contains_rect(child_mbr):
             raise ValidationError(
                 f"parent entry MBR {entry.rect} in node {node.page_id} does not cover "
@@ -166,6 +187,7 @@ def _validate_node(
         _validate_node(
             tree,
             node=child,
+            node_mbr=child_mbr,
             expected_level=node.level - 1,
             parent_page_id=node.page_id,
             is_root=False,

@@ -190,19 +190,41 @@ class BufferPool:
     # -- core API -----------------------------------------------------------
     def read(self, page_id: int) -> Any:
         """Return the payload of *page_id*, reading from disk on a miss."""
-        self.stats.logical_reads += 1
+        stats = self.stats
+        stats.logical_reads += 1
         if self._access_log is not None:
             self._access_log.append(("read", page_id))
-        if self.capacity > 0:
-            frames = self._frames
+        capacity = self.capacity
+        frames = self._frames
+        if capacity > 0:
             payload = frames.get(page_id, _MISSING)
             if payload is not _MISSING:
-                self.stats.buffer_hits += 1
+                stats.buffer_hits += 1
                 frames.move_to_end(page_id)
                 return payload
-        payload = self._decoded(page_id, self.disk.read_page(page_id))
-        self._charge_client(reads=1)
-        self._admit(page_id, payload)
+        codec = self.codec
+        payload = self.disk.read_page(page_id)
+        if codec is not None and payload is not None:
+            payload = codec.decode(page_id, payload)
+        charged = self._active_client is not None
+        if charged:
+            self._charge_client(reads=1)
+        if self._pins or len(frames) != capacity or capacity == 0:
+            self._admit(page_id, payload)
+            return payload
+        # The steady-state miss, in this frame: the pool is exactly full and
+        # nothing is pinned, so the LRU head makes room (what _admit and
+        # _evict_one do for every other case).
+        victim_id, victim = frames.popitem(last=False)
+        if victim_id in self._dirty:
+            self.disk.write_page(
+                victim_id, victim if codec is None else codec.encode(victim)
+            )
+            if charged:
+                self._charge_client(writes=1)
+            self._dirty.discard(victim_id)
+            stats.dirty_evictions += 1
+        frames[page_id] = payload
         return payload
 
     def write(self, page_id: int, payload: Any) -> None:

@@ -28,10 +28,14 @@ Two encoders live here:
   buffer hit costs no codec work and keeps whatever the node memoised (its
   MBR) alive between visits; the simulated disk holds ``bytes``.  The format
   is columnar and always binary64 (the live index must not quantize
-  coordinates): a fixed header, then all entry MBRs as one contiguous f64
-  block, then all entry ids as one contiguous u32 block — the node's own two
+  coordinates): a header, then all entry MBRs as one contiguous f64 block,
+  then all entry ids as one contiguous u32 block — the node's own two
   columns (:class:`~repro.rtree.node.Node`), moved with
-  ``array.tobytes``/``frombytes`` and no per-entry parsing.
+  ``array.tobytes``/``frombytes`` and no per-entry parsing.  The header of a
+  non-empty node also carries the node's tight MBR (flag bit 1), which seeds
+  the decoded node's memo: the bound is page data, kept current by the
+  node's write methods, not something every physical read re-derives with a
+  sweep over the entries.
 
   The physical image of a full node (36 bytes per entry) exceeds the
   paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
@@ -54,6 +58,8 @@ from repro.storage.sizing import PageLayout
 
 _NO_PARENT = 0xFFFFFFFF
 _FLAG_HAS_STORED_MBR = 0x01
+_FLAG_HAS_TIGHT_MBR = 0x02  # page-store codec only
+_KNOWN_FLAGS = _FLAG_HAS_STORED_MBR | _FLAG_HAS_TIGHT_MBR
 
 # Sizing-model codec: header (level, count, parent, flags, stored MBR) and
 # row-major entries, with the coordinate width taken from the page layout.
@@ -62,8 +68,11 @@ _ENTRY_F32 = struct.Struct("<4fI")
 _HEADER_F64 = struct.Struct("<HHIB4d")
 _ENTRY_F64 = struct.Struct("<4dI")
 
-# Page-store codec: same header fields, always binary64, columnar body.
+# Page-store codec: same header fields, always binary64, columnar body; the
+# tight MBR of a non-empty node trails the fixed header.
 _PAGE_HEADER = _HEADER_F64
+_PAGE_HEADER_WITH_MBR = struct.Struct("<HHIB4d4d")
+_FLAGS_OFFSET = 8  # the B of <HHIB...
 _COORD_BYTES = 8  # one binary64 coordinate
 _CHILD_BYTES = 4  # one unsigned 32-bit id
 
@@ -184,8 +193,14 @@ class NodeCodec:
 
         header   <HHIB4d>  level, entry count, parent (0xFFFFFFFF = none),
                            flags, stored MBR (valid iff flag bit 0)
+        [mbr     <4d>      tight MBR of the entries, present iff flag bit 1]
         coords   count * 4 binary64   all MBRs, stride 4
         children count * 1 uint32     all ids
+
+    :meth:`encode` sets flag bit 1 for every non-empty node (an empty node
+    has no MBR); :meth:`decode` reads images with and without it, so a page
+    written before the bit existed is a valid image whose node derives its
+    bound on first use.  Any other flag bit is rejected.
 
     Coordinates are binary64 — a decode always reproduces exactly what was
     encoded, so the page store never perturbs the index geometry.
@@ -194,14 +209,23 @@ class NodeCodec:
     __slots__ = ()
 
     def encode(self, node: Node) -> bytes:
-        header = _PAGE_HEADER.pack(*_header_fields(node))
+        level, count, parent, flags, sx0, sy0, sx1, sy1 = _header_fields(node)
+        if count:
+            tight = node.mbr()
+            header = _PAGE_HEADER_WITH_MBR.pack(
+                level, count, parent, flags | _FLAG_HAS_TIGHT_MBR,
+                sx0, sy0, sx1, sy1,
+                tight.xmin, tight.ymin, tight.xmax, tight.ymax,
+            )  # fmt: skip
+        else:
+            header = _PAGE_HEADER.pack(level, count, parent, flags, sx0, sy0, sx1, sy1)
         if _COLUMNS_ARE_IMAGE:
             return b"".join((header, node.coords.tobytes(), node.children.tobytes()))
         return b"".join(
             (
                 header,
                 struct.pack(f"<{len(node.coords)}d", *node.coords),
-                struct.pack(f"<{len(node.children)}I", *node.children),
+                struct.pack(f"<{count}I", *node.children),
             )
         )
 
@@ -210,32 +234,51 @@ class NodeCodec:
             raise SerializationError(
                 f"page {page_id} holds {type(data).__name__}, not a binary image"
             )
-        if len(data) < _PAGE_HEADER.size:
+        size = len(data)
+        if size < _PAGE_HEADER.size:
             raise SerializationError("page image shorter than the node header")
-        level, count, parent, flags, sx0, sy0, sx1, sy1 = _PAGE_HEADER.unpack_from(data)
-        coords_start = _PAGE_HEADER.size
+        flags = data[_FLAGS_OFFSET]
+        mbr = None
+        if flags & _FLAG_HAS_TIGHT_MBR:
+            if size < _PAGE_HEADER_WITH_MBR.size:
+                raise SerializationError("page image shorter than its flagged header")
+            (level, count, parent, flags, sx0, sy0, sx1, sy1,
+             xmin, ymin, xmax, ymax) = _PAGE_HEADER_WITH_MBR.unpack_from(data)  # fmt: skip
+            # Written as a chain so that a NaN fails it.
+            if not (count and xmin <= xmax and ymin <= ymax):
+                raise SerializationError(
+                    f"page {page_id}: header MBR ({xmin}, {ymin}, {xmax}, {ymax}) "
+                    f"is not a bound of {count} entries"
+                )
+            mbr = Rect._raw(xmin, ymin, xmax, ymax)
+            coords_start = _PAGE_HEADER_WITH_MBR.size
+        else:
+            level, count, parent, flags, sx0, sy0, sx1, sy1 = _PAGE_HEADER.unpack_from(data)
+            coords_start = _PAGE_HEADER.size
+        if flags & ~_KNOWN_FLAGS:
+            raise SerializationError(
+                f"page {page_id}: unknown header flag bits {flags & ~_KNOWN_FLAGS:#04x}"
+            )
         coords_end = coords_start + count * 4 * _COORD_BYTES
         children_end = coords_end + count * _CHILD_BYTES
-        if len(data) < children_end:
+        if size < children_end:
             raise SerializationError("truncated entry blocks in page image")
 
-        node = Node(
-            page_id=page_id,
-            level=level,
-            parent_page_id=None if parent == _NO_PARENT else parent,
-        )
+        coords = array("d")
+        children = array("I")
         if _COLUMNS_ARE_IMAGE:
-            node.coords.frombytes(data[coords_start:coords_end])
-            node.children.frombytes(data[coords_end:children_end])
+            coords.frombytes(data[coords_start:coords_end])
+            children.frombytes(data[coords_end:children_end])
         else:
-            node.coords.extend(
-                struct.unpack(f"<{4 * count}d", data[coords_start:coords_end])
-            )
-            node.children.extend(
-                struct.unpack(f"<{count}I", data[coords_end:children_end])
-            )
-        if flags & _FLAG_HAS_STORED_MBR:
-            node.stored_mbr = Rect._raw(sx0, sy0, sx1, sy1)
+            coords.extend(struct.unpack(f"<{4 * count}d", data[coords_start:coords_end]))
+            children.extend(struct.unpack(f"<{count}I", data[coords_end:children_end]))
         # The image is the node as last written: nothing has arrived since.
-        node.arrived = None
-        return node
+        return Node.from_columns(
+            page_id,
+            level,
+            coords,
+            children,
+            None if parent == _NO_PARENT else parent,
+            Rect._raw(sx0, sy0, sx1, sy1) if flags & _FLAG_HAS_STORED_MBR else None,
+            mbr,
+        )

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Node
 from repro.rtree.observers import TreeObserver
 from repro.rtree.tree import RTree
@@ -270,7 +270,9 @@ class SummaryStructure(TreeObserver):
                 continue
             if entry.level != node.level:
                 errors.append(f"node {node.page_id}: table level {entry.level} != {node.level}")
-            if entry.mbr != node.mbr():
+            # Against the bound swept from the columns: the node's own memo
+            # is what fed the table, so it cannot vouch for it.
+            if entry.mbr != kernels.union_rect(node.coords):
                 errors.append(f"node {node.page_id}: table MBR is stale")
             if sorted(entry.child_page_ids) != sorted(node.child_ids()):
                 errors.append(f"node {node.page_id}: table children are stale")

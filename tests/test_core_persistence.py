@@ -1,15 +1,20 @@
 """Tests for index checkpointing (save/load), single and sharded."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core import IndexConfig, MovingObjectIndex, load_index, save_index
+from repro.core.persistence import FORMAT_VERSION
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points
+
+DATA = Path(__file__).parent / "data"
 
 
 def build_and_churn(strategy="GBU", num_objects=300, updates=400, seed=5):
@@ -96,13 +101,39 @@ class TestRoundTrip:
         original = build_and_churn(num_objects=100, updates=50)
         checkpoint = tmp_path / "index.json"
         save_index(original, checkpoint)
-        import json
-
         document = json.loads(checkpoint.read_text())
         document["format_version"] = 999
         checkpoint.write_text(json.dumps(document))
         with pytest.raises(ValueError):
             load_index(checkpoint)
+
+    def test_version_2_checkpoint_loads_under_the_current_reader(self, tmp_path):
+        # tests/data/checkpoint_v2.json was written by commit bbde488
+        # (FORMAT_VERSION 2: page headers without the tight MBR) and the
+        # answers file records what that commit's index returned.  Recorded
+        # artefacts: do not regenerate them from the current code.
+        document = json.loads((DATA / "checkpoint_v2.json").read_text())
+        recorded = json.loads((DATA / "checkpoint_v2_answers.json").read_text())
+        assert document["format_version"] == 2
+
+        restored = load_index(DATA / "checkpoint_v2.json")
+        restored.validate()
+        assert len(restored) == recorded["objects"]
+        for probe in recorded["windows"]:
+            assert sorted(restored.range_query(Rect(*probe["window"]))) == probe["oids"]
+        for probe in recorded["knn"]:
+            answer = restored.knn(Point(*probe["point"]), probe["k"])
+            assert [[distance, oid] for distance, oid in answer] == probe["neighbours"]
+
+        # Saved again it is a version-3 document whose pages carry the bound,
+        # and the round trip changes no answer.
+        again = tmp_path / "again.json"
+        save_index(restored, again)
+        assert json.loads(again.read_text())["format_version"] == FORMAT_VERSION == 3
+        reloaded = load_index(again)
+        reloaded.validate()
+        for probe in recorded["windows"]:
+            assert sorted(reloaded.range_query(Rect(*probe["window"]))) == probe["oids"]
 
     def test_io_counters_start_fresh_after_load(self, tmp_path):
         original = build_and_churn(num_objects=100, updates=100)

@@ -262,6 +262,20 @@ class TestTraversalHelpers:
         with pytest.raises(ValidationError):
             validate_tree(tree)
 
+    def test_validation_does_not_trust_the_mbr_memo(self):
+        tree = make_tree()
+        for oid, point in make_points(150):
+            tree.insert(oid, point)
+        leaf = next(iter(tree.leaf_nodes()))
+        claimed = leaf.mbr()
+        # Behind the node's back: the columns move, the memo (what a page
+        # header would persist) keeps vouching for the old bound, and the
+        # parent entry still covers that.
+        leaf.coords[0] = claimed.xmin - 5.0
+        assert leaf.mbr() == claimed
+        with pytest.raises(ValidationError, match="reports MBR"):
+            validate_tree(tree)
+
     def test_repr_mentions_size_and_height(self):
         tree = make_tree()
         for oid, point in make_points(50):

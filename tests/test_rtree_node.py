@@ -88,6 +88,9 @@ class TestNodeMBR:
         node = Node(page_id=1, level=0, entries=[leaf_entry(1, 0.3, 0.3)])
         node.stored_mbr = Rect(0.2, 0.2, 0.5, 0.5)
         assert node.effective_mbr() == Rect(0.2, 0.2, 0.5, 0.5)
+        # The slack covers the tight bound: the answer is that rectangle,
+        # not a new equal one per call.
+        assert node.effective_mbr() is node.stored_mbr
 
     def test_effective_mbr_never_smaller_than_tight(self):
         # The stored MBR can become smaller than the tight bound when entries

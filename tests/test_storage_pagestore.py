@@ -12,10 +12,11 @@ Two codecs, two contracts:
 """
 
 import random
+import struct
 
 import pytest
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Entry, Node
 from repro.storage import PageLayout
 from repro.storage import serialization
@@ -153,6 +154,94 @@ class TestNodeCodecRoundTrip:
     def test_non_binary_payload_rejected(self):
         with pytest.raises(SerializationError):
             NodeCodec().decode(5, sample_node())
+
+
+# <HHIB4d>: flags byte at 8, the flagged tight MBR at 41..73.
+FLAGS_AT = 8
+PLAIN_HEADER = 41
+MBR_HEADER = PLAIN_HEADER + 32
+HAS_TIGHT_MBR = 0x02
+
+
+def with_header_mbr(image, *bounds):
+    return image[:PLAIN_HEADER] + struct.pack("<4d", *bounds) + image[MBR_HEADER:]
+
+
+class TestNodeCodecHeaderMbr:
+    def test_non_empty_node_stores_its_mbr_and_decode_seeds_the_memo(self, monkeypatch):
+        codec = NodeCodec()
+        node = sample_node()
+        image = codec.encode(node)
+        assert image[FLAGS_AT] & HAS_TIGHT_MBR
+        assert struct.unpack_from("<4d", image, PLAIN_HEADER) == node.mbr().as_tuple()
+        assert len(image) == MBR_HEADER + 2 * 36
+
+        restored = codec.decode(5, image)
+
+        def no_sweep(_coords):
+            raise AssertionError("a decoded node re-derived its MBR")
+
+        monkeypatch.setattr(kernels, "union_bounds", no_sweep)
+        assert restored.mbr() == node.mbr()
+        assert restored.effective_mbr() == node.effective_mbr()
+
+    def test_empty_node_encodes_with_the_flag_clear(self):
+        image = NodeCodec().encode(Node(page_id=2, level=3))
+        assert not image[FLAGS_AT] & HAS_TIGHT_MBR
+        assert len(image) == PLAIN_HEADER
+
+    def test_unflagged_image_decodes_to_the_same_node(self):
+        # What the codec wrote before the bit existed (checkpoint version 2).
+        codec = NodeCodec()
+        node = sample_node()
+        image = bytearray(codec.encode(node))
+        image[FLAGS_AT] &= ~HAS_TIGHT_MBR
+        del image[PLAIN_HEADER:MBR_HEADER]
+        restored = codec.decode(5, bytes(image))
+        assert restored.coords == node.coords and restored.children == node.children
+        assert restored.stored_mbr == node.stored_mbr
+        assert restored.mbr() == node.mbr()  # derived on first use
+        assert restored.arrived is None
+
+    def test_unknown_flag_bits_rejected(self):
+        codec = NodeCodec()
+        for image in (codec.encode(sample_node()), codec.encode(Node(page_id=2, level=0))):
+            for bit in (0x04, 0x80):
+                corrupt = bytearray(image)
+                corrupt[FLAGS_AT] |= bit
+                with pytest.raises(SerializationError, match="flag"):
+                    codec.decode(5, bytes(corrupt))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (0.9, 0.1, 0.2, 0.5),  # xmin > xmax
+            (0.1, 0.9, 0.5, 0.2),  # ymin > ymax
+            (float("nan"), 0.1, 0.5, 0.5),
+            (0.1, 0.1, 0.5, float("nan")),
+        ],
+    )
+    def test_ill_ordered_header_mbr_rejected(self, bounds):
+        codec = NodeCodec()
+        image = with_header_mbr(codec.encode(sample_node()), *bounds)
+        with pytest.raises(SerializationError, match="MBR"):
+            codec.decode(5, image)
+
+    def test_image_shorter_than_the_flagged_header_rejected(self):
+        codec = NodeCodec()
+        image = codec.encode(sample_node())
+        for cut in (PLAIN_HEADER, PLAIN_HEADER + 8, MBR_HEADER - 1):
+            with pytest.raises(SerializationError):
+                codec.decode(5, image[:cut])
+
+    def test_flagged_mbr_on_an_empty_node_rejected(self):
+        # An empty node has no MBR; a memo there would answer mbr() instead
+        # of raising.
+        image = bytearray(NodeCodec().encode(Node(page_id=2, level=0)))
+        image[FLAGS_AT] |= HAS_TIGHT_MBR
+        image += struct.pack("<4d", 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(SerializationError):
+            NodeCodec().decode(2, bytes(image))
 
 
 def binary_store_tree(capacity=0, codec=None):

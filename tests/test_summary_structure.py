@@ -92,6 +92,16 @@ class TestMaintenance:
                 next_oid += 1
         assert summary.consistency_errors() == []
 
+    def test_self_check_recomputes_the_mbr_it_compares_against(self):
+        tree, summary, _, _ = tree_with_summary(count=200)
+        node = next(iter(tree.internal_nodes()))
+        assert summary.table.get(node.page_id).mbr == node.mbr()
+        # The columns move behind the node's back: memo and table still
+        # agree with each other, and neither bounds the entries any more.
+        node.coords[0] = node.mbr().xmin - 5.0
+        assert summary.table.get(node.page_id).mbr == node.mbr()
+        assert f"node {node.page_id}: table MBR is stale" in summary.consistency_errors()
+
     def test_root_tracking_follows_tree_growth(self):
         stats = IOStatistics()
         disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
