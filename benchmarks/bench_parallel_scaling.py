@@ -41,10 +41,10 @@ Usage::
     python benchmarks/bench_parallel_scaling.py --scale 0.05  # CI smoke scale
     python benchmarks/bench_parallel_scaling.py --check       # validate JSON
 
-``--check`` validates the report's schema and — only when the report was
-produced at full scale — fails (exit 1) when the 4-worker process backend's
-uniform-workload speedup falls below ``--min-speedup`` (default 1.5).  At
-smoke scale only answer parity is enforced (timing is meaningless there).
+``--check`` validates the report's schema (exit 1 on a problem).  No timing
+floor is enforced at any scale: answer/position/I/O-counter parity is
+asserted in-run, and the speedups are overlap of the simulated disk sleep on
+whatever host recorded them — a labelled observation, not a gate.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ def run_benchmark(scale: float, repeats: int, seed: int) -> dict:
     }
 
 
-def validate_report(report: dict, min_speedup: float) -> List[str]:
-    """Schema + (full-scale only) scaling validation; empty list = ok."""
+def validate_report(report: dict) -> List[str]:
+    """Schema validation; empty list = ok."""
     problems: List[str] = []
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append(
@@ -285,15 +285,8 @@ def validate_report(report: dict, min_speedup: float) -> List[str]:
             if (workload, backend, workers) not in seen:
                 problems.append(f"missing cell {(workload, backend, workers)}")
 
-    if report["scale"] >= 1.0:
-        key = "process4_speedup_uniform"
-        speedup = report["derived"].get(key)
-        if speedup is None:
-            problems.append(f"derived missing {key!r}")
-        elif speedup < min_speedup:
-            problems.append(
-                f"{key} = {speedup} is below the required minimum {min_speedup}"
-            )
+    if "process4_speedup_uniform" not in report["derived"]:
+        problems.append("derived missing 'process4_speedup_uniform'")
     return problems
 
 
@@ -317,12 +310,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="validate the existing report instead of running the benchmark",
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.5,
-        help="with --check on a full-scale report: minimum process[4] uniform speedup",
-    )
     args = parser.parse_args(argv)
 
     if args.check:
@@ -331,7 +318,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as error:
             print(f"cannot read report {args.output}: {error}", file=sys.stderr)
             return 1
-        problems = validate_report(report, args.min_speedup)
+        problems = validate_report(report)
         if problems:
             for problem in problems:
                 print(f"FAIL: {problem}", file=sys.stderr)

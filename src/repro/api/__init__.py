@@ -55,6 +55,7 @@ from repro.api.errors import (
     InvalidWindowError,
     OperationError,
     UnknownObjectError,
+    WorkerFailedError,
 )
 from repro.api.operations import (
     KNN,
@@ -87,6 +88,7 @@ __all__ = [
     "InvalidOperationError",
     "CheckpointError",
     "CorruptLogError",
+    "WorkerFailedError",
     # results
     "OperationResult",
     "BatchReport",

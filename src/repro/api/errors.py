@@ -96,6 +96,24 @@ class CorruptLogError(OperationError, ValueError):
         super().__init__(message)
 
 
+class WorkerFailedError(OperationError, RuntimeError):
+    """A shard worker process of the process backend failed.
+
+    Raised by :class:`repro.shard.parallel.ProcessBackend` in two cases the
+    message tells apart.  A worker that **died** or **timed out** (no reply
+    within the dispatch deadline) fails the whole backend: its workers are
+    stopped, every later dispatch and ``detach_parallel()`` raise this error
+    again, and the tree state the workers held since attach is lost — reload
+    the index from its checkpoint/WAL.  A command that merely raised inside a
+    live worker surfaces as the same type with the remote traceback, and the
+    backend keeps serving.  Inherits ``RuntimeError`` because that is what
+    the backend raised before the failure had a type.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+
+
 __all__ = [
     "OperationError",
     "UnknownObjectError",
@@ -105,4 +123,5 @@ __all__ = [
     "InvalidOperationError",
     "CheckpointError",
     "CorruptLogError",
+    "WorkerFailedError",
 ]

@@ -261,11 +261,13 @@ class ShardedIndex(SpatialIndexFacade):
         ``"serial"`` detaches any backend and restores the original
         in-process code paths.  ``"thread"`` fans per-shard work out over a
         thread pool while the shard objects stay authoritative in this
-        process.  ``"process"`` spawns ``workers`` long-lived worker
-        processes (default: one per shard), hydrates them from the current
-        shard state, and routes every shard-local step through the batched
-        command protocol; the local shard objects become metadata mirrors.
-        All three produce identical answers, tie-breaks and I/O counters.
+        process.  ``"process"`` starts ``workers`` long-lived worker
+        processes (default: one per shard) that take over the current shard
+        state — forked workers adopt the live shards, any other
+        *start_method* restores their checkpoint documents — and routes
+        every shard-local step through the batched command protocol; the
+        local shard objects become metadata mirrors.  All three produce
+        identical answers, tie-breaks and I/O counters.
         """
         self.detach_parallel()
         if backend == "serial":
@@ -284,6 +286,11 @@ class ShardedIndex(SpatialIndexFacade):
         I/O counters the mirrors tracked, and their previous buffer
         capacities — but the buffer *contents* come back cold (page images
         travel through the checkpoint codec, cached frames do not).
+
+        A process backend that lost a worker cannot sync anything back: the
+        call raises :class:`~repro.api.errors.WorkerFailedError` (the worker
+        processes are already reaped) and the failed backend stays attached,
+        so the stale local mirrors are never served as if they were current.
         """
         backend = self._backend
         if backend is None:
@@ -989,7 +996,11 @@ class ShardedIndex(SpatialIndexFacade):
         contents.
         """
         parallel_spec = self.parallel_spec
+        # The spec section names backend and workers only; the start method
+        # the attached backend resolved rides along in memory.
+        start_method = None
         if self._backend is not None:
+            start_method = self._backend.start_method
             self.detach_parallel()
         groups: List[List[Tuple[int, Point]]] = [[] for _ in range(self.num_shards)]
         for oid, location in objects:
@@ -1004,7 +1015,7 @@ class ShardedIndex(SpatialIndexFacade):
         self.configure_buffer()
         self.migrations = 0
         if parallel_spec is not None:
-            self.set_parallel(**parallel_spec)
+            self.set_parallel(**parallel_spec, start_method=start_method)
         if self.durability is not None:
             # Bulk construction has no cheap log representation; checkpoint
             # (rotating the logs) so the loaded state is the recovery base.

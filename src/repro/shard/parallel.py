@@ -20,13 +20,44 @@ shard, and a pluggable backend decides *where* that interpreter runs:
 * :class:`ProcessBackend` — one long-lived worker process per shard slot
   (``workers`` may be smaller than the shard count; shard *i* lives in
   worker ``i % workers``).  Each worker owns the authoritative copy of its
-  shards, hydrated once at attach time from the shared checkpoint page
-  images, and the coordinator keeps per-shard **mirrors** of the metadata
-  the router needs between dispatches (object positions, I/O counters, root
-  MBRs, disk sizes).  Commands are batched **per worker per dispatch** —
-  one pipe message carries every command a dispatch has for that worker —
-  which amortises IPC over whole batch buckets instead of paying a round
-  trip per operation.
+  shards from attach time on (see *Attach* below), and the coordinator
+  keeps per-shard **mirrors** of the metadata the router needs between
+  dispatches (object positions, I/O counters, root MBRs, disk sizes).
+  Commands are batched **per worker per dispatch** — one pipe message
+  carries every command a dispatch has for that worker — which amortises
+  IPC over whole batch buckets instead of paying a round trip per
+  operation.
+
+Attach
+------
+How a worker comes to own its shards follows from the start method alone.
+A **fork**-started worker (the default wherever ``fork`` exists) already
+holds the coordinator's live shard objects in its inherited heap — tree
+pages, hash index, summary, position table — so it *adopts* them: nothing
+is encoded, decoded or rebuilt.  Under any other start method nothing is
+inherited, so the payload is each shard's checkpoint document and the worker
+restores it (:func:`repro.core.persistence._restore_index`).  Both routes
+end in the same state, which is what a restore produces: a cold pool at the
+coordinator's capacity share (no frames, and no pins — those exist only
+inside a batch group), I/O counters equal to the coordinator's snapshot,
+outcome counters zero, the coordinator's disk-latency knob.  The coordinator
+flushes each shard's pool *before* the fork: the write-back is charged once,
+to counters the snapshot then captures, so the worker continues the
+coordinator's counter sequence exactly as it does after restoring a document
+(whose encoding flushes too) — serial ≡ fork ≡ spawn on every counter.  The
+way back (``detach_parallel`` / ``shard_documents``) is always the
+:class:`Checkpoint` command: worker-held state really does cross a pipe.
+
+Worker failure
+--------------
+A worker that dies, or does not answer within :data:`DISPATCH_DEADLINE_S`,
+fails the whole backend: every worker is killed and reaped and
+:class:`~repro.api.errors.WorkerFailedError` is raised — from that dispatch
+and from every later one, ``detach_parallel``'s included, so the
+coordinator's stale mirror shards are never installed as if they were
+current.  Tree state the workers held since attach is gone; the caller
+reloads from checkpoint/WAL.  A command that merely *raises* inside a live
+worker surfaces as the same error type but leaves the backend serving.
 
 Determinism and exactness
 -------------------------
@@ -57,8 +88,9 @@ import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
+from repro.api.errors import WorkerFailedError
 from repro.geometry import Point, Rect, kernels
 from repro.storage.stats import IOStatistics
 from repro.update.base import BatchUpdate
@@ -340,19 +372,26 @@ def _shard_state(shard) -> Dict[str, Any]:
 def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> None:
     """Own a set of shards and serve batched command dispatches over *conn*.
 
-    ``init`` maps shard id -> hydration payload: the shard's checkpoint
-    document (page images + embedded config spec), the coordinator's current
-    counter values (restoring resets them; the worker continues the
-    coordinator's sequence), the buffer share, and the disk latency knob.
+    ``init`` maps shard id -> attach payload: the shard itself — the live
+    object a fork-started worker inherited, or its checkpoint document (page
+    images + embedded config spec) under any other start method — plus what
+    the worker resets it to: the coordinator's counter values (the worker
+    continues the coordinator's sequence), the buffer share, and the disk
+    latency knob.
     """
     try:
-        if kernel_backend in kernels.available_backends():
+        # Forked workers inherit the backend, spawned ones import it from
+        # REPRO_KERNEL_BACKEND; set_backend degrades to python without numpy.
+        if kernels.get_backend() != kernel_backend:
             kernels.set_backend(kernel_backend)
-        from repro.core.persistence import _restore_index
-
         shards: Dict[int, Any] = {}
         for shard_id, payload in init.items():
-            shard = _restore_index(payload["document"])
+            shard = payload["shard"]
+            if isinstance(shard, dict):  # a checkpoint document: not forked
+                from repro.core.persistence import _restore_index
+
+                shard = _restore_index(shard)
+            shard.reset_statistics()
             assign_stats(shard.stats, payload["stats"])
             shard.buffer.clear()
             shard.buffer.capacity = payload["buffer_capacity"]
@@ -406,6 +445,8 @@ class ShardBackend:
 
     name = "serial"
     remote = False
+    #: The multiprocessing start method in use (process backend only).
+    start_method: Optional[str] = None
 
     def dispatch(
         self, per_shard: Dict[int, Sequence[Command]]
@@ -465,12 +506,19 @@ class ThreadBackend(ShardBackend):
         return f"thread[{self.workers}]"
 
 
+#: Seconds a dispatch (or the attach handshake) waits for one worker's reply
+#: before the worker counts as hung.  Generous on purpose: one reply can cover
+#: a whole batch bucket or a checkpoint with the simulated disk latency on.
+DISPATCH_DEADLINE_S = 60.0
+
+
 def _terminate_workers(processes, connections, owner_pid) -> None:
     """Finalizer: make sure worker processes never outlive the backend.
 
     Fork-started workers inherit the coordinator's finalizer registry, so
     this also runs inside each worker at its own exit — where the Process
-    handles belong to another process and must not be touched.
+    handles belong to another process and must not be touched.  Workers hold
+    nothing durable, and a hung one ignores anything gentler than SIGKILL.
     """
     if os.getpid() != owner_pid:
         return
@@ -481,7 +529,7 @@ def _terminate_workers(processes, connections, owner_pid) -> None:
             pass
     for process in processes:
         if process.is_alive():
-            process.terminate()
+            process.kill()
         process.join(timeout=2.0)
 
 
@@ -490,16 +538,28 @@ class ProcessBackend(ShardBackend):
 
     Worker ``w`` owns shards ``{i : i % workers == w}`` — with fewer workers
     than shards each worker serialises its own shards, which is exactly the
-    serial-vs-2-vs-4-workers axis the scaling benchmark sweeps.  Workers are
-    hydrated once (checkpoint page images + the coordinator's live counter
-    values) and then serve command batches until detached; the coordinator's
-    shard objects become mirrors, refreshed from the state envelope every
-    reply carries.
+    serial-vs-2-vs-4-workers axis the scaling benchmark sweeps.  A worker
+    takes its shards over once, at attach time — fork-started workers adopt
+    the live shard objects they inherited, any other start method restores
+    each shard's checkpoint document — and resets them to the state a restore
+    produces: cold pool at the coordinator's capacity share, outcome counters
+    zero, I/O counters = the coordinator's snapshot.  That snapshot is taken
+    after the coordinator flushed the shard's pool (before the fork, or as
+    part of encoding the document), so the write-back is charged exactly
+    once and the worker continues the coordinator's counter sequence.  It
+    then serves command batches until detached; the coordinator's shard
+    objects become mirrors, refreshed from the state envelope every reply
+    carries.
 
     The coordinator's kernel backend is propagated two ways: via the
     ``REPRO_KERNEL_BACKEND`` environment variable (honoured at import by
-    spawn-started children) and explicitly in the hydration payload (fork-
-    started children imported the module long ago).
+    spawn-started children) and explicitly as a worker argument (fork-
+    started children imported the module long ago; they switch only when
+    what they inherited differs, so a python-backend worker never imports
+    numpy).
+
+    A dead or hung worker fails the backend for good: see the module
+    docstring's *Worker failure* section.
     """
 
     name = "process"
@@ -522,6 +582,8 @@ class ProcessBackend(ShardBackend):
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else methods[0]
+        #: The resolved start method (``ShardedIndex.load`` re-attaches with it).
+        self.start_method = start_method
         context = multiprocessing.get_context(start_method)
 
         # Propagate the kernel backend and make the package importable for
@@ -535,21 +597,30 @@ class ProcessBackend(ShardBackend):
                 package_root + (os.pathsep + existing if existing else "")
             )
 
-        from repro.core.persistence import _index_document
-
         self._owner: List[int] = [
             shard_id % self.workers for shard_id in range(num_shards)
         ]
         self._connections = []
         self._processes = []
+        #: Why the backend failed (a dead or hung worker); ``None`` while live.
+        self._failure: Optional[str] = None
         for worker_id in range(self.workers):
             init: Dict[int, Dict[str, Any]] = {}
             for shard_id in range(num_shards):
                 if self._owner[shard_id] != worker_id:
                     continue
                 shard = sharded.shards[shard_id]
+                if start_method == "fork":
+                    # The worker adopts the object it inherits.  Flush first:
+                    # the write-back lands in the counters snapshotted below.
+                    shard.buffer.flush()
+                    state = shard
+                else:
+                    from repro.core.persistence import _index_document
+
+                    state = _index_document(shard)  # flushes, like the above
                 init[shard_id] = {
-                    "document": _index_document(shard),
+                    "shard": state,
                     "stats": shard.stats.snapshot(),
                     "buffer_capacity": shard.buffer.capacity,
                     "io_latency": getattr(shard.disk, "io_latency_s", 0.0),
@@ -565,14 +636,6 @@ class ProcessBackend(ShardBackend):
             child_conn.close()
             self._connections.append(parent_conn)
             self._processes.append(process)
-        for worker_id, conn in enumerate(self._connections):
-            reply = conn.recv()
-            if not reply.get("ok"):
-                self.close()
-                raise RuntimeError(
-                    f"shard worker {worker_id} failed to start: "
-                    f"{reply.get('error')}"
-                )
         self._finalizer = weakref.finalize(
             self,
             _terminate_workers,
@@ -580,25 +643,66 @@ class ProcessBackend(ShardBackend):
             list(self._connections),
             os.getpid(),
         )
+        for worker_id in range(self.workers):
+            reply = self._reply(worker_id, None)
+            if not reply.get("ok"):
+                self.close()
+                raise WorkerFailedError(
+                    f"shard worker {worker_id} failed to start: "
+                    f"{reply.get('error')}"
+                )
+
+    def _fail(
+        self, worker_id: int, how: str, bundle: Optional[Dict[int, List[Command]]]
+    ) -> NoReturn:
+        """A worker is dead or hung: kill and reap them all, fail for good.
+
+        *bundle* is what the worker was sent (``None`` = the attach handshake).
+        """
+        if bundle is None:
+            in_flight = "attach"
+        else:
+            kinds = {type(c).__name__ for cs in bundle.values() for c in cs}
+            in_flight = "+".join(sorted(kinds))
+        self._failure = (
+            f"shard worker {worker_id} {how} during {in_flight}; every worker "
+            "of this backend was stopped and the tree state they held since "
+            "attach is lost (reload from checkpoint/WAL)"
+        )
+        self._finalizer()  # runs _terminate_workers, once
+        raise WorkerFailedError(self._failure)
+
+    def _reply(
+        self, worker_id: int, bundle: Optional[Dict[int, List[Command]]]
+    ) -> Dict[str, Any]:
+        """The next message from *worker_id* — or the end of the backend."""
+        conn = self._connections[worker_id]
+        try:
+            if conn.poll(DISPATCH_DEADLINE_S):
+                return conn.recv()
+        except (EOFError, OSError):
+            self._fail(worker_id, "died", bundle)
+        self._fail(worker_id, f"timed out ({DISPATCH_DEADLINE_S:g} s)", bundle)
 
     def dispatch(
         self, per_shard: Dict[int, Sequence[Command]]
     ) -> Dict[int, List[Any]]:
+        if self._failure is not None:
+            raise WorkerFailedError(self._failure)
         per_worker: Dict[int, Dict[int, List[Command]]] = {}
         for shard_id, commands in per_shard.items():
             per_worker.setdefault(self._owner[shard_id], {})[shard_id] = list(commands)
         # One message per involved worker — send everything first so workers
         # run concurrently, then collect.
         for worker_id, bundle in per_worker.items():
-            self._connections[worker_id].send(("dispatch", bundle))
+            try:
+                self._connections[worker_id].send(("dispatch", bundle))
+            except OSError:  # BrokenPipeError: the worker is already gone
+                self._fail(worker_id, "died", bundle)
         payloads: Dict[int, List[Any]] = {}
         errors: List[str] = []
-        for worker_id in per_worker:
-            try:
-                reply = self._connections[worker_id].recv()
-            except EOFError:
-                errors.append(f"shard worker {worker_id} died mid-dispatch")
-                continue
+        for worker_id, bundle in per_worker.items():
+            reply = self._reply(worker_id, bundle)
             if not reply.get("ok"):
                 errors.append(
                     f"shard worker {worker_id} failed: {reply.get('error')}"
@@ -611,29 +715,27 @@ class ProcessBackend(ShardBackend):
                 self.root_mbrs[shard_id] = None if mbr is None else Rect(*mbr)
                 self.disk_pages[shard_id] = state["pages"]
         if errors:
-            raise RuntimeError("; ".join(errors))
+            # The workers are alive and in step; only these commands failed.
+            raise WorkerFailedError("; ".join(errors))
         return payloads
 
     def close(self) -> None:
-        for worker_id, conn in enumerate(self._connections):
-            try:
-                conn.send(("shutdown",))
-            except (OSError, BrokenPipeError):
-                continue
-        for conn in self._connections:
-            try:
-                conn.recv()
-            except (EOFError, OSError):
-                pass
-        for conn in self._connections:
-            conn.close()
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=2.0)
-        if hasattr(self, "_finalizer"):
-            self._finalizer.detach()
+        if self._failure is None:  # else _fail already stopped every worker
+            for conn in self._connections:
+                try:
+                    conn.send(("shutdown",))
+                except OSError:
+                    continue
+            for conn in self._connections:
+                try:
+                    if conn.poll(DISPATCH_DEADLINE_S):
+                        conn.recv()
+                except (EOFError, OSError):
+                    pass
+            for process in self._processes:
+                process.join(timeout=5.0)
+        # Closes the pipes; kills and reaps a worker that has not exited.
+        self._finalizer()
 
     def describe(self) -> str:
         return f"process[{self.workers}]"

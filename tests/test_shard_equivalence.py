@@ -9,6 +9,8 @@ kNN lists; the shard trees may differ in shape from the single tree, exactly
 as two update orders may shape one tree differently.
 """
 
+import multiprocessing
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,20 @@ from repro.workload import WorkloadGenerator, WorkloadSpec
 from tests.conftest import SMALL_PAGE_SIZE
 
 SHARD_COUNTS = (1, 2, 8)
+
+#: Both ways a process-backend worker comes to own its shards: ``fork``
+#: adopts the live shard objects, ``spawn`` restores their checkpoint
+#: documents.  Each must match the serial run bit for bit.
+START_METHODS = [
+    pytest.param(
+        method,
+        marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"no {method!r} start method on this platform",
+        ),
+    )
+    for method in ("fork", "spawn")
+]
 
 SPEC = WorkloadSpec(
     num_objects=900,
@@ -242,13 +258,23 @@ class TestExecutionBackendEquivalence:
         max_distance=0.09,
     )
 
-    def run_with_backend(self, strategy, backend, workers=None):
+    #: Backend legs per start method.  The thread backend has none and the
+    #: shard→worker mapping does not depend on it, so ``spawn`` — a fresh
+    #: interpreter per worker, ≈0.2 s each — runs one worker count.
+    LEGS = {
+        "fork": (("thread", 2), ("process", 2), ("process", 4)),
+        "spawn": (("process", 2),),
+    }
+
+    def run_with_backend(self, strategy, backend, workers=None, start_method=None):
         config = IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE)
         sharded = ShardedIndex(config, partitioner=GridPartitioner(2, 2))
         generator = WorkloadGenerator(self.BACKEND_SPEC)
         sharded.load(generator.initial_objects())
         if backend != "serial":
-            sharded.set_parallel(backend=backend, workers=workers)
+            sharded.set_parallel(
+                backend=backend, workers=workers, start_method=start_method
+            )
         outcomes = [
             sharded.update(oid, new).name for oid, _old, new in generator.updates()
         ]
@@ -262,6 +288,7 @@ class TestExecutionBackendEquivalence:
             for oid in range(self.BACKEND_SPEC.num_objects)
         }
         io = sharded.io_snapshot().as_dict()
+        shard_io = [shard.stats.as_dict() for shard in sharded.shards]
         migrations = sharded.migrations
         if backend != "serial":
             sharded.detach_parallel()
@@ -272,20 +299,24 @@ class TestExecutionBackendEquivalence:
             "knn": knn,
             "positions": positions,
             "io": io,
+            "shard_io": shard_io,
             "migrations": migrations,
         }
 
+    @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
-    def test_thread_and_process_match_serial(self, strategy):
+    def test_thread_and_process_match_serial(self, strategy, start_method):
         expected = self.run_with_backend(strategy, "serial")
         assert expected["migrations"] > 0  # the stream really migrates
-        for backend, workers in (("thread", 2), ("process", 2), ("process", 4)):
-            actual = self.run_with_backend(strategy, backend, workers)
+        for backend, workers in self.LEGS[start_method]:
+            actual = self.run_with_backend(strategy, backend, workers, start_method)
             assert actual == expected, (
-                f"{strategy}: {backend}[{workers}] diverged from serial"
+                f"{strategy}: {backend}[{workers}] ({start_method}) "
+                "diverged from serial"
             )
 
-    def test_batched_updates_match_serial_under_process_backend(self):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_batched_updates_match_serial_under_process_backend(self, start_method):
         config = IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE)
 
         def run(backend):
@@ -293,7 +324,7 @@ class TestExecutionBackendEquivalence:
             generator = WorkloadGenerator(self.BACKEND_SPEC)
             sharded.load(generator.initial_objects())
             if backend != "serial":
-                sharded.set_parallel(backend=backend)
+                sharded.set_parallel(backend=backend, start_method=start_method)
             for batch in generator.update_batches(150):
                 sharded.update_many((oid, new) for oid, _old, new in batch)
             result = (
@@ -303,6 +334,7 @@ class TestExecutionBackendEquivalence:
                     for oid in range(self.BACKEND_SPEC.num_objects)
                 },
                 sharded.io_snapshot().as_dict(),
+                [shard.stats.as_dict() for shard in sharded.shards],
             )
             if backend != "serial":
                 sharded.detach_parallel()

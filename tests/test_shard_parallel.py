@@ -4,24 +4,35 @@ The equivalence suite (``tests/test_shard_equivalence.py``) proves that
 serial, thread and process execution compute identical answers and I/O
 counters; this file covers the backend machinery itself: lifecycle,
 kernel-backend propagation into workers, spec/checkpoint round-trips,
-detach state sync, the engine guard, and rebalancing between workers.
+detach state sync, the engine guard, rebalancing between workers, what an
+attach is allowed to cost, and what a dead or hung worker turns into.
 """
 
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
-from repro.api import IndexBuilder, index_spec, open_index
-from repro.core import IndexConfig, MovingObjectIndex
+from repro.api import IndexBuilder, Update, index_spec, open_index
+from repro.api.errors import OperationError, WorkerFailedError
+from repro.core import IndexConfig, MovingObjectIndex, persistence
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect, kernels
 from repro.shard import BACKENDS, GridPartitioner, ShardedIndex
+from repro.shard import parallel as shard_parallel
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
 
 SPEC = WorkloadSpec(
     num_objects=200, num_updates=300, num_queries=6, seed=5, max_distance=0.08
+)
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no 'fork' start method on this platform",
 )
 
 
@@ -94,6 +105,33 @@ class TestBackendLifecycle:
             oid: serial_index.position_of(oid) for oid in range(SPEC.num_objects)
         }
         index.validate()
+
+    def test_load_reattaches_with_the_start_method_it_was_given(self):
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no 'spawn' start method on this platform")
+        config = IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE)
+        index = ShardedIndex(config, partitioner=GridPartitioner.for_shards(4))
+        index.set_parallel("process", workers=1, start_method="spawn")
+        first = index._backend
+        try:
+            index.load(WorkloadGenerator(SPEC).initial_objects())
+            # load() detaches, loads locally and re-attaches: a new backend,
+            # started the way the old one was.  The spec keeps its two keys.
+            assert index._backend is not first
+            assert index._backend.start_method == "spawn"
+            assert index.parallel_spec == {"backend": "process", "workers": 1}
+            assert len(index.range_query(Rect(0.0, 0.0, 1.0, 1.0))) == SPEC.num_objects
+        finally:
+            index.detach_parallel()
+
+    @needs_fork
+    def test_fork_is_the_default_start_method_where_it_exists(self):
+        index, _ = build_sharded()
+        index.set_parallel("process", workers=2)
+        try:
+            assert index._backend.start_method == "fork"
+        finally:
+            index.detach_parallel()
 
     def test_engine_is_refused_under_process_backend(self):
         index, _ = build_sharded()
@@ -247,16 +285,152 @@ class TestStreamingUnderBackend:
         index.detach_parallel()
 
 
-class TestWorkerFailureSurface:
-    def test_worker_errors_propagate_as_runtime_errors(self):
-        index, _ = build_sharded()
-        index.set_parallel("process", workers=2)
-        try:
-            from repro.shard import parallel as shard_parallel
+class TestAttachWorkBound:
+    """What a fork attach is *not allowed* to do, so that a silent fall-back
+    to checkpoint hydration fails a test and not just a benchmark."""
 
-            with pytest.raises(RuntimeError, match="worker"):
-                # An update for an object the worker has never seen violates
-                # the routed-command contract and surfaces as a worker error.
-                index._dispatch_one(0, shard_parallel.Update(999_999, Point(0, 0)))
+    @needs_fork
+    def test_fork_attach_restores_no_document_and_never_probes_numpy(
+        self, monkeypatch
+    ):
+        # The forked workers inherit these patches.  A document may be encoded
+        # only worker-side and restored only coordinator-side — the way back
+        # at detach, which really crosses a pipe; an attach that did either
+        # the other way round (today's spawn path) raises, in the coordinator
+        # directly or as a failed worker hydration.
+        coordinator = os.getpid()
+        index_document = persistence._index_document
+        restore_index = persistence._restore_index
+
+        def document_in_a_worker_only(shard):
+            assert os.getpid() != coordinator, "fork attach encoded a document"
+            return index_document(shard)
+
+        def restore_in_the_coordinator_only(document):
+            assert os.getpid() == coordinator, "fork attach restored a document"
+            return restore_index(document)
+
+        def no_numpy():
+            raise AssertionError("a python-backend worker probed numpy")
+
+        previous = kernels.get_backend()
+        kernels.set_backend("python")
+        try:
+            index, generator = build_sharded()
+            serial, serial_generator = build_sharded()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    persistence, "_index_document", document_in_a_worker_only
+                )
+                patch.setattr(
+                    persistence, "_restore_index", restore_in_the_coordinator_only
+                )
+                patch.setattr(kernels, "_load_numpy", no_numpy)
+                index.set_parallel("process", workers=2)
+                assert index.worker_kernel_backends() == ["python"] * 4
+                for (oid, _o, new), (soid, _so, snew) in zip(
+                    generator.updates(80), serial_generator.updates(80)
+                ):
+                    assert index.update(oid, new) == serial.update(soid, snew)
+                for window in generator.queries():
+                    assert index.range_query(window) == serial.range_query(window)
+                assert index.knn(Point(0.4, 0.6), 5) == serial.knn(Point(0.4, 0.6), 5)
+                assert index.io_snapshot().as_dict() == serial.io_snapshot().as_dict()
+                index.detach_parallel()
+            index.validate()
         finally:
+            kernels.set_backend(previous)
+
+
+class TestWorkerFailureSurface:
+    WINDOW = Rect(0.0, 0.0, 1.0, 1.0)  # fans out to every shard, every worker
+
+    @pytest.fixture
+    def attached(self):
+        index, generator = build_sharded()
+        index.set_parallel("process", workers=2)
+        backend = index._backend
+        yield index, generator, backend
+        # Whatever the test did, no worker of this backend may outlive it.
+        for process in backend._processes:
+            if process.is_alive():
+                process.kill()
+            process.join(timeout=5.0)
+
+    def assert_backend_is_gone(self, index):
+        """The failed backend keeps failing, detaches fast, leaves no child."""
+        with pytest.raises(WorkerFailedError):
+            index.knn(Point(0.5, 0.5), 3)
+        started = time.perf_counter()
+        with pytest.raises(WorkerFailedError):
             index.detach_parallel()
+        assert time.perf_counter() - started < 1.0
+        assert multiprocessing.active_children() == []
+        # Still attached, still failed: never the stale mirror shards as if
+        # they were current.
+        with pytest.raises(WorkerFailedError):
+            index.range_query(self.WINDOW)
+
+    def test_worker_errors_are_typed_and_leave_the_backend_serving(self, attached):
+        index, _generator, _backend = attached
+        assert issubclass(WorkerFailedError, OperationError)
+        with pytest.raises(WorkerFailedError, match="worker 0 failed") as raised:
+            # An update for an object the worker has never seen violates
+            # the routed-command contract and surfaces as a worker error.
+            index._dispatch_one(0, shard_parallel.Update(999_999, Point(0, 0)))
+        assert isinstance(raised.value, RuntimeError)
+        # The worker is alive and in step: only that command failed.
+        assert len(index.range_query(self.WINDOW)) == SPEC.num_objects
+        index.detach_parallel()
+        index.validate()
+
+    def test_killed_worker_is_a_typed_failure(self, attached):
+        index, generator, backend = attached
+        updates = [Update(oid, new) for oid, _old, new in generator.updates(120)]
+        index.execute_many(updates[:60])
+        os.kill(backend._processes[0].pid, signal.SIGKILL)
+        started = time.perf_counter()
+        with pytest.raises(WorkerFailedError, match="worker 0 died during"):
+            index.execute_many(updates[60:])
+        assert time.perf_counter() - started < shard_parallel.DISPATCH_DEADLINE_S / 10
+        self.assert_backend_is_gone(index)
+
+    def test_hung_worker_times_out(self, attached, monkeypatch):
+        index, _generator, backend = attached
+        monkeypatch.setattr(shard_parallel, "DISPATCH_DEADLINE_S", 0.3)
+        os.kill(backend._processes[1].pid, signal.SIGSTOP)
+        started = time.perf_counter()
+        with pytest.raises(
+            WorkerFailedError, match=r"worker 1 timed out \(0\.3 s\) during Range"
+        ):
+            index.range_query(self.WINDOW)
+        assert time.perf_counter() - started < 3.0
+        self.assert_backend_is_gone(index)
+
+    @needs_fork
+    def test_worker_dying_mid_apply_batch(self, monkeypatch):
+        sentinel = 7
+        execute_command = shard_parallel.execute_command
+
+        def dies_on_sentinel(shard, command):
+            if isinstance(command, shard_parallel.ApplyBatch) and any(
+                request.oid == sentinel for request in command.requests
+            ):
+                os._exit(1)
+            return execute_command(shard, command)
+
+        index, generator = build_sharded()
+        # Patched before the attach: the forked workers inherit it.
+        monkeypatch.setattr(shard_parallel, "execute_command", dies_on_sentinel)
+        index.set_parallel("process", workers=2)
+        batch = [
+            (oid, new) for oid, _old, new in generator.updates(60) if oid != sentinel
+        ]
+        index.update_many(batch)
+        here = index.position_of(sentinel)
+        started = time.perf_counter()
+        with pytest.raises(WorkerFailedError, match=r"died during \S*ApplyBatch"):
+            # A nudge inside the object's own shard: it rides an ApplyBatch.
+            index.update_many(batch[:5] + [(sentinel, Point(here.x + 1e-9, here.y))])
+        assert time.perf_counter() - started < shard_parallel.DISPATCH_DEADLINE_S / 10
+        self.assert_backend_is_gone(index)
