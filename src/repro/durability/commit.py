@@ -9,10 +9,17 @@ logs.  It owns three things the individual
 * **the LSN** — one monotonic counter shared by *all* logs of the index,
   so a cross-shard migration can appear in two shard logs as one commit
   unit, and so recovery can truncate every log at a single logical instant;
-* **the sync policy** — ``always`` fsyncs each commit unit, ``group``
-  fsyncs batch units immediately (the batch *is* the group) and lets
-  single-operation units accumulate until ``group_size`` of them are
-  pending, ``none`` never fsyncs;
+* **the sync policy** — ``always`` fsyncs each commit unit, ``none`` never
+  fsyncs, and ``group`` makes the *call* the group: a facade call that logs
+  several batch-shaped units (``ShardedIndex.execute_many`` /
+  ``update_many``: one unit per barrier segment, times the shard logs it
+  dirtied) runs inside :meth:`DurabilityManager.call_scope`, which appends
+  every unit and fsyncs each dirty log **once**, when the outermost scope
+  exits — the caller learns nothing before the call returns, so nothing is
+  gained by syncing earlier.  A batch unit logged outside any scope (bulk
+  migration, repartition, strategy switch, the single index's one-unit
+  batch) is its own group and is fsynced at once; single-operation units
+  accumulate until ``group_size`` of them are pending;
 * **checkpoint rotation** — after a checkpoint lands, every log restarts
   empty while the LSN keeps counting.
 
@@ -23,6 +30,21 @@ Log layout under ``directory``::
     shard-0001.wal       single-index log for a non-sharded facade)
     meta.wal             coordinator metadata (repartition records)
 
+What a scoped call promises
+---------------------------
+*A call that returned is durable in full.  A call that did not return (a
+crash inside it, or during its exit syncs) may survive as any per-log prefix
+of its units:* each log is synced on its own, so one shard's log may hold
+every unit of the call and another's none.  Recovery is built for exactly
+that shape — it merges whatever intact prefix each log holds on the shared
+LSN, an arrival evicts the stale copy on its source shard, and a departure
+whose arrival was lost is skipped (:mod:`repro.durability.recovery`) — so
+every object comes back at its pre-call position or at a position the call
+gave it, none lost and none duplicated.  An ``OSError`` from one of the exit
+syncs is raised to the caller with the index intact and the unsynced logs
+still dirty; :meth:`DurabilityManager.flush` (or the next scoped call)
+syncs them once the fault clears.
+
 Coordinator-side logging is what keeps the ``process`` shard backend
 answer-identical: every public mutation of ``ShardedIndex`` runs on the
 coordinator before being dispatched, so the log sees the same stream no
@@ -32,8 +54,9 @@ matter which backend executes it.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Mapping, Sequence, Set, Union
+from typing import Any, Dict, Iterator, Mapping, Sequence, Set, Union
 
 from repro.durability.wal import (
     SYNC_POLICIES,
@@ -124,6 +147,9 @@ class DurabilityManager:
         self._logs: Dict[int, WriteAheadLog] = {}
         self._dirty: Set[int] = set()
         self._pending_ops = 0
+        # Nesting depth of call_scope(); non-zero defers group-policy
+        # barrier syncs to the outermost exit.
+        self._scope_depth = 0
         # Continue the LSN sequence past whatever the existing logs hold, so
         # re-attaching after recovery keeps the ordering total.
         highest = 0
@@ -168,10 +194,46 @@ class DurabilityManager:
         return self._lsn
 
     def _sync_dirty(self) -> None:
+        # A log leaves the dirty set only once its own fsync returned: when
+        # one raises, it and every log after it stay dirty for the next
+        # flush().
         for shard_id in sorted(self._dirty):
             self._logs[shard_id].sync()
-        self._dirty.clear()
+            self._dirty.discard(shard_id)
         self._pending_ops = 0
+
+    @contextmanager
+    def call_scope(self) -> Iterator[None]:
+        """One durability point for everything logged inside the ``with`` block.
+
+        Under ``group`` sync, batch-shaped units (``barrier=True``) logged
+        inside the scope are appended without syncing, and the outermost
+        exit fsyncs each dirty log once (:meth:`flush`).  Scopes nest — a
+        depth counter is the only state — and only the outermost exit
+        syncs.  ``always`` keeps syncing per unit and ``none`` never syncs;
+        single-operation units accumulate towards ``group_size`` exactly as
+        they do outside a scope.
+
+        The exit syncs also when the block raises, so units that were
+        applied and appended before the failure are durable; the block's
+        exception is the one that propagates (an ``OSError`` from that
+        clean-up sync is dropped, the logs it left unsynced stay dirty).
+        When the block completed, an ``OSError`` from the exit sync is
+        raised: the call's effects are applied but not yet durable.
+        """
+        self._scope_depth += 1
+        completed = False
+        try:
+            yield
+            completed = True
+        finally:
+            self._scope_depth -= 1
+            if self._scope_depth == 0 and self.sync_policy == "group":
+                try:
+                    self.flush()
+                except OSError:
+                    if completed:
+                        raise
 
     def log_record(self, shard_id: int, record: LogRecord) -> int:
         """Log one routed operation as its own frame (per-op commit unit)."""
@@ -183,10 +245,12 @@ class DurabilityManager:
         """Log one commit unit spanning one or more shard logs.
 
         ``barrier=True`` marks a batch-shaped unit (a whole dispatch, a bulk
-        migration, a repartition): under ``group`` sync the batch *is* the
-        group, so it is fsynced immediately.  ``barrier=False`` marks a
-        single routed operation, which under ``group`` sync accumulates
-        until ``group_size`` operations are pending.
+        migration, a repartition): under ``group`` sync it is fsynced
+        immediately — the batch *is* the group — unless a
+        :meth:`call_scope` is open, in which case the enclosing call is the
+        group and its exit syncs.  ``barrier=False`` marks a single routed
+        operation, which under ``group`` sync accumulates until
+        ``group_size`` operations are pending.
         """
         if not any(records for records in frames.values()):
             return self._lsn
@@ -195,7 +259,8 @@ class DurabilityManager:
             self._sync_dirty()
         elif self.sync_policy == "group":
             if barrier:
-                self._sync_dirty()
+                if not self._scope_depth:
+                    self._sync_dirty()
             else:
                 self._pending_ops += 1
                 if self._pending_ops >= self.group_size:

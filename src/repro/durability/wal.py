@@ -58,9 +58,14 @@ from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple, Union
 from repro.api.errors import CorruptLogError
 from repro.geometry import Point
 
-#: Writer sync policies: ``always`` fsyncs every frame, ``group`` fsyncs
-#: batch frames and every ``group_size`` single-operation frames, ``none``
-#: never fsyncs (the OS decides; an OS crash may lose the tail).
+#: Writer sync policies: ``always`` fsyncs every frame; ``group`` fsyncs once
+#: per dirty log when the facade *call* that appended the frames returns (the
+#: call is the group — a batch frame logged outside such a call is synced at
+#: once) and every ``group_size`` single-operation frames; ``none`` never
+#: fsyncs (the OS decides; an OS crash may lose the tail).  A ``group`` call
+#: that returned is durable in full; one that did not may survive as any
+#: per-log prefix of its frames, which recovery merges without losing or
+#: duplicating an object (see :mod:`repro.durability.commit`).
 SYNC_POLICIES: Tuple[str, ...] = ("always", "group", "none")
 
 KIND_INSERT = "insert"

@@ -100,15 +100,27 @@ def _pack_level(
     slice_count = max(1, math.ceil(math.sqrt(node_count)))
     slice_size = slice_count * fanout
 
-    by_x = sorted(entries, key=lambda e: (e.rect.center().x, e.rect.center().y))
-    nodes: List[Node] = []
+    # Each entry's centre, computed once per level as plain floats; both
+    # sorts order entry indices by it (stable, so ties keep input order).
+    # The keys are dropped before any node is built, so they never sit
+    # under the pages this level allocates.
+    centres = [
+        ((rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0)
+        for rect, _child in entries
+    ]
+    by_x = sorted(range(count), key=centres.__getitem__)
+    tiles: List[List[Entry]] = []
     for slice_start in range(0, count, slice_size):
         vertical_slice = by_x[slice_start : slice_start + slice_size]
-        by_y = sorted(vertical_slice, key=lambda e: (e.rect.center().y, e.rect.center().x))
+        vertical_slice.sort(key=lambda i: (centres[i][1], centres[i][0]))
+        tiles.append([entries[i] for i in vertical_slice])
+    del centres, by_x
+
+    nodes: List[Node] = []
+    for by_y in tiles:
         for node_start in range(0, len(by_y), fanout):
-            group = by_y[node_start : node_start + fanout]
             node = tree._allocate_node(level)
-            node.entries = group
+            node.entries = by_y[node_start : node_start + fanout]
             tree.write_node(node)
             nodes.append(node)
     return _rebalance_tail(tree, nodes, level)

@@ -43,7 +43,17 @@ buckets of different shards schedule concurrently, which is what the
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import (
+    ContextManager,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import repro.api.operations as api_ops
 from repro.api.errors import DuplicateObjectError, UnknownObjectError
@@ -1312,6 +1322,21 @@ class ShardedIndex(SpatialIndexFacade):
         """
         return self._execute_operation_stream(operations, strict_deletes=False)
 
+    def _call_scope(self) -> ContextManager[None]:
+        """The durability point of one batch call (a no-op without a WAL).
+
+        Everything a call logs inside it — one unit per barrier segment,
+        the migrations in between, a triggered rebalance — is appended as
+        it happens and, under ``group`` sync, fsynced once per dirty log
+        when the call exits (:meth:`DurabilityManager.call_scope`): a call
+        that returned is durable in full; one that did not may survive as
+        any per-log prefix of its units, which recovery merges into a state
+        with every object at its pre-call position or one the call gave it.
+        """
+        if self.durability is None:
+            return nullcontext()
+        return self.durability.call_scope()
+
     def _execute_operation_stream(
         self, operations: Iterable, strict_deletes: bool
     ) -> BatchResult:
@@ -1319,39 +1344,41 @@ class ShardedIndex(SpatialIndexFacade):
         result = BatchResult()
         before = [shard.stats.snapshot() for shard in self.shards]
         run: List[BatchUpdate] = []
-        for op in parsed:
-            if isinstance(op, BatchUpdate):
-                result.updates += 1
-                run.append(op)
-            elif isinstance(op, InsertOp):
-                self._flush_updates(run, result)
-                self.insert(op.oid, op.location)
-                result.inserts += 1
-            elif isinstance(op, DeleteOp):
-                self._flush_updates(run, result)
-                self.delete(op.oid)
-                result.deletes += 1
-            elif isinstance(op, QueryOp):
-                self._flush_updates(run, result)
-                result.queries.append(self.range_query(op.window))
-            elif isinstance(op, KNNOp):
-                self._flush_updates(run, result)
-                result.neighbors.append(self.knn(op.point, op.k))
-            else:  # pragma: no cover - the parser only emits the above
-                raise TypeError(f"unsupported batch operation {op!r}")
-        self._flush_updates(run, result)
-        self._merge_io_delta(result, before)
-        self.auto_rebalance()
-        self.auto_adapt()
+        with self._call_scope():
+            for op in parsed:
+                if isinstance(op, BatchUpdate):
+                    result.updates += 1
+                    run.append(op)
+                elif isinstance(op, InsertOp):
+                    self._flush_updates(run, result)
+                    self.insert(op.oid, op.location)
+                    result.inserts += 1
+                elif isinstance(op, DeleteOp):
+                    self._flush_updates(run, result)
+                    self.delete(op.oid)
+                    result.deletes += 1
+                elif isinstance(op, QueryOp):
+                    self._flush_updates(run, result)
+                    result.queries.append(self.range_query(op.window))
+                elif isinstance(op, KNNOp):
+                    self._flush_updates(run, result)
+                    result.neighbors.append(self.knn(op.point, op.k))
+                else:  # pragma: no cover - the parser only emits the above
+                    raise TypeError(f"unsupported batch operation {op!r}")
+            self._flush_updates(run, result)
+            self._merge_io_delta(result, before)
+            self.auto_rebalance()
+            self.auto_adapt()
         return result
 
     def _execute_batch(self, ops: List[BatchUpdate]) -> BatchResult:
         result = BatchResult(updates=len(ops))
         before = [shard.stats.snapshot() for shard in self.shards]
-        self._flush_updates(list(ops), result)
-        self._merge_io_delta(result, before)
-        self.auto_rebalance()
-        self.auto_adapt()
+        with self._call_scope():
+            self._flush_updates(list(ops), result)
+            self._merge_io_delta(result, before)
+            self.auto_rebalance()
+            self.auto_adapt()
         return result
 
     def _flush_updates(self, run: List[BatchUpdate], result: BatchResult) -> None:
@@ -1414,8 +1441,9 @@ class ShardedIndex(SpatialIndexFacade):
     ) -> None:
         """Log one executed batch dispatch's in-shard buckets as one commit unit.
 
-        The whole dispatch is one appended+fsynced frame per touched shard
-        log, all sharing one LSN — the group-commit shape; boundary-crossing
+        The whole dispatch is one appended frame per touched shard log, all
+        sharing one LSN, made durable with the rest of the call at its exit
+        (:meth:`_call_scope`) — the group-commit shape; boundary-crossing
         members logged per migration are disjoint from these buckets (the
         pending set holds one request per object).  Called *after* the
         dispatch has executed (apply first, log on success), so a shard or

@@ -209,12 +209,19 @@ class BufferPool:
         charged = self._active_client is not None
         if charged:
             self._charge_client(reads=1)
-        if self._pins or len(frames) != capacity or capacity == 0:
+        pins = self._pins
+        if (
+            len(frames) != capacity
+            or capacity == 0
+            or (pins and next(iter(frames)) in pins)
+        ):
             self._admit(page_id, payload)
             return payload
         # The steady-state miss, in this frame: the pool is exactly full and
-        # nothing is pinned, so the LRU head makes room (what _admit and
-        # _evict_one do for every other case).
+        # its LRU head is not pinned, so the head makes room — the victim
+        # _evict_one would pick, pins held elsewhere or not (a group pass
+        # pins its leaf, which it has just read: the MRU end).  _admit and
+        # _evict_one keep every other case.
         victim_id, victim = frames.popitem(last=False)
         if victim_id in self._dirty:
             self.disk.write_page(

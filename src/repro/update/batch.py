@@ -250,6 +250,11 @@ class BatchResult:
 class BatchExecutor:
     """Executes operation streams with group-by-leaf amortisation.
 
+    A run of updates is coalesced once — inline by :meth:`execute`, or by
+    :meth:`plan` for callers that hand in a raw stream — and bucketed by
+    current leaf (``_bucket``, shared by both); each bucket is one
+    :meth:`execute_group` pass with its leaf pinned.
+
     Parameters
     ----------
     tree:
@@ -336,20 +341,27 @@ class BatchExecutor:
         execution time by the strategies themselves.
         """
         pending, requested, coalesced = coalesce_updates(updates)
-        buckets: "OrderedDict[int, List[BatchUpdate]]" = OrderedDict()
-        unindexed: List[BatchUpdate] = []
-        for request in pending.values():
-            leaf_page = self.hash_index.peek(request.oid)
-            if leaf_page is None:
-                unindexed.append(request)
-            else:
-                buckets.setdefault(leaf_page, []).append(request)
+        buckets, unindexed = self._bucket(pending.values())
         return BatchPlan(
             buckets=buckets,
             unindexed=unindexed,
             requested=requested,
             coalesced=coalesced,
         )
+
+    def _bucket(
+        self, requests: Iterable[BatchUpdate]
+    ) -> Tuple["OrderedDict[int, List[BatchUpdate]]", List[BatchUpdate]]:
+        """Bucket coalesced *requests* by current leaf: ``(buckets, unindexed)``."""
+        buckets: "OrderedDict[int, List[BatchUpdate]]" = OrderedDict()
+        unindexed: List[BatchUpdate] = []
+        for request in requests:
+            leaf_page = self.hash_index.peek(request.oid)
+            if leaf_page is None:
+                unindexed.append(request)
+            else:
+                buckets.setdefault(leaf_page, []).append(request)
+        return buckets, unindexed
 
     def execute_group(
         self,
@@ -397,16 +409,19 @@ class BatchExecutor:
     def _flush(
         self, pending: "OrderedDict[int, BatchUpdate]", result: BatchResult
     ) -> None:
-        """Drain *pending*, one leaf group at a time (serial execution)."""
+        """Drain *pending*, one leaf group at a time (serial execution).
+
+        *pending* is already coalesced (one request per object, by
+        :meth:`execute`), so it is bucketed as it is.
+        """
         if not pending:
             return
-        plan = self.plan(pending.values())
+        buckets, unindexed = self._bucket(pending.values())
         pending.clear()
-        for request in plan.unindexed:
+        for request in unindexed:
             # Not indexed (yet): the per-operation path inserts it.
             self.replay(request, result)
 
-        buckets = plan.buckets
         while buckets:
             leaf_page, bucket = buckets.popitem(last=False)
             self.execute_group(leaf_page, bucket, result, reroute=buckets)

@@ -160,7 +160,11 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         3. **batched sibling shifting** — escapees are routed to non-full
            siblings (bit vector, no disk probe), each chosen sibling is read
            and written once regardless of how many objects it absorbs
-           (:meth:`RTree.add_entries` / :meth:`RTree.remove_entries`);
+           (:meth:`RTree.add_entries` / :meth:`RTree.remove_entries`).  The
+           bit vector is asked on demand, as the paper keeps it in memory
+           for: first only until one sibling with room is found (no such
+           sibling, no parent read), then about the siblings whose entry
+           covers a new position — a group absorbed by steps 1–2 never asks;
         4. one deferred ancestor-MBR pass (:meth:`RTree.adjust_upward`)
            refreshes the parent's entries for the leaf and every touched
            sibling with a single parent write.
@@ -207,18 +211,16 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
             residuals = still
 
         # 3. Batched sibling shifting (bit vector plans, one read per sibling).
+        # The parent is read only when some sibling has room at all; which
+        # ones is asked later, of the siblings covering a new position.
         if residuals and parent_entry is not None:
             is_full = self.summary.leaf_bits.is_full
-            candidates = [
-                page
+            if any(
+                page != leaf_page_id and not is_full(page)
                 for page in parent_entry.child_page_ids
-                if page != leaf.page_id and not is_full(page)
-            ]
-            if candidates:
+            ):
                 parent_node = self.tree.read_node(parent_entry.page_id)
-                residuals, shifted = self._shift_group(
-                    leaf, parent_node, candidates, residuals
-                )
+                residuals, shifted = self._shift_group(leaf, parent_node, residuals)
                 dirty = dirty or bool(shifted)
                 needs_adjust = needs_adjust or bool(shifted)
                 touched.extend(shifted)
@@ -245,7 +247,6 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         self,
         leaf: Node,
         parent_node: Node,
-        candidates: Sequence[int],
         requests: Sequence[BatchUpdate],
     ) -> Tuple[List[BatchUpdate], List[Node]]:
         """Move as many *requests* as possible into sibling leaves in bulk.
@@ -255,10 +256,13 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         :meth:`RTree.add_entries`, and is written once.  The source leaf is
         never drained below its minimum fill, and sibling MBRs never grow:
         objects are routed only to siblings whose parent entry already
-        contains the new position.
+        contains the new position.  The bit vector is asked about those
+        siblings only (the short-circuit :meth:`_try_sibling_shift` uses);
+        it cannot change under the plan, because nothing is written until
+        every request is routed.
         """
         removable = len(leaf) - self.tree.min_leaf_entries
-        candidate_set = frozenset(candidates)
+        is_full = self.summary.leaf_bits.is_full
         siblings: Dict[int, Node] = {}
         planned: Dict[int, int] = {}  # sibling page -> objects routed so far
         moves: Dict[int, List[BatchUpdate]] = {}
@@ -269,9 +273,11 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
                 continue
             target: Optional[int] = None
             for page in parent_node.contains_point_children(request.new_location):
-                if page not in candidate_set or page == leaf.page_id:
+                if page == leaf.page_id:
                     continue
                 if page not in siblings:
+                    if is_full(page):
+                        continue
                     siblings[page] = self.tree.read_node(page)
                     planned[page] = 0
                 room = self.tree.leaf_capacity - len(siblings[page])

@@ -15,8 +15,10 @@ Hypothesis property test drives the single-index case with arbitrary
 truncation offsets.
 """
 
+import errno
 import itertools
 import json
+import os
 import random
 import shutil
 import struct
@@ -27,9 +29,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import open_index
+from repro.api import RangeQuery, Update, open_index
 from repro.core.persistence import load_index
-from repro.durability import meta_log_path, read_frames, shard_log_paths
+from repro.durability import (
+    meta_log_path,
+    read_frames,
+    recover_index,
+    shard_log_paths,
+)
 from repro.durability.wal import (
     KIND_DELETE,
     KIND_INSERT,
@@ -551,3 +558,267 @@ class TestArbitraryCrashOffsets:
             recovered.detach_durability()
         finally:
             shutil.rmtree(stage, ignore_errors=True)
+
+
+# ----------------------------------------------------------------------
+# The call scope: one durability point per execute_many
+# ----------------------------------------------------------------------
+TICK_UPDATES = 245
+TICK_BARRIERS = 5
+SCOPE_OBJECTS = 400
+
+
+def open_scoped(directory, sync="group"):
+    """A loaded 4-shard durable index (small pages: real multi-leaf shards)."""
+    rng = random.Random(41)
+    index = open_index(
+        {
+            "kind": "sharded",
+            "shards": 4,
+            "config": {"strategy": "GBU", "page_size": 256},
+            "durability": {"dir": str(directory), "sync": sync},
+        }
+    )
+    index.load(
+        [(oid, Point(rng.random(), rng.random())) for oid in range(SCOPE_OBJECTS)]
+    )
+    return index, rng
+
+
+def make_tick(rng, positions):
+    """A 250-op tick: 245 updates (one in ten a long move, so objects cross
+    shard boundaries) with 5 range-query barriers dropped in at random.
+
+    Returns ``(operations, assigned)``; *assigned* maps each touched oid to
+    every position the tick gives it, in order.  *positions* is advanced.
+    """
+    operations = []
+    assigned = {}
+    for _ in range(TICK_UPDATES):
+        oid = rng.randrange(len(positions))
+        old = positions[oid]
+        if rng.random() < 0.1:
+            new = Point(rng.random(), rng.random())
+        else:
+            new = Point(
+                min(1.0, max(0.0, old.x + rng.uniform(-0.03, 0.03))),
+                min(1.0, max(0.0, old.y + rng.uniform(-0.03, 0.03))),
+            )
+        operations.append(Update(oid, new))
+        assigned.setdefault(oid, []).append(new)
+        positions[oid] = new
+    for _ in range(TICK_BARRIERS):
+        x, y = rng.random() * 0.8, rng.random() * 0.8
+        operations.insert(
+            rng.randrange(len(operations) + 1), RangeQuery(Rect(x, y, x + 0.2, y + 0.2))
+        )
+    return operations, assigned
+
+
+class SyncRecorder:
+    """An ``os.fsync`` stand-in that knows what each log held at its last sync.
+
+    ``sizes`` maps log file name to its synced byte length, ``rounds`` keeps
+    a copy of that map after every successful sync, and ``fail_at`` makes
+    the k-th call (1-based, counted from :meth:`arm`) raise ``EIO``.
+    """
+
+    def __init__(self, directory):
+        self.directory = Path(directory)
+        self.real = os.fsync
+        self.arm()
+        self.sizes = {
+            path.name: path.stat().st_size for path in self.directory.glob("*.wal")
+        }
+
+    def arm(self, fail_at=None):
+        self.calls = 0
+        self.fail_at = fail_at
+        self.rounds = []
+
+    def __call__(self, fd):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(errno.EIO, "injected fsync failure")
+        self.real(fd)
+        status = os.fstat(fd)
+        for path in self.directory.glob("*.wal"):
+            if path.stat().st_ino == status.st_ino:
+                self.sizes[path.name] = status.st_size
+        self.rounds.append(dict(self.sizes))
+
+    def recover_cut(self, stage, sizes):
+        """Recover a copy of the directory whose logs end at *sizes*."""
+        stage.mkdir()
+        document = json.loads((self.directory / "checkpoint.json").read_text())
+        document["durability"]["dir"] = str(stage)
+        (stage / "checkpoint.json").write_text(json.dumps(document))
+        for path in self.directory.glob("*.wal"):
+            (stage / path.name).write_bytes(
+                path.read_bytes()[: sizes.get(path.name, 0)]
+            )
+        return recover_index(stage)
+
+
+def assert_whole(recovered):
+    """Structure valid, nothing lost, nothing duplicated."""
+    recovered.validate()
+    assert len(recovered) == SCOPE_OBJECTS
+    assert sorted(recovered.range_query(WHOLE_SPACE)) == list(range(SCOPE_OBJECTS))
+
+
+class TestCallScopeCrashCuts:
+    def test_every_cut_of_the_exit_sync_round_recovers_whole(self, tmp_path, monkeypatch):
+        index, rng = open_scoped(tmp_path / "wal")
+        positions = {oid: index.position_of(oid) for oid in range(SCOPE_OBJECTS)}
+        for _ in range(2):  # two fully acknowledged ticks
+            index.execute_many(make_tick(rng, positions)[0])
+        acknowledged = dict(positions)
+        recorder = SyncRecorder(tmp_path / "wal")
+        monkeypatch.setattr(os, "fsync", recorder)
+
+        before_round = dict(recorder.sizes)
+        operations, assigned = make_tick(rng, positions)
+        result = index.execute_many(operations)
+        monkeypatch.undo()
+
+        assert result.migrations > 0 and len(result.queries) == TICK_BARRIERS
+        # The exit round is the tick's only syncing: once per dirty shard log.
+        assert 2 <= len(recorder.rounds) <= 4
+        cuts = [before_round] + recorder.rounds
+        for number, sizes in enumerate(cuts):
+            recovered = recorder.recover_cut(tmp_path / f"cut{number}", sizes)
+            assert_whole(recovered)
+            for oid in range(SCOPE_OBJECTS):
+                position = recovered.position_of(oid)
+                if oid not in assigned:
+                    assert position == acknowledged[oid]
+                else:
+                    assert position == acknowledged[oid] or position in assigned[oid]
+            if number == 0:  # nothing of the tick was durable yet
+                assert all(
+                    recovered.position_of(oid) == acknowledged[oid]
+                    for oid in range(SCOPE_OBJECTS)
+                )
+            if number == len(cuts) - 1:  # the call returned: durable in full
+                assert all(
+                    recovered.position_of(oid) == index.position_of(oid)
+                    for oid in range(SCOPE_OBJECTS)
+                )
+            recovered.detach_durability()
+        index.detach_durability()
+
+
+class TestCallScopeWorkBound:
+    """A silent fall-back to per-unit syncing fails here, not in a benchmark."""
+
+    @pytest.mark.parametrize("sync", ("group", "always", "none"))
+    def test_fsyncs_per_tick(self, tmp_path, monkeypatch, sync):
+        index, rng = open_scoped(tmp_path / "wal", sync=sync)
+        positions = {oid: index.position_of(oid) for oid in range(SCOPE_OBJECTS)}
+        recorder = SyncRecorder(tmp_path / "wal")
+        monkeypatch.setattr(os, "fsync", recorder)
+        result = index.execute_many(make_tick(rng, positions)[0])
+        monkeypatch.undo()
+        assert result.updates == TICK_UPDATES and result.migrations > 0
+        # load() rotated the logs, so every frame on disk is the tick's:
+        # 6 segments on up to 4 logs, plus two per migration.
+        appended = sum(
+            len(frame_boundaries(path)) - 1
+            for path in shard_log_paths(tmp_path / "wal").values()
+        )
+        assert appended > 4 * TICK_BARRIERS
+        if sync == "group":
+            assert 1 <= recorder.calls <= 4  # once per dirty log
+        elif sync == "always":
+            assert recorder.calls == appended  # every frame of every unit
+        else:
+            assert recorder.calls == 0
+        index.detach_durability()
+
+
+class TestCallScopeFaults:
+    def test_eio_at_any_sync_of_the_exit_round_is_raised_and_healed(
+        self, tmp_path, monkeypatch
+    ):
+        index, rng = open_scoped(tmp_path / "wal")
+        positions = {oid: index.position_of(oid) for oid in range(SCOPE_OBJECTS)}
+        recorder = SyncRecorder(tmp_path / "wal")
+        monkeypatch.setattr(os, "fsync", recorder)
+        for fail_at in (1, 2, 3, 4):
+            recorder.arm(fail_at=fail_at)
+            with pytest.raises(OSError) as raised:
+                index.execute_many(make_tick(rng, positions)[0])
+            assert raised.value.errno == errno.EIO
+            assert recorder.calls == fail_at  # the round stopped at the fault
+            # Applied in full, answering from the applied state.
+            index.validate()
+            assert all(index.position_of(oid) == p for oid, p in positions.items())
+            assert sorted(index.range_query(WHOLE_SPACE)) == list(range(SCOPE_OBJECTS))
+            # Logs sync in shard order: the failed one and those after it wait.
+            assert index.durability._dirty == set(range(fail_at - 1, 4))
+            recorder.arm()
+            if fail_at % 2:
+                index.durability.flush()
+            else:  # or simply the next call
+                index.execute_many(make_tick(rng, positions)[0])
+            assert index.durability._dirty == set()
+            recovered = recorder.recover_cut(tmp_path / f"healed{fail_at}", recorder.sizes)
+            assert_whole(recovered)
+            assert all(recovered.position_of(oid) == p for oid, p in positions.items())
+            recovered.detach_durability()
+        index.detach_durability()
+
+    def test_stream_failure_reaches_the_caller_and_the_applied_prefix_is_synced(
+        self, tmp_path, monkeypatch
+    ):
+        index, rng = open_scoped(tmp_path / "wal")
+        positions = {oid: index.position_of(oid) for oid in range(SCOPE_OBJECTS)}
+        operations, assigned = make_tick(rng, positions)
+        barrier = next(
+            at
+            for at, op in enumerate(operations)
+            if isinstance(op, RangeQuery) and at > 40
+        )
+        first_segment = {
+            op.oid for op in operations[:barrier] if isinstance(op, Update)
+        }
+        # The sentinel: a later, in-shard update (so a group pass sees it).
+        sentinel = next(
+            op.oid
+            for op in operations[barrier:]
+            if isinstance(op, Update)
+            and len(assigned[op.oid]) == 1
+            and index.partitioner.shard_of(op.new_location) == index.shard_for(op.oid)
+        )
+
+        def failing_on_sentinel(apply_group):
+            def patched(leaf_page, group):
+                if any(request.oid == sentinel for request in group):
+                    raise RuntimeError("sentinel reached the strategy")
+                return apply_group(leaf_page, group)
+
+            return patched
+
+        for shard in index.shards:
+            monkeypatch.setattr(
+                shard.strategy,
+                "apply_group",
+                failing_on_sentinel(shard.strategy.apply_group),
+            )
+        recorder = SyncRecorder(tmp_path / "wal")
+        monkeypatch.setattr(os, "fsync", recorder)
+        with pytest.raises(RuntimeError, match="sentinel"):
+            index.execute_many(operations)
+        monkeypatch.undo()
+
+        # What was applied and appended before the failure was synced on the
+        # way out: the first segment's unit is on every log it touched.
+        assert recorder.calls >= 1 and index.durability._dirty == set()
+        recovered = recorder.recover_cut(tmp_path / "after", recorder.sizes)
+        assert_whole(recovered)
+        assert all(
+            recovered.position_of(oid) in assigned[oid] for oid in first_segment
+        )
+        recovered.detach_durability()
+        index.detach_durability()

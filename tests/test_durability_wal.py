@@ -8,7 +8,9 @@ recovery equivalence lives in ``tests/test_durability_recovery.py``; crash
 simulation in ``tests/test_durability_crash_injection.py``.
 """
 
+import errno
 import json
+import os
 import struct
 import zlib
 
@@ -345,6 +347,119 @@ class TestDurabilityManager:
         assert manager.sync_policy == DEFAULT_SYNC
         assert manager.group_size == DEFAULT_GROUP_SIZE
         assert DEFAULT_SYNC in SYNC_POLICIES
+        manager.close()
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every ``os.fsync`` made while the test runs, as a growing list of fds."""
+    calls = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+    return calls
+
+
+class TestCallScope:
+    """``call_scope``: under ``group`` the call is the group; one sync per dirty log."""
+
+    def barrier(self, manager, *shards):
+        return manager.log_unit(
+            {shard: (delete_record(shard),) for shard in shards}, barrier=True
+        )
+
+    def test_group_defers_barrier_units_to_the_exit(self, tmp_path, fsyncs):
+        manager = DurabilityManager(tmp_path / "wal", sync="group", group_size=100)
+        with manager.call_scope():
+            self.barrier(manager, 0, 1)
+            self.barrier(manager, 1, 2)
+            self.barrier(manager, 0)
+            assert fsyncs == []
+            assert manager._dirty == {0, 1, 2}
+            assert all(manager._logs[shard].dirty for shard in (0, 1, 2))
+        assert len(fsyncs) == 3  # once per dirty log, not once per unit and log
+        assert manager._dirty == set()
+        assert not any(manager._logs[shard].dirty for shard in (0, 1, 2))
+        manager.close()
+
+    def test_nested_scopes_sync_at_the_outermost_exit_only(self, tmp_path, fsyncs):
+        manager = DurabilityManager(tmp_path / "wal", sync="group")
+        with manager.call_scope():
+            with manager.call_scope():
+                self.barrier(manager, 0)
+            assert fsyncs == [] and manager._dirty == {0}
+            self.barrier(manager, 0)
+        assert len(fsyncs) == 1
+        self.barrier(manager, 0)  # the scope is closed: its own group again
+        assert len(fsyncs) == 2
+        manager.close()
+
+    def test_per_op_units_accumulate_inside_a_scope_as_outside(self, tmp_path, fsyncs):
+        manager = DurabilityManager(tmp_path / "wal", sync="group", group_size=3)
+        with manager.call_scope():
+            manager.log_record(0, delete_record(1))
+            manager.log_record(0, delete_record(2))
+            assert fsyncs == []
+            manager.log_record(0, delete_record(3))  # closes a group of three
+            assert len(fsyncs) == 1
+            manager.log_record(0, delete_record(4))
+        assert len(fsyncs) == 2  # the exit leaves nothing pending
+        manager.close()
+
+    def test_always_still_syncs_every_unit(self, tmp_path, fsyncs):
+        manager = DurabilityManager(tmp_path / "wal", sync="always")
+        with manager.call_scope():
+            self.barrier(manager, 0)
+            self.barrier(manager, 0, 1)
+            assert len(fsyncs) == 3
+        assert len(fsyncs) == 3
+        manager.close()
+
+    def test_none_never_syncs(self, tmp_path, fsyncs):
+        manager = DurabilityManager(tmp_path / "wal", sync="none")
+        with manager.call_scope():
+            self.barrier(manager, 0, 1)
+        assert fsyncs == [] and manager._dirty == {0, 1}
+        manager.close()
+
+    def test_failing_block_is_synced_and_its_exception_propagates(
+        self, tmp_path, fsyncs
+    ):
+        manager = DurabilityManager(tmp_path / "wal", sync="group")
+        with pytest.raises(KeyError, match="stream failed"):
+            with manager.call_scope():
+                self.barrier(manager, 0, 1)
+                raise KeyError("stream failed")
+        assert len(fsyncs) == 2 and manager._dirty == set()
+        assert manager._scope_depth == 0
+        manager.close()
+
+    def test_failing_exit_sync_raises_and_keeps_unsynced_logs_dirty(
+        self, tmp_path, monkeypatch
+    ):
+        manager = DurabilityManager(tmp_path / "wal", sync="group")
+        real = os.fsync
+        budget = [1]
+
+        def second_sync_fails(fd):
+            if budget[0] == 0:
+                raise OSError(errno.EIO, "injected")
+            budget[0] -= 1
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", second_sync_fails)
+        with pytest.raises(OSError) as raised:
+            with manager.call_scope():
+                self.barrier(manager, 0, 1, 2)
+        assert raised.value.errno == errno.EIO
+        assert manager._dirty == {1, 2}  # log 0 made it, the rest did not
+        # With an exception already in flight the sync failure is not the news.
+        with pytest.raises(KeyError):
+            with manager.call_scope():
+                raise KeyError("original")
+        assert manager._dirty == {1, 2}
+        monkeypatch.setattr(os, "fsync", real)
+        manager.flush()
+        assert manager._dirty == set()
         manager.close()
 
 

@@ -1,12 +1,14 @@
 """Tests for STR bulk loading."""
 
+import math
 import random
 
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import RTree, bulk_load_str, validate_tree
+from repro.rtree import RTree, bulk, bulk_load_str, validate_tree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
+from repro.storage.serialization import NodeCodec
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points
 
@@ -113,3 +115,62 @@ class TestBulkLoadBehaviour:
             tree.insert(oid, point)
             live[oid] = point
         validate_tree(tree, expected_size=len(live))
+
+
+def _pack_level_with_point_keys(tree, entries, level, fanout):
+    """``_pack_level`` as it was: sort keys built from ``Rect.center()`` Points."""
+    count = len(entries)
+    node_count = math.ceil(count / fanout)
+    slice_count = max(1, math.ceil(math.sqrt(node_count)))
+    slice_size = slice_count * fanout
+    by_x = sorted(entries, key=lambda e: (e.rect.center().x, e.rect.center().y))
+    nodes = []
+    for slice_start in range(0, count, slice_size):
+        vertical_slice = by_x[slice_start : slice_start + slice_size]
+        by_y = sorted(vertical_slice, key=lambda e: (e.rect.center().y, e.rect.center().x))
+        for node_start in range(0, len(by_y), fanout):
+            node = tree._allocate_node(level)
+            node.entries = by_y[node_start : node_start + fanout]
+            tree.write_node(node)
+            nodes.append(node)
+    return bulk._rebalance_tail(tree, nodes, level)
+
+
+class TestPackingOrderIsUnchanged:
+    """Sorting by precomputed centre floats packs the pages the Point keys packed."""
+
+    def paged_tree(self):
+        stats = IOStatistics()
+        disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
+        pool = BufferPool(disk, capacity=0, stats=stats, codec=NodeCodec())
+        return RTree(pool, layout=PageLayout(page_size=SMALL_PAGE_SIZE))
+
+    @pytest.mark.parametrize("kind", ("points", "rects"))
+    def test_every_page_image_matches_the_point_key_reference(self, monkeypatch, kind):
+        rng = random.Random(17)
+        # A coarse grid: many objects share a centre, a column or a row, so
+        # only a stable sort on the same floats reproduces the order.
+        spots = [(rng.randrange(12) / 12.0, rng.randrange(12) / 12.0) for _ in range(900)]
+        if kind == "points":
+            objects = [(oid, Point(x, y)) for oid, (x, y) in enumerate(spots)]
+        else:
+            objects = [
+                (oid, Rect(x, y, x + rng.choice((0.01, 0.03)), y + rng.choice((0.01, 0.03))))
+                for oid, (x, y) in enumerate(spots)
+            ]
+        assert len({location for _oid, location in objects}) < len(objects)
+
+        packed = self.paged_tree()
+        bulk_load_str(packed, objects)
+        monkeypatch.setattr(bulk, "_pack_level", _pack_level_with_point_keys)
+        reference = self.paged_tree()
+        bulk_load_str(reference, objects)
+
+        assert packed.root_page_id == reference.root_page_id
+        assert packed.height == reference.height >= 3
+        pages = sorted(reference.disk.page_ids())
+        assert sorted(packed.disk.page_ids()) == pages
+        for page_id in pages:
+            assert packed.disk.peek(page_id) == reference.disk.peek(page_id)
+            assert isinstance(packed.disk.peek(page_id), bytes)
+        validate_tree(packed, expected_size=len(objects))

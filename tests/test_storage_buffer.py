@@ -1,6 +1,8 @@
 """Unit tests for :class:`repro.storage.buffer.BufferPool`."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import BufferPool, DiskManager, IOStatistics
 
@@ -302,3 +304,139 @@ class TestPinOverrun:
         assert pool.resident_pages() == [a]
         pool.unpin(a)
         assert not pool.is_pinned(a)
+
+
+class RecordingDisk(DiskManager):
+    """Keeps the sequence of physical writes, payloads included."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.written = []
+
+    def write_page(self, page_id, payload):
+        super().write_page(page_id, payload)
+        self.written.append((page_id, payload))
+
+
+class AdmitOnlyPool(BufferPool):
+    """The reference: every miss goes through ``_admit`` / ``_evict_one``."""
+
+    def read(self, page_id):
+        self.stats.logical_reads += 1
+        if self._access_log is not None:
+            self._access_log.append(("read", page_id))
+        if self.capacity > 0 and page_id in self._frames:
+            self.stats.buffer_hits += 1
+            self._frames.move_to_end(page_id)
+            return self._frames[page_id]
+        payload = self._decoded(page_id, self.disk.read_page(page_id))
+        self._charge_client(reads=1)
+        self._admit(page_id, payload)
+        return payload
+
+
+class CountingPool(BufferPool):
+    """The pool under test, counting the misses that leave the straight line."""
+
+    admits = 0
+
+    def _admit(self, page_id, payload):
+        self.admits += 1
+        super()._admit(page_id, payload)
+
+
+PAGES = 8
+POOL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("read", "read", "read", "write", "pin", "unpin", "discard")),
+        st.integers(0, PAGES - 1),
+        st.sampled_from((None, "a", "b")),
+    ),
+    min_size=12,
+    max_size=80,
+)
+
+
+def observable_state(pool, log):
+    return (
+        pool.resident_pages(),
+        set(pool._dirty),
+        dict(pool._pins),
+        pool.stats.as_dict(),
+        {client: (c.physical_reads, c.physical_writes)
+         for client, c in pool.client_io_table().items()},
+        list(log),
+        list(pool.disk.written),
+    )
+
+
+class TestStraightLineMiss:
+    """``read``'s in-frame miss is ``_admit`` + ``_evict_one`` whenever it runs."""
+
+    def make(self, pool_class, capacity):
+        stats = IOStatistics()
+        disk = RecordingDisk(page_size=128, stats=stats)
+        for page in range(PAGES):
+            assert disk.allocate_page() == page
+            disk.write_page(page, f"disk{page}")
+        return pool_class(disk, capacity=capacity, stats=stats)
+
+    def test_any_sequence_matches_the_admit_only_reference(self):
+        pinned_straight_misses = 0
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(capacity=st.integers(1, 6), ops=POOL_OPS)
+        def run(capacity, ops):
+            nonlocal pinned_straight_misses
+            subject = self.make(CountingPool, capacity)
+            reference = self.make(AdmitOnlyPool, capacity)
+            with subject.logged_accesses() as log, reference.logged_accesses() as ref_log:
+                for step, (verb, page, client) in enumerate(ops):
+                    for pool in (subject, reference):
+                        pool.set_active_client(client)
+                    if verb == "write":
+                        subject.write(page, f"w{step}")
+                        reference.write(page, f"w{step}")
+                    elif verb == "read":
+                        misses, admits = subject.stats.physical_reads, subject.admits
+                        assert subject.read(page) == reference.read(page)
+                        if (
+                            subject.stats.physical_reads > misses
+                            and subject.admits == admits
+                            and subject._pins
+                        ):
+                            pinned_straight_misses += 1
+                    else:
+                        getattr(subject, verb)(page)
+                        getattr(reference, verb)(page)
+                    assert observable_state(subject, log) == observable_state(
+                        reference, ref_log
+                    )
+
+        run()
+        assert pinned_straight_misses > 0
+
+    def test_miss_under_a_pin_stays_on_the_straight_line(self):
+        pool = self.make(CountingPool, capacity=3)
+        for page in (0, 1, 2):
+            pool.write(page, f"w{page}")
+        pool.pin(2)  # what a group pass holds: the page it has just touched
+        admits = pool.admits
+        pool.read(3)
+        assert pool.admits == admits  # exactly full, LRU head 0 is not pinned
+        assert pool.resident_pages() == [1, 2, 3]
+        assert pool.disk.written[-1] == (0, "w0")
+
+    def test_pinned_head_under_and_over_capacity_go_through_admit(self):
+        pool = self.make(CountingPool, capacity=2)
+        pool.read(0)  # under capacity
+        assert pool.admits == 1
+        pool.read(1)
+        pool.pin(0)  # the LRU head itself
+        pool.read(2)  # evicts 1, the first unpinned frame
+        assert pool.admits == 3 and pool.resident_pages() == [0, 2]
+        pool.pin(2)
+        pool.read(3)  # every frame pinned: over capacity
+        assert pool.admits == 4 and len(pool) == 3
+        pool.read(4)  # over capacity, head pinned
+        assert pool.admits == 5

@@ -8,8 +8,11 @@ facade entry points, the summary structure's bulk refresh, and the workload
 generator's batched stream mode.
 """
 
+import random
+
 import pytest
 
+import repro.update.batch as batch_module
 from repro.api import RangeQuery, Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
@@ -392,3 +395,114 @@ class TestBatchPlan:
         delta = index.io_snapshot().delta_since(before)
         assert delta.total_physical_io == 0
         assert delta.logical_reads == 0
+
+
+class GroupPassProbe:
+    """A churned GBU index that records what each group pass asks the bit vector."""
+
+    def __init__(self, objects=500, seed=7):
+        self.rng = random.Random(seed)
+        self.index = build_index("GBU", num_objects=objects, buffer_percent=100.0)
+        for _ in range(2 * objects):  # churn: full leaves, overlapping siblings
+            oid = self.rng.randrange(objects)
+            self.index.update(oid, _step(self.rng, self.index.position_of(oid), 0.08))
+        bits = self.index.summary.leaf_bits
+        self.asked = []  # pages is_full was called with
+        real_is_full = bits.is_full
+
+        def is_full(page):
+            self.asked.append(page)
+            return real_is_full(page)
+
+        bits.is_full = is_full
+        self.passes = []  # (leaf page, is_full calls made inside the pass)
+        strategy = self.index.strategy
+        real_apply_group = strategy.apply_group
+
+        def apply_group(leaf_page, group):
+            before = len(self.asked)
+            residuals = real_apply_group(leaf_page, group)
+            self.passes.append((leaf_page, self.asked[before:]))
+            return residuals
+
+        strategy.apply_group = apply_group
+
+    def bound_for(self, oid, target):
+        """``(gate, covering, siblings)`` of a one-update group, read before it runs."""
+        index = self.index
+        leaf_page = index.hash_index.peek(oid)
+        parent_entry = index.summary.parent_entry_of_leaf(leaf_page)
+        siblings = [p for p in parent_entry.child_page_ids if p != leaf_page]
+        full = index.summary.leaf_bits._full
+        gate = next(
+            (at + 1 for at, page in enumerate(siblings) if not full[page]),
+            len(siblings),
+        )
+        parent = index.tree.peek_node(parent_entry.page_id)
+        covering = sum(
+            1 for page in parent.contains_point_children(target) if page != leaf_page
+        )
+        return gate, covering, len(siblings)
+
+
+def _step(rng, position, reach):
+    return Point(
+        min(1.0, max(0.0, position.x + rng.uniform(-reach, reach))),
+        min(1.0, max(0.0, position.y + rng.uniform(-reach, reach))),
+    )
+
+
+class TestGroupPassWorkBound:
+    """The group pass asks the bit vector only about siblings that can matter."""
+
+    def test_group_absorbed_in_place_never_asks(self):
+        probe = GroupPassProbe()
+        index = probe.index
+        moves = [
+            (leaf.entry_at(0).child, leaf.effective_mbr().center())
+            for leaf in index.tree.leaf_nodes()
+        ]
+        result = index.update_many(moves)
+        assert result.groups == len(moves) and result.residuals == 0
+        assert probe.asked == []
+        index.validate()
+
+    def test_escaping_singleton_asks_gate_plus_covering_siblings(self):
+        probe = GroupPassProbe()
+        index = probe.index
+        escaped = below_fanout = 0
+        for _ in range(400):
+            oid = probe.rng.randrange(500)
+            target = _step(probe.rng, index.position_of(oid), 0.15)
+            gate, covering, siblings = probe.bound_for(oid, target)
+            probe.passes.clear()
+            index.update_many([(oid, target)])
+            ((_leaf, asked),) = probe.passes
+            if not asked:
+                continue  # absorbed in place or by the ε-extension
+            escaped += 1
+            # The gate stops at the first sibling with room; after it only
+            # the siblings whose entry covers the new position are asked.
+            assert len(asked) <= gate + covering
+            below_fanout += gate + covering < siblings
+        assert escaped >= 50
+        assert below_fanout >= 25  # the bound is tighter than a fan-out sweep
+        index.validate()
+
+    def test_executor_coalesces_a_run_once(self, monkeypatch):
+        index = build_index("GBU", num_objects=200)
+        calls = []
+        real = batch_module.coalesce_updates
+        monkeypatch.setattr(
+            batch_module,
+            "coalesce_updates",
+            lambda updates: calls.append(1) or real(updates),
+        )
+        ops = [
+            BatchUpdate(oid, index.position_of(oid), Point(0.5, 0.5))
+            for oid in (1, 2, 1, 3)
+        ]
+        result = index.batch.execute(ops)
+        # execute() coalesces inline; _flush buckets that as it is.
+        assert result.coalesced == 1 and calls == []
+        assert len(index.batch.plan(ops).buckets) >= 1 and calls == [1]
