@@ -23,11 +23,10 @@ across **spatial shards**.  This package provides:
   mix, movement distances and buffer hit ratio, ranks the four update
   strategies with the Section 4 cost models and hot-swaps any shard whose
   workload favours a different one;
-* :mod:`repro.shard.parallel` — the pluggable shard-execution backends
-  (``serial`` | ``thread`` | ``process``): the process backend runs each
-  shard inside a long-lived worker process speaking a batched picklable
-  command protocol, preserving the serial path's exact answers and I/O
-  counters while overlapping per-shard work.
+* :mod:`repro.shard.parallel` — the shard executors every shard-local step
+  goes through as a picklable command: in-process (``serial``), the same
+  over a thread pool (``thread``), or long-lived worker processes
+  (``process``) — one interpreter, so identical answers and I/O counters.
 """
 
 from repro.shard.adaptive import (

@@ -42,9 +42,9 @@ buckets of different shards schedule concurrently, which is what the
 
 from __future__ import annotations
 
-import bisect
 from contextlib import nullcontext
 from typing import (
+    Any,
     ContextManager,
     Dict,
     Hashable,
@@ -208,10 +208,10 @@ class ShardedIndex(SpatialIndexFacade):
         #: re-cut displacing more than ``cooldown`` objects would re-satisfy
         #: the trigger gate by itself and storm.
         self._suppress_load_recording = False
-        #: Attached parallel execution backend (``None`` = serial: the
-        #: original in-process code paths run untouched).  See
-        #: :mod:`repro.shard.parallel` and :meth:`set_parallel`.
-        self._backend: Optional[shard_parallel.ShardBackend] = None
+        #: The shard executor every shard-local step goes through: the
+        #: in-process :class:`~repro.shard.parallel.ShardBackend` by default,
+        #: a thread or process executor after :meth:`set_parallel`.
+        self._backend: shard_parallel.ShardBackend = shard_parallel.ShardBackend(self)
         #: Declarative ``parallel`` spec section of the attached backend
         #: (``{"backend": ..., "workers": ...}``), ``None`` when serial.
         self.parallel_spec: Optional[Dict[str, object]] = None
@@ -266,36 +266,32 @@ class ShardedIndex(SpatialIndexFacade):
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        """Attach a shard-execution backend: ``"serial"``/``"thread"``/``"process"``.
+        """Attach a shard executor: ``"serial"``/``"thread"``/``"process"``.
 
-        ``"serial"`` detaches any backend and restores the original
-        in-process code paths.  ``"thread"`` fans per-shard work out over a
-        thread pool while the shard objects stay authoritative in this
-        process.  ``"process"`` starts ``workers`` long-lived worker
-        processes (default: one per shard) that take over the current shard
-        state — forked workers adopt the live shards, any other
-        *start_method* restores their checkpoint documents — and routes
-        every shard-local step through the batched command protocol; the
-        local shard objects become metadata mirrors.  All three produce
-        identical answers, tie-breaks and I/O counters.
+        ``"serial"`` is the in-process executor (the default), ``"thread"``
+        the same with its fan-out on a thread pool.  ``"process"`` starts
+        ``workers`` long-lived worker processes (default: one per shard)
+        that take over the shard state — forked workers adopt the live
+        shards, any other *start_method* restores their checkpoint
+        documents — and the local shard objects become metadata mirrors.
+        All three run the same commands, so answers, tie-breaks, update
+        outcomes and I/O counters are identical.
         """
         self.detach_parallel()
-        if backend == "serial":
-            return
-        resolved = max(1, min(workers or self.num_shards, self.num_shards))
         self._backend = shard_parallel.make_backend(
-            self, backend, workers=resolved, start_method=start_method
+            self, backend, workers=workers, start_method=start_method
         )
-        self.parallel_spec = {"backend": backend, "workers": resolved}
+        if backend != "serial":
+            self.parallel_spec = {"backend": backend, "workers": self._backend.workers}
 
     def detach_parallel(self) -> None:
-        """Detach the backend (syncing worker-owned state back when remote).
+        """Return to the in-process executor (syncing worker state back).
 
         After a process backend detaches, the local shards hold the
         authoritative tree/page state pulled from the workers, the exact
-        I/O counters the mirrors tracked, and their previous buffer
-        capacities — but the buffer *contents* come back cold (page images
-        travel through the checkpoint codec, cached frames do not).
+        I/O and outcome counters the mirrors tracked, and their previous
+        buffer capacities — but the buffer *contents* come back cold (page
+        images travel through the checkpoint codec, cached frames do not).
 
         A process backend that lost a worker cannot sync anything back: the
         call raises :class:`~repro.api.errors.WorkerFailedError` (the worker
@@ -303,88 +299,33 @@ class ShardedIndex(SpatialIndexFacade):
         so the stale local mirrors are never served as if they were current.
         """
         backend = self._backend
-        if backend is None:
-            self.parallel_spec = None
-            return
         documents = None
-        counters = None
         if backend.remote:
             # Detaching is maintenance, not workload: the worker-side buffer
             # flush the checkpoint performs must not leak into the counters,
             # so the pre-checkpoint mirror values are what detach restores.
-            counters = [shard.stats.snapshot() for shard in self.shards]
-            payloads = backend.dispatch(
-                {sid: [shard_parallel.Checkpoint()] for sid in range(self.num_shards)}
-            )
-            documents = [payloads[sid][0] for sid in range(self.num_shards)]
+            handovers = [shard_parallel.handover_state(shard) for shard in self.shards]
+            documents = self.shard_documents()
         backend.close()
-        self._backend = None
+        self._backend = shard_parallel.ShardBackend(self)
         self.parallel_spec = None
         if documents is not None:
             from repro.core.persistence import _restore_index
 
             for shard_id, document in enumerate(documents):
-                mirror = self.shards[shard_id]
-                restored = _restore_index(document)
                 # _restore_index resets counters and re-sizes the buffer
                 # against the lone shard; the mirror tracked the exact
                 # counters and the aggregate buffer split — carry both over.
-                shard_parallel.assign_stats(restored.stats, counters[shard_id])
-                restored.buffer.clear()
-                restored.buffer.capacity = mirror.buffer.capacity
-                restored.disk.io_latency_s = mirror.disk.io_latency_s
+                restored = _restore_index(document)
+                shard_parallel.adopt_handover(restored, handovers[shard_id])
                 self.shards[shard_id] = restored
 
-    def _dispatch(
-        self, per_shard: Dict[int, List[object]]
-    ) -> Dict[int, List[object]]:
-        assert self._backend is not None
-        return self._backend.dispatch(per_shard)
-
-    def _dispatch_one(self, shard_id: int, command: object) -> object:
-        return self._dispatch({shard_id: [command]})[shard_id][0]
-
-    def _shard_insert(self, shard_id: int, oid: int, location: Point) -> None:
-        """Backend-routed ``shard.insert`` keeping the position mirror exact."""
-        if self._backend is None:
-            self.shards[shard_id].insert(oid, location)
-            return
-        self._dispatch_one(shard_id, shard_parallel.Insert(oid, location))
-        if self._backend.remote:
-            self.shards[shard_id]._positions[oid] = location
-
-    def _shard_update(
-        self, shard_id: int, oid: int, new_location: Point
-    ) -> UpdateOutcome:
-        if self._backend is None:
-            return self.shards[shard_id].update(oid, new_location)
-        outcome = self._dispatch_one(
-            shard_id, shard_parallel.Update(oid, new_location)
+    def _broadcast(self, command: shard_parallel.Command) -> List[Any]:
+        """Run one *command* on every shard; the payloads in shard order."""
+        payloads = self._backend.dispatch(
+            {shard_id: [command] for shard_id in range(self.num_shards)}
         )
-        if self._backend.remote:
-            self.shards[shard_id]._positions[oid] = new_location
-        return outcome
-
-    def _shard_delete(self, shard_id: int, oid: int) -> bool:
-        if self._backend is None:
-            return self.shards[shard_id].delete(oid)
-        removed = self._dispatch_one(shard_id, shard_parallel.Delete(oid))
-        if self._backend.remote:
-            self.shards[shard_id]._positions.pop(oid, None)
-        return bool(removed)
-
-    def _shard_root_mbr(self, shard_id: int) -> Optional[Rect]:
-        """A shard's content MBR — from the worker mirror when remote."""
-        backend = self._backend
-        if backend is not None and backend.remote:
-            return backend.root_mbrs[shard_id]
-        return self.shards[shard_id].tree.root_mbr()
-
-    def _shard_disk_sizes(self) -> List[int]:
-        backend = self._backend
-        if backend is not None and backend.remote:
-            return list(backend.disk_pages)
-        return [len(shard.disk) for shard in self.shards]
+        return [payloads[shard_id][0] for shard_id in range(self.num_shards)]
 
     def leaf_pages_of(
         self, shard_id: int, oids: List[int]
@@ -395,65 +336,32 @@ class ShardedIndex(SpatialIndexFacade):
         through this method — one round trip per shard under the process
         backend instead of one per object.
         """
-        backend = self._backend
-        if backend is not None and backend.remote:
-            return self._dispatch_one(
-                shard_id, shard_parallel.LeafOf(tuple(oids))
-            )
-        shard = self.shards[shard_id]
-        return [shard.hash_index.peek(oid) for oid in oids]
+        return self._backend.run(shard_id, shard_parallel.LeafOf(tuple(oids)))
 
     def set_io_latency(self, seconds: float) -> None:
         """Charge *seconds* of real wall time per physical page transfer.
 
-        Applied to every shard's simulated disk — and, when a process
-        backend is attached, to the authoritative worker-side disks too —
-        so serial and parallel runs pay the identical per-transfer cost.
+        Applied to every shard's simulated disk — the worker-side ones under
+        the process backend, whose mirrors follow — so serial and parallel
+        runs pay the identical per-transfer cost.
         """
-        for shard in self.shards:
-            shard.disk.io_latency_s = seconds
-        backend = self._backend
-        if backend is not None and backend.remote:
-            self._dispatch(
-                {
-                    sid: [shard_parallel.SetIOLatency(seconds)]
-                    for sid in range(self.num_shards)
-                }
-            )
+        self._broadcast(shard_parallel.SetIOLatency(seconds))
 
     def worker_kernel_backends(self) -> List[str]:
         """The geometry-kernel backend each shard's executor resolved.
 
-        Serial (and thread) execution reports this process's backend for
-        every shard; the process backend queries each worker — the
-        regression surface for kernel-backend propagation into workers.
+        In-process executors report this process's backend for every shard;
+        the process backend asks each worker — the regression surface for
+        kernel-backend propagation into workers.
         """
-        from repro.geometry import kernels
-
-        if self._backend is None or not self._backend.remote:
-            return [kernels.get_backend()] * self.num_shards
-        payloads = self._dispatch(
-            {
-                sid: [shard_parallel.KernelBackendQuery()]
-                for sid in range(self.num_shards)
-            }
-        )
-        return [payloads[sid][0] for sid in range(self.num_shards)]
+        return self._broadcast(shard_parallel.KernelBackendQuery())
 
     def shard_documents(self) -> List[Dict]:
         """Checkpoint document bodies of every shard (worker-side when remote)."""
-        backend = self._backend
-        if backend is not None and backend.remote:
-            payloads = self._dispatch(
-                {sid: [shard_parallel.Checkpoint()] for sid in range(self.num_shards)}
-            )
-            return [payloads[sid][0] for sid in range(self.num_shards)]
-        from repro.core.persistence import _index_document
-
-        return [_index_document(shard) for shard in self.shards]
+        return self._broadcast(shard_parallel.Checkpoint())
 
     def engine(self, *args, **kwargs):
-        if self._backend is not None and self._backend.remote:
+        if self._backend.remote:
             raise RuntimeError(
                 "the concurrent operation engine drives shard state "
                 "in-process; detach the process backend first "
@@ -611,11 +519,11 @@ class ShardedIndex(SpatialIndexFacade):
     def _migrate_leaf_group_unrecorded(
         self, source_id: int, leaf_page: int, oids: List[int]
     ) -> int:
-        if self._backend is not None and self._backend.remote:
-            return self._migrate_leaf_group_remote(source_id, leaf_page, oids)
+        """The handoff as commands: ``LeafOf`` confirms the members,
+        ``ExportGroup`` removes them from the source shard (mutating nothing
+        if the leaf dissolved), ``ImportGroup`` bulk-inserts per destination."""
         source = self.shards[source_id]
-        confirmed: List[Tuple[int, int, Point]] = []
-        drifted: List[int] = []
+        candidates: List[Tuple[int, int, Point]] = []
         for oid in oids:
             if self._shard_of.get(oid) != source_id:
                 continue  # a concurrent update already migrated it
@@ -625,45 +533,55 @@ class ShardedIndex(SpatialIndexFacade):
             target = self.partitioner.shard_of(position)
             if target == source_id:
                 continue  # moved back inside the source region meanwhile
-            if source.hash_index.peek(oid) != leaf_page:
+            candidates.append((oid, target, position))
+        if not candidates:
+            return 0
+        leaf_pages = self.leaf_pages_of(source_id, [oid for oid, _t, _p in candidates])
+        confirmed: List[Tuple[int, int, Point]] = []
+        drifted: List[int] = []
+        for (oid, target, position), page in zip(candidates, leaf_pages):
+            if page != leaf_page:
                 # Drifted to another leaf.  Deferred to the per-object path
                 # AFTER the bulk pass: a reroute restructures the source
                 # tree (underflow re-inserts, splits) and could move a
                 # confirmed member off the planned leaf mid-group.
                 drifted.append(oid)
-                continue
-            confirmed.append((oid, target, position))
+            else:
+                confirmed.append((oid, target, position))
         if not confirmed:
             return sum(1 for oid in drifted if self.reroute(oid))
-        path = source.tree.find_path_to_leaf(
-            leaf_page, Rect.from_point(confirmed[0][2])
+        export = self._backend.run(
+            source_id,
+            shard_parallel.ExportGroup(
+                leaf_page,
+                tuple(oid for oid, _t, _p in confirmed),
+                confirmed[0][2],
+            ),
         )
-        if path is None:
-            # The leaf dissolved between planning and dispatch: per-object.
-            moved_count = sum(1 for oid, _t, _p in confirmed if self.reroute(oid))
-            return moved_count + sum(1 for oid in drifted if self.reroute(oid))
-        try:
-            moved = source.tree.remove_group(
-                path, [oid for oid, _t, _p in confirmed]
-            )
-        except LookupError:
-            # A member left the (still existing) leaf after confirmation —
+        if not export["ok"]:
+            # The leaf dissolved, or a member left it after confirmation —
             # nothing was mutated; fall back to the per-object path.
             moved_count = sum(1 for oid, _t, _p in confirmed if self.reroute(oid))
             return moved_count + sum(1 for oid in drifted if self.reroute(oid))
-        entry_of = {entry.child: entry for entry in moved}
+        rect_of: Dict[int, Rect] = dict(export["entries"])
         per_target: Dict[int, List[int]] = {}
         positions: Dict[int, Point] = {}
         for oid, target, position in confirmed:
             positions[oid] = position
             per_target.setdefault(target, []).append(oid)
-        for oid, _target, _position in confirmed:
-            source._positions.pop(oid, None)
+        self._backend.dispatch(
+            {
+                target: [
+                    shard_parallel.ImportGroup(
+                        tuple((oid, rect_of[oid]) for oid in group),
+                        tuple((oid, positions[oid]) for oid in group),
+                    )
+                ]
+                for target, group in per_target.items()
+            }
+        )
         for target, group in per_target.items():
-            target_shard = self.shards[target]
-            target_shard.tree.insert_group([entry_of[oid] for oid in group])
             for oid in group:
-                target_shard._positions[oid] = positions[oid]
                 self._shard_of[oid] = target
         self._log_group_migration(source_id, per_target, positions)
         self.migrations += len(confirmed)
@@ -699,84 +617,6 @@ class ShardedIndex(SpatialIndexFacade):
         ]
         self.durability.log_unit(frames, barrier=True)
 
-    def _migrate_leaf_group_remote(
-        self, source_id: int, leaf_page: int, oids: List[int]
-    ) -> int:
-        """The leaf-group handoff as a two-worker exchange via the coordinator.
-
-        Same confirmation/fallback semantics as the serial path: membership
-        and routing are confirmed against the (exact) coordinator mirrors, a
-        batched uncharged leaf lookup separates drifted members, the source
-        worker removes the confirmed bucket in one pass
-        (:class:`~repro.shard.parallel.ExportGroup` — nothing is mutated
-        when the leaf dissolved), and each destination worker bulk-inserts
-        its share of the exported entries.
-        """
-        source = self.shards[source_id]
-        candidates: List[Tuple[int, int, Point]] = []
-        for oid in oids:
-            if self._shard_of.get(oid) != source_id:
-                continue  # a concurrent update already migrated it
-            position = source._positions.get(oid)
-            if position is None:
-                continue
-            target = self.partitioner.shard_of(position)
-            if target == source_id:
-                continue  # moved back inside the source region meanwhile
-            candidates.append((oid, target, position))
-        if not candidates:
-            return 0
-        leaf_pages = self.leaf_pages_of(source_id, [oid for oid, _t, _p in candidates])
-        confirmed: List[Tuple[int, int, Point]] = []
-        drifted: List[int] = []
-        for (oid, target, position), page in zip(candidates, leaf_pages):
-            if page != leaf_page:
-                drifted.append(oid)
-            else:
-                confirmed.append((oid, target, position))
-        if not confirmed:
-            return sum(1 for oid in drifted if self.reroute(oid))
-        export = self._dispatch_one(
-            source_id,
-            shard_parallel.ExportGroup(
-                leaf_page,
-                tuple(oid for oid, _t, _p in confirmed),
-                confirmed[0][2],
-            ),
-        )
-        if not export["ok"]:
-            # Leaf dissolved or a member left it: nothing was mutated
-            # worker-side; fall back to the per-object path.
-            moved_count = sum(1 for oid, _t, _p in confirmed if self.reroute(oid))
-            return moved_count + sum(1 for oid in drifted if self.reroute(oid))
-        rect_of: Dict[int, Rect] = dict(export["entries"])
-        per_target: Dict[int, List[int]] = {}
-        positions: Dict[int, Point] = {}
-        for oid, target, position in confirmed:
-            positions[oid] = position
-            per_target.setdefault(target, []).append(oid)
-        for oid, _target, _position in confirmed:
-            source._positions.pop(oid, None)
-        self._dispatch(
-            {
-                target: [
-                    shard_parallel.ImportGroup(
-                        tuple((oid, rect_of[oid]) for oid in group),
-                        tuple((oid, positions[oid]) for oid in group),
-                    )
-                ]
-                for target, group in per_target.items()
-            }
-        )
-        for target, group in per_target.items():
-            target_shard = self.shards[target]
-            for oid in group:
-                target_shard._positions[oid] = positions[oid]
-                self._shard_of[oid] = target
-        self._log_group_migration(source_id, per_target, positions)
-        self.migrations += len(confirmed)
-        return len(confirmed) + sum(1 for oid in drifted if self.reroute(oid))
-
     def rebalance(
         self, force: bool = False, num_clients: Optional[int] = None
     ) -> RebalanceReport:
@@ -801,21 +641,15 @@ class ShardedIndex(SpatialIndexFacade):
             rebalancer = ShardRebalancer(self.num_shards)
             rebalancer.monitor.reset(self.shards)
         imbalance_before = self.population_imbalance()
-        if force:
-            plan = rebalancer.plan(self, force=True)
-            if plan is not None:
-                self.partitioner = plan.partitioner
-                self._log_repartition()
-                rebalancer.committed(self)
-        else:
-            plan = self._triggered_plan(rebalancer)
+        plan = self._triggered_plan(rebalancer, force=force)
         if plan is None:
             return RebalanceReport(
                 triggered=False,
                 imbalance_before=imbalance_before,
                 imbalance_after=imbalance_before,
             )
-        if self._backend is not None and self._backend.remote:
+        schedule = None
+        if self._backend.remote:
             # Worker-owned shards: the engine cannot schedule in-process
             # migrations, so the plan executes directly — bulk leaf-group
             # handoffs between workers, then the loose members.
@@ -823,18 +657,12 @@ class ShardedIndex(SpatialIndexFacade):
                 self.migrate_leaf_group(shard_id, leaf_page, members)
             for oid in plan.loose:
                 self.reroute(oid)
-            return RebalanceReport(
-                triggered=True,
-                imbalance_before=imbalance_before,
-                imbalance_after=self.population_imbalance(),
-                moves=len(plan.moves),
-                schedule=None,
-            )
-        # The migration schedule is a run of its own: reset the per-client
-        # attribution so client_io_table() keeps meaning "the last run".
-        self.reset_client_io()
-        engine = self.engine(num_clients=num_clients).engine
-        schedule = engine.scheduler.run(iter(self._migration_batch(engine, plan)))
+        else:
+            # The migration schedule is a run of its own: reset the per-client
+            # attribution so client_io_table() keeps meaning "the last run".
+            self.reset_client_io()
+            engine = self.engine(num_clients=num_clients).engine
+            schedule = engine.scheduler.run(iter(self._migration_batch(engine, plan)))
         return RebalanceReport(
             triggered=True,
             imbalance_before=imbalance_before,
@@ -843,21 +671,24 @@ class ShardedIndex(SpatialIndexFacade):
             schedule=schedule,
         )
 
-    def _triggered_plan(self, rebalancer: ShardRebalancer) -> Optional[RebalancePlan]:
+    def _triggered_plan(
+        self, rebalancer: ShardRebalancer, force: bool = False
+    ) -> Optional[RebalancePlan]:
         """One step of the feedback loop: trigger, plan, install, commit.
 
         The shared control flow of :meth:`rebalance` and
-        :meth:`maintenance_operations`: consult the policy, plan a boundary
-        adjustment, install the new partitioner and commit the evidence
-        window.  A trigger whose plan moves nothing resets the window
-        instead, so the O(N) planning scan is not repeated on every poll
-        while the (unactionable) trigger condition persists.
+        :meth:`maintenance_operations`: consult the policy (unless *force*),
+        plan a boundary adjustment, install the new partitioner and commit
+        the evidence window.  A trigger whose plan moves nothing resets the
+        window instead, so the O(N) planning scan is not repeated on every
+        poll while the (unactionable) trigger condition persists.
         """
-        if not rebalancer.should_rebalance(self):
+        if not force and not rebalancer.should_rebalance(self):
             return None
-        plan = rebalancer.plan(self)
+        plan = rebalancer.plan(self, force=force)
         if plan is None:
-            rebalancer.monitor.reset(self.shards)
+            if not force:
+                rebalancer.monitor.reset(self.shards)
             return None
         self.partitioner = plan.partitioner
         self._log_repartition()
@@ -891,14 +722,13 @@ class ShardedIndex(SpatialIndexFacade):
     def set_strategy(self, name: str, shard_id: Optional[int] = None) -> str:
         """Hot-swap the update strategy of one shard (or, default, all).
 
-        The swap happens where the authoritative tree lives: in-process on
-        the serial path, through a :class:`~repro.shard.parallel.SetStrategy`
-        command under a backend (the process backend's coordinator mirror
-        tracks the active-strategy metadata; mirror trees stay untouched —
-        they are replaced wholesale on detach).  With a durability manager
-        attached, an actual change is logged to that shard's WAL as its own
-        fsynced commit unit, so recovery replays the log tail into the
-        strategy that was live.
+        The swap happens where the authoritative tree lives, through a
+        :class:`~repro.shard.parallel.SetStrategy` command (under the process
+        backend the coordinator mirror tracks only the active-strategy name;
+        mirror trees stay untouched — they are replaced wholesale on
+        detach).  With a durability manager attached, an actual change is
+        logged to that shard's WAL as its own fsynced commit unit, so
+        recovery replays the log tail into the strategy that was live.
         """
         key = name.upper()
         if shard_id is None:
@@ -910,18 +740,7 @@ class ShardedIndex(SpatialIndexFacade):
                 f"shard_id {shard_id} out of range for {self.num_shards} shards"
             )
         previous = self.shards[shard_id].active_strategy
-        if self._backend is None:
-            key = self.shards[shard_id].set_strategy(key)
-        else:
-            key = self._dispatch_one(
-                shard_id, shard_parallel.SetStrategy(key)
-            )
-            if self._backend.remote:
-                # Metadata mirror only: under the process backend the local
-                # shard objects are not executing operations, but describe()
-                # / active_strategies() / checkpoints must see the live
-                # choice without a worker round trip.
-                self.shards[shard_id].active_strategy = key
+        key = self._backend.run(shard_id, shard_parallel.SetStrategy(key))
         if key != previous and self.durability is not None:
             self.durability.log_unit(
                 {shard_id: (set_strategy_record(key),)}, barrier=True
@@ -937,9 +756,7 @@ class ShardedIndex(SpatialIndexFacade):
         :meth:`set_strategy` calls still propagate).
         """
         adaptive = self.adaptive
-        if adaptive is None:
-            return 0
-        if self._backend is not None and self._backend.remote:
+        if adaptive is None or self._backend.remote:
             return 0
         if not adaptive.should_adapt(self):
             return 0
@@ -965,7 +782,7 @@ class ShardedIndex(SpatialIndexFacade):
         are handed to the scheduler, where they interleave with the live
         client operations under ordinary all-or-nothing granule locking.
         """
-        if self._backend is not None and self._backend.remote:
+        if self._backend.remote:
             # Remote shards cannot participate in the engine's in-process
             # lock schedule; rebalancing under the process backend runs
             # through :meth:`rebalance` instead.
@@ -1000,18 +817,15 @@ class ShardedIndex(SpatialIndexFacade):
     def load(self, objects: Iterable[Tuple[int, Point]], bulk: bool = True) -> None:
         """Partition the initial objects spatially and load every shard.
 
-        Loading is bulk construction, not routed operation traffic: with a
-        backend attached it detaches first (syncing any worker-owned state),
-        loads locally, and re-attaches the same backend over the fresh
-        contents.
+        Loading is bulk construction, not routed operation traffic: it
+        detaches first (syncing any worker-owned state), loads locally, and
+        re-attaches the same backend over the fresh contents.
         """
         parallel_spec = self.parallel_spec
         # The spec section names backend and workers only; the start method
         # the attached backend resolved rides along in memory.
-        start_method = None
-        if self._backend is not None:
-            start_method = self._backend.start_method
-            self.detach_parallel()
+        start_method = self._backend.start_method
+        self.detach_parallel()
         groups: List[List[Tuple[int, Point]]] = [[] for _ in range(self.num_shards)]
         for oid, location in objects:
             shard_id = self.partitioner.shard_of(location)
@@ -1045,7 +859,7 @@ class ShardedIndex(SpatialIndexFacade):
         from repro.storage import BufferPool  # local: keep module imports light
 
         percent = self.config.buffer_percent if percent is None else percent
-        disk_sizes = self._shard_disk_sizes()
+        disk_sizes = self._backend.disk_sizes()
         total_capacity = BufferPool.capacity_for_percentage(percent, sum(disk_sizes))
         self._split_buffer_capacity(total_capacity, disk_sizes)
 
@@ -1090,17 +904,12 @@ class ShardedIndex(SpatialIndexFacade):
                         )
                         if donor is not None:
                             shares[donor] -= 1
-        for shard, share in zip(self.shards, shares):
-            shard.buffer.clear()
-            shard.buffer.capacity = share
-        if self._backend is not None and self._backend.remote:
-            # Push each share to the authoritative worker-side pools too.
-            self._dispatch(
-                {
-                    shard_id: [shard_parallel.ConfigureBuffer(share)]
-                    for shard_id, share in enumerate(shares)
-                }
-            )
+        self._backend.dispatch(
+            {
+                shard_id: [shard_parallel.ConfigureBuffer(share)]
+                for shard_id, share in enumerate(shares)
+            }
+        )
 
     # ------------------------------------------------------------------
     # Data operations
@@ -1113,7 +922,7 @@ class ShardedIndex(SpatialIndexFacade):
         # shard that raises must leave the WAL silent, or recovery would
         # replay a mutation the live index never performed.
         self._record_update(shard_id)
-        self._shard_insert(shard_id, oid, location)
+        self._backend.run(shard_id, shard_parallel.Insert(oid, location))
         self._shard_of[oid] = shard_id
         if self.durability is not None:
             self.durability.log_record(shard_id, insert_record(oid, location))
@@ -1128,7 +937,9 @@ class ShardedIndex(SpatialIndexFacade):
             self._record_update(source)
             if self.adaptive is not None:
                 self._record_move(source, self.position_of(oid), new_location)
-            outcome = self._shard_update(source, oid, new_location)
+            outcome = self._backend.run(
+                source, shard_parallel.Update(oid, new_location)
+            )
             if self.durability is not None:
                 self.durability.log_record(
                     source, update_record(oid, new_location)
@@ -1146,11 +957,11 @@ class ShardedIndex(SpatialIndexFacade):
                 raise UnknownObjectError(oid)
             return False
         self._record_update(shard_id)
-        removed = self._shard_delete(shard_id, oid)
+        removed = self._backend.run(shard_id, shard_parallel.Delete(oid))
         del self._shard_of[oid]
         if self.durability is not None:
             self.durability.log_record(shard_id, delete_record(oid))
-        return removed
+        return bool(removed)
 
     def _query_shards(self, window: Rect) -> List[int]:
         """Shards a window query must visit.
@@ -1166,7 +977,7 @@ class ShardedIndex(SpatialIndexFacade):
         for shard_id in range(self.num_shards):
             if shard_id in selected:
                 continue
-            content = self._shard_root_mbr(shard_id)
+            content = self._backend.root_mbr(shard_id)
             if content is not None and content.intersects(window):
                 selected.add(shard_id)
         return sorted(selected)
@@ -1174,25 +985,20 @@ class ShardedIndex(SpatialIndexFacade):
     def range_query(self, window: Rect) -> List[int]:
         """Fan the window out to the shards whose boundaries intersect it.
 
-        With a backend attached, the per-shard traversals dispatch
-        concurrently — the results still merge in shard-id order, so the
-        answer (order included) is identical to the serial path.
+        The per-shard traversals go out as one dispatch (concurrent under
+        the thread and process backends); the results merge in shard-id
+        order, so the answer, order included, is the same under every
+        executor.
         """
         shard_ids = self._query_shards(window)
-        if self._backend is not None:
-            for shard_id in shard_ids:
-                self._record_query(shard_id)
-            payloads = self._dispatch(
-                {sid: [shard_parallel.Range(window)] for sid in shard_ids}
-            )
-            results: List[int] = []
-            for shard_id in shard_ids:
-                results.extend(payloads[shard_id][0])
-            return results
-        results = []
         for shard_id in shard_ids:
             self._record_query(shard_id)
-            results.extend(self.shards[shard_id].range_query(window))
+        payloads = self._backend.dispatch(
+            {shard_id: [shard_parallel.Range(window)] for shard_id in shard_ids}
+        )
+        results: List[int] = []
+        for shard_id in shard_ids:
+            results.extend(payloads[shard_id][0])
         return results
 
     def stream_query(self, window: Rect) -> QueryCursor:
@@ -1201,7 +1007,7 @@ class ShardedIndex(SpatialIndexFacade):
         The qualifying shards are selected up front (an uncharged check of
         partition boundaries and root MBRs); each shard's own traversal then
         streams lazily, in the same shard order — and therefore the same
-        result order — as :meth:`range_query`.  With a backend attached,
+        result order — as :meth:`range_query`.  Under the process backend
         laziness degrades to shard granularity: reaching into a shard
         fetches (and charges) that whole shard's hits at once.
         """
@@ -1209,14 +1015,7 @@ class ShardedIndex(SpatialIndexFacade):
         def hits() -> Iterator[int]:
             for shard_id in self._query_shards(window):
                 self._record_query(shard_id)
-                if self._backend is not None:
-                    yield from self._dispatch_one(
-                        shard_id, shard_parallel.Range(window)
-                    )
-                else:
-                    yield from self.shards[shard_id].strategy.iter_range_query(
-                        window
-                    )
+                yield from self._backend.iter_range(shard_id, window)
 
         return QueryCursor(hits())
 
@@ -1253,9 +1052,10 @@ class ShardedIndex(SpatialIndexFacade):
         """
         if k <= 0:
             return []
+        backend = self._backend
         bounds: List[Tuple[float, int]] = []
         for shard_id in range(self.num_shards):
-            content = self._shard_root_mbr(shard_id)
+            content = backend.root_mbr(shard_id)
             if content is None:
                 continue  # empty shard: nothing to contribute
             bounds.append((content.min_distance_to_point(point), shard_id))
@@ -1265,22 +1065,11 @@ class ShardedIndex(SpatialIndexFacade):
             if len(best) >= k and bound > best[-1][0]:
                 break
             self._record_query(shard_id)
-            if self._backend is not None:
-                # The probe carries the running best list (the pruning
-                # radius) and replays the exact serial consumption loop in
-                # the shard's executor.  Probes stay sequential: each one's
-                # radius depends on the previous shard's answer, and a
-                # speculative parallel probe would charge I/O the serial
-                # path never pays.
-                best = self._dispatch_one(
-                    shard_id, shard_parallel.KNNProbe(point, k, tuple(best))
-                )
-                continue
-            for candidate in self.shards[shard_id].tree.iter_knn(point, k):
-                if len(best) >= k and candidate[0] > best[-1][0]:
-                    break  # stream is distance-ordered: nothing closer follows
-                bisect.insort(best, candidate)
-                del best[k:]
+            # The probe carries the running best list (the pruning radius).
+            # Probes stay sequential: each one's radius depends on the
+            # previous shard's answer, and a speculative parallel probe
+            # would charge I/O a sequential one never pays.
+            best = backend.run(shard_id, shard_parallel.KNNProbe(point, k, best))
         return best
 
     def position_of(self, oid: int) -> Optional[Point]:
@@ -1340,7 +1129,12 @@ class ShardedIndex(SpatialIndexFacade):
     def _execute_operation_stream(
         self, operations: Iterable, strict_deletes: bool
     ) -> BatchResult:
-        parsed = self._parse_operations(operations, strict_deletes=strict_deletes)
+        return self._execute_batch(
+            self._parse_operations(operations, strict_deletes=strict_deletes)
+        )
+
+    def _execute_batch(self, parsed: List[Operation]) -> BatchResult:
+        """Run a parsed stream: runs of updates flush at every barrier."""
         result = BatchResult()
         before = [shard.stats.snapshot() for shard in self.shards]
         run: List[BatchUpdate] = []
@@ -1371,16 +1165,6 @@ class ShardedIndex(SpatialIndexFacade):
             self.auto_adapt()
         return result
 
-    def _execute_batch(self, ops: List[BatchUpdate]) -> BatchResult:
-        result = BatchResult(updates=len(ops))
-        before = [shard.stats.snapshot() for shard in self.shards]
-        with self._call_scope():
-            self._flush_updates(list(ops), result)
-            self._merge_io_delta(result, before)
-            self.auto_rebalance()
-            self.auto_adapt()
-        return result
-
     def _flush_updates(self, run: List[BatchUpdate], result: BatchResult) -> None:
         """Coalesce a run of updates and route it: per-shard batches + migrations."""
         if not run:
@@ -1388,53 +1172,42 @@ class ShardedIndex(SpatialIndexFacade):
         pending, _requested, coalesced = coalesce_updates(run)
         result.coalesced += coalesced
         run.clear()
-        per_shard: Dict[int, List[BatchUpdate]] = {}
-        for request in pending.values():
-            source = self._shard_of.get(request.oid)
-            target = self.partitioner.shard_of(request.new_location)
-            if source is None or source != target:
-                self._execute_migration(request, result)
-            else:
-                per_shard.setdefault(source, []).append(request)
-        if self._backend is not None:
-            # The parallel payoff path: every shard's bucket dispatches in
-            # one go — the backend runs them concurrently (the process
-            # backend sends one batched message per worker) and each
-            # executes the identical pre-commit + group-by-leaf step.
-            for shard_id, requests in per_shard.items():
-                self._record_update(shard_id, len(requests))
-                self._record_batch_moves(shard_id, requests)
-            if self._backend.remote:
-                for shard_id, requests in per_shard.items():
-                    mirror = self.shards[shard_id]._positions
-                    for request in requests:
-                        mirror[request.oid] = request.new_location
-            payloads = self._dispatch(
-                {
-                    shard_id: [shard_parallel.ApplyBatch(tuple(requests))]
-                    for shard_id, requests in per_shard.items()
-                }
-            )
-            for shard_id in per_shard:
-                sub = payloads[shard_id][0]
-                result.groups += sub["groups"]
-                result.largest_group = max(
-                    result.largest_group, sub["largest_group"]
-                )
-                result.residuals += sub["residuals"]
-            self._log_update_buckets(per_shard)
-            return
-        for shard_id, requests in per_shard.items():
-            shard = self.shards[shard_id]
-            self._record_update(shard_id, len(requests))
-            self._record_batch_moves(shard_id, requests)
-            for request in requests:
-                shard._positions[request.oid] = request.new_location
-            sub = shard.batch.execute(requests)
-            result.groups += sub.groups
-            result.largest_group = max(result.largest_group, sub.largest_group)
-            result.residuals += sub.residuals
+        per_shard, crossing = self._route(pending.values())
+        for request in crossing:
+            self._execute_migration(request, result)
+        # Every shard's bucket goes out in one dispatch (the process backend
+        # sends one message per worker); each runs the pre-commit +
+        # group-by-leaf step.
+        payloads = self._backend.dispatch(
+            {
+                shard_id: [shard_parallel.ApplyBatch(requests)]
+                for shard_id, requests in per_shard.items()
+            }
+        )
+        for replies in payloads.values():
+            groups, largest_group, residuals = replies[0]
+            result.groups += groups
+            result.largest_group = max(result.largest_group, largest_group)
+            result.residuals += residuals
         self._log_update_buckets(per_shard)
+
+    def _route(
+        self, requests: Iterable[BatchUpdate]
+    ) -> Tuple[Dict[int, List[BatchUpdate]], List[BatchUpdate]]:
+        """Split coalesced requests into recorded in-shard buckets and the
+        boundary crossings (migrations, or inserts of unknown objects)."""
+        per_shard: Dict[int, List[BatchUpdate]] = {}
+        crossing: List[BatchUpdate] = []
+        for request in requests:
+            source = self._shard_of.get(request.oid)
+            if source == self.partitioner.shard_of(request.new_location):
+                per_shard.setdefault(source, []).append(request)
+            else:
+                crossing.append(request)
+        for shard_id, bucket in per_shard.items():
+            self._record_update(shard_id, len(bucket))
+            self._record_batch_moves(shard_id, bucket)
+        return per_shard, crossing
 
     def _log_update_buckets(
         self, per_shard: Dict[int, List[BatchUpdate]]
@@ -1503,14 +1276,16 @@ class ShardedIndex(SpatialIndexFacade):
                 }
         if source is not None:
             self._record_update(source)
-            self._shard_delete(source, request.oid)
+            self._backend.run(source, shard_parallel.Delete(request.oid))
             self.migrations += 1
             if result is not None:
                 result.migrations += 1
         elif result is not None:
             result.residuals += 1  # not indexed yet: plain insert
         self._record_update(target)
-        self._shard_insert(target, request.oid, request.new_location)
+        self._backend.run(
+            target, shard_parallel.Insert(request.oid, request.new_location)
+        )
         self._shard_of[request.oid] = target
         if self.durability is not None and frames is not None:
             self.durability.log_unit(frames, barrier=False)
@@ -1563,70 +1338,37 @@ class ShardedIndex(SpatialIndexFacade):
         that touch the same shard can ever conflict, and a cross-shard
         migration names granules from both its shards.
         """
+        def scope(
+            shard_id: int, shard_kind: str, shard_payload: Tuple
+        ) -> List[Tuple[object, Any]]:
+            return namespace_pairs(
+                self.shards[shard_id].lock_requests_for(shard_kind, shard_payload),
+                shard_id,
+            )
+
         if kind == "update":
             oid, new_location = payload
             source = self._shard_of.get(oid)
             target = self.partitioner.shard_of(new_location)
-            if source is None:
-                return namespace_pairs(
-                    self.shards[target].lock_requests_for(
-                        "insert", (oid, new_location)
-                    ),
-                    target,
-                )
             if source == target:
-                return namespace_pairs(
-                    self.shards[source].lock_requests_for(kind, payload), source
-                )
-            pairs = namespace_pairs(
-                self.shards[source].lock_requests_for("delete", (oid,)), source
-            )
-            pairs.extend(
-                namespace_pairs(
-                    self.shards[target].lock_requests_for(
-                        "insert", (oid, new_location)
-                    ),
-                    target,
-                )
-            )
-            return pairs
+                return scope(source, kind, payload)
+            # A migration (or, for an unknown object, a plain insert).
+            pairs = [] if source is None else scope(source, "delete", (oid,))
+            return pairs + scope(target, "insert", (oid, new_location))
         if kind == "insert":
-            _oid, location = payload
-            target = self.partitioner.shard_of(location)
-            return namespace_pairs(
-                self.shards[target].lock_requests_for(kind, payload), target
-            )
+            return scope(self.partitioner.shard_of(payload[1]), kind, payload)
         if kind == "delete":
-            (oid,) = payload
-            source = self._shard_of.get(oid)
-            if source is None:
-                return []
-            return namespace_pairs(
-                self.shards[source].lock_requests_for(kind, payload), source
-            )
+            source = self._shard_of.get(payload[0])
+            return [] if source is None else scope(source, kind, payload)
         if kind == "query":
-            (window,) = payload
-            pairs = []
-            for shard_id in self._query_shards(window):
-                pairs.extend(
-                    namespace_pairs(
-                        self.shards[shard_id].lock_requests_for(kind, payload),
-                        shard_id,
-                    )
-                )
-            return pairs
-        if kind == "knn":
+            shard_ids: Iterable[int] = self._query_shards(payload[0])
+        elif kind == "knn":
             # Conservative: a kNN may spill into any shard holding data, so
             # every non-empty shard contributes its own (conservative) scope.
-            pairs = []
-            for shard_id, shard in enumerate(self.shards):
-                if len(shard) == 0:
-                    continue
-                pairs.extend(
-                    namespace_pairs(shard.lock_requests_for(kind, payload), shard_id)
-                )
-            return pairs
-        raise ValueError(f"unknown engine operation kind {kind!r}")
+            shard_ids = [sid for sid, shard in enumerate(self.shards) if len(shard)]
+        else:
+            raise ValueError(f"unknown engine operation kind {kind!r}")
+        return [pair for sid in shard_ids for pair in scope(sid, kind, payload)]
 
     def prepare_concurrent_batch(self, engine, updates: Iterable) -> PreparedBatch:
         """Plan one batch as per-shard group buckets plus migration ops.
@@ -1642,25 +1384,16 @@ class ShardedIndex(SpatialIndexFacade):
         """
         pending, requested, coalesced = coalesce_updates(updates)
         result = BatchResult(updates=requested, coalesced=coalesced)
-        operations: List[VirtualOperation] = []
-        per_shard: Dict[int, List[BatchUpdate]] = {}
-        for request in pending.values():
-            source = self._shard_of.get(request.oid)
-            target = self.partitioner.shard_of(request.new_location)
-            if source is None or source != target:
-                operations.append(MigrationOperation(engine, self, request, result))
-            else:
-                per_shard.setdefault(source, []).append(request)
+        per_shard, crossing = self._route(pending.values())
+        operations: List[VirtualOperation] = [
+            MigrationOperation(engine, self, request, result) for request in crossing
+        ]
         for shard_id, requests in per_shard.items():
             shard = self.shards[shard_id]
-            self._record_update(shard_id, len(requests))
-            self._record_batch_moves(shard_id, requests)
             plan = shard.batch.plan(requests)
-            for bucket in plan.buckets.values():
-                for request in bucket:
-                    shard._positions[request.oid] = request.new_location
-            for request in plan.unindexed:
+            for request in requests:
                 shard._positions[request.oid] = request.new_location
+            for request in plan.unindexed:
                 operations.append(
                     ReplayOperation(
                         engine, shard.batch, request, result, namespace=shard_id
@@ -1716,15 +1449,7 @@ class ShardedIndex(SpatialIndexFacade):
     # Statistics and integrity
     # ------------------------------------------------------------------
     def reset_statistics(self) -> None:
-        for shard in self.shards:
-            shard.reset_statistics()
-        if self._backend is not None and self._backend.remote:
-            self._dispatch(
-                {
-                    sid: [shard_parallel.ResetStats()]
-                    for sid in range(self.num_shards)
-                }
-            )
+        self._broadcast(shard_parallel.ResetStats())
         self.migrations = 0
         if self.rebalancer is not None:
             self.rebalancer.monitor.reset(self.shards)
@@ -1736,16 +1461,7 @@ class ShardedIndex(SpatialIndexFacade):
         return IOStatistics.sum(shard.io_snapshot() for shard in self.shards)
 
     def refresh_summary(self) -> None:
-        if self._backend is not None and self._backend.remote:
-            self._dispatch(
-                {
-                    sid: [shard_parallel.RefreshSummary()]
-                    for sid in range(self.num_shards)
-                }
-            )
-            return
-        for shard in self.shards:
-            shard.refresh_summary()
+        self._broadcast(shard_parallel.RefreshSummary())
 
     def validate(self, check_min_fill: bool = False) -> dict:
         """Validate every shard, the directory, and the spatial routing.
@@ -1755,21 +1471,7 @@ class ShardedIndex(SpatialIndexFacade):
         directory and routing invariants are checked against the (exact)
         coordinator position mirrors either way.
         """
-        if self._backend is not None and self._backend.remote:
-            payloads = self._dispatch(
-                {
-                    sid: [shard_parallel.Validate(check_min_fill)]
-                    for sid in range(self.num_shards)
-                }
-            )
-            reports = [payloads[sid][0]["report"] for sid in range(self.num_shards)]
-            heights = [payloads[sid][0]["height"] for sid in range(self.num_shards)]
-        else:
-            reports = [
-                shard.validate(check_min_fill=check_min_fill)
-                for shard in self.shards
-            ]
-            heights = [shard.tree.height for shard in self.shards]
+        reports = self._broadcast(shard_parallel.Validate(check_min_fill))
         errors: List[str] = []
         for shard_id, shard in enumerate(self.shards):
             for oid in shard._positions:
@@ -1798,7 +1500,7 @@ class ShardedIndex(SpatialIndexFacade):
         return {
             "shards": len(self.shards),
             "objects": len(self._shard_of),
-            "heights": heights,
+            "heights": [report["height"] for report in reports],
             "reports": reports,
         }
 
@@ -1816,6 +1518,4 @@ class ShardedIndex(SpatialIndexFacade):
                 f" strategies={self.active_strategies()} "
                 f"switches={self.adaptive.switches}"
             )
-        if self._backend is not None:
-            text += f" parallel={self._backend.describe()}"
-        return text
+        return text + f" parallel={self._backend.describe()}"

@@ -1,22 +1,24 @@
-"""Parallel shard-execution backends: serial, thread, and process workers.
+"""Shard executors: serial, thread, and process workers.
 
 A :class:`~repro.shard.index.ShardedIndex` owns N fully independent
 :class:`~repro.core.index.MovingObjectIndex` shards — disjoint trees, disks,
 buffers and counters — so shard-local work commutes freely across shards.
-This module turns that structural independence into wall-clock parallelism
-behind one small seam: every shard-local step becomes a picklable **command**
-(:class:`Insert`, :class:`ApplyBatch`, :class:`Range`, :class:`KNNProbe`,
-the rebalance leaf-group :class:`ExportGroup`/:class:`ImportGroup` pair, …),
-one function (:func:`execute_command`) interprets a command against one
-shard, and a pluggable backend decides *where* that interpreter runs:
+The coordinator never touches a shard's tree itself: every shard-local step
+is a picklable **command** (:class:`Insert`, :class:`ApplyBatch`,
+:class:`Range`, :class:`KNNProbe`, the rebalance leaf-group
+:class:`ExportGroup`/:class:`ImportGroup` pair, …), one function
+(:func:`execute_command`) interprets a command against one shard, and the
+attached executor decides *where* that interpreter runs — the three differ
+only in transport:
 
-* **serial** — no backend attached; the sharded index runs its original
-  in-process loops untouched (the default, and the baseline every other
-  backend must match bit for bit);
-* :class:`ThreadBackend` — the same in-process shard objects, but fan-out
-  dispatches (per-shard batch buckets, multi-shard range queries) run on a
-  thread pool.  Shards are disjoint object graphs, so per-shard commands
-  never share mutable state;
+* :class:`ShardBackend` (``serial``) — the in-process executor: commands
+  run inline against the authoritative shard objects, window streams stay
+  lazy inside a shard (the default, and the baseline every other executor
+  must match bit for bit);
+* :class:`ThreadBackend` — the in-process executor whose fan-out dispatches
+  (per-shard batch buckets, multi-shard range queries) run on a thread
+  pool.  Shards are disjoint object graphs, so per-shard commands never
+  share mutable state;
 * :class:`ProcessBackend` — one long-lived worker process per shard slot
   (``workers`` may be smaller than the shard count; shard *i* lives in
   worker ``i % workers``).  Each worker owns the authoritative copy of its
@@ -39,14 +41,15 @@ inherited, so the payload is each shard's checkpoint document and the worker
 restores it (:func:`repro.core.persistence._restore_index`).  Both routes
 end in the same state, which is what a restore produces: a cold pool at the
 coordinator's capacity share (no frames, and no pins — those exist only
-inside a batch group), I/O counters equal to the coordinator's snapshot,
-outcome counters zero, the coordinator's disk-latency knob.  The coordinator
-flushes each shard's pool *before* the fork: the write-back is charged once,
-to counters the snapshot then captures, so the worker continues the
-coordinator's counter sequence exactly as it does after restoring a document
-(whose encoding flushes too) — serial ≡ fork ≡ spawn on every counter.  The
-way back (``detach_parallel`` / ``shard_documents``) is always the
-:class:`Checkpoint` command: worker-held state really does cross a pipe.
+inside a batch group), I/O and update-outcome counters equal to the
+coordinator's snapshot, the coordinator's disk-latency knob.  The
+coordinator flushes each shard's pool *before* the fork: the write-back is
+charged once, to counters the snapshot then captures, so the worker
+continues the coordinator's counter sequence exactly as it does after
+restoring a document (whose encoding flushes too) — serial ≡ fork ≡ spawn on
+every counter.  The way back (``detach_parallel`` / ``shard_documents``) is
+always the :class:`Checkpoint` command: worker-held state really does cross
+a pipe.
 
 Worker failure
 --------------
@@ -61,23 +64,24 @@ worker surfaces as the same error type but leaves the backend serving.
 
 Determinism and exactness
 -------------------------
-Backends are not allowed to change answers or costs: every command is the
-literal shard-local half of the serial code path (``ApplyBatch`` pre-commits
-positions then runs the shard's group-by-leaf executor exactly as
-``_flush_updates`` does; ``KNNProbe`` replays the serial candidate-
-consumption loop against the running cross-shard best list), so results,
-tie-breaks, and logical/physical I/O counters are identical across all
-three backends — the shard-equivalence suite asserts this per strategy.
-Cross-shard kNN probes stay sequential even under the process backend: the
-pruning radius each probe carries comes from the previous shard's answer,
-and probing speculatively in parallel would charge I/O the serial path
-never pays.
+Executors are not allowed to change answers or costs, and cannot: all three
+run the same commands through the same interpreter (``ApplyBatch``
+pre-commits positions then runs the shard's group-by-leaf executor;
+``KNNProbe`` consumes the shard's distance-ordered stream against the
+running cross-shard best list), so results, tie-breaks, update outcomes and
+logical/physical I/O counters are identical — the shard-equivalence suite
+asserts this per strategy.  Cross-shard kNN probes stay sequential even
+under the process backend: the pruning radius each probe carries comes from
+the previous shard's answer, and probing speculatively in parallel would
+charge I/O a sequential probe never pays.
 
 Every worker reply carries, besides the command payloads, a state envelope
 per touched shard: a full :class:`~repro.storage.stats.IOStatistics`
-snapshot (copied field-wise into the coordinator's mirror, so
-``io_snapshot``/batch I/O deltas/rebalance load sampling keep working
-unchanged), the tree's root MBR, and the disk page count.
+snapshot and the update-outcome counters (copied field-wise into the
+coordinator's mirror, so ``io_snapshot``/batch I/O deltas/rebalance load
+sampling/outcome mixes keep working unchanged), the tree's root MBR, and the
+disk page count; :meth:`ProcessBackend._sync_mirror` is the one place a
+mirror is written.
 """
 
 from __future__ import annotations
@@ -88,12 +92,26 @@ import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.api.errors import WorkerFailedError
 from repro.geometry import Point, Rect, kernels
+from repro.rtree.node import Entry
 from repro.storage.stats import IOStatistics
-from repro.update.base import BatchUpdate
+from repro.update.base import BatchUpdate, UpdateStrategy
+
+if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
+    from repro.shard.index import ShardedIndex
 
 # ---------------------------------------------------------------------------
 # The command protocol (everything here must pickle cleanly)
@@ -127,12 +145,12 @@ class Delete:
 class ApplyBatch:
     """One shard's coalesced batch bucket, run through the group-by-leaf executor.
 
-    Mirrors the serial ``_flush_updates`` shard step exactly: positions are
-    pre-committed, then the shard's :class:`~repro.update.batch.BatchExecutor`
-    runs.  Returns the sub-result counters (groups, largest group, residuals).
+    Positions are pre-committed, then the shard's
+    :class:`~repro.update.batch.BatchExecutor` runs.  Returns the sub-result
+    counters ``(groups, largest_group, residuals)``.
     """
 
-    requests: Tuple[BatchUpdate, ...]
+    requests: Sequence[BatchUpdate]
 
 
 @dataclass(frozen=True)
@@ -146,15 +164,15 @@ class Range:
 class KNNProbe:
     """One shard's step of the cross-shard best-first kNN.
 
-    Carries the running merged best list (the pruning radius); the worker
-    replays the exact serial consumption loop — consume the shard's
-    distance-ordered stream only while candidates can still enter the top
-    *k* — and returns the updated best list.
+    Carries the running merged best list (the pruning radius); the executor
+    consumes the shard's distance-ordered stream only while candidates can
+    still enter the top *k* and returns the updated best list (a new list:
+    the carried one is never mutated).
     """
 
     point: Point
     k: int
-    best: Tuple[Tuple[float, int], ...]
+    best: Sequence[Tuple[float, int]]
 
 
 @dataclass(frozen=True)
@@ -172,8 +190,7 @@ class ExportGroup:
     CondenseTree pass (:meth:`~repro.rtree.tree.RTree.remove_group`) and
     returns their entry rectangles.  When the leaf dissolved or a member
     left it since planning, nothing is mutated and ``ok`` is False — the
-    coordinator falls back to per-object reroutes, exactly like the serial
-    path.
+    coordinator falls back to per-object reroutes.
     """
 
     leaf_page: int
@@ -203,7 +220,7 @@ class ResetStats:
 
 @dataclass(frozen=True)
 class Validate:
-    """Run the shard's structural validation; returns its report and height."""
+    """Run the shard's structural validation; returns its report."""
 
     check_min_fill: bool = False
 
@@ -248,39 +265,37 @@ Command = Any  # any of the dataclasses above
 def execute_command(shard, command: Command) -> Any:
     """Run one *command* against one :class:`MovingObjectIndex` shard.
 
-    This is the single interpreter every backend shares — the thread
-    backend calls it in-process, the worker main loop calls it in its own
-    process — so a command means exactly one thing regardless of where the
-    shard lives.  Each branch is the literal shard-local half of the
-    corresponding serial :class:`~repro.shard.index.ShardedIndex` code path.
+    This is the single interpreter every executor shares — the serial and
+    thread executors call it in-process, the worker main loop calls it in
+    its own process — so a command means exactly one thing regardless of
+    where the shard lives.  The chain is ordered by frequency: batch
+    buckets, window and kNN visits, then the per-operation commands.
     """
-    if isinstance(command, Insert):
-        shard.insert(command.oid, command.location)
-        return None
-    if isinstance(command, Update):
-        return shard.update(command.oid, command.new_location)
-    if isinstance(command, Delete):
-        return shard.delete(command.oid)
     if isinstance(command, ApplyBatch):
-        requests = list(command.requests)
+        requests = command.requests
+        positions = shard._positions
         for request in requests:
-            shard._positions[request.oid] = request.new_location
+            positions[request.oid] = request.new_location
         sub = shard.batch.execute(requests)
-        return {
-            "groups": sub.groups,
-            "largest_group": sub.largest_group,
-            "residuals": sub.residuals,
-        }
+        return (sub.groups, sub.largest_group, sub.residuals)
     if isinstance(command, Range):
         return shard.range_query(command.window)
     if isinstance(command, KNNProbe):
+        k = command.k
         best: List[Tuple[float, int]] = list(command.best)
-        for candidate in shard.tree.iter_knn(command.point, command.k):
-            if len(best) >= command.k and candidate[0] > best[-1][0]:
+        for candidate in shard.tree.iter_knn(command.point, k):
+            if len(best) >= k and candidate[0] > best[-1][0]:
                 break  # stream is distance-ordered: nothing closer follows
             bisect.insort(best, candidate)
-            del best[command.k :]
+            del best[k:]
         return best
+    if isinstance(command, Insert):
+        shard.insert(command.oid, command.location)
+        return None
+    if isinstance(command, Delete):
+        return shard.delete(command.oid)
+    if isinstance(command, Update):
+        return shard.update(command.oid, command.new_location)
     if isinstance(command, LeafOf):
         return [shard.hash_index.peek(oid) for oid in command.oids]
     if isinstance(command, ExportGroup):
@@ -298,13 +313,12 @@ def execute_command(shard, command: Command) -> Any:
             shard._positions.pop(oid, None)
         return {"ok": True, "entries": [(entry.child, entry.rect) for entry in moved]}
     if isinstance(command, ImportGroup):
-        from repro.rtree.node import Entry  # local: keep module imports light
-
+        # Entries are immutable values: re-creating them in the exported
+        # order is the same bulk-insert input the removed entries were.
         shard.tree.insert_group(
             [Entry(rect, oid) for oid, rect in command.entries]
         )
-        for oid, position in command.positions:
-            shard._positions[oid] = position
+        shard._positions.update(command.positions)
         return None
     if isinstance(command, ConfigureBuffer):
         shard.buffer.clear()
@@ -314,10 +328,7 @@ def execute_command(shard, command: Command) -> Any:
         shard.reset_statistics()
         return None
     if isinstance(command, Validate):
-        return {
-            "report": shard.validate(check_min_fill=command.check_min_fill),
-            "height": shard.tree.height,
-        }
+        return shard.validate(check_min_fill=command.check_min_fill)
     if isinstance(command, RefreshSummary):
         shard.refresh_summary()
         return None
@@ -333,6 +344,16 @@ def execute_command(shard, command: Command) -> Any:
         shard.disk.io_latency_s = command.seconds
         return None
     raise TypeError(f"unknown shard command {command!r}")
+
+
+def _execute_all(
+    shards: Any, per_shard: Dict[int, Sequence[Command]]
+) -> Dict[int, List[Any]]:
+    """Run each shard's command list, in order, against ``shards[shard_id]``."""
+    return {
+        shard_id: [execute_command(shards[shard_id], command) for command in commands]
+        for shard_id, commands in per_shard.items()
+    }
 
 
 def assign_stats(target: IOStatistics, source: IOStatistics) -> None:
@@ -354,11 +375,51 @@ def assign_stats(target: IOStatistics, source: IOStatistics) -> None:
     target.extra = dict(source.extra)
 
 
+def _counters(shard) -> Dict[str, Any]:
+    """A shard's I/O and update-outcome counters as plain data.  The outcomes
+    are ints in :class:`~repro.update.base.UpdateOutcome` declaration order
+    (the order every strategy builds ``outcome_counts`` in, and keeps: it is
+    only updated in place), then ``update_count`` — a small pickle."""
+    strategy: UpdateStrategy = shard.strategy
+    outcomes = (*strategy.outcome_counts.values(), strategy.update_count)
+    return {"stats": shard.stats.snapshot(), "outcomes": outcomes}
+
+
+def _assign_counters(shard, state: Dict[str, Any]) -> None:
+    """Overwrite *shard*'s counters in place with a :func:`_counters` state."""
+    assign_stats(shard.stats, state["stats"])
+    strategy: UpdateStrategy = shard.strategy
+    counts, outcomes = strategy.outcome_counts, state["outcomes"]
+    if outcomes != (*counts.values(), strategy.update_count):
+        counts.update(zip(tuple(counts), outcomes))
+        strategy.update_count = outcomes[-1]
+
+
+def handover_state(shard) -> Dict[str, Any]:
+    """What a shard taken over elsewhere continues from: its I/O and outcome
+    counters, its buffer share and its disk latency knob."""
+    return {
+        **_counters(shard),
+        "buffer_capacity": shard.buffer.capacity,
+        "io_latency": shard.disk.io_latency_s,
+    }
+
+
+def adopt_handover(shard, state: Dict[str, Any]) -> None:
+    """Reset a taken-over shard to a :func:`handover_state`, with a cold pool
+    (a worker at attach, the coordinator at detach)."""
+    shard.reset_statistics()
+    _assign_counters(shard, state)
+    shard.buffer.clear()
+    shard.buffer.capacity = state["buffer_capacity"]
+    shard.disk.io_latency_s = state["io_latency"]
+
+
 def _shard_state(shard) -> Dict[str, Any]:
     """The per-shard state envelope piggybacked on every worker reply."""
     mbr = shard.tree.root_mbr()
     return {
-        "stats": shard.stats.snapshot(),
+        **_counters(shard),
         "root_mbr": None if mbr is None else tuple(mbr),
         "pages": len(shard.disk),
     }
@@ -375,9 +436,9 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> 
     ``init`` maps shard id -> attach payload: the shard itself — the live
     object a fork-started worker inherited, or its checkpoint document (page
     images + embedded config spec) under any other start method — plus what
-    the worker resets it to: the coordinator's counter values (the worker
-    continues the coordinator's sequence), the buffer share, and the disk
-    latency knob.
+    the worker resets it to: the coordinator's I/O and outcome counter
+    values (the worker continues the coordinator's sequence), the buffer
+    share, and the disk latency knob.
     """
     try:
         # Forked workers inherit the backend, spawned ones import it from
@@ -391,11 +452,7 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> 
                 from repro.core.persistence import _restore_index
 
                 shard = _restore_index(shard)
-            shard.reset_statistics()
-            assign_stats(shard.stats, payload["stats"])
-            shard.buffer.clear()
-            shard.buffer.capacity = payload["buffer_capacity"]
-            shard.disk.io_latency_s = payload["io_latency"]
+            adopt_handover(shard, payload)
             shards[shard_id] = shard
         conn.send({"ok": True})
     except BaseException as error:  # hydration failed: report, then exit
@@ -411,13 +468,7 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> 
             return
         _tag, per_shard = message
         try:
-            payloads = {
-                shard_id: [
-                    execute_command(shards[shard_id], command)
-                    for command in commands
-                ]
-                for shard_id, commands in per_shard.items()
-            }
+            payloads = _execute_all(shards, per_shard)
             state = {shard_id: _shard_state(shards[shard_id]) for shard_id in per_shard}
             conn.send({"ok": True, "payloads": payloads, "state": state})
         except BaseException as error:
@@ -434,13 +485,12 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> 
 
 
 class ShardBackend:
-    """Common surface of the pluggable execution backends.
+    """The in-process (serial) shard executor, and every executor's surface.
 
-    ``dispatch`` takes per-shard command lists, runs all shards' lists
-    concurrently (each shard's own list stays in order), and returns the
-    per-shard result payload lists.  ``remote`` tells the coordinator
-    whether its local shard objects are authoritative (thread) or mirrors
-    synced from worker state envelopes (process).
+    ``run`` executes one command against one shard, ``dispatch`` per-shard
+    command lists (each in order), ``iter_range`` streams one shard's window
+    hits.  ``remote`` says whether the coordinator's shard objects are
+    authoritative (serial, thread) or mirrors (process).
     """
 
     name = "serial"
@@ -448,12 +498,33 @@ class ShardBackend:
     #: The multiprocessing start method in use (process backend only).
     start_method: Optional[str] = None
 
+    def __init__(self, sharded: "ShardedIndex", workers: Optional[int] = None) -> None:
+        self.sharded = sharded
+        #: Worker count, clamped to ``[1, shards]`` (default: one per shard).
+        self.workers = max(1, min(workers or sharded.num_shards, sharded.num_shards))
+
+    def run(self, shard_id: int, command: Command) -> Any:
+        """One command against one shard — no per-call containers."""
+        return execute_command(self.sharded.shards[shard_id], command)
+
     def dispatch(
         self, per_shard: Dict[int, Sequence[Command]]
     ) -> Dict[int, List[Any]]:
-        raise NotImplementedError
+        return _execute_all(self.sharded.shards, per_shard)
 
-    def close(self) -> None:  # pragma: no cover - trivial default
+    def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
+        """One shard's window hits, read from the tree only as consumed."""
+        return self.sharded.shards[shard_id].strategy.iter_range_query(window)
+
+    def root_mbr(self, shard_id: int) -> Optional[Rect]:
+        """A shard's content MBR (uncharged)."""
+        return self.sharded.shards[shard_id].tree.root_mbr()
+
+    def disk_sizes(self) -> List[int]:
+        """Every shard's disk size in pages."""
+        return [len(shard.disk) for shard in self.sharded.shards]
+
+    def close(self) -> None:
         pass
 
     def describe(self) -> str:
@@ -461,43 +532,34 @@ class ShardBackend:
 
 
 class ThreadBackend(ShardBackend):
-    """Fan shard-local commands out over an in-process thread pool.
+    """The in-process executor with its fan-out on a thread pool.
 
     The shard objects stay authoritative in the coordinator process;
     per-shard command lists for *different* shards run concurrently on the
     pool (shards share no mutable state), single-shard dispatches run
-    inline.  Useful when the simulated disk charges real device latency —
-    sleeping transfers overlap across shards — and as the bridge backend
-    that keeps the full engine SPI available.
+    inline.  All it buys is overlap of the simulated disk's real device
+    latency (``io_latency_s``) across shards.
     """
 
     name = "thread"
-    remote = False
 
-    def __init__(self, sharded, workers: Optional[int] = None) -> None:
-        self.sharded = sharded
-        self.workers = max(1, min(workers or sharded.num_shards, sharded.num_shards))
+    def __init__(self, sharded: "ShardedIndex", workers: Optional[int] = None) -> None:
+        super().__init__(sharded, workers)
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-shard"
         )
-
-    def _run(self, shard_id: int, commands: Sequence[Command]) -> List[Any]:
-        shard = self.sharded.shards[shard_id]
-        return [execute_command(shard, command) for command in commands]
 
     def dispatch(
         self, per_shard: Dict[int, Sequence[Command]]
     ) -> Dict[int, List[Any]]:
         if len(per_shard) <= 1 or self.workers == 1:
-            return {
-                shard_id: self._run(shard_id, commands)
-                for shard_id, commands in per_shard.items()
-            }
+            return super().dispatch(per_shard)
+        shards = self.sharded.shards
         futures = {
-            shard_id: self._pool.submit(self._run, shard_id, commands)
-            for shard_id, commands in per_shard.items()
+            sid: self._pool.submit(_execute_all, shards, {sid: commands})
+            for sid, commands in per_shard.items()
         }
-        return {shard_id: future.result() for shard_id, future in futures.items()}
+        return {sid: future.result()[sid] for sid, future in futures.items()}
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -542,14 +604,13 @@ class ProcessBackend(ShardBackend):
     takes its shards over once, at attach time — fork-started workers adopt
     the live shard objects they inherited, any other start method restores
     each shard's checkpoint document — and resets them to the state a restore
-    produces: cold pool at the coordinator's capacity share, outcome counters
-    zero, I/O counters = the coordinator's snapshot.  That snapshot is taken
-    after the coordinator flushed the shard's pool (before the fork, or as
-    part of encoding the document), so the write-back is charged exactly
-    once and the worker continues the coordinator's counter sequence.  It
-    then serves command batches until detached; the coordinator's shard
-    objects become mirrors, refreshed from the state envelope every reply
-    carries.
+    produces: cold pool at the coordinator's capacity share, I/O and outcome
+    counters = the coordinator's snapshot.  That snapshot is taken after the
+    coordinator flushed the shard's pool (before the fork, or as part of
+    encoding the document), so the write-back is charged exactly once and
+    the worker continues the coordinator's counter sequence.  It then serves
+    command batches until detached; the coordinator's shard objects become
+    mirrors, kept in step by :meth:`_sync_mirror` after every reply.
 
     The coordinator's kernel backend is propagated two ways: via the
     ``REPRO_KERNEL_BACKEND`` environment variable (honoured at import by
@@ -567,17 +628,16 @@ class ProcessBackend(ShardBackend):
 
     def __init__(
         self,
-        sharded,
+        sharded: "ShardedIndex",
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        self.sharded = sharded
+        super().__init__(sharded, workers)
         num_shards = sharded.num_shards
-        self.workers = max(1, min(workers or num_shards, num_shards))
-        self.root_mbrs: List[Optional[Rect]] = [
+        self._root_mbrs: List[Optional[Rect]] = [
             shard.tree.root_mbr() for shard in sharded.shards
         ]
-        self.disk_pages: List[int] = [len(shard.disk) for shard in sharded.shards]
+        self._disk_pages: List[int] = [len(shard.disk) for shard in sharded.shards]
 
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -619,12 +679,7 @@ class ProcessBackend(ShardBackend):
                     from repro.core.persistence import _index_document
 
                     state = _index_document(shard)  # flushes, like the above
-                init[shard_id] = {
-                    "shard": state,
-                    "stats": shard.stats.snapshot(),
-                    "buffer_capacity": shard.buffer.capacity,
-                    "io_latency": getattr(shard.disk, "io_latency_s", 0.0),
-                }
+                init[shard_id] = {"shard": state, **handover_state(shard)}
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
@@ -708,16 +763,66 @@ class ProcessBackend(ShardBackend):
                     f"shard worker {worker_id} failed: {reply.get('error')}"
                 )
                 continue
-            payloads.update(reply["payloads"])
+            replied = reply["payloads"]
+            payloads.update(replied)
             for shard_id, state in reply["state"].items():
-                assign_stats(self.sharded.shards[shard_id].stats, state["stats"])
-                mbr = state["root_mbr"]
-                self.root_mbrs[shard_id] = None if mbr is None else Rect(*mbr)
-                self.disk_pages[shard_id] = state["pages"]
+                self._sync_mirror(shard_id, bundle[shard_id], replied[shard_id], state)
         if errors:
             # The workers are alive and in step; only these commands failed.
             raise WorkerFailedError("; ".join(errors))
         return payloads
+
+    def _sync_mirror(
+        self,
+        shard_id: int,
+        commands: Sequence[Command],
+        payloads: Sequence[Any],
+        state: Dict[str, Any],
+    ) -> None:
+        """Bring the coordinator's mirror of one shard in step with a reply:
+        what each executed command implies for positions, strategy name and
+        knobs, then the state envelope.  Mirror trees are never touched."""
+        shard = self.sharded.shards[shard_id]
+        positions = shard._positions
+        for command, payload in zip(commands, payloads):
+            kind = type(command)
+            if kind is ApplyBatch:
+                for request in command.requests:
+                    positions[request.oid] = request.new_location
+            elif kind is Update:
+                positions[command.oid] = command.new_location
+            elif kind is Insert:
+                positions[command.oid] = command.location
+            elif kind is Delete:
+                positions.pop(command.oid, None)
+            elif kind is ExportGroup:
+                if payload["ok"]:
+                    for oid in command.oids:
+                        positions.pop(oid, None)
+            elif kind is ImportGroup:
+                positions.update(command.positions)
+            elif kind is SetStrategy:
+                shard.active_strategy = payload
+            elif kind is ConfigureBuffer or kind is SetIOLatency:
+                execute_command(shard, command)  # knobs only: same on the mirror
+        _assign_counters(shard, state)
+        mbr = state["root_mbr"]
+        self._root_mbrs[shard_id] = None if mbr is None else Rect(*mbr)
+        self._disk_pages[shard_id] = state["pages"]
+
+    def run(self, shard_id: int, command: Command) -> Any:
+        return self.dispatch({shard_id: [command]})[shard_id][0]
+
+    def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
+        # Laziness ends at the pipe: reaching into a shard fetches (and
+        # charges) that shard's whole answer.
+        return self.run(shard_id, Range(window))
+
+    def root_mbr(self, shard_id: int) -> Optional[Rect]:
+        return self._root_mbrs[shard_id]
+
+    def disk_sizes(self) -> List[int]:
+        return list(self._disk_pages)
 
     def close(self) -> None:
         if self._failure is None:  # else _fail already stopped every worker
@@ -745,14 +850,14 @@ BACKENDS = ("serial", "thread", "process")
 
 
 def make_backend(
-    sharded,
+    sharded: "ShardedIndex",
     backend: str,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-) -> Optional[ShardBackend]:
-    """Construct the named backend for *sharded* (``None`` for serial)."""
+) -> ShardBackend:
+    """Construct the named executor for *sharded*."""
     if backend == "serial":
-        return None
+        return ShardBackend(sharded)
     if backend == "thread":
         return ThreadBackend(sharded, workers=workers)
     if backend == "process":
@@ -784,7 +889,9 @@ __all__ = [
     "ThreadBackend",
     "Update",
     "Validate",
+    "adopt_handover",
     "assign_stats",
     "execute_command",
+    "handover_state",
     "make_backend",
 ]

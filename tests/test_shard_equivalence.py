@@ -47,6 +47,14 @@ SPEC = WorkloadSpec(
 )
 
 
+def shard_outcome_counts(sharded):
+    """Per-shard update-outcome counters as the coordinator sees them."""
+    return [
+        (dict(shard.strategy.outcome_counts), shard.strategy.update_count)
+        for shard in sharded.shards
+    ]
+
+
 def run_workload(index, spec=SPEC):
     """Drive the seeded workload through any facade; return its outcomes."""
     generator = WorkloadGenerator(spec)
@@ -289,6 +297,7 @@ class TestExecutionBackendEquivalence:
         }
         io = sharded.io_snapshot().as_dict()
         shard_io = [shard.stats.as_dict() for shard in sharded.shards]
+        outcome_counts = shard_outcome_counts(sharded)
         migrations = sharded.migrations
         if backend != "serial":
             sharded.detach_parallel()
@@ -300,6 +309,8 @@ class TestExecutionBackendEquivalence:
             "positions": positions,
             "io": io,
             "shard_io": shard_io,
+            "outcome_counts": outcome_counts,
+            "outcome_counts_detached": shard_outcome_counts(sharded),
             "migrations": migrations,
         }
 
@@ -335,6 +346,7 @@ class TestExecutionBackendEquivalence:
                 },
                 sharded.io_snapshot().as_dict(),
                 [shard.stats.as_dict() for shard in sharded.shards],
+                shard_outcome_counts(sharded),
             )
             if backend != "serial":
                 sharded.detach_parallel()

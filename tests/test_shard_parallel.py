@@ -4,7 +4,8 @@ The equivalence suite (``tests/test_shard_equivalence.py``) proves that
 serial, thread and process execution compute identical answers and I/O
 counters; this file covers the backend machinery itself: lifecycle,
 kernel-backend propagation into workers, spec/checkpoint round-trips,
-detach state sync, the engine guard, rebalancing between workers, what an
+detach state sync, the engine guard, rebalancing between workers, the
+serial executor's round trips counted through a recording fake, what an
 attach is allowed to cost, and what a dead or hung worker turns into.
 """
 
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from repro.api import IndexBuilder, Update, index_spec, open_index
+from repro.api import IndexBuilder, RangeQuery, Update, index_spec, open_index
 from repro.api.errors import OperationError, WorkerFailedError
 from repro.core import IndexConfig, MovingObjectIndex, persistence
 from repro.core.persistence import load_index, save_index
@@ -272,6 +273,81 @@ class TestRemoteRebalance:
         serial.validate()
 
 
+class RecordingBackend(shard_parallel.ShardBackend):
+    """The in-process executor, logging every round trip it is asked for.
+
+    One entry per ``run``/``dispatch`` call: the ``(shard, command kind)``
+    pairs it carried — what a process backend would put on its pipes.
+    """
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self.round_trips = []
+
+    def run(self, shard_id, command):
+        self.round_trips.append([(shard_id, type(command).__name__)])
+        return super().run(shard_id, command)
+
+    def dispatch(self, per_shard):
+        self.round_trips.append(
+            [(sid, type(c).__name__) for sid, cs in per_shard.items() for c in cs]
+        )
+        return super().dispatch(per_shard)
+
+
+class TestRecordedRoundTrips:
+    """The serial path's round trips, counted: the baseline a change that
+    folds migrations into the flush message or pipelines kNN probes must
+    bring *down*."""
+
+    @pytest.fixture
+    def recorded(self):
+        index, generator = build_sharded()
+        index._backend = recorder = RecordingBackend(index)
+        return index, generator, recorder
+
+    def test_batch_tick_with_range_barriers(self, recorded):
+        index, generator, recorder = recorded
+        updates = [Update(oid, new) for oid, _old, new in generator.updates(245)]
+        windows = list(generator.queries())[:5]
+        ops = []
+        for segment, window in enumerate(windows):
+            ops.extend(updates[segment * 41 : (segment + 1) * 41])
+            ops.append(RangeQuery(window))
+        ops.extend(updates[5 * 41 :])
+        result = index.execute_many(ops)
+        kinds = [sorted({kind for _sid, kind in trip}) for trip in recorder.round_trips]
+        migrations = sum(1 for trip in kinds if trip == ["Delete"])
+        assert migrations == result.migrations == 14
+        assert kinds.count(["Insert"]) == migrations
+        assert kinds.count(["ApplyBatch"]) == 6  # one per barrier segment
+        assert kinds.count(["Range"]) == 5  # one per barrier, all its shards
+        assert len(recorder.round_trips) == 6 + 5 + 2 * migrations
+        assert sum(len(trip) for trip in recorder.round_trips) == 58
+        for trip in recorder.round_trips:
+            shard_ids = [sid for sid, _kind in trip]
+            assert len(shard_ids) == len(set(shard_ids))  # one command per shard
+
+    def test_range_query_is_one_round_trip(self, recorded):
+        index, _generator, recorder = recorded
+        window = Rect(0.3, 0.3, 0.7, 0.7)
+        index.range_query(window)
+        assert recorder.round_trips == [[(sid, "Range") for sid in range(4)]]
+
+    def test_knn_probes_visited_shards_only(self, recorded):
+        index, _generator, recorder = recorded
+        point = Point(0.1, 0.1)
+        best = index.knn(point, 5)
+        assert recorder.round_trips == [[(0, "KNNProbe")]]
+        radius = best[-1][0]
+        for shard_id in range(1, 4):
+            bound = index.shards[shard_id].tree.root_mbr()
+            assert bound.min_distance_to_point(point) > radius  # pruned
+        recorder.round_trips.clear()
+        index.knn(Point(0.5, 0.5), 5)
+        assert [trip[0][1] for trip in recorder.round_trips] == ["KNNProbe"] * 4
+
+
 class TestStreamingUnderBackend:
     def test_stream_query_matches_range_query(self):
         index, generator = build_sharded()
@@ -377,7 +453,7 @@ class TestWorkerFailureSurface:
         with pytest.raises(WorkerFailedError, match="worker 0 failed") as raised:
             # An update for an object the worker has never seen violates
             # the routed-command contract and surfaces as a worker error.
-            index._dispatch_one(0, shard_parallel.Update(999_999, Point(0, 0)))
+            index._backend.run(0, shard_parallel.Update(999_999, Point(0, 0)))
         assert isinstance(raised.value, RuntimeError)
         # The worker is alive and in step: only that command failed.
         assert len(index.range_query(self.WINDOW)) == SPEC.num_objects
