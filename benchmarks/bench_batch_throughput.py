@@ -31,7 +31,7 @@ from repro.geometry import Rect
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 STRATEGIES = ["TD", "NAIVE", "LBU", "GBU"]
-REPORT_PATH = Path(__file__).parent / "reports" / "batch_throughput.txt"
+REPORT_PATH = Path(__file__).parent / "reports" / "batch_vs_per_op.txt"
 
 
 def build_spec(objects: int, updates: int, distribution: str, seed: int) -> WorkloadSpec:

@@ -1,23 +1,24 @@
 """Shared fixtures for the benchmark suite.
 
-Every file under ``benchmarks/`` regenerates one table or figure of the paper
-through :mod:`repro.bench.figures` and is executed with pytest-benchmark
-(``pytest benchmarks/ --benchmark-only``).
+``bench_figures.py`` runs every row of the figure table
+(:mod:`repro.bench.figures`) once through pytest-benchmark and checks the
+row's paper-shape predicate; the other ``bench_*.py`` files are standalone
+subsystem benchmarks.
 
 Workload scale
 --------------
-The paper's experiments run millions of objects and updates; the benchmark
-suite defaults to a scale that finishes in a few minutes on a laptop.  Set
-the ``REPRO_BENCH_SCALE`` environment variable to grow every workload
-proportionally, e.g.::
+The paper's experiments run millions of objects and updates; the figure
+benchmarks default to a scale that finishes in about a minute on a laptop.
+Set the ``REPRO_BENCH_SCALE`` environment variable to grow every workload
+proportionally (and ``REPRO_BENCH_SEED`` to change the workload seed), e.g.::
 
-    REPRO_BENCH_SCALE=4 pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=4 pytest benchmarks/bench_figures.py
 
 Reports
 -------
-Each benchmark renders its figure as a text table (the same series the paper
-plots) and writes it to ``benchmarks/reports/<figure>.txt`` so the numbers
-survive the pytest run.
+Each figure is rendered as a text table (the same series the paper plots)
+and written to ``benchmarks/reports/<figure>.txt``, which is not tracked:
+``FIGURES.json`` at the repository root is the checked-in record.
 """
 
 from __future__ import annotations
@@ -27,10 +28,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import get_figure, render_figure_result
+# The paper-shape predicates live in the library; rewrite their asserts so a
+# failing one reports the values it compared.
+pytest.register_assert_rewrite("repro.bench.figures")
+
+from repro.bench import get_figure, render_figure_result  # noqa: E402
 
 #: Default scale of the benchmark workloads (1.0 = the quick scale used by
-#: the CLI; the unit tests use far smaller scales).
+#: the CLI; the recorded table uses 0.05).
 DEFAULT_SCALE = 0.5
 
 REPORT_DIRECTORY = Path(__file__).parent / "reports"
@@ -38,12 +43,9 @@ REPORT_DIRECTORY = Path(__file__).parent / "reports"
 
 def bench_scale() -> float:
     """Scale multiplier for the benchmark workloads."""
-    value = os.environ.get("REPRO_BENCH_SCALE", "")
     try:
-        scale = float(value)
-    except ValueError:
-        scale = DEFAULT_SCALE
-    if not value:
+        scale = float(os.environ.get("REPRO_BENCH_SCALE", ""))
+    except ValueError:  # unset or not a number
         scale = DEFAULT_SCALE
     return max(scale, 0.05)
 
@@ -71,7 +73,7 @@ def figure_runner(benchmark, scale, seed):
     """Run a figure definition once under pytest-benchmark and report it.
 
     Returns the list of :class:`~repro.bench.metrics.MetricRow` produced, so
-    the calling benchmark can additionally assert the expected shape.
+    the calling benchmark can check the figure's paper shape.
     """
 
     def _run(figure_key: str):

@@ -7,16 +7,17 @@ This package regenerates every table and figure of the paper's evaluation
   update and per query, CPU time, throughput, update-outcome mix);
 * :mod:`repro.bench.experiment` — runs one (index configuration, workload)
   pair through the load / update / query phases and collects metrics;
-* :mod:`repro.bench.figures` — one experiment definition per paper figure
-  (Figures 5(a)-(h), 6(a)-(h), 7, 8, Table 1, the Section 4 cost analysis
-  and the Section 3.1 naive-fallback observation);
+* :mod:`repro.bench.figures` — the figure table: one row per paper figure
+  (Figures 5(a)-(h), 6(a)-(h), 7, 8, Table 1, the Section 4 cost analysis,
+  the Section 3.1 naive-fallback observation and the engine figures), each
+  with its runner and its paper-shape predicate;
 * :mod:`repro.bench.reporting` — renders results as aligned text tables, the
-  same rows/series the paper plots;
+  same rows/series the paper plots, and as the ``FIGURES.json`` table;
 * :mod:`repro.bench.cli` — ``rtree-bottomup-bench``, a command-line front end.
 
-The pytest-benchmark files under ``benchmarks/`` are thin wrappers around
-:mod:`repro.bench.figures`; running them writes the same reports the CLI
-prints.
+``FIGURES.json`` at the repository root records every row's non-timing
+columns at scale 0.05; the tier-1 suite regenerates and compares them, and
+``benchmarks/bench_figures.py`` checks every predicate at bench scale.
 """
 
 from repro.bench.experiment import ExperimentResult, PhaseMetrics, run_experiment, run_figure_point

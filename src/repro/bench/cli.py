@@ -13,6 +13,10 @@ Examples::
 
     # run everything and write the combined report to a file
     rtree-bottomup-bench all --output results.txt
+
+    # re-record the checked-in figure table (a .json output path writes
+    # every figure's non-timing columns instead of the text report)
+    rtree-bottomup-bench all --scale 0.05 --output FIGURES.json
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.bench.figures import all_figures, get_figure
-from repro.bench.reporting import render_figure_result
+from repro.bench.figures import DEFAULT_SEED, all_figures, get_figure
+from repro.bench.metrics import MetricRow
+from repro.bench.reporting import render_figure_result, render_figures_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="workload seed")
     parser.add_argument(
-        "--output", type=str, default=None, help="write the report to this file as well"
+        "--output",
+        type=str,
+        default=None,
+        help=(
+            "write the report to this file as well; a .json path gets the "
+            "figure table (non-timing columns, the FIGURES.json format)"
+        ),
     )
     parser.add_argument(
         "--report-dir",
@@ -58,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "also write one report file per figure (<key>.txt) into this "
-            "directory, creating it if needed — the per-figure layout CI "
-            "uploads as an inspectable artifact"
+            "directory, creating it if needed"
         ),
     )
     parser.add_argument(
@@ -77,31 +87,35 @@ def list_figures() -> str:
     return "\n".join(lines)
 
 
-def run(
-    figure_key: str,
-    scale: float,
-    seed: Optional[int],
-    chart: bool = False,
-    report_dir: Optional[str] = None,
+Results = Dict[str, Tuple[List[MetricRow], float]]
+
+
+def run_figures(figure_key: str, scale: float, seed: Optional[int]) -> Results:
+    """Run one experiment (or 'all'): each figure's rows and wall-clock seconds."""
+    keys = [d.key for d in all_figures()] if figure_key == "all" else [figure_key]
+    results: Results = {}
+    for key in keys:
+        started = time.time()
+        results[key] = (get_figure(key).run(scale=scale, seed=seed), time.time() - started)
+    return results
+
+
+def render_report(
+    results: Results, scale: float, chart: bool = False, report_dir: Optional[str] = None
 ) -> str:
-    """Run one experiment (or 'all') and return the rendered report.
+    """Render the report of :func:`run_figures`.
 
     With *report_dir*, each figure's report is additionally written to
     ``<report_dir>/<figure_key>.txt`` so individual figures can be inspected
     (and uploaded as CI artifacts) without splitting the combined report.
     """
-    keys = [d.key for d in all_figures()] if figure_key == "all" else [figure_key]
     directory: Optional[Path] = None
     if report_dir is not None:
         directory = Path(report_dir)
         directory.mkdir(parents=True, exist_ok=True)
     reports: List[str] = []
-    for key in keys:
-        definition = get_figure(key)
-        started = time.time()
-        rows = definition.run(scale=scale, seed=seed)
-        elapsed = time.time() - started
-        rendered_figure = render_figure_result(definition, rows)
+    for key, (rows, elapsed) in results.items():
+        rendered_figure = render_figure_result(get_figure(key), rows)
         reports.append(rendered_figure)
         if chart:
             from repro.bench.plotting import chart_all_metrics
@@ -117,6 +131,17 @@ def run(
     return "\n".join(reports)
 
 
+def run(
+    figure_key: str,
+    scale: float,
+    seed: Optional[int],
+    chart: bool = False,
+    report_dir: Optional[str] = None,
+) -> str:
+    """Run one experiment (or 'all') and return the rendered report."""
+    return render_report(run_figures(figure_key, scale, seed), scale, chart, report_dir)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -126,19 +151,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        report = run(
-            args.figure,
-            scale=args.scale,
-            seed=args.seed,
-            chart=args.chart,
-            report_dir=args.report_dir,
-        )
-    except KeyError as error:
+        results = run_figures(args.figure, scale=args.scale, seed=args.seed)
+    except (KeyError, ValueError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
 
+    report = render_report(results, args.scale, args.chart, args.report_dir)
     print(report)
     if args.output:
+        if args.output.endswith(".json"):
+            seed = DEFAULT_SEED if args.seed is None else args.seed
+            rows = {key: key_rows for key, (key_rows, _) in results.items()}
+            report = render_figures_json(rows, args.scale, seed)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
     return 0

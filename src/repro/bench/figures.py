@@ -1,8 +1,18 @@
-"""Per-figure experiment definitions.
+"""The paper's figures as one table.
 
-Each function returns a :class:`FigureDefinition` describing one paper figure
-or table: the swept parameter, the strategies to compare, and a callable that
-produces the :class:`~repro.bench.metrics.MetricRow` series when executed.
+Every figure or table of the evaluation is one row of the table at the end of
+this module (a :class:`FigureDefinition`): its key, title, paper reference, x
+label, the runner that produces its :class:`~repro.bench.metrics.MetricRow`
+series, and the paper-shape predicate those rows must satisfy.  Ten rows are
+sweeps of :func:`~repro.bench.experiment.run_figure_point` over one axis and
+share one runner, :class:`Sweep`; the engine figures and Table 1 keep their
+own.
+
+Two gates hold the table.  ``FIGURES.json`` at the repository root records
+every row's non-timing columns at scale 0.05, seed 1, and the tier-1 suite
+regenerates and compares them (``tests/test_bench_figures.py``);
+``benchmarks/bench_figures.py`` runs every row at bench scale and calls its
+predicate, which needs workloads larger than the recorded ones.
 
 Scaling
 -------
@@ -13,60 +23,34 @@ a laptop (see DESIGN.md, "Substitutions").  Every definition accepts a
 both the object count and the update/query counts proportionally, preserving
 the density and update-pressure ratios that drive the paper's trends.
 
-The experiments and their paper counterparts:
-
-====================  =========================================================
-``table1``            Table 1 — workload / parameter values (reported, no runs)
-``fig5_epsilon``      Figures 5(a)-(d) — effect of ε on update/query I/O & CPU
-``fig5_distance``     Figures 5(e)-(f) — effect of the distance threshold D
-``fig5_max_distance`` Figures 5(g)-(h) — effect of maximum distance moved
-``fig6_level``        Figures 6(a)-(b) — effect of the level threshold ℓ
-``fig6_distribution`` Figures 6(c)-(d) — effect of the initial distribution
-``fig6_updates``      Figures 6(e)-(f) — effect of the number of updates
-``fig6_buffers``      Figures 6(g)-(h) — effect of buffer size
-``fig7_scalability``  Figure 7 — effect of dataset size
-``fig8_throughput``   Figure 8 — throughput vs. update fraction under DGL
-``contention_sweep``  Section 3.2.2 — throughput vs. number of clients on the
-                      online engine (lock-scope contention made visible)
-``batch_throughput``  beyond paper — conflict-aware batch group scheduling
-                      vs. serial group execution
-``shard_scaling``     beyond paper — concurrent makespan/throughput vs. the
-                      number of spatial shards, uniform vs. hotspot data
-``rebalance_hotspot`` beyond paper — online shard rebalancing under the
-                      hotspot workload: makespan with/without the rebalancer
-                      vs. the uniform-workload makespan at 4 shards
-``adaptive_strategy`` beyond paper — cost-model-driven per-shard strategy
-                      selection on a mixed workload where no single global
-                      strategy wins across shards
-``cost_model``        Section 4 — analytical vs. measured bottom-up cost
-``naive_fallback``    Section 3.1 — fraction of naive bottom-up updates that
-                      degrade to top-down
-``ablations``         Section 3.2.1 — GBU optimisations switched off one at a
-                      time (piggybacking, summary-assisted queries, sibling
-                      shifting)
-====================  =========================================================
+``rtree-bottomup-bench --list`` prints the table: every key, paper reference
+and title.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+import random
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.api.builder import open_index
-from repro.bench.experiment import run_figure_point
+from repro.bench.experiment import ExperimentResult, run_figure_point
 from repro.bench.metrics import MetricRow
+from repro.bench.metrics import pivot_by_strategy as _pivot
 from repro.concurrency.throughput import ThroughputExperiment, run_throughput
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.cost.model import BottomUpCostModel, TopDownCostModel, TreeShape
-from repro.shard import GridPartitioner, ShardedIndex
+from repro.geometry import Point, Rect
 from repro.update.base import BatchUpdate
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
 
 #: Strategies compared in most figures, in the paper's order.
 DEFAULT_STRATEGIES = ("TD", "LBU", "GBU")
+
+#: Workload seed of a run that names none.
+DEFAULT_SEED = 1
 
 #: Page size used by the I/O experiments.  The paper uses 1024-byte pages on
 #: a one-million-object index, which yields a height-5 tree whose leaf MBRs
@@ -93,241 +77,324 @@ TABLE1_PARAMETERS: Dict[str, Sequence] = {
     "queries_paper": (1_000_000,),
 }
 
+Rows = Sequence[MetricRow]
+
 
 @dataclass
 class FigureDefinition:
-    """A runnable description of one figure/table reproduction."""
+    """One row of the figure table: a runnable figure and its paper shape."""
 
     key: str
     title: str
     paper_reference: str
     x_label: str
-    runner: Callable[[float, Optional[int]], List[MetricRow]]
+    runner: Callable[[float, int], List[MetricRow]]
+    #: Raises ``AssertionError`` unless the rows have the paper's shape.
+    check: Callable[[Rows], None]
     notes: str = ""
     expected_shape: str = ""
 
     def run(self, scale: float = 1.0, seed: Optional[int] = None) -> List[MetricRow]:
         """Execute the experiment at the given scale; returns the metric rows."""
-        return self.runner(scale, seed)
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        return self.runner(scale, DEFAULT_SEED if seed is None else seed)
 
 
 # ---------------------------------------------------------------------------
-# Scaling helpers
+# The shared sweep runner
 # ---------------------------------------------------------------------------
 
-def _base_spec(scale: float, seed: Optional[int] = None, **overrides) -> WorkloadSpec:
+def _base_spec(scale: float, seed: int) -> WorkloadSpec:
     """The default workload at the given scale (uniform, default parameters)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    seed = 1 if seed is None else seed
-    spec = WorkloadSpec(
+    return WorkloadSpec(
         num_objects=max(500, int(4_000 * scale)),
         num_updates=max(500, int(8_000 * scale)),
         num_queries=max(100, int(400 * scale)),
         seed=seed,
     )
-    return spec.with_overrides(**overrides) if overrides else spec
 
 
-def _rows_for_point(
-    figure_x_label: str,
-    x_value,
-    strategy: str,
-    spec: WorkloadSpec,
-    config_overrides: Optional[Dict] = None,
-    param_overrides: Optional[Dict] = None,
-    label: Optional[str] = None,
-) -> MetricRow:
-    merged_overrides = {"page_size": BENCH_PAGE_SIZE}
-    if config_overrides:
-        merged_overrides.update(config_overrides)
-    result = run_figure_point(
-        strategy,
-        spec,
-        config_overrides=merged_overrides,
-        param_overrides=param_overrides,
-    )
-    return MetricRow(
-        x_label=figure_x_label,
-        x_value=x_value,
-        strategy=label if label is not None else strategy,
-        avg_update_io=result.avg_update_io,
-        avg_query_io=result.avg_query_io,
-        update_cpu_seconds=result.update_phase.cpu_seconds,
-        query_cpu_seconds=result.query_phase.cpu_seconds,
-        extras={"top_down_fraction": result.outcome_fractions.get("top_down", 0.0)},
-    )
+class Series(NamedTuple):
+    """One line of a sweep: its label, strategy and fixed overrides."""
+
+    label: str
+    strategy: str
+    params: Mapping[str, object] = {}
+    config: Mapping[str, object] = {}
+
+
+def _plain(*strategies: str) -> Tuple[Series, ...]:
+    return tuple(Series(strategy, strategy) for strategy in strategies)
+
+
+_DEFAULT_SERIES = _plain(*DEFAULT_STRATEGIES)
+
+
+#: The MetricRow columns a sweep point can report, read off its result.
+_POINT_COLUMNS: Dict[str, Callable[[ExperimentResult], float]] = {
+    "avg_update_io": lambda result: result.avg_update_io,
+    "avg_query_io": lambda result: result.avg_query_io,
+    "update_cpu_seconds": lambda result: result.update_phase.cpu_seconds,
+    "query_cpu_seconds": lambda result: result.query_phase.cpu_seconds,
+}
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """:func:`run_figure_point` for every x value and every series.
+
+    Each x value overrides the field *name* (default: *x_label*) of the
+    workload spec, the index config or the tuning parameters, as *target*
+    says; *values* may be a function of the base spec, for the axes that
+    grow with the scale.  A sweep without a target has one point per
+    series, whose x value is the series label.
+    """
+
+    x_label: str
+    series: Sequence[Series]
+    target: str = ""
+    values: Union[Sequence, Callable[[WorkloadSpec], Sequence]] = ()
+    name: str = ""
+    columns: Sequence[str] = tuple(_POINT_COLUMNS)
+    outcomes: Sequence[str] = ("top_down",)
+
+    def __call__(self, scale: float, seed: int) -> List[MetricRow]:
+        base = _base_spec(scale, seed)
+        name = self.name or self.x_label
+        values = self.values(base) if callable(self.values) else self.values
+        rows: List[MetricRow] = []
+        for x in values or (None,):
+            spec = base.with_overrides(**{name: x}) if self.target == "spec" else base
+            for series in self.series:
+                params = dict(series.params)
+                config = {"page_size": BENCH_PAGE_SIZE, **series.config}
+                if self.target == "params":
+                    params[name] = x
+                elif self.target == "config":
+                    config[name] = x
+                result = run_figure_point(
+                    series.strategy, spec, config_overrides=config, param_overrides=params
+                )
+                rows.append(
+                    MetricRow(
+                        x_label=self.x_label,
+                        x_value=series.label if x is None else x,
+                        strategy=series.label,
+                        **{column: _POINT_COLUMNS[column](result) for column in self.columns},
+                        extras={
+                            f"{outcome}_fraction": result.outcome_fractions.get(outcome, 0.0)
+                            for outcome in self.outcomes
+                        },
+                    )
+                )
+        return rows
+
+
+def _flat(pivot: Dict[object, Dict[str, float]], strategy: str) -> bool:
+    """The strategy's value is the same at every x."""
+    return len({round(values[strategy], 6) for values in pivot.values()}) == 1
+
+
+def _by_series(rows: Rows, metric: str) -> Dict[object, float]:
+    return {row.x_value: row.extras[metric] for row in rows}
 
 
 # ---------------------------------------------------------------------------
 # Table 1
 # ---------------------------------------------------------------------------
 
-def _run_table1(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    for parameter, values in TABLE1_PARAMETERS.items():
-        rows.append(
-            MetricRow(
-                x_label="parameter",
-                x_value=parameter,
-                strategy="-",
-                extras={"default": values[0] if not isinstance(values[0], str) else 0.0},
-            )
+def _run_table1(scale: float, seed: int) -> List[MetricRow]:
+    return [
+        MetricRow(
+            x_label="parameter",
+            x_value=parameter,
+            strategy="-",
+            extras={
+                "default": values[0] if not isinstance(values[0], str) else 0.0,
+                "values": ", ".join(str(v) for v in values),  # type: ignore[dict-item]
+            },
         )
-        rows[-1].extras["values"] = ", ".join(str(v) for v in values)  # type: ignore[assignment]
-    return rows
+        for parameter, values in TABLE1_PARAMETERS.items()
+    ]
+
+
+def _check_table1(rows: Rows) -> None:
+    assert {row.x_value for row in rows} == set(TABLE1_PARAMETERS)
 
 
 # ---------------------------------------------------------------------------
-# Figure 5(a)-(d): effect of epsilon
+# Figure 5: effect of epsilon (a)-(d), the distance threshold D (e)-(f) and
+# the maximum distance moved between updates (g)-(h)
 # ---------------------------------------------------------------------------
 
 EPSILON_VALUES = (0.0, 0.003, 0.007, 0.015, 0.03)
 
 
-def _run_fig5_epsilon(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    for epsilon in EPSILON_VALUES:
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(
-                _rows_for_point(
-                    "epsilon",
-                    epsilon,
-                    strategy,
-                    spec,
-                    param_overrides={"epsilon": epsilon},
-                )
-            )
-    return rows
+def _check_fig5_epsilon(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    query = _pivot(rows, "avg_query_io")
+    assert {row.strategy for row in rows} == set(DEFAULT_STRATEGIES)
+    # TD ignores epsilon entirely.
+    assert _flat(update, "TD")
+    # GBU beats TD on update I/O at every epsilon.
+    for values in update.values():
+        assert values["GBU"] < values["TD"]
+    # Larger epsilon helps GBU updates ...
+    smallest, largest = min(update), max(update)
+    assert update[largest]["GBU"] <= update[smallest]["GBU"] + 1e-9
+    # ... and hurts GBU queries.
+    assert query[largest]["GBU"] >= query[smallest]["GBU"] - 1e-9
+    # LBU queries are no better than TD queries (enlargement costs overlap).
+    for values in query.values():
+        assert values["LBU"] >= values["TD"] * 0.95
 
-
-# ---------------------------------------------------------------------------
-# Figure 5(e)-(f): effect of the distance threshold D
-# ---------------------------------------------------------------------------
 
 DISTANCE_THRESHOLD_VALUES = (0.0, 0.03, 0.3, 3.0)
 
 
-def _run_fig5_distance(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    for threshold in DISTANCE_THRESHOLD_VALUES:
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(
-                _rows_for_point(
-                    "distance_threshold",
-                    threshold,
-                    strategy,
-                    spec,
-                    param_overrides={"distance_threshold": threshold},
-                )
-            )
-    return rows
+def _check_fig5_distance(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    for values in update.values():
+        assert values["GBU"] < values["TD"]
+    # D only applies to GBU.
+    assert _flat(update, "TD") and _flat(update, "LBU")
+    # GBU's sensitivity to D is mild: max/min within 25 %.
+    gbu_values = [values["GBU"] for values in update.values()]
+    assert max(gbu_values) <= min(gbu_values) * 1.25
 
-
-# ---------------------------------------------------------------------------
-# Figure 5(g)-(h): effect of the maximum distance moved between updates
-# ---------------------------------------------------------------------------
 
 MAX_DISTANCE_VALUES = (0.003, 0.015, 0.03, 0.06, 0.1, 0.15)
 
 
-def _run_fig5_max_distance(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    for max_distance in MAX_DISTANCE_VALUES:
-        spec = _base_spec(scale, seed, max_distance=max_distance)
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(_rows_for_point("max_distance", max_distance, strategy, spec))
-    return rows
+def _check_fig5_max_distance(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    slowest, fastest = update[min(update)], update[max(update)]
+
+    # Faster movement costs more updates for every strategy (monotone trend
+    # between the slowest and the fastest setting).
+    for strategy in DEFAULT_STRATEGIES:
+        assert fastest[strategy] > slowest[strategy]
+
+    # GBU cheapest at every speed, and TD most expensive at every speed.
+    for values in update.values():
+        assert values["GBU"] <= values["TD"]
+        assert values["GBU"] <= values["LBU"] * 1.05
+        assert values["TD"] >= values["LBU"]
+
+    # The bottom-up strategies lose part of their advantage at the fastest
+    # setting (more updates escape the local repairs), so their own costs
+    # grow faster than TD's in relative terms — but GBU never loses the lead.
+    assert fastest["GBU"] / slowest["GBU"] >= fastest["TD"] / slowest["TD"]
 
 
 # ---------------------------------------------------------------------------
-# Figure 6(a)-(b): effect of the level threshold (GBU-0 .. GBU-3)
+# Figure 6: effect of the level threshold (a)-(b), the initial data
+# distribution (c)-(d), the number of updates (e)-(f) and the buffer size (g)-(h)
 # ---------------------------------------------------------------------------
 
 LEVEL_THRESHOLDS = (0, 1, 2, 3)
 LEVEL_MAX_DISTANCES = (0.03, 0.1, 0.15)
+LEVEL_SERIES = _plain("TD", "LBU") + tuple(
+    Series(f"GBU-{level}", "GBU", params={"level_threshold": level}) for level in LEVEL_THRESHOLDS
+)
 
 
-def _run_fig6_level(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    for max_distance in LEVEL_MAX_DISTANCES:
-        spec = _base_spec(scale, seed, max_distance=max_distance)
-        for strategy in ("TD", "LBU"):
-            row = _rows_for_point("max_distance", max_distance, strategy, spec)
-            rows.append(row)
+def _check_fig6_level(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    for values in update.values():
+        # Unlimited ascent is at least as good as forbidding it.
+        assert values["GBU-3"] <= values["GBU-0"] * 1.05
+        # GBU-0 (optimised localized bottom-up) does not lose to LBU.
+        assert values["GBU-0"] <= values["LBU"] * 1.10
+        # Every GBU variant beats TD.
         for level in LEVEL_THRESHOLDS:
-            row = _rows_for_point(
-                "max_distance",
-                max_distance,
-                "GBU",
-                spec,
-                param_overrides={"level_threshold": level},
-                label=f"GBU-{level}",
-            )
-            rows.append(row)
-    return rows
+            assert values[f"GBU-{level}"] < values["TD"]
+        # GBU-2 and GBU-3 are nearly equivalent (the paper notes this).
+        assert abs(values["GBU-2"] - values["GBU-3"]) <= 0.15 * values["GBU-3"] + 0.3
 
-
-# ---------------------------------------------------------------------------
-# Figure 6(c)-(d): effect of the initial data distribution
-# ---------------------------------------------------------------------------
 
 DISTRIBUTIONS = ("uniform", "gaussian", "skewed")
 
 
-def _run_fig6_distribution(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    for distribution in DISTRIBUTIONS:
-        spec = _base_spec(scale, seed, distribution=distribution)
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(_rows_for_point("distribution", distribution, strategy, spec))
-    return rows
+def _check_fig6_distribution(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    query = _pivot(rows, "avg_query_io")
 
+    # GBU is the cheapest updater on every distribution.
+    for values in update.values():
+        assert values["GBU"] <= values["TD"]
+        assert values["GBU"] <= values["LBU"] * 1.05
 
-# ---------------------------------------------------------------------------
-# Figure 6(e)-(f): effect of the number of updates
-# ---------------------------------------------------------------------------
+    for strategy in DEFAULT_STRATEGIES:
+        # Clustered data is at least as expensive to update as uniform data.
+        assert update["gaussian"][strategy] >= update["uniform"][strategy] * 0.9
+        # Queries on the skewed distribution are cheaper than on uniform
+        # data (most of the space is empty).  The Gaussian case is not
+        # compared: at this reproduction's scale the Gaussian cluster is
+        # tight enough that most uniformly-placed query windows miss the
+        # data entirely, which makes its queries artificially cheap (see
+        # EXPERIMENTS.md).
+        assert query["skewed"][strategy] <= query["uniform"][strategy]
+
 
 UPDATE_MULTIPLIERS = (1, 2, 3, 5, 7, 10)
 
 
-def _run_fig6_updates(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    base = _base_spec(scale, seed)
-    base_updates = max(1_000, base.num_updates // 2)
-    for multiplier in UPDATE_MULTIPLIERS:
-        spec = base.with_overrides(num_updates=base_updates * multiplier)
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(
-                _rows_for_point("num_updates", base_updates * multiplier, strategy, spec)
-            )
-    return rows
+def _update_volumes(base: WorkloadSpec) -> List[int]:
+    return [max(1_000, base.num_updates // 2) * m for m in UPDATE_MULTIPLIERS]
 
 
-# ---------------------------------------------------------------------------
-# Figure 6(g)-(h): effect of the buffer size
-# ---------------------------------------------------------------------------
+def _check_fig6_updates(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    query = _pivot(rows, "avg_query_io")
+    fewest, most = min(update), max(update)
+
+    # GBU cheapest updater at every update volume.
+    for values in update.values():
+        assert values["GBU"] < values["TD"]
+
+    # Query cost after the largest volume: GBU does not degrade more than TD.
+    assert query[most]["GBU"] <= query[most]["TD"] * 1.1
+
+    # Costs at the largest volume are not lower than at the smallest volume
+    # (the index only gets worse with churn) for the top-down baseline.
+    assert update[most]["TD"] >= update[fewest]["TD"] * 0.9
+
 
 BUFFER_PERCENTAGES = (0.0, 1.0, 3.0, 5.0, 10.0)
 
 
-def _run_fig6_buffers(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    for percent in BUFFER_PERCENTAGES:
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(
-                _rows_for_point(
-                    "buffer_percent",
-                    percent,
-                    strategy,
-                    spec,
-                    config_overrides={"buffer_percent": percent},
-                )
-            )
-    return rows
+def _check_fig6_buffers(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    query = _pivot(rows, "avg_query_io")
+    none, largest = min(update), max(update)
+
+    # Bigger buffers help every strategy (comparing the extremes).
+    for strategy in DEFAULT_STRATEGIES:
+        assert update[largest][strategy] < update[none][strategy]
+        assert query[largest][strategy] <= query[none][strategy] + 1e-9
+
+    # GBU remains the cheapest updater at the paper-relevant buffer sizes
+    # (up to 5 %); at 10 % the working set of this scaled-down index fits
+    # almost entirely in the buffer and TD catches up to within a few
+    # percent, so only near-parity is required there.
+    for percent, values in update.items():
+        if percent <= 5.0:
+            assert values["GBU"] < values["TD"]
+        else:
+            assert values["GBU"] <= values["TD"] * 1.1
+
+    # The buffer shrinks TD's disadvantage: the TD/GBU gap is smaller at the
+    # largest buffer than without a buffer.
+    gap_none = update[none]["TD"] - update[none]["GBU"]
+    gap_large = update[largest]["TD"] - update[largest]["GBU"]
+    assert gap_large <= gap_none
+
+    # Once a buffer exists LBU loses (most of) its advantage over TD — the
+    # paper's Figure 6(g) observation.  At the largest buffer LBU must not be
+    # meaningfully cheaper than TD anymore.
+    assert update[largest]["LBU"] >= update[largest]["TD"] * 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +404,27 @@ def _run_fig6_buffers(scale: float, seed: Optional[int]) -> List[MetricRow]:
 DATASET_MULTIPLIERS = (1, 2, 5, 10)
 
 
-def _run_fig7_scalability(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    base = _base_spec(scale, seed)
-    base_objects = max(500, base.num_objects // 2)
-    for multiplier in DATASET_MULTIPLIERS:
-        spec = base.with_overrides(num_objects=base_objects * multiplier)
-        for strategy in DEFAULT_STRATEGIES:
-            rows.append(
-                _rows_for_point("num_objects", base_objects * multiplier, strategy, spec)
-            )
-    return rows
+def _dataset_sizes(base: WorkloadSpec) -> List[int]:
+    return [max(500, base.num_objects // 2) * m for m in DATASET_MULTIPLIERS]
+
+
+def _check_fig7_scalability(rows: Rows) -> None:
+    update = _pivot(rows, "avg_update_io")
+    query = _pivot(rows, "avg_query_io")
+    smallest, largest = query[min(query)], query[max(query)]
+
+    # GBU cheapest updater at every dataset size.
+    for values in update.values():
+        assert values["GBU"] < values["TD"]
+
+    # Query cost rises with density for every strategy (largest vs smallest).
+    for strategy in DEFAULT_STRATEGIES:
+        assert largest[strategy] > smallest[strategy]
+
+    # Query costs converge at the largest size: the relative spread between
+    # the best and worst strategy stays within ~50 % (the paper reports
+    # "pretty much the same" query cost for all techniques at scale).
+    assert max(largest.values()) <= min(largest.values()) * 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +444,36 @@ THROUGHPUT_QUERY_SIDE = 0.15
 THROUGHPUT_CLIENTS = 16
 
 
-def _run_fig8_throughput(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _throughput_workload(scale: float, seed: int) -> Tuple[WorkloadSpec, int]:
+    """The online figures' initial placement and their operation count."""
+    spec = WorkloadSpec(
+        num_objects=max(1_000, int(8_000 * scale)),
+        num_updates=0,
+        num_queries=0,
+        seed=seed,
+        query_max_side=THROUGHPUT_QUERY_SIDE,
+    )
+    return spec, max(200, int(1_000 * scale))
+
+
+def _throughput_row(x_label: str, x_value, strategy: str, result) -> MetricRow:
+    return MetricRow(
+        x_label=x_label,
+        x_value=x_value,
+        strategy=strategy,
+        throughput=result.throughput,
+        extras={
+            "lock_waits": float(result.lock_waits),
+            "utilisation": result.utilisation,
+        },
+    )
+
+
+def _run_fig8_throughput(scale: float, seed: int) -> List[MetricRow]:
     rows: List[MetricRow] = []
-    seed = 1 if seed is None else seed
-    num_objects = max(1_000, int(8_000 * scale))
-    num_operations = max(200, int(1_000 * scale))
+    spec, num_operations = _throughput_workload(scale, seed)
     for fraction in UPDATE_FRACTIONS:
         for strategy in DEFAULT_STRATEGIES:
-            spec = WorkloadSpec(
-                num_objects=num_objects,
-                num_updates=0,
-                num_queries=0,
-                seed=seed,
-                query_max_side=THROUGHPUT_QUERY_SIDE,
-            )
             generator = WorkloadGenerator(spec)
             index = MovingObjectIndex(IndexConfig(strategy=strategy))
             index.load(generator.initial_objects())
@@ -390,19 +483,28 @@ def _run_fig8_throughput(scale: float, seed: Optional[int]) -> List[MetricRow]:
                 num_clients=THROUGHPUT_CLIENTS,
             )
             result = run_throughput(index, generator, experiment)
-            rows.append(
-                MetricRow(
-                    x_label="update_fraction",
-                    x_value=fraction,
-                    strategy=strategy,
-                    throughput=result.throughput,
-                    extras={
-                        "lock_waits": float(result.lock_waits),
-                        "utilisation": result.utilisation,
-                    },
-                )
-            )
+            rows.append(_throughput_row("update_fraction", fraction, strategy, result))
     return rows
+
+
+def _check_fig8_throughput(rows: Rows) -> None:
+    throughput = _pivot(rows, "throughput")
+
+    # TD loses throughput as the update share rises.
+    assert throughput[max(throughput)]["TD"] < throughput[min(throughput)]["TD"]
+
+    # GBU's throughput at a pure-update mix is at least as high as at a
+    # balanced mix (the paper's "reverse" trend).
+    assert throughput[1.0]["GBU"] >= throughput[0.5]["GBU"] * 0.95
+
+    # GBU is consistently at or above TD whenever updates are present
+    # (pure-query mixes are identical by construction).
+    for fraction, values in throughput.items():
+        if fraction > 0.0:
+            assert values["GBU"] >= values["TD"]
+
+    # At a pure-update mix the GBU advantage over TD is substantial.
+    assert throughput[1.0]["GBU"] >= throughput[1.0]["TD"] * 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +515,16 @@ CONTENTION_CLIENT_COUNTS = (1, 4, 16, 50)
 CONTENTION_UPDATE_FRACTION = 0.75
 
 
-def _run_contention_sweep(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _run_online(index_spec: Dict, workload: WorkloadSpec, num_operations: int, update_fraction: float):
+    """Load *workload* into ``open_index(index_spec)`` and run its mixed
+    stream on the index's engine session; returns the index and the result."""
+    generator = WorkloadGenerator(workload)
+    index = open_index(index_spec)
+    index.load(generator.initial_objects())
+    return index, index.engine().run_mixed(generator, num_operations, update_fraction)
+
+
+def _run_contention_sweep(scale: float, seed: int) -> List[MetricRow]:
     """Sweep the number of virtual clients at a fixed update-heavy mix.
 
     Every point runs **online**: the engine deals the generator's mixed
@@ -423,46 +534,43 @@ def _run_contention_sweep(scale: float, seed: Optional[int]) -> List[MetricRow]:
     argument the record/replay pipeline could not show.
     """
     rows: List[MetricRow] = []
-    seed = 1 if seed is None else seed
-    num_objects = max(1_000, int(8_000 * scale))
-    num_operations = max(200, int(1_000 * scale))
+    spec, num_operations = _throughput_workload(scale, seed)
     for clients in CONTENTION_CLIENT_COUNTS:
         for strategy in DEFAULT_STRATEGIES:
-            spec = WorkloadSpec(
-                num_objects=num_objects,
-                num_updates=0,
-                num_queries=0,
-                seed=seed,
-                query_max_side=THROUGHPUT_QUERY_SIDE,
-            )
-            generator = WorkloadGenerator(spec)
             # Declarative construction (API v2): one spec names the index
             # kind, configuration and session defaults.
-            index = open_index(
+            _, result = _run_online(
                 {
                     "kind": "single",
                     "config": {"strategy": strategy},
                     "engine": {"num_clients": clients},
-                }
+                },
+                spec,
+                num_operations,
+                CONTENTION_UPDATE_FRACTION,
             )
-            index.load(generator.initial_objects())
-            session = index.engine()
-            result = session.run_mixed(
-                generator, num_operations, CONTENTION_UPDATE_FRACTION
-            )
-            rows.append(
-                MetricRow(
-                    x_label="num_clients",
-                    x_value=clients,
-                    strategy=strategy,
-                    throughput=result.throughput,
-                    extras={
-                        "lock_waits": float(result.lock_waits),
-                        "utilisation": result.utilisation,
-                    },
-                )
-            )
+            rows.append(_throughput_row("num_clients", clients, strategy, result))
     return rows
+
+
+def _check_contention_sweep(rows: Rows) -> None:
+    throughput = _pivot(rows, "throughput")
+    fewest, most = min(throughput), max(throughput)
+    assert fewest == 1
+
+    # More clients never hurt: the engine's all-or-nothing acquisition has
+    # no lock thrashing, so throughput is monotone up to saturation noise.
+    for strategy in DEFAULT_STRATEGIES:
+        assert throughput[most][strategy] >= throughput[fewest][strategy]
+
+    # Bottom-up updates lock fewer exclusive granules, so under many clients
+    # the bottom-up strategies sustain a higher transaction rate than TD.
+    assert throughput[most]["LBU"] >= throughput[most]["TD"]
+    assert throughput[most]["GBU"] >= throughput[most]["TD"]
+
+    # A lone client never waits for a lock; several clients do contend.
+    assert all(row.extras["lock_waits"] == 0 for row in rows if row.x_value == 1)
+    assert any(row.extras["lock_waits"] > 0 for row in rows if row.x_value > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +581,15 @@ BATCH_SCHEDULING_CLIENTS = 16
 BATCH_SCHEDULING_STRATEGIES = ("TD", "NAIVE", "LBU", "GBU")
 
 
-def _run_batch_throughput(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _run_batch_throughput(scale: float, seed: int) -> List[MetricRow]:
     """Makespan of one Gaussian update batch: serial groups vs. the engine.
 
     The same batch is planned into group-by-leaf buckets twice; the serial
     run drains them on one virtual client (the PR 1 pipeline's semantics),
     the concurrent run schedules non-conflicting groups in parallel under
-    their ``group_lock_scope()`` granule sets.  Concurrent makespan must be
-    strictly lower whenever at least two groups are disjoint.
+    their ``group_lock_scope()`` granule sets.
     """
     rows: List[MetricRow] = []
-    seed = 1 if seed is None else seed
     num_objects = max(1_000, int(4_000 * scale))
     num_updates = max(1_000, int(10_000 * scale))
     for strategy in BATCH_SCHEDULING_STRATEGIES:
@@ -527,6 +633,13 @@ def _run_batch_throughput(scale: float, seed: Optional[int]) -> List[MetricRow]:
     return rows
 
 
+def _check_batch_throughput(rows: Rows) -> None:
+    assert {row.strategy for row in rows} == set(BATCH_SCHEDULING_STRATEGIES)
+    for row in rows:
+        assert row.extras["concurrent_makespan"] < row.extras["serial_makespan"]
+        assert row.extras["speedup"] > 1.0
+
+
 # ---------------------------------------------------------------------------
 # Shard scaling: concurrent makespan vs. number of spatial shards
 # ---------------------------------------------------------------------------
@@ -536,7 +649,7 @@ SHARD_SCALING_CLIENTS = 16
 SHARD_SCALING_WORKLOADS = ("uniform", "hotspot")
 
 
-def _run_shard_scaling(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _run_shard_scaling(scale: float, seed: int) -> List[MetricRow]:
     """Concurrent makespan of an update stream vs. the shard count.
 
     Every point runs the same seeded update stream through a
@@ -549,27 +662,20 @@ def _run_shard_scaling(scale: float, seed: Optional[int]) -> List[MetricRow]:
     shard's tree — is exactly the axis this figure isolates.  The bottom-up
     strategies already removed that height dependence per the paper's own
     argument, which is why they are not the interesting series here.
-
-    The hotspot variant runs the identical pipeline on the Zipf-skewed
-    hotspot distribution: a uniform grid then concentrates objects (and
-    update traffic) on few shards, so the reported shard imbalance grows
-    and the makespan win shrinks — the skew caveat reported alongside.
     """
     rows: List[MetricRow] = []
-    seed = 1 if seed is None else seed
     num_objects = max(1_000, int(8_000 * scale))
     num_operations = max(300, int(1_000 * scale))
     for distribution in SHARD_SCALING_WORKLOADS:
+        spec = WorkloadSpec(
+            num_objects=num_objects,
+            num_updates=0,
+            num_queries=0,
+            seed=seed,
+            distribution=distribution,
+        )
         for num_shards in SHARD_COUNTS:
-            spec = WorkloadSpec(
-                num_objects=num_objects,
-                num_updates=0,
-                num_queries=0,
-                seed=seed,
-                distribution=distribution,
-            )
-            generator = WorkloadGenerator(spec)
-            index = open_index(
+            index, result = _run_online(
                 {
                     "kind": "sharded",
                     "shards": num_shards,
@@ -579,12 +685,10 @@ def _run_shard_scaling(scale: float, seed: Optional[int]) -> List[MetricRow]:
                         "buffer_percent": 0.0,
                     },
                     "engine": {"num_clients": SHARD_SCALING_CLIENTS},
-                }
-            )
-            index.load(generator.initial_objects())
-            session = index.engine()
-            result = session.run_mixed(
-                generator, num_operations, update_fraction=1.0
+                },
+                spec,
+                num_operations,
+                update_fraction=1.0,
             )
             populations = index.shard_populations()
             rows.append(
@@ -608,6 +712,30 @@ def _run_shard_scaling(scale: float, seed: Optional[int]) -> List[MetricRow]:
     return rows
 
 
+def _check_shard_scaling(rows: Rows) -> None:
+    makespan = _pivot(rows, "makespan")
+    imbalance = _pivot(rows, "imbalance")
+    migrations = _pivot(rows, "migrations")
+    assert {row.strategy for row in rows} == set(SHARD_SCALING_WORKLOADS)
+    assert sorted(makespan) == list(SHARD_COUNTS)
+
+    # Acceptance criterion: multi-shard concurrent makespan strictly below
+    # the single-shard makespan at 4+ shards on the uniform workload.
+    for num_shards in makespan:
+        if num_shards >= 4:
+            assert makespan[num_shards]["uniform"] < makespan[1]["uniform"]
+
+    # The hotspot variant is reported alongside, with a measurably less
+    # balanced shard assignment than the uniform workload.
+    most = max(makespan)
+    assert imbalance[most]["hotspot"] > imbalance[most]["uniform"]
+
+    # Sharded execution is not free: boundary-crossing updates migrate, and
+    # only once there is a boundary to cross.
+    assert migrations[most]["uniform"] > 0
+    assert all(migrations[1][series] == 0 for series in SHARD_SCALING_WORKLOADS)
+
+
 # ---------------------------------------------------------------------------
 # Rebalance hotspot: online boundary adjustment vs. the static grid
 # ---------------------------------------------------------------------------
@@ -623,7 +751,7 @@ REBALANCE_HOTSPOT_PAGE_SIZE = 256
 REBALANCE_HOTSPOT_POLICY = {"threshold": 1.5, "min_ops": 150, "cooldown": 100_000}
 
 
-def _run_rebalance_hotspot(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _run_rebalance_hotspot(scale: float, seed: int) -> List[MetricRow]:
     """Hotspot makespan with the online rebalancer vs. the static grid.
 
     Three runs of the same seeded pure-update stream at 4 shards and a
@@ -633,21 +761,14 @@ def _run_rebalance_hotspot(scale: float, seed: Optional[int]) -> List[MetricRow]
     on the static grid (a sharply skewed Zipf distribution concentrates
     ~85 % of the objects and update traffic on one shard, whose tree grows
     a level taller), and the hotspot workload with the **rebalancer**
-    attached.  The rebalancer observes the skew, re-cuts the partition
-    boundaries by load, and migrates the displaced objects through
-    conflict-scheduled engine batches — bulk leaf groups interleaved with
-    the live clients — with the one-off migration cost paid inside the
-    measured makespan.  Expected shape — and the acceptance assertion of
-    ``benchmarks/bench_rebalance_hotspot.py``: the rebalanced hotspot
-    makespan is strictly below the static hotspot makespan and within 1.5x
-    of the uniform makespan.
+    attached, whose one-off migration cost is paid inside the measured
+    makespan.
 
     The workload floors are deliberately high relative to *scale*: the
     rebalancer's one-off migration cost only amortises over a long enough
     update stream, which is exactly the regime the figure demonstrates.
     """
     rows: List[MetricRow] = []
-    seed = 1 if seed is None else seed
     num_objects = max(1_200, int(1_200 * scale))
     num_operations = max(9_600, int(9_600 * scale))
     variants = (
@@ -665,7 +786,6 @@ def _run_rebalance_hotspot(scale: float, seed: Optional[int]) -> List[MetricRow]
             hotspot_cells=2,
             hotspot_exponent=3.0,
         )
-        generator = WorkloadGenerator(spec)
         index_spec: Dict = {
             "kind": "sharded",
             "shards": REBALANCE_HOTSPOT_SHARDS,
@@ -678,10 +798,7 @@ def _run_rebalance_hotspot(scale: float, seed: Optional[int]) -> List[MetricRow]
         }
         if rebalance:
             index_spec["rebalance"] = dict(REBALANCE_HOTSPOT_POLICY)
-        index = open_index(index_spec)
-        index.load(generator.initial_objects())
-        session = index.engine()
-        result = session.run_mixed(generator, num_operations, update_fraction=1.0)
+        index, result = _run_online(index_spec, spec, num_operations, update_fraction=1.0)
         rows.append(
             MetricRow(
                 x_label="series",
@@ -705,6 +822,28 @@ def _run_rebalance_hotspot(scale: float, seed: Optional[int]) -> List[MetricRow]
             )
         )
     return rows
+
+
+def _check_rebalance_hotspot(rows: Rows) -> None:
+    makespan = _by_series(rows, "makespan")
+    imbalance = _by_series(rows, "imbalance")
+    rebalances = _by_series(rows, "rebalances")
+    assert set(makespan) == {"uniform", "hotspot", "hotspot+rebalance"}
+
+    # Acceptance criterion: the rebalancer — including the one-off migration
+    # cost — strictly beats the static grid on the hotspot workload and
+    # lands within 1.5x of the uniform makespan.
+    assert makespan["hotspot+rebalance"] < makespan["hotspot"]
+    assert makespan["hotspot+rebalance"] <= 1.5 * makespan["uniform"]
+
+    # The control loop ran exactly once (the cooldown prevents thrash) and
+    # actually balanced the shard populations.
+    assert rebalances["hotspot+rebalance"] == 1
+    assert rebalances["hotspot"] == 0
+    assert imbalance["hotspot+rebalance"] < imbalance["hotspot"]
+
+    # The static hotspot run shows the skew the rebalancer removes.
+    assert imbalance["hotspot"] > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -751,50 +890,35 @@ def adaptive_mixed_workload(scale: float, seed: Optional[int]):
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    import random as _random
-
-    rng = _random.Random(1 if seed is None else seed)
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     per_shard = max(3_000, int(3_000 * scale))
     steps = max(3_000, int(3_000 * scale))
-    points: List = []
-    positions: Dict[int, object] = {}
-    oid = 0
-    from repro.geometry import Point, Rect
-
-    for _ in range(per_shard):  # hot cell inside shard 0
-        p = Point(rng.uniform(0.05, 0.20), rng.uniform(0.40, 0.55))
-        points.append((oid, p))
-        positions[oid] = p
-        oid += 1
-    for _ in range(per_shard):  # uniform spread over shard 1
-        p = Point(rng.uniform(0.55, 0.95), rng.uniform(0.05, 0.95))
-        points.append((oid, p))
-        positions[oid] = p
-        oid += 1
-    hot = list(range(per_shard))
-    cold = list(range(per_shard, 2 * per_shard))
+    hot_cell = (0.05, 0.20, 0.40, 0.55)  # inside shard 0
+    spread = (0.55, 0.95, 0.05, 0.95)  # uniform over shard 1
+    positions = [
+        Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        for x0, x1, y0, y1 in (hot_cell, spread)
+        for _ in range(per_shard)
+    ]
+    points = list(enumerate(positions))
     ops: List = []
-    for _ in range(steps):
-        o = rng.choice(hot)
+
+    def move(oids: range, step: float, x0: float, x1: float, y0: float, y1: float) -> None:
+        o = rng.choice(oids)
         p = positions[o]
-        moved = Point(
-            min(0.20, max(0.05, p.x + rng.uniform(-0.01, 0.01))),
-            min(0.55, max(0.40, p.y + rng.uniform(-0.01, 0.01))),
+        positions[o] = Point(
+            min(x1, max(x0, p.x + rng.uniform(-step, step))),
+            min(y1, max(y0, p.y + rng.uniform(-step, step))),
         )
-        positions[o] = moved
-        ops.append(("update", o, moved))
+        ops.append(("update", o, positions[o]))
+
+    for _ in range(steps):
+        move(range(per_shard), 0.01, *hot_cell)
         if rng.random() < 0.9:
             x, y = rng.uniform(0.55, 0.85), rng.uniform(0.05, 0.85)
             ops.append(("range_query", None, Rect(x, y, x + 0.1, y + 0.1)))
         else:
-            o = rng.choice(cold)
-            p = positions[o]
-            moved = Point(
-                min(0.95, max(0.55, p.x + rng.uniform(-0.02, 0.02))),
-                min(0.95, max(0.05, p.y + rng.uniform(-0.02, 0.02))),
-            )
-            positions[o] = moved
-            ops.append(("update", o, moved))
+            move(range(per_shard, 2 * per_shard), 0.02, *spread)
     return points, ops
 
 
@@ -849,14 +973,11 @@ def run_adaptive_variant(variant: str, points, ops) -> Dict:
     }
 
 
-def _run_adaptive_strategy(scale: float, seed: Optional[int]) -> List[MetricRow]:
+def _run_adaptive_strategy(scale: float, seed: int) -> List[MetricRow]:
     """Adaptive per-shard selection vs. every static global strategy.
 
-    Expected shape — and the acceptance assertion of
-    ``benchmarks/bench_adaptive_strategy.py``: the adaptive run's total
-    makespan (switch cost included) is strictly below every static global
-    strategy's, because TD wins the hot-cell update shard while GBU wins
-    the query-heavy shard and no static choice gets both.
+    Every variant must end on the same object positions: the makespans are
+    only comparable if every cell indexes the same data.
     """
     points, ops = adaptive_mixed_workload(scale, seed)
     rows: List[MetricRow] = []
@@ -886,30 +1007,42 @@ def _run_adaptive_strategy(scale: float, seed: Optional[int]) -> List[MetricRow]
     return rows
 
 
+def _check_adaptive_strategy(rows: Rows) -> None:
+    makespan = _by_series(rows, "makespan")
+    switches = _by_series(rows, "switches")
+    assert set(makespan) == set(ADAPTIVE_STRATEGY_VARIANTS)
+    # Switch cost included, adaptive is below every static global strategy.
+    for static in ADAPTIVE_STRATEGY_VARIANTS:
+        if static != "adaptive":
+            assert makespan["adaptive"] < makespan[static], static
+            assert switches[static] == 0
+    # Both shards adapted away from the NAIVE start.
+    assert switches["adaptive"] >= 2
+
+
 # ---------------------------------------------------------------------------
 # Section 4: analytical cost model vs. measurement
 # ---------------------------------------------------------------------------
 
 COST_DISTANCES = (0.003, 0.015, 0.03, 0.06, 0.1, 0.15)
 
+#: Measured counterpart of the analytic rows: GBU at the same movement scales.
+_measured_cost = Sweep("distance", _plain("GBU"), "spec", COST_DISTANCES, name="max_distance")
 
-def _run_cost_model(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    generator = WorkloadGenerator(spec)
+
+def _run_cost_model(scale: float, seed: int) -> List[MetricRow]:
     index = MovingObjectIndex(IndexConfig(strategy="GBU", page_size=BENCH_PAGE_SIZE))
-    index.load(generator.initial_objects())
+    index.load(WorkloadGenerator(_base_spec(scale, seed)).initial_objects())
     shape = TreeShape.from_tree(index.tree)
-    top_down = TopDownCostModel(shape)
     bottom_up = BottomUpCostModel(shape)
-    rows.append(
+    rows = [
         MetricRow(
             x_label="distance",
             x_value="best-case",
             strategy="TD-analytic",
-            avg_update_io=top_down.best_case_cost(),
+            avg_update_io=TopDownCostModel(shape).best_case_cost(),
         )
-    )
+    ]
     for distance in COST_DISTANCES:
         rows.append(
             MetricRow(
@@ -919,266 +1052,235 @@ def _run_cost_model(scale: float, seed: Optional[int]) -> List[MetricRow]:
                 avg_update_io=bottom_up.update_cost(distance),
             )
         )
-    # Measured counterpart: GBU at the same movement scales.
-    for distance in COST_DISTANCES:
-        measured_spec = spec.with_overrides(max_distance=distance)
-        rows.append(_rows_for_point("distance", distance, "GBU", measured_spec))
-    return rows
+    return rows + _measured_cost(scale, seed)
+
+
+def _check_cost_model(rows: Rows) -> None:
+    series: Dict[str, List[MetricRow]] = {}
+    for row in rows:
+        series.setdefault(row.strategy, []).append(row)
+    td_best_case = series["TD-analytic"][0].avg_update_io
+    analytic, measured = series["GBU-analytic"], series["GBU"]
+
+    # The analytical bottom-up cost never exceeds the top-down best case.
+    for row in analytic:
+        assert row.avg_update_io <= td_best_case
+
+    # The measured GBU update cost is bounded by the top-down best case plus
+    # a small allowance for node splits the model does not charge.
+    for row in measured:
+        assert row.avg_update_io <= td_best_case + 2.0
+
+    # Both the model and the measurement increase with the movement distance.
+    model_costs = [row.avg_update_io for row in sorted(analytic, key=lambda r: r.x_value)]
+    assert model_costs == sorted(model_costs)
+    measured_costs = [row.avg_update_io for row in sorted(measured, key=lambda r: r.x_value)]
+    assert measured_costs[-1] > measured_costs[0]
 
 
 # ---------------------------------------------------------------------------
-# Section 3.1: the naive bottom-up fallback fraction
+# Section 3: the naive bottom-up fallback fraction (3.1) and ablations of
+# GBU's optimisations (3.2.1)
 # ---------------------------------------------------------------------------
 
-def _run_naive_fallback(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    for strategy in ("NAIVE", "LBU", "GBU"):
-        result = run_figure_point(
-            strategy, spec, config_overrides={"page_size": BENCH_PAGE_SIZE}
-        )
-        rows.append(
-            MetricRow(
-                x_label="strategy",
-                x_value=strategy,
-                strategy=strategy,
-                avg_update_io=result.avg_update_io,
-                extras={
-                    "top_down_fraction": result.outcome_fractions.get("top_down", 0.0),
-                    "in_place_fraction": result.outcome_fractions.get("in_place", 0.0),
-                },
-            )
-        )
-    return rows
+def _check_naive_fallback(rows: Rows) -> None:
+    fractions = {row.strategy: row.extras["top_down_fraction"] for row in rows}
+    assert fractions["NAIVE"] > fractions["LBU"] > fractions["GBU"]
+    # The naive strategy loses the majority of its updates to top-down
+    # processing (82 % in the paper's full-scale setting).
+    assert fractions["NAIVE"] > 0.5
+    # GBU handles almost everything bottom-up.
+    assert fractions["GBU"] < 0.05
 
 
-# ---------------------------------------------------------------------------
-# Ablations of GBU's optimisations (Section 3.2.1)
-# ---------------------------------------------------------------------------
+ABLATION_VARIANTS = (
+    Series("GBU", "GBU"),
+    Series("GBU-no-piggyback", "GBU", params={"piggyback": False}),
+    Series("GBU-no-summary-queries", "GBU", config={"use_summary_for_queries": False}),
+    Series("GBU-L0", "GBU", params={"level_threshold": 0}),
+    Series("GBU-eps0", "GBU", params={"epsilon": 0.0}),
+)
 
-def _run_ablations(scale: float, seed: Optional[int]) -> List[MetricRow]:
-    rows: List[MetricRow] = []
-    spec = _base_spec(scale, seed)
-    variants = {
-        "GBU": {},
-        "GBU-no-piggyback": {"param_overrides": {"piggyback": False}},
-        "GBU-no-summary-queries": {"config_overrides": {"use_summary_for_queries": False}},
-        "GBU-L0": {"param_overrides": {"level_threshold": 0}},
-        "GBU-eps0": {"param_overrides": {"epsilon": 0.0}},
-    }
-    for label, overrides in variants.items():
-        config_overrides = {"page_size": BENCH_PAGE_SIZE}
-        config_overrides.update(overrides.get("config_overrides") or {})
-        result = run_figure_point(
-            "GBU",
-            spec,
-            config_overrides=config_overrides,
-            param_overrides=overrides.get("param_overrides"),
-        )
-        rows.append(
-            MetricRow(
-                x_label="variant",
-                x_value=label,
-                strategy=label,
-                avg_update_io=result.avg_update_io,
-                avg_query_io=result.avg_query_io,
-                extras={"top_down_fraction": result.outcome_fractions.get("top_down", 0.0)},
-            )
-        )
-    return rows
+
+def _check_ablations(rows: Rows) -> None:
+    by_variant = {row.strategy: row for row in rows}
+    baseline = by_variant["GBU"]
+
+    # Forbidding ascent (L=0) pushes far more updates back to top-down and
+    # therefore costs update I/O.
+    no_ascent = by_variant["GBU-L0"]
+    assert no_ascent.extras["top_down_fraction"] > baseline.extras["top_down_fraction"]
+    assert no_ascent.avg_update_io >= baseline.avg_update_io
+
+    # Disabling the ε-extension cannot make updates cheaper.
+    assert by_variant["GBU-eps0"].avg_update_io >= baseline.avg_update_io * 0.98
+
+    # Disabling summary-assisted queries cannot make queries cheaper.
+    assert by_variant["GBU-no-summary-queries"].avg_query_io >= baseline.avg_query_io
+
+    # Disabling piggybacking never helps query cost (it exists to reduce
+    # overlap); allow a small tolerance for noise at benchmark scale.
+    assert by_variant["GBU-no-piggyback"].avg_query_io >= baseline.avg_query_io * 0.95
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The table
 # ---------------------------------------------------------------------------
 
-_FIGURES: Dict[str, FigureDefinition] = {}
-
-
-def _register(definition: FigureDefinition) -> None:
-    _FIGURES[definition.key] = definition
-
-
-_register(FigureDefinition(
-    key="table1",
-    title="Workload parameters and their values",
-    paper_reference="Table 1",
-    x_label="parameter",
-    runner=_run_table1,
-    notes="Reported verbatim; paper-scale counts are recorded in WorkloadSpec.",
-))
-_register(FigureDefinition(
-    key="fig5_epsilon",
-    title="Effect of epsilon on update and query cost",
-    paper_reference="Figure 5(a)-(d)",
-    x_label="epsilon",
-    runner=_run_fig5_epsilon,
-    expected_shape="GBU lowest update I/O; larger eps helps GBU updates, hurts queries; LBU above TD.",
-))
-_register(FigureDefinition(
-    key="fig5_distance",
-    title="Effect of the distance threshold D",
-    paper_reference="Figure 5(e)-(f)",
-    x_label="distance threshold",
-    runner=_run_fig5_distance,
-    expected_shape="GBU best throughout; TD/LBU flat (D only applies to GBU).",
-))
-_register(FigureDefinition(
-    key="fig5_max_distance",
-    title="Effect of the maximum distance moved between updates",
-    paper_reference="Figure 5(g)-(h)",
-    x_label="max distance moved",
-    runner=_run_fig5_max_distance,
-    expected_shape="All strategies degrade with faster movement; TD degrades the most; GBU best.",
-))
-_register(FigureDefinition(
-    key="fig6_level",
-    title="Effect of the level threshold (ascending the R-tree)",
-    paper_reference="Figure 6(a)-(b)",
-    x_label="max distance moved",
-    runner=_run_fig6_level,
-    expected_shape="GBU-3 ~ GBU-2 best; GBU-0 better than LBU; TD worst at high speeds.",
-))
-_register(FigureDefinition(
-    key="fig6_distribution",
-    title="Effect of the initial data distribution",
-    paper_reference="Figure 6(c)-(d)",
-    x_label="distribution",
-    runner=_run_fig6_distribution,
-    expected_shape="Updates cheapest on uniform; skewed queries cheap (mostly empty space).",
-))
-_register(FigureDefinition(
-    key="fig6_updates",
-    title="Effect of the number of updates",
-    paper_reference="Figure 6(e)-(f)",
-    x_label="number of updates",
-    runner=_run_fig6_updates,
-    expected_shape="Costs grow with update volume; GBU lowest update cost and best query cost after many updates.",
-))
-_register(FigureDefinition(
-    key="fig6_buffers",
-    title="Effect of the buffer size",
-    paper_reference="Figure 6(g)-(h)",
-    x_label="buffer (% of database)",
-    runner=_run_fig6_buffers,
-    expected_shape="Everything improves with buffering; LBU drops below TD once a buffer exists; GBU best.",
-))
-_register(FigureDefinition(
-    key="fig7_scalability",
-    title="Scalability with the dataset size",
-    paper_reference="Figure 7(a)-(b)",
-    x_label="number of objects",
-    runner=_run_fig7_scalability,
-    expected_shape="Update cost grows slowly with dataset size; GBU remains best; query costs converge.",
-))
-_register(FigureDefinition(
-    key="fig8_throughput",
-    title="Throughput for varying update/query mixes under DGL",
-    paper_reference="Figure 8",
-    x_label="update fraction",
-    runner=_run_fig8_throughput,
-    expected_shape="TD/LBU throughput falls as updates dominate; GBU rises and stays above TD.",
-))
-_register(FigureDefinition(
-    key="contention_sweep",
-    title="Throughput vs. number of concurrent clients (online engine)",
-    paper_reference="Section 3.2.2",
-    x_label="number of clients",
-    runner=_run_contention_sweep,
-    notes="Online multi-client streams; every operation predicts and acquires its DGL lock scope.",
-    expected_shape="Throughput grows with clients until contention saturates; GBU >= LBU >= TD throughout.",
-))
-_register(FigureDefinition(
-    key="batch_throughput",
-    title="Conflict-aware batch scheduling vs. serial group execution",
-    paper_reference="beyond paper",
-    x_label="strategy",
-    runner=_run_batch_throughput,
-    notes="Group-by-leaf buckets scheduled as concurrent virtual operations under group_lock_scope().",
-    expected_shape="Concurrent makespan strictly below serial for every strategy.",
-))
-_register(FigureDefinition(
-    key="shard_scaling",
-    title="Concurrent makespan vs. number of spatial shards",
-    paper_reference="beyond paper",
-    x_label="number of shards",
-    runner=_run_shard_scaling,
-    notes=(
-        "ShardedIndex over a uniform grid, TD strategy, 0% buffer, fixed "
-        "client count; per-shard DGL lock namespaces, migrations lock both "
-        "shards.  Hotspot variant shows the skew caveat (imbalance column)."
-    ),
-    expected_shape=(
-        "Uniform: makespan at 4+ shards strictly below 1 shard (shorter "
-        "per-shard trees + conflict isolation).  Hotspot: smaller win, "
-        "higher imbalance."
-    ),
-))
-_register(FigureDefinition(
-    key="rebalance_hotspot",
-    title="Online shard rebalancing under the hotspot workload",
-    paper_reference="beyond paper",
-    x_label="series",
-    runner=_run_rebalance_hotspot,
-    notes=(
-        "4 shards, TD, 1% buffer, small pages, fixed client count; the "
-        "rebalancer monitors per-shard load, re-cuts the partition "
-        "boundaries and migrates displaced objects as conflict-scheduled "
-        "bulk leaf groups interleaved with the live clients."
-    ),
-    expected_shape=(
-        "Rebalanced hotspot makespan strictly below the static hotspot "
-        "makespan and within 1.5x of the uniform-workload makespan; final "
-        "imbalance drops towards 1."
-    ),
-))
-_register(FigureDefinition(
-    key="adaptive_strategy",
-    title="Adaptive per-shard strategy selection vs. static global strategies",
-    paper_reference="beyond paper",
-    x_label="series",
-    runner=_run_adaptive_strategy,
-    notes=(
-        "2 shards, 8% buffer: a hot-cell update shard (cached working set "
-        "-> TD wins) next to a uniform query-heavy shard (buffer-thrashing "
-        "-> GBU's summary-guided queries win).  The adaptive variant starts "
-        "on NAIVE and the cost-model controller hot-swaps each shard; the "
-        "switch cost is inside the measured makespan."
-    ),
-    expected_shape=(
-        "Adaptive total I/O makespan strictly below every static global "
-        "strategy (TD loses the query shard, GBU/LBU/NAIVE lose the "
-        "update shard)."
-    ),
-))
-_register(FigureDefinition(
-    key="cost_model",
-    title="Analytical bottom-up cost vs. measured GBU cost",
-    paper_reference="Section 4",
-    x_label="distance moved",
-    runner=_run_cost_model,
-    expected_shape="Bottom-up worst case stays below the top-down best case (2h+1).",
-))
-_register(FigureDefinition(
-    key="naive_fallback",
-    title="Fraction of bottom-up updates degrading to top-down",
-    paper_reference="Section 3.1 (82% observation)",
-    x_label="strategy",
-    runner=_run_naive_fallback,
-    expected_shape="NAIVE falls back far more often than LBU, which falls back more often than GBU.",
-))
-_register(FigureDefinition(
-    key="ablations",
-    title="GBU optimisation ablations",
-    paper_reference="Section 3.2.1",
-    x_label="variant",
-    runner=_run_ablations,
-    expected_shape="Disabling piggybacking/summary queries/ascent each costs update or query I/O.",
-))
+_FIGURES: Dict[str, FigureDefinition] = {
+    definition.key: definition
+    for definition in (
+        FigureDefinition(
+            "table1", "Workload parameters and their values", "Table 1", "parameter",
+            _run_table1, _check_table1,
+            notes="Reported verbatim; paper-scale counts are recorded in WorkloadSpec.",
+        ),
+        FigureDefinition(
+            "fig5_epsilon", "Effect of epsilon on update and query cost",
+            "Figure 5(a)-(d)", "epsilon",
+            Sweep("epsilon", _DEFAULT_SERIES, "params", EPSILON_VALUES), _check_fig5_epsilon,
+            expected_shape="GBU lowest update I/O; larger eps helps GBU updates, hurts queries; LBU above TD.",
+        ),
+        FigureDefinition(
+            "fig5_distance", "Effect of the distance threshold D",
+            "Figure 5(e)-(f)", "distance threshold",
+            Sweep("distance_threshold", _DEFAULT_SERIES, "params", DISTANCE_THRESHOLD_VALUES),
+            _check_fig5_distance,
+            expected_shape="GBU best throughout; TD/LBU flat (D only applies to GBU).",
+        ),
+        FigureDefinition(
+            "fig5_max_distance", "Effect of the maximum distance moved between updates",
+            "Figure 5(g)-(h)", "max distance moved",
+            Sweep("max_distance", _DEFAULT_SERIES, "spec", MAX_DISTANCE_VALUES),
+            _check_fig5_max_distance,
+            expected_shape="All strategies degrade with faster movement; TD degrades the most; GBU best.",
+        ),
+        FigureDefinition(
+            "fig6_level", "Effect of the level threshold (ascending the R-tree)",
+            "Figure 6(a)-(b)", "max distance moved",
+            Sweep("max_distance", LEVEL_SERIES, "spec", LEVEL_MAX_DISTANCES), _check_fig6_level,
+            expected_shape="GBU-3 ~ GBU-2 best; GBU-0 better than LBU; TD worst at high speeds.",
+        ),
+        FigureDefinition(
+            "fig6_distribution", "Effect of the initial data distribution",
+            "Figure 6(c)-(d)", "distribution",
+            Sweep("distribution", _DEFAULT_SERIES, "spec", DISTRIBUTIONS), _check_fig6_distribution,
+            expected_shape="Updates cheapest on uniform; skewed queries cheap (mostly empty space).",
+        ),
+        FigureDefinition(
+            "fig6_updates", "Effect of the number of updates",
+            "Figure 6(e)-(f)", "number of updates",
+            Sweep("num_updates", _DEFAULT_SERIES, "spec", _update_volumes), _check_fig6_updates,
+            expected_shape="Costs grow with update volume; GBU lowest update cost and best query cost after many updates.",
+        ),
+        FigureDefinition(
+            "fig6_buffers", "Effect of the buffer size",
+            "Figure 6(g)-(h)", "buffer (% of database)",
+            Sweep("buffer_percent", _DEFAULT_SERIES, "config", BUFFER_PERCENTAGES), _check_fig6_buffers,
+            expected_shape="Everything improves with buffering; LBU drops below TD once a buffer exists; GBU best.",
+        ),
+        FigureDefinition(
+            "fig7_scalability", "Scalability with the dataset size",
+            "Figure 7(a)-(b)", "number of objects",
+            Sweep("num_objects", _DEFAULT_SERIES, "spec", _dataset_sizes), _check_fig7_scalability,
+            expected_shape="Update cost grows slowly with dataset size; GBU remains best; query costs converge.",
+        ),
+        FigureDefinition(
+            "fig8_throughput", "Throughput for varying update/query mixes under DGL",
+            "Figure 8", "update fraction",
+            _run_fig8_throughput, _check_fig8_throughput,
+            expected_shape="TD/LBU throughput falls as updates dominate; GBU rises and stays above TD.",
+        ),
+        FigureDefinition(
+            "contention_sweep", "Throughput vs. number of concurrent clients (online engine)",
+            "Section 3.2.2", "number of clients",
+            _run_contention_sweep, _check_contention_sweep,
+            notes="Online multi-client streams; every operation predicts and acquires its DGL lock scope.",
+            expected_shape="Throughput grows with clients until contention saturates; GBU >= LBU >= TD throughout.",
+        ),
+        FigureDefinition(
+            "batch_throughput", "Conflict-aware batch scheduling vs. serial group execution",
+            "beyond paper", "strategy",
+            _run_batch_throughput, _check_batch_throughput,
+            notes="Group-by-leaf buckets scheduled as concurrent virtual operations under group_lock_scope().",
+            expected_shape="Concurrent makespan strictly below serial for every strategy.",
+        ),
+        FigureDefinition(
+            "shard_scaling", "Concurrent makespan vs. number of spatial shards",
+            "beyond paper", "number of shards",
+            _run_shard_scaling, _check_shard_scaling,
+            notes=(
+                "ShardedIndex over a uniform grid, TD strategy, 0% buffer, fixed "
+                "client count; per-shard DGL lock namespaces, migrations lock both "
+                "shards.  Hotspot variant shows the skew caveat (imbalance column)."
+            ),
+            expected_shape=(
+                "Uniform: makespan at 4+ shards strictly below 1 shard (shorter "
+                "per-shard trees + conflict isolation).  Hotspot: smaller win, "
+                "higher imbalance."
+            ),
+        ),
+        FigureDefinition(
+            "rebalance_hotspot", "Online shard rebalancing under the hotspot workload",
+            "beyond paper", "series",
+            _run_rebalance_hotspot, _check_rebalance_hotspot,
+            notes=(
+                "4 shards, TD, 1% buffer, small pages, fixed client count; the "
+                "rebalancer monitors per-shard load, re-cuts the partition "
+                "boundaries and migrates displaced objects as conflict-scheduled "
+                "bulk leaf groups interleaved with the live clients."
+            ),
+            expected_shape=(
+                "Rebalanced hotspot makespan strictly below the static hotspot "
+                "makespan and within 1.5x of the uniform-workload makespan; final "
+                "imbalance drops towards 1."
+            ),
+        ),
+        FigureDefinition(
+            "adaptive_strategy",
+            "Adaptive per-shard strategy selection vs. static global strategies",
+            "beyond paper", "series",
+            _run_adaptive_strategy, _check_adaptive_strategy,
+            notes=(
+                "2 shards, 8% buffer: a hot-cell update shard (cached working set "
+                "-> TD wins) next to a uniform query-heavy shard (buffer-thrashing "
+                "-> GBU's summary-guided queries win).  The adaptive variant starts "
+                "on NAIVE and the cost-model controller hot-swaps each shard; the "
+                "switch cost is inside the measured makespan."
+            ),
+            expected_shape=(
+                "Adaptive total I/O makespan strictly below every static global "
+                "strategy (TD loses the query shard, GBU/LBU/NAIVE lose the "
+                "update shard)."
+            ),
+        ),
+        FigureDefinition(
+            "cost_model", "Analytical bottom-up cost vs. measured GBU cost",
+            "Section 4", "distance moved",
+            _run_cost_model, _check_cost_model,
+            expected_shape="Bottom-up worst case stays below the top-down best case (2h+1).",
+        ),
+        FigureDefinition(
+            "naive_fallback", "Fraction of bottom-up updates degrading to top-down",
+            "Section 3.1 (82% observation)", "strategy",
+            Sweep(
+                "strategy", _plain("NAIVE", "LBU", "GBU"),
+                columns=("avg_update_io",), outcomes=("top_down", "in_place"),
+            ),
+            _check_naive_fallback,
+            expected_shape="NAIVE falls back far more often than LBU, which falls back more often than GBU.",
+        ),
+        FigureDefinition(
+            "ablations", "GBU optimisation ablations", "Section 3.2.1", "variant",
+            Sweep("variant", ABLATION_VARIANTS, columns=("avg_update_io", "avg_query_io")), _check_ablations,
+            expected_shape="Disabling piggybacking/summary queries/ascent each costs update or query I/O.",
+        ),
+    )
+}
 
 
 def all_figures() -> List[FigureDefinition]:
-    """Every registered figure definition, in registration order."""
+    """Every figure definition, in table order."""
     return list(_FIGURES.values())
 
 

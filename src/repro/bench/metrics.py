@@ -11,13 +11,13 @@ The paper reports, per experimental point:
 
 :class:`MetricRow` is one row of a result table: an x-value (the swept
 parameter), the strategy, and its measured metrics.  Rows are plain data so
-the reporting layer and the pytest benchmarks can both consume them.
+the reporting layer and the figure predicates can both consume them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 
 @dataclass
@@ -54,3 +54,18 @@ class MetricRow:
         for key, value in self.extras.items():
             row[key] = round(value, 4) if isinstance(value, float) else value
         return row
+
+
+def pivot_by_strategy(
+    rows: Sequence[MetricRow], metric: str = "avg_update_io"
+) -> Dict[object, Dict[str, float]]:
+    """Pivot rows into ``{x_value: {strategy: metric}}`` for predicates and charts."""
+    table: Dict[object, Dict[str, float]] = {}
+    for row in rows:
+        value = getattr(row, metric, None)
+        if value is None:
+            value = row.extras.get(metric)
+        if value is None:
+            continue
+        table.setdefault(row.x_value, {})[row.strategy] = value
+    return table

@@ -13,10 +13,9 @@ textual report.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.bench.metrics import MetricRow
-from repro.bench.reporting import pivot_by_strategy
+from repro.bench.metrics import MetricRow, pivot_by_strategy
 
 #: Metrics that can be charted, with their human-readable axis label.
 CHARTABLE_METRICS = {
@@ -89,24 +88,3 @@ def chart_all_metrics(rows: Sequence[MetricRow], width: int = 40) -> str:
         if chart:
             sections.append(chart)
     return "\n".join(sections)
-
-
-def series_summary(rows: Sequence[MetricRow], metric: str = "avg_update_io") -> Dict[str, Dict[str, float]]:
-    """Per-strategy min/max/mean of *metric* — a compact numeric digest.
-
-    Used by the CLI's chart mode and convenient in notebooks/tests when only
-    the envelope of a series matters.
-    """
-    pivot = pivot_by_strategy(rows, metric)
-    collected: Dict[str, List[float]] = {}
-    for values in pivot.values():
-        for name, value in values.items():
-            collected.setdefault(name, []).append(value)
-    return {
-        name: {
-            "min": min(values),
-            "max": max(values),
-            "mean": sum(values) / len(values),
-        }
-        for name, values in collected.items()
-    }

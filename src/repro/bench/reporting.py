@@ -8,10 +8,15 @@ be read off a terminal or a CI log without plotting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import json
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.bench.figures import FigureDefinition
-from repro.bench.metrics import MetricRow
+from repro.bench.metrics import MetricRow, pivot_by_strategy  # noqa: F401 (re-export)
+
+#: MetricRow fields that measure time: they differ run to run, so
+#: ``FIGURES.json`` leaves them out.
+TIMING_FIELDS = ("update_cpu_seconds", "query_cpu_seconds")
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = None) -> str:
@@ -69,16 +74,30 @@ def render_figure_result(
     return "\n".join(lines)
 
 
-def pivot_by_strategy(
-    rows: Sequence[MetricRow], metric: str = "avg_update_io"
-) -> Dict[object, Dict[str, float]]:
-    """Pivot rows into ``{x_value: {strategy: metric}}`` for tests and summaries."""
-    table: Dict[object, Dict[str, float]] = {}
-    for row in rows:
-        value = getattr(row, metric, None)
-        if value is None:
-            value = row.extras.get(metric)
-        if value is None:
-            continue
-        table.setdefault(row.x_value, {})[row.strategy] = value
-    return table
+def row_record(row: MetricRow) -> Dict[str, object]:
+    """The non-timing columns of *row*, extras flattened in, as recorded."""
+    record = {
+        name: value
+        for name, value in vars(row).items()
+        if name != "extras" and name not in TIMING_FIELDS and value is not None
+    }
+    record.update(row.extras)
+    return record
+
+
+def render_figures_json(
+    results: Mapping[str, Sequence[MetricRow]], scale: float, seed: int
+) -> str:
+    """The ``FIGURES.json`` table: every figure's records, one row per line."""
+    blocks = [
+        f"    {json.dumps(key)}: [\n"
+        + ",\n".join("      " + json.dumps(row_record(row)) for row in rows)
+        + "\n    ]"
+        for key, rows in results.items()
+    ]
+    return (
+        "{\n"
+        f'  "scale": {json.dumps(scale)},\n'
+        f'  "seed": {json.dumps(seed)},\n'
+        '  "figures": {\n' + ",\n".join(blocks) + "\n  }\n}\n"
+    )

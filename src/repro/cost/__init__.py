@@ -4,7 +4,7 @@ The paper compares the worst-case cost of a bottom-up update with the
 best-case cost of a top-down update and concludes that the former is bounded
 by the latter.  :mod:`repro.cost.model` implements those formulas so that the
 benchmark harness can place the analytical curves next to the measured
-averages (``benchmarks/bench_cost_model.py``).
+averages (the ``cost_model`` figure).
 """
 
 from repro.cost.model import (

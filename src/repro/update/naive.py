@@ -9,7 +9,7 @@ The paper reports that on one million uniformly distributed points this
 simple strategy leaves about 82 % of the updates top-down, which motivates
 both the ε-enlargement/sibling ideas of LBU and ultimately GBU.  The strategy
 is included so that observation can be reproduced (see
-``benchmarks/bench_naive_fallback.py``).
+the ``naive_fallback`` figure).
 
 Under the batch engine NAIVE inherits the base group pass unchanged — it is
 exactly this strategy's "update in place or give up" rule applied at group

@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import json
+
 import pytest
 
 from repro.bench.cli import build_parser, list_figures, main, run
@@ -55,11 +57,17 @@ class TestRunning:
         assert main(["fig99_unknown"]) == 2
         assert "unknown figure" in capsys.readouterr().err
 
-    def test_naive_fallback_runs_at_tiny_scale(self, capsys):
-        assert main(["naive_fallback", "--scale", "0.12", "--seed", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "Section 3.1" in out
-        assert "NAIVE" in out
+    def test_non_positive_scale_returns_error_code(self, capsys):
+        assert main(["fig8_throughput", "--scale", "0"]) == 2
+        assert "scale must be positive" in capsys.readouterr().err
+
+    def test_json_output_writes_the_figure_table(self, tmp_path, capsys):
+        target = tmp_path / "figures.json"
+        assert main(["table1", "--output", str(target)]) == 0
+        capsys.readouterr()
+        document = json.loads(target.read_text())
+        assert (document["scale"], document["seed"]) == (1.0, 1)
+        assert document["figures"]["table1"][0]["x_value"] == "epsilon"
 
     def test_report_dir_writes_one_file_per_figure(self, tmp_path, capsys):
         directory = tmp_path / "reports" / "nested"

@@ -1,24 +1,33 @@
-"""Tests for the per-figure experiment definitions.
+"""Tests for the figure table.
 
-Full figure runs belong to the ``benchmarks/`` suite; here the definitions
-are exercised at a very small scale to check that every registered figure
-runs, produces rows with the right labels/series, and that the cheapest
-figures reproduce their expected qualitative shape.
+The registry checks are cheap.  The gate runs every figure once at the scale
+and seed ``FIGURES.json`` records and compares every non-timing column with
+the file; the paper-shape predicates need bench-scale workloads and run in
+``benchmarks/bench_figures.py``.
 """
+
+import json
+import math
+from pathlib import Path
 
 import pytest
 
 from repro.bench import all_figures, get_figure
 from repro.bench.figures import TABLE1_PARAMETERS
-from repro.bench.reporting import pivot_by_strategy
+from repro.bench.reporting import row_record
 
-TINY = 0.12  # scale multiplier small enough for unit-test runtimes
+FIGURES_JSON = Path(__file__).resolve().parents[1] / "FIGURES.json"
+RECORD = json.loads(FIGURES_JSON.read_text(encoding="utf-8"))
+RERECORD = (
+    "PYTHONPATH=src python -m repro.bench.cli all "
+    f"--scale {RECORD['scale']:g} --seed {RECORD['seed']} --output FIGURES.json"
+)
+KEYS = [definition.key for definition in all_figures()]
 
 
 class TestRegistry:
     def test_all_registered_figures_have_unique_keys(self):
-        keys = [definition.key for definition in all_figures()]
-        assert len(keys) == len(set(keys))
+        assert len(KEYS) == len(set(KEYS))
 
     def test_every_paper_figure_is_covered(self):
         references = " ".join(definition.paper_reference for definition in all_figures())
@@ -47,153 +56,48 @@ class TestRegistry:
         assert 0.003 in TABLE1_PARAMETERS["epsilon"]
         assert "max_distance_moved" in TABLE1_PARAMETERS
 
-    def test_invalid_scale_rejected(self):
+    @pytest.mark.parametrize("key", KEYS)
+    def test_invalid_scale_rejected(self, key):
         with pytest.raises(ValueError):
-            get_figure("fig5_epsilon").run(scale=0.0)
+            get_figure(key).run(scale=0.0)
+
+    def test_every_figure_has_a_recorded_result(self):
+        assert list(RECORD["figures"]) == KEYS
 
 
-class TestTable1:
-    def test_rows_cover_every_parameter(self):
-        rows = get_figure("table1").run(scale=1.0)
-        parameters = {row.x_value for row in rows}
-        assert parameters == set(TABLE1_PARAMETERS)
+def _same(recorded, observed) -> bool:
+    numbers = (int, float)
+    if isinstance(recorded, numbers) and isinstance(observed, numbers):
+        return math.isclose(recorded, observed, rel_tol=1e-9)
+    return recorded == observed
 
 
-class TestNaiveFallbackFigure:
-    def test_fallback_ordering_matches_section_3_1(self):
-        # This figure needs a slightly larger scale than the other unit-test
-        # runs: with too few objects the leaf MBRs dwarf the movement
-        # distances and the naive strategy stops falling back.
-        rows = get_figure("naive_fallback").run(scale=0.25, seed=5)
-        fractions = {row.strategy: row.extras["top_down_fraction"] for row in rows}
-        assert fractions["NAIVE"] > fractions["LBU"] > fractions["GBU"]
-        # The naive strategy must lose a large share of its updates to
-        # top-down processing (the paper reports 82 % at full scale).
-        assert fractions["NAIVE"] > 0.45
+@pytest.mark.parametrize("key", KEYS)
+def test_figure_matches_record(key):
+    """The figure reproduces every non-timing column ``FIGURES.json`` holds.
 
-
-class TestEpsilonFigure:
-    def test_series_and_shape(self):
-        rows = get_figure("fig5_epsilon").run(scale=TINY, seed=5)
-        strategies = {row.strategy for row in rows}
-        assert strategies == {"TD", "LBU", "GBU"}
-        update_pivot = pivot_by_strategy(rows, "avg_update_io")
-        # TD ignores epsilon: identical cost at every x value.
-        td_values = {round(values["TD"], 6) for values in update_pivot.values()}
-        assert len(td_values) == 1
-        # GBU updates must be cheaper than TD at the paper's default epsilon.
-        assert update_pivot[0.003]["GBU"] < update_pivot[0.003]["TD"]
-
-
-class TestCostModelFigure:
-    def test_analytic_bound_holds(self):
-        rows = get_figure("cost_model").run(scale=TINY, seed=3)
-        by_strategy = {}
-        for row in rows:
-            by_strategy.setdefault(row.strategy, []).append(row)
-        td_best = by_strategy["TD-analytic"][0].avg_update_io
-        for row in by_strategy["GBU-analytic"]:
-            assert row.avg_update_io <= td_best
-
-
-class TestThroughputFigure:
-    def test_gbu_consistently_at_or_above_td(self):
-        # Like the fallback figure, the throughput comparison needs enough
-        # objects for lock contention not to dominate; scale 0.25 keeps the
-        # runtime in seconds while preserving the figure's shape.
-        rows = get_figure("fig8_throughput").run(scale=0.25, seed=5)
-        pivot = pivot_by_strategy(rows, "throughput")
-        for fraction, values in pivot.items():
-            if fraction == 0.0:
-                continue  # pure-query mixes are identical by construction
-            assert values["GBU"] >= values["TD"]
-
-
-class TestContentionSweepFigure:
-    def test_throughput_scales_with_clients_for_every_strategy(self):
-        rows = get_figure("contention_sweep").run(scale=TINY, seed=5)
-        pivot = pivot_by_strategy(rows, "throughput")
-        client_counts = sorted(pivot)
-        assert client_counts[0] == 1
-        for strategy in ("TD", "LBU", "GBU"):
-            assert pivot[client_counts[-1]][strategy] >= pivot[1][strategy]
-
-    def test_lock_waits_appear_once_clients_contend(self):
-        rows = get_figure("contention_sweep").run(scale=TINY, seed=5)
-        waits = {
-            (row.x_value, row.strategy): row.extras["lock_waits"] for row in rows
-        }
-        assert all(value == 0 for (clients, _s), value in waits.items() if clients == 1)
-        assert any(value > 0 for (clients, _s), value in waits.items() if clients > 1)
-
-
-class TestShardScalingFigure:
-    def test_registered_with_both_workload_series(self):
-        rows = get_figure("shard_scaling").run(scale=TINY, seed=5)
-        assert {row.strategy for row in rows} == {"uniform", "hotspot"}
-        assert {row.x_value for row in rows} == {1, 2, 4, 8}
-
-    def test_multi_shard_makespan_beats_single_shard_on_uniform(self):
-        """Acceptance criterion: at 4+ shards the concurrent makespan is
-        strictly below the single-shard makespan on the uniform workload."""
-        rows = get_figure("shard_scaling").run(scale=TINY, seed=5)
-        makespan = pivot_by_strategy(rows, "makespan")
-        for num_shards in makespan:
-            if num_shards >= 4:
-                assert makespan[num_shards]["uniform"] < makespan[1]["uniform"]
-
-    def test_hotspot_variant_reports_the_imbalance(self):
-        rows = get_figure("shard_scaling").run(scale=TINY, seed=5)
-        imbalance = pivot_by_strategy(rows, "imbalance")
-        most = max(imbalance)
-        assert imbalance[most]["hotspot"] > imbalance[most]["uniform"]
-        migrations = pivot_by_strategy(rows, "migrations")
-        assert migrations[most]["uniform"] > 0
-        assert all(migrations[1][series] == 0 for series in ("uniform", "hotspot"))
-
-
-class TestBatchThroughputFigure:
-    def test_concurrent_scheduling_strictly_beats_serial(self):
-        rows = get_figure("batch_throughput").run(scale=TINY, seed=7)
-        assert {row.strategy for row in rows} == {"TD", "NAIVE", "LBU", "GBU"}
-        for row in rows:
-            assert row.extras["concurrent_makespan"] < row.extras["serial_makespan"]
-            assert row.extras["speedup"] > 1.0
-
-
-class TestAdaptiveStrategyFigure:
-    def test_adaptive_strictly_beats_every_static_strategy(self):
-        """Acceptance criterion of the adaptive-strategy PR: the adaptive
-        configuration's total I/O makespan — switch cost included, starting
-        from a strategy that wins neither shard — is strictly below every
-        static global strategy's on the mixed two-shard workload."""
-        rows = get_figure("adaptive_strategy").run(scale=TINY, seed=5)
-        makespan = {row.x_value: row.extras["makespan"] for row in rows}
-        switches = {row.x_value: row.extras["switches"] for row in rows}
-        assert set(makespan) == {"TD", "NAIVE", "LBU", "GBU", "adaptive"}
-        for static in ("TD", "NAIVE", "LBU", "GBU"):
-            assert makespan["adaptive"] < makespan[static], static
-            assert switches[static] == 0
-        # Both shards adapted away from the NAIVE start.
-        assert switches["adaptive"] >= 2
-
-
-class TestRebalanceHotspotFigure:
-    def test_rebalancer_beats_the_static_grid_and_nears_uniform(self):
-        """Acceptance criterion of the rebalancing PR: with the rebalancer
-        enabled, the 4-shard hotspot makespan — including the one-off
-        migration cost — is strictly below the static hotspot makespan and
-        within 1.5x of the uniform-workload makespan."""
-        rows = get_figure("rebalance_hotspot").run(scale=TINY, seed=5)
-        makespan = {row.x_value: row.extras["makespan"] for row in rows}
-        imbalance = {row.x_value: row.extras["imbalance"] for row in rows}
-        rebalances = {row.x_value: row.extras["rebalances"] for row in rows}
-        assert set(makespan) == {"uniform", "hotspot", "hotspot+rebalance"}
-        assert makespan["hotspot+rebalance"] < makespan["hotspot"]
-        assert makespan["hotspot+rebalance"] <= 1.5 * makespan["uniform"]
-        # The control loop ran exactly once (the cooldown prevents thrash)
-        # and actually balanced the shard populations.
-        assert rebalances["hotspot+rebalance"] == 1
-        assert rebalances["hotspot"] == 0
-        assert imbalance["hotspot"] > 1.5
-        assert imbalance["hotspot+rebalance"] < imbalance["hotspot"]
+    Counts and ratios of counts compare exactly under the tolerance; it
+    absorbs a last-digit change in a compensated float ``sum()``.
+    """
+    recorded = RECORD["figures"].get(key, [])
+    observed = [
+        row_record(row)
+        for row in get_figure(key).run(scale=RECORD["scale"], seed=RECORD["seed"])
+    ]
+    problems = []
+    if len(observed) != len(recorded):
+        problems.append(f"{len(observed)} rows, FIGURES.json records {len(recorded)}")
+    for old, new in zip(recorded, observed):
+        for column in dict.fromkeys([*old, *new]):
+            if not _same(old.get(column), new.get(column)):
+                problems.append(
+                    f"x={new.get('x_value')!r} series={new.get('strategy')!r} "
+                    f"column {column!r}: recorded {old.get(column)!r}, "
+                    f"observed {new.get(column)!r}"
+                )
+    assert not problems, (
+        f"figure {key!r} moved from FIGURES.json:\n  "
+        + "\n  ".join(problems)
+        + f"\nIf the change is intended, re-record the table and put a "
+        f"before/after table in CHANGES.md:\n  {RERECORD}"
+    )

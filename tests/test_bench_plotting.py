@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import MetricRow
-from repro.bench.plotting import chart_all_metrics, horizontal_bar_chart, series_summary
+from repro.bench.plotting import chart_all_metrics, horizontal_bar_chart
 
 
 def io_rows():
@@ -68,23 +68,10 @@ class TestChartAllMetrics:
         assert chart_all_metrics([]) == ""
 
 
-class TestSeriesSummary:
-    def test_min_max_mean_per_strategy(self):
-        summary = series_summary(io_rows(), metric="avg_update_io")
-        assert summary["TD"] == {"min": 12.0, "max": 12.0, "mean": 12.0}
-        assert summary["GBU"]["min"] == 4.0
-        assert summary["GBU"]["max"] == 6.0
-        assert summary["GBU"]["mean"] == pytest.approx(5.0)
-
-    def test_empty_for_missing_metric(self):
-        assert series_summary(io_rows(), metric="throughput") == {}
-
-
 class TestCliIntegration:
-    def test_chart_flag_appends_charts(self, capsys):
-        from repro.bench.cli import main
+    def test_chart_flag_appends_charts(self):
+        from repro.bench.cli import render_report
 
-        assert main(["naive_fallback", "--scale", "0.12", "--seed", "4", "--chart"]) == 0
-        output = capsys.readouterr().out
+        output = render_report({"naive_fallback": (io_rows(), 0.0)}, scale=1.0, chart=True)
         assert "avg disk I/O per update" in output
         assert "#" in output
