@@ -3,10 +3,10 @@
 
 Measures the makespan of a batched update workload over a 4-shard
 :class:`~repro.shard.index.ShardedIndex` under each execution backend —
-``serial`` (in-process, the baseline), ``thread`` and ``process`` with 2 and
-4 workers — and writes a schema-versioned JSON report checked in at the
-repository root (``BENCH_parallel_scaling.json``) as the per-PR scaling
-figure.
+``serial`` (in-process, the baseline) and ``process`` with 2 and 4 workers —
+and writes a schema-versioned JSON report checked in at the repository root
+(``BENCH_parallel_scaling.json``) as the per-PR scaling figure.  Its
+``thread`` rows are history: that executor was deleted.
 
 Every backend executes the identical logical work: the benchmark itself
 asserts, per cell, that final object positions, range-query answers, kNN
@@ -21,7 +21,7 @@ The simulated disk charges a real per-page transfer latency
 (:attr:`~repro.storage.disk.DiskManager.io_latency_s`, default 0.25 ms here,
 the same value in every cell), standing in for an actual storage device.
 Under the serial backend the coordinator waits out every transfer in
-sequence; the thread and process backends overlap the per-shard waits, which
+sequence; the process backend overlaps the per-shard waits, which
 is exactly the benefit a multi-shard deployment gets from parallel I/O
 channels.  On a multi-core box the process backend additionally overlaps the
 CPU work of the R-tree algorithms themselves; ``cpu_count`` is recorded in
@@ -74,7 +74,6 @@ WORKLOADS = ("uniform", "hotspot")
 #: against and measured relative to.
 CELLS: Tuple[Tuple[str, Optional[int]], ...] = (
     ("serial", None),
-    ("thread", 4),
     ("process", 2),
     ("process", 4),
 )

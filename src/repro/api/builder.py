@@ -159,7 +159,7 @@ def open_index(
                           "min_ops": ...},       # sharded: online rebalancer
             "adaptive": {"enabled": ..., "cooldown": ...,
                          "min_ops": ...},        # sharded: strategy selection
-            "parallel": {"backend": "thread" | "process",
+            "parallel": {"backend": "serial" | "process",
                          "workers": N},          # sharded: execution backend
             "durability": {"dir": "...", "sync": "always"|"group"|"none",
                            "group_size": N},     # write-ahead logging
@@ -311,10 +311,9 @@ class IndexBuilder:
         """Attach a shard-execution backend (implies a sharded topology).
 
         ``backend`` is ``"serial"`` (the default in-process execution —
-        clears any previous setting), ``"thread"`` (concurrent fan-out over
-        the in-process shards) or ``"process"`` (one long-lived worker
+        clears any previous setting) or ``"process"`` (one long-lived worker
         process per shard group; see :mod:`repro.shard.parallel`).
-        *workers* caps the worker/pool count and defaults to one per shard.
+        *workers* caps the worker count and defaults to one per shard.
         """
         from repro.shard.parallel import BACKENDS
 

@@ -180,11 +180,12 @@ class BatchReport:
     neighbors: List[List[Any]] = field(default_factory=list)
     #: Updates superseded by a later update of the same object.
     coalesced: int = 0
-    #: Leaf groups executed through ``apply_group``.
+    #: Leaf buckets run through the strategy's ladder.
     groups: int = 0
     #: Size of the largest single group.
     largest_group: int = 0
-    #: Updates replayed through the per-operation path.
+    #: Updates replayed through the per-operation path: members not indexed
+    #: yet, and members re-routed after their leaf changed under the engine.
     residuals: int = 0
     #: Updates that crossed a shard boundary (sharded index only).
     migrations: int = 0

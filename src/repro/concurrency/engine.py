@@ -18,10 +18,11 @@ The engine is shared by every operation path:
   stream per client, see
   :meth:`~repro.workload.generator.WorkloadGenerator.client_streams`);
 * **batches** — :meth:`OnlineOperationEngine.run_batch` partitions a batch
-  into group-by-leaf buckets via the PR 1 batch executor, derives each
-  group's granule lock set from the strategy's ``group_lock_scope()`` hook,
-  and schedules non-conflicting groups as concurrent virtual operations
-  (conflict-aware batch scheduling);
+  into group-by-leaf buckets via the batch executor, derives each bucket's
+  granule lock set from the strategy's ``group_lock_scope()`` hook (the
+  merge of its members' scopes, escalations included), and schedules
+  non-conflicting buckets as concurrent virtual operations (conflict-aware
+  batch scheduling);
 * **multi-client facades** — :class:`ConcurrentSession`, returned by
   :meth:`repro.core.index.MovingObjectIndex.engine`, queues per-client work
   and reports per-client physical I/O through the buffer pool's client
@@ -146,7 +147,7 @@ class GroupOperation(VirtualOperation):
 
 
 class ReplayOperation(VirtualOperation):
-    """A batch member with no indexed leaf, replayed per-operation."""
+    """A batch member with no indexed leaf, run as a per-operation update."""
 
     __slots__ = ("engine", "executor", "request", "result", "namespace")
     kind = "update"
@@ -286,7 +287,7 @@ class OnlineOperationEngine:
         The facade plans the batch (coalescing repeated updates of one
         object exactly as the serial path does) and hands back virtual
         operations: group-by-leaf buckets whose lock set is the strategy's
-        ``group_lock_scope()``, per-operation replays for unindexed members,
+        ``group_lock_scope()``, per-operation updates for unindexed members,
         and — on a sharded facade — cross-shard migrations that lock both
         shards.  Operations with disjoint granule sets execute concurrently,
         operations sharing a granule serialise — so the batch's makespan

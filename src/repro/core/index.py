@@ -137,11 +137,7 @@ class MovingObjectIndex(SpatialIndexFacade):
         )
         self.strategy.install()  # idempotent: construction already wired the state
         self.batch = BatchExecutor(
-            self.tree,
-            self.strategy,
-            self.hash_index,
-            buffer=self.buffer,
-            stats=self.stats,
+            self.tree, self.strategy, self.hash_index, stats=self.stats
         )
         #: The strategy currently live on this index.  ``config.strategy``
         #: stays the *initial* strategy; :meth:`set_strategy` moves this.

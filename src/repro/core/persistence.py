@@ -292,8 +292,11 @@ def load_index(path: Union[str, Path]):
             # directly into the in-process shard facades, which must still
             # be authoritative at that point.
             _replay_and_attach(index, durability_spec)
-        if document.get("parallel"):
-            index.set_parallel(**document["parallel"])
+        parallel = document.get("parallel")
+        # The thread executor is gone: a checkpoint that recorded it loads
+        # on the in-process (serial) executor, which it only ever wrapped.
+        if parallel and parallel.get("backend") != "thread":
+            index.set_parallel(**parallel)
     else:
         index = _restore_index(document)
         if durability_spec:

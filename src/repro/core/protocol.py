@@ -136,7 +136,7 @@ class SpatialIndexFacade(abc.ABC):
         """Attach a shard-execution backend (sharded indexes only).
 
         The default facade accepts only ``"serial"`` (a no-op); the sharded
-        implementation overrides this with the real thread/process backends
+        implementation overrides this with the real process backend
         (see :mod:`repro.shard.parallel`).
         """
         if backend != "serial":

@@ -20,9 +20,10 @@ The public surface is intentionally close to the paper's description:
   by the bottom-up strategies, which by design manipulate leaves and their
   siblings directly.
 * group primitives (:meth:`remove_entries`, :meth:`add_entries`,
-  :meth:`adjust_upward`) used by the batch update engine
-  (:mod:`repro.update.batch`) to mutate a leaf and its siblings in bulk and
-  then fix every affected ancestor MBR in one deferred pass.
+  :meth:`adjust_upward`) that mutate a leaf and its siblings in bulk and
+  fix every affected ancestor MBR in one deferred pass; the shard
+  rebalancer moves whole leaf groups with them (:meth:`remove_group`,
+  :meth:`insert_group`).
 
 Levels are numbered from the leaves (leaf level = 0, root level =
 ``height - 1``), matching the way the paper's Algorithm 3 ascends the tree.

@@ -24,9 +24,9 @@ across **spatial shards**.  This package provides:
   strategies with the Section 4 cost models and hot-swaps any shard whose
   workload favours a different one;
 * :mod:`repro.shard.parallel` — the shard executors every shard-local step
-  goes through as a picklable command: in-process (``serial``), the same
-  over a thread pool (``thread``), or long-lived worker processes
-  (``process``) — one interpreter, so identical answers and I/O counters.
+  goes through as a picklable command: in-process (``serial``) or
+  long-lived worker processes (``process``) — one interpreter, so identical
+  answers and I/O counters.
 """
 
 from repro.shard.adaptive import (
@@ -40,7 +40,6 @@ from repro.shard.parallel import (
     BACKENDS,
     ProcessBackend,
     ShardBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.shard.partitioner import (
@@ -71,7 +70,6 @@ __all__ = [
     "MigrationOperation",
     "BACKENDS",
     "ShardBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "Partitioner",

@@ -210,7 +210,7 @@ class ShardedIndex(SpatialIndexFacade):
         self._suppress_load_recording = False
         #: The shard executor every shard-local step goes through: the
         #: in-process :class:`~repro.shard.parallel.ShardBackend` by default,
-        #: a thread or process executor after :meth:`set_parallel`.
+        #: the process executor after :meth:`set_parallel`.
         self._backend: shard_parallel.ShardBackend = shard_parallel.ShardBackend(self)
         #: Declarative ``parallel`` spec section of the attached backend
         #: (``{"backend": ..., "workers": ...}``), ``None`` when serial.
@@ -266,16 +266,15 @@ class ShardedIndex(SpatialIndexFacade):
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        """Attach a shard executor: ``"serial"``/``"thread"``/``"process"``.
+        """Attach a shard executor: ``"serial"`` or ``"process"``.
 
-        ``"serial"`` is the in-process executor (the default), ``"thread"``
-        the same with its fan-out on a thread pool.  ``"process"`` starts
-        ``workers`` long-lived worker processes (default: one per shard)
-        that take over the shard state — forked workers adopt the live
-        shards, any other *start_method* restores their checkpoint
-        documents — and the local shard objects become metadata mirrors.
-        All three run the same commands, so answers, tie-breaks, update
-        outcomes and I/O counters are identical.
+        ``"serial"`` is the in-process executor (the default).
+        ``"process"`` starts ``workers`` long-lived worker processes
+        (default: one per shard) that take over the shard state — forked
+        workers adopt the live shards, any other *start_method* restores
+        their checkpoint documents — and the local shard objects become
+        metadata mirrors.  Both run the same commands, so answers,
+        tie-breaks, update outcomes and I/O counters are identical.
         """
         self.detach_parallel()
         self._backend = shard_parallel.make_backend(
@@ -365,7 +364,7 @@ class ShardedIndex(SpatialIndexFacade):
             raise RuntimeError(
                 "the concurrent operation engine drives shard state "
                 "in-process; detach the process backend first "
-                "(set_parallel('serial') or set_parallel('thread'))"
+                "(set_parallel('serial'))"
             )
         return super().engine(*args, **kwargs)
 
@@ -986,7 +985,7 @@ class ShardedIndex(SpatialIndexFacade):
         """Fan the window out to the shards whose boundaries intersect it.
 
         The per-shard traversals go out as one dispatch (concurrent under
-        the thread and process backends); the results merge in shard-id
+        the process backend); the results merge in shard-id
         order, so the answer, order included, is the same under every
         executor.
         """

@@ -1,4 +1,4 @@
-"""Shard executors: serial, thread, and process workers.
+"""Shard executors: in-process (serial) and process workers.
 
 A :class:`~repro.shard.index.ShardedIndex` owns N fully independent
 :class:`~repro.core.index.MovingObjectIndex` shards — disjoint trees, disks,
@@ -8,17 +8,13 @@ is a picklable **command** (:class:`Insert`, :class:`ApplyBatch`,
 :class:`Range`, :class:`KNNProbe`, the rebalance leaf-group
 :class:`ExportGroup`/:class:`ImportGroup` pair, …), one function
 (:func:`execute_command`) interprets a command against one shard, and the
-attached executor decides *where* that interpreter runs — the three differ
+attached executor decides *where* that interpreter runs — the two differ
 only in transport:
 
 * :class:`ShardBackend` (``serial``) — the in-process executor: commands
   run inline against the authoritative shard objects, window streams stay
-  lazy inside a shard (the default, and the baseline every other executor
+  lazy inside a shard (the default, and the baseline the process executor
   must match bit for bit);
-* :class:`ThreadBackend` — the in-process executor whose fan-out dispatches
-  (per-shard batch buckets, multi-shard range queries) run on a thread
-  pool.  Shards are disjoint object graphs, so per-shard commands never
-  share mutable state;
 * :class:`ProcessBackend` — one long-lived worker process per shard slot
   (``workers`` may be smaller than the shard count; shard *i* lives in
   worker ``i % workers``).  Each worker owns the authoritative copy of its
@@ -64,8 +60,8 @@ worker surfaces as the same error type but leaves the backend serving.
 
 Determinism and exactness
 -------------------------
-Executors are not allowed to change answers or costs, and cannot: all three
-run the same commands through the same interpreter (``ApplyBatch``
+Executors are not allowed to change answers or costs, and cannot: both run
+the same commands through the same interpreter (``ApplyBatch``
 pre-commits positions then runs the shard's group-by-leaf executor;
 ``KNNProbe`` consumes the shard's distance-ordered stream against the
 running cross-shard best list), so results, tie-breaks, update outcomes and
@@ -90,7 +86,6 @@ import bisect
 import multiprocessing
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -265,9 +260,9 @@ Command = Any  # any of the dataclasses above
 def execute_command(shard, command: Command) -> Any:
     """Run one *command* against one :class:`MovingObjectIndex` shard.
 
-    This is the single interpreter every executor shares — the serial and
-    thread executors call it in-process, the worker main loop calls it in
-    its own process — so a command means exactly one thing regardless of
+    This is the single interpreter every executor shares — the serial
+    executor calls it in-process, the worker main loop calls it in its own
+    process — so a command means exactly one thing regardless of
     where the shard lives.  The chain is ordered by frequency: batch
     buckets, window and kNN visits, then the per-operation commands.
     """
@@ -490,7 +485,7 @@ class ShardBackend:
     ``run`` executes one command against one shard, ``dispatch`` per-shard
     command lists (each in order), ``iter_range`` streams one shard's window
     hits.  ``remote`` says whether the coordinator's shard objects are
-    authoritative (serial, thread) or mirrors (process).
+    authoritative (serial) or mirrors (process).
     """
 
     name = "serial"
@@ -529,43 +524,6 @@ class ShardBackend:
 
     def describe(self) -> str:
         return self.name
-
-
-class ThreadBackend(ShardBackend):
-    """The in-process executor with its fan-out on a thread pool.
-
-    The shard objects stay authoritative in the coordinator process;
-    per-shard command lists for *different* shards run concurrently on the
-    pool (shards share no mutable state), single-shard dispatches run
-    inline.  All it buys is overlap of the simulated disk's real device
-    latency (``io_latency_s``) across shards.
-    """
-
-    name = "thread"
-
-    def __init__(self, sharded: "ShardedIndex", workers: Optional[int] = None) -> None:
-        super().__init__(sharded, workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-shard"
-        )
-
-    def dispatch(
-        self, per_shard: Dict[int, Sequence[Command]]
-    ) -> Dict[int, List[Any]]:
-        if len(per_shard) <= 1 or self.workers == 1:
-            return super().dispatch(per_shard)
-        shards = self.sharded.shards
-        futures = {
-            sid: self._pool.submit(_execute_all, shards, {sid: commands})
-            for sid, commands in per_shard.items()
-        }
-        return {sid: future.result()[sid] for sid, future in futures.items()}
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def describe(self) -> str:
-        return f"thread[{self.workers}]"
 
 
 #: Seconds a dispatch (or the attach handshake) waits for one worker's reply
@@ -846,7 +804,7 @@ class ProcessBackend(ShardBackend):
         return f"process[{self.workers}]"
 
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def make_backend(
@@ -858,8 +816,6 @@ def make_backend(
     """Construct the named executor for *sharded*."""
     if backend == "serial":
         return ShardBackend(sharded)
-    if backend == "thread":
-        return ThreadBackend(sharded, workers=workers)
     if backend == "process":
         return ProcessBackend(sharded, workers=workers, start_method=start_method)
     raise ValueError(
@@ -886,7 +842,6 @@ __all__ = [
     "SetIOLatency",
     "SetStrategy",
     "ShardBackend",
-    "ThreadBackend",
     "Update",
     "Validate",
     "adopt_handover",

@@ -99,9 +99,9 @@ class BufferPool:
         # page_id -> payload; insertion order is LRU order (oldest first).
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
         self._dirty: set = set()
-        # page_id -> pin count; pinned pages are exempt from eviction (the
-        # batch executor pins a group's leaf so interleaved reads cannot push
-        # it out of the pool mid-group).
+        # page_id -> pin count; pinned pages are exempt from eviction (a leaf
+        # bucket of several updates pins its leaf so interleaved reads cannot
+        # push it out of the pool mid-bucket).
         self._pins: dict = {}
         # Scoped access trace (see logged_accesses()); None in steady state.
         self._access_log: Optional[List[AccessRecord]] = None
@@ -219,7 +219,7 @@ class BufferPool:
             return payload
         # The steady-state miss, in this frame: the pool is exactly full and
         # its LRU head is not pinned, so the head makes room — the victim
-        # _evict_one would pick, pins held elsewhere or not (a group pass
+        # _evict_one would pick, pins held elsewhere or not (a leaf bucket
         # pins its leaf, which it has just read: the MRU end).  _admit and
         # _evict_one keep every other case.
         victim_id, victim = frames.popitem(last=False)

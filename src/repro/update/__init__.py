@@ -1,41 +1,30 @@
 """Update strategies — the paper's primary contribution.
 
-Three strategies are provided, matching the ones evaluated in Section 5:
-
 * :class:`~repro.update.topdown.TopDownUpdate` (**TD**) — the traditional
   R-tree update: a top-down delete traversal followed by a top-down insert.
+* :class:`~repro.update.naive.NaiveBottomUpUpdate` (**NAIVE**) — the
+  preliminary idea at the start of Section 3.1: in place, or give up and go
+  top-down (~82 % of its updates on uniform data degrade to top-down).
 * :class:`~repro.update.localized.LocalizedBottomUpUpdate` (**LBU**) —
   Algorithm 1: reach the leaf through the secondary object-ID hash index,
-  update in place when possible, otherwise enlarge the leaf MBR by ε in all
-  directions (bounded by the parent MBR, reached through a leaf-level parent
-  pointer) or shift the object to a sibling, falling back to a top-down
-  update.
+  update in place, enlarge the leaf MBR by ε (bounded by the parent MBR,
+  reached through a leaf-level parent pointer), shift to a sibling, or fall
+  back to top-down.
 * :class:`~repro.update.generalized.GeneralizedBottomUpUpdate` (**GBU**) —
-  Algorithm 2: like LBU but driven by the main-memory summary structure, with
-  directional ε-extension (``iExtendMBR``, Algorithm 4), sibling shifting
-  with piggybacking, and bounded ascent to the lowest covering ancestor
-  (``FindParent``, Algorithm 3).
+  Algorithm 2: driven by the main-memory summary structure, with directional
+  ε-extension (``iExtendMBR``, Algorithm 4), sibling shifting with
+  piggybacking, and bounded ascent (``FindParent``, Algorithm 3).
 
-A fourth strategy, :class:`~repro.update.naive.NaiveBottomUpUpdate`, is the
-preliminary bottom-up idea discussed at the start of Section 3.1 (update in
-place or give up and go top-down); it exists to reproduce the paper's
-observation that ~82 % of its updates on uniform data degrade to top-down.
-
-All strategies implement :class:`~repro.update.base.UpdateStrategy` and are
-constructed by :func:`~repro.update.factory.make_strategy`.
-
-Beyond the per-operation strategies, :mod:`repro.update.batch` provides a
-group-by-leaf batch execution engine: operation streams are grouped by
-target leaf page and each group is applied through the strategy's
-``apply_group`` hook with one leaf read/write plus one deferred
-ancestor-MBR adjustment pass, instead of one full traversal per update.
-
-For concurrent execution, every strategy also predicts the DGL granule
-lock footprint of its operations (``lock_scope`` / ``query_lock_scope`` /
-``group_lock_scope``): the top-down baseline locks every leaf its descents
-may visit, the bottom-up strategies lock only the object's leaf, candidate
-shift siblings and the adjusted ancestors — the Section 3.2.2 asymmetry
-the online engine (:mod:`repro.concurrency.engine`) schedules against.
+All implement :class:`~repro.update.base.UpdateStrategy` and are built by
+:func:`~repro.update.factory.make_strategy`.  Each bottom-up strategy writes
+its algorithm once, as a ladder over a leaf bucket of n ≥ 1 requests
+(``update_group``); a per-operation ``update`` is the bucket of one, and
+:mod:`repro.update.batch` groups operation streams into buckets.  Lock-scope
+prediction for the concurrent engine (:mod:`repro.concurrency.engine`)
+follows the same ladder: ``lock_scope`` is the bucket of one of
+``group_lock_scope``.  The top-down baseline locks every leaf its descents
+may visit; the bottom-up strategies lock the object's leaf, candidate shift
+siblings and the adjusted ancestors — the Section 3.2.2 asymmetry.
 """
 
 from repro.update.base import BatchUpdate, UpdateOutcome, UpdateStrategy

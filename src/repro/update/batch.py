@@ -1,52 +1,31 @@
 """Group-by-leaf batch execution of update streams.
 
-The paper's motivation is an update rate so high that the index is the
-bottleneck; its answer is to make each *individual* update cheap by working
-bottom-up from the object's leaf.  This module carries the same idea one
-step further along the axis real ingestion engines use: when updates arrive
-in batches, many of them target the *same* leaf — Gaussian and skewed
-workloads concentrate hot objects on hot pages — yet the per-operation path
-re-reads and re-writes that leaf once per update.  The batch engine
+The paper makes each *individual* update cheap by working bottom-up from the
+object's leaf.  When updates arrive in batches, many of them target the same
+leaf — Gaussian and skewed workloads concentrate hot objects on hot pages —
+so the batch engine
 
-1. **plans in memory** — pending updates are grouped by their current leaf
-   page, resolved through the secondary object-ID hash index (the same
-   structure that gives the bottom-up strategies their leaf access; for GBU
-   the summary structure's direct access table supplies the parent and
-   sibling context of each group);
-2. **executes each group bottom-up** — the strategy's
-   :meth:`~repro.update.base.UpdateStrategy.apply_group` hook reads the leaf
-   once, absorbs every group member it can (in place, by one shared
-   ε-extension, or by bulk sibling shifts), writes the leaf once, and fixes
-   all affected ancestor MBRs in one deferred
-   :meth:`~repro.rtree.tree.RTree.adjust_upward` pass;
-3. **replays the rest sequentially** — updates a group pass cannot absorb
-   (root escapes, underflow hazards, ascents) go through the ordinary
-   per-operation strategy code, so every structural corner case is handled
-   by exactly the code that handles it in the one-at-a-time regime.
+1. **plans in memory**: pending updates are coalesced per object and grouped
+   by their current leaf page, resolved through uncharged peeks at the
+   object-ID hash index;
+2. **runs the strategy's ladder once per bucket**
+   (:meth:`~repro.update.base.UpdateStrategy.update_group`): one leaf read
+   and write for the bucket, each member that leaves the leaf continuing up
+   the same ladder — the code a per-operation update runs, since one update
+   is the bucket of one;
+3. **replays only what it cannot bucket**: members not indexed yet and, under
+   the concurrent engine, members whose leaf changed since planning.
 
-Sequential equivalence
-----------------------
 A batch yields the same query answers as applying its operations one by one:
-
-* every operation carries the object's **absolute** new position, so an
-  object's final entry depends only on its *last* update in the batch —
-  which both regimes apply last (pending updates to the same object are
-  coalesced onto the earliest slot, keeping the first old position and the
-  latest new one);
-* updates to *different* objects commute at query granularity: each group
-  pass only rewrites the affected objects' entry rectangles (or moves them
-  between leaves under the same parent), never drops or duplicates an
-  object, and keeps every MBR a valid bound — the trees produced by the two
-  regimes may differ in shape, but index the identical object→position map;
-* inserts, deletes and queries act as **barriers**: all pending updates are
-  flushed before one executes, so a query inside a batch observes exactly
-  the positions a sequential execution would.
-
-Groups are formed just in time, one at a time: a residual replay may
-restructure the tree (splits, CondenseTree re-insertions) and move objects
-that are still pending, so each group re-resolves its members' leaves at the
-moment it is executed.  The group's leaf is pinned in the buffer pool for
-the duration of the pass so interleaved reads cannot evict it mid-group.
+every operation carries the object's absolute new position, and repeated
+updates of one object are coalesced onto the earliest slot with the first
+old and the latest new position, so an object's final entry is its last
+update's; updates to different objects commute at query granularity (the
+trees of the two regimes may differ in shape, never in the object→position
+map); and inserts, deletes and queries are **barriers** that flush the
+pending updates first.  Buckets are formed just in time: an escalation may
+restructure the tree and move objects still pending, so each bucket
+re-resolves its members' leaves when it runs.
 """
 
 from __future__ import annotations
@@ -60,7 +39,6 @@ from repro.api.errors import DuplicateObjectError, UnknownObjectError
 from repro.geometry import Point, Rect
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
-from repro.storage.buffer import BufferPool
 from repro.storage.stats import IOStatistics
 from repro.update.base import BatchUpdate, UpdateStrategy
 
@@ -161,21 +139,15 @@ def coalesce_updates(
     Returns ``(pending, requested, coalesced)``: the surviving requests in
     first-seen order, the number submitted, and the number superseded.  A
     coalesced request keeps the **first** old position and the **latest**
-    new position — only the last update of an object matters for the final
-    state, which is what makes batch and sequential execution equivalent.
-    This is the shared first half of every batch path: the serial executor,
-    the planner, and the sharded router all coalesce with this rule.
+    new one.  The planner and the sharded router both coalesce with this.
     """
     pending: "OrderedDict[int, BatchUpdate]" = OrderedDict()
-    requested = 0
-    coalesced = 0
+    requested = coalesced = 0
     for op in updates:
         requested += 1
         previous = pending.get(op.oid)
         if previous is not None:
-            pending[op.oid] = BatchUpdate(
-                op.oid, previous.old_location, op.new_location
-            )
+            pending[op.oid] = BatchUpdate(op.oid, previous.old_location, op.new_location)
             coalesced += 1
         else:
             pending[op.oid] = op
@@ -220,11 +192,12 @@ class BatchResult:
     neighbors: List[List[Tuple[float, int]]] = field(default_factory=list)
     #: Updates superseded by a later update to the same object in the batch.
     coalesced: int = 0
-    #: Leaf groups executed through ``apply_group``.
+    #: Leaf buckets executed through the strategy's ladder.
     groups: int = 0
     #: Size of the largest single group.
     largest_group: int = 0
-    #: Updates replayed through the per-operation path.
+    #: Updates replayed through the per-operation path: members not indexed
+    #: yet, and members re-routed after their leaf changed under the engine.
     residuals: int = 0
     #: Updates that crossed a shard boundary (sharded index only).
     migrations: int = 0
@@ -232,7 +205,7 @@ class BatchResult:
 
     @property
     def grouped_updates(self) -> int:
-        """Updates absorbed by group passes (after coalescing)."""
+        """Updates settled by leaf buckets (after coalescing)."""
         return self.updates - self.coalesced - self.residuals - self.migrations
 
     def describe(self) -> str:
@@ -250,27 +223,13 @@ class BatchResult:
 class BatchExecutor:
     """Executes operation streams with group-by-leaf amortisation.
 
-    A run of updates is coalesced once — inline by :meth:`execute`, or by
-    :meth:`plan` for callers that hand in a raw stream — and bucketed by
-    current leaf (``_bucket``, shared by both); each bucket is one
-    :meth:`execute_group` pass with its leaf pinned.
-
-    Parameters
-    ----------
-    tree:
-        The R-tree the strategy operates on.
-    strategy:
-        Any of the four update strategies; its ``apply_group`` hook defines
-        what a group pass can absorb.
-    hash_index:
-        Object-ID index used (uncharged, via :meth:`ObjectHashIndex.peek`)
-        by the planner to resolve each pending update's current leaf.
-        Planning is main-memory work; the strategies themselves charge one
-        probe per absorbed update to keep the paper's accounting.
-    buffer:
-        Buffer pool whose pin/unpin protects each group's leaf.
-    stats:
-        Shared counters used to compute the per-batch I/O delta.
+    A run of updates between barriers is coalesced and bucketed by current
+    leaf once (:meth:`plan`); each bucket is one :meth:`execute_group` run of
+    the strategy's ladder (:meth:`~repro.update.base.UpdateStrategy.update_group`).
+    Leaves are resolved with uncharged :meth:`ObjectHashIndex.peek` calls —
+    planning is main-memory work; the ladder charges one probe per member
+    that reaches its leaf, keeping the paper's accounting.  *stats* are the
+    shared counters the per-batch I/O delta is taken from.
     """
 
     def __init__(
@@ -278,90 +237,56 @@ class BatchExecutor:
         tree: RTree,
         strategy: UpdateStrategy,
         hash_index: ObjectHashIndex,
-        buffer: Optional[BufferPool] = None,
         stats: Optional[IOStatistics] = None,
     ) -> None:
         self.tree = tree
         self.strategy = strategy
         self.hash_index = hash_index
-        self.buffer = buffer if buffer is not None else tree.buffer
         self.stats = stats if stats is not None else tree.disk.stats
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(self, operations: Iterable[Operation]) -> BatchResult:
         """Run *operations*; updates are batched, everything else is a barrier."""
         result = BatchResult()
         before = self.stats.snapshot()
-        pending: "OrderedDict[int, BatchUpdate]" = OrderedDict()
+        run: List[BatchUpdate] = []
         for op in operations:
             if isinstance(op, BatchUpdate):
                 result.updates += 1
-                previous = pending.get(op.oid)
-                if previous is not None:
-                    # Keep the earliest slot and the first old position; only
-                    # the latest new position matters for the final state.
-                    pending[op.oid] = BatchUpdate(
-                        op.oid, previous.old_location, op.new_location
-                    )
-                    result.coalesced += 1
-                else:
-                    pending[op.oid] = op
-            elif isinstance(op, InsertOp):
-                self._flush(pending, result)
+                run.append(op)
+                continue
+            self._flush(run, result)
+            if isinstance(op, InsertOp):
                 self.strategy.insert(op.oid, op.location)
                 result.inserts += 1
             elif isinstance(op, DeleteOp):
-                self._flush(pending, result)
                 self.strategy.delete(op.oid, op.location)
                 result.deletes += 1
             elif isinstance(op, QueryOp):
-                self._flush(pending, result)
                 result.queries.append(self.strategy.range_query(op.window))
             elif isinstance(op, KNNOp):
-                self._flush(pending, result)
                 result.neighbors.append(self.tree.knn(op.point, op.k))
             else:
                 raise TypeError(f"unsupported batch operation {op!r}")
-        self._flush(pending, result)
+        self._flush(run, result)
         result.io = self.stats.snapshot().delta_since(before)
         return result
 
-    # ------------------------------------------------------------------
-    # Planning (shared by the serial drain and the concurrent engine)
-    # ------------------------------------------------------------------
     def plan(self, updates: Iterable[BatchUpdate]) -> BatchPlan:
         """Coalesce *updates* per object and bucket them by current leaf.
 
-        Repeated updates of one object collapse onto the earliest slot,
-        keeping the first old position and the latest new one — identical to
-        the coalescing :meth:`execute` performs inline.  Leaves are resolved
-        with uncharged peeks; the paper's per-probe charge is paid at
-        execution time by the strategies themselves.
+        Shared by the serial drain and the concurrent engine, which schedules
+        the buckets against each other.
         """
         pending, requested, coalesced = coalesce_updates(updates)
-        buckets, unindexed = self._bucket(pending.values())
-        return BatchPlan(
-            buckets=buckets,
-            unindexed=unindexed,
-            requested=requested,
-            coalesced=coalesced,
-        )
-
-    def _bucket(
-        self, requests: Iterable[BatchUpdate]
-    ) -> Tuple["OrderedDict[int, List[BatchUpdate]]", List[BatchUpdate]]:
-        """Bucket coalesced *requests* by current leaf: ``(buckets, unindexed)``."""
         buckets: "OrderedDict[int, List[BatchUpdate]]" = OrderedDict()
         unindexed: List[BatchUpdate] = []
-        for request in requests:
+        for request in pending.values():
             leaf_page = self.hash_index.peek(request.oid)
             if leaf_page is None:
                 unindexed.append(request)
             else:
                 buckets.setdefault(leaf_page, []).append(request)
-        return buckets, unindexed
+        return BatchPlan(buckets, unindexed, requested, coalesced)
 
     def execute_group(
         self,
@@ -370,65 +295,55 @@ class BatchExecutor:
         result: BatchResult,
         reroute: Optional["OrderedDict[int, List[BatchUpdate]]"] = None,
     ) -> None:
-        """Re-verify *bucket* against the live hash index and run the group pass.
+        """Re-verify *bucket* against the live hash index and run its ladder.
 
-        A residual replay (or, under the engine, a concurrently scheduled
-        group) may have restructured the tree and moved members since the
-        bucket was planned, so each member's leaf is re-resolved immediately
-        before the pass.  Mismatched members are re-routed into *reroute*
-        when given (the serial drain appends them to their current leaf's
-        bucket) and replayed per-operation otherwise (the engine path, where
-        sibling buckets may already have executed).
+        An earlier bucket's escalation (or, under the engine, a concurrently
+        scheduled bucket) may have moved members since planning, so each
+        member's leaf is re-resolved first.  Members not (or, after the
+        ladder, no longer) in the leaf are re-routed into *reroute* when
+        given (the serial drain appends them to their current leaf's bucket)
+        and replayed per-operation otherwise (the engine path).
         """
         group: List[BatchUpdate] = []
         for request in bucket:
-            current = self.hash_index.peek(request.oid)
-            if current == leaf_page:
+            if self.hash_index.peek(request.oid) == leaf_page:
                 group.append(request)
-            elif current is None:
-                self.replay(request, result)
-            elif reroute is not None:
-                reroute.setdefault(current, []).append(request)
             else:
-                self.replay(request, result)
+                self._reroute(request, result, reroute)
         if not group:
             return
         result.groups += 1
         result.largest_group = max(result.largest_group, len(group))
-        self.buffer.pin(leaf_page)
-        try:
-            residuals = self.strategy.apply_group(leaf_page, group)
-        finally:
-            self.buffer.unpin(leaf_page)
-        for request in residuals:
-            self.replay(request, result)
+        for request in self.strategy.update_group(leaf_page, group):
+            self._reroute(request, result, reroute)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _flush(
-        self, pending: "OrderedDict[int, BatchUpdate]", result: BatchResult
+    def _reroute(
+        self,
+        request: BatchUpdate,
+        result: BatchResult,
+        reroute: Optional["OrderedDict[int, List[BatchUpdate]]"],
     ) -> None:
-        """Drain *pending*, one leaf group at a time (serial execution).
-
-        *pending* is already coalesced (one request per object, by
-        :meth:`execute`), so it is bucketed as it is.
-        """
-        if not pending:
-            return
-        buckets, unindexed = self._bucket(pending.values())
-        pending.clear()
-        for request in unindexed:
-            # Not indexed (yet): the per-operation path inserts it.
+        current = self.hash_index.peek(request.oid)
+        if current is None or reroute is None:
             self.replay(request, result)
+        else:
+            reroute.setdefault(current, []).append(request)
 
+    def _flush(self, run: List[BatchUpdate], result: BatchResult) -> None:
+        """Drain a run of updates, one leaf bucket at a time (serial execution)."""
+        if not run:
+            return
+        plan = self.plan(run)
+        run.clear()
+        result.coalesced += plan.coalesced
+        for request in plan.unindexed:
+            self.replay(request, result)  # not indexed yet: the update inserts it
+        buckets = plan.buckets
         while buckets:
             leaf_page, bucket = buckets.popitem(last=False)
             self.execute_group(leaf_page, bucket, result, reroute=buckets)
 
     def replay(self, request: BatchUpdate, result: BatchResult) -> None:
-        """Run one update through the ordinary per-operation path."""
-        self.strategy.update(
-            request.oid, request.old_location, request.new_location
-        )
+        """Run one unindexed or re-routed member through the per-operation path."""
+        self.strategy.update(*request)
         result.residuals += 1

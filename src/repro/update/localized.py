@@ -12,6 +12,12 @@ index and tries, in order:
    is not full);
 4. otherwise fall back to a full top-down update.
 
+The ladder is written once, over a leaf bucket (one update is the bucket of
+one): the bucket shares the leaf read and write, the parent read and the
+siblings it reads; a member inside an MBR an earlier member enlarged moves in
+place, and those no sibling takes are re-inserted from the root after the
+leaf is released.
+
 The strategy requires the tree to be built with ``store_parent_pointers=True``:
 the leaf-level parent pointers reduce leaf fan-out and must be rewritten when
 a level-1 node splits — the maintenance costs the paper identifies as LBU's
@@ -20,16 +26,23 @@ main weakness (Section 3.1 and the discussion of Figure 5).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.concurrency.dgl import TREE_GRANULE, GranuleLockRequest, merge_requests
+from repro.concurrency.dgl import TREE_GRANULE, GranuleLockRequest
 from repro.concurrency.locks import LockMode
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry, Node
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
 from repro.storage.stats import IOStatistics
-from repro.update.base import BatchUpdate, UpdateOutcome, UpdateStrategy
+from repro.update.base import (
+    Escalation,
+    LeafPass,
+    Request,
+    UpdateOutcome,
+    UpdateStrategy,
+)
 from repro.update.params import TuningParameters
 
 
@@ -85,126 +98,128 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         self.tree.store_parent_pointers = False
 
     # ------------------------------------------------------------------
-    # Algorithm 1
+    # Algorithm 1 over one leaf bucket
     # ------------------------------------------------------------------
-    def _update(self, oid: int, old_location: Point, new_location: Point) -> UpdateOutcome:
-        # Locate the leaf through the secondary object-ID index.
-        leaf_page = self.hash_index.lookup(oid)
-        if leaf_page is None:
-            self.tree.insert(oid, new_location)
-            return UpdateOutcome.INSERTED_NEW
-        leaf = self.tree.read_node(leaf_page)
-        if not leaf.has_child(oid):
-            return self._top_down_update(oid, old_location, new_location)
+    def apply_group(self, leaf_page_id: int, group: Sequence[Request]) -> LeafPass:
+        """In place → ε-enlargement → sibling shift → root insert, member by member.
 
-        # 1. In place: the new location lies within the (possibly enlarged) leaf MBR.
-        if leaf.effective_mbr().contains_point(new_location):
-            leaf.set_rect(oid, Rect.from_point(new_location))
+        The bucket reads the leaf, and its parent through the parent
+        pointer, once; a member inside an MBR an earlier one enlarged moves
+        in place.  Removing an object writes the leaf before the sibling
+        search, as Algorithm 1 does.  A member that could leave the leaf
+        only by underflowing it goes top-down; that repair may dissolve the
+        leaf, so the members after it are left unsettled.
+        """
+        outcomes: List[UpdateOutcome] = []
+        escalations: List[Escalation] = []
+        unsettled: List[Request] = []
+        self._charge_probes(len(group))
+        leaf = self.tree.read_node(leaf_page_id)
+        held: Dict[int, Node] = {}  # the siblings read, once per bucket
+        changed: Dict[int, Node] = {}  # the parent and siblings to write
+        parent: Optional[Node] = None
+        dirty = escaped = False
+        for position, request in enumerate(group):
+            oid, _old_location, new_location = request
+            if not leaf.has_child(oid):
+                escalations.append(partial(self._top_down_update, *request))
+                continue
+            if leaf.effective_mbr().contains_point(new_location):
+                leaf.set_rect(oid, Rect.from_point(new_location))
+                dirty = True
+                outcomes.append(UpdateOutcome.IN_PLACE)
+                continue
+
+            if not escaped:
+                escaped = True
+                parent = self._parent(leaf, self.tree.read_node)
+            if parent is None:
+                escalations.append(partial(self._top_down_update, *request))
+                continue
+            enlarged = self._enlargement(leaf, parent, new_location)
+            if enlarged is not None:
+                leaf.set_rect(oid, Rect.from_point(new_location))
+                leaf.stored_mbr = enlarged
+                dirty = True
+                parent.set_rect(leaf_page_id, enlarged)
+                changed[parent.page_id] = parent
+                outcomes.append(UpdateOutcome.EXTENDED)
+                continue
+            # Removing the object must not underflow the leaf; otherwise the
+            # reorganisation belongs to the top-down machinery.
+            if len(leaf) - 1 < self.tree.min_leaf_entries:
+                escalations.append(partial(self._top_down_update, *request))
+                unsettled = list(group[position + 1 :])
+                break
+            leaf.discard_entry(oid)
             self.tree.write_node(leaf)
-            return UpdateOutcome.IN_PLACE
-
-        # Retrieve the parent of the leaf node (through the parent pointer).
-        if leaf.parent_page_id is None or not self.tree.disk.contains(
-            leaf.parent_page_id
-        ):
-            # The leaf is the root (or its parent pointer dangles after a
-            # restructure): there is nothing to enlarge against and no
-            # siblings to shift to; repair top-down.
-            return self._top_down_update(oid, old_location, new_location)
-        parent = self.tree.read_node(leaf.parent_page_id)
-        if not parent.has_child(leaf.page_id):
-            # Parent pointer is stale (should not happen when maintenance is
-            # correct); fall back to the safe path.
-            return self._top_down_update(oid, old_location, new_location)
-
-        # 2. Enlarge the leaf MBR by ε in all directions, bounded by the parent MBR.
-        parent_mbr = parent.mbr()
-        enlarged = leaf.effective_mbr().expanded(self.params.epsilon)
-        if parent_mbr.contains_rect(enlarged) and enlarged.contains_point(new_location):
-            leaf.set_rect(oid, Rect.from_point(new_location))
-            leaf.stored_mbr = enlarged
-            self.tree.write_node(leaf)
-            parent.set_rect(leaf.page_id, enlarged)
-            self.tree.write_node(parent)
-            return UpdateOutcome.EXTENDED
-
-        # 3. Removing the object must not underflow the leaf; otherwise the
-        #    reorganisation belongs to the top-down machinery.
-        if len(leaf) - 1 < self.tree.min_leaf_entries:
-            return self._top_down_update(oid, old_location, new_location)
-
-        leaf.discard_entry(oid)
-        self.tree.write_node(leaf)
-
-        # 3b. Shift to a sibling whose MBR contains the new location and which
-        #     is not full.  Without the summary structure every candidate has
-        #     to be read from disk to check fullness.
-        sibling = self._find_sibling(parent, exclude_page=leaf.page_id, location=new_location)
-        if sibling is not None:
+            dirty = False
+            sibling = self._find_sibling(parent, leaf_page_id, new_location, held)
+            if sibling is None:
+                escalations.append(partial(self._insert_from_root, oid, new_location))
+                continue
             sibling.add_entry(Entry(Rect.from_point(new_location), oid))
-            self.tree.write_node(sibling)
-            return UpdateOutcome.SIBLING_SHIFT
+            changed[sibling.page_id] = sibling
+            outcomes.append(UpdateOutcome.SIBLING_SHIFT)
 
-        # 4. Standard R-tree insert from the root (the object is already deleted).
-        self.tree.insert(oid, new_location)
+        if dirty:
+            self.tree.write_node(leaf)
+        for node in changed.values():
+            self.tree.write_node(node)
+        return outcomes, escalations, unsettled
+
+    def _parent(self, leaf: Node, read: Callable[[int], Node]) -> Optional[Node]:
+        """The leaf's parent, through its parent pointer.
+
+        ``None`` — repair top-down — when the leaf is the root or its
+        pointer dangles after a restructure (nothing to enlarge against, no
+        siblings to shift to), or is stale (which correct maintenance never
+        leaves).
+        """
+        page = leaf.parent_page_id
+        if page is None or not self.tree.disk.contains(page):
+            return None
+        parent = read(page)
+        return parent if parent.has_child(leaf.page_id) else None
+
+    def _enlargement(self, leaf: Node, parent: Node, location: Point) -> Optional[Rect]:
+        """The leaf MBR enlarged by ε in all directions, if that stays inside
+        the parent MBR and covers *location*."""
+        enlarged = leaf.effective_mbr().expanded(self.params.epsilon)
+        if parent.mbr().contains_rect(enlarged) and enlarged.contains_point(location):
+            return enlarged
+        return None
+
+    def _find_sibling(
+        self, parent: Node, exclude_page: int, location: Point, held: Dict[int, Node]
+    ) -> Optional[Node]:
+        """Read candidate siblings until a non-full one containing *location* is found.
+
+        Without the summary structure every candidate has to be read from
+        disk to check fullness (once per bucket: *held* keeps them).
+        """
+        for candidate_page in parent.contains_point_children(location):
+            if candidate_page == exclude_page:
+                continue
+            sibling = held.get(candidate_page)
+            if sibling is None:
+                sibling = held[candidate_page] = self.tree.read_node(candidate_page)
+            if sibling.is_full(self.tree.leaf_capacity):
+                continue
+            return sibling
+        return None
+
+    def _insert_from_root(self, oid: int, location: Point) -> UpdateOutcome:
+        """Standard R-tree insert from the root; the leaf already let the object go."""
+        self.tree.insert(oid, location)
         self.tree.size -= 1  # insert() counts a new object; this one was only moved
         return UpdateOutcome.TOP_DOWN
 
     # ------------------------------------------------------------------
-    # Batch execution (group-by-leaf)
-    # ------------------------------------------------------------------
-    def apply_group(
-        self, leaf_page_id: int, group: Sequence[BatchUpdate]
-    ) -> List[BatchUpdate]:
-        """Group pass: shared in-place sweep plus **one** ε-enlargement.
-
-        The per-operation path reads the parent (through the leaf's parent
-        pointer) and enlarges the leaf MBR once per escaping update; the
-        group pass reads the parent once, enlarges once, and absorbs every
-        group member the enlarged MBR covers — then issues a single leaf
-        write and a single deferred parent-MBR adjustment.  Sibling shifts
-        and top-down repairs stay per-operation (they are the rare classes)
-        and are returned as residuals.
-        """
-        leaf = self.tree.read_node(leaf_page_id)
-        residuals, dirty = self._apply_in_place(leaf, group)
-
-        if (
-            residuals
-            and len(leaf)
-            and leaf.parent_page_id is not None
-            and self.tree.disk.contains(leaf.parent_page_id)
-        ):
-            parent = self.tree.read_node(leaf.parent_page_id)
-            if parent.has_child(leaf.page_id):
-                enlarged = leaf.effective_mbr().expanded(self.params.epsilon)
-                if parent.mbr().contains_rect(enlarged):
-                    still: List[BatchUpdate] = []
-                    extended = False
-                    for request in residuals:
-                        location = request.new_location
-                        if leaf.has_child(request.oid) and enlarged.contains_point(location):
-                            leaf.set_rect(request.oid, Rect.from_point(location))
-                            extended = True
-                            self.record_outcome(UpdateOutcome.EXTENDED)
-                        else:
-                            still.append(request)
-                    if extended:
-                        leaf.stored_mbr = enlarged
-                        dirty = True
-                        self.tree.adjust_upward(parent, [leaf])
-                    residuals = still
-
-        if dirty:
-            self.tree.write_node(leaf)
-        self._charge_batch_probes(len(group) - len(residuals))
-        return residuals
-
-    # ------------------------------------------------------------------
     # Lock-scope prediction (concurrency engine)
     # ------------------------------------------------------------------
-    def lock_scope(
-        self, oid: int, old_location: Point, new_location: Point
+    def _scope(
+        self, leaf_page_id: Optional[int], request: Request
     ) -> List[GranuleLockRequest]:
         """Leaf, sibling-candidate and adjusted-parent granules only.
 
@@ -217,52 +232,31 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         scope widen to the base top-down set — the paper's Section 3.2.2
         asymmetry, expressed as lock footprints.
         """
-        leaf_page = self.hash_index.peek(oid)
-        if leaf_page is None:
+        oid, _old_location, new_location = request
+        if leaf_page_id is None:
             return self.insert_lock_scope(new_location)
-        leaf = self.tree.peek_node(leaf_page)
+        leaf = self.tree.peek_node(leaf_page_id)
         if not leaf.has_child(oid):
-            return super().lock_scope(oid, old_location, new_location)
+            return self._top_down_scope(request)
 
-        requests = [GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE)]
-        tree_intention = GranuleLockRequest(
-            TREE_GRANULE, LockMode.INTENTION_EXCLUSIVE
-        )
-        if len(leaf) and leaf.effective_mbr().contains_point(new_location):
+        requests = [GranuleLockRequest(leaf_page_id, LockMode.EXCLUSIVE)]
+        tree_intention = GranuleLockRequest(TREE_GRANULE, LockMode.INTENTION_EXCLUSIVE)
+        if leaf.effective_mbr().contains_point(new_location):
             requests.append(tree_intention)
-            return merge_requests(requests)
-
-        if leaf.parent_page_id is None or not self.tree.disk.contains(
-            leaf.parent_page_id
-        ):
-            return super().lock_scope(oid, old_location, new_location)
-        parent = self.tree.peek_node(leaf.parent_page_id)
-        if not parent.has_child(leaf_page):
-            return super().lock_scope(oid, old_location, new_location)
-        requests.append(
-            GranuleLockRequest(parent.page_id, LockMode.INTENTION_EXCLUSIVE)
-        )
-
-        enlarged = (
-            leaf.effective_mbr().expanded(self.params.epsilon)
-            if len(leaf)
-            else None
-        )
-        if (
-            enlarged is not None
-            and parent.mbr().contains_rect(enlarged)
-            and enlarged.contains_point(new_location)
-        ):
+            return requests
+        parent = self._parent(leaf, self.tree.peek_node)
+        if parent is None:
+            return self._top_down_scope(request)
+        requests.append(GranuleLockRequest(parent.page_id, LockMode.INTENTION_EXCLUSIVE))
+        if self._enlargement(leaf, parent, new_location) is not None:
             requests.append(tree_intention)
-            return merge_requests(requests)
-
+            return requests
         if len(leaf) - 1 < self.tree.min_leaf_entries:
-            return super().lock_scope(oid, old_location, new_location)
-
+            return self._top_down_scope(request)
         candidates = [
             page
             for page in parent.contains_point_children(new_location)
-            if page != leaf_page
+            if page != leaf_page_id
         ]
         if candidates:
             requests.extend(
@@ -272,38 +266,4 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
             # Bottom-up removal followed by a root insert of the survivor.
             requests.extend(self.insert_lock_scope(new_location))
         requests.append(tree_intention)
-        return merge_requests(requests)
-
-    def group_lock_scope(
-        self, leaf_page_id: int, group: Sequence[BatchUpdate]
-    ) -> List[GranuleLockRequest]:
-        """Leaf exclusively, parent granule with intent (one shared ε-pass)."""
-        requests = super().group_lock_scope(leaf_page_id, group)
-        if not self.tree.disk.contains(leaf_page_id):
-            # The planned leaf was dissolved by an earlier group's residual
-            # replay; execution will re-route the members, so the base scope
-            # (the stale granule id plus the tree intent) is all that's left
-            # to lock.
-            return requests
-        leaf = self.tree.peek_node(leaf_page_id)
-        if leaf.parent_page_id is not None:
-            requests.append(
-                GranuleLockRequest(leaf.parent_page_id, LockMode.INTENTION_EXCLUSIVE)
-            )
-        return merge_requests(requests)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _find_sibling(
-        self, parent: Node, exclude_page: int, location: Point
-    ) -> Optional[Node]:
-        """Read candidate siblings until a non-full one containing *location* is found."""
-        for candidate_page in parent.contains_point_children(location):
-            if candidate_page == exclude_page:
-                continue
-            sibling = self.tree.read_node(candidate_page)
-            if sibling.is_full(self.tree.leaf_capacity):
-                continue
-            return sibling
-        return None
+        return requests

@@ -11,22 +11,19 @@ both the ε-enlargement/sibling ideas of LBU and ultimately GBU.  The strategy
 is included so that observation can be reproduced (see
 the ``naive_fallback`` figure).
 
-Under the batch engine NAIVE inherits the base group pass unchanged — it is
-exactly this strategy's "update in place or give up" rule applied at group
-granularity, with one hash probe charged per absorbed update.
+Its ladder — in place, or top-down — is the base ladder of
+:class:`~repro.update.base.UpdateStrategy`, for one update or a leaf bucket
+of many, and so is its lock-scope ladder.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.concurrency.dgl import TREE_GRANULE, GranuleLockRequest
-from repro.concurrency.locks import LockMode
-from repro.geometry import Point, Rect
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
 from repro.storage.stats import IOStatistics
-from repro.update.base import UpdateOutcome, UpdateStrategy
+from repro.update.base import UpdateStrategy
 
 
 class NaiveBottomUpUpdate(UpdateStrategy):
@@ -42,45 +39,3 @@ class NaiveBottomUpUpdate(UpdateStrategy):
     ) -> None:
         super().__init__(tree, stats=stats)
         self.hash_index = hash_index
-
-    def _update(self, oid: int, old_location: Point, new_location: Point) -> UpdateOutcome:
-        leaf_page = self.hash_index.lookup(oid)
-        if leaf_page is None:
-            self.tree.insert(oid, new_location)
-            return UpdateOutcome.INSERTED_NEW
-
-        leaf = self.tree.read_node(leaf_page)
-        if not leaf.has_child(oid):
-            # Stale secondary index (should not happen); repair via top-down.
-            return self._top_down_update(oid, old_location, new_location)
-
-        if leaf.effective_mbr().contains_point(new_location):
-            leaf.set_rect(oid, Rect.from_point(new_location))
-            self.tree.write_node(leaf)
-            return UpdateOutcome.IN_PLACE
-
-        return self._top_down_update(oid, old_location, new_location)
-
-    # ------------------------------------------------------------------
-    # Lock-scope prediction (concurrency engine)
-    # ------------------------------------------------------------------
-    def lock_scope(
-        self, oid: int, old_location: Point, new_location: Point
-    ) -> List[GranuleLockRequest]:
-        """One exclusive leaf granule when the update stays in place.
-
-        NAIVE has exactly two classes: in place (lock the object's leaf,
-        nothing else) or give up and go top-down (the base scope).  The
-        asymmetry against TD therefore appears only for the in-place share —
-        precisely the paper's point about why this strawman does not scale.
-        """
-        leaf_page = self.hash_index.peek(oid)
-        if leaf_page is None:
-            return self.insert_lock_scope(new_location)
-        leaf = self.tree.peek_node(leaf_page)
-        if leaf.has_child(oid) and leaf.effective_mbr().contains_point(new_location):
-            return [
-                GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE),
-                GranuleLockRequest(TREE_GRANULE, LockMode.INTENTION_EXCLUSIVE),
-            ]
-        return super().lock_scope(oid, old_location, new_location)

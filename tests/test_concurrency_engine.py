@@ -1,9 +1,12 @@
 """Tests for the online operation engine, lock scopes and the session facade."""
 
+import random
+
 import pytest
 
 from repro.api import Operation
 from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockMode
+from repro.concurrency.locks import strongest_mode
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.update.base import BatchUpdate
@@ -109,6 +112,53 @@ class TestLockScopes:
             by_granule = {request.granule: request.mode for request in scope}
             assert by_granule[leaf_page] == LockMode.EXCLUSIVE
             assert TREE_GRANULE in by_granule
+
+    @pytest.mark.parametrize("strategy", ["NAIVE", "LBU", "GBU"])
+    def test_scope_of_a_bucket_of_one_is_lock_scope(self, strategy):
+        """One scope ladder per strategy: a one-member bucket predicts what
+        the per-operation update predicts, escaping members included."""
+        index, _ = loaded(strategy, num_objects=500, seed=9)
+        escaping = 0
+        for request in scoped_moves(index):
+            leaf_page = index.hash_index.peek(request.oid)
+            expected = index.strategy.lock_scope(*request)
+            assert index.strategy.group_lock_scope(leaf_page, [request]) == expected
+            escaping += len(granules(expected)) > 2
+        assert escaping >= 20
+
+    @pytest.mark.parametrize("strategy", ["NAIVE", "LBU", "GBU"])
+    def test_scope_of_a_bucket_covers_every_member(self, strategy):
+        index, _ = loaded(strategy, num_objects=500, seed=9)
+        buckets = {}
+        for request in scoped_moves(index):
+            buckets.setdefault(index.hash_index.peek(request.oid), []).append(request)
+        shared = 0
+        for leaf_page, bucket in buckets.items():
+            held = {
+                request.granule: request.mode
+                for request in index.strategy.group_lock_scope(leaf_page, bucket)
+            }
+            for member in bucket:
+                for request in index.strategy.lock_scope(*member):
+                    mode = held[request.granule]
+                    assert strongest_mode(mode, request.mode) == mode
+            shared += len(bucket) > 1
+        assert shared >= 10
+
+
+def scoped_moves(index, count=160, seed=12):
+    """One request per object: in place, just outside the leaf, or far away."""
+    rng = random.Random(seed)
+    requests = []
+    for oid in rng.sample(range(len(index)), count):
+        old = index.position_of(oid)
+        reach = rng.choice((0.0, 0.01, 0.05, 0.3))
+        new = Point(
+            min(1.0, max(0.0, old.x + rng.uniform(-reach, reach))),
+            min(1.0, max(0.0, old.y + rng.uniform(-reach, reach))),
+        )
+        requests.append(BatchUpdate(oid, old, new))
+    return requests
 
 
 class TestConcurrentSession:

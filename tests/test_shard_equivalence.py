@@ -251,8 +251,8 @@ class TestKNNBoundaryProperty:
 
 
 class TestExecutionBackendEquivalence:
-    """serial == thread == process: the backends change *where* shard work
-    runs, never *what* it computes — answers, positions, update outcomes and
+    """serial == process: the backends change *where* shard work runs,
+    never *what* it computes — answers, positions, update outcomes and
     every I/O counter must match the serial path exactly.
     """
 
@@ -266,13 +266,10 @@ class TestExecutionBackendEquivalence:
         max_distance=0.09,
     )
 
-    #: Backend legs per start method.  The thread backend has none and the
-    #: shard→worker mapping does not depend on it, so ``spawn`` — a fresh
-    #: interpreter per worker, ≈0.2 s each — runs one worker count.
-    LEGS = {
-        "fork": (("thread", 2), ("process", 2), ("process", 4)),
-        "spawn": (("process", 2),),
-    }
+    #: Worker counts per start method.  The shard→worker mapping does not
+    #: depend on the start method, so ``spawn`` — a fresh interpreter per
+    #: worker, ≈0.2 s each — runs one of them.
+    LEGS = {"fork": (2, 4), "spawn": (2,)}
 
     def run_with_backend(self, strategy, backend, workers=None, start_method=None):
         config = IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE)
@@ -316,13 +313,13 @@ class TestExecutionBackendEquivalence:
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
-    def test_thread_and_process_match_serial(self, strategy, start_method):
+    def test_process_matches_serial(self, strategy, start_method):
         expected = self.run_with_backend(strategy, "serial")
         assert expected["migrations"] > 0  # the stream really migrates
-        for backend, workers in self.LEGS[start_method]:
-            actual = self.run_with_backend(strategy, backend, workers, start_method)
+        for workers in self.LEGS[start_method]:
+            actual = self.run_with_backend(strategy, "process", workers, start_method)
             assert actual == expected, (
-                f"{strategy}: {backend}[{workers}] ({start_method}) "
+                f"{strategy}: process[{workers}] ({start_method}) "
                 "diverged from serial"
             )
 
@@ -353,6 +350,4 @@ class TestExecutionBackendEquivalence:
             sharded.validate()
             return result
 
-        expected = run("serial")
-        assert run("thread") == expected
-        assert run("process") == expected
+        assert run("process") == run("serial")

@@ -1,14 +1,15 @@
 """Tests for the parallel shard-execution backends (``repro.shard.parallel``).
 
 The equivalence suite (``tests/test_shard_equivalence.py``) proves that
-serial, thread and process execution compute identical answers and I/O
-counters; this file covers the backend machinery itself: lifecycle,
+serial and process execution compute identical answers and I/O counters;
+this file covers the backend machinery itself: lifecycle,
 kernel-backend propagation into workers, spec/checkpoint round-trips,
 detach state sync, the engine guard, rebalancing between workers, the
 serial executor's round trips counted through a recording fake, what an
 attach is allowed to cost, and what a dead or hung worker turns into.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -47,7 +48,7 @@ def build_sharded(strategy="GBU", shards=4):
 
 class TestBackendLifecycle:
     def test_backend_names_are_the_public_contract(self):
-        assert BACKENDS == ("serial", "thread", "process")
+        assert BACKENDS == ("serial", "process")
 
     def test_serial_is_the_default_and_a_no_op(self):
         index, _ = build_sharded()
@@ -61,6 +62,15 @@ class TestBackendLifecycle:
         with pytest.raises(ValueError):
             index.set_parallel("gpu")
 
+    def test_the_deleted_thread_executor_is_an_unknown_backend(self):
+        index, _ = build_sharded()
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            index.set_parallel("thread")
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            IndexBuilder().shards(2).parallel("thread")
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            open_index({"kind": "sharded", "shards": 2, "parallel": {"backend": "thread"}})
+
     def test_worker_count_is_clamped_to_the_shard_count(self):
         index, _ = build_sharded(shards=4)
         index.set_parallel("process", workers=64)
@@ -69,8 +79,8 @@ class TestBackendLifecycle:
 
     def test_reattach_replaces_the_backend(self):
         index, generator = build_sharded()
-        index.set_parallel("thread", workers=2)
-        assert "thread[2]" in index.describe()
+        index.set_parallel("process", workers=1)
+        assert "process[1]" in index.describe()
         index.set_parallel("process", workers=2)
         assert "process[2]" in index.describe()
         for oid, _old, new in generator.updates(40):
@@ -195,7 +205,7 @@ class TestSpecAndCheckpointRoundTrip:
             index.detach_parallel()
 
     def test_builder_serial_clears_a_previous_parallel_choice(self):
-        builder = IndexBuilder().shards(2).parallel("thread").parallel("serial")
+        builder = IndexBuilder().shards(2).parallel("process").parallel("serial")
         assert "parallel" not in builder.spec()
         index = builder.build()
         assert index.parallel_spec is None
@@ -203,7 +213,7 @@ class TestSpecAndCheckpointRoundTrip:
     def test_parallel_spec_conflicts_with_kind_single(self):
         with pytest.raises(ValueError, match="single"):
             open_index(
-                {"kind": "single", "parallel": {"backend": "thread", "workers": 2}}
+                {"kind": "single", "parallel": {"backend": "process", "workers": 2}}
             )
 
     def test_checkpoint_round_trips_with_live_workers(self, tmp_path):
@@ -230,6 +240,23 @@ class TestSpecAndCheckpointRoundTrip:
             restored.detach_parallel()
             index.detach_parallel()
         index.validate()
+
+    def test_checkpoint_that_recorded_the_thread_executor_loads_serial(self, tmp_path):
+        index, generator = build_sharded()
+        for oid, _old, new in generator.updates(60):
+            index.update(oid, new)
+        path = tmp_path / "checkpoint.json"
+        save_index(index, path)
+        document = json.loads(path.read_text())
+        document["parallel"] = {"backend": "thread", "workers": 2}
+        path.write_text(json.dumps(document))
+        restored = load_index(path)
+        assert restored.parallel_spec is None
+        assert restored.describe().endswith("parallel=serial")
+        assert {
+            oid: restored.position_of(oid) for oid in range(SPEC.num_objects)
+        } == {oid: index.position_of(oid) for oid in range(SPEC.num_objects)}
+        restored.validate()
 
 
 class TestRemoteRebalance:

@@ -7,7 +7,7 @@ without changing a single answer.  These tests run, for every ordered
 strategy pair, a workload → swap → workload sequence and assert positions
 and query answers identical to a fresh index built with the final strategy
 that saw the same operation stream.  The sharded variants do the same with
-per-shard swaps under the serial, thread and process backends, and the
+per-shard swaps under the serial and process backends, and the
 checkpoint tests prove the *live* strategy (not the construction-time one)
 round-trips through save/load.
 """
@@ -169,10 +169,6 @@ class TestShardedSwap:
     @pytest.mark.parametrize("initial,final", ORDERED_PAIRS)
     def test_all_pairs_serial(self, initial, final):
         self.run_swapped(initial, final, "serial")
-
-    @pytest.mark.parametrize("initial,final", ORDERED_PAIRS)
-    def test_all_pairs_thread(self, initial, final):
-        self.run_swapped(initial, final, "thread")
 
     @pytest.mark.parametrize(
         "initial,final",

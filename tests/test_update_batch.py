@@ -398,7 +398,7 @@ class TestBatchPlan:
 
 
 class GroupPassProbe:
-    """A churned GBU index that records what each group pass asks the bit vector."""
+    """A churned GBU index that records what each bucket's ladder asks the bit vector."""
 
     def __init__(self, objects=500, seed=7):
         self.rng = random.Random(seed)
@@ -415,15 +415,15 @@ class GroupPassProbe:
             return real_is_full(page)
 
         bits.is_full = is_full
-        self.passes = []  # (leaf page, is_full calls made inside the pass)
+        self.passes = []  # (leaf page, is_full calls made by its local rungs)
         strategy = self.index.strategy
         real_apply_group = strategy.apply_group
 
         def apply_group(leaf_page, group):
             before = len(self.asked)
-            residuals = real_apply_group(leaf_page, group)
+            leaf_pass = real_apply_group(leaf_page, group)
             self.passes.append((leaf_page, self.asked[before:]))
-            return residuals
+            return leaf_pass
 
         strategy.apply_group = apply_group
 
@@ -453,7 +453,7 @@ def _step(rng, position, reach):
 
 
 class TestGroupPassWorkBound:
-    """The group pass asks the bit vector only about siblings that can matter."""
+    """The one GBU ladder asks the bit vector only about siblings that can matter."""
 
     def test_group_absorbed_in_place_never_asks(self):
         probe = GroupPassProbe()
@@ -503,6 +503,6 @@ class TestGroupPassWorkBound:
             for oid in (1, 2, 1, 3)
         ]
         result = index.batch.execute(ops)
-        # execute() coalesces inline; _flush buckets that as it is.
-        assert result.coalesced == 1 and calls == []
-        assert len(index.batch.plan(ops).buckets) >= 1 and calls == [1]
+        # One run between barriers: planned, and so coalesced, once.
+        assert result.coalesced == 1 and calls == [1]
+        assert len(index.batch.plan(ops).buckets) >= 1 and calls == [1, 1]
