@@ -186,9 +186,11 @@ class SpatialIndexFacade(abc.ABC):
         at all (:class:`~repro.api.errors.InvalidOperationError`) always
         raises — there is no operation to attach a result to.
         """
-        op = api_ops.Operation.from_any(operation)
+        # The common case first, by exact type: an Update needs no coercion.
+        update = type(operation) is api_ops.Update
+        op = operation if update else api_ops.Operation.from_any(operation)
         try:
-            if isinstance(op, (api_ops.Update, api_ops.Migrate)):
+            if update or isinstance(op, (api_ops.Update, api_ops.Migrate)):
                 return OperationResult(op, outcome=self.update(op.oid, op.new_location))
             if isinstance(op, api_ops.Insert):
                 from repro.update import UpdateOutcome  # local: import cycle

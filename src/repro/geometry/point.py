@@ -28,11 +28,14 @@ class Point:
     y: float
 
     def __init__(self, x: float, y: float) -> None:
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
+        _set_x(self, float(x))
+        _set_y(self, float(y))
 
     # -- immutability -----------------------------------------------------
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Point is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("Point is immutable")
 
     def __reduce__(self) -> Tuple[Type["Point"], Tuple[float, float]]:
@@ -82,3 +85,7 @@ class Point:
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)``."""
         return (self.x, self.y)
+
+
+#: The slot descriptors' setters, bound once (see ``repro.geometry.rect``).
+_set_x, _set_y = (Point.__dict__[name].__set__ for name in Point.__slots__)

@@ -41,12 +41,15 @@ class Rect:
                 f"invalid rectangle: ({xmin}, {ymin}, {xmax}, {ymax}) "
                 "requires xmin <= xmax and ymin <= ymax"
             )
-        object.__setattr__(self, "xmin", float(xmin))
-        object.__setattr__(self, "ymin", float(ymin))
-        object.__setattr__(self, "xmax", float(xmax))
-        object.__setattr__(self, "ymax", float(ymax))
+        _set_xmin(self, float(xmin))
+        _set_ymin(self, float(ymin))
+        _set_xmax(self, float(xmax))
+        _set_ymax(self, float(ymax))
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Rect is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("Rect is immutable")
 
     def __reduce__(self) -> Tuple[Type["Rect"], Tuple[float, float, float, float]]:
@@ -67,10 +70,10 @@ class Rect:
         use it to avoid paying the validated constructor per rectangle.
         """
         rect = cls.__new__(cls)
-        object.__setattr__(rect, "xmin", xmin)
-        object.__setattr__(rect, "ymin", ymin)
-        object.__setattr__(rect, "xmax", xmax)
-        object.__setattr__(rect, "ymax", ymax)
+        _set_xmin(rect, xmin)
+        _set_ymin(rect, ymin)
+        _set_xmax(rect, xmax)
+        _set_ymax(rect, ymax)
         return rect
 
     @classmethod
@@ -273,7 +276,8 @@ class Rect:
                 new_ymin = max(new_ymin, bound.ymin)
             ymin = min(ymin, new_ymin)
 
-        return Rect(xmin, ymin, xmax, ymax)
+        # Sides only move outwards: well-formed by construction.
+        return Rect._raw(xmin, ymin, xmax, ymax)
 
     def expanded(self, epsilon: float, bound: Optional["Rect"] = None) -> "Rect":
         """Enlarge the rectangle by *epsilon* **in all directions**.
@@ -299,7 +303,14 @@ class Rect:
             ymin = min(ymin, self.ymin)
             xmax = max(xmax, self.xmax)
             ymax = max(ymax, self.ymax)
-        return Rect(xmin, ymin, xmax, ymax)
+        return Rect._raw(xmin, ymin, xmax, ymax)
+
+
+#: The slot descriptors' setters, bound once: construction writes the slots
+#: past the immutability guard at half the cost of ``object.__setattr__``.
+_set_xmin, _set_ymin, _set_xmax, _set_ymax = (
+    Rect.__dict__[name].__set__ for name in Rect.__slots__
+)
 
 
 def union_all(rects: Iterable[Rect]) -> Rect:

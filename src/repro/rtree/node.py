@@ -25,7 +25,8 @@ to and from page images with ``tobytes``/``frombytes``.
 
 One rule governs access: **entries read out of a node are immutable values;
 a node is written only through its own methods** (:meth:`Node.add_entry`,
-:meth:`Node.set_rect`, the removal methods, assigning :attr:`Node.entries`).
+:meth:`Node.set_rect` / :meth:`Node.set_point` / :meth:`Node.widen`, the
+removal methods, assigning :attr:`Node.entries`) or built by the page codec.
 Because of it a node can keep two pieces of state about its own columns
 current at the cost of what a write changed, not the fan-out:
 
@@ -126,35 +127,6 @@ class Node:
         self._mbr: Optional[Rect] = None
         self.entries = entries or ()  # creates the columns
 
-    @classmethod
-    def from_columns(
-        cls,
-        page_id: int,
-        level: int,
-        coords: "array[float]",
-        children: "array[int]",
-        parent_page_id: Optional[int] = None,
-        stored_mbr: Optional[Rect] = None,
-        mbr: Optional[Rect] = None,
-    ) -> "Node":
-        """A node *as last written*, adopting ready columns (the decode path).
-
-        *coords* and *children* become the node's columns without a copy;
-        *mbr*, when given, must be their tight bound.  Nothing has arrived
-        (:attr:`arrived` is ``None``): the caller describes a node the
-        observers have already seen.
-        """
-        node = cls.__new__(cls)
-        node.page_id = page_id
-        node.level = level
-        node.parent_page_id = parent_page_id
-        node.stored_mbr = stored_mbr
-        node.coords = coords
-        node.children = children
-        node.arrived = None
-        node._mbr = mbr
-        return node
-
     # -- classification -----------------------------------------------------
     @property
     def is_leaf(self) -> bool:
@@ -254,14 +226,37 @@ class Node:
     def set_rect(self, child: int, rect: Rect) -> bool:
         """Overwrite the MBR stored for *child*; ``True`` when it differed.
 
-        The node's one in-place write.  Raises ``LookupError`` when the node
-        holds no entry for *child*.
+        Raises ``LookupError`` when the node holds no entry for *child*.
         """
-        base = 4 * self._index_of(child)
-        if base < 0:
-            raise LookupError(f"entry {child} not found in node {self.page_id}")
+        return self._write(self._base_of(child), rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+
+    def set_point(self, child: int, point: Point) -> bool:
+        """:meth:`set_rect` to the degenerate rectangle at *point*."""
+        x, y = point.x, point.y
+        return self._write(self._base_of(child), x, y, x, y)
+
+    def widen(self, child: int, rect: Rect) -> bool:
+        """Grow the MBR stored for *child* to cover *rect*; ``True`` when it grew."""
+        base = self._base_of(child)
         coords = self.coords
-        xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+        return self._write(
+            base,
+            min(coords[base], rect.xmin),
+            min(coords[base + 1], rect.ymin),
+            max(coords[base + 2], rect.xmax),
+            max(coords[base + 3], rect.ymax),
+        )
+
+    def _base_of(self, child: int) -> int:
+        """Offset in :attr:`coords` of *child*'s entry; ``LookupError`` when absent."""
+        try:
+            return 4 * self.children.index(child)
+        except ValueError:
+            raise LookupError(f"entry {child} not found in node {self.page_id}") from None
+
+    def _write(self, base: int, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
+        """The one in-place write: the entry at *base* gets new bounds, memo kept current."""
+        coords = self.coords
         old_xmin = coords[base]
         old_ymin = coords[base + 1]
         old_xmax = coords[base + 2]
@@ -285,7 +280,9 @@ class Node:
                 # reaches: the bound may shrink, only a sweep can tell.
                 self._mbr = None
             elif xmin < mxmin or ymin < mymin or xmax > mxmax or ymax > mymax:
-                self._mbr = mbr.union(rect)
+                self._mbr = Rect._raw(
+                    min(mxmin, xmin), min(mymin, ymin), max(mxmax, xmax), max(mymax, ymax)
+                )
         return True
 
     def remove_entry(self, child: int) -> Optional[Entry]:

@@ -513,14 +513,8 @@ class RTree:
         current = parent
         for page_id in reversed(list(ancestor_path)):
             ancestor = self.read_node(page_id)
-            ancestor_entry = ancestor.find_entry(current.page_id)
-            if ancestor_entry is None:
-                raise LookupError(
-                    f"node {current.page_id} not found in ancestor {page_id}"
-                )
-            if ancestor_entry.rect.contains_rect(needed):
-                break
-            ancestor.set_rect(current.page_id, ancestor_entry.rect.union(needed))
+            if not ancestor.widen(current.page_id, needed):
+                break  # the ancestor's entry already covers it
             self.write_node(ancestor)
             current = ancestor
             needed = current.mbr()
@@ -801,11 +795,18 @@ class RTree:
         return counts
 
     def root_mbr(self) -> Optional[Rect]:
-        """MBR of the whole tree, or ``None`` when the tree is empty (no I/O charged)."""
-        root = self.peek_node(self.root_page_id)
-        if not len(root):
-            return None
-        return root.mbr()
+        """MBR of the whole tree, or ``None`` when the tree is empty (no I/O charged).
+
+        From the root's frame when resident, else from its page header alone.
+        """
+        page_id = self.root_page_id
+        root = self.buffer.resident(page_id)
+        if root is None:
+            codec = self.buffer.codec
+            if codec is not None:
+                return codec.decode_mbr(page_id, self.disk.peek(page_id))
+            root = self.disk.peek(page_id)
+        return root.mbr() if len(root) else None
 
     # ------------------------------------------------------------------
     # Lock-scope planning (used by the concurrent operation engine)

@@ -267,7 +267,14 @@ class BufferPool:
         """
         if page_id in self._frames:
             return self._frames[page_id]
-        return self._decoded(page_id, self.disk.peek(page_id))
+        stored = self.disk.peek(page_id)
+        if self.codec is None or stored is None:  # None: allocated, never written
+            return stored
+        return self.codec.decode(page_id, stored)
+
+    def resident(self, page_id: int) -> Any:
+        """The frame of *page_id*, ``None`` when not resident (uncharged, LRU untouched)."""
+        return self._frames.get(page_id)
 
     def pin(self, page_id: int) -> None:
         """Exempt *page_id* from eviction until a matching :meth:`unpin`.
@@ -326,16 +333,6 @@ class BufferPool:
         self._dirty.clear()
 
     # -- internals ------------------------------------------------------------
-    def _decoded(self, page_id: int, stored: Any) -> Any:
-        """The frame payload for what the disk holds on *page_id*.
-
-        A page that was allocated but never written holds ``None``, with or
-        without a codec.
-        """
-        if self.codec is None or stored is None:
-            return stored
-        return self.codec.decode(page_id, stored)
-
     def _write_through(self, page_id: int, payload: Any) -> None:
         """One physical write of *payload* (its page image under a codec)."""
         if self.codec is not None:

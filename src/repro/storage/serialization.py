@@ -60,6 +60,8 @@ _NO_PARENT = 0xFFFFFFFF
 _FLAG_HAS_STORED_MBR = 0x01
 _FLAG_HAS_TIGHT_MBR = 0x02  # page-store codec only
 _KNOWN_FLAGS = _FLAG_HAS_STORED_MBR | _FLAG_HAS_TIGHT_MBR
+#: Flags and stored-MBR fields of a header whose node has no ε-slack.
+_NO_STORED_MBR = (0, 0.0, 0.0, 0.0, 0.0)
 
 # Sizing-model codec: header (level, count, parent, flags, stored MBR) and
 # row-major entries, with the coordinate width taken from the page layout.
@@ -75,6 +77,7 @@ _PAGE_HEADER_WITH_MBR = struct.Struct("<HHIB4d4d")
 _FLAGS_OFFSET = 8  # the B of <HHIB...
 _COORD_BYTES = 8  # one binary64 coordinate
 _CHILD_BYTES = 4  # one unsigned 32-bit id
+_ENTRY_BYTES = 4 * _COORD_BYTES + _CHILD_BYTES
 
 # The node's columns are the image's blocks byte for byte on a little-endian
 # platform whose array('I') items are 4 bytes wide (array('d') is always
@@ -94,18 +97,6 @@ def _structs_for(layout: PageLayout) -> tuple:
         return _HEADER_F64, _ENTRY_F64
     raise SerializationError(
         f"unsupported coordinate_size {layout.coordinate_size} (expected 4 or 8)"
-    )
-
-
-def _header_fields(node: Node) -> tuple:
-    """``(level, count, parent, flags, *stored MBR)`` as every header packs them."""
-    stored = node.stored_mbr
-    return (
-        node.level,
-        len(node),
-        node.parent_page_id if node.parent_page_id is not None else _NO_PARENT,
-        _FLAG_HAS_STORED_MBR if stored is not None else 0,
-        *(stored.as_tuple() if stored is not None else (0.0, 0.0, 0.0, 0.0)),
     )
 
 
@@ -139,7 +130,12 @@ def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
     """
     layout = layout if layout is not None else PageLayout()
     header_struct, entry_struct = _structs_for(layout)
-    header = header_struct.pack(*_header_fields(node))
+    stored = node.stored_mbr
+    parent = node.parent_page_id
+    header = header_struct.pack(
+        node.level, len(node), _NO_PARENT if parent is None else parent,
+        *(_NO_STORED_MBR if stored is None else (_FLAG_HAS_STORED_MBR, *stored)),
+    )  # fmt: skip
     header = header.ljust(max(header_struct.size, layout.header_size), b"\x00")
 
     body = bytearray(header)
@@ -209,16 +205,24 @@ class NodeCodec:
     __slots__ = ()
 
     def encode(self, node: Node) -> bytes:
-        level, count, parent, flags, sx0, sy0, sx1, sy1 = _header_fields(node)
+        count = len(node.children)
+        parent = node.parent_page_id
+        if parent is None:
+            parent = _NO_PARENT
+        stored = node.stored_mbr
+        flags, sx0, sy0, sx1, sy1 = (
+            _NO_STORED_MBR if stored is None
+            else (_FLAG_HAS_STORED_MBR, stored.xmin, stored.ymin, stored.xmax, stored.ymax)
+        )  # fmt: skip
         if count:
             tight = node.mbr()
             header = _PAGE_HEADER_WITH_MBR.pack(
-                level, count, parent, flags | _FLAG_HAS_TIGHT_MBR,
+                node.level, count, parent, flags | _FLAG_HAS_TIGHT_MBR,
                 sx0, sy0, sx1, sy1,
                 tight.xmin, tight.ymin, tight.xmax, tight.ymax,
             )  # fmt: skip
         else:
-            header = _PAGE_HEADER.pack(level, count, parent, flags, sx0, sy0, sx1, sy1)
+            header = _PAGE_HEADER.pack(node.level, 0, parent, flags, sx0, sy0, sx1, sy1)
         if _COLUMNS_ARE_IMAGE:
             return b"".join((header, node.coords.tobytes(), node.children.tobytes()))
         return b"".join(
@@ -264,21 +268,43 @@ class NodeCodec:
         if size < children_end:
             raise SerializationError("truncated entry blocks in page image")
 
-        coords = array("d")
-        children = array("I")
+        # The node as last written, adopting the decoded columns; its memo is
+        # the header bound (or unknown), and nothing has arrived since.
+        node = Node.__new__(Node)
+        node.page_id = page_id
+        node.level = level
+        node.parent_page_id = None if parent == _NO_PARENT else parent
+        node.stored_mbr = (
+            Rect._raw(sx0, sy0, sx1, sy1) if flags & _FLAG_HAS_STORED_MBR else None
+        )
+        node.coords = coords = array("d")
+        node.children = children = array("I")
+        node.arrived = None
+        node._mbr = mbr
         if _COLUMNS_ARE_IMAGE:
             coords.frombytes(data[coords_start:coords_end])
             children.frombytes(data[coords_end:children_end])
         else:
             coords.extend(struct.unpack(f"<{4 * count}d", data[coords_start:coords_end]))
             children.extend(struct.unpack(f"<{count}I", data[coords_end:children_end]))
-        # The image is the node as last written: nothing has arrived since.
-        return Node.from_columns(
-            page_id,
-            level,
-            coords,
-            children,
-            None if parent == _NO_PARENT else parent,
-            Rect._raw(sx0, sy0, sx1, sy1) if flags & _FLAG_HAS_STORED_MBR else None,
-            mbr,
-        )
+        return node
+
+    def decode_mbr(self, page_id: int, data: bytes) -> Optional[Rect]:
+        """The tight MBR of the node on *data* (``None`` if empty), read from the header.
+
+        Only an image :meth:`decode` accepts with the bound in its header is
+        read here.  Any other goes through :meth:`decode`, which rejects a
+        malformed image: an empty node's carries no bound, and one written
+        before the header carried it derives the bound from its entries.
+        """
+        if isinstance(data, (bytes, bytearray)) and len(data) >= _PAGE_HEADER_WITH_MBR.size:
+            (_level, count, _parent, flags, _sx0, _sy0, _sx1, _sy1,
+             xmin, ymin, xmax, ymax) = _PAGE_HEADER_WITH_MBR.unpack_from(data)  # fmt: skip
+            if (
+                flags & _FLAG_HAS_TIGHT_MBR and not flags & ~_KNOWN_FLAGS
+                and count and xmin <= xmax and ymin <= ymax
+                and len(data) >= _PAGE_HEADER_WITH_MBR.size + count * _ENTRY_BYTES
+            ):  # fmt: skip
+                return Rect._raw(xmin, ymin, xmax, ymax)
+        node = self.decode(page_id, data)
+        return node.mbr() if len(node) else None

@@ -95,10 +95,11 @@ class DirectAccessTable:
     def set_mbr(self, page_id: int, mbr: Rect) -> None:
         """Record the MBR of internal node *page_id*, whose child list is unchanged.
 
-        Compare and assign: no ``_parent_of`` or ``_by_level`` traffic.
+        Compare (an unmoved bound is usually the very memo the entry holds)
+        and assign: no ``_parent_of`` or ``_by_level`` traffic.
         """
         entry = self._entries[page_id]
-        if entry.mbr != mbr:
+        if entry.mbr is not mbr and entry.mbr != mbr:
             entry.mbr = mbr
             self.mbr_updates += 1
 

@@ -193,7 +193,7 @@ class UpdateStrategy:
         for request in group:
             oid, _old_location, new_location = request
             if leaf.has_child(oid) and leaf.effective_mbr().contains_point(new_location):
-                leaf.set_rect(oid, Rect.from_point(new_location))
+                leaf.set_point(oid, new_location)
                 dirty = True
                 outcomes.append(UpdateOutcome.IN_PLACE)
             else:

@@ -160,7 +160,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
                 escalations.append(partial(self._top_down_update, *request))
                 continue
             if leaf.effective_mbr().contains_point(new_location):
-                leaf.set_rect(oid, Rect.from_point(new_location))
+                leaf.set_point(oid, new_location)
                 dirty = True
                 outcomes.append(UpdateOutcome.IN_PLACE)
                 continue
@@ -205,10 +205,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
             # too so that queries descending through the parent reach the
             # objects.  (A later shift's tightening already voided the slack.)
             parent = self.tree.read_node(parent_entry.page_id)
-            child_entry = parent.find_entry(leaf_page_id)
-            if child_entry is not None and parent.set_rect(
-                leaf_page_id, child_entry.rect.union(slack)
-            ):
+            if parent.widen(leaf_page_id, slack):
                 self.tree.write_node(parent)
         return outcomes, escalations, list(unsettled)
 
@@ -230,7 +227,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         )
         if not extended.contains_point(location):
             return None
-        leaf.set_rect(oid, Rect.from_point(location))
+        leaf.set_point(oid, location)
         leaf.stored_mbr = extended
         return UpdateOutcome.EXTENDED
 

@@ -125,7 +125,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
                 escalations.append(partial(self._top_down_update, *request))
                 continue
             if leaf.effective_mbr().contains_point(new_location):
-                leaf.set_rect(oid, Rect.from_point(new_location))
+                leaf.set_point(oid, new_location)
                 dirty = True
                 outcomes.append(UpdateOutcome.IN_PLACE)
                 continue
@@ -138,7 +138,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
                 continue
             enlarged = self._enlargement(leaf, parent, new_location)
             if enlarged is not None:
-                leaf.set_rect(oid, Rect.from_point(new_location))
+                leaf.set_point(oid, new_location)
                 leaf.stored_mbr = enlarged
                 dirty = True
                 parent.set_rect(leaf_page_id, enlarged)

@@ -1,5 +1,8 @@
 """Unit tests for :class:`repro.geometry.rect.Rect`."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.geometry import Point, Rect, union_all
@@ -41,12 +44,64 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             rect.xmin = -1.0
 
+    def test_constructor_coerces_ints_to_floats(self):
+        rect = Rect(0, 1, 2, 3)
+        assert all(type(value) is float for value in rect.as_tuple())
+        assert rect == Rect(0.0, 1.0, 2.0, 3.0)
+
     def test_rects_from_sequence(self):
         assert rects_from_sequence([0.1, 0.2, 0.3, 0.4]) == Rect(0.1, 0.2, 0.3, 0.4)
 
     def test_rects_from_sequence_wrong_length(self):
         with pytest.raises(ValueError):
             rects_from_sequence([0.1, 0.2, 0.3])
+
+
+def _built_every_way():
+    """A value from every construction path: validated, unchecked, and Point."""
+    base = Rect(0.2, 0.3, 0.4, 0.5)
+    return [
+        base,
+        Rect.from_point(Point(0.5, 0.25)),
+        base.union(Rect(0.1, 0.1, 0.2, 0.2)),
+        base.extended_towards(Point(0.45, 0.1), 0.02),
+        base.expanded(0.05, bound=Rect.unit()),
+        union_all([base, Rect(0.6, 0.6, 0.7, 0.7)]),
+        Point(0.1, 0.9),
+    ]
+
+
+class TestValueSemantics:
+    """Every way a Rect or Point is built yields the same immutable value."""
+
+    @pytest.mark.parametrize("value", _built_every_way(), ids=repr)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, value):
+        assert not hasattr(value, "__dict__")
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert type(getattr(value, name)) is float
+        with pytest.raises(AttributeError):
+            value.other = 1
+
+    @pytest.mark.parametrize("value", _built_every_way(), ids=repr)
+    def test_pickle_and_copies_round_trip(self, value):
+        for clone in (
+            pickle.loads(pickle.dumps(value)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert tuple(clone) == tuple(value)
+
+    def test_unchecked_results_equal_the_validated_constructor(self):
+        for value in _built_every_way()[:-1]:
+            validated = Rect(*value.as_tuple())
+            assert value == validated and hash(value) == hash(validated)
+            assert value != value.as_tuple()  # no equality across types
 
 
 class TestMeasures:

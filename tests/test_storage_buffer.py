@@ -329,7 +329,9 @@ class AdmitOnlyPool(BufferPool):
             self.stats.buffer_hits += 1
             self._frames.move_to_end(page_id)
             return self._frames[page_id]
-        payload = self._decoded(page_id, self.disk.read_page(page_id))
+        payload = self.disk.read_page(page_id)
+        if self.codec is not None and payload is not None:
+            payload = self.codec.decode(page_id, payload)
         self._charge_client(reads=1)
         self._admit(page_id, payload)
         return payload

@@ -144,16 +144,16 @@ class TestNodeCodecRoundTrip:
         assert restored.stored_mbr is None
 
     def test_truncated_image_rejected(self):
-        codec = NodeCodec()
-        image = codec.encode(sample_node())
-        with pytest.raises(SerializationError):
-            codec.decode(5, image[:-3])
-        with pytest.raises(SerializationError):
-            codec.decode(5, b"\x00\x01")
+        image = NodeCodec().encode(sample_node())
+        unflagged = unflagged_image(sample_node())
+        # Cut in the ids and the coordinate block of both image kinds, and in the header.
+        for cut in (image[:-3], image[: MBR_HEADER + 40], unflagged[:-1],
+                    unflagged[: PLAIN_HEADER + 8], b"\x00\x01"):  # fmt: skip
+            assert_rejected(cut)
 
     def test_non_binary_payload_rejected(self):
-        with pytest.raises(SerializationError):
-            NodeCodec().decode(5, sample_node())
+        assert_rejected(sample_node())
+        assert_rejected(memoryview(NodeCodec().encode(sample_node())))
 
 
 # <HHIB4d>: flags byte at 8, the flagged tight MBR at 41..73.
@@ -165,6 +165,23 @@ HAS_TIGHT_MBR = 0x02
 
 def with_header_mbr(image, *bounds):
     return image[:PLAIN_HEADER] + struct.pack("<4d", *bounds) + image[MBR_HEADER:]
+
+
+def unflagged_image(node):
+    """What the codec wrote before the header carried the tight MBR (checkpoint version 2)."""
+    image = bytearray(NodeCodec().encode(node))
+    image[FLAGS_AT] &= ~HAS_TIGHT_MBR
+    del image[PLAIN_HEADER:MBR_HEADER]
+    return bytes(image)
+
+
+def assert_rejected(image, match=None):
+    """Both readers of a page image refuse it: the whole decode and the header MBR peek."""
+    codec = NodeCodec()
+    with pytest.raises(SerializationError, match=match):
+        codec.decode(5, image)
+    with pytest.raises(SerializationError, match=match):
+        codec.decode_mbr(5, image)
 
 
 class TestNodeCodecHeaderMbr:
@@ -191,17 +208,25 @@ class TestNodeCodecHeaderMbr:
         assert len(image) == PLAIN_HEADER
 
     def test_unflagged_image_decodes_to_the_same_node(self):
-        # What the codec wrote before the bit existed (checkpoint version 2).
         codec = NodeCodec()
         node = sample_node()
-        image = bytearray(codec.encode(node))
-        image[FLAGS_AT] &= ~HAS_TIGHT_MBR
-        del image[PLAIN_HEADER:MBR_HEADER]
-        restored = codec.decode(5, bytes(image))
+        restored = codec.decode(5, unflagged_image(node))
         assert restored.coords == node.coords and restored.children == node.children
         assert restored.stored_mbr == node.stored_mbr
         assert restored.mbr() == node.mbr()  # derived on first use
         assert restored.arrived is None
+
+    def test_decode_mbr_is_the_decoded_nodes_bound(self):
+        codec = CountingCodec()
+        node = sample_node()
+        node.stored_mbr = None
+        for image in (codec.encode(node), codec.encode(sample_node())):
+            assert codec.decode_mbr(5, image) == node.mbr()
+        assert codec.decodes == 0  # the header alone answered
+        # Headers without the bound: an empty node's, and an image from before.
+        assert codec.decode_mbr(2, codec.encode(Node(page_id=2, level=1))) is None
+        assert codec.decode_mbr(5, unflagged_image(node)) == node.mbr()
+        assert codec.decodes == 2
 
     def test_unknown_flag_bits_rejected(self):
         codec = NodeCodec()
@@ -209,8 +234,7 @@ class TestNodeCodecHeaderMbr:
             for bit in (0x04, 0x80):
                 corrupt = bytearray(image)
                 corrupt[FLAGS_AT] |= bit
-                with pytest.raises(SerializationError, match="flag"):
-                    codec.decode(5, bytes(corrupt))
+                assert_rejected(bytes(corrupt), match="flag")
 
     @pytest.mark.parametrize(
         "bounds",
@@ -222,17 +246,13 @@ class TestNodeCodecHeaderMbr:
         ],
     )
     def test_ill_ordered_header_mbr_rejected(self, bounds):
-        codec = NodeCodec()
-        image = with_header_mbr(codec.encode(sample_node()), *bounds)
-        with pytest.raises(SerializationError, match="MBR"):
-            codec.decode(5, image)
+        image = with_header_mbr(NodeCodec().encode(sample_node()), *bounds)
+        assert_rejected(image, match="MBR")
 
     def test_image_shorter_than_the_flagged_header_rejected(self):
-        codec = NodeCodec()
-        image = codec.encode(sample_node())
+        image = NodeCodec().encode(sample_node())
         for cut in (PLAIN_HEADER, PLAIN_HEADER + 8, MBR_HEADER - 1):
-            with pytest.raises(SerializationError):
-                codec.decode(5, image[:cut])
+            assert_rejected(image[:cut])
 
     def test_flagged_mbr_on_an_empty_node_rejected(self):
         # An empty node has no MBR; a memo there would answer mbr() instead
@@ -240,8 +260,7 @@ class TestNodeCodecHeaderMbr:
         image = bytearray(NodeCodec().encode(Node(page_id=2, level=0)))
         image[FLAGS_AT] |= HAS_TIGHT_MBR
         image += struct.pack("<4d", 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(SerializationError):
-            NodeCodec().decode(2, bytes(image))
+        assert_rejected(bytes(image))
 
 
 def binary_store_tree(capacity=0, codec=None):
@@ -392,6 +411,43 @@ class TestNodeResidentFrames:
             # Everything fits: nothing was ever read back, hits decode nothing.
             assert codec.decodes == cold_peeks == 0
             assert stats.buffer_hits == stats.logical_reads
+
+    @pytest.mark.parametrize("capacity", [0, 3, 10_000])
+    def test_root_mbr_neither_decodes_nor_charges(self, capacity):
+        # A resident root answers from its frame, any other from its header.
+        codec = CountingCodec()
+        tree, stats = binary_store_tree(capacity, codec)
+        rng = random.Random(23)
+        positions = {}
+
+        def check():
+            counters, decodes = stats.as_dict(), codec.decodes
+            bound = tree.root_mbr()
+            assert stats.as_dict() == counters
+            # Only an empty root's header carries no bound to read.
+            assert codec.decodes == decodes or bound is None
+            root = tree.peek_node(tree.root_page_id)
+            assert bound == (kernels.union_rect(root.coords) if len(root) else None)
+
+        check()
+        for oid in range(300):
+            roll = rng.random()
+            if roll < 0.5 or len(positions) < 20:
+                positions[oid] = Point(rng.random(), rng.random())
+                tree.insert(oid, positions[oid])
+            elif roll < 0.8:  # an update: delete, insert at the new position
+                moved = rng.choice(sorted(positions))
+                assert tree.delete(moved, positions[moved])
+                positions[moved] = Point(rng.random(), rng.random())
+                tree.insert(moved, positions[moved])
+            else:
+                gone = rng.choice(sorted(positions))
+                assert tree.delete(gone, positions.pop(gone))
+            check()
+        for gone in sorted(positions):
+            assert tree.delete(gone, positions[gone])
+            check()
+        assert tree.root_mbr() is None
 
     def test_stale_copy_held_across_eviction_can_still_be_written(self):
         # The hybrid neither old store exercised: a node is read (resident),
