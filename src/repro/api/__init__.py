@@ -4,9 +4,8 @@ This package is the single schema through which the index stack is driven:
 
 * :mod:`repro.api.operations` — frozen :class:`Operation` dataclasses
   (:class:`Insert`, :class:`Update`, :class:`Delete`, :class:`RangeQuery`,
-  :class:`KNN`, plus the shard-internal :class:`Migrate`) with
-  ``from_tuple``/``normalise`` adapters bridging the legacy tuple surface
-  and the engine normal form;
+  :class:`KNN`) — the one operation currency from the facades down to
+  the concurrent engine's scheduler;
 * :mod:`repro.api.errors` — the structured error taxonomy
   (:class:`UnknownObjectError`, :class:`DuplicateObjectError`,
   :class:`InvalidWindowError`, ...), each error also inheriting the builtin
@@ -35,7 +34,7 @@ Typical usage::
 
 >>> from repro.api import Operation, Update
 >>> from repro.geometry import Point
->>> Operation.from_tuple(("update", 1, Point(0.5, 0.5))) == Update(1, Point(0.5, 0.5))
+>>> isinstance(Update(1, Point(0.5, 0.5)), Operation)
 True
 """
 
@@ -61,9 +60,7 @@ from repro.api.operations import (
     KNN,
     Delete,
     Insert,
-    Migrate,
     Operation,
-    OperationLike,
     RangeQuery,
     Update,
 )
@@ -72,13 +69,11 @@ from repro.api.results import BatchReport, OperationResult, QueryCursor
 __all__ = [
     # operations
     "Operation",
-    "OperationLike",
     "Insert",
     "Update",
     "Delete",
     "RangeQuery",
     "KNN",
-    "Migrate",
     # errors
     "OperationError",
     "UnknownObjectError",

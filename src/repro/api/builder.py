@@ -337,9 +337,10 @@ class IndexBuilder:
     ) -> "IndexBuilder":
         """Attach write-ahead logging under *directory* (single or sharded).
 
-        Every mutation is logged before it is applied — one log per shard
-        plus a coordinator meta log, framed as CRC-checked commit units with
-        monotonic LSNs (see :mod:`repro.durability`).  *sync* picks the
+        Every mutation is logged once it has been applied (apply first, log
+        on success) — one log per shard plus a coordinator meta log, framed
+        as CRC-checked commit units with monotonic LSNs (see
+        :mod:`repro.durability`).  *sync* picks the
         fsync policy: ``"always"`` syncs every commit unit, ``"group"``
         (default) syncs batch dispatches immediately and single operations
         every *group_size* ops, ``"none"`` leaves syncing to the OS.

@@ -1,56 +1,33 @@
 """First-class operation model of the public API.
 
-One frozen dataclass per operation the index surface supports — these are
-the *single* schema every layer speaks: the facades execute them, the batch
-engine groups them, the concurrent engine schedules them, and the workload
-generator produces them.  The legacy tuple conventions (``("update", oid,
-new)`` and friends) survive only as adapters: :meth:`Operation.from_tuple`
-parses them and :meth:`Operation.to_tuple` emits them, so the pre-v2 surface
-is a thin shim over this module.
+One frozen dataclass per operation the index surface supports — the
+*single* schema every layer speaks: the facades execute them, the batch
+engine groups them, the concurrent engine predicts their lock scopes and
+schedules them, and the workload generator produces them.  Anything that is
+not an :class:`Operation` is rejected with
+:class:`~repro.api.errors.InvalidOperationError` before any work runs.
 
-Two canonical encodings exist per operation:
-
-* :meth:`Operation.normalise` — the engine normal form ``(kind, payload)``
-  that lock-scope prediction (:meth:`SpatialIndexFacade.lock_requests_for`)
-  dispatches on;
-* :meth:`Operation.to_tuple` — the legacy facade tuple, kept for the
-  deprecated compatibility surface.
-
->>> from repro.api import Delete, Insert, Operation, RangeQuery, Update
+>>> from repro.api import KNN, RangeQuery, Update
 >>> from repro.geometry import Point, Rect
->>> op = Operation.from_tuple(("update", 42, Point(0.3, 0.4)))
+>>> op = Update(42, Point(0.3, 0.4))
 >>> op
 Update(oid=42, new_location=Point(0.3, 0.4))
->>> op.normalise()
-('update', (42, Point(0.3, 0.4)))
->>> op.to_tuple()
-('update', 42, Point(0.3, 0.4))
->>> Operation.from_tuple(("range_query", Rect(0.0, 0.0, 0.5, 0.5))).kind
+>>> op.kind
+'update'
+>>> RangeQuery(Rect(0.0, 0.0, 0.5, 0.5)).kind
 'query'
->>> Operation.from_any(Delete(7)) is Operation.from_any(Delete(7))
-False
->>> Operation.from_tuple(("compact",))
+>>> KNN(Point(0.5, 0.5), -1)
 Traceback (most recent call last):
     ...
-repro.api.errors.InvalidOperationError: unknown operation kind 'compact'
+repro.api.errors.InvalidNeighborCountError: k must be a non-negative integer, got -1
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple, Union
 
-from repro.api.errors import (
-    InvalidNeighborCountError,
-    InvalidOperationError,
-    InvalidWindowError,
-    OperationError,
-)
+from repro.api.errors import InvalidNeighborCountError, InvalidWindowError
 from repro.geometry import Point, Rect
-
-#: Anything the compatibility surface accepts: a typed operation or a
-#: legacy tuple in either the facade or the workload-generator shape.
-OperationLike = Union["Operation", Tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -62,75 +39,8 @@ class Operation:
     boundaries (scheduler queues, batch plans, checkpoints of pending work).
     """
 
-    #: Stable kind label, shared with the engine normal form and the
-    #: scheduler's per-kind reporting.
+    #: Stable kind label, shared with the scheduler's per-kind reporting.
     kind = "operation"
-
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        """The engine normal form ``(kind, payload)`` of this operation."""
-        raise NotImplementedError
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        """The legacy facade tuple (deprecated surface) for this operation."""
-        raise NotImplementedError
-
-    @staticmethod
-    def from_tuple(op: Sequence[Any]) -> "Operation":
-        """Parse one legacy operation tuple into a typed operation.
-
-        Accepts both the facade shapes — ``("update", oid, new_location)``,
-        ``("insert", oid, location)``, ``("delete", oid)``,
-        ``("range_query" | "query", window)``, ``("knn", point, k)`` — and
-        the workload generator's ``("update", (oid, old, new))`` item (the
-        old position is implicit index state and is dropped).
-        """
-        if not op:
-            raise InvalidOperationError("empty operation tuple")
-        kind = op[0]
-        try:
-            if kind == "update":
-                if len(op) == 2:  # generator item: ("update", (oid, old, new))
-                    oid, _old, new_location = op[1]
-                elif len(op) == 3:
-                    _, oid, new_location = op
-                else:
-                    raise InvalidOperationError(
-                        f"update tuple must have 2 or 3 elements, got {len(op)}"
-                    )
-                return Update(oid, new_location)
-            if kind == "insert":
-                _, oid, location = op
-                return Insert(oid, location)
-            if kind == "delete":
-                _, oid = op
-                return Delete(oid)
-            if kind in ("query", "range_query"):
-                _, window = op
-                return RangeQuery(window)
-            if kind == "knn":
-                _, point, k = op
-                return KNN(point, k)
-        except (TypeError, ValueError) as error:
-            if isinstance(error, OperationError):
-                # The taxonomy's own validation errors (InvalidWindowError,
-                # InvalidNeighborCountError, ...) pass through untouched so
-                # legacy handlers for their builtin bases keep working.
-                raise
-            raise InvalidOperationError(
-                f"malformed {kind!r} operation tuple {tuple(op)!r}"
-            ) from error
-        raise InvalidOperationError(f"unknown operation kind {kind!r}")
-
-    @staticmethod
-    def from_any(op: OperationLike) -> "Operation":
-        """Coerce a typed operation or a legacy tuple into a typed operation."""
-        if isinstance(op, Operation):
-            return op
-        if isinstance(op, tuple):
-            return Operation.from_tuple(op)
-        raise InvalidOperationError(
-            f"expected an Operation or an operation tuple, got {op!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -140,12 +50,6 @@ class Insert(Operation):
     oid: int
     location: Point
     kind = "insert"
-
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("insert", (self.oid, self.location))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("insert", self.oid, self.location)
 
 
 @dataclass(frozen=True)
@@ -162,12 +66,6 @@ class Update(Operation):
     new_location: Point
     kind = "update"
 
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("update", (self.oid, self.new_location))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("update", self.oid, self.new_location)
-
 
 @dataclass(frozen=True)
 class Delete(Operation):
@@ -175,12 +73,6 @@ class Delete(Operation):
 
     oid: int
     kind = "delete"
-
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("delete", (self.oid,))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("delete", self.oid)
 
 
 @dataclass(frozen=True)
@@ -193,12 +85,6 @@ class RangeQuery(Operation):
     def __post_init__(self) -> None:
         if not isinstance(self.window, Rect):
             raise InvalidWindowError(self.window)
-
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("query", (self.window,))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("range_query", self.window)
 
 
 @dataclass(frozen=True)
@@ -213,43 +99,12 @@ class KNN(Operation):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidNeighborCountError(self.k)
 
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("knn", (self.point, self.k))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("knn", self.point, self.k)
-
-
-@dataclass(frozen=True)
-class Migrate(Operation):
-    """Internal: a position update that crosses a shard boundary.
-
-    Never parsed from the public tuple surface — the sharded router derives
-    it from an :class:`Update` whose target shard differs from its source.
-    Its engine normal form is the update's (a migration *is* an update whose
-    lock scope happens to span two shards), so lock-scope prediction and
-    per-kind scheduler reporting stay shard-aware without a parallel code
-    path.
-    """
-
-    oid: int
-    new_location: Point
-    kind = "migration"
-
-    def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
-        return ("update", (self.oid, self.new_location))
-
-    def to_tuple(self) -> Tuple[Any, ...]:
-        return ("update", self.oid, self.new_location)
-
 
 __all__ = [
     "Operation",
-    "OperationLike",
     "Insert",
     "Update",
     "Delete",
     "RangeQuery",
     "KNN",
-    "Migrate",
 ]

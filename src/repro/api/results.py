@@ -10,9 +10,9 @@ the replacement contract:
   whole result set;
 * :class:`OperationResult` — the uniform outcome envelope of one executed
   operation (value, update outcome, or structured error);
-* :class:`BatchReport` — what one typed batch did: the per-kind counts and
-  I/O delta of the underlying group-by-leaf execution plus every query's
-  answer, in stream order.
+* :class:`BatchReport` — what one batch did: the per-kind counts and I/O
+  delta of the group-by-leaf execution plus every query's answer, in
+  stream order.
 
 >>> from repro.api.results import QueryCursor
 >>> cursor = QueryCursor(iter([3, 1, 2]))
@@ -48,7 +48,6 @@ from repro.api.operations import Operation
 if TYPE_CHECKING:  # typing only; avoids runtime import cycles
     from repro.storage.stats import IOStatistics
     from repro.update.base import UpdateOutcome
-    from repro.update.batch import BatchResult
 
 T = TypeVar("T")
 
@@ -122,11 +121,10 @@ class OperationResult:
 
     Exactly one of the payload fields is meaningful, by operation kind:
 
-    * ``Update`` / ``Migrate`` — ``outcome`` (how the strategy carried the
-      move out);
+    * ``Update`` — ``outcome`` (how the strategy carried the move out);
     * ``Insert`` — nothing (success is the absence of ``error``);
-    * ``Delete`` — ``value`` is ``True`` (``False`` only under the
-      non-strict compatibility mode, where a missing object is not an error);
+    * ``Delete`` — ``value`` is ``True`` (``False`` only under
+      ``strict=False``, where a missing object is not an error);
     * ``RangeQuery`` / ``KNN`` — ``value`` is a :class:`QueryCursor`.
 
     Under ``strict`` execution (the default) errors raise; under
@@ -161,13 +159,16 @@ class OperationResult:
 
 @dataclass
 class BatchReport:
-    """What one typed batch execution did, and what it cost.
+    """What one batch execution did, and what it cost.
 
-    The typed counterpart of the batch layer's internal
-    :class:`~repro.update.batch.BatchResult`: per-kind operation counts,
-    group/coalescing/residual/migration statistics of the group-by-leaf
-    pipeline, every window query's answer and every kNN's answer in stream
-    order, and the batch's :class:`~repro.storage.stats.IOStatistics` delta.
+    Built by the batch layer (:mod:`repro.update.batch`), both facades'
+    ``execute_many`` / ``update_many`` and the concurrent engine's batch
+    path: per-kind operation counts, group/coalescing/residual/migration
+    statistics of the group-by-leaf pipeline, every window query's answer
+    and every kNN's answer in stream order, and the batch's
+    :class:`~repro.storage.stats.IOStatistics` delta — taken between the
+    first and last operation, so batch and per-operation cost compare
+    without resetting the index-wide counters.
     """
 
     #: Updates submitted (before coalescing).
@@ -192,22 +193,10 @@ class BatchReport:
     #: Per-batch I/O delta (``None`` until execution finishes).
     io: Optional["IOStatistics"] = None
 
-    @classmethod
-    def from_batch_result(cls, result: "BatchResult") -> "BatchReport":
-        """Lift the batch layer's internal result into the public report."""
-        return cls(
-            updates=result.updates,
-            inserts=result.inserts,
-            deletes=result.deletes,
-            queries=result.queries,
-            neighbors=result.neighbors,
-            coalesced=result.coalesced,
-            groups=result.groups,
-            largest_group=result.largest_group,
-            residuals=result.residuals,
-            migrations=result.migrations,
-            io=result.io,
-        )
+    @property
+    def grouped_updates(self) -> int:
+        """Updates settled by leaf buckets (after coalescing)."""
+        return self.updates - self.coalesced - self.residuals - self.migrations
 
     @property
     def operations(self) -> int:

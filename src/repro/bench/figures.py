@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.api.builder import open_index
+from repro.api.operations import Operation, RangeQuery, Update
 from repro.bench.experiment import ExperimentResult, run_figure_point
 from repro.bench.metrics import MetricRow
 from repro.bench.metrics import pivot_by_strategy as _pivot
@@ -885,8 +886,8 @@ def adaptive_mixed_workload(scale: float, seed: Optional[int]):
     separates the strategies only exists at the calibrated size, so smoke
     runs shrink nothing — they are simply the same workload.
 
-    Returns ``(points, ops)`` where ops are ``("update", oid, Point)`` and
-    ``("range_query", None, Rect)`` tuples, identical for every variant.
+    Returns ``(points, ops)`` where ops are typed ``Update`` and
+    ``RangeQuery`` operations, identical for every variant.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -901,7 +902,7 @@ def adaptive_mixed_workload(scale: float, seed: Optional[int]):
         for _ in range(per_shard)
     ]
     points = list(enumerate(positions))
-    ops: List = []
+    ops: List[Operation] = []
 
     def move(oids: range, step: float, x0: float, x1: float, y0: float, y1: float) -> None:
         o = rng.choice(oids)
@@ -910,13 +911,13 @@ def adaptive_mixed_workload(scale: float, seed: Optional[int]):
             min(x1, max(x0, p.x + rng.uniform(-step, step))),
             min(y1, max(y0, p.y + rng.uniform(-step, step))),
         )
-        ops.append(("update", o, positions[o]))
+        ops.append(Update(o, positions[o]))
 
     for _ in range(steps):
         move(range(per_shard), 0.01, *hot_cell)
         if rng.random() < 0.9:
             x, y = rng.uniform(0.55, 0.85), rng.uniform(0.05, 0.85)
-            ops.append(("range_query", None, Rect(x, y, x + 0.1, y + 0.1)))
+            ops.append(RangeQuery(Rect(x, y, x + 0.1, y + 0.1)))
         else:
             move(range(per_shard, 2 * per_shard), 0.02, *spread)
     return points, ops
@@ -947,11 +948,13 @@ def run_adaptive_variant(variant: str, points, ops) -> Dict:
     index = open_index(spec)
     index.load(points)
     index.reset_statistics()
-    for i, (kind, oid, argument) in enumerate(ops):
-        if kind == "update":
-            index.update(oid, argument)
+    for i, op in enumerate(ops):
+        # Direct calls, not execute(): a RangeQuery through execute() returns
+        # an unconsumed cursor, which would do no I/O.
+        if isinstance(op, Update):
+            index.update(op.oid, op.new_location)
         else:
-            index.range_query(argument)
+            index.range_query(op.window)
         if i % ADAPTIVE_STRATEGY_MAINTENANCE_EVERY == (
             ADAPTIVE_STRATEGY_MAINTENANCE_EVERY - 1
         ):

@@ -24,9 +24,9 @@ The engine is shared by every operation path:
   non-conflicting buckets as concurrent virtual operations (conflict-aware
   batch scheduling);
 * **multi-client facades** — :class:`ConcurrentSession`, returned by
-  :meth:`repro.core.index.MovingObjectIndex.engine`, queues per-client work
-  and reports per-client physical I/O through the buffer pool's client
-  accounting.
+  :meth:`repro.core.index.MovingObjectIndex.engine`, queues per-client work;
+  each operation's measured physical I/O lands in its client's
+  :class:`~repro.concurrency.scheduler.ClientReport`.
 
 Everything is deterministic: the scheduler's event order is total, lock
 scopes are pure functions of the live tree, and no wall-clock time enters
@@ -37,51 +37,53 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import repro.api.operations as api_ops
+from repro.api.errors import InvalidOperationError
 from repro.concurrency.dgl import DGLProtocol, namespace_pairs
 from repro.concurrency.scheduler import (
     OperationScheduler,
     ScheduleResult,
     VirtualOperation,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 
 if TYPE_CHECKING:  # imported lazily to keep the package import-cycle free
+    from repro.api.results import BatchReport
     from repro.core.protocol import SpatialIndexFacade
-    from repro.storage.buffer import ClientIOCounters
     from repro.update.base import BatchUpdate
-    from repro.update.batch import BatchExecutor, BatchResult
+    from repro.update.batch import BatchExecutor
 
 
 class _LiveOperation(VirtualOperation):
     """A typed facade operation scheduled and executed online.
 
-    Carries one :class:`repro.api.operations.Operation`; its engine normal
-    form ``(kind, payload)`` — :meth:`Operation.normalise` — is what lock
-    prediction dispatches on.  Lock scopes are predicted by the facade
-    itself (:meth:`~repro.core.protocol.SpatialIndexFacade.lock_requests_for`)
-    and recomputed from the live index on every dispatch attempt; an
-    update's *old* position is whatever the index holds at that moment,
-    which is exactly the online semantics — a blocked update sees the
-    positions its predecessors committed.
+    Carries one :class:`repro.api.operations.Operation` and reports under
+    its ``kind``.  Lock scopes are predicted by the facade itself
+    (:meth:`~repro.core.protocol.SpatialIndexFacade.lock_requests_for`) and
+    recomputed from the live index on every dispatch attempt; an update's
+    *old* position is whatever the index holds at that moment, which is
+    exactly the online semantics — a blocked update sees the positions its
+    predecessors committed.
     """
 
-    __slots__ = ("engine", "operation", "kind", "payload")
+    __slots__ = ("engine", "operation", "kind")
 
     def __init__(self, engine: "OnlineOperationEngine", operation: "api_ops.Operation"):
+        if not isinstance(operation, api_ops.Operation):
+            raise InvalidOperationError(f"expected an Operation, got {operation!r}")
         self.engine = engine
         self.operation = operation
-        self.kind, self.payload = operation.normalise()
+        self.kind = operation.kind
 
     def lock_requests(self):
-        return self.engine.index.lock_requests_for(self.kind, self.payload)
+        return self.engine.index.lock_requests_for(self.operation)
 
     def execute(self, client: int) -> int:
         index = self.engine.index
         op = self.operation
-        if isinstance(op, (api_ops.Update, api_ops.Migrate)):
+        if isinstance(op, api_ops.Update):
             if op.oid in index:
                 work = lambda: index.update(op.oid, op.new_location)
             else:
@@ -99,7 +101,7 @@ class _LiveOperation(VirtualOperation):
         else:
             window = op.window  # type: ignore[union-attr]
             work = lambda: index.range_query(window)
-        return self.engine.measure(client, work)
+        return self.engine.measure(work)
 
 
 class GroupOperation(VirtualOperation):
@@ -139,10 +141,9 @@ class GroupOperation(VirtualOperation):
 
     def execute(self, client: int) -> int:
         return self.engine.measure(
-            client,
             lambda: self.executor.execute_group(
                 self.leaf_page, self.bucket, self.result
-            ),
+            )
         )
 
 
@@ -171,7 +172,7 @@ class ReplayOperation(VirtualOperation):
 
     def execute(self, client: int) -> int:
         return self.engine.measure(
-            client, lambda: self.executor.replay(self.request, self.result)
+            lambda: self.executor.replay(self.request, self.result)
         )
 
 
@@ -185,7 +186,7 @@ class PreparedBatch:
     """
 
     operations: List[VirtualOperation]
-    result: "BatchResult"
+    result: "BatchReport"
     finalize: Callable[[], None] = field(default=lambda: None)
 
 
@@ -194,7 +195,7 @@ class BatchScheduleResult:
     """Conflict-aware batch execution: the schedule plus the batch outcome."""
 
     schedule: ScheduleResult
-    batch: "BatchResult"
+    batch: "BatchReport"
 
     @property
     def makespan(self) -> float:
@@ -214,10 +215,11 @@ class OnlineOperationEngine:
     The engine is facade-generic: it drives anything implementing
     :class:`~repro.core.protocol.SpatialIndexFacade` — lock scopes come from
     the facade's ``lock_requests_for`` hook, batches from its
-    ``prepare_concurrent_batch`` hook, and per-client physical-I/O
-    attribution from its client-accounting hooks.  A sharded facade thereby
-    gets true multi-shard parallelism for free: its granules are namespaced
-    per shard, so only operations touching the same shard can ever conflict.
+    ``prepare_concurrent_batch`` hook, and each operation's physical I/O
+    from the change in its ``total_physical_io`` counter.  A sharded facade
+    thereby gets true multi-shard parallelism for free: its granules are
+    namespaced per shard, so only operations touching the same shard can
+    ever conflict.
     """
 
     def __init__(
@@ -250,30 +252,29 @@ class OnlineOperationEngine:
     # ------------------------------------------------------------------
     # Execution paths
     # ------------------------------------------------------------------
-    def run(self, operations: Iterable) -> ScheduleResult:
-        """Execute a shared operation stream over the engine's clients.
+    def run(self, operations: Iterable["api_ops.Operation"]) -> ScheduleResult:
+        """Execute a shared stream of typed operations over the engine's clients.
 
-        The stream's native currency is the typed
-        :class:`repro.api.operations.Operation` model; legacy facade tuples
-        (``("update", oid, new)``, ...) and the generator's ``("update",
-        (oid, old, new))`` / ``("query", window)`` items are accepted
-        through the deprecated :meth:`Operation.from_any` adapter.
+        The whole stream is checked before anything runs: an item that is
+        not an :class:`~repro.api.operations.Operation` raises
+        :class:`~repro.api.errors.InvalidOperationError`.
         """
-        self.index.reset_client_io()
         return self.scheduler.run(
             self._with_maintenance(self._live_operations(operations))
         )
 
-    def run_streams(self, streams: Sequence[Iterable]) -> ScheduleResult:
+    def run_streams(
+        self, streams: Sequence[Iterable["api_ops.Operation"]]
+    ) -> ScheduleResult:
         """Execute one operation stream per virtual client.
 
         Each stream is interleaved with the facade's maintenance hook, so
         background work a facade generates while the run is live — e.g. the
         sharded rebalancer's migration batches — is scheduled alongside the
         client operations under the same granule locking instead of waiting
-        for the session to drain.
+        for the session to drain.  Every stream is checked before anything
+        runs, as in :meth:`run`.
         """
-        self.index.reset_client_io()
         return self.scheduler.run_streams(
             [
                 self._with_maintenance(self._live_operations(stream))
@@ -295,7 +296,6 @@ class OnlineOperationEngine:
         execution whenever at least two groups are disjoint.
         """
         prepared = self.index.prepare_concurrent_batch(self, updates)
-        self.index.reset_client_io()
         schedule = self.scheduler.run(iter(prepared.operations))
         prepared.finalize()
         return BatchScheduleResult(schedule=schedule, batch=prepared.result)
@@ -303,23 +303,26 @@ class OnlineOperationEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def measure(self, client: int, work) -> int:
-        """Run *work* attributing its physical I/O to *client*; return the count."""
+    def measure(self, work: Callable[[], object]) -> int:
+        """Run *work* and return its physical I/O count.
+
+        A virtual operation's ``execute(client)`` returns this count, which
+        the scheduler adds to that client's
+        :class:`~repro.concurrency.scheduler.ClientReport` — the one
+        per-client I/O ledger.
+        """
         index = self.index
         before = index.total_physical_io()
-        index.set_active_client(client)
-        try:
-            work()
-        finally:
-            index.set_active_client(None)
+        work()
         return index.total_physical_io() - before
 
-    def _live_operations(self, operations: Iterable) -> Iterator[_LiveOperation]:
-        for operation in operations:
-            yield _LiveOperation(self, api_ops.Operation.from_any(operation))
+    def _live_operations(
+        self, operations: Iterable["api_ops.Operation"]
+    ) -> List[_LiveOperation]:
+        return [_LiveOperation(self, operation) for operation in operations]
 
     def _with_maintenance(
-        self, operations: Iterator[VirtualOperation]
+        self, operations: Iterable[VirtualOperation]
     ) -> Iterator[VirtualOperation]:
         """Interleave the facade's maintenance work with a live stream.
 
@@ -358,7 +361,7 @@ class ConcurrentSession:
         session.submit(0, Update(42, Point(0.3, 0.4)))
         session.submit(1, RangeQuery(Rect(0.2, 0.2, 0.4, 0.5)))
         result = session.run()            # deterministic ScheduleResult
-        print(result.throughput, session.client_io())
+        print(result.throughput, result.clients[0].physical_io)
 
     Work queued with :meth:`submit` is per-client; :meth:`run` drains every
     queue under the scheduler.  :meth:`run_mixed` and :meth:`update_many`
@@ -367,7 +370,7 @@ class ConcurrentSession:
 
     def __init__(self, engine: OnlineOperationEngine) -> None:
         self.engine = engine
-        self._queues: Dict[int, List["api_ops.OperationLike"]] = {}
+        self._queues: Dict[int, List["api_ops.Operation"]] = {}
 
     @property
     def index(self) -> "SpatialIndexFacade":
@@ -379,13 +382,23 @@ class ConcurrentSession:
 
     # ------------------------------------------------------------------
     def submit(
-        self, client: int, *operations: "api_ops.OperationLike"
+        self, client: int, *operations: "api_ops.Operation"
     ) -> "ConcurrentSession":
-        """Queue typed operations (or legacy tuples) on *client*'s stream."""
+        """Queue typed operations on *client*'s stream.
+
+        Anything that is not an :class:`~repro.api.operations.Operation`
+        raises :class:`~repro.api.errors.InvalidOperationError` and queues
+        nothing.
+        """
         if not 0 <= client < self.num_clients:
             raise ValueError(
                 f"client {client} out of range (0..{self.num_clients - 1})"
             )
+        for operation in operations:
+            if not isinstance(operation, api_ops.Operation):
+                raise InvalidOperationError(
+                    f"expected an Operation, got {operation!r}"
+                )
         self._queues.setdefault(client, []).extend(operations)
         return self
 
@@ -424,7 +437,3 @@ class ConcurrentSession:
         """
         operations = self.index.parse_updates(updates)
         return self.engine.run_batch(operations)
-
-    def client_io(self) -> Dict[int, "ClientIOCounters"]:
-        """Physical I/O attributed to each client during the last run."""
-        return self.index.client_io_table()

@@ -61,7 +61,5 @@ def run_throughput(
         cpu_time_per_op=experiment.cpu_time_per_op,
     )
     return engine.run(
-        generator.mixed_operations(
-            experiment.num_operations, experiment.update_fraction
-        )
+        generator.operations(experiment.num_operations, experiment.update_fraction)
     )

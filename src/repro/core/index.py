@@ -39,9 +39,7 @@ the index on a deterministic logical clock::
     session.submit(0, Update(42, Point(0.33, 0.40)))
     print(session.run().throughput)
 
-The direct methods (``update`` / ``range_query`` / ...) remain first-class;
-the legacy tuple stream surface (``apply``) survives as a thin deprecated
-adapter over the typed model.
+The direct methods (``update`` / ``range_query`` / ...) remain first-class.
 
 The facade tracks each object's current position so callers only supply the
 new position on update (the strategies internally need the old one to apply
@@ -52,8 +50,13 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.errors import DuplicateObjectError, UnknownObjectError
-from repro.api.results import QueryCursor
+import repro.api.operations as api_ops
+from repro.api.errors import (
+    DuplicateObjectError,
+    InvalidOperationError,
+    UnknownObjectError,
+)
+from repro.api.results import BatchReport, QueryCursor
 from repro.concurrency.dgl import DGLProtocol
 from repro.concurrency.engine import (
     GroupOperation,
@@ -72,7 +75,6 @@ from repro.durability.wal import (
     update_record,
 )
 from repro.geometry import Point, Rect
-from repro.storage.buffer import ClientIOCounters
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.split import make_split_strategy
 from repro.rtree.tree import RTree
@@ -86,10 +88,8 @@ from repro.update.factory import strategy_names, strategy_requires_parent_pointe
 from repro.update.base import BatchUpdate, UpdateStrategy
 from repro.update.batch import (
     BatchExecutor,
-    BatchResult,
+    BatchOperation,
     DeleteOp,
-    InsertOp,
-    Operation,
     parse_operation_stream,
 )
 
@@ -271,9 +271,9 @@ class MovingObjectIndex(SpatialIndexFacade):
 
         Deleting an absent object raises
         :class:`~repro.api.errors.UnknownObjectError` — the same contract as
-        :meth:`update` — unless ``strict=False``, which restores the legacy
-        silent ``False`` return (the behaviour the tuple adapter and the
-        online engine keep).
+        :meth:`update` — unless ``strict=False``, which returns ``False``
+        instead (the behaviour ``execute_many(strict=False)`` and the online
+        engine keep).
         """
         location = self._positions.get(oid)
         if location is None:
@@ -303,7 +303,7 @@ class MovingObjectIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     def update_many(
         self, updates: Iterable[Tuple[int, Point]]
-    ) -> BatchResult:
+    ) -> BatchReport:
         """Move many existing objects in one batch.
 
         Pending moves are grouped by their current leaf page and each group
@@ -312,7 +312,7 @@ class MovingObjectIndex(SpatialIndexFacade):
         share leaves (see ``benchmarks/bench_batch_throughput.py``).  The
         final index contents and all query answers are identical to applying
         the updates one by one, and the returned
-        :class:`~repro.update.batch.BatchResult` carries a per-batch
+        :class:`~repro.api.results.BatchReport` carries a per-batch
         :class:`IOStatistics` snapshot.
         """
         parsed = self.parse_updates(updates)
@@ -320,33 +320,16 @@ class MovingObjectIndex(SpatialIndexFacade):
         self._log_batch_ops(parsed)
         return result
 
-    def apply(self, operations: Iterable[Tuple]) -> BatchResult:
-        """Execute a mixed operation stream with batched updates.
-
-        Deprecated tuple adapter over the typed
-        :meth:`~repro.core.protocol.SpatialIndexFacade.execute_many`: each
-        operation is a tuple — ``("update", oid, new_location)``,
-        ``("insert", oid, location)``, ``("delete", oid)``, ``("range_query",
-        window)`` (``"query"`` is an alias) or ``("knn", point, k)`` — or a
-        typed :class:`~repro.api.operations.Operation`.  Runs of consecutive
-        updates are batched by leaf; inserts, deletes and queries are
-        barriers that flush pending updates first, so the stream observes
-        exactly the sequential semantics.  Query answers are collected in
-        order in ``result.queries``; deletes keep the legacy skip-missing
-        behaviour.
-        """
-        return self._execute_operation_stream(operations, strict_deletes=False)
-
     def _execute_operation_stream(
-        self, operations: Iterable, strict_deletes: bool
-    ) -> BatchResult:
-        """Validate a typed/tuple stream against the overlay and run the batch."""
+        self, operations: Iterable[api_ops.Operation], strict_deletes: bool
+    ) -> BatchReport:
+        """Validate a typed stream against the overlay and run the batch."""
         parsed = self._parse_operations(operations, strict_deletes=strict_deletes)
         result = self.batch.execute(parsed)
         self._log_batch_ops(parsed)
         return result
 
-    def _log_batch_ops(self, ops: Sequence) -> None:
+    def _log_batch_ops(self, ops: Sequence[BatchOperation]) -> None:
         """Log one executed batch as a single group-commit frame.
 
         The batch executor applies its operations through the strategy
@@ -364,7 +347,7 @@ class MovingObjectIndex(SpatialIndexFacade):
         for op in ops:
             if isinstance(op, BatchUpdate):
                 records.append(update_record(op.oid, op.new_location))
-            elif isinstance(op, InsertOp):
+            elif isinstance(op, api_ops.Insert):
                 records.append(insert_record(op.oid, op.location))
             elif isinstance(op, DeleteOp):
                 records.append(delete_record(op.oid))
@@ -396,8 +379,8 @@ class MovingObjectIndex(SpatialIndexFacade):
         return ops
 
     def _parse_operations(
-        self, operations: Iterable, strict_deletes: bool = False
-    ) -> List[Operation]:
+        self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
+    ) -> List[BatchOperation]:
         # Same overlay discipline as parse_updates: ``None`` marks a pending
         # delete, and nothing touches self._positions until parsing succeeds.
         parsed, overlay = parse_operation_stream(
@@ -418,9 +401,9 @@ class MovingObjectIndex(SpatialIndexFacade):
     # Engine SPI (repro.core.protocol; sessions open via engine())
     # ------------------------------------------------------------------
     def lock_requests_for(
-        self, kind: str, payload: Tuple
+        self, op: api_ops.Operation
     ) -> List[Tuple[Hashable, LockMode]]:
-        """Predict one engine operation's DGL granule lock set.
+        """Predict one typed operation's DGL granule lock set.
 
         Scopes come from the strategy's prediction hooks: a top-down update
         locks every leaf its descents may visit, the bottom-up strategies
@@ -428,35 +411,30 @@ class MovingObjectIndex(SpatialIndexFacade):
         Recomputed on every dispatch attempt against the live tree.
         """
         strategy = self.strategy
-        if kind == "update":
-            oid, new_location = payload
-            old_location = self.position_of(oid)
+        if isinstance(op, api_ops.Update):
+            old_location = self.position_of(op.oid)
             if old_location is None:
-                requests = strategy.insert_lock_scope(new_location)
+                requests = strategy.insert_lock_scope(op.new_location)
             else:
-                requests = strategy.lock_scope(oid, old_location, new_location)
-        elif kind == "insert":
-            _oid, location = payload
-            requests = strategy.insert_lock_scope(location)
-        elif kind == "delete":
-            (oid,) = payload
-            location = self.position_of(oid)
+                requests = strategy.lock_scope(op.oid, old_location, op.new_location)
+        elif isinstance(op, api_ops.RangeQuery):
+            requests = strategy.query_lock_scope(op.window)
+        elif isinstance(op, api_ops.Insert):
+            requests = strategy.insert_lock_scope(op.location)
+        elif isinstance(op, api_ops.Delete):
+            location = self.position_of(op.oid)
             if location is None:
                 return []  # nothing to delete, nothing to lock
-            requests = strategy.delete_lock_scope(oid, location)
-        elif kind == "query":
-            (window,) = payload
-            requests = strategy.query_lock_scope(window)
-        elif kind == "knn":
+            requests = strategy.delete_lock_scope(op.oid, location)
+        elif isinstance(op, api_ops.KNN):
             # A kNN's reach depends on the data, so the prediction is
             # conservative: the scope of a window query over the whole
             # covered space (every leaf a best-first descent might read).
-            point, _k = payload
             root_mbr = self.tree.root_mbr()
-            window = root_mbr if root_mbr is not None else Rect.from_point(point)
+            window = root_mbr if root_mbr is not None else Rect.from_point(op.point)
             requests = strategy.query_lock_scope(window)
         else:
-            raise ValueError(f"unknown engine operation kind {kind!r}")
+            raise InvalidOperationError(f"expected an Operation, got {op!r}")
         return DGLProtocol.as_pairs(requests)
 
     def prepare_concurrent_batch(self, engine, updates: Iterable) -> PreparedBatch:
@@ -478,7 +456,7 @@ class MovingObjectIndex(SpatialIndexFacade):
                 self._positions[request.oid] = request.new_location
         for request in plan.unindexed:
             self._positions[request.oid] = request.new_location
-        result = BatchResult(updates=plan.requested, coalesced=plan.coalesced)
+        result = BatchReport(updates=plan.requested, coalesced=plan.coalesced)
         operations: List = [
             ReplayOperation(engine, self.batch, request, result)
             for request in plan.unindexed
@@ -498,21 +476,9 @@ class MovingObjectIndex(SpatialIndexFacade):
 
         return PreparedBatch(operations=operations, result=result, finalize=finalize)
 
-    def set_active_client(self, client: Optional[Hashable]) -> None:
-        """Attribute subsequent physical transfers to *client*."""
-        self.buffer.set_active_client(client)
-
     def total_physical_io(self) -> int:
         """Physical reads + writes + charged hash-index probes so far."""
         return self.stats.total_physical_io
-
-    def reset_client_io(self) -> None:
-        """Drop per-client attribution (start of an engine run)."""
-        self.buffer.reset_client_io()
-
-    def client_io_table(self) -> Dict[Hashable, ClientIOCounters]:
-        """Per-client physical I/O attributed by the buffer pool."""
-        return self.buffer.client_io_table()
 
     def position_of(self, oid: int) -> Optional[Point]:
         """Last recorded position of *oid* (``None`` if absent)."""

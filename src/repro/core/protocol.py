@@ -17,15 +17,15 @@ The protocol has two halves:
   values, streaming query results through
   :class:`~repro.api.results.QueryCursor`\\ s) together with the direct
   methods ``load`` / ``insert`` / ``update`` / ``delete`` / ``range_query``
-  / ``knn``, the batch entry points ``update_many`` and ``apply`` (the
-  latter being the deprecated tuple adapter over :meth:`execute_many`), and
-  the statistics/validation hooks;
+  / ``knn``, the batch update entry point ``update_many``, and the
+  statistics/validation hooks;
 * the **engine SPI** — the hooks the
   :class:`~repro.concurrency.engine.OnlineOperationEngine` needs to schedule
   operations without knowing what kind of index it drives:
   :meth:`lock_requests_for` (predict an operation's DGL granule lock set),
   :meth:`prepare_concurrent_batch` (turn an update batch into schedulable
-  virtual operations), and the per-client physical-I/O attribution hooks.
+  virtual operations), and :meth:`total_physical_io`, from which the engine
+  measures each operation's I/O into its per-client ledger.
   A sharded index namespaces its granules per shard, which is exactly how
   operations on different shards become conflict-free under one scheduler.
 
@@ -39,7 +39,6 @@ import abc
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -60,9 +59,7 @@ if TYPE_CHECKING:  # typing only; avoids import cycles at runtime
     from repro.concurrency.engine import ConcurrentSession, PreparedBatch
     from repro.concurrency.locks import LockMode
     from repro.durability.commit import DurabilityManager
-    from repro.storage.buffer import ClientIOCounters
     from repro.update import UpdateOutcome
-    from repro.update.batch import BatchResult
 
 
 class SpatialIndexFacade(abc.ABC):
@@ -81,8 +78,9 @@ class SpatialIndexFacade(abc.ABC):
 
     #: Attached :class:`~repro.durability.commit.DurabilityManager`, or
     #: ``None`` when the index runs without a write-ahead log.  When set,
-    #: every mutation is logged **before** it is applied, and checkpoints
-    #: rotate the logs (see :mod:`repro.durability`).
+    #: every mutation is logged once it has been applied (apply first, log
+    #: on success), and checkpoints rotate the logs (see
+    #: :mod:`repro.durability`).
     durability: Optional["DurabilityManager"] = None
 
     def attach_durability(self, manager: "DurabilityManager") -> None:
@@ -167,30 +165,26 @@ class SpatialIndexFacade(abc.ABC):
     # Typed operation API (v2): one schema for every operation path
     # ------------------------------------------------------------------
     def execute(
-        self, operation: "api_ops.OperationLike", strict: bool = True
+        self, operation: "api_ops.Operation", strict: bool = True
     ) -> OperationResult:
         """Execute one typed operation and return its result envelope.
 
-        *operation* is an :class:`~repro.api.operations.Operation` (legacy
-        tuples are accepted through the deprecated
-        :meth:`~repro.api.operations.Operation.from_any` adapter).  Query
-        operations return their :class:`~repro.api.results.QueryCursor` in
-        ``result.value`` — consuming the cursor advances the underlying
+        Query operations return their :class:`~repro.api.results.QueryCursor`
+        in ``result.value`` — consuming the cursor advances the underlying
         traversal, so unread results cost no I/O.
 
         With ``strict=True`` (default) failures raise their structured
         :class:`~repro.api.errors.OperationError`; with ``strict=False``
         *execution* errors are captured on the returned result instead, and
-        a ``Delete`` of an absent object degrades to the legacy
-        ``False``-returning behaviour.  An operation too malformed to parse
-        at all (:class:`~repro.api.errors.InvalidOperationError`) always
-        raises — there is no operation to attach a result to.
+        a ``Delete`` of an absent object degrades to the ``False``-returning
+        behaviour.  Anything that is not an
+        :class:`~repro.api.operations.Operation` always raises
+        :class:`~repro.api.errors.InvalidOperationError` — there is no
+        operation to attach a result to.
         """
-        # The common case first, by exact type: an Update needs no coercion.
-        update = type(operation) is api_ops.Update
-        op = operation if update else api_ops.Operation.from_any(operation)
+        op = operation
         try:
-            if update or isinstance(op, (api_ops.Update, api_ops.Migrate)):
+            if isinstance(op, api_ops.Update):  # the common case first
                 return OperationResult(op, outcome=self.update(op.oid, op.new_location))
             if isinstance(op, api_ops.Insert):
                 from repro.update import UpdateOutcome  # local: import cycle
@@ -207,11 +201,11 @@ class SpatialIndexFacade(abc.ABC):
             if strict:
                 raise
             return OperationResult(op, error=error)
-        raise InvalidOperationError(f"unsupported operation {op!r}")
+        raise InvalidOperationError(f"expected an Operation, got {op!r}")
 
     def execute_many(
         self,
-        operations: Iterable["api_ops.OperationLike"],
+        operations: Iterable["api_ops.Operation"],
         strict: bool = True,
     ) -> BatchReport:
         """Execute a typed operation stream with batched updates.
@@ -221,22 +215,22 @@ class SpatialIndexFacade(abc.ABC):
         barriers, so the stream observes exactly the sequential semantics.
         Query and kNN answers land on the returned
         :class:`~repro.api.results.BatchReport` in stream order.  The whole
-        stream is validated before anything executes; under ``strict=True``
-        a ``Delete`` of an absent object is an
-        :class:`~repro.api.errors.UnknownObjectError` (the legacy adapter
-        passes ``strict=False``, where it is a silent no-op).
+        stream is validated before anything executes — an item that is not
+        an :class:`~repro.api.operations.Operation` raises
+        :class:`~repro.api.errors.InvalidOperationError`; under
+        ``strict=True`` a ``Delete`` of an absent object is an
+        :class:`~repro.api.errors.UnknownObjectError`, under
+        ``strict=False`` a silent no-op.
         """
-        return BatchReport.from_batch_result(
-            self._execute_operation_stream(operations, strict_deletes=strict)
-        )
+        return self._execute_operation_stream(operations, strict_deletes=strict)
 
     @abc.abstractmethod
     def _execute_operation_stream(
         self,
-        operations: Iterable["api_ops.OperationLike"],
+        operations: Iterable["api_ops.Operation"],
         strict_deletes: bool,
-    ) -> "BatchResult":
-        """Validate and run one operation stream (shared by ``execute_many``/``apply``)."""
+    ) -> BatchReport:
+        """Validate and run one operation stream (the body of ``execute_many``)."""
 
     @abc.abstractmethod
     def stream_query(self, window: Rect) -> "QueryCursor[int]":
@@ -267,8 +261,7 @@ class SpatialIndexFacade(abc.ABC):
 
         With ``strict=True`` (default) deleting an absent object raises
         :class:`~repro.api.errors.UnknownObjectError`, mirroring
-        :meth:`update`; ``strict=False`` restores the legacy silent
-        ``False`` return.
+        :meth:`update`; ``strict=False`` returns ``False`` instead.
         """
 
     @abc.abstractmethod
@@ -293,17 +286,8 @@ class SpatialIndexFacade(abc.ABC):
     # Batch operations
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> "BatchResult":
+    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> BatchReport:
         """Move many existing objects in one group-by-leaf batch."""
-
-    @abc.abstractmethod
-    def apply(self, operations: Iterable[Tuple]) -> "BatchResult":
-        """Execute a mixed legacy-tuple operation stream with batched updates.
-
-        Deprecated compatibility adapter over :meth:`execute_many`: tuples
-        are parsed through :meth:`repro.api.operations.Operation.from_any`
-        and deletes keep the legacy skip-missing semantics.
-        """
 
     @abc.abstractmethod
     def parse_updates(self, updates: Iterable[Tuple[int, Point]]) -> List:
@@ -341,14 +325,14 @@ class SpatialIndexFacade(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def lock_requests_for(
-        self, kind: str, payload: Tuple
+        self, op: "api_ops.Operation"
     ) -> List[Tuple[Hashable, "LockMode"]]:
-        """Predict the granule lock set of one normalised engine operation.
+        """Predict the granule lock set of one typed operation.
 
-        ``kind``/``payload`` follow the engine's normal form: ``("update",
-        (oid, new))``, ``("insert", (oid, location))``, ``("delete",
-        (oid,))``, ``("query", (window,))``.  Recomputed on every dispatch
-        attempt, so predictions track the live index.
+        Dispatches on the operation's type; an ``Update`` of an object the
+        index does not hold predicts the scope of the insert the engine runs
+        instead.  Recomputed on every dispatch attempt, so predictions track
+        the live index.
         """
 
     @abc.abstractmethod
@@ -376,23 +360,11 @@ class SpatialIndexFacade(abc.ABC):
         return []
 
     # ------------------------------------------------------------------
-    # Engine SPI — per-client physical-I/O attribution
+    # Engine SPI — physical-I/O measurement
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def set_active_client(self, client: Optional[Hashable]) -> None:
-        """Attribute subsequent physical transfers to *client* (``None`` stops)."""
-
     @abc.abstractmethod
     def total_physical_io(self) -> int:
         """Aggregated physical I/O count (reads + writes + charged probes)."""
-
-    @abc.abstractmethod
-    def reset_client_io(self) -> None:
-        """Drop per-client attribution (start of an engine run)."""
-
-    @abc.abstractmethod
-    def client_io_table(self) -> Dict[Hashable, "ClientIOCounters"]:
-        """Aggregated per-client physical I/O attribution."""
 
     # ------------------------------------------------------------------
     # Concurrent execution (shared implementation)

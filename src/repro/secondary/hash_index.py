@@ -26,7 +26,7 @@ wholesale (bulk load, split), which list every id — one C-level
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.rtree.node import Node
 from repro.rtree.observers import TreeObserver
@@ -136,13 +136,13 @@ class ObjectHashIndex(TreeObserver):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def consistency_errors(self, tree: RTree) -> list:
+    def consistency_errors(self, tree: RTree) -> List[str]:
         """Return a list of inconsistencies between the index and *tree*.
 
         Used by tests: an empty list means every object id maps to the leaf
         that actually stores it and no stale ids remain.
         """
-        errors = []
+        errors: List[str] = []
         actual: Dict[int, int] = {}
         for leaf in tree.leaf_nodes():
             for oid in leaf.child_ids():

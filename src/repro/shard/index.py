@@ -56,14 +56,19 @@ from typing import (
 )
 
 import repro.api.operations as api_ops
-from repro.api.errors import DuplicateObjectError, UnknownObjectError
-from repro.api.results import QueryCursor
+from repro.api.errors import (
+    DuplicateObjectError,
+    InvalidOperationError,
+    UnknownObjectError,
+)
+from repro.api.results import BatchReport, QueryCursor
 from repro.concurrency.dgl import namespace_pairs
 from repro.concurrency.engine import (
     GroupOperation,
     PreparedBatch,
     ReplayOperation,
 )
+from repro.concurrency.locks import LockMode
 from repro.concurrency.scheduler import VirtualOperation
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
@@ -89,16 +94,11 @@ from repro.shard.rebalance import (
     ShardRebalancer,
 )
 from repro.storage import IOStatistics
-from repro.storage.buffer import ClientIOCounters
 from repro.update import UpdateOutcome
 from repro.update.base import BatchUpdate
 from repro.update.batch import (
-    BatchResult,
+    BatchOperation,
     DeleteOp,
-    InsertOp,
-    KNNOp,
-    Operation,
-    QueryOp,
     coalesce_updates,
     parse_operation_stream,
 )
@@ -107,32 +107,30 @@ from repro.update.batch import (
 class MigrationOperation(VirtualOperation):
     """A batch member whose move crosses a shard boundary.
 
-    Carries the typed :class:`repro.api.operations.Migrate` internal
-    operation; its engine normal form is the update's, so the lock scope —
-    delete scope in the source shard plus insert scope in the target shard,
-    both namespaced, acquired all-or-nothing — comes from the same
-    ``lock_requests_for`` dispatch every other operation uses.  A migration
-    therefore serialises with exactly the operations it truly conflicts
-    with in either shard and nothing else.
+    A migration *is* an update whose lock scope happens to span two shards,
+    so its scope — delete scope in the source shard plus insert scope in the
+    target shard, both namespaced, acquired all-or-nothing — is the
+    ``lock_requests_for`` prediction of the member's :class:`Update`.  A
+    migration therefore serialises with exactly the operations it truly
+    conflicts with in either shard and nothing else.
     """
 
-    __slots__ = ("engine", "sharded", "migrate", "request", "result")
+    __slots__ = ("engine", "sharded", "update", "request", "result")
     kind = "migration"
 
     def __init__(self, engine, sharded: "ShardedIndex", request: BatchUpdate, result):
         self.engine = engine
         self.sharded = sharded
-        self.migrate = api_ops.Migrate(request.oid, request.new_location)
+        self.update = api_ops.Update(request.oid, request.new_location)
         self.request = request
         self.result = result
 
     def lock_requests(self):
-        return self.sharded.lock_requests_for(*self.migrate.normalise())
+        return self.sharded.lock_requests_for(self.update)
 
     def execute(self, client: int) -> int:
         return self.engine.measure(
-            client,
-            lambda: self.sharded._execute_migration(self.request, self.result),
+            lambda: self.sharded._execute_migration(self.request, self.result)
         )
 
 
@@ -440,7 +438,7 @@ class ShardedIndex(SpatialIndexFacade):
             )
 
     def reroute(self, oid: int) -> bool:
-        """Migrate *oid* to the shard its *current* position routes to.
+        """Move *oid* to the shard its *current* position routes to.
 
         The primitive a :class:`~repro.shard.rebalance.RebalanceMigration`
         executes: re-reading the live position makes the operation safe
@@ -657,9 +655,6 @@ class ShardedIndex(SpatialIndexFacade):
             for oid in plan.loose:
                 self.reroute(oid)
         else:
-            # The migration schedule is a run of its own: reset the per-client
-            # attribution so client_io_table() keeps meaning "the last run".
-            self.reset_client_io()
             engine = self.engine(num_clients=num_clients).engine
             schedule = engine.scheduler.run(iter(self._migration_batch(engine, plan)))
         return RebalanceReport(
@@ -1086,7 +1081,7 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Batch operations (per-shard group-by-leaf buckets)
     # ------------------------------------------------------------------
-    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> BatchResult:
+    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> BatchReport:
         """Move many objects in one batch, bucketed per shard.
 
         Updates are coalesced per object (first old position, latest new
@@ -1097,18 +1092,6 @@ class ShardedIndex(SpatialIndexFacade):
         groups/residual counters and merges their I/O deltas.
         """
         return self._execute_batch(self.parse_updates(updates))
-
-    def apply(self, operations: Iterable[Tuple]) -> BatchResult:
-        """Execute a mixed operation stream with per-shard batched updates.
-
-        Deprecated tuple adapter over the typed
-        :meth:`~repro.core.protocol.SpatialIndexFacade.execute_many`.  The
-        stream grammar and barrier semantics match
-        :meth:`MovingObjectIndex.apply`: runs of updates are batched,
-        inserts/deletes/queries flush pending updates first, and the whole
-        stream is parsed (and validated) before anything executes.
-        """
-        return self._execute_operation_stream(operations, strict_deletes=False)
 
     def _call_scope(self) -> ContextManager[None]:
         """The durability point of one batch call (a no-op without a WAL).
@@ -1126,15 +1109,15 @@ class ShardedIndex(SpatialIndexFacade):
         return self.durability.call_scope()
 
     def _execute_operation_stream(
-        self, operations: Iterable, strict_deletes: bool
-    ) -> BatchResult:
+        self, operations: Iterable[api_ops.Operation], strict_deletes: bool
+    ) -> BatchReport:
         return self._execute_batch(
             self._parse_operations(operations, strict_deletes=strict_deletes)
         )
 
-    def _execute_batch(self, parsed: List[Operation]) -> BatchResult:
+    def _execute_batch(self, parsed: List[BatchOperation]) -> BatchReport:
         """Run a parsed stream: runs of updates flush at every barrier."""
-        result = BatchResult()
+        result = BatchReport()
         before = [shard.stats.snapshot() for shard in self.shards]
         run: List[BatchUpdate] = []
         with self._call_scope():
@@ -1142,7 +1125,10 @@ class ShardedIndex(SpatialIndexFacade):
                 if isinstance(op, BatchUpdate):
                     result.updates += 1
                     run.append(op)
-                elif isinstance(op, InsertOp):
+                elif isinstance(op, api_ops.RangeQuery):
+                    self._flush_updates(run, result)
+                    result.queries.append(self.range_query(op.window))
+                elif isinstance(op, api_ops.Insert):
                     self._flush_updates(run, result)
                     self.insert(op.oid, op.location)
                     result.inserts += 1
@@ -1150,10 +1136,7 @@ class ShardedIndex(SpatialIndexFacade):
                     self._flush_updates(run, result)
                     self.delete(op.oid)
                     result.deletes += 1
-                elif isinstance(op, QueryOp):
-                    self._flush_updates(run, result)
-                    result.queries.append(self.range_query(op.window))
-                elif isinstance(op, KNNOp):
+                elif isinstance(op, api_ops.KNN):
                     self._flush_updates(run, result)
                     result.neighbors.append(self.knn(op.point, op.k))
                 else:  # pragma: no cover - the parser only emits the above
@@ -1164,7 +1147,7 @@ class ShardedIndex(SpatialIndexFacade):
             self.auto_adapt()
         return result
 
-    def _flush_updates(self, run: List[BatchUpdate], result: BatchResult) -> None:
+    def _flush_updates(self, run: List[BatchUpdate], result: BatchReport) -> None:
         """Coalesce a run of updates and route it: per-shard batches + migrations."""
         if not run:
             return
@@ -1236,7 +1219,7 @@ class ShardedIndex(SpatialIndexFacade):
         )
 
     def _execute_migration(
-        self, request: BatchUpdate, result: Optional[BatchResult] = None
+        self, request: BatchUpdate, result: Optional[BatchReport] = None
     ) -> None:
         """Delete from the source shard, insert into the target, re-route."""
         source = self._shard_of.get(request.oid)
@@ -1309,8 +1292,8 @@ class ShardedIndex(SpatialIndexFacade):
         return ops
 
     def _parse_operations(
-        self, operations: Iterable, strict_deletes: bool = False
-    ) -> List[Operation]:
+        self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
+    ) -> List[BatchOperation]:
         # The shared stream grammar; unlike the single index the overlay is
         # discarded — shard position maps advance when operations execute.
         parsed, _overlay = parse_operation_stream(
@@ -1319,7 +1302,7 @@ class ShardedIndex(SpatialIndexFacade):
         return parsed
 
     def _merge_io_delta(
-        self, result: BatchResult, before: List[IOStatistics]
+        self, result: BatchReport, before: List[IOStatistics]
     ) -> None:
         result.io = IOStatistics.sum(
             shard.stats.snapshot().delta_since(snapshot)
@@ -1329,7 +1312,9 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Engine SPI (repro.core.protocol; sessions open via engine())
     # ------------------------------------------------------------------
-    def lock_requests_for(self, kind: str, payload: Tuple):
+    def lock_requests_for(
+        self, op: api_ops.Operation
+    ) -> List[Tuple[Hashable, LockMode]]:
         """Predict an operation's lock set across shards.
 
         Each shard's granules are namespaced with its shard id, so scopes
@@ -1338,36 +1323,34 @@ class ShardedIndex(SpatialIndexFacade):
         migration names granules from both its shards.
         """
         def scope(
-            shard_id: int, shard_kind: str, shard_payload: Tuple
-        ) -> List[Tuple[object, Any]]:
+            shard_id: int, shard_op: api_ops.Operation
+        ) -> List[Tuple[Hashable, LockMode]]:
             return namespace_pairs(
-                self.shards[shard_id].lock_requests_for(shard_kind, shard_payload),
-                shard_id,
+                self.shards[shard_id].lock_requests_for(shard_op), shard_id
             )
 
-        if kind == "update":
-            oid, new_location = payload
-            source = self._shard_of.get(oid)
-            target = self.partitioner.shard_of(new_location)
+        if isinstance(op, api_ops.Update):
+            source = self._shard_of.get(op.oid)
+            target = self.partitioner.shard_of(op.new_location)
             if source == target:
-                return scope(source, kind, payload)
+                return scope(source, op)
             # A migration (or, for an unknown object, a plain insert).
-            pairs = [] if source is None else scope(source, "delete", (oid,))
-            return pairs + scope(target, "insert", (oid, new_location))
-        if kind == "insert":
-            return scope(self.partitioner.shard_of(payload[1]), kind, payload)
-        if kind == "delete":
-            source = self._shard_of.get(payload[0])
-            return [] if source is None else scope(source, kind, payload)
-        if kind == "query":
-            shard_ids: Iterable[int] = self._query_shards(payload[0])
-        elif kind == "knn":
+            pairs = [] if source is None else scope(source, api_ops.Delete(op.oid))
+            return pairs + scope(target, api_ops.Insert(op.oid, op.new_location))
+        if isinstance(op, api_ops.Insert):
+            return scope(self.partitioner.shard_of(op.location), op)
+        if isinstance(op, api_ops.Delete):
+            source = self._shard_of.get(op.oid)
+            return [] if source is None else scope(source, op)
+        if isinstance(op, api_ops.RangeQuery):
+            shard_ids: Iterable[int] = self._query_shards(op.window)
+        elif isinstance(op, api_ops.KNN):
             # Conservative: a kNN may spill into any shard holding data, so
             # every non-empty shard contributes its own (conservative) scope.
             shard_ids = [sid for sid, shard in enumerate(self.shards) if len(shard)]
         else:
-            raise ValueError(f"unknown engine operation kind {kind!r}")
-        return [pair for sid in shard_ids for pair in scope(sid, kind, payload)]
+            raise InvalidOperationError(f"expected an Operation, got {op!r}")
+        return [pair for sid in shard_ids for pair in scope(sid, op)]
 
     def prepare_concurrent_batch(self, engine, updates: Iterable) -> PreparedBatch:
         """Plan one batch as per-shard group buckets plus migration ops.
@@ -1382,7 +1365,7 @@ class ShardedIndex(SpatialIndexFacade):
         their own state when they execute.
         """
         pending, requested, coalesced = coalesce_updates(updates)
-        result = BatchResult(updates=requested, coalesced=coalesced)
+        result = BatchReport(updates=requested, coalesced=coalesced)
         per_shard, crossing = self._route(pending.values())
         operations: List[VirtualOperation] = [
             MigrationOperation(engine, self, request, result) for request in crossing
@@ -1423,26 +1406,8 @@ class ShardedIndex(SpatialIndexFacade):
 
         return PreparedBatch(operations=operations, result=result, finalize=finalize)
 
-    def set_active_client(self, client: Optional[Hashable]) -> None:
-        for shard in self.shards:
-            shard.set_active_client(client)
-
     def total_physical_io(self) -> int:
         return sum(shard.total_physical_io() for shard in self.shards)
-
-    def reset_client_io(self) -> None:
-        for shard in self.shards:
-            shard.reset_client_io()
-
-    def client_io_table(self) -> Dict[Hashable, ClientIOCounters]:
-        """Per-client physical I/O merged across every shard's buffer pool."""
-        merged: Dict[Hashable, ClientIOCounters] = {}
-        for shard in self.shards:
-            for client, counters in shard.client_io_table().items():
-                into = merged.setdefault(client, ClientIOCounters())
-                into.physical_reads += counters.physical_reads
-                into.physical_writes += counters.physical_writes
-        return merged
 
     # ------------------------------------------------------------------
     # Statistics and integrity

@@ -9,9 +9,7 @@ loop — an **online rebalancer** that watches per-shard load and re-cuts the
 partition boundaries so the hot region is spread over every shard:
 
 * :class:`ShardLoadMonitor` — per-shard update/query counters plus physical
-  I/O sampled from each shard's :class:`~repro.storage.stats.IOStatistics`
-  (during engine runs those counters accrue through the buffer pools'
-  per-client attribution, which the monitor also samples per shard);
+  I/O sampled from each shard's :class:`~repro.storage.stats.IOStatistics`;
 * :class:`RebalancePolicy` — the trigger rule: rebalance when the max/mean
   per-shard load exceeds ``threshold``, at least ``min_ops`` operations have
   been observed since the last boundary change, and ``cooldown`` operations
@@ -54,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.api.operations import Update
 from repro.concurrency.scheduler import VirtualOperation
 from repro.geometry import Point, Rect
 from repro.shard.partitioner import (
@@ -115,9 +114,9 @@ class ShardLoadMonitor:
     The sharded index records every routed operation against its shard;
     :meth:`sample_io` folds in the physical page transfers each shard's
     :class:`~repro.storage.stats.IOStatistics` accumulated since the last
-    sample (under the online engine those transfers are the ones the buffer
-    pools attribute to virtual clients — the same counters, viewed per
-    shard).  ``load = updates + queries + physical I/O`` per shard, so an
+    sample (under the online engine those are the transfers the scheduler
+    charges to virtual clients — the same counters, viewed per shard).
+    ``load = updates + queries + physical I/O`` per shard, so an
     I/O-heavy shard reads as hot even at moderate operation counts.
     """
 
@@ -372,12 +371,10 @@ class RebalanceMigration(VirtualOperation):
         position = self.sharded.position_of(self.oid)
         if position is None:
             return []  # object vanished; executing is a no-op
-        return self.sharded.lock_requests_for("update", (self.oid, position))
+        return self.sharded.lock_requests_for(Update(self.oid, position))
 
     def execute(self, client: int) -> int:
-        return self.engine.measure(
-            client, lambda: self.sharded.reroute(self.oid)
-        )
+        return self.engine.measure(lambda: self.sharded.reroute(self.oid))
 
 
 class RebalanceGroupMigration(VirtualOperation):
@@ -419,7 +416,7 @@ class RebalanceGroupMigration(VirtualOperation):
             position = self.sharded.position_of(oid)
             if position is None:
                 continue
-            for pair in self.sharded.lock_requests_for("update", (oid, position)):
+            for pair in self.sharded.lock_requests_for(Update(oid, position)):
                 if pair not in seen:
                     seen.add(pair)
                     pairs.append(pair)
@@ -427,10 +424,9 @@ class RebalanceGroupMigration(VirtualOperation):
 
     def execute(self, client: int) -> int:
         return self.engine.measure(
-            client,
             lambda: self.sharded.migrate_leaf_group(
                 self.source_id, self.leaf_page, self.oids
-            ),
+            )
         )
 
 

@@ -15,14 +15,13 @@ package recreates that substrate:
   paper uses 1 KB pages) into node fan-out for leaf and internal nodes.
 """
 
-from repro.storage.buffer import BufferPool, ClientIOCounters
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, PageNotFoundError
 from repro.storage.sizing import PageLayout
 from repro.storage.stats import IOStatistics
 
 __all__ = [
     "BufferPool",
-    "ClientIOCounters",
     "DiskManager",
     "PageNotFoundError",
     "PageLayout",

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Protocol, Tuple
+from typing import Any, Iterator, List, Optional, Protocol, Tuple
 
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStatistics
@@ -43,18 +42,6 @@ class PageCodec(Protocol):
     def encode(self, payload: Any) -> bytes: ...
 
     def decode(self, page_id: int, data: bytes) -> Any: ...
-
-
-@dataclass
-class ClientIOCounters:
-    """Physical page transfers attributed to one client of the pool."""
-
-    physical_reads: int = 0
-    physical_writes: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.physical_reads + self.physical_writes
 
 
 class BufferPool:
@@ -105,9 +92,6 @@ class BufferPool:
         self._pins: dict = {}
         # Scoped access trace (see logged_accesses()); None in steady state.
         self._access_log: Optional[List[AccessRecord]] = None
-        # Per-client physical-I/O attribution (see set_active_client()).
-        self._active_client: Optional[Hashable] = None
-        self._client_io: Dict[Hashable, ClientIOCounters] = {}
 
     # -- access tracing -------------------------------------------------------
     @contextmanager
@@ -127,46 +111,6 @@ class BufferPool:
             yield log
         finally:
             self._access_log = previous
-
-    @property
-    def is_logging_accesses(self) -> bool:
-        """``True`` while inside a :meth:`logged_accesses` block."""
-        return self._access_log is not None
-
-    # -- per-client accounting ------------------------------------------------
-    def set_active_client(self, client: Optional[Hashable]) -> None:
-        """Attribute subsequent physical transfers to *client*.
-
-        The concurrent operation engine brackets each operation's execution
-        with ``set_active_client(client_id)`` / ``set_active_client(None)``
-        so every virtual client's share of the physical I/O is accounted.
-        Write-backs caused by eviction are charged to the client whose
-        admission triggered them (they would not have happened at that moment
-        otherwise).  With no active client the accounting has no overhead.
-        """
-        self._active_client = client
-
-    def client_io(self, client: Hashable) -> ClientIOCounters:
-        """Counters attributed to *client* (zeros when it never ran)."""
-        return self._client_io.get(client, ClientIOCounters())
-
-    def client_io_table(self) -> Dict[Hashable, ClientIOCounters]:
-        """Copy of the per-client attribution table."""
-        return {client: ClientIOCounters(c.physical_reads, c.physical_writes)
-                for client, c in self._client_io.items()}
-
-    def reset_client_io(self) -> None:
-        """Drop all per-client attribution (start of an engine run)."""
-        self._client_io.clear()
-
-    def _charge_client(self, reads: int = 0, writes: int = 0) -> None:
-        if self._active_client is None:
-            return
-        counters = self._client_io.get(self._active_client)
-        if counters is None:
-            counters = self._client_io[self._active_client] = ClientIOCounters()
-        counters.physical_reads += reads
-        counters.physical_writes += writes
 
     # -- sizing helpers -----------------------------------------------------
     @classmethod
@@ -206,9 +150,6 @@ class BufferPool:
         payload = self.disk.read_page(page_id)
         if codec is not None and payload is not None:
             payload = codec.decode(page_id, payload)
-        charged = self._active_client is not None
-        if charged:
-            self._charge_client(reads=1)
         pins = self._pins
         if (
             len(frames) != capacity
@@ -227,8 +168,6 @@ class BufferPool:
             self.disk.write_page(
                 victim_id, victim if codec is None else codec.encode(victim)
             )
-            if charged:
-                self._charge_client(writes=1)
             self._dirty.discard(victim_id)
             stats.dirty_evictions += 1
         frames[page_id] = payload
@@ -247,7 +186,6 @@ class BufferPool:
             self._access_log.append(("write", page_id))
         if self.capacity == 0:
             self._write_through(page_id, payload)
-            self._charge_client(writes=1)
             return
         if page_id in self._frames:
             self._frames.move_to_end(page_id)
@@ -373,7 +311,6 @@ class BufferPool:
         payload = self._frames.pop(victim_id)
         if victim_id in self._dirty:
             self._write_through(victim_id, payload)
-            self._charge_client(writes=1)
             self._dirty.discard(victim_id)
             self.stats.dirty_evictions += 1
         return True

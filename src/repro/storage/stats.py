@@ -78,9 +78,9 @@ class IOStatistics:
     def merge(self, other: "IOStatistics") -> "IOStatistics":
         """Add *other*'s counters into this instance in place; returns ``self``.
 
-        This is how cross-shard and per-client counters aggregate: a sharded
-        index merges its shards' snapshots into one set of counters instead
-        of summing each field by hand.
+        This is how cross-shard counters aggregate: a sharded index merges
+        its shards' snapshots into one set of counters instead of summing
+        each field by hand.
         """
         self.physical_reads += other.physical_reads
         self.physical_writes += other.physical_writes

@@ -28,13 +28,7 @@ siblings and the adjusted ancestors — the Section 3.2.2 asymmetry.
 """
 
 from repro.update.base import BatchUpdate, UpdateOutcome, UpdateStrategy
-from repro.update.batch import (
-    BatchExecutor,
-    BatchResult,
-    DeleteOp,
-    InsertOp,
-    QueryOp,
-)
+from repro.update.batch import BatchExecutor, DeleteOp
 from repro.update.factory import make_strategy, strategy_names
 from repro.update.generalized import GeneralizedBottomUpUpdate
 from repro.update.localized import LocalizedBottomUpUpdate
@@ -44,11 +38,8 @@ from repro.update.topdown import TopDownUpdate
 
 __all__ = [
     "BatchExecutor",
-    "BatchResult",
     "BatchUpdate",
     "DeleteOp",
-    "InsertOp",
-    "QueryOp",
     "UpdateOutcome",
     "UpdateStrategy",
     "TuningParameters",

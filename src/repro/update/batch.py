@@ -31,23 +31,21 @@ re-resolves its members' leaves when it runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import repro.api.operations as api_ops
-from repro.api.errors import DuplicateObjectError, UnknownObjectError
-from repro.geometry import Point, Rect
+from repro.api.errors import (
+    DuplicateObjectError,
+    InvalidOperationError,
+    UnknownObjectError,
+)
+from repro.api.results import BatchReport
+from repro.geometry import Point
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
 from repro.storage.stats import IOStatistics
 from repro.update.base import BatchUpdate, UpdateStrategy
-
-
-class InsertOp(NamedTuple):
-    """Insert a brand-new object."""
-
-    oid: int
-    location: Point
 
 
 class DeleteOp(NamedTuple):
@@ -57,54 +55,42 @@ class DeleteOp(NamedTuple):
     location: Point
 
 
-class QueryOp(NamedTuple):
-    """Answer a window query; the result lands in :attr:`BatchResult.queries`."""
-
-    window: Rect
-
-
-class KNNOp(NamedTuple):
-    """Answer a kNN query; the result lands in :attr:`BatchResult.neighbors`."""
-
-    point: Point
-    k: int
-
-
-Operation = Union[BatchUpdate, InsertOp, DeleteOp, QueryOp, KNNOp]
+#: One parsed stream item: the typed insert/query operations pass through
+#: as they are; an update gains its old position and a delete its location.
+BatchOperation = Union[
+    BatchUpdate, DeleteOp, api_ops.Insert, api_ops.RangeQuery, api_ops.KNN
+]
 
 
 def parse_operation_stream(
-    operations: Iterable["api_ops.OperationLike"],
+    operations: Iterable["api_ops.Operation"],
     position_of: "Callable[[int], Optional[Point]]",
     strict_deletes: bool = False,
-) -> Tuple[List[Operation], Dict[int, Optional[Point]]]:
+) -> Tuple[List[BatchOperation], Dict[int, Optional[Point]]]:
     """Parse a stream of typed operations into executable batch operations.
 
-    This is the one stream grammar both facades share.  The native currency
-    is the typed :class:`repro.api.operations.Operation` model; legacy
-    tuples are accepted through :meth:`Operation.from_any` (the deprecated
-    compatibility adapter).  The stream is validated against an overlay so a
-    bad operation mid-stream (unknown oid, duplicate insert) raises before
-    anything executes.  *position_of* supplies the pre-stream position of an
-    object; the returned overlay maps each touched oid to its post-stream
-    position (``None`` = deleted), for callers that pre-commit a position
-    map.
+    This is the one stream grammar both facades share.  The stream is
+    validated against an overlay so a bad operation mid-stream (unknown oid,
+    duplicate insert, anything that is not an
+    :class:`~repro.api.operations.Operation`) raises before anything
+    executes.  *position_of* supplies the pre-stream position of an object;
+    the returned overlay maps each touched oid to its post-stream position
+    (``None`` = deleted), for callers that pre-commit a position map.
 
     A delete of an absent object raises
     :class:`~repro.api.errors.UnknownObjectError` under
     ``strict_deletes=True`` (the typed surface's default behaviour) and
-    parses to nothing otherwise — the legacy adapter's sequential semantics
-    (no barrier, no effect).
+    parses to nothing otherwise — sequential semantics (no barrier, no
+    effect).
     """
     overlay: Dict[int, Optional[Point]] = {}
 
     def current(oid: int) -> Optional[Point]:
         return overlay[oid] if oid in overlay else position_of(oid)
 
-    parsed: List[Operation] = []
-    for item in operations:
-        op = api_ops.Operation.from_any(item)
-        if isinstance(op, (api_ops.Update, api_ops.Migrate)):
+    parsed: List[BatchOperation] = []
+    for op in operations:
+        if isinstance(op, api_ops.Update):
             old_location = current(op.oid)
             if old_location is None:
                 raise UnknownObjectError(op.oid)
@@ -113,7 +99,7 @@ def parse_operation_stream(
         elif isinstance(op, api_ops.Insert):
             if current(op.oid) is not None:
                 raise DuplicateObjectError(op.oid)
-            parsed.append(InsertOp(op.oid, op.location))
+            parsed.append(op)
             overlay[op.oid] = op.location
         elif isinstance(op, api_ops.Delete):
             location = current(op.oid)
@@ -122,12 +108,10 @@ def parse_operation_stream(
                 overlay[op.oid] = None
             elif strict_deletes:
                 raise UnknownObjectError(op.oid)
-        elif isinstance(op, api_ops.RangeQuery):
-            parsed.append(QueryOp(op.window))
-        elif isinstance(op, api_ops.KNN):
-            parsed.append(KNNOp(op.point, op.k))
-        else:  # pragma: no cover - from_any only returns the above
-            raise TypeError(f"unsupported operation {op!r}")
+        elif isinstance(op, (api_ops.RangeQuery, api_ops.KNN)):
+            parsed.append(op)
+        else:
+            raise InvalidOperationError(f"expected an Operation, got {op!r}")
     return parsed, overlay
 
 
@@ -174,52 +158,6 @@ class BatchPlan:
     coalesced: int
 
 
-@dataclass
-class BatchResult:
-    """What one batch execution did, and what it cost.
-
-    ``io`` is the per-batch :class:`IOStatistics` delta — the counters
-    accumulated between the first and last operation of the batch, so
-    callers can compare batch and per-operation cost without resetting the
-    index-wide statistics.
-    """
-
-    updates: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    queries: List[List[int]] = field(default_factory=list)
-    #: kNN answers (``(distance, oid)`` pairs) in stream order.
-    neighbors: List[List[Tuple[float, int]]] = field(default_factory=list)
-    #: Updates superseded by a later update to the same object in the batch.
-    coalesced: int = 0
-    #: Leaf buckets executed through the strategy's ladder.
-    groups: int = 0
-    #: Size of the largest single group.
-    largest_group: int = 0
-    #: Updates replayed through the per-operation path: members not indexed
-    #: yet, and members re-routed after their leaf changed under the engine.
-    residuals: int = 0
-    #: Updates that crossed a shard boundary (sharded index only).
-    migrations: int = 0
-    io: IOStatistics = field(default_factory=IOStatistics)
-
-    @property
-    def grouped_updates(self) -> int:
-        """Updates settled by leaf buckets (after coalescing)."""
-        return self.updates - self.coalesced - self.residuals - self.migrations
-
-    def describe(self) -> str:
-        migrated = f", migrations={self.migrations}" if self.migrations else ""
-        knn = f" knn={len(self.neighbors)}" if self.neighbors else ""
-        return (
-            f"updates={self.updates} (coalesced={self.coalesced}, "
-            f"groups={self.groups}, residual={self.residuals}{migrated}) "
-            f"inserts={self.inserts} deletes={self.deletes} "
-            f"queries={len(self.queries)}{knn} | physical_reads={self.io.physical_reads} "
-            f"physical_writes={self.io.physical_writes}"
-        )
-
-
 class BatchExecutor:
     """Executes operation streams with group-by-leaf amortisation.
 
@@ -244,9 +182,9 @@ class BatchExecutor:
         self.hash_index = hash_index
         self.stats = stats if stats is not None else tree.disk.stats
 
-    def execute(self, operations: Iterable[Operation]) -> BatchResult:
+    def execute(self, operations: Iterable[BatchOperation]) -> BatchReport:
         """Run *operations*; updates are batched, everything else is a barrier."""
-        result = BatchResult()
+        result = BatchReport()
         before = self.stats.snapshot()
         run: List[BatchUpdate] = []
         for op in operations:
@@ -255,15 +193,15 @@ class BatchExecutor:
                 run.append(op)
                 continue
             self._flush(run, result)
-            if isinstance(op, InsertOp):
+            if isinstance(op, api_ops.RangeQuery):
+                result.queries.append(self.strategy.range_query(op.window))
+            elif isinstance(op, api_ops.Insert):
                 self.strategy.insert(op.oid, op.location)
                 result.inserts += 1
             elif isinstance(op, DeleteOp):
                 self.strategy.delete(op.oid, op.location)
                 result.deletes += 1
-            elif isinstance(op, QueryOp):
-                result.queries.append(self.strategy.range_query(op.window))
-            elif isinstance(op, KNNOp):
+            elif isinstance(op, api_ops.KNN):
                 result.neighbors.append(self.tree.knn(op.point, op.k))
             else:
                 raise TypeError(f"unsupported batch operation {op!r}")
@@ -292,7 +230,7 @@ class BatchExecutor:
         self,
         leaf_page: int,
         bucket: List[BatchUpdate],
-        result: BatchResult,
+        result: BatchReport,
         reroute: Optional["OrderedDict[int, List[BatchUpdate]]"] = None,
     ) -> None:
         """Re-verify *bucket* against the live hash index and run its ladder.
@@ -320,7 +258,7 @@ class BatchExecutor:
     def _reroute(
         self,
         request: BatchUpdate,
-        result: BatchResult,
+        result: BatchReport,
         reroute: Optional["OrderedDict[int, List[BatchUpdate]]"],
     ) -> None:
         current = self.hash_index.peek(request.oid)
@@ -329,7 +267,7 @@ class BatchExecutor:
         else:
             reroute.setdefault(current, []).append(request)
 
-    def _flush(self, run: List[BatchUpdate], result: BatchResult) -> None:
+    def _flush(self, run: List[BatchUpdate], result: BatchReport) -> None:
         """Drain a run of updates, one leaf bucket at a time (serial execution)."""
         if not run:
             return
@@ -343,7 +281,7 @@ class BatchExecutor:
             leaf_page, bucket = buckets.popitem(last=False)
             self.execute_group(leaf_page, bucket, result, reroute=buckets)
 
-    def replay(self, request: BatchUpdate, result: BatchResult) -> None:
+    def replay(self, request: BatchUpdate, result: BatchReport) -> None:
         """Run one unindexed or re-routed member through the per-operation path."""
         self.strategy.update(*request)
         result.residuals += 1

@@ -129,39 +129,26 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # Mixed stream (throughput experiment, Figure 8)
     # ------------------------------------------------------------------
-    def mixed_operations(
+    def operations(
         self, count: int, update_fraction: float
-    ) -> Iterator[Tuple[str, object]]:
-        """Yield *count* operations, a fraction of which are updates.
+    ) -> Iterator["api_ops.Operation"]:
+        """Yield *count* typed operations, a fraction of which are updates.
 
-        Each yielded item is ``("update", (oid, old, new))`` or
-        ``("query", window)`` — the legacy tuple shapes; :meth:`operations`
-        is the typed form of the same stream.  The interleaving is random
-        but reproducible, mirroring the 50-client mixed workload of the
-        throughput study.
+        Each item is an :class:`~repro.api.operations.Update` (one
+        :meth:`updates` step) or a :class:`~repro.api.operations.RangeQuery`,
+        ready for ``index.execute``/``execute_many`` or an engine session.
+        The interleaving is random but reproducible, mirroring the 50-client
+        mixed workload of the throughput study.
         """
         if not 0.0 <= update_fraction <= 1.0:
             raise ValueError("update_fraction must be in [0, 1]")
         update_stream = self.updates(count)  # drawn lazily; at most `count` are consumed
         for _ in range(count):
             if self._rng.random() < update_fraction:
-                yield "update", next(update_stream)
+                oid, _old, new = next(update_stream)
+                yield api_ops.Update(oid, new)
             else:
-                yield "query", self._queries.next_window()
-
-    def operations(
-        self, count: int, update_fraction: float
-    ) -> Iterator["api_ops.Operation"]:
-        """The mixed stream as typed :class:`~repro.api.operations.Operation` values.
-
-        The native v2 form of :meth:`mixed_operations`: the identical seeded
-        sequence (same RNG draws, same interleaving), with each item lifted
-        into the typed operation model — :class:`~repro.api.operations.Update`
-        or :class:`~repro.api.operations.RangeQuery` — ready for
-        ``index.execute``/``execute_many`` or an engine session.
-        """
-        for item in self.mixed_operations(count, update_fraction):
-            yield api_ops.Operation.from_tuple(item)
+                yield api_ops.RangeQuery(self._queries.next_window())
 
     def client_streams(
         self, num_clients: int, count: int, update_fraction: float

@@ -3,10 +3,11 @@
 Parametrized over both facade implementations — the single
 :class:`MovingObjectIndex` and a 4-shard :class:`ShardedIndex` — this suite
 pins the central contract of the API redesign: for one seeded operation
-script, the typed surface (``execute`` / ``execute_many``), the legacy tuple
-adapter and the direct method calls produce byte-identical results — query
-and kNN answers, final positions, and outcome counts — on the per-operation,
-batch and concurrent-engine paths.  It also covers the structured error
+script, the typed surface (``execute`` / ``execute_many``) and the direct
+method calls produce byte-identical results — query and kNN answers, final
+positions, and outcome counts — on the per-operation, batch and
+concurrent-engine paths, and anything that is not a typed operation is
+turned away before any work runs.  It also covers the structured error
 taxonomy on every facade and the streaming cursors' exhaustion behaviour.
 """
 
@@ -19,6 +20,7 @@ from repro.api import (
     Delete,
     DuplicateObjectError,
     Insert,
+    InvalidOperationError,
     RangeQuery,
     UnknownObjectError,
     Update,
@@ -96,21 +98,16 @@ def final_positions(index, script):
 class TestPerOperationEquivalence:
     @pytest.mark.parametrize("kind", FACADE_KINDS)
     @pytest.mark.parametrize("strategy", ["TD", "GBU"])
-    def test_typed_equals_tuple_equals_direct(self, kind, strategy):
+    def test_typed_equals_direct(self, kind, strategy):
         script = operation_script()
         typed = loaded(kind, strategy=strategy)
-        tupled = loaded(kind, strategy=strategy)
         direct = loaded(kind, strategy=strategy)
 
-        typed_answers, tuple_answers, direct_answers = [], [], []
+        typed_answers, direct_answers = [], []
         for op in script:
             result = typed.execute(op)
             if isinstance(op, (RangeQuery, KNN)):
                 typed_answers.append(result.cursor().all())
-
-            result = tupled.execute(op.to_tuple())  # the tuple adapter path
-            if isinstance(op, (RangeQuery, KNN)):
-                tuple_answers.append(result.cursor().all())
 
             if isinstance(op, Update):
                 direct.update(op.oid, op.new_location)
@@ -123,39 +120,14 @@ class TestPerOperationEquivalence:
             else:
                 direct_answers.append(direct.knn(op.point, op.k))
 
-        assert typed_answers == tuple_answers == direct_answers
-        assert (
-            final_positions(typed, script)
-            == final_positions(tupled, script)
-            == final_positions(direct, script)
-        )
-        assert outcome_counts(typed) == outcome_counts(tupled) == outcome_counts(direct)
+        assert typed_answers == direct_answers
+        assert final_positions(typed, script) == final_positions(direct, script)
+        assert outcome_counts(typed) == outcome_counts(direct)
         typed.validate()
-        tupled.validate()
         direct.validate()
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_execute_many_equals_tuple_apply(self, kind):
-        script = operation_script(seed=5)
-        typed = loaded(kind)
-        tupled = loaded(kind)
-
-        report = typed.execute_many(script)
-        legacy = tupled.apply([op.to_tuple() for op in script])
-
-        assert report.queries == legacy.queries
-        assert report.neighbors == legacy.neighbors
-        assert report.updates == legacy.updates
-        assert report.inserts == legacy.inserts
-        assert report.deletes == legacy.deletes
-        assert report.coalesced == legacy.coalesced
-        assert report.migrations == legacy.migrations
-        assert final_positions(typed, script) == final_positions(tupled, script)
-        typed.validate()
-        tupled.validate()
-
     @pytest.mark.parametrize("kind", FACADE_KINDS)
     def test_batch_answers_match_per_operation_answers(self, kind):
         script = operation_script(seed=11)
@@ -184,29 +156,6 @@ class TestBatchEquivalence:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_typed_and_tuple_streams_schedule_identically(self, kind):
-        script = [
-            op
-            for op in operation_script(seed=7)
-            if not isinstance(op, (Insert, Delete))
-        ]
-        typed = loaded(kind)
-        tupled = loaded(kind)
-
-        typed_session = typed.engine(num_clients=8)
-        tuple_session = tupled.engine(num_clients=8)
-        for position, op in enumerate(script):
-            typed_session.submit(position % 8, op)
-            tuple_session.submit(position % 8, op.to_tuple())
-        typed_result = typed_session.run()
-        tuple_result = tuple_session.run()
-
-        assert typed_result.makespan == tuple_result.makespan
-        assert typed_result.operations == tuple_result.operations
-        assert typed_result.kinds == tuple_result.kinds
-        assert final_positions(typed, script) == final_positions(tupled, script)
-
     @pytest.mark.parametrize("kind", FACADE_KINDS)
     def test_knn_operations_schedule_under_the_engine(self, kind):
         index = loaded(kind)
@@ -272,10 +221,79 @@ class TestErrorTaxonomyOnFacades:
             )
         # Validation happens before execution: nothing moved.
         assert final_positions(index, []) == before
-        # The legacy adapter keeps the skip-missing semantics.
-        result = index.apply([("update", 0, Point(0.9, 0.9)), ("delete", 999_999)])
+        # Non-strict, a delete of an absent object is a no-op.
+        result = index.execute_many(
+            [Update(0, Point(0.9, 0.9)), Delete(999_999)], strict=False
+        )
         assert result.updates == 1
         assert index.position_of(0) == Point(0.9, 0.9)
+
+
+class TestTypedDoor:
+    """Only typed operations get in; anything else is turned away first."""
+
+    TUPLE = ("update", 0, Point(0.9, 0.9))
+
+    @pytest.mark.parametrize("kind", FACADE_KINDS)
+    def test_execute_rejects_a_tuple(self, kind):
+        index = loaded(kind)
+        with pytest.raises(InvalidOperationError):
+            index.execute(self.TUPLE)
+        with pytest.raises(InvalidOperationError):
+            index.execute(self.TUPLE, strict=False)
+        assert index.position_of(0) != Point(0.9, 0.9)
+
+    @pytest.mark.parametrize("kind", FACADE_KINDS)
+    def test_execute_many_rejects_a_tuple_mid_stream(self, kind):
+        index = loaded(kind)
+        before = final_positions(index, [])
+        io = index.io_snapshot().as_dict()
+        stream = [Update(1, Point(0.8, 0.8)), self.TUPLE, RangeQuery(Rect(0, 0, 1, 1))]
+        for strict in (True, False):
+            with pytest.raises(InvalidOperationError):
+                index.execute_many(stream, strict=strict)
+        assert final_positions(index, []) == before
+        assert index.io_snapshot().as_dict() == io
+
+    @pytest.mark.parametrize("kind", FACADE_KINDS)
+    def test_engine_paths_reject_a_tuple(self, kind):
+        index = loaded(kind)
+        session = index.engine(num_clients=2)
+        with pytest.raises(InvalidOperationError):
+            session.submit(0, Update(1, Point(0.8, 0.8)), self.TUPLE)
+        assert session.pending() == 0
+        with pytest.raises(InvalidOperationError):
+            session.engine.run([Update(1, Point(0.8, 0.8)), self.TUPLE])
+        with pytest.raises(InvalidOperationError):
+            session.engine.run_streams([[Update(1, Point(0.8, 0.8))], [object()]])
+        assert index.position_of(1) != Point(0.8, 0.8)
+
+    @pytest.mark.parametrize("kind", FACADE_KINDS)
+    def test_rejected_durable_batch_leaves_no_trace(self, kind, tmp_path):
+        spec = {
+            "kind": kind,
+            "config": {"strategy": "GBU", "page_size": SMALL_PAGE_SIZE},
+            "durability": {"dir": str(tmp_path / "wal")},
+        }
+        if kind == "sharded":
+            spec["shards"] = 4
+        index = open_index(spec)
+        index.load(make_points(NUM_OBJECTS, seed=17))
+        index.execute_many([Update(2, Point(0.3, 0.3))])
+        logs = sorted((tmp_path / "wal").glob("*.wal"))
+        assert logs
+        sizes = [log.stat().st_size for log in logs]
+        before = final_positions(index, [])
+        io = index.io_snapshot().as_dict()
+        with pytest.raises(InvalidOperationError):
+            index.execute_many(
+                [Update(3, Point(0.7, 0.7)), Insert(10_000, Point(0.5, 0.5)), ("delete", 4)]
+            )
+        assert final_positions(index, []) == before
+        assert index.io_snapshot().as_dict() == io
+        assert sorted((tmp_path / "wal").glob("*.wal")) == logs
+        assert [log.stat().st_size for log in logs] == sizes
+        index.detach_durability()
 
 
 class TestCursorsOnFacades:

@@ -11,8 +11,6 @@ from repro.api import (
     InvalidNeighborCountError,
     InvalidOperationError,
     InvalidWindowError,
-    Migrate,
-    Operation,
     OperationError,
     OperationResult,
     QueryCursor,
@@ -21,85 +19,23 @@ from repro.api import (
     Update,
 )
 from repro.geometry import Point, Rect
-from repro.update.batch import BatchResult
+from repro.storage import IOStatistics
 
 
 class TestOperationModel:
-    def test_from_tuple_parses_every_facade_shape(self):
+    def test_kind_labels_are_the_scheduler_report_labels(self):
         point = Point(0.3, 0.4)
-        window = Rect(0.1, 0.1, 0.5, 0.5)
-        assert Operation.from_tuple(("update", 1, point)) == Update(1, point)
-        assert Operation.from_tuple(("insert", 2, point)) == Insert(2, point)
-        assert Operation.from_tuple(("delete", 3)) == Delete(3)
-        assert Operation.from_tuple(("range_query", window)) == RangeQuery(window)
-        assert Operation.from_tuple(("query", window)) == RangeQuery(window)
-        assert Operation.from_tuple(("knn", point, 5)) == KNN(point, 5)
-
-    def test_from_tuple_parses_generator_update_item(self):
-        old, new = Point(0.1, 0.1), Point(0.2, 0.2)
-        assert Operation.from_tuple(("update", (7, old, new))) == Update(7, new)
-
-    def test_from_tuple_rejects_unknown_kind(self):
-        with pytest.raises(InvalidOperationError):
-            Operation.from_tuple(("compact",))
-        with pytest.raises(InvalidOperationError):
-            Operation.from_tuple(())
-
-    def test_from_tuple_preserves_taxonomy_validation_errors(self):
-        # Validation errors of well-formed kinds must surface as themselves
-        # (and therefore as their legacy builtin bases), not be rewrapped.
-        with pytest.raises(InvalidWindowError):
-            Operation.from_tuple(("range_query", "not a window"))
-        with pytest.raises(TypeError):  # the legacy engine raised TypeError
-            Operation.from_tuple(("query", 123))
-        with pytest.raises(InvalidNeighborCountError):
-            Operation.from_tuple(("knn", Point(0.5, 0.5), -1))
-
-    def test_from_tuple_rejects_malformed_arity(self):
-        with pytest.raises(InvalidOperationError):
-            Operation.from_tuple(("insert", 1))
-        with pytest.raises(InvalidOperationError):
-            Operation.from_tuple(("update", 1, Point(0, 0), Point(1, 1)))
-        with pytest.raises(InvalidOperationError):
-            Operation.from_tuple(("delete",))
-
-    def test_from_any_passes_typed_operations_through(self):
-        op = Delete(9)
-        assert Operation.from_any(op) is op
-        with pytest.raises(InvalidOperationError):
-            Operation.from_any(["update", 1, Point(0, 0)])  # list, not tuple
-
-    def test_normalise_is_the_engine_normal_form(self):
-        point = Point(0.3, 0.4)
-        window = Rect(0.1, 0.1, 0.5, 0.5)
-        assert Update(1, point).normalise() == ("update", (1, point))
-        assert Insert(2, point).normalise() == ("insert", (2, point))
-        assert Delete(3).normalise() == ("delete", (3,))
-        assert RangeQuery(window).normalise() == ("query", (window,))
-        assert KNN(point, 4).normalise() == ("knn", (point, 4))
-
-    def test_to_tuple_round_trips_through_from_tuple(self):
-        for op in (
-            Update(1, Point(0.3, 0.4)),
-            Insert(2, Point(0.1, 0.2)),
-            Delete(3),
-            RangeQuery(Rect(0.0, 0.0, 1.0, 1.0)),
-            KNN(Point(0.5, 0.5), 3),
-        ):
-            assert Operation.from_tuple(op.to_tuple()) == op
+        assert Update(1, point).kind == "update"
+        assert Insert(2, point).kind == "insert"
+        assert Delete(3).kind == "delete"
+        assert RangeQuery(Rect(0.1, 0.1, 0.5, 0.5)).kind == "query"
+        assert KNN(point, 4).kind == "knn"
 
     def test_operations_are_frozen_and_hashable(self):
         op = Update(1, Point(0.3, 0.4))
         with pytest.raises(Exception):
             op.oid = 2
         assert len({op, Update(1, Point(0.3, 0.4)), Delete(1)}) == 2
-
-    def test_migrate_normalises_as_an_update(self):
-        migrate = Migrate(5, Point(0.9, 0.9))
-        assert migrate.normalise() == ("update", (5, Point(0.9, 0.9)))
-        assert migrate.kind == "migration"
-        # A migration is shard-internal; its tuple surface form is an update.
-        assert Operation.from_tuple(migrate.to_tuple()) == Update(5, Point(0.9, 0.9))
 
     def test_range_query_validates_the_window(self):
         with pytest.raises(InvalidWindowError):
@@ -197,18 +133,15 @@ class TestResultEnvelopes:
         assert not failed.ok
         assert "error" in failed.describe()
 
-    def test_batch_report_lifts_the_internal_result(self):
-        internal = BatchResult(
+    def test_batch_report_counts(self):
+        report = BatchReport(
             updates=10, inserts=2, deletes=1, coalesced=3, groups=4,
             largest_group=5, residuals=2, migrations=1,
         )
-        internal.queries.append([1, 2])
-        internal.neighbors.append([(0.1, 7)])
-        report = BatchReport.from_batch_result(internal)
-        assert report.updates == 10
-        assert report.queries == [[1, 2]]
-        assert report.neighbors == [[(0.1, 7)]]
+        report.queries.append([1, 2])
+        report.neighbors.append([(0.1, 7)])
         assert report.operations == 10 + 2 + 1 + 1 + 1
+        assert report.grouped_updates == 10 - 3 - 2 - 1
         assert "knn=1" in report.describe()
 
 
@@ -223,7 +156,6 @@ class TestPicklability:
     OPERATIONS = [
         Insert(7, Point(0.1, 0.2)),
         Update(7, Point(0.3, 0.4)),
-        Migrate(7, Point(0.5, 0.6)),
         Delete(7),
         RangeQuery(Rect(0.1, 0.1, 0.5, 0.5)),
         KNN(Point(0.25, 0.75), 5),
@@ -252,16 +184,15 @@ class TestPicklability:
     def test_batch_report_round_trips(self):
         import pickle
 
-        report = BatchReport.from_batch_result(
-            BatchResult(
-                updates=5,
-                queries=[[1, 2], []],
-                neighbors=[[(0.1, 4)]],
-                coalesced=1,
-                groups=2,
-                largest_group=3,
-                residuals=1,
-            )
+        report = BatchReport(
+            updates=5,
+            queries=[[1, 2], []],
+            neighbors=[[(0.1, 4)]],
+            coalesced=1,
+            groups=2,
+            largest_group=3,
+            residuals=1,
+            io=IOStatistics(physical_reads=3),
         )
         clone = pickle.loads(pickle.dumps(report))
         assert clone == report

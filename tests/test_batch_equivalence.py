@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.api import Delete, Insert, RangeQuery, Update
 from repro.geometry import Point, Rect
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
@@ -124,10 +125,10 @@ class TestBatchMatchesSequential:
             if position % 97 == 0:
                 sequential_answers.append(sorted(baseline.range_query(window)))
         for position, (oid, _old, new) in enumerate(gen_b.updates()):
-            ops.append(("update", oid, new))
+            ops.append(Update(oid, new))
             if position % 97 == 0:
-                ops.append(("range_query", window))
-        result = batched.apply(ops)
+                ops.append(RangeQuery(window))
+        result = batched.execute_many(ops)
 
         assert [sorted(answer) for answer in result.queries] == sequential_answers
         assert_equivalent(baseline, batched)
@@ -146,34 +147,34 @@ class TestBatchMatchesSequential:
                 if baseline.position_of(oid) is None:
                     continue
                 new = Point(rng.random(), rng.random())
-                ops.append(("update", oid, new))
+                ops.append(Update(oid, new))
             elif roll < 0.85:
-                ops.append(("insert", next_oid, Point(rng.random(), rng.random())))
+                ops.append(Insert(next_oid, Point(rng.random(), rng.random())))
                 next_oid += 1
             else:
                 oid = rng.randrange(200)
-                ops.append(("delete", oid))
+                ops.append(Delete(oid))
         for op in ops:
-            if op[0] == "update":
-                if baseline.position_of(op[1]) is not None:
-                    baseline.update(op[1], op[2])
-            elif op[0] == "insert":
-                baseline.insert(op[1], op[2])
+            if isinstance(op, Update):
+                if baseline.position_of(op.oid) is not None:
+                    baseline.update(op.oid, op.new_location)
+            elif isinstance(op, Insert):
+                baseline.insert(op.oid, op.location)
             else:
-                baseline.delete(op[1], strict=False)
+                baseline.delete(op.oid, strict=False)
         # The batch facade mirrors the same skip-absent rule for deletes and
         # raises for updates of absent objects, so filter identically.
         filtered = []
         alive = {oid for oid in range(200)} | set()
         for op in ops:
-            if op[0] == "update" and op[1] not in alive:
+            if isinstance(op, Update) and op.oid not in alive:
                 continue
-            if op[0] == "insert":
-                alive.add(op[1])
-            if op[0] == "delete":
-                alive.discard(op[1])
+            if isinstance(op, Insert):
+                alive.add(op.oid)
+            if isinstance(op, Delete):
+                alive.discard(op.oid)
             filtered.append(op)
-        batched.apply(filtered)
+        batched.execute_many(filtered, strict=False)
         assert_equivalent(baseline, batched)
 
 

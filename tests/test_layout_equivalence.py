@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api import Update
+from repro.api import Delete, Insert, RangeQuery, Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry, Node
@@ -120,21 +120,21 @@ class TestInsertDeleteGolden:
         operations = []
         live = []
         for oid in range(300):
-            operations.append(("insert", oid, Point(rng.random(), rng.random())))
+            operations.append(Insert(oid, Point(rng.random(), rng.random())))
             live.append(oid)
         for _ in range(200):
             kind = rng.random()
             if kind < 0.5 and live:
                 operations.append(
-                    ("update", rng.choice(live), Point(rng.random(), rng.random()))
+                    Update(rng.choice(live), Point(rng.random(), rng.random()))
                 )
             elif kind < 0.75 and len(live) > 50:
-                operations.append(("delete", live.pop(rng.randrange(len(live)))))
+                operations.append(Delete(live.pop(rng.randrange(len(live)))))
             else:
-                operations.append(("range_query", Rect(0.2, 0.2, 0.6, 0.6)))
+                operations.append(RangeQuery(Rect(0.2, 0.2, 0.6, 0.6)))
 
         index = build(strategy)
-        result = index.apply(operations)
+        result = index.execute_many(operations, strict=False)
         index.validate()
         if strategy == "GBU":
             # Recorded in traversal order: the tree shape matches too.

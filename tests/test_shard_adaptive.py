@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api import open_index
+from repro.api import Update, open_index
 from repro.core.persistence import load_index, save_index
 from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
@@ -344,11 +344,11 @@ class TestAdaptiveLoop:
                 min(0.20, max(0.05, p.x + rng.uniform(-0.01, 0.01))),
                 min(0.55, max(0.40, p.y + rng.uniform(-0.01, 0.01))),
             )
-            stream.append(("update", oid, moved))
+            stream.append(Update(oid, moved))
             positions[oid] = moved
         session = index.engine(num_clients=4)
-        for i, (kind, oid, position) in enumerate(stream):
-            session.submit(i % 4, (kind, oid, position))
+        for i, op in enumerate(stream):
+            session.submit(i % 4, op)
         session.run()
         assert index.shards[0].active_strategy == "TD"
         assert controller.switches >= 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.core import IndexConfig
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
@@ -35,7 +36,7 @@ class TestShardedLockScopes:
             oid for oid in range(400) if index.shard_for(oid) == 0
         )
         position = index.position_of(oid)
-        pairs = index.lock_requests_for("update", (oid, position))
+        pairs = index.lock_requests_for(Update(oid, position))
         assert shard_namespaces(pairs) == {0}
 
     def test_migration_locks_both_shards(self):
@@ -43,24 +44,24 @@ class TestShardedLockScopes:
         oid = next(oid for oid in range(400) if index.shard_for(oid) == 0)
         across = Point(0.95, index.position_of(oid).y)
         assert index.partitioner.shard_of(across) == 1
-        pairs = index.lock_requests_for("update", (oid, across))
+        pairs = index.lock_requests_for(Update(oid, across))
         assert shard_namespaces(pairs) == {0, 1}
 
     def test_query_locks_exactly_the_intersecting_shards(self):
         index, _ = build_sharded(num_shards=2)
         left_only = Rect(0.05, 0.05, 0.2, 0.2)
         straddling = Rect(0.4, 0.4, 0.6, 0.6)
-        assert shard_namespaces(index.lock_requests_for("query", (left_only,))) == {0}
-        assert shard_namespaces(index.lock_requests_for("query", (straddling,))) == {0, 1}
+        assert shard_namespaces(index.lock_requests_for(RangeQuery(left_only))) == {0}
+        assert shard_namespaces(index.lock_requests_for(RangeQuery(straddling))) == {0, 1}
 
     def test_delete_of_absent_object_locks_nothing(self):
         index, _ = build_sharded()
-        assert index.lock_requests_for("delete", (999_999,)) == []
+        assert index.lock_requests_for(Delete(999_999)) == []
 
-    def test_unknown_kind_rejected(self):
+    def test_non_operation_rejected(self):
         index, _ = build_sharded()
-        with pytest.raises(ValueError):
-            index.lock_requests_for("compact", ())
+        with pytest.raises(InvalidOperationError):
+            index.lock_requests_for(("compact",))
 
 
 class TestShardedSessions:
@@ -73,9 +74,9 @@ class TestShardedSessions:
         right = [oid for oid in range(400) if index.shard_for(oid) == 1][:20]
         session = index.engine(num_clients=2)
         for oid in left:
-            session.submit(0, ("update", oid, index.position_of(oid)))
+            session.submit(0, Update(oid, index.position_of(oid)))
         for oid in right:
-            session.submit(1, ("update", oid, index.position_of(oid)))
+            session.submit(1, Update(oid, index.position_of(oid)))
         result = session.run()
         assert result.operations == 40
         assert result.lock_waits == 0
@@ -87,8 +88,8 @@ class TestShardedSessions:
         position = index.position_of(oid)
         session = index.engine(num_clients=2)
         # both clients write the same object's leaf granule in shard 0
-        session.submit(0, ("update", oid, position))
-        session.submit(1, ("update", oid, position))
+        session.submit(0, Update(oid, position))
+        session.submit(1, Update(oid, position))
         result = session.run()
         assert result.lock_waits > 0
 
@@ -104,25 +105,26 @@ class TestShardedSessions:
     def test_insert_delete_and_query_operations(self):
         index, _ = build_sharded(num_shards=4)
         session = index.engine(num_clients=3)
-        session.submit(0, ("insert", 5_000, Point(0.1, 0.1)))
-        session.submit(1, ("delete", 7))
-        session.submit(2, ("range_query", Rect(0.0, 0.0, 1.0, 1.0)))
+        session.submit(0, Insert(5_000, Point(0.1, 0.1)))
+        session.submit(1, Delete(7))
+        session.submit(2, RangeQuery(Rect(0.0, 0.0, 1.0, 1.0)))
         result = session.run()
         assert result.operations == 3
         assert 5_000 in index
         assert 7 not in index
         index.validate()
 
-    def test_client_io_merges_across_shards(self):
+    def test_client_ledger_sums_across_shards(self):
         index, generator = build_sharded(num_shards=4, strategy="LBU")
         session = index.engine(num_clients=6)
         before = index.io_snapshot()
-        session.run_mixed(generator, 150, update_fraction=0.8)
+        result = session.run_mixed(generator, 150, update_fraction=0.8)
         delta = index.io_snapshot().delta_since(before)
-        table = session.client_io()
-        assert table
-        pool_total = sum(counters.total for counters in table.values())
-        assert pool_total == delta.physical_reads + delta.physical_writes
+        assert delta.total_physical_io > 0
+        assert (
+            sum(report.physical_io for report in result.clients.values())
+            == delta.total_physical_io
+        )
 
 
 class TestShardedBatchScheduling:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import UnknownObjectError
+from repro.api import Delete, Insert, RangeQuery, UnknownObjectError, Update
 from repro.core import IndexConfig, MovingObjectIndex, SpatialIndexFacade
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
@@ -206,15 +206,15 @@ class TestBatchOperations:
             index.update_many([(0, Point(0.5, 0.5)), (10_000, Point(0.1, 0.1))])
         assert {oid: index.position_of(oid) for oid in range(100)} == positions
 
-    def test_apply_mixed_stream_with_barriers(self):
+    def test_execute_many_mixed_stream_with_barriers(self):
         index = build_sharded(num_objects=200)
         target = Point(0.31, 0.62)
-        result = index.apply([
-            ("update", 0, target),
-            ("insert", 900, Point(0.5, 0.5)),
-            ("range_query", Rect(0.3, 0.6, 0.32, 0.64)),
-            ("delete", 900),
-            ("update", 1, Point(0.9, 0.1)),
+        result = index.execute_many([
+            Update(0, target),
+            Insert(900, Point(0.5, 0.5)),
+            RangeQuery(Rect(0.3, 0.6, 0.32, 0.64)),
+            Delete(900),
+            Update(1, Point(0.9, 0.1)),
         ])
         assert result.inserts == 1
         assert result.deletes == 1
@@ -224,13 +224,13 @@ class TestBatchOperations:
         assert index.position_of(1) == Point(0.9, 0.1)
         index.validate()
 
-    def test_apply_parse_error_executes_nothing(self):
+    def test_execute_many_parse_error_executes_nothing(self):
         index = build_sharded(num_objects=100)
         before = {oid: index.position_of(oid) for oid in range(100)}
         with pytest.raises(ValueError):
-            index.apply([
-                ("update", 0, Point(0.5, 0.5)),
-                ("insert", 1, Point(0.2, 0.2)),  # oid 1 already exists
+            index.execute_many([
+                Update(0, Point(0.5, 0.5)),
+                Insert(1, Point(0.2, 0.2)),  # oid 1 already exists
             ])
         assert {oid: index.position_of(oid) for oid in range(100)} == before
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.api import index_spec, open_index
+from repro.api import Update, index_spec, open_index
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect
@@ -72,8 +72,7 @@ def local_update_stream(index, count, seed=11, hot_only=True):
         oid = rng.choice(oids)
         position = index.position_of(oid)
         stream.append(
-            (
-                "update",
+            Update(
                 oid,
                 Point(
                     min(max(position.x + (rng.random() - 0.5) * 0.02, 0.0), 1.0),
@@ -366,7 +365,7 @@ class TestAutoTrigger:
         )
         before = index.population_imbalance()
         updates = [
-            (oid, new) for kind, oid, new in local_update_stream(index, 200)
+            (op.oid, op.new_location) for op in local_update_stream(index, 200)
         ]
         index.update_many(updates)
         assert index.rebalancer.rebalances == 1

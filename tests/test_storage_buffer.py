@@ -148,7 +148,6 @@ class TestAccessLog:
             pool.write(page, "y")
         pool.read(page)  # after the block: not recorded
         assert log == [("read", page), ("write", page)]
-        assert not pool.is_logging_accesses
 
     def test_log_detached_even_on_exception(self):
         _, disk, pool = make_stack(capacity=2)
@@ -158,7 +157,7 @@ class TestAccessLog:
             with pool.logged_accesses():
                 pool.read(page)
                 raise RuntimeError("boom")
-        assert not pool.is_logging_accesses
+        assert pool._access_log is None
 
     def test_nested_logs_see_only_their_own_accesses(self):
         _, disk, pool = make_stack(capacity=2)
@@ -172,59 +171,6 @@ class TestAccessLog:
                 pool.read(second)
         assert outer == [("read", first)]
         assert inner == [("read", second)]
-
-
-class TestClientIOAccounting:
-    def test_physical_io_attributed_to_active_client(self):
-        stats, disk, pool = make_stack(capacity=0)
-        page = disk.allocate_page()
-        pool.set_active_client("alice")
-        pool.write(page, "a")
-        pool.read(page)
-        pool.set_active_client(None)
-        pool.read(page)  # unattributed
-        alice = pool.client_io("alice")
-        assert alice.physical_reads == 1
-        assert alice.physical_writes == 1
-        assert alice.total == 2
-        assert stats.physical_reads == 2  # global counters unaffected
-
-    def test_buffer_hits_cost_clients_nothing(self):
-        _, disk, pool = make_stack(capacity=2)
-        page = disk.allocate_page()
-        disk.write_page(page, "a")
-        pool.set_active_client(7)
-        pool.read(page)  # miss: one physical read
-        pool.read(page)  # hit: free
-        pool.set_active_client(None)
-        assert pool.client_io(7).physical_reads == 1
-
-    def test_eviction_writeback_charged_to_evicting_client(self):
-        _, disk, pool = make_stack(capacity=1)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        disk.write_page(first, "a")
-        disk.write_page(second, "b")
-        pool.set_active_client("writer")
-        pool.write(first, "a2")  # dirty frame
-        pool.set_active_client("evictor")
-        pool.read(second)  # evicts the dirty frame
-        pool.set_active_client(None)
-        assert pool.client_io("evictor").physical_writes == 1
-        assert pool.client_io("writer").physical_writes == 0
-
-    def test_reset_and_table_copy(self):
-        _, disk, pool = make_stack(capacity=0)
-        page = disk.allocate_page()
-        pool.set_active_client(1)
-        pool.write(page, "a")
-        pool.set_active_client(None)
-        table = pool.client_io_table()
-        assert table[1].physical_writes == 1
-        table[1].physical_writes = 99  # mutating the copy changes nothing
-        assert pool.client_io(1).physical_writes == 1
-        pool.reset_client_io()
-        assert pool.client_io(1).total == 0
 
 
 class TestPeek:
@@ -332,7 +278,6 @@ class AdmitOnlyPool(BufferPool):
         payload = self.disk.read_page(page_id)
         if self.codec is not None and payload is not None:
             payload = self.codec.decode(page_id, payload)
-        self._charge_client(reads=1)
         self._admit(page_id, payload)
         return payload
 
@@ -352,7 +297,6 @@ POOL_OPS = st.lists(
     st.tuples(
         st.sampled_from(("read", "read", "read", "write", "pin", "unpin", "discard")),
         st.integers(0, PAGES - 1),
-        st.sampled_from((None, "a", "b")),
     ),
     min_size=12,
     max_size=80,
@@ -365,8 +309,6 @@ def observable_state(pool, log):
         set(pool._dirty),
         dict(pool._pins),
         pool.stats.as_dict(),
-        {client: (c.physical_reads, c.physical_writes)
-         for client, c in pool.client_io_table().items()},
         list(log),
         list(pool.disk.written),
     )
@@ -393,9 +335,7 @@ class TestStraightLineMiss:
             subject = self.make(CountingPool, capacity)
             reference = self.make(AdmitOnlyPool, capacity)
             with subject.logged_accesses() as log, reference.logged_accesses() as ref_log:
-                for step, (verb, page, client) in enumerate(ops):
-                    for pool in (subject, reference):
-                        pool.set_active_client(client)
+                for step, (verb, page) in enumerate(ops):
                     if verb == "write":
                         subject.write(page, f"w{step}")
                         reference.write(page, f"w{step}")

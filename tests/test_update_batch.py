@@ -13,7 +13,7 @@ import random
 import pytest
 
 import repro.update.batch as batch_module
-from repro.api import RangeQuery, Update
+from repro.api import Delete, Insert, RangeQuery, Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
@@ -217,27 +217,22 @@ class TestBatchExecutor:
             index.update_many([(1, Point(0.77, 0.77)), (10**9, Point(0.5, 0.5))])
         assert index.position_of(1) == before
         with pytest.raises(ValueError):
-            index.apply(
-                [("update", 1, Point(0.77, 0.77)), ("insert", 2, Point(0.1, 0.1))]
+            index.execute_many(
+                [Update(1, Point(0.77, 0.77)), Insert(2, Point(0.1, 0.1))]
             )
         assert index.position_of(1) == before
         index.validate()
 
-    def test_apply_rejects_unknown_kind(self):
-        index = build_index("TD", num_objects=50)
-        with pytest.raises(ValueError):
-            index.apply([("compact",)])
-
-    def test_apply_insert_then_update_then_delete(self):
+    def test_execute_many_insert_then_update_then_delete(self):
         index = build_index("NAIVE", num_objects=60)
         size = len(index)
-        result = index.apply(
+        result = index.execute_many(
             [
-                ("insert", 900, Point(0.3, 0.3)),
-                ("update", 900, Point(0.35, 0.35)),
-                ("range_query", Rect(0.3, 0.3, 0.4, 0.4)),
-                ("delete", 900),
-                ("range_query", Rect(0.3, 0.3, 0.4, 0.4)),
+                Insert(900, Point(0.3, 0.3)),
+                Update(900, Point(0.35, 0.35)),
+                RangeQuery(Rect(0.3, 0.3, 0.4, 0.4)),
+                Delete(900),
+                RangeQuery(Rect(0.3, 0.3, 0.4, 0.4)),
             ]
         )
         assert result.inserts == 1
@@ -249,7 +244,7 @@ class TestBatchExecutor:
 
     def test_delete_of_absent_object_is_skipped(self):
         index = build_index("TD", num_objects=40)
-        result = index.apply([("delete", 10**9)])
+        result = index.execute_many([Delete(10**9)], strict=False)
         assert result.deletes == 0
 
     def test_outcome_counters_cover_batched_updates(self):
@@ -313,37 +308,30 @@ class TestGeneratorBatchedStream:
 
     def test_mixed_operation_batches_preserve_order(self):
         spec = WorkloadSpec(num_objects=100, num_updates=300, num_queries=100, seed=9)
-        sequential = list(WorkloadGenerator(spec).mixed_operations(200, 0.5))
+        sequential = list(WorkloadGenerator(spec).operations(200, 0.5))
         batches = list(
             WorkloadGenerator(spec).mixed_operation_batches(200, 0.5, batch_size=33)
         )
-        expected = [
-            Update(payload[0], payload[2])
-            if kind == "update"
-            else RangeQuery(payload)
-            for kind, payload in sequential
-        ]
-        assert [item for batch in batches for item in batch] == expected
+        assert [item for batch in batches for item in batch] == sequential
 
-    def test_mixed_operation_batches_feed_apply(self):
-        """The documented integration: batches go straight into apply()."""
+    def test_mixed_operation_batches_feed_execute_many(self):
+        """The documented integration: batches go straight into execute_many()."""
         spec = WorkloadSpec(
             num_objects=200, num_updates=300, num_queries=100, max_distance=0.05, seed=6
         )
         per_op = build_index("GBU", num_objects=200, seed=6)
         batched = build_index("GBU", num_objects=200, seed=6)
         sequential_answers = []
-        for kind, payload in WorkloadGenerator(spec).mixed_operations(250, 0.6):
-            if kind == "update":
-                oid, _old, new = payload
-                per_op.update(oid, new)
+        for op in WorkloadGenerator(spec).operations(250, 0.6):
+            if isinstance(op, Update):
+                per_op.update(op.oid, op.new_location)
             else:
-                sequential_answers.append(sorted(per_op.range_query(payload)))
+                sequential_answers.append(sorted(per_op.range_query(op.window)))
         batch_answers = []
         for batch in WorkloadGenerator(spec).mixed_operation_batches(
             250, 0.6, batch_size=40
         ):
-            result = batched.apply(batch)
+            result = batched.execute_many(batch)
             batch_answers.extend(sorted(answer) for answer in result.queries)
         assert batch_answers == sequential_answers
         per_op.validate()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Operation
+from repro.api import Update
 from repro.geometry import Rect
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
@@ -90,28 +90,28 @@ class TestGenerator:
 class TestMixedOperations:
     def test_update_fraction_zero_yields_only_queries(self):
         generator = WorkloadGenerator(WorkloadSpec(num_objects=50, seed=1))
-        kinds = {kind for kind, _ in generator.mixed_operations(100, update_fraction=0.0)}
+        kinds = {op.kind for op in generator.operations(100, update_fraction=0.0)}
         assert kinds == {"query"}
 
     def test_update_fraction_one_yields_only_updates(self):
         generator = WorkloadGenerator(WorkloadSpec(num_objects=50, seed=1))
-        kinds = {kind for kind, _ in generator.mixed_operations(100, update_fraction=1.0)}
+        kinds = {op.kind for op in generator.operations(100, update_fraction=1.0)}
         assert kinds == {"update"}
 
     def test_mixed_fraction_roughly_respected(self):
         generator = WorkloadGenerator(WorkloadSpec(num_objects=50, seed=1))
-        operations = list(generator.mixed_operations(1000, update_fraction=0.25))
-        updates = sum(1 for kind, _ in operations if kind == "update")
+        operations = list(generator.operations(1000, update_fraction=0.25))
+        updates = sum(1 for op in operations if isinstance(op, Update))
         assert 0.15 < updates / len(operations) < 0.35
 
     def test_invalid_fraction_rejected(self):
         generator = WorkloadGenerator(WorkloadSpec(num_objects=10, seed=1))
         with pytest.raises(ValueError):
-            list(generator.mixed_operations(10, update_fraction=1.5))
+            list(generator.operations(10, update_fraction=1.5))
 
     def test_total_operation_count(self):
         generator = WorkloadGenerator(WorkloadSpec(num_objects=20, seed=8))
-        assert len(list(generator.mixed_operations(64, update_fraction=0.5))) == 64
+        assert len(list(generator.operations(64, update_fraction=0.5))) == 64
 
 
 class TestClientStreams:
@@ -122,10 +122,10 @@ class TestClientStreams:
 
     def test_streams_partition_the_mixed_stream(self):
         spec = WorkloadSpec(num_objects=100, num_updates=0, num_queries=0, seed=4)
-        shared = list(WorkloadGenerator(spec).mixed_operations(30, 0.5))
+        shared = list(WorkloadGenerator(spec).operations(30, 0.5))
         streams = WorkloadGenerator(spec).client_streams(7, 30, 0.5)
         assert len(streams) == 7
         dealt = []
         for position in range(30):
             dealt.append(streams[position % 7][position // 7])
-        assert dealt == [Operation.from_tuple(item) for item in shared]
+        assert dealt == shared
