@@ -6,6 +6,8 @@ from repro.api import Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.core import IndexConfig
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
+from repro.shard.index import MigrationOperation
+from repro.update import BatchUpdate
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
@@ -46,6 +48,21 @@ class TestShardedLockScopes:
         assert index.partitioner.shard_of(across) == 1
         pairs = index.lock_requests_for(Update(oid, across))
         assert shard_namespaces(pairs) == {0, 1}
+
+    def test_batch_migration_locks_its_update_scope(self):
+        index, _ = build_sharded(num_shards=2)
+        oid = next(oid for oid in range(400) if index.shard_for(oid) == 0)
+        position = index.position_of(oid)
+        across = Point(0.95, position.y)
+        migration = MigrationOperation(
+            None, index, BatchUpdate(oid, position, across), None
+        )
+        # Reported under its own label, scheduled under the update's scope.
+        assert migration.kind == "migration"
+        assert migration.lock_requests() == index.lock_requests_for(
+            Update(oid, across)
+        )
+        assert shard_namespaces(migration.lock_requests()) == {0, 1}
 
     def test_query_locks_exactly_the_intersecting_shards(self):
         index, _ = build_sharded(num_shards=2)

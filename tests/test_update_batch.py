@@ -13,12 +13,21 @@ import random
 import pytest
 
 import repro.update.batch as batch_module
-from repro.api import Delete, Insert, RangeQuery, Update
+from repro.api import (
+    KNN,
+    Delete,
+    Insert,
+    InvalidOperationError,
+    RangeQuery,
+    UnknownObjectError,
+    Update,
+)
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
 from repro.storage import BufferPool, DiskManager, IOStatistics
 from repro.update import BatchUpdate, UpdateOutcome
+from repro.update.batch import DeleteOp, parse_operation_stream
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE, build_index, make_points
@@ -265,6 +274,59 @@ class TestBatchExecutor:
         request = BatchUpdate(3, Point(0.1, 0.2), Point(0.3, 0.4))
         assert request.oid == 3
         assert request.new_location == Point(0.3, 0.4)
+
+
+class TestParseOperationStream:
+    """The one stream grammar both facades share, driven directly."""
+
+    def test_typed_ops_pass_through_and_mutations_gain_positions(self):
+        positions = {1: Point(0.1, 0.1), 2: Point(0.2, 0.2)}
+        insert = Insert(9, Point(0.9, 0.9))
+        query = RangeQuery(Rect(0.0, 0.0, 0.5, 0.5))
+        knn = KNN(Point(0.5, 0.5), 2)
+        parsed, overlay = parse_operation_stream(
+            [
+                insert,
+                Update(9, Point(0.8, 0.8)),
+                query,
+                Update(1, Point(0.3, 0.3)),
+                knn,
+                Delete(2),
+            ],
+            positions.get,
+        )
+        # Inserts and queries are executed as the very objects submitted.
+        assert parsed[0] is insert
+        assert parsed[2] is query
+        assert parsed[4] is knn
+        # An update's old position is read through the overlay: object 9's
+        # is the position its insert earlier in the stream gave it.
+        assert parsed[1] == BatchUpdate(9, Point(0.9, 0.9), Point(0.8, 0.8))
+        assert parsed[3] == BatchUpdate(1, Point(0.1, 0.1), Point(0.3, 0.3))
+        assert parsed[5] == DeleteOp(2, Point(0.2, 0.2))
+        assert overlay == {9: Point(0.8, 0.8), 1: Point(0.3, 0.3), 2: None}
+
+    def test_absent_delete_is_dropped_leniently_and_raises_strictly(self):
+        positions = {1: Point(0.1, 0.1)}
+        parsed, overlay = parse_operation_stream(
+            [Delete(1), Delete(1), Delete(7)], positions.get
+        )
+        assert parsed == [DeleteOp(1, Point(0.1, 0.1))]
+        assert overlay == {1: None}
+        with pytest.raises(UnknownObjectError):
+            parse_operation_stream([Delete(7)], positions.get, strict_deletes=True)
+
+    @pytest.mark.parametrize(
+        "item",
+        [("update", 1, Point(0.5, 0.5)), ["delete", 1], ("compact",), None],
+        ids=["facade-tuple", "list", "unknown-kind", "none"],
+    )
+    def test_a_non_operation_is_rejected(self, item):
+        positions = {1: Point(0.1, 0.1)}
+        with pytest.raises(InvalidOperationError):
+            parse_operation_stream(
+                [Update(1, Point(0.2, 0.2)), item], positions.get
+            )
 
 
 class TestSummaryBulkRefresh:
