@@ -64,7 +64,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import IndexConfig  # noqa: E402
-from repro.geometry import Point, Rect, kernels  # noqa: E402
+from repro.geometry import Point, Rect  # noqa: E402
 from repro.shard import ShardedIndex  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -233,7 +233,7 @@ def run_benchmark(scale: float, repeats: int, seed: int) -> dict:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "kernel_backend": kernels.get_backend(),
+        "kernel_backend": "python",
         "answer_parity": "asserted in-run against the serial baseline",
         "cells": cells,
         "derived": derived,

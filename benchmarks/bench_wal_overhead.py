@@ -56,7 +56,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.api import open_index  # noqa: E402
 from repro.core.persistence import load_index  # noqa: E402
-from repro.geometry import Point, Rect, kernels  # noqa: E402
+from repro.geometry import Point, Rect  # noqa: E402
 
 SCHEMA_VERSION = 1
 #: (workload, sync) cells; sync=None means no durability attached at all.
@@ -261,7 +261,7 @@ def run_benchmark(scale: float, repeats: int, seed: int) -> dict:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "kernel_backend": kernels.get_backend(),
+        "kernel_backend": "python",
         "answer_parity": "asserted in-run against the no-WAL baseline",
         "recovery": "checkpoint + WAL replay equivalence asserted in-run",
         "cells": cells,

@@ -17,19 +17,15 @@ mirrors the scalar formulas operation for operation, so a sweep over a node's
 buffer answers exactly what the per-entry ``Rect`` calls would.  The property
 suite in ``tests/test_geometry_kernels.py`` enforces this contract.
 
-Two interchangeable backends are provided:
-
-* ``"python"`` — pure-Python loops; always available, the default.
-* ``"numpy"`` — vectorised implementations used when numpy is installed and
-  the backend is selected via :func:`set_backend` or the
-  ``REPRO_KERNEL_BACKEND`` environment variable.  IEEE-754 elementwise
-  semantics make the results identical to the Python backend.
+There is one implementation, in pure Python: at the node sizes the paper's
+1 KB pages produce (at most 49 entries, about 30 per call in the benchmark
+workloads) a vectorised sweep costs more to set up than the loop it
+replaces.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 
@@ -39,67 +35,21 @@ CoordBuffer = Sequence[float]
 
 Bounds = Tuple[float, float, float, float]
 
-_PYTHON = "python"
-_NUMPY = "numpy"
-
-_backend: str = _PYTHON
-_np: Optional[Any] = None
-
-
-def _load_numpy() -> Optional[Any]:
-    """Import numpy once; ``None`` when unavailable (pure-Python fallback)."""
-    global _np
-    if _np is None:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            return None
-        _np = numpy
-    return _np
-
-
-def available_backends() -> List[str]:
-    """Backends usable in this environment (``"python"`` is always present)."""
-    backends = [_PYTHON]
-    if _load_numpy() is not None:
-        backends.append(_NUMPY)
-    return backends
-
 
 def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the backend actually in effect.
+    """Check that *name* is ``"python"``, the one kernel implementation; return it.
 
-    Requesting ``"numpy"`` when numpy is not importable falls back to
-    ``"python"`` (the pure-Python implementation is mandatory, the fast path
-    optional).  Unknown names raise ``ValueError``.
+    Kept for callers that pin the backend by name (the end-to-end benchmark
+    harness does); any other name raises ``ValueError``.
     """
-    global _backend
-    if name not in (_PYTHON, _NUMPY):
+    if name != "python":
         raise ValueError(f"unknown kernel backend: {name!r}")
-    if name == _NUMPY and _load_numpy() is None:
-        name = _PYTHON
-    _backend = name
-    return _backend
-
-
-def get_backend() -> str:
-    """Name of the backend currently in effect."""
-    return _backend
+    return name
 
 
 def entry_count(coords: CoordBuffer) -> int:
     """Number of rectangles in the buffer."""
     return len(coords) // 4
-
-
-def _as_ndarray(coords: CoordBuffer) -> Any:
-    np = _np
-    assert np is not None
-    try:
-        # Zero-copy view for array('d') / memoryview / bytes-backed buffers.
-        return np.frombuffer(coords, dtype=np.float64).reshape(-1, 4)  # type: ignore[arg-type]
-    except (TypeError, AttributeError, ValueError):
-        return np.asarray(coords, dtype=np.float64).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +62,8 @@ def union_bounds(coords: CoordBuffer) -> Bounds:
     so the result is exact).  Raises ``ValueError`` on an empty buffer — an
     R-tree node never has an empty MBR.
     """
-    n = len(coords)
-    if n == 0:
+    if len(coords) == 0:
         raise ValueError("union_bounds() requires at least one rectangle")
-    if _backend == _NUMPY:
-        rects = _as_ndarray(coords)
-        lo = rects[:, :2].min(axis=0)
-        hi = rects[:, 2:].max(axis=0)
-        return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     it = iter(coords)
     xmin, ymin, xmax, ymax = next(it), next(it), next(it), next(it)
     for exmin, eymin, exmax, eymax in zip(it, it, it, it):
@@ -150,17 +94,6 @@ def intersects_many(
 
     Mirrors :meth:`Rect.intersects`.
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        mask = ~(
-            (rects[:, 2] < xmin)
-            | (xmax < rects[:, 0])
-            | (rects[:, 3] < ymin)
-            | (ymax < rects[:, 1])
-        )
-        return [int(i) for i in np.flatnonzero(mask)]
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
@@ -188,17 +121,6 @@ def intersects_ids(
     collects the matching entry ids directly, skipping the intermediate index
     list (node scans always want the ids, not the positions).
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        mask = ~(
-            (rects[:, 2] < xmin)
-            | (xmax < rects[:, 0])
-            | (rects[:, 3] < ymin)
-            | (ymax < rects[:, 1])
-        )
-        return [int(ids[int(i)]) for i in np.flatnonzero(mask)]
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
@@ -222,17 +144,6 @@ def contained_in_many(
 
     Mirrors :meth:`Rect.contains_rect` with the window as the container.
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        mask = (
-            (xmin <= rects[:, 0])
-            & (ymin <= rects[:, 1])
-            & (xmax >= rects[:, 2])
-            & (ymax >= rects[:, 3])
-        )
-        return [int(i) for i in np.flatnonzero(mask)]
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
@@ -254,17 +165,6 @@ def contains_point_many(coords: CoordBuffer, x: float, y: float) -> List[int]:
 
     Mirrors :meth:`Rect.contains_point`.
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        mask = (
-            (rects[:, 0] <= x)
-            & (x <= rects[:, 2])
-            & (rects[:, 1] <= y)
-            & (y <= rects[:, 3])
-        )
-        return [int(i) for i in np.flatnonzero(mask)]
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
@@ -283,17 +183,6 @@ def contains_point_ids(
 
     Gather variant of :func:`contains_point_many` (see :func:`intersects_ids`).
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        mask = (
-            (rects[:, 0] <= x)
-            & (x <= rects[:, 2])
-            & (rects[:, 1] <= y)
-            & (y <= rects[:, 3])
-        )
-        return [int(ids[int(i)]) for i in np.flatnonzero(mask)]
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
@@ -317,14 +206,6 @@ def enlargement_many(
     ``union(self, other).area() - self.area()`` with the identical operation
     order, so the floats match the scalar path bit for bit.
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        uw = np.maximum(rects[:, 2], xmax) - np.minimum(rects[:, 0], xmin)
-        uh = np.maximum(rects[:, 3], ymax) - np.minimum(rects[:, 1], ymin)
-        area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
-        return [float(v) for v in uw * uh - area]
     out: List[float] = []
     append = out.append
     # One pass of 4-way unpacking beats stride-4 indexing when every
@@ -345,20 +226,8 @@ def argmin_enlargement(
     First-wins on exact ties, matching the sequential scan in
     ``RTree._choose_subtree``.  Raises ``ValueError`` on an empty buffer.
     """
-    n = entry_count(coords)
-    if n == 0:
+    if entry_count(coords) == 0:
         raise ValueError("argmin_enlargement() requires at least one rectangle")
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        uw = np.maximum(rects[:, 2], xmax) - np.minimum(rects[:, 0], xmin)
-        uh = np.maximum(rects[:, 3], ymax) - np.minimum(rects[:, 1], ymin)
-        areas = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
-        enlargements = uw * uh - areas
-        candidates = np.flatnonzero(enlargements == enlargements.min())
-        # argmin returns the first minimum, preserving first-wins semantics.
-        return int(candidates[int(np.argmin(areas[candidates]))])
     best_index = 0
     best_enlargement = float("inf")
     best_area = float("inf")
@@ -392,19 +261,6 @@ def min_distance_many(coords: CoordBuffer, x: float, y: float) -> List[float]:
     is positive — which selects the very same float without two builtin
     calls per entry.
     """
-    if _backend == _NUMPY:
-        np = _np
-        assert np is not None
-        rects = _as_ndarray(coords)
-        dx = np.maximum(np.maximum(rects[:, 0] - x, 0.0), x - rects[:, 2])
-        dy = np.maximum(np.maximum(rects[:, 1] - y, 0.0), y - rects[:, 3])
-        # The square root goes through Python's scalar ``** 0.5`` (libm pow),
-        # not np.sqrt: the two can disagree in the last ULP, and the contract
-        # is bit-exact agreement with Rect.min_distance_to_point.  The
-        # clamped differences, squares and sum above are exactly-rounded
-        # IEEE ops, so they already match the scalar path bit for bit;
-        # ``tolist`` hands them over as Python floats in one call.
-        return [v**0.5 for v in (dx * dx + dy * dy).tolist()]
     out: List[float] = []
     append = out.append
     it = iter(coords)
@@ -414,9 +270,3 @@ def min_distance_many(coords: CoordBuffer, x: float, y: float) -> List[float]:
         append((dx * dx + dy * dy) ** 0.5)
     return out
 
-
-# Honour the environment override once at import; a bad value degrades to the
-# pure-Python backend rather than failing module import.
-_env_backend = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
-if _env_backend in (_PYTHON, _NUMPY):
-    set_backend(_env_backend)

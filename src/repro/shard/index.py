@@ -344,15 +344,6 @@ class ShardedIndex(SpatialIndexFacade):
         """
         self._broadcast(shard_parallel.SetIOLatency(seconds))
 
-    def worker_kernel_backends(self) -> List[str]:
-        """The geometry-kernel backend each shard's executor resolved.
-
-        In-process executors report this process's backend for every shard;
-        the process backend asks each worker — the regression surface for
-        kernel-backend propagation into workers.
-        """
-        return self._broadcast(shard_parallel.KernelBackendQuery())
-
     def shard_documents(self) -> List[Dict]:
         """Checkpoint document bodies of every shard (worker-side when remote)."""
         return self._broadcast(shard_parallel.Checkpoint())

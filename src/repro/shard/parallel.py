@@ -100,7 +100,7 @@ from typing import (
 )
 
 from repro.api.errors import WorkerFailedError
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
 from repro.storage.stats import IOStatistics
 from repro.update.base import BatchUpdate, UpdateStrategy
@@ -238,11 +238,6 @@ class Checkpoint:
 
 
 @dataclass(frozen=True)
-class KernelBackendQuery:
-    """Report which geometry kernel backend this process resolved."""
-
-
-@dataclass(frozen=True)
 class SetIOLatency:
     """Charge real wall-clock *seconds* per physical page transfer."""
 
@@ -333,8 +328,6 @@ def execute_command(shard, command: Command) -> Any:
         from repro.core.persistence import _index_document
 
         return _index_document(shard)
-    if isinstance(command, KernelBackendQuery):
-        return kernels.get_backend()
     if isinstance(command, SetIOLatency):
         shard.disk.io_latency_s = command.seconds
         return None
@@ -425,7 +418,7 @@ def _shard_state(shard) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> None:
+def _worker_main(conn, init: Dict[int, Dict[str, Any]]) -> None:
     """Own a set of shards and serve batched command dispatches over *conn*.
 
     ``init`` maps shard id -> attach payload: the shard itself — the live
@@ -436,10 +429,6 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]], kernel_backend: str) -> 
     share, and the disk latency knob.
     """
     try:
-        # Forked workers inherit the backend, spawned ones import it from
-        # REPRO_KERNEL_BACKEND; set_backend degrades to python without numpy.
-        if kernels.get_backend() != kernel_backend:
-            kernels.set_backend(kernel_backend)
         shards: Dict[int, Any] = {}
         for shard_id, payload in init.items():
             shard = payload["shard"]
@@ -570,13 +559,6 @@ class ProcessBackend(ShardBackend):
     command batches until detached; the coordinator's shard objects become
     mirrors, kept in step by :meth:`_sync_mirror` after every reply.
 
-    The coordinator's kernel backend is propagated two ways: via the
-    ``REPRO_KERNEL_BACKEND`` environment variable (honoured at import by
-    spawn-started children) and explicitly as a worker argument (fork-
-    started children imported the module long ago; they switch only when
-    what they inherited differs, so a python-backend worker never imports
-    numpy).
-
     A dead or hung worker fails the backend for good: see the module
     docstring's *Worker failure* section.
     """
@@ -604,10 +586,8 @@ class ProcessBackend(ShardBackend):
         self.start_method = start_method
         context = multiprocessing.get_context(start_method)
 
-        # Propagate the kernel backend and make the package importable for
-        # spawn-started children (fork inherits both anyway).
-        backend_name = kernels.get_backend()
-        os.environ["REPRO_KERNEL_BACKEND"] = backend_name
+        # Make the package importable for spawn-started children (fork
+        # inherits it anyway).
         package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         existing = os.environ.get("PYTHONPATH", "")
         if package_root not in existing.split(os.pathsep):
@@ -641,7 +621,7 @@ class ProcessBackend(ShardBackend):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, init, backend_name),
+                args=(child_conn, init),
                 daemon=True,
                 name=f"repro-shard-worker-{worker_id}",
             )
@@ -833,7 +813,6 @@ __all__ = [
     "ImportGroup",
     "Insert",
     "KNNProbe",
-    "KernelBackendQuery",
     "LeafOf",
     "ProcessBackend",
     "Range",

@@ -23,14 +23,10 @@ they are.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional, Protocol, Tuple
+from typing import Any, Optional, Protocol
 
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStatistics
-
-#: One entry of an access trace: ``("read" | "write", page_id)``.
-AccessRecord = Tuple[str, int]
 
 #: Sentinel distinguishing "frame absent" from any real payload.
 _MISSING = object()
@@ -90,27 +86,6 @@ class BufferPool:
         # bucket of several updates pins its leaf so interleaved reads cannot
         # push it out of the pool mid-bucket).
         self._pins: dict = {}
-        # Scoped access trace (see logged_accesses()); None in steady state.
-        self._access_log: Optional[List[AccessRecord]] = None
-
-    # -- access tracing -------------------------------------------------------
-    @contextmanager
-    def logged_accesses(self) -> Iterator[List[AccessRecord]]:
-        """Record every logical access made inside the ``with`` block.
-
-        Yields the list the accesses are appended to, as
-        ``("read" | "write", page_id)`` tuples.  Recording is strictly scoped:
-        the log is detached when the block exits (normally or via an
-        exception), so a trace can never keep growing into a steady-state
-        run.  Blocks nest; each one sees only its own accesses.
-        """
-        log: List[AccessRecord] = []
-        previous = self._access_log
-        self._access_log = log
-        try:
-            yield log
-        finally:
-            self._access_log = previous
 
     # -- sizing helpers -----------------------------------------------------
     @classmethod
@@ -136,8 +111,6 @@ class BufferPool:
         """Return the payload of *page_id*, reading from disk on a miss."""
         stats = self.stats
         stats.logical_reads += 1
-        if self._access_log is not None:
-            self._access_log.append(("read", page_id))
         capacity = self.capacity
         frames = self._frames
         if capacity > 0:
@@ -182,8 +155,6 @@ class BufferPool:
         algorithms phrase this as "write out leaf node".
         """
         self.stats.logical_writes += 1
-        if self._access_log is not None:
-            self._access_log.append(("write", page_id))
         if self.capacity == 0:
             self._write_through(page_id, payload)
             return

@@ -1,48 +1,29 @@
-"""Binary node serialization and the live page-store codec.
+"""The page-store codec: binary page images of R-tree nodes.
 
-Two encoders live here:
+:class:`NodeCodec` is the one node codec the live index runs on.  It sits
+at the buffer pool's **disk boundary**
+(:class:`~repro.storage.buffer.BufferPool`): frames hold decoded nodes,
+:meth:`NodeCodec.decode` runs once per physical read (and per uncharged
+peek of a page that is not resident), and :meth:`NodeCodec.encode` once
+per physical write — a dirty eviction, a flush, or an unbuffered write.  A
+buffer hit costs no codec work and keeps whatever the node memoised (its
+MBR) alive between visits; the simulated disk holds ``bytes``.  The format
+is columnar and always binary64 (the live index must not quantize
+coordinates): a header, then all entry MBRs as one contiguous f64 block,
+then all entry ids as one contiguous u32 block — the node's own two
+columns (:class:`~repro.rtree.node.Node`), moved with
+``array.tobytes``/``frombytes`` and no per-entry parsing.  The header of a
+non-empty node also carries the node's tight MBR (flag bit 1), which seeds
+the decoded node's memo: the bound is page data, kept current by the
+node's write methods, not something every physical read re-derives with a
+sweep over the entries.
 
-* :func:`serialize_node` / :func:`deserialize_node` — the **sizing-model
-  codec**.  Its format mirrors the paper's node layout byte for byte
-  (4-byte coordinates by default) so the fan-out claims of
-  :class:`~repro.storage.sizing.PageLayout` can be checked: a node at its
-  configured capacity must serialise to at most ``page_size`` bytes.
-
-  **Quantization contract**: with the paper's 4-byte coordinates each value
-  is stored as an IEEE-754 binary32.  A round trip therefore reproduces the
-  input exactly *iff* every coordinate is f32-representable; otherwise the
-  value is quantized to the nearest binary32 (about 7 significant decimal
-  digits).  :func:`coordinate_quantum` exposes the per-value quantization so
-  callers (and tests) can assert the contract instead of relying on loose
-  approximate comparisons.  Building the layout with ``coordinate_size=8``
-  switches the format to ``<4d`` (binary64) and makes every round trip
-  lossless — at the cost of a larger entry and hence a smaller fan-out,
-  which the sizing model accounts for automatically.
-
-* :class:`NodeCodec` — the **page-store codec** the live index runs on.  It
-  sits at the buffer pool's **disk boundary**
-  (:class:`~repro.storage.buffer.BufferPool`): frames hold decoded nodes,
-  :meth:`NodeCodec.decode` runs once per physical read (and per uncharged
-  peek of a page that is not resident), and :meth:`NodeCodec.encode` once
-  per physical write — a dirty eviction, a flush, or an unbuffered write.  A
-  buffer hit costs no codec work and keeps whatever the node memoised (its
-  MBR) alive between visits; the simulated disk holds ``bytes``.  The format
-  is columnar and always binary64 (the live index must not quantize
-  coordinates): a header, then all entry MBRs as one contiguous f64 block,
-  then all entry ids as one contiguous u32 block — the node's own two
-  columns (:class:`~repro.rtree.node.Node`), moved with
-  ``array.tobytes``/``frombytes`` and no per-entry parsing.  The header of a
-  non-empty node also carries the node's tight MBR (flag bit 1), which seeds
-  the decoded node's memo: the bound is page data, kept current by the
-  node's write methods, not something every physical read re-derives with a
-  sweep over the entries.
-
-  The physical image of a full node (36 bytes per entry) exceeds the
-  paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
-  is deliberate: the logical sizing model — capacities, fan-out, tree
-  height, and therefore every I/O count the paper figures report — is
-  unchanged; only the bytes a simulated page holds differ.  The mapping
-  between logical and physical accesses stays 1:1.
+The physical image of a full node (36 bytes per entry) exceeds the
+paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
+is deliberate: the logical sizing model — capacities, fan-out, tree
+height, and therefore every I/O count the paper figures report — is
+unchanged; only the bytes a simulated page holds differ.  The mapping
+between logical and physical accesses stays 1:1.
 """
 
 from __future__ import annotations
@@ -53,26 +34,18 @@ from array import array
 from typing import Optional
 
 from repro.geometry import Rect
-from repro.rtree.node import Entry, Node
-from repro.storage.sizing import PageLayout
+from repro.rtree.node import Node
 
 _NO_PARENT = 0xFFFFFFFF
 _FLAG_HAS_STORED_MBR = 0x01
-_FLAG_HAS_TIGHT_MBR = 0x02  # page-store codec only
+_FLAG_HAS_TIGHT_MBR = 0x02
 _KNOWN_FLAGS = _FLAG_HAS_STORED_MBR | _FLAG_HAS_TIGHT_MBR
 #: Flags and stored-MBR fields of a header whose node has no ε-slack.
 _NO_STORED_MBR = (0, 0.0, 0.0, 0.0, 0.0)
 
-# Sizing-model codec: header (level, count, parent, flags, stored MBR) and
-# row-major entries, with the coordinate width taken from the page layout.
-_HEADER_F32 = struct.Struct("<HHIB4f")
-_ENTRY_F32 = struct.Struct("<4fI")
-_HEADER_F64 = struct.Struct("<HHIB4d")
-_ENTRY_F64 = struct.Struct("<4dI")
-
-# Page-store codec: same header fields, always binary64, columnar body; the
-# tight MBR of a non-empty node trails the fixed header.
-_PAGE_HEADER = _HEADER_F64
+# Header (level, count, parent, flags, stored MBR), always binary64, then a
+# columnar body; the tight MBR of a non-empty node trails the fixed header.
+_PAGE_HEADER = struct.Struct("<HHIB4d")
 _PAGE_HEADER_WITH_MBR = struct.Struct("<HHIB4d4d")
 _FLAGS_OFFSET = 8  # the B of <HHIB...
 _COORD_BYTES = 8  # one binary64 coordinate
@@ -87,99 +60,7 @@ _COLUMNS_ARE_IMAGE = sys.byteorder == "little" and array("I").itemsize == _CHILD
 
 
 class SerializationError(ValueError):
-    """Raised when a node cannot be encoded within its page."""
-
-
-def _structs_for(layout: PageLayout) -> tuple:
-    if layout.coordinate_size == 4:
-        return _HEADER_F32, _ENTRY_F32
-    if layout.coordinate_size == 8:
-        return _HEADER_F64, _ENTRY_F64
-    raise SerializationError(
-        f"unsupported coordinate_size {layout.coordinate_size} (expected 4 or 8)"
-    )
-
-
-def coordinate_quantum(value: float, coordinate_size: int = 4) -> float:
-    """What *value* becomes after one trip through the codec.
-
-    For 4-byte coordinates this is the nearest binary32; for 8-byte
-    coordinates the value itself.  ``deserialize_node(serialize_node(n))``
-    reproduces every coordinate as ``coordinate_quantum`` of the original —
-    the codec's exact (and only) loss.
-    """
-    if coordinate_size == 8:
-        return value
-    return struct.unpack("<f", struct.pack("<f", value))[0]
-
-
-def serialized_size(node: Node, layout: Optional[PageLayout] = None) -> int:
-    """Number of bytes :func:`serialize_node` will produce for *node*."""
-    layout = layout if layout is not None else PageLayout()
-    header_struct, entry_struct = _structs_for(layout)
-    header = max(header_struct.size, layout.header_size)
-    return header + len(node) * entry_struct.size
-
-
-def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
-    """Encode *node* into a page image.
-
-    Raises :class:`SerializationError` when the encoding exceeds the layout's
-    page size — which would mean the fan-out model over-promised.  See the
-    module docstring for the coordinate quantization contract.
-    """
-    layout = layout if layout is not None else PageLayout()
-    header_struct, entry_struct = _structs_for(layout)
-    stored = node.stored_mbr
-    parent = node.parent_page_id
-    header = header_struct.pack(
-        node.level, len(node), _NO_PARENT if parent is None else parent,
-        *(_NO_STORED_MBR if stored is None else (_FLAG_HAS_STORED_MBR, *stored)),
-    )  # fmt: skip
-    header = header.ljust(max(header_struct.size, layout.header_size), b"\x00")
-
-    body = bytearray(header)
-    for entry in node.entries:
-        body += entry_struct.pack(*entry.rect.as_tuple(), entry.child)
-
-    if len(body) > layout.page_size:
-        raise SerializationError(
-            f"node {node.page_id} with {len(node)} entries needs "
-            f"{len(body)} bytes, page size is {layout.page_size}"
-        )
-    return bytes(body)
-
-
-def deserialize_node(page_id: int, data: bytes, layout: Optional[PageLayout] = None) -> Node:
-    """Decode a page image produced by :func:`serialize_node`."""
-    layout = layout if layout is not None else PageLayout()
-    header_struct, entry_struct = _structs_for(layout)
-    header_size = max(header_struct.size, layout.header_size)
-    if len(data) < header_size:
-        raise SerializationError("page image shorter than the node header")
-    level, count, parent, flags, sx0, sy0, sx1, sy1 = header_struct.unpack(
-        data[: header_struct.size]
-    )
-
-    entries = []
-    offset = header_size
-    for _ in range(count):
-        chunk = data[offset : offset + entry_struct.size]
-        if len(chunk) < entry_struct.size:
-            raise SerializationError("truncated entry in page image")
-        xmin, ymin, xmax, ymax, child = entry_struct.unpack(chunk)
-        entries.append(Entry(Rect(xmin, ymin, xmax, ymax), child))
-        offset += entry_struct.size
-
-    node = Node(
-        page_id=page_id,
-        level=level,
-        entries=entries,
-        parent_page_id=None if parent == _NO_PARENT else parent,
-    )
-    if flags & _FLAG_HAS_STORED_MBR:
-        node.stored_mbr = Rect(sx0, sy0, sx1, sy1)
-    return node
+    """Raised when a page image is not a well-formed node image."""
 
 
 class NodeCodec:

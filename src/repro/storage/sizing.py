@@ -36,9 +36,8 @@ class PageLayout:
         Bytes per object id or child pointer.
     header_size:
         Bytes reserved per node for level, entry count, parent pointer, flags
-        and the optional ε-enlarged MBR — i.e. everything the binary node
-        codec (:mod:`repro.storage.serialization`) stores besides the
-        entries.
+        and the optional ε-enlarged MBR — everything a node stores besides
+        its entries in the paper's node format.
     min_fill_factor:
         Minimum node utilisation (fraction of capacity); Guttman suggests
         values between 0.3 and 0.5.  Underflow below this triggers the

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import IndexConfig, MovingObjectIndex
-from repro.geometry import Point, kernels
+from repro.geometry import Point
 from repro.rtree import RTree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 from repro.workload import WorkloadGenerator, WorkloadSpec
@@ -56,14 +56,29 @@ def rng() -> random.Random:
 
 
 @contextmanager
-def using_backend(name: str):
-    """Run the block under kernel backend *name*, then restore the previous one."""
-    previous = kernels.get_backend()
-    kernels.set_backend(name)
+def recorded_accesses(pool: BufferPool):
+    """Record every logical access made to *pool* inside the ``with`` block.
+
+    Yields the list the accesses are appended to, as ``("read" | "write",
+    page_id)`` tuples.  The recorder wraps the pool *instance's* ``read`` and
+    ``write`` (whatever its class makes of them) and restores them on exit.
+    """
+    log = []
+    read, write = pool.read, pool.write
+
+    def logged_read(page_id):
+        log.append(("read", page_id))
+        return read(page_id)
+
+    def logged_write(page_id, payload):
+        log.append(("write", page_id))
+        write(page_id, payload)
+
+    pool.read, pool.write = logged_read, logged_write
     try:
-        yield
+        yield log
     finally:
-        kernels.set_backend(previous)
+        del pool.read, pool.write
 
 
 def make_points(count: int, seed: int = 7) -> list:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.geometry import Point
 
-from tests.conftest import build_index
+from tests.conftest import build_index, recorded_accesses
 
 OBJECTS = 220
 STEPS = 150
@@ -44,7 +44,7 @@ def _target(old, reach, dx, dy):
 
 def _step(index, oid, target, batched):
     """Apply one move; return everything the step did, for comparison."""
-    with index.buffer.logged_accesses() as log:
+    with recorded_accesses(index.buffer) as log:
         if batched:
             index.update_many([(oid, target)])
         else:

@@ -3,8 +3,8 @@
 The packed node layout answers every geometric question through
 :mod:`repro.geometry.kernels` instead of per-entry :class:`Rect` calls, so
 layout equivalence rests on one contract: **each kernel reproduces the scalar
-predicate exactly** — same floats, same booleans, same tie-breaks — on every
-backend.  These properties drive random rectangle buffers (including
+predicate exactly** — same floats, same booleans, same tie-breaks.  These
+properties drive random rectangle buffers (including
 degenerate point-rects and exactly-touching edges, the cases the moving-point
 workload hits constantly) through every kernel and compare against a scalar
 reference loop.
@@ -16,8 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect, kernels, union_all
-
-from tests.conftest import using_backend
 
 # Mix plain floats with ones snapped to a coarse grid so exact ties and
 # exactly-touching edges occur often instead of almost never.
@@ -51,30 +49,14 @@ def rects_of(coords):
     return [Rect(*coords[base : base + 4]) for base in range(0, len(coords), 4)]
 
 
-BACKENDS = kernels.available_backends()
-
-
-def on_every_backend(check):
-    """Run *check* once per available backend (python always, numpy if present)."""
-    for name in BACKENDS:
-        with using_backend(name):
-            check(name)
-
-
 class TestBackendSelection:
-    def test_python_backend_always_available(self):
-        assert "python" in kernels.available_backends()
+    def test_python_is_the_backend(self):
+        assert kernels.set_backend("python") == "python"
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["numpy", "fortran"])
+    def test_any_other_backend_rejected(self, name):
         with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
-
-    def test_set_backend_returns_effective_backend(self):
-        with using_backend("python"):
-            assert kernels.get_backend() == "python"
-            # Requesting numpy either engages it or degrades to python —
-            # never an error (the pure-Python fallback is mandatory).
-            assert kernels.set_backend("numpy") in ("python", "numpy")
+            kernels.set_backend(name)
 
 
 class TestUnionBounds:
@@ -82,24 +64,15 @@ class TestUnionBounds:
     @given(coord_buffers())
     def test_matches_union_all(self, coords):
         expected = union_all(rects_of(coords)).as_tuple()
-        on_every_backend(
-            lambda name: _check_equal(kernels.union_bounds(coords), expected, name)
-        )
+        assert kernels.union_bounds(coords) == expected
 
     def test_empty_buffer_rejected(self):
-        def check(name):
-            with pytest.raises(ValueError):
-                kernels.union_bounds(array("d"))
-
-        on_every_backend(check)
+        with pytest.raises(ValueError):
+            kernels.union_bounds(array("d"))
 
     def test_union_rect_is_exact(self):
         coords = array("d", [0.1, 0.2, 0.3, 0.4, 0.25, 0.1, 0.9, 0.35])
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.union_rect(coords), Rect(0.1, 0.1, 0.9, 0.4), name
-            )
-        )
+        assert kernels.union_rect(coords) == Rect(0.1, 0.1, 0.9, 0.4)
 
 
 class TestIntersectsMany:
@@ -111,29 +84,17 @@ class TestIntersectsMany:
             for index, rect in enumerate(rects_of(coords))
             if rect.intersects(Rect(*window))
         ]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.intersects_many(coords, *window), expected, name
-            )
-        )
+        assert kernels.intersects_many(coords, *window) == expected
 
     def test_touching_edge_counts_as_intersection(self):
         coords = array("d", [0.0, 0.0, 0.5, 0.5])
-
-        def check(name):
-            assert kernels.intersects_many(coords, 0.5, 0.5, 1.0, 1.0) == [0]
-            assert kernels.intersects_many(coords, 0.5 + 1e-12, 0.5, 1.0, 1.0) == []
-
-        on_every_backend(check)
+        assert kernels.intersects_many(coords, 0.5, 0.5, 1.0, 1.0) == [0]
+        assert kernels.intersects_many(coords, 0.5 + 1e-12, 0.5, 1.0, 1.0) == []
 
     def test_degenerate_point_rects(self):
         coords = array("d", [0.25, 0.25, 0.25, 0.25, 0.75, 0.75, 0.75, 0.75])
-
-        def check(name):
-            assert kernels.intersects_many(coords, 0.0, 0.0, 0.5, 0.5) == [0]
-            assert kernels.intersects_many(coords, 0.25, 0.25, 0.75, 0.75) == [0, 1]
-
-        on_every_backend(check)
+        assert kernels.intersects_many(coords, 0.0, 0.0, 0.5, 0.5) == [0]
+        assert kernels.intersects_many(coords, 0.25, 0.25, 0.75, 0.75) == [0, 1]
 
 
 class TestGatherVariants:
@@ -144,22 +105,14 @@ class TestGatherVariants:
     def test_intersects_ids_matches_index_variant(self, coords, window):
         ids = array("I", range(100, 100 + len(coords) // 4))
         expected = [ids[i] for i in kernels.intersects_many(coords, *window)]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.intersects_ids(coords, ids, *window), expected, name
-            )
-        )
+        assert kernels.intersects_ids(coords, ids, *window) == expected
 
     @settings(max_examples=150)
     @given(coord_buffers(), coordinates, coordinates)
     def test_contains_point_ids_matches_index_variant(self, coords, x, y):
         ids = array("I", range(100, 100 + len(coords) // 4))
         expected = [ids[i] for i in kernels.contains_point_many(coords, x, y)]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.contains_point_ids(coords, ids, x, y), expected, name
-            )
-        )
+        assert kernels.contains_point_ids(coords, ids, x, y) == expected
 
 
 class TestContainedInMany:
@@ -172,20 +125,12 @@ class TestContainedInMany:
             for index, rect in enumerate(rects_of(coords))
             if container.contains_rect(rect)
         ]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.contained_in_many(coords, *window), expected, name
-            )
-        )
+        assert kernels.contained_in_many(coords, *window) == expected
 
     def test_boundary_touch_is_contained(self):
         coords = array("d", [0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5 + 1e-12, 0.5])
-
-        def check(name):
-            assert kernels.contained_in_many(coords, 0.0, 0.0, 0.5, 0.5) == [0]
-            assert kernels.contained_in_many(coords, 0.0, 0.0, 1.0, 1.0) == [0, 1]
-
-        on_every_backend(check)
+        assert kernels.contained_in_many(coords, 0.0, 0.0, 0.5, 0.5) == [0]
+        assert kernels.contained_in_many(coords, 0.0, 0.0, 1.0, 1.0) == [0, 1]
 
 
 class TestContainsPointMany:
@@ -197,29 +142,17 @@ class TestContainsPointMany:
             for index, rect in enumerate(rects_of(coords))
             if rect.contains_point(Point(x, y))
         ]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.contains_point_many(coords, x, y), expected, name
-            )
-        )
+        assert kernels.contains_point_many(coords, x, y) == expected
 
     def test_boundary_is_inclusive(self):
         coords = array("d", [0.0, 0.0, 0.5, 0.5])
-
-        def check(name):
-            assert kernels.contains_point_many(coords, 0.5, 0.0) == [0]
-            assert kernels.contains_point_many(coords, 0.5, 0.5) == [0]
-
-        on_every_backend(check)
+        assert kernels.contains_point_many(coords, 0.5, 0.0) == [0]
+        assert kernels.contains_point_many(coords, 0.5, 0.5) == [0]
 
     def test_point_rect_contains_only_itself(self):
         coords = array("d", [0.3, 0.7, 0.3, 0.7])
-
-        def check(name):
-            assert kernels.contains_point_many(coords, 0.3, 0.7) == [0]
-            assert kernels.contains_point_many(coords, 0.3, 0.7 + 1e-12) == []
-
-        on_every_backend(check)
+        assert kernels.contains_point_many(coords, 0.3, 0.7) == [0]
+        assert kernels.contains_point_many(coords, 0.3, 0.7 + 1e-12) == []
 
 
 class TestEnlargement:
@@ -232,11 +165,7 @@ class TestEnlargement:
         expected = [
             rect.enlargement_to_include(query_rect) for rect in rects_of(coords)
         ]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.enlargement_many(coords, *query), expected, name
-            )
-        )
+        assert kernels.enlargement_many(coords, *query) == expected
 
     @settings(max_examples=150)
     @given(coord_buffers(), rect_tuples())
@@ -254,28 +183,17 @@ class TestEnlargement:
                 best_index = index
                 best_enlargement = enlargement
                 best_area = area
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.argmin_enlargement(coords, *query), best_index, name
-            )
-        )
+        assert kernels.argmin_enlargement(coords, *query) == best_index
 
     def test_tie_broken_by_first_index(self):
         # Two identical rects already containing the query: zero enlargement,
         # equal area — the first one must win, like the sequential scan.
         coords = array("d", [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.argmin_enlargement(coords, 0.4, 0.4, 0.6, 0.6), 0, name
-            )
-        )
+        assert kernels.argmin_enlargement(coords, 0.4, 0.4, 0.6, 0.6) == 0
 
     def test_empty_buffer_rejected(self):
-        def check(name):
-            with pytest.raises(ValueError):
-                kernels.argmin_enlargement(array("d"), 0.0, 0.0, 1.0, 1.0)
-
-        on_every_backend(check)
+        with pytest.raises(ValueError):
+            kernels.argmin_enlargement(array("d"), 0.0, 0.0, 1.0, 1.0)
 
 
 class TestMinDistanceMany:
@@ -284,20 +202,12 @@ class TestMinDistanceMany:
     def test_matches_scalar_distance_exactly(self, coords, x, y):
         point = Point(x, y)
         expected = [rect.min_distance_to_point(point) for rect in rects_of(coords)]
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.min_distance_many(coords, x, y), expected, name
-            )
-        )
+        assert kernels.min_distance_many(coords, x, y) == expected
 
     def test_zero_inside_and_on_boundary(self):
         coords = array("d", [0.0, 0.0, 1.0, 1.0])
-
-        def check(name):
-            assert kernels.min_distance_many(coords, 0.5, 0.5) == [0.0]
-            assert kernels.min_distance_many(coords, 1.0, 0.5) == [0.0]
-
-        on_every_backend(check)
+        assert kernels.min_distance_many(coords, 0.5, 0.5) == [0.0]
+        assert kernels.min_distance_many(coords, 1.0, 0.5) == [0.0]
 
     @settings(max_examples=150)
     @given(coord_buffers(), _wide, _wide)
@@ -305,11 +215,7 @@ class TestMinDistanceMany:
         # ``==`` cannot tell 0.0 from -0.0; the contract is the same *bits*.
         point = Point(x, y)
         expected = _bits(rect.min_distance_to_point(point) for rect in rects_of(coords))
-        on_every_backend(
-            lambda name: _check_equal(
-                _bits(kernels.min_distance_many(coords, x, y)), expected, name
-            )
-        )
+        assert _bits(kernels.min_distance_many(coords, x, y)) == expected
 
     def test_bit_exact_in_every_region_of_the_clamp(self):
         # One proper rectangle, a vertical and a horizontal segment, and a
@@ -326,29 +232,17 @@ class TestMinDistanceMany:
         rects = rects_of(coords)
         xs = sorted({v for r in rects for v in (r.xmin, r.xmax)} | {-0.3, 0.3, 0.6, 1.3})
         ys = sorted({v for r in rects for v in (r.ymin, r.ymax)} | {-0.3, 0.45, 0.55, 1.3})
-
-        def check(name):
-            for x in xs:
-                for y in ys:
-                    point = Point(x, y)
-                    expected = _bits(r.min_distance_to_point(point) for r in rects)
-                    actual = _bits(kernels.min_distance_many(coords, x, y))
-                    assert actual == expected, f"backend {name!r} at ({x}, {y})"
-
-        on_every_backend(check)
+        for x in xs:
+            for y in ys:
+                point = Point(x, y)
+                expected = _bits(r.min_distance_to_point(point) for r in rects)
+                actual = _bits(kernels.min_distance_many(coords, x, y))
+                assert actual == expected, f"at ({x}, {y})"
 
     def test_empty_buffer_yields_no_distances(self):
-        on_every_backend(
-            lambda name: _check_equal(
-                kernels.min_distance_many(array("d"), 0.5, 0.5), [], name
-            )
-        )
+        assert kernels.min_distance_many(array("d"), 0.5, 0.5) == []
 
 
 def _bits(values):
     """Exact representation of each float (tells 0.0 from -0.0)."""
     return [float(value).hex() for value in values]
-
-
-def _check_equal(actual, expected, backend_name):
-    assert actual == expected, f"backend {backend_name!r}: {actual!r} != {expected!r}"

@@ -2,8 +2,7 @@
 
 :meth:`repro.rtree.node.Node.mbr` is a memo the node's write methods adjust
 by the rectangle that came or went, the page codec persists in the page
-header, and a decoded node starts from.  Three things are checked here, under
-every kernel backend:
+header, and a decoded node starts from.  Three things are checked here:
 
 * **memo ≡ sweep** (Hypothesis) — along random sequences of every write
   method and codec round trips, ``node.mbr()`` equals a fresh
@@ -35,10 +34,6 @@ from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Entry, Node
 from repro.storage.serialization import NodeCodec
 from repro.update import UpdateOutcome
-
-from tests.conftest import using_backend
-
-BACKENDS = kernels.available_backends()
 
 # ---------------------------------------------------------------------------
 # memo ≡ sweep
@@ -82,45 +77,43 @@ def assert_memo_is_the_sweep(node, model):
             node.mbr()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=200, deadline=None)
 @given(initial=st.lists(rects(), max_size=6), ops=operations)
-def test_mbr_memo_equals_a_fresh_sweep(backend, initial, ops):
+def test_mbr_memo_equals_a_fresh_sweep(initial, ops):
     codec = NodeCodec()
     model = [Entry(rect, child) for child, rect in enumerate(initial)]
     next_child = len(model)
     node = Node(page_id=1, level=0, entries=model)
-    with using_backend(backend):
-        for op, check in ops:
-            kind = op[0]
-            if kind == "add":
-                entry = Entry(op[1], next_child)
-                next_child += 1
-                node.add_entry(entry)
-                model.append(entry)
-            elif kind == "assign":
-                model = [Entry(rect, next_child + i) for i, rect in enumerate(op[1])]
-                next_child += len(model)
-                node.entries = model
-            elif kind == "codec":
-                node = codec.decode(node.page_id, codec.encode(node))
-            elif model:
-                index = op[1] % len(model)
-                child = model[index].child
-                if kind == "set":
-                    changed = node.set_rect(child, op[2])
-                    assert changed == (model[index].rect != op[2])
-                    model[index] = Entry(op[2], child)
-                elif kind == "discard":
-                    assert node.discard_entry(child)
-                    del model[index]
-                elif kind == "remove":
-                    assert node.remove_entry(child) == model.pop(index)
-                else:
-                    assert node.pop_entry_at(index) == model.pop(index)
-            if check:
-                assert_memo_is_the_sweep(node, model)
-        assert_memo_is_the_sweep(node, model)
+    for op, check in ops:
+        kind = op[0]
+        if kind == "add":
+            entry = Entry(op[1], next_child)
+            next_child += 1
+            node.add_entry(entry)
+            model.append(entry)
+        elif kind == "assign":
+            model = [Entry(rect, next_child + i) for i, rect in enumerate(op[1])]
+            next_child += len(model)
+            node.entries = model
+        elif kind == "codec":
+            node = codec.decode(node.page_id, codec.encode(node))
+        elif model:
+            index = op[1] % len(model)
+            child = model[index].child
+            if kind == "set":
+                changed = node.set_rect(child, op[2])
+                assert changed == (model[index].rect != op[2])
+                model[index] = Entry(op[2], child)
+            elif kind == "discard":
+                assert node.discard_entry(child)
+                del model[index]
+            elif kind == "remove":
+                assert node.remove_entry(child) == model.pop(index)
+            else:
+                assert node.pop_entry_at(index) == model.pop(index)
+        if check:
+            assert_memo_is_the_sweep(node, model)
+    assert_memo_is_the_sweep(node, model)
 
 
 # ---------------------------------------------------------------------------
@@ -152,53 +145,49 @@ def square_leaf():
     return node
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDeltaRules:
-    def test_interior_moves_arrivals_and_departures_never_sweep(self, backend, monkeypatch):
-        with using_backend(backend):
-            node = square_leaf()
-            sweeps = SweepCounter(monkeypatch)
-            assert node.set_rect(9, Rect.from_point(Point(0.3, 0.7)))  # inside → inside
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert node.set_rect(9, Rect.from_point(Point(0.2, 0.6)))  # onto the boundary
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert node.set_rect(9, Rect.from_point(Point(0.2, 0.4)))  # along it
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert node.set_rect(9, Rect.from_point(Point(0.1, 0.4)))  # sticking out
-            assert node.mbr() == Rect(0.1, 0.2, 0.8, 0.8)
-            node.add_entry(Entry(Rect(0.4, 0.4, 0.9, 0.5), 10))  # arrival sticking out
-            assert node.mbr() == Rect(0.1, 0.2, 0.9, 0.8)
-            node.add_entry(Entry(Rect.from_point(Point(0.5, 0.5)), 11))  # arrival inside
-            assert node.discard_entry(11)  # departure from the interior
-            assert node.mbr() == Rect(0.1, 0.2, 0.9, 0.8)
-            assert sweeps.calls == 0
+    def test_interior_moves_arrivals_and_departures_never_sweep(self, monkeypatch):
+        node = square_leaf()
+        sweeps = SweepCounter(monkeypatch)
+        assert node.set_rect(9, Rect.from_point(Point(0.3, 0.7)))  # inside → inside
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert node.set_rect(9, Rect.from_point(Point(0.2, 0.6)))  # onto the boundary
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert node.set_rect(9, Rect.from_point(Point(0.2, 0.4)))  # along it
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert node.set_rect(9, Rect.from_point(Point(0.1, 0.4)))  # sticking out
+        assert node.mbr() == Rect(0.1, 0.2, 0.8, 0.8)
+        node.add_entry(Entry(Rect(0.4, 0.4, 0.9, 0.5), 10))  # arrival sticking out
+        assert node.mbr() == Rect(0.1, 0.2, 0.9, 0.8)
+        node.add_entry(Entry(Rect.from_point(Point(0.5, 0.5)), 11))  # arrival inside
+        assert node.discard_entry(11)  # departure from the interior
+        assert node.mbr() == Rect(0.1, 0.2, 0.9, 0.8)
+        assert sweeps.calls == 0
 
-    def test_leaving_the_boundary_costs_one_lazy_sweep(self, backend, monkeypatch):
-        with using_backend(backend):
-            node = square_leaf()
-            sweeps = SweepCounter(monkeypatch)
-            # (0.2, 0.2) holds xmin together with id 4 and ymin with id 2:
-            # the bound does not move, but only a sweep can tell.
-            assert node.set_rect(1, Rect.from_point(Point(0.5, 0.6)))
-            assert node.set_rect(9, Rect.from_point(Point(0.4, 0.4)))
-            assert sweeps.calls == 0  # lazy: nobody asked yet
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert sweeps.calls == 1
-            assert node.discard_entry(3)  # held xmax and ymax
-            assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
-            assert sweeps.calls == 2
+    def test_leaving_the_boundary_costs_one_lazy_sweep(self, monkeypatch):
+        node = square_leaf()
+        sweeps = SweepCounter(monkeypatch)
+        # (0.2, 0.2) holds xmin together with id 4 and ymin with id 2:
+        # the bound does not move, but only a sweep can tell.
+        assert node.set_rect(1, Rect.from_point(Point(0.5, 0.6)))
+        assert node.set_rect(9, Rect.from_point(Point(0.4, 0.4)))
+        assert sweeps.calls == 0  # lazy: nobody asked yet
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert sweeps.calls == 1
+        assert node.discard_entry(3)  # held xmax and ymax
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        assert sweeps.calls == 2
 
-    def test_first_entry_of_an_empty_node_is_the_bound(self, backend, monkeypatch):
-        with using_backend(backend):
-            node = Node(page_id=1, level=0)
-            sweeps = SweepCounter(monkeypatch)
-            node.add_entry(Entry(Rect(0.1, 0.2, 0.3, 0.4), 1))
-            assert node.mbr() == Rect(0.1, 0.2, 0.3, 0.4)
-            assert node.discard_entry(1)
-            with pytest.raises(ValueError):
-                node.mbr()
-            assert sweeps.calls == 1  # the empty node's mbr() is the sweep that raises
+    def test_first_entry_of_an_empty_node_is_the_bound(self, monkeypatch):
+        node = Node(page_id=1, level=0)
+        sweeps = SweepCounter(monkeypatch)
+        node.add_entry(Entry(Rect(0.1, 0.2, 0.3, 0.4), 1))
+        assert node.mbr() == Rect(0.1, 0.2, 0.3, 0.4)
+        assert node.discard_entry(1)
+        with pytest.raises(ValueError):
+            node.mbr()
+        assert sweeps.calls == 1  # the empty node's mbr() is the sweep that raises
 
 
 # ---------------------------------------------------------------------------
@@ -264,43 +253,40 @@ def stream_results(index, rng):
     return index.stats.as_dict(), digest.hexdigest(), outcomes
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestWorkBound:
     def test_in_place_update_on_a_freshly_decoded_leaf_sweeps_nothing(
-        self, backend, monkeypatch
+        self, monkeypatch
     ):
-        with using_backend(backend):
-            rng = random.Random(4)
-            index = MovingObjectIndex(IndexConfig(strategy="GBU", buffer_percent=1.0))
-            index.load([(oid, Point(rng.random(), rng.random())) for oid in range(2_000)])
-            interior = []
-            for leaf in index.tree.leaf_nodes():
-                mbr = leaf.mbr()
-                for entry in leaf.entries:
-                    x, y = entry.rect.xmin, entry.rect.ymin
-                    if mbr.xmin < x < mbr.xmax and mbr.ymin < y < mbr.ymax:
-                        interior.append((entry.child, mbr.center()))
-                        break
-            assert len(interior) >= 20
-            sweeps = SweepCounter(monkeypatch)
-            for oid, target in interior:
-                index.buffer.clear()  # the leaf comes back from its page image
-                decodes = index.stats.physical_reads
-                assert index.update(oid, target) is UpdateOutcome.IN_PLACE
-                assert index.stats.physical_reads == decodes + 1
-                index.buffer.flush()  # and its new image needs no sweep either
-            assert sweeps.calls == 0
-            monkeypatch.undo()
-            index.validate()
+        rng = random.Random(4)
+        index = MovingObjectIndex(IndexConfig(strategy="GBU", buffer_percent=1.0))
+        index.load([(oid, Point(rng.random(), rng.random())) for oid in range(2_000)])
+        interior = []
+        for leaf in index.tree.leaf_nodes():
+            mbr = leaf.mbr()
+            for entry in leaf.entries:
+                x, y = entry.rect.xmin, entry.rect.ymin
+                if mbr.xmin < x < mbr.xmax and mbr.ymin < y < mbr.ymax:
+                    interior.append((entry.child, mbr.center()))
+                    break
+        assert len(interior) >= 20
+        sweeps = SweepCounter(monkeypatch)
+        for oid, target in interior:
+            index.buffer.clear()  # the leaf comes back from its page image
+            decodes = index.stats.physical_reads
+            assert index.update(oid, target) is UpdateOutcome.IN_PLACE
+            assert index.stats.physical_reads == decodes + 1
+            index.buffer.flush()  # and its new image needs no sweep either
+        assert sweeps.calls == 0
+        monkeypatch.undo()
+        index.validate()
 
     def test_stream_stays_under_the_sweep_bound_and_moves_nothing_else(
-        self, backend, monkeypatch
+        self, monkeypatch
     ):
-        with using_backend(backend):
-            index, rng = stream_index()
-            sweeps = SweepCounter(monkeypatch)
-            run_updates(index, rng)
-            monkeypatch.undo()
-            assert sweeps.calls <= 0.3 * STREAM_UPDATES
-            assert stream_results(index, rng) == STREAM_GOLDEN
-            index.validate()
+        index, rng = stream_index()
+        sweeps = SweepCounter(monkeypatch)
+        run_updates(index, rng)
+        monkeypatch.undo()
+        assert sweeps.calls <= 0.3 * STREAM_UPDATES
+        assert stream_results(index, rng) == STREAM_GOLDEN
+        index.validate()

@@ -5,11 +5,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Point, Rect
 from repro.rtree import RTree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 
-from tests.conftest import SMALL_PAGE_SIZE, make_points, using_backend
+from tests.conftest import SMALL_PAGE_SIZE, make_points
 
 
 def tree_of(objects):
@@ -145,32 +145,30 @@ class TestKnnBounded:
             _grid_points(3), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
         ),
         k=st.integers(min_value=1, max_value=14),
-        backend=st.sampled_from(kernels.available_backends()),
     )
-    def test_bounded_equals_unbounded_prefix(self, positions, probe, k, backend):
+    def test_bounded_equals_unbounded_prefix(self, positions, probe, k):
         tree = tree_of((oid, Point(x, y)) for oid, (x, y) in enumerate(positions))
         point = Point(*probe)
 
-        with using_backend(backend):
-            everything, all_reads = _reads_of_first(tree, point, None, None)
-            assert [oid for _, oid in everything] == [
-                oid
-                for _, oid in sorted(
-                    (Rect.from_point(Point(x, y)).min_distance_to_point(point), oid)
-                    for oid, (x, y) in enumerate(positions)
-                )
-            ]
+        everything, all_reads = _reads_of_first(tree, point, None, None)
+        assert [oid for _, oid in everything] == [
+            oid
+            for _, oid in sorted(
+                (Rect.from_point(Point(x, y)).min_distance_to_point(point), oid)
+                for oid, (x, y) in enumerate(positions)
+            )
+        ]
 
-            # Full consumption: same pairs, and the I/O of exactly k pairs
-            # of distance browsing (of the whole tree when k exceeds it).
-            bounded, bounded_reads = _reads_of_first(tree, point, k, None)
-            assert bounded == everything[:k]
-            if k >= len(positions):
-                assert bounded_reads == all_reads
-            # Partial consumption: stopping after 1..k pairs costs the same
-            # either way — the bound prunes queues, never node reads.
-            for items in range(1, min(k, len(positions)) + 1):
-                expected = _reads_of_first(tree, point, None, items)
-                assert _reads_of_first(tree, point, k, items) == expected
-                if items == k:
-                    assert bounded_reads == expected[1]
+        # Full consumption: same pairs, and the I/O of exactly k pairs
+        # of distance browsing (of the whole tree when k exceeds it).
+        bounded, bounded_reads = _reads_of_first(tree, point, k, None)
+        assert bounded == everything[:k]
+        if k >= len(positions):
+            assert bounded_reads == all_reads
+        # Partial consumption: stopping after 1..k pairs costs the same
+        # either way — the bound prunes queues, never node reads.
+        for items in range(1, min(k, len(positions)) + 1):
+            expected = _reads_of_first(tree, point, None, items)
+            assert _reads_of_first(tree, point, k, items) == expected
+            if items == k:
+                assert bounded_reads == expected[1]

@@ -3,8 +3,7 @@
 The equivalence suite (``tests/test_shard_equivalence.py``) proves that
 serial and process execution compute identical answers and I/O counters;
 this file covers the backend machinery itself: lifecycle,
-kernel-backend propagation into workers, spec/checkpoint round-trips,
-detach state sync, the engine guard, rebalancing between workers, the
+spec/checkpoint round-trips, detach state sync, the engine guard, rebalancing between workers, the
 serial executor's round trips counted through a recording fake, what an
 attach is allowed to cost, and what a dead or hung worker turns into.
 """
@@ -21,7 +20,7 @@ from repro.api import IndexBuilder, RangeQuery, Update, index_spec, open_index
 from repro.api.errors import OperationError, WorkerFailedError
 from repro.core import IndexConfig, MovingObjectIndex, persistence
 from repro.core.persistence import load_index, save_index
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Point, Rect
 from repro.shard import BACKENDS, GridPartitioner, ShardedIndex
 from repro.shard import parallel as shard_parallel
 from repro.workload import WorkloadGenerator, WorkloadSpec
@@ -158,33 +157,6 @@ class TestBackendLifecycle:
         single.detach_parallel()
         with pytest.raises(ValueError, match="sharded"):
             single.set_parallel("process")
-
-
-class TestKernelBackendPropagation:
-    def test_workers_report_the_coordinator_backend(self):
-        index, _ = build_sharded()
-        index.set_parallel("process", workers=2)
-        assert index.worker_kernel_backends() == [kernels.get_backend()] * 4
-        index.detach_parallel()
-
-    def test_numpy_backend_reaches_the_workers(self):
-        if "numpy" not in kernels.available_backends():
-            pytest.skip("numpy backend not available in this environment")
-        previous = kernels.get_backend()
-        kernels.set_backend("numpy")
-        try:
-            index, generator = build_sharded()
-            index.set_parallel("process", workers=2)
-            # The coordinator exports REPRO_KERNEL_BACKEND before spawning,
-            # and the hydration payload pins it for fork-started workers.
-            assert os.environ.get("REPRO_KERNEL_BACKEND") == "numpy"
-            assert index.worker_kernel_backends() == ["numpy"] * 4
-            for oid, _old, new in generator.updates(40):
-                index.update(oid, new)
-            index.detach_parallel()
-            index.validate()
-        finally:
-            kernels.set_backend(previous)
 
 
 class TestSpecAndCheckpointRoundTrip:
@@ -393,9 +365,7 @@ class TestAttachWorkBound:
     to checkpoint hydration fails a test and not just a benchmark."""
 
     @needs_fork
-    def test_fork_attach_restores_no_document_and_never_probes_numpy(
-        self, monkeypatch
-    ):
+    def test_fork_attach_restores_no_document(self, monkeypatch):
         # The forked workers inherit these patches.  A document may be encoded
         # only worker-side and restored only coordinator-side — the way back
         # at detach, which really crosses a pipe; an attach that did either
@@ -413,36 +383,22 @@ class TestAttachWorkBound:
             assert os.getpid() == coordinator, "fork attach restored a document"
             return restore_index(document)
 
-        def no_numpy():
-            raise AssertionError("a python-backend worker probed numpy")
-
-        previous = kernels.get_backend()
-        kernels.set_backend("python")
-        try:
-            index, generator = build_sharded()
-            serial, serial_generator = build_sharded()
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    persistence, "_index_document", document_in_a_worker_only
-                )
-                patch.setattr(
-                    persistence, "_restore_index", restore_in_the_coordinator_only
-                )
-                patch.setattr(kernels, "_load_numpy", no_numpy)
-                index.set_parallel("process", workers=2)
-                assert index.worker_kernel_backends() == ["python"] * 4
-                for (oid, _o, new), (soid, _so, snew) in zip(
-                    generator.updates(80), serial_generator.updates(80)
-                ):
-                    assert index.update(oid, new) == serial.update(soid, snew)
-                for window in generator.queries():
-                    assert index.range_query(window) == serial.range_query(window)
-                assert index.knn(Point(0.4, 0.6), 5) == serial.knn(Point(0.4, 0.6), 5)
-                assert index.io_snapshot().as_dict() == serial.io_snapshot().as_dict()
-                index.detach_parallel()
-            index.validate()
-        finally:
-            kernels.set_backend(previous)
+        index, generator = build_sharded()
+        serial, serial_generator = build_sharded()
+        with monkeypatch.context() as patch:
+            patch.setattr(persistence, "_index_document", document_in_a_worker_only)
+            patch.setattr(persistence, "_restore_index", restore_in_the_coordinator_only)
+            index.set_parallel("process", workers=2)
+            for (oid, _o, new), (soid, _so, snew) in zip(
+                generator.updates(80), serial_generator.updates(80)
+            ):
+                assert index.update(oid, new) == serial.update(soid, snew)
+            for window in generator.queries():
+                assert index.range_query(window) == serial.range_query(window)
+            assert index.knn(Point(0.4, 0.6), 5) == serial.knn(Point(0.4, 0.6), 5)
+            assert index.io_snapshot().as_dict() == serial.io_snapshot().as_dict()
+            index.detach_parallel()
+        index.validate()
 
 
 class TestWorkerFailureSurface:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.storage import BufferPool, DiskManager, IOStatistics
 
+from tests.conftest import recorded_accesses
+
 
 def make_stack(capacity: int):
     stats = IOStatistics()
@@ -138,41 +140,6 @@ class TestSizing:
             pool_for_percentage(-1.0, database_pages=10)
 
 
-class TestAccessLog:
-    def test_accesses_recorded_only_inside_the_context(self):
-        _, disk, pool = make_stack(capacity=2)
-        page = disk.allocate_page()
-        disk.write_page(page, "x")
-        with pool.logged_accesses() as log:
-            pool.read(page)
-            pool.write(page, "y")
-        pool.read(page)  # after the block: not recorded
-        assert log == [("read", page), ("write", page)]
-
-    def test_log_detached_even_on_exception(self):
-        _, disk, pool = make_stack(capacity=2)
-        page = disk.allocate_page()
-        disk.write_page(page, "x")
-        with pytest.raises(RuntimeError):
-            with pool.logged_accesses():
-                pool.read(page)
-                raise RuntimeError("boom")
-        assert pool._access_log is None
-
-    def test_nested_logs_see_only_their_own_accesses(self):
-        _, disk, pool = make_stack(capacity=2)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        disk.write_page(first, "a")
-        disk.write_page(second, "b")
-        with pool.logged_accesses() as outer:
-            pool.read(first)
-            with pool.logged_accesses() as inner:
-                pool.read(second)
-        assert outer == [("read", first)]
-        assert inner == [("read", second)]
-
-
 class TestPeek:
     def test_peek_sees_writeback_frames_before_the_disk_does(self):
         _, disk, pool = make_stack(capacity=2)
@@ -269,8 +236,6 @@ class AdmitOnlyPool(BufferPool):
 
     def read(self, page_id):
         self.stats.logical_reads += 1
-        if self._access_log is not None:
-            self._access_log.append(("read", page_id))
         if self.capacity > 0 and page_id in self._frames:
             self.stats.buffer_hits += 1
             self._frames.move_to_end(page_id)
@@ -334,7 +299,7 @@ class TestStraightLineMiss:
             nonlocal pinned_straight_misses
             subject = self.make(CountingPool, capacity)
             reference = self.make(AdmitOnlyPool, capacity)
-            with subject.logged_accesses() as log, reference.logged_accesses() as ref_log:
+            with recorded_accesses(subject) as log, recorded_accesses(reference) as ref_log:
                 for step, (verb, page) in enumerate(ops):
                     if verb == "write":
                         subject.write(page, f"w{step}")

@@ -1,14 +1,7 @@
-"""The binary page store codec and the coordinate-precision contracts.
+"""The binary page-store codec.
 
-Two codecs, two contracts:
-
-* the sizing-model codec (``serialize_node``/``deserialize_node``) stores
-  4-byte coordinates by default — round trips quantize each value to the
-  nearest binary32, **exactly** :func:`coordinate_quantum`, and become fully
-  lossless with ``coordinate_size=8``;
-* the live page-store codec (:class:`NodeCodec`) is always binary64 and
-  must reproduce every node bit for bit, because the index actually runs on
-  what it decodes.
+:class:`NodeCodec` is always binary64 and must reproduce every node bit for
+bit, because the index actually runs on what it decodes.
 """
 
 import random
@@ -20,14 +13,7 @@ from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Entry, Node
 from repro.storage import PageLayout
 from repro.storage import serialization
-from repro.storage.serialization import (
-    NodeCodec,
-    SerializationError,
-    coordinate_quantum,
-    deserialize_node,
-    serialize_node,
-    serialized_size,
-)
+from repro.storage.serialization import NodeCodec, SerializationError
 
 from tests import golden_object_layout as golden
 from tests.conftest import build_index
@@ -43,71 +29,6 @@ def sample_node():
     node.add_entry(Entry(Rect(LOSSY_COORDS[2], 0.2, LOSSY_COORDS[3], 0.9), 8))
     node.stored_mbr = Rect(0.05, 0.05, 0.95, 0.95)
     return node
-
-
-class TestSizingCodecQuantization:
-    """The f32 format's loss is exactly one binary32 rounding per value."""
-
-    def test_round_trip_equals_coordinate_quantum(self):
-        layout = PageLayout(page_size=1024)
-        node = sample_node()
-        restored = deserialize_node(5, serialize_node(node, layout), layout)
-        for original, copy in zip(node.entries, restored.entries):
-            assert copy.rect.as_tuple() == tuple(
-                coordinate_quantum(value) for value in original.rect.as_tuple()
-            )
-
-    def test_f32_representable_coordinates_are_exact(self):
-        layout = PageLayout(page_size=1024)
-        node = Node(page_id=1, level=0)
-        node.add_entry(Entry(Rect(0.25, 0.5, 0.75, 1.0), 3))  # exact in binary32
-        restored = deserialize_node(1, serialize_node(node, layout), layout)
-        assert restored.entries[0].rect == Rect(0.25, 0.5, 0.75, 1.0)
-
-    def test_lossy_coordinates_are_not_exact_in_f32(self):
-        # Regression guard: this is the lossiness the f64 format fixes.
-        assert coordinate_quantum(0.1) != 0.1
-        layout = PageLayout(page_size=1024)
-        node = Node(page_id=1, level=0, entries=[Entry(Rect(0.1, 0.1, 0.1, 0.1), 3)])
-        restored = deserialize_node(1, serialize_node(node, layout), layout)
-        assert restored.entries[0].rect != node.entries[0].rect
-
-    def test_quantum_is_identity_for_f64(self):
-        for value in LOSSY_COORDS:
-            assert coordinate_quantum(value, coordinate_size=8) == value
-
-
-class TestSizingCodecF64:
-    """``coordinate_size=8`` switches the format to <4d> and is lossless."""
-
-    def test_round_trip_is_bit_exact(self):
-        layout = PageLayout(page_size=1024, coordinate_size=8)
-        node = sample_node()
-        restored = deserialize_node(5, serialize_node(node, layout), layout)
-        assert [e.rect.as_tuple() for e in restored.entries] == [
-            e.rect.as_tuple() for e in node.entries
-        ]
-        assert restored.parent_page_id == 17
-        assert restored.stored_mbr == node.stored_mbr
-
-    def test_sizing_model_still_honoured(self):
-        layout = PageLayout(page_size=1024, coordinate_size=8)
-        node = Node(
-            page_id=1,
-            level=0,
-            entries=[
-                Entry(Rect.from_point(Point(0.1, 0.2)), oid)
-                for oid in range(layout.leaf_capacity())
-            ],
-        )
-        image = serialize_node(node, layout)
-        assert len(image) <= layout.page_size
-        assert serialized_size(node, layout) == len(image)
-
-    def test_unsupported_coordinate_size_rejected(self):
-        layout = PageLayout(page_size=1024, coordinate_size=2)
-        with pytest.raises(SerializationError):
-            serialize_node(Node(page_id=1, level=0), layout)
 
 
 class TestNodeCodecRoundTrip:

@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.storage.sizing.PageLayout`."""
 
+import struct
+
 import pytest
 
 from repro.storage import PageLayout
@@ -35,6 +37,29 @@ class TestCapacities:
         # The paper quotes a fanout of roughly 204 for a 4 KB page.
         layout = PageLayout(page_size=4096)
         assert 190 <= layout.internal_capacity <= 210
+
+
+# The paper's node format, spelled out independently of PageLayout's
+# arithmetic: a header (level, entry count, parent pointer, flags, ε-enlarged
+# MBR) and one row per entry (MBR, id), at 4- or 8-byte coordinates.
+NODE_FORMATS = {4: ("<HHIB4f", "<4fI"), 8: ("<HHIB4d", "<4dI")}
+
+
+@pytest.mark.parametrize("page_size", [1024, 4096])
+@pytest.mark.parametrize("coordinate_size", [4, 8])
+@pytest.mark.parametrize("node", ["leaf", "LBU leaf", "internal"])
+def test_a_full_node_fits_its_page(page_size, coordinate_size, node):
+    """The fan-out PageLayout promises is what a page of that size can hold."""
+    layout = PageLayout(page_size=page_size, coordinate_size=coordinate_size)
+    header, entry = NODE_FORMATS[coordinate_size]
+    capacity = {
+        "leaf": layout.leaf_capacity(),
+        "LBU leaf": layout.leaf_capacity(with_parent_pointer=True),
+        "internal": layout.internal_capacity,
+    }[node]
+    assert struct.calcsize(entry) == layout.entry_size
+    header_size = max(struct.calcsize(header), layout.header_size)
+    assert header_size + capacity * struct.calcsize(entry) <= page_size
 
 
 class TestValidation:
