@@ -60,25 +60,30 @@ def recorded_accesses(pool: BufferPool):
     """Record every logical access made to *pool* inside the ``with`` block.
 
     Yields the list the accesses are appended to, as ``("read" | "write",
-    page_id)`` tuples.  The recorder wraps the pool *instance's* ``read`` and
-    ``write`` (whatever its class makes of them) and restores them on exit.
+    page_id)`` tuples.  The recorder shadows the pool *instance's* ``read``
+    and ``write`` with wrappers around its class's (whatever the class makes
+    of them) and restores what it shadowed on exit.  A recorder opened inside
+    another takes over until it closes, so each log holds only the accesses
+    made while it was the innermost one.
     """
     log = []
-    read, write = pool.read, pool.write
+    shadowed = {name: vars(pool)[name] for name in ("read", "write") if name in vars(pool)}
+    cls = type(pool)
 
     def logged_read(page_id):
         log.append(("read", page_id))
-        return read(page_id)
+        return cls.read(pool, page_id)
 
     def logged_write(page_id, payload):
         log.append(("write", page_id))
-        write(page_id, payload)
+        cls.write(pool, page_id, payload)
 
     pool.read, pool.write = logged_read, logged_write
     try:
         yield log
     finally:
         del pool.read, pool.write
+        vars(pool).update(shadowed)
 
 
 def make_points(count: int, seed: int = 7) -> list:

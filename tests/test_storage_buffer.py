@@ -140,6 +140,46 @@ class TestSizing:
             pool_for_percentage(-1.0, database_pages=10)
 
 
+class TestAccessLog:
+    """The test-side access recorder the bucket-of-one and admit-only comparisons use."""
+
+    def test_accesses_recorded_only_inside_the_context(self):
+        _, disk, pool = make_stack(capacity=2)
+        page = disk.allocate_page()
+        disk.write_page(page, "x")
+        with recorded_accesses(pool) as log:
+            pool.read(page)
+            pool.write(page, "y")
+        pool.read(page)  # after the block: not recorded
+        assert log == [("read", page), ("write", page)]
+
+    def test_log_detached_even_on_exception(self):
+        _, disk, pool = make_stack(capacity=2)
+        page = disk.allocate_page()
+        disk.write_page(page, "x")
+        with pytest.raises(RuntimeError):
+            with recorded_accesses(pool) as log:
+                pool.read(page)
+                raise RuntimeError("boom")
+        assert "read" not in vars(pool) and "write" not in vars(pool)
+        pool.read(page)
+        assert log == [("read", page)]
+
+    def test_nested_logs_see_only_their_own_accesses(self):
+        _, disk, pool = make_stack(capacity=2)
+        first = disk.allocate_page()
+        second = disk.allocate_page()
+        disk.write_page(first, "a")
+        disk.write_page(second, "b")
+        with recorded_accesses(pool) as outer:
+            pool.read(first)
+            with recorded_accesses(pool) as inner:
+                pool.read(second)
+            pool.read(first)  # the outer log records again once the inner one closes
+        assert outer == [("read", first), ("read", first)]
+        assert inner == [("read", second)]
+
+
 class TestPeek:
     def test_peek_sees_writeback_frames_before_the_disk_does(self):
         _, disk, pool = make_stack(capacity=2)
