@@ -2,8 +2,7 @@
 
 ``bench_figures.py`` runs every row of the figure table
 (:mod:`repro.bench.figures`) once through pytest-benchmark and checks the
-row's paper-shape predicate; the other ``bench_*.py`` files are standalone
-subsystem benchmarks.
+row's paper-shape predicate.
 
 Workload scale
 --------------

@@ -162,10 +162,10 @@ class BatchReport:
     """What one batch execution did, and what it cost.
 
     Built by the batch layer (:mod:`repro.update.batch`), both facades'
-    ``execute_many`` / ``update_many`` and the concurrent engine's batch
-    path: per-kind operation counts, group/coalescing/residual/migration
-    statistics of the group-by-leaf pipeline, every window query's answer
-    and every kNN's answer in stream order, and the batch's
+    ``execute_many`` and the concurrent engine's batch path: per-kind
+    operation counts, group/coalescing/residual/migration statistics of the
+    group-by-leaf pipeline, every window query's answer and every kNN's
+    answer in stream order, and the batch's
     :class:`~repro.storage.stats.IOStatistics` delta — taken between the
     first and last operation, so batch and per-operation cost compare
     without resetting the index-wide counters.

@@ -43,7 +43,6 @@ from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.cost.model import BottomUpCostModel, TopDownCostModel, TreeShape
 from repro.geometry import Point, Rect
-from repro.update.base import BatchUpdate
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -607,9 +606,7 @@ def _run_batch_throughput(scale: float, seed: int) -> List[MetricRow]:
             generator = WorkloadGenerator(spec)
             index = MovingObjectIndex(IndexConfig(strategy=strategy))
             index.load(generator.initial_objects())
-            operations = [
-                BatchUpdate(oid, old, new) for oid, old, new in generator.updates()
-            ]
+            operations = [Update(oid, new) for oid, _old, new in generator.updates()]
             result = index.engine(num_clients=clients).engine.run_batch(operations)
             makespans[label] = result.makespan
             if label == "concurrent":

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Sequence
 
 import repro.api.operations as api_ops
 from repro.api.errors import InvalidOperationError
@@ -47,12 +47,10 @@ from repro.concurrency.scheduler import (
     ScheduleResult,
     VirtualOperation,
 )
-from repro.geometry import Point
 
 if TYPE_CHECKING:  # imported lazily to keep the package import-cycle free
     from repro.api.results import BatchReport
     from repro.core.protocol import SpatialIndexFacade
-    from repro.update.base import BatchUpdate
     from repro.update.batch import BatchExecutor
 
 
@@ -282,10 +280,14 @@ class OnlineOperationEngine:
             ]
         )
 
-    def run_batch(self, updates: Iterable["BatchUpdate"]) -> BatchScheduleResult:
-        """Conflict-aware scheduling of one update batch.
+    def run_batch(self, updates: Iterable["api_ops.Update"]) -> BatchScheduleResult:
+        """Conflict-aware scheduling of one typed update batch.
 
-        The facade plans the batch (coalescing repeated updates of one
+        Anything that is not an :class:`~repro.api.operations.Update` raises
+        :class:`~repro.api.errors.InvalidOperationError` before the facade
+        sees the batch, so a rejected batch commits no position.  The facade
+        validates the updates (an unknown oid raises before anything
+        executes), plans the batch (coalescing repeated updates of one
         object exactly as the serial path does) and hands back virtual
         operations: group-by-leaf buckets whose lock set is the strategy's
         ``group_lock_scope()``, per-operation updates for unindexed members,
@@ -295,6 +297,10 @@ class OnlineOperationEngine:
         reflects its real conflict structure, and is strictly below serial
         execution whenever at least two groups are disjoint.
         """
+        updates = list(updates)
+        for update in updates:
+            if not isinstance(update, api_ops.Update):
+                raise InvalidOperationError(f"expected an Update, got {update!r}")
         prepared = self.index.prepare_concurrent_batch(self, updates)
         schedule = self.scheduler.run(iter(prepared.operations))
         prepared.finalize()
@@ -364,8 +370,8 @@ class ConcurrentSession:
         print(result.throughput, result.clients[0].physical_io)
 
     Work queued with :meth:`submit` is per-client; :meth:`run` drains every
-    queue under the scheduler.  :meth:`run_mixed` and :meth:`update_many`
-    are the streaming and batch shortcuts used by the benchmarks.
+    queue under the scheduler.  :meth:`run_mixed` is the streaming shortcut
+    the benchmarks use; a batch runs through ``session.engine.run_batch``.
     """
 
     def __init__(self, engine: OnlineOperationEngine) -> None:
@@ -426,14 +432,3 @@ class ConcurrentSession:
             self.num_clients, num_operations, update_fraction
         )
         return self.engine.run_streams(streams)
-
-    def update_many(
-        self, updates: Iterable[Tuple[int, Point]]
-    ) -> BatchScheduleResult:
-        """Batch counterpart of :meth:`MovingObjectIndex.update_many`.
-
-        The same group-by-leaf execution, but non-conflicting groups run as
-        concurrent virtual operations instead of draining serially.
-        """
-        operations = self.index.parse_updates(updates)
-        return self.engine.run_batch(operations)

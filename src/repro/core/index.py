@@ -19,12 +19,12 @@ Typical usage (the typed operation API, v2)::
     print(hits.fetch(10))                         # streaming result cursor
     print(index.stats.as_dict())                  # disk I/O so far
 
-High-rate ingestion should prefer the batch entry points, which group
-pending updates by leaf page and execute each group with one leaf
+High-rate ingestion should prefer the batch entry point, which groups
+pending updates by leaf page and executes each group with one leaf
 read/write (see :mod:`repro.update.batch`)::
 
-    result = index.update_many([(42, Point(0.31, 0.40)), (7, Point(0.8, 0.1))])
     report = index.execute_many([
+        Update(7, Point(0.8, 0.1)),
         Update(42, Point(0.32, 0.40)),
         RangeQuery(Rect(0.2, 0.2, 0.4, 0.5)),
     ])
@@ -301,25 +301,6 @@ class MovingObjectIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Batch operations (group-by-leaf execution, repro.update.batch)
     # ------------------------------------------------------------------
-    def update_many(
-        self, updates: Iterable[Tuple[int, Point]]
-    ) -> BatchReport:
-        """Move many existing objects in one batch.
-
-        Pending moves are grouped by their current leaf page and each group
-        is executed with a single leaf read/write, which is substantially
-        cheaper than one :meth:`update` call per object whenever objects
-        share leaves (see ``benchmarks/bench_batch_throughput.py``).  The
-        final index contents and all query answers are identical to applying
-        the updates one by one, and the returned
-        :class:`~repro.api.results.BatchReport` carries a per-batch
-        :class:`IOStatistics` snapshot.
-        """
-        parsed = self.parse_updates(updates)
-        result = self.batch.execute(parsed)
-        self._log_batch_ops(parsed)
-        return result
-
     def _execute_operation_stream(
         self, operations: Iterable[api_ops.Operation], strict_deletes: bool
     ) -> BatchReport:
@@ -354,35 +335,11 @@ class MovingObjectIndex(SpatialIndexFacade):
         if records:
             self.durability.log_unit({SINGLE_SHARD: records}, barrier=True)
 
-    def parse_updates(
-        self, updates: Iterable[Tuple[int, Point]]
-    ) -> List[BatchUpdate]:
-        """Overlay-validate an ``(oid, new_position)`` stream into batch ops.
-
-        Raises ``KeyError`` on an unknown oid before anything executes; on
-        success the facade's position map is pre-committed to the stream's
-        final positions (every parsed op eventually executes, and batch
-        planning re-assigns the same values idempotently).
-        """
-        # Parse against an overlay and commit only when the whole stream is
-        # valid, so a bad operation mid-stream (unknown oid, duplicate
-        # insert) leaves the position map consistent with the tree.
-        moved: Dict[int, Point] = {}
-        ops: List[BatchUpdate] = []
-        for oid, new_location in updates:
-            old_location = moved.get(oid, self._positions.get(oid))
-            if old_location is None:
-                raise UnknownObjectError(oid)
-            ops.append(BatchUpdate(oid, old_location, new_location))
-            moved[oid] = new_location
-        self._positions.update(moved)
-        return ops
-
     def _parse_operations(
         self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
     ) -> List[BatchOperation]:
-        # Same overlay discipline as parse_updates: ``None`` marks a pending
-        # delete, and nothing touches self._positions until parsing succeeds.
+        # ``None`` in the overlay marks a pending delete; nothing touches
+        # self._positions until the whole stream parses.
         parsed, overlay = parse_operation_stream(
             operations, self._positions.get, strict_deletes=strict_deletes
         )
@@ -437,25 +394,21 @@ class MovingObjectIndex(SpatialIndexFacade):
             raise InvalidOperationError(f"expected an Operation, got {op!r}")
         return DGLProtocol.as_pairs(requests)
 
-    def prepare_concurrent_batch(self, engine, updates: Iterable) -> PreparedBatch:
+    def prepare_concurrent_batch(
+        self, engine, updates: Iterable[api_ops.Update]
+    ) -> PreparedBatch:
         """Plan one update batch as schedulable virtual operations.
 
-        The batch executor plans the group-by-leaf buckets (coalescing
-        repeated updates of one object exactly as the serial path does);
-        each bucket becomes one :class:`GroupOperation`, unindexed members
-        become :class:`ReplayOperation`\\ s.  The facade's position map is
-        pre-committed to the batch's final positions: every planned member
-        eventually executes, and the coalesced ``new_location`` is its final
-        position (``ConcurrentSession.update_many`` already did this via
-        ``parse_updates``; re-assigning the same final values is idempotent).
+        The updates parse through the shared stream grammar, which pre-commits
+        the facade's position map to the batch's final positions (every
+        planned member eventually executes).  The batch executor then plans
+        the group-by-leaf buckets (coalescing repeated updates of one object
+        exactly as the serial path does); each bucket becomes one
+        :class:`GroupOperation`, unindexed members become
+        :class:`ReplayOperation`\\ s.
         """
-        updates = list(updates)
-        plan = self.batch.plan(updates)
-        for bucket in plan.buckets.values():
-            for request in bucket:
-                self._positions[request.oid] = request.new_location
-        for request in plan.unindexed:
-            self._positions[request.oid] = request.new_location
+        parsed = self._parse_operations(updates, strict_deletes=True)
+        plan = self.batch.plan(parsed)
         result = BatchReport(updates=plan.requested, coalesced=plan.coalesced)
         operations: List = [
             ReplayOperation(engine, self.batch, request, result)
@@ -472,7 +425,7 @@ class MovingObjectIndex(SpatialIndexFacade):
             # Apply first, log on success: finalize runs once the scheduler
             # has drained every operation, so a batch the engine abandoned
             # mid-schedule is never durably recorded as having happened.
-            self._log_batch_ops(updates)
+            self._log_batch_ops(parsed)
 
         return PreparedBatch(operations=operations, result=result, finalize=finalize)
 

@@ -17,8 +17,7 @@ The protocol has two halves:
   values, streaming query results through
   :class:`~repro.api.results.QueryCursor`\\ s) together with the direct
   methods ``load`` / ``insert`` / ``update`` / ``delete`` / ``range_query``
-  / ``knn``, the batch update entry point ``update_many``, and the
-  statistics/validation hooks;
+  / ``knn``, and the statistics/validation hooks;
 * the **engine SPI** — the hooks the
   :class:`~repro.concurrency.engine.OnlineOperationEngine` needs to schedule
   operations without knowing what kind of index it drives:
@@ -283,25 +282,6 @@ class SpatialIndexFacade(abc.ABC):
     def __contains__(self, oid: int) -> bool: ...
 
     # ------------------------------------------------------------------
-    # Batch operations
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> BatchReport:
-        """Move many existing objects in one group-by-leaf batch."""
-
-    @abc.abstractmethod
-    def parse_updates(self, updates: Iterable[Tuple[int, Point]]) -> List:
-        """Overlay-validate an ``(oid, new_position)`` stream into batch ops.
-
-        Raises ``KeyError`` on an unknown oid before anything executes —
-        this is the validation front door of both :meth:`update_many` and
-        :meth:`~repro.concurrency.engine.ConcurrentSession.update_many`.
-        Implementations may pre-commit facade position state for the parsed
-        members (the single index does; the sharded index defers to
-        execution so migrations still see current positions).
-        """
-
-    # ------------------------------------------------------------------
     # Statistics and integrity
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -337,13 +317,16 @@ class SpatialIndexFacade(abc.ABC):
 
     @abc.abstractmethod
     def prepare_concurrent_batch(
-        self, engine, updates: Iterable
+        self, engine, updates: Iterable["api_ops.Update"]
     ) -> "PreparedBatch":
-        """Turn an update batch into schedulable virtual operations.
+        """Turn a typed update batch into schedulable virtual operations.
 
-        Returns a :class:`~repro.concurrency.engine.PreparedBatch` whose
-        operations the engine hands to the scheduler and whose ``finalize``
-        callback computes the batch's I/O delta once the schedule drains.
+        The updates are validated through the shared stream grammar
+        (:func:`~repro.update.batch.parse_operation_stream`), so an unknown
+        oid raises before anything executes.  Returns a
+        :class:`~repro.concurrency.engine.PreparedBatch` whose operations the
+        engine hands to the scheduler and whose ``finalize`` callback computes
+        the batch's I/O delta once the schedule drains.
         """
 
     def maintenance_operations(self, engine) -> List:

@@ -25,7 +25,7 @@ persistence does the rest::
                        "group_size": 64},
     })
     index.load(objects)           # writes the initial checkpoint
-    index.update_many(updates)    # each dispatch = one fsynced log frame
+    index.execute_many(updates)   # typed Updates; one fsync per dirty log
 
     # ...crash...
 

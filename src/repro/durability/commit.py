@@ -11,12 +11,12 @@ logs.  It owns three things the individual
   unit, and so recovery can truncate every log at a single logical instant;
 * **the sync policy** — ``always`` fsyncs each commit unit, ``none`` never
   fsyncs, and ``group`` makes the *call* the group: a facade call that logs
-  several batch-shaped units (``ShardedIndex.execute_many`` /
-  ``update_many``: one unit per barrier segment, times the shard logs it
-  dirtied) runs inside :meth:`DurabilityManager.call_scope`, which appends
-  every unit and fsyncs each dirty log **once**, when the outermost scope
-  exits — the caller learns nothing before the call returns, so nothing is
-  gained by syncing earlier.  A batch unit logged outside any scope (bulk
+  several batch-shaped units (``ShardedIndex.execute_many``: one unit per
+  barrier segment, times the shard logs it dirtied) runs inside
+  :meth:`DurabilityManager.call_scope`, which appends every unit and
+  fsyncs each dirty log **once**, when the outermost scope exits — the
+  caller learns nothing before the call returns, so nothing is gained by
+  syncing earlier.  A batch unit logged outside any scope (bulk
   migration, repartition, strategy switch, the single index's one-unit
   batch) is its own group and is fsynced at once; single-operation units
   accumulate until ``group_size`` of them are pending;

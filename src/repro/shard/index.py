@@ -1072,18 +1072,6 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Batch operations (per-shard group-by-leaf buckets)
     # ------------------------------------------------------------------
-    def update_many(self, updates: Iterable[Tuple[int, Point]]) -> BatchReport:
-        """Move many objects in one batch, bucketed per shard.
-
-        Updates are coalesced per object (first old position, latest new
-        position — the same rule as the single-index batch), the coalesced
-        requests are routed per shard, and each shard executes its group-by-
-        leaf pipeline; boundary-crossing requests migrate through the
-        per-operation path.  The returned result aggregates every shard's
-        groups/residual counters and merges their I/O deltas.
-        """
-        return self._execute_batch(self.parse_updates(updates))
-
     def _call_scope(self) -> ContextManager[None]:
         """The durability point of one batch call (a no-op without a WAL).
 
@@ -1263,25 +1251,6 @@ class ShardedIndex(SpatialIndexFacade):
         if self.durability is not None and frames is not None:
             self.durability.log_unit(frames, barrier=False)
 
-    def parse_updates(self, updates: Iterable[Tuple[int, Point]]) -> List[BatchUpdate]:
-        """Overlay-validate an ``(oid, new_position)`` stream into batch ops.
-
-        Mirrors :meth:`MovingObjectIndex.parse_updates`: a bad operation
-        mid-stream leaves nothing executed.  Unlike the single index,
-        positions are NOT pre-committed here — shard position maps advance
-        when their shard executes (migrations go through the shard facades,
-        which need the old position to still be current).
-        """
-        moved: Dict[int, Point] = {}
-        ops: List[BatchUpdate] = []
-        for oid, new_location in updates:
-            old_location = moved.get(oid, self.position_of(oid))
-            if old_location is None:
-                raise UnknownObjectError(oid)
-            ops.append(BatchUpdate(oid, old_location, new_location))
-            moved[oid] = new_location
-        return ops
-
     def _parse_operations(
         self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
     ) -> List[BatchOperation]:
@@ -1343,7 +1312,9 @@ class ShardedIndex(SpatialIndexFacade):
             raise InvalidOperationError(f"expected an Operation, got {op!r}")
         return [pair for sid in shard_ids for pair in scope(sid, op)]
 
-    def prepare_concurrent_batch(self, engine, updates: Iterable) -> PreparedBatch:
+    def prepare_concurrent_batch(
+        self, engine, updates: Iterable[api_ops.Update]
+    ) -> PreparedBatch:
         """Plan one batch as per-shard group buckets plus migration ops.
 
         In-shard requests go through each shard's group-by-leaf planner and
@@ -1355,7 +1326,9 @@ class ShardedIndex(SpatialIndexFacade):
         (their group/replay passes never consult them); migrations commit
         their own state when they execute.
         """
-        pending, requested, coalesced = coalesce_updates(updates)
+        pending, requested, coalesced = coalesce_updates(
+            self._parse_operations(updates, strict_deletes=True)
+        )
         result = BatchReport(updates=requested, coalesced=coalesced)
         per_shard, crossing = self._route(pending.values())
         operations: List[VirtualOperation] = [

@@ -74,7 +74,7 @@ class TestBatchMatchesSequential:
         for oid, _old, new in gen_a.updates():
             baseline.update(oid, new)
         for chunk in gen_b.update_batches(150):
-            batched.update_many([(oid, new) for oid, _old, new in chunk])
+            batched.execute_many([Update(oid, new) for oid, _old, new in chunk])
         assert_equivalent(baseline, batched)
         for oid in range(300):
             assert baseline.position_of(oid) == batched.position_of(oid)
@@ -100,7 +100,7 @@ class TestBatchMatchesSequential:
                 baseline.update(oid, new)
             shuffled = list(moves)
             rng.shuffle(shuffled)
-            batched.update_many(shuffled)
+            batched.execute_many([Update(oid, new) for oid, new in shuffled])
             assert_equivalent(baseline, batched, seed=round_seed)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -181,12 +181,7 @@ class TestBatchMatchesSequential:
 class TestBatchCostAdvantage:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batch_needs_fewer_physical_reads(self, strategy):
-        """Group-by-leaf execution beats the per-op loop on physical reads.
-
-        Small-scale version of the acceptance benchmark
-        (``benchmarks/bench_batch_throughput.py`` runs the 10k-update
-        Gaussian workload).
-        """
+        """Group-by-leaf execution beats the per-op loop on physical reads."""
         spec = WorkloadSpec(
             num_objects=600,
             num_updates=1500,
@@ -201,6 +196,6 @@ class TestBatchCostAdvantage:
         for oid, _old, new in gen_a.updates():
             per_op.update(oid, new)
         for chunk in gen_b.update_batches(500):
-            batched.update_many([(oid, new) for oid, _old, new in chunk])
+            batched.execute_many([Update(oid, new) for oid, _old, new in chunk])
         assert batched.stats.physical_reads < per_op.stats.physical_reads
         assert_equivalent(per_op, batched)

@@ -2,7 +2,7 @@
 
 Each bottom-up strategy writes its ladder once, over a leaf bucket, and
 ``update()`` is the bucket of one.  So one seeded stream driven through
-``update()`` and the same stream sent as single-update ``update_many`` calls
+``update()`` and the same stream sent as single-update ``execute_many`` calls
 must do exactly the same thing at every step: the same buffer-pool accesses
 in the same order, the same I/O counters, the same outcome counts and the
 same page images — at a pool of 0 %, 1 % and 100 % of the database.
@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import Update
 from repro.geometry import Point
 
 from tests.conftest import build_index, recorded_accesses
@@ -46,7 +47,7 @@ def _step(index, oid, target, batched):
     """Apply one move; return everything the step did, for comparison."""
     with recorded_accesses(index.buffer) as log:
         if batched:
-            index.update_many([(oid, target)])
+            index.execute_many([Update(oid, target)])
         else:
             index.update(oid, target)
     encode = index.buffer.codec.encode

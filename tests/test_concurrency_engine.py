@@ -292,36 +292,42 @@ class TestConflictAwareBatchScheduling:
             generator = WorkloadGenerator(spec)
             index = MovingObjectIndex(IndexConfig(strategy=strategy))
             index.load(generator.initial_objects())
-            ops = [BatchUpdate(oid, old, new) for oid, old, new in generator.updates()]
+            ops = [Update(oid, new) for oid, _old, new in generator.updates()]
             result = index.engine(num_clients=clients).engine.run_batch(ops)
             index.validate()
             makespans[label] = result.makespan
             assert result.batch.updates == 2500
         assert makespans["concurrent"] < makespans["serial"]
 
-    def test_session_update_many_applies_all_updates(self):
+    def test_run_batch_applies_all_updates(self):
         index, generator = loaded("GBU", num_objects=600)
         session = index.engine(num_clients=8)
-        updates = [(oid, new) for oid, _old, new in generator.updates(300)]
-        result = session.update_many(updates)
+        updates = [Update(oid, new) for oid, _old, new in generator.updates(300)]
+        result = session.engine.run_batch(updates)
         assert result.batch.updates == 300
         index.validate()
-        final = {}
-        for oid, new in updates:
-            final[oid] = new
+        final = {update.oid: update.new_location for update in updates}
         for oid, expected in final.items():
             assert index.position_of(oid) == expected
+
+    @pytest.mark.parametrize("bad", [RangeQuery(Rect(0.0, 0.0, 0.5, 0.5)), (3, Point(0.5, 0.5))])
+    def test_run_batch_rejects_a_non_update_before_committing(self, bad):
+        index, _ = loaded("GBU", num_objects=200)
+        positions = {oid: index.position_of(oid) for oid in range(200)}
+        batch = [Update(1, Point(0.77, 0.77)), bad, Update(2, Point(0.1, 0.1))]
+        with pytest.raises(InvalidOperationError):
+            index.engine(num_clients=4).engine.run_batch(batch)
+        assert {oid: index.position_of(oid) for oid in range(200)} == positions
+        index.validate()
 
     def test_run_batch_keeps_facade_positions_in_sync(self):
         """Direct engine.run_batch must update the facade's position map, or
         a later per-op update would hand the strategy a stale old position."""
         index, generator = loaded("GBU", num_objects=400)
         updates = list(generator.updates(200))
-        ops = [BatchUpdate(oid, old, new) for oid, old, new in updates]
+        ops = [Update(oid, new) for oid, _old, new in updates]
         index.engine(num_clients=8).engine.run_batch(ops)
-        final = {}
-        for oid, _old, new in updates:
-            final[oid] = new
+        final = {oid: new for oid, _old, new in updates}
         for oid, expected in final.items():
             assert index.position_of(oid) == expected
         moved_oid = next(iter(final))
@@ -340,7 +346,7 @@ class TestConflictAwareBatchScheduling:
             generator = WorkloadGenerator(spec)
             index = MovingObjectIndex(IndexConfig(strategy="GBU"))
             index.load(generator.initial_objects())
-            ops = [BatchUpdate(oid, old, new) for oid, old, new in generator.updates()]
+            ops = [Update(oid, new) for oid, _old, new in generator.updates()]
             return index.engine(num_clients=12).engine.run_batch(ops)
 
         first, second = run_once(), run_once()

@@ -6,7 +6,7 @@ proportional to that.  Two things no answer-level test can see are checked
 here:
 
 * **delta ≡ rebuild** — along one seeded mixed stream (insert / update /
-  delete / ``update_many`` / ``set_strategy`` hot swaps / checkpoint→restore)
+  delete / ``execute_many`` / ``set_strategy`` hot swaps / checkpoint→restore)
   the live ``_leaf_of`` map equals the map rebuilt from the leaves *exactly*
   (no stale extra ids) and the live summary equals a freshly
   ``rebuild_from_tree()``-ed one field by field; the summary's maintenance
@@ -15,7 +15,7 @@ here:
   observers became delta-driven — recorded measurements, do not regenerate
   them from the current code).  Re-recorded once, on purpose, at the commit
   after 39075e6, when the batch path began running each strategy's one
-  ladder: the stream's ``update_many`` steps are buckets of that ladder, so
+  ladder: the stream's batch steps are buckets of that ladder, so
   the summary sees different MBR updates after step 150; every other step,
   and every per-operation step, is unchanged.
 * **the work bound** — with counting dictionaries behind ``_leaf_of`` and
@@ -30,6 +30,7 @@ import random
 
 import pytest
 
+from repro.api import Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect
@@ -159,8 +160,8 @@ def run_stream(strategy, buffer_percent, checkpoint_path):
             batch = []
             for oid in rng.sample(sorted(positions), 15):
                 positions[oid] = _moved(rng, positions[oid])
-                batch.append((oid, positions[oid]))
-            index.update_many(batch)
+                batch.append(Update(oid, positions[oid]))
+            index.execute_many(batch)
 
         if step % CHECK_EVERY == 0:
             assert_equals_rebuild(index)

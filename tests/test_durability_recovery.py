@@ -45,8 +45,8 @@ def run_mixed_workload(index, seed=11, objects=150):
     index.load([(oid, Point(rng.random(), rng.random())) for oid in range(objects)])
     for oid in range(0, objects, 2):
         index.update(oid, Point(rng.random(), rng.random()))
-    index.update_many(
-        [(oid, Point(rng.random(), rng.random())) for oid in range(1, objects, 2)]
+    index.execute_many(
+        [Update(oid, Point(rng.random(), rng.random())) for oid in range(1, objects, 2)]
     )
     for oid in range(0, 20):
         index.delete(oid)

@@ -73,7 +73,7 @@ def run_per_op(index, points, updates, windows):
 
 def run_batch(index, points, updates, windows):
     index.load(points)
-    index.update_many(updates)
+    index.execute_many([Update(oid, location) for oid, location in updates])
     answers = [sorted(index.range_query(window)) for window in windows]
     index.validate()
     return answers, outcome_values(index), io_tuple(index)

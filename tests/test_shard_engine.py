@@ -145,16 +145,16 @@ class TestShardedSessions:
 
 
 class TestShardedBatchScheduling:
-    def test_session_update_many_migrates_and_applies_everything(self):
+    def test_run_batch_migrates_and_applies_everything(self):
         index, generator = build_sharded(num_shards=4)
         session = index.engine(num_clients=8)
-        updates = [(oid, new) for oid, _old, new in generator.updates(500)]
-        result = session.update_many(updates)
+        updates = [Update(oid, new) for oid, _old, new in generator.updates(500)]
+        result = session.engine.run_batch(updates)
         assert result.batch.updates == 500
         assert result.batch.migrations > 0
         assert result.schedule.kinds.get("migration", 0) == result.batch.migrations
         assert result.schedule.kinds.get("group", 0) > 0
-        final = dict(updates)
+        final = {update.oid: update.new_location for update in updates}
         for oid, expected in final.items():
             assert index.position_of(oid) == expected
         index.validate()
@@ -162,10 +162,8 @@ class TestShardedBatchScheduling:
     def test_batch_scheduling_is_deterministic(self):
         def once():
             index, generator = build_sharded(num_shards=4)
-            updates = [
-                (oid, new) for oid, _old, new in generator.updates(400)
-            ]
-            result = index.engine(num_clients=8).update_many(updates)
+            updates = [Update(oid, new) for oid, _old, new in generator.updates(400)]
+            result = index.engine(num_clients=8).engine.run_batch(updates)
             return result.makespan, result.schedule.lock_waits
 
         assert once() == once()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
@@ -96,14 +97,14 @@ class TestPerOperationEquivalence:
 
 
 class TestBatchEquivalence:
-    def test_update_many_matches_single_index_batches(self):
+    def test_execute_many_matches_single_index_batches(self):
         config = IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE)
 
         def run_batched(index):
             generator = WorkloadGenerator(SPEC)
             index.load(generator.initial_objects())
             for batch in generator.update_batches(250):
-                index.update_many((oid, new) for oid, _old, new in batch)
+                index.execute_many(Update(oid, new) for oid, _old, new in batch)
             queries = [
                 sorted(index.range_query(window)) for window in generator.queries()
             ]
@@ -127,8 +128,8 @@ class TestBatchEquivalence:
             generator = WorkloadGenerator(SPEC)
             index.load(generator.initial_objects())
             session = index.engine(num_clients=8)
-            updates = [(oid, new) for oid, _old, new in generator.updates(600)]
-            session.update_many(updates)
+            updates = [Update(oid, new) for oid, _old, new in generator.updates(600)]
+            session.engine.run_batch(updates)
             index.validate()
             return {oid: index.position_of(oid) for oid in range(SPEC.num_objects)}
 
@@ -334,7 +335,7 @@ class TestExecutionBackendEquivalence:
             if backend != "serial":
                 sharded.set_parallel(backend=backend, start_method=start_method)
             for batch in generator.update_batches(150):
-                sharded.update_many((oid, new) for oid, _old, new in batch)
+                sharded.execute_many(Update(oid, new) for oid, _old, new in batch)
             result = (
                 [sorted(sharded.range_query(w)) for w in generator.queries()],
                 {

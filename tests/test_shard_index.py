@@ -173,7 +173,7 @@ class TestQueries:
 
 
 class TestBatchOperations:
-    def test_update_many_routes_and_migrates(self):
+    def test_execute_many_routes_and_migrates(self):
         index = ShardedIndex(
             IndexConfig(page_size=SMALL_PAGE_SIZE), partitioner=GridPartitioner(2, 1)
         )
@@ -182,28 +182,28 @@ class TestBatchOperations:
         rng = random.Random(13)
         updates = []
         for oid in range(0, 200, 2):
-            updates.append((oid, Point(rng.random(), rng.random())))
-        result = index.update_many(updates)
+            updates.append(Update(oid, Point(rng.random(), rng.random())))
+        result = index.execute_many(updates)
         assert result.updates == 100
         assert result.migrations > 0
         assert result.migrations == index.migrations
-        for oid, target in updates:
-            assert index.position_of(oid) == target
+        for update in updates:
+            assert index.position_of(update.oid) == update.new_location
         index.validate()
 
-    def test_update_many_coalesces_repeated_objects(self):
+    def test_execute_many_coalesces_repeated_objects(self):
         index = build_sharded(num_objects=100)
         final = Point(0.42, 0.24)
-        result = index.update_many([(3, Point(0.9, 0.9)), (3, final)])
+        result = index.execute_many([Update(3, Point(0.9, 0.9)), Update(3, final)])
         assert result.updates == 2
         assert result.coalesced == 1
         assert index.position_of(3) == final
 
-    def test_update_many_unknown_object_leaves_index_untouched(self):
+    def test_execute_many_unknown_object_leaves_index_untouched(self):
         index = build_sharded(num_objects=100)
         positions = {oid: index.position_of(oid) for oid in range(100)}
         with pytest.raises(KeyError):
-            index.update_many([(0, Point(0.5, 0.5)), (10_000, Point(0.1, 0.1))])
+            index.execute_many([Update(0, Point(0.5, 0.5)), Update(10_000, Point(0.1, 0.1))])
         assert {oid: index.position_of(oid) for oid in range(100)} == positions
 
     def test_execute_many_mixed_stream_with_barriers(self):

@@ -483,13 +483,13 @@ class TestWorkerFailureSurface:
         monkeypatch.setattr(shard_parallel, "execute_command", dies_on_sentinel)
         index.set_parallel("process", workers=2)
         batch = [
-            (oid, new) for oid, _old, new in generator.updates(60) if oid != sentinel
+            Update(oid, new) for oid, _old, new in generator.updates(60) if oid != sentinel
         ]
-        index.update_many(batch)
+        index.execute_many(batch)
         here = index.position_of(sentinel)
         started = time.perf_counter()
         with pytest.raises(WorkerFailedError, match=r"died during \S*ApplyBatch"):
             # A nudge inside the object's own shard: it rides an ApplyBatch.
-            index.update_many(batch[:5] + [(sentinel, Point(here.x + 1e-9, here.y))])
+            index.execute_many(batch[:5] + [Update(sentinel, Point(here.x + 1e-9, here.y))])
         assert time.perf_counter() - started < shard_parallel.DISPATCH_DEADLINE_S / 10
         self.assert_backend_is_gone(index)

@@ -364,10 +364,7 @@ class TestAutoTrigger:
             rebalance={"threshold": 1.5, "min_ops": 50, "cooldown": 100_000}
         )
         before = index.population_imbalance()
-        updates = [
-            (op.oid, op.new_location) for op in local_update_stream(index, 200)
-        ]
-        index.update_many(updates)
+        index.execute_many(local_update_stream(index, 200))
         assert index.rebalancer.rebalances == 1
         assert index.population_imbalance() < before
         index.validate()

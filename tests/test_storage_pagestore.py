@@ -9,6 +9,7 @@ import struct
 
 import pytest
 
+from repro.api import Update
 from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Entry, Node
 from repro.storage import PageLayout
@@ -280,8 +281,8 @@ def _mixed_stream(index, seed, steps=260):
             answers.append(index.delete(oid))
             live.discard(oid)
         elif roll < 0.80 and live:
-            batch = [(oid, somewhere()) for oid in rng.sample(sorted(live), min(12, len(live)))]
-            result = index.update_many(batch)
+            batch = [Update(oid, somewhere()) for oid in rng.sample(sorted(live), min(12, len(live)))]
+            result = index.execute_many(batch)
             answers.append((result.updates, result.groups, result.residuals))
         elif roll < 0.90:
             x, y = rng.random() * 0.8, rng.random() * 0.8

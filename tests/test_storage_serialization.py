@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.api import Update
 from repro.geometry import Point, Rect
 from repro.rtree import Entry, Node
 from repro.storage import PageLayout
@@ -116,8 +117,8 @@ class TestWholeTreeSerialization:
         for oid, point in rng.sample(make_points(400, seed=11), 150):
             x = min(1.0, max(0.0, point.x + rng.uniform(-0.02, 0.02)))
             y = min(1.0, max(0.0, point.y + rng.uniform(-0.02, 0.02)))
-            moves.append((oid, Point(x, y)))
-        index.update_many(moves)
+            moves.append(Update(oid, Point(x, y)))
+        index.execute_many(moves)
         codec = NodeCodec()
         nodes = [node for node, _parent in index.tree.iter_nodes()]
         assert len(nodes) > 1

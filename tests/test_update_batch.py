@@ -180,7 +180,7 @@ class TestBatchExecutor:
     def test_coalesces_repeated_updates_of_one_object(self):
         index = build_index("GBU", num_objects=200)
         final = Point(0.42, 0.42)
-        result = index.update_many([(5, Point(0.1, 0.1)), (5, Point(0.9, 0.9)), (5, final)])
+        result = index.execute_many([Update(5, Point(0.1, 0.1)), Update(5, Point(0.9, 0.9)), Update(5, final)])
         assert result.updates == 3
         assert result.coalesced == 2
         assert index.position_of(5) == final
@@ -191,39 +191,35 @@ class TestBatchExecutor:
         moves = []
         for oid in range(0, 200):
             position = index.position_of(oid)
-            moves.append((oid, Point(position.x, position.y)))  # no-op moves
-        result = index.update_many(moves)
-        distinct_leaves = {index.hash_index.peek(oid) for oid, _ in moves}
+            moves.append(Update(oid, Point(position.x, position.y)))  # no-op moves
+        result = index.execute_many(moves)
+        distinct_leaves = {index.hash_index.peek(move.oid) for move in moves}
         assert result.groups <= len(distinct_leaves)
         assert result.residuals == 0
         assert result.largest_group >= 2
 
     def test_per_batch_io_snapshot_is_a_delta(self):
         index = build_index("GBU", num_objects=300)
-        first = index.update_many(
-            [(oid, Point(0.5, 0.5)) for oid in range(20)]
-        )
+        first = index.execute_many([Update(oid, Point(0.5, 0.5)) for oid in range(20)])
         global_before = index.stats.snapshot()
-        second = index.update_many(
-            [(oid, Point(0.51, 0.51)) for oid in range(20)]
-        )
+        second = index.execute_many([Update(oid, Point(0.51, 0.51)) for oid in range(20)])
         assert second.io.logical_reads <= index.stats.logical_reads
         delta = index.stats.delta_since(global_before)
         assert second.io.physical_reads == delta.physical_reads
         assert second.io.logical_writes == delta.logical_writes
         assert first.io.total_physical_io >= 0
 
-    def test_update_many_rejects_unknown_object(self):
+    def test_execute_many_rejects_unknown_update(self):
         index = build_index("TD", num_objects=50)
         with pytest.raises(KeyError):
-            index.update_many([(10**9, Point(0.5, 0.5))])
+            index.execute_many([Update(10**9, Point(0.5, 0.5))])
 
     def test_rejected_batch_leaves_positions_untouched(self):
         """A parse error mid-stream must not desync the position map."""
         index = build_index("TD", num_objects=50)
         before = index.position_of(1)
         with pytest.raises(KeyError):
-            index.update_many([(1, Point(0.77, 0.77)), (10**9, Point(0.5, 0.5))])
+            index.execute_many([Update(1, Point(0.77, 0.77)), Update(10**9, Point(0.5, 0.5))])
         assert index.position_of(1) == before
         with pytest.raises(ValueError):
             index.execute_many(
@@ -262,8 +258,8 @@ class TestBatchExecutor:
             num_objects=300, num_updates=400, num_queries=0, max_distance=0.02, seed=11
         )
         generator = WorkloadGenerator(spec)
-        result = index.update_many(
-            [(oid, new) for oid, _old, new in generator.updates()]
+        result = index.execute_many(
+            [Update(oid, new) for oid, _old, new in generator.updates()]
         )
         applied = result.updates - result.coalesced
         assert index.strategy.update_count == applied
@@ -336,7 +332,7 @@ class TestSummaryBulkRefresh:
             num_objects=400, num_updates=600, num_queries=0, max_distance=0.08, seed=2
         )
         generator = WorkloadGenerator(spec)
-        index.update_many([(oid, new) for oid, _old, new in generator.updates()])
+        index.execute_many([Update(oid, new) for oid, _old, new in generator.updates()])
         assert index.summary.consistency_errors() == []
         index.refresh_summary()
         assert index.summary.consistency_errors() == []
@@ -509,10 +505,10 @@ class TestGroupPassWorkBound:
         probe = GroupPassProbe()
         index = probe.index
         moves = [
-            (leaf.entry_at(0).child, leaf.effective_mbr().center())
+            Update(leaf.entry_at(0).child, leaf.effective_mbr().center())
             for leaf in index.tree.leaf_nodes()
         ]
-        result = index.update_many(moves)
+        result = index.execute_many(moves)
         assert result.groups == len(moves) and result.residuals == 0
         assert probe.asked == []
         index.validate()
@@ -526,7 +522,7 @@ class TestGroupPassWorkBound:
             target = _step(probe.rng, index.position_of(oid), 0.15)
             gate, covering, siblings = probe.bound_for(oid, target)
             probe.passes.clear()
-            index.update_many([(oid, target)])
+            index.execute_many([Update(oid, target)])
             ((_leaf, asked),) = probe.passes
             if not asked:
                 continue  # absorbed in place or by the ε-extension
