@@ -164,8 +164,7 @@ class MovingObjectIndex(SpatialIndexFacade):
         else:
             for oid, location in objects:
                 self.tree.insert(oid, location)
-        for oid, location in objects:
-            self._positions[oid] = location
+        self._positions.update(objects)
         self.configure_buffer()
         self.reset_statistics()
         if self.durability is not None:

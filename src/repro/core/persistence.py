@@ -124,12 +124,13 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     # page codec is binary64, so this is lossless).  The position table in
     # the document is kept for human inspection and for objects that might
     # not be point-shaped.
-    index._positions = {}
+    positions = index._positions = {}
     for leaf in index.tree.leaf_nodes():
-        for entry in leaf.entries:
-            index._positions[entry.child] = entry.rect.center()
+        it = iter(leaf.coords)  # centres read off the columns, as Rect.center()
+        for xmin, ymin, xmax, ymax, oid in zip(it, it, it, it, leaf.children):
+            positions[oid] = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
     for oid_text, (x, y) in document["positions"].items():
-        index._positions.setdefault(int(oid_text), Point(x, y))
+        positions.setdefault(int(oid_text), Point(x, y))
 
     # Re-enter the strategy that was live at checkpoint time (a plain
     # construction starts on ``config.strategy``).  The restored pages carry

@@ -9,24 +9,26 @@ builds the initial tree with the classic STR packing algorithm
 
 ``bulk_load_str`` packs leaves to a configurable *fill factor* (the paper
 quotes 66 % node utilisation in its sizing discussion), then packs the next
-level on top of the leaf MBRs, and so on until a single root remains.  The
-result is a structurally valid :class:`~repro.rtree.tree.RTree` that behaves
-exactly like one built by insertion: all observers are notified, so the
-secondary hash index and the summary structure can be bootstrapped from it.
+level on top of the leaf MBRs, and so on until a single root remains.  It
+sorts float tuples and hands each node its run as packed columns, so no
+``Rect`` or ``Entry`` is built per object.  The result is a structurally
+valid :class:`~repro.rtree.tree.RTree` that behaves exactly like one built
+by insertion: all observers are notified, so the secondary hash index and
+the summary structure can be bootstrapped from it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry, Node
+from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 
-
-def _to_rect(location: Union[Point, Rect]) -> Rect:
-    return location if isinstance(location, Rect) else Rect.from_point(location)
+Bounds = Tuple[float, float, float, float]
 
 
 def bulk_load_str(
@@ -53,27 +55,31 @@ def bulk_load_str(
     if not 0.0 < fill_factor <= 1.0:
         raise ValueError("fill_factor must be in (0, 1]")
 
-    items = [(oid, _to_rect(location)) for oid, location in objects]
+    items = list(objects)
     if not items:
         return tree
+    ids = [oid for oid, _location in items]
+    bounds = [
+        loc.as_tuple() if isinstance(loc, Rect) else (loc.x, loc.y, loc.x, loc.y)
+        for _oid, loc in items
+    ]
 
     leaf_fanout = max(2, int(tree.leaf_capacity * fill_factor))
     internal_fanout = max(2, int(tree.internal_capacity * fill_factor))
 
     # -- pack the leaf level -------------------------------------------------
-    leaf_entries = [Entry(rect, oid) for oid, rect in items]
-    leaves = _pack_level(tree, leaf_entries, level=0, fanout=leaf_fanout)
-    tree.size = len(items)
+    nodes = _pack_level(tree, bounds, ids, level=0, fanout=leaf_fanout)
+    tree.size = len(ids)
 
     # -- pack upper levels until a single node remains -------------------------
     level = 1
-    nodes = leaves
     while len(nodes) > 1:
-        upper_entries = [Entry(node.mbr(), node.page_id) for node in nodes]
-        nodes = _pack_level(tree, upper_entries, level=level, fanout=internal_fanout)
+        mbrs = [node.mbr().as_tuple() for node in nodes]
+        page_ids = [node.page_id for node in nodes]
+        nodes = _pack_level(tree, mbrs, page_ids, level=level, fanout=internal_fanout)
         if tree.store_parent_pointers and level == 1:
             for parent in nodes:
-                for child_page in parent.child_ids():
+                for child_page in parent.children:
                     child = tree.peek_node(child_page)
                     child.parent_page_id = parent.page_id
                     tree.write_node(child)
@@ -92,37 +98,36 @@ def bulk_load_str(
 
 
 def _pack_level(
-    tree: RTree, entries: Sequence[Entry], level: int, fanout: int
+    tree: RTree, bounds: Sequence[Bounds], ids: Sequence[int], level: int, fanout: int
 ) -> List[Node]:
-    """Pack *entries* into nodes of at most *fanout* entries using STR tiling."""
-    count = len(entries)
+    """Pack *bounds* (with *ids*) into nodes of at most *fanout* entries using STR tiling."""
+    count = len(ids)
     node_count = math.ceil(count / fanout)
     slice_count = max(1, math.ceil(math.sqrt(node_count)))
     slice_size = slice_count * fanout
 
-    # Each entry's centre, computed once per level as plain floats; both
-    # sorts order entry indices by it (stable, so ties keep input order).
+    # Each entry's centre, computed once per level; both sorts order entry
+    # positions by it (stable, so ties keep input order).  A slice holds
+    # whole nodes, so runs of *fanout* in the sorted order are the nodes.
     # The keys are dropped before any node is built, so they never sit
     # under the pages this level allocates.
-    centres = [
-        ((rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0)
-        for rect, _child in entries
-    ]
-    by_x = sorted(range(count), key=centres.__getitem__)
-    tiles: List[List[Entry]] = []
+    by_x = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in bounds]
+    by_y = [(y, x) for x, y in by_x]
+    order = sorted(range(count), key=by_x.__getitem__)
     for slice_start in range(0, count, slice_size):
-        vertical_slice = by_x[slice_start : slice_start + slice_size]
-        vertical_slice.sort(key=lambda i: (centres[i][1], centres[i][0]))
-        tiles.append([entries[i] for i in vertical_slice])
-    del centres, by_x
+        vertical_slice = order[slice_start : slice_start + slice_size]
+        vertical_slice.sort(key=by_y.__getitem__)
+        order[slice_start : slice_start + slice_size] = vertical_slice
+    del by_x, by_y
 
+    coords = array("d", chain.from_iterable([bounds[i] for i in order]))
+    children = array("I", [ids[i] for i in order])
     nodes: List[Node] = []
-    for by_y in tiles:
-        for node_start in range(0, len(by_y), fanout):
-            node = tree._allocate_node(level)
-            node.entries = by_y[node_start : node_start + fanout]
-            tree.write_node(node)
-            nodes.append(node)
+    for i in range(0, count, fanout):
+        node = tree._allocate_node(level)
+        node.adopt_columns(coords[4 * i : 4 * (i + fanout)], children[i : i + fanout])
+        tree.write_node(node)
+        nodes.append(node)
     return _rebalance_tail(tree, nodes, level)
 
 
@@ -145,9 +150,9 @@ def _rebalance_tail(tree: RTree, nodes: List[Node], level: int) -> List[Node]:
     movable = max(0, len(donor) - min_entries)
     to_move = min(needed, movable)
     if to_move > 0:
-        donor_entries = donor.entries
-        donor.entries = donor_entries[:-to_move]
-        last.entries = donor_entries[-to_move:] + last.entries
+        coords, children = donor.coords, donor.children
+        donor.adopt_columns(coords[: -4 * to_move], children[:-to_move])
+        last.adopt_columns(coords[-4 * to_move :] + last.coords, children[-to_move:] + last.children)
         tree.write_node(donor)
         tree.write_node(last)
     return nodes

@@ -25,8 +25,8 @@ to and from page images with ``tobytes``/``frombytes``.
 
 One rule governs access: **entries read out of a node are immutable values;
 a node is written only through its own methods** (:meth:`Node.add_entry`,
-:meth:`Node.set_rect` / :meth:`Node.set_point` / :meth:`Node.widen`, the
-removal methods, assigning :attr:`Node.entries`) or built by the page codec.
+:meth:`Node.set_rect` / ``set_point`` / ``widen``, the removal methods,
+:attr:`Node.entries`, :meth:`Node.adopt_columns`) or built by the page codec.
 Because of it a node can keep two pieces of state about its own columns
 current at the cost of what a write changed, not the fan-out:
 
@@ -138,7 +138,7 @@ class Node:
         """The entries as a fresh list of values, in entry order.
 
         Assigning an iterable of entries replaces the node's content (node
-        split, bulk load).
+        split); the bulk loader hands over packed columns instead.
         """
         return self.materialized_entries()
 
@@ -150,6 +150,10 @@ class Node:
             rect = entry.rect
             coords.extend((rect.xmin, rect.ymin, rect.xmax, rect.ymax))
             children.append(entry.child)
+        self.adopt_columns(coords, children)
+
+    def adopt_columns(self, coords: array[float], children: array[int]) -> None:
+        """Replace the content with packed columns (four bounds per id), taken as they are."""
         self.coords = coords
         self.children = children
         self.arrived: Optional[List[int]] = children.tolist()

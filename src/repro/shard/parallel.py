@@ -546,11 +546,10 @@ class ProcessBackend(ShardBackend):
     """Long-lived per-shard worker processes with batched pipe IPC.
 
     Worker ``w`` owns shards ``{i : i % workers == w}`` — with fewer workers
-    than shards each worker serialises its own shards, which is exactly the
-    serial-vs-2-vs-4-workers axis the scaling benchmark sweeps.  A worker
-    takes its shards over once, at attach time — fork-started workers adopt
-    the live shard objects they inherited, any other start method restores
-    each shard's checkpoint document — and resets them to the state a restore
+    than shards each worker serialises its own shards.  A worker takes its
+    shards over once, at attach time — fork-started workers adopt the live
+    shard objects they inherited, any other start method restores each
+    shard's checkpoint document — and resets them to the state a restore
     produces: cold pool at the coordinator's capacity share, I/O and outcome
     counters = the coordinator's snapshot.  That snapshot is taken after the
     coordinator flushed the shard's pool (before the fork, or as part of

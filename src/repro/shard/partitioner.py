@@ -113,8 +113,9 @@ class GridPartitioner(Partitioner):
         return self.columns * self.rows
 
     def shard_of(self, point: Point) -> int:
-        col = min(self.columns - 1, max(0, int(point.x * self.columns)))
-        row = min(self.rows - 1, max(0, int(point.y * self.rows)))
+        col, row = int(point.x * self.columns), int(point.y * self.rows)
+        col = 0 if col < 0 else col if col < self.columns else self.columns - 1
+        row = 0 if row < 0 else row if row < self.rows else self.rows - 1
         return row * self.columns + col
 
     def boundary(self, shard: int) -> Rect:

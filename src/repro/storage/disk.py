@@ -43,9 +43,9 @@ class DiskManager:
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStatistics()
         #: Real wall-clock seconds charged per physical page transfer
-        #: (0.0 = pure counting, the default).  The parallel-scaling
-        #: benchmark sets this to emulate an actual device: physical I/O
-        #: then costs wall time, which independent shard workers overlap.
+        #: (0.0 = pure counting, the default).  Set it (``ShardedIndex.
+        #: set_io_latency``) to emulate an actual device: physical I/O then
+        #: costs wall time, which independent shard workers overlap.
         self.io_latency_s: float = 0.0
         self._pages: Dict[int, Any] = {}
         self._next_page_id = 0

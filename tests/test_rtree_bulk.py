@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import RTree, bulk, bulk_load_str, validate_tree
+from repro.rtree import Entry, RTree, bulk_load_str, validate_tree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 from repro.storage.serialization import NodeCodec
 
@@ -117,8 +117,8 @@ class TestBulkLoadBehaviour:
         validate_tree(tree, expected_size=len(live))
 
 
-def _pack_level_with_point_keys(tree, entries, level, fanout):
-    """``_pack_level`` as it was: sort keys built from ``Rect.center()`` Points."""
+def _reference_pack_level(tree, entries, level, fanout):
+    """One STR level as an ``Entry`` list sorted on ``Rect.center()`` Points."""
     count = len(entries)
     node_count = math.ceil(count / fanout)
     slice_count = max(1, math.ceil(math.sqrt(node_count)))
@@ -133,20 +133,60 @@ def _pack_level_with_point_keys(tree, entries, level, fanout):
             node.entries = by_y[node_start : node_start + fanout]
             tree.write_node(node)
             nodes.append(node)
-    return bulk._rebalance_tail(tree, nodes, level)
+    min_entries = tree.min_entries_for_level(level)
+    if len(nodes) >= 2 and len(nodes[-1]) < min_entries:
+        donor, last = nodes[-2], nodes[-1]
+        to_move = min(min_entries - len(last), max(0, len(donor) - min_entries))
+        if to_move > 0:
+            donor_entries = donor.entries
+            donor.entries = donor_entries[:-to_move]
+            last.entries = donor_entries[-to_move:] + last.entries
+            tree.write_node(donor)
+            tree.write_node(last)
+    return nodes
+
+
+def _reference_str_load(tree, objects, fill_factor=0.66):
+    """STR built from ``Rect``/``Entry`` values, independent of ``repro.rtree.bulk``.
+
+    The object-per-entry loader the columnar one replaced: every location
+    becomes a ``Rect`` and an ``Entry``, and upper levels pack ``Entry(mbr,
+    page_id)`` values.  No parent pointers (the trees below store none).
+    """
+    leaf_fanout = max(2, int(tree.leaf_capacity * fill_factor))
+    internal_fanout = max(2, int(tree.internal_capacity * fill_factor))
+    entries = [
+        Entry(location if isinstance(location, Rect) else Rect.from_point(location), oid)
+        for oid, location in objects
+    ]
+    nodes = _reference_pack_level(tree, entries, level=0, fanout=leaf_fanout)
+    tree.size = len(entries)
+    level = 1
+    while len(nodes) > 1:
+        upper = [Entry(node.mbr(), node.page_id) for node in nodes]
+        nodes = _reference_pack_level(tree, upper, level=level, fanout=internal_fanout)
+        level += 1
+    root = nodes[0]
+    if root.page_id != tree.root_page_id:
+        tree._free_node(tree.peek_node(tree.root_page_id))
+    tree.root_page_id = root.page_id
+    tree.height = root.level + 1
+    tree.observers.root_changed(tree.root_page_id, tree.height)
+    return tree
+
+
+def paged_tree():
+    stats = IOStatistics()
+    disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
+    pool = BufferPool(disk, capacity=0, stats=stats, codec=NodeCodec())
+    return RTree(pool, layout=PageLayout(page_size=SMALL_PAGE_SIZE))
 
 
 class TestPackingOrderIsUnchanged:
-    """Sorting by precomputed centre floats packs the pages the Point keys packed."""
-
-    def paged_tree(self):
-        stats = IOStatistics()
-        disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
-        pool = BufferPool(disk, capacity=0, stats=stats, codec=NodeCodec())
-        return RTree(pool, layout=PageLayout(page_size=SMALL_PAGE_SIZE))
+    """Packing float columns writes the pages the ``Entry``/``Rect`` loader wrote."""
 
     @pytest.mark.parametrize("kind", ("points", "rects"))
-    def test_every_page_image_matches_the_point_key_reference(self, monkeypatch, kind):
+    def test_every_page_image_matches_the_point_key_reference(self, kind):
         rng = random.Random(17)
         # A coarse grid: many objects share a centre, a column or a row, so
         # only a stable sort on the same floats reproduces the order.
@@ -160,11 +200,10 @@ class TestPackingOrderIsUnchanged:
             ]
         assert len({location for _oid, location in objects}) < len(objects)
 
-        packed = self.paged_tree()
+        packed = paged_tree()
         bulk_load_str(packed, objects)
-        monkeypatch.setattr(bulk, "_pack_level", _pack_level_with_point_keys)
-        reference = self.paged_tree()
-        bulk_load_str(reference, objects)
+        reference = paged_tree()
+        _reference_str_load(reference, objects)
 
         assert packed.root_page_id == reference.root_page_id
         assert packed.height == reference.height >= 3
@@ -174,3 +213,29 @@ class TestPackingOrderIsUnchanged:
             assert packed.disk.peek(page_id) == reference.disk.peek(page_id)
             assert isinstance(packed.disk.peek(page_id), bytes)
         validate_tree(packed, expected_size=len(objects))
+
+
+class TestBulkLoadWork:
+    def test_no_rect_is_built_per_object(self, monkeypatch):
+        """Packing builds at most a few rectangles per page, none per object."""
+        objects = make_points(5000)
+        tree = paged_tree()
+        built = []
+        raw, init = Rect._raw.__func__, Rect.__init__
+
+        def counting_raw(cls, *bounds):
+            built.append(bounds)
+            return raw(cls, *bounds)
+
+        def counting_init(self, *bounds):
+            built.append(bounds)
+            init(self, *bounds)
+
+        monkeypatch.setattr(Rect, "_raw", classmethod(counting_raw))
+        monkeypatch.setattr(Rect, "__init__", counting_init)
+        bulk_load_str(tree, objects)
+        monkeypatch.undo()
+
+        pages = len(list(tree.disk.page_ids()))
+        assert len(built) < 2 * pages
+        validate_tree(tree, expected_size=len(objects))
