@@ -27,8 +27,7 @@ system stack:
 * :mod:`repro.api` — the typed public surface (API v2): first-class
   :class:`~repro.api.operations.Operation` dataclasses, the structured
   error taxonomy, streaming :class:`~repro.api.results.QueryCursor`\\ s,
-  and the declarative :func:`~repro.api.builder.open_index` /
-  :class:`~repro.api.builder.IndexBuilder` entry points.
+  and the declarative :func:`~repro.api.builder.open_index` entry point.
 
 Quick start::
 
@@ -42,7 +41,7 @@ Quick start::
     print(index.execute(RangeQuery(Rect(0.0, 0.0, 0.5, 0.5))).cursor().all())
 """
 
-from repro.api import IndexBuilder, index_spec, open_index
+from repro.api import index_spec, open_index
 from repro.core import IndexConfig, MovingObjectIndex, SpatialIndexFacade
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
@@ -52,7 +51,6 @@ __version__ = "2.0.0"
 
 __all__ = [
     "IndexConfig",
-    "IndexBuilder",
     "MovingObjectIndex",
     "SpatialIndexFacade",
     "ShardedIndex",

@@ -13,8 +13,8 @@ This package is the single schema through which the index stack is driven:
 * :mod:`repro.api.results` — :class:`OperationResult`,
   :class:`BatchReport`, and the streaming :class:`QueryCursor`;
 * :mod:`repro.api.builder` — the declarative entry point
-  :func:`open_index` and the fluent :class:`IndexBuilder`, both speaking
-  one JSON-round-trippable spec shared with persistence checkpoints.
+  :func:`open_index`, whose one JSON-round-trippable spec is shared with
+  persistence checkpoints.
 
 Typical usage::
 
@@ -39,7 +39,6 @@ True
 """
 
 from repro.api.builder import (
-    IndexBuilder,
     config_from_spec,
     config_to_spec,
     index_spec,
@@ -89,7 +88,6 @@ __all__ = [
     "BatchReport",
     "QueryCursor",
     # construction
-    "IndexBuilder",
     "open_index",
     "index_spec",
     "config_to_spec",

@@ -265,45 +265,30 @@ def load_index(path: Union[str, Path]):
             f"unsupported checkpoint format {document.get('format_version')!r}"
         )
 
-    durability_spec = document.get("durability")
     if document.get("kind") == "sharded":
         from repro.shard.index import ShardedIndex
         from repro.shard.partitioner import partitioner_from_spec
 
-        partitioner = partitioner_from_spec(document["partitioner"])
         shards = [_restore_index(shard) for shard in document["shards"]]
-        index = ShardedIndex.from_restored_shards(partitioner, shards)
+        index = ShardedIndex(
+            shards[0].config,
+            partitioner=partitioner_from_spec(document["partitioner"]),
+            shards=shards,
+        )
         index.configure_buffer()  # facade contract: aggregate buffer split
-        if document.get("rebalance"):
-            from repro.shard.rebalance import ShardRebalancer
-
-            index.attach_rebalancer(
-                ShardRebalancer.from_spec(document["rebalance"], index.num_shards)
-            )
-        if document.get("adaptive"):
-            from repro.shard.adaptive import AdaptiveStrategyController
-
-            index.attach_adaptive(
-                AdaptiveStrategyController.from_spec(
-                    document["adaptive"], index.num_shards
-                )
-            )
-        if durability_spec:
-            # Replay before the parallel backend attaches: replay writes
-            # directly into the in-process shard facades, which must still
-            # be authoritative at that point.
-            _replay_and_attach(index, durability_spec)
-        parallel = document.get("parallel")
-        # The thread executor is gone: a checkpoint that recorded it loads
-        # on the in-process (serial) executor, which it only ever wrapped.
-        if parallel and parallel.get("backend") != "thread":
-            index.set_parallel(**parallel)
     else:
         index = _restore_index(document)
-        if durability_spec:
-            _replay_and_attach(index, durability_spec)
-    if document.get("engine"):
-        index.engine_defaults = dict(document["engine"])
+    api_builder.install_sections(index, document)
+    if document.get("durability"):
+        # Replay before the parallel backend attaches: replay writes
+        # directly into the in-process shard facades, which must still
+        # be authoritative at that point.
+        _replay_and_attach(index, document["durability"])
+    parallel = document.get("parallel")
+    # The thread executor is gone: a checkpoint that recorded it loads
+    # on the in-process (serial) executor, which it only ever wrapped.
+    if parallel and parallel.get("backend") != "thread":
+        index.set_parallel(**parallel)
     return index
 
 

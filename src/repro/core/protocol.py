@@ -64,9 +64,10 @@ if TYPE_CHECKING:  # typing only; avoids import cycles at runtime
 class SpatialIndexFacade(abc.ABC):
     """Abstract surface shared by single and sharded moving-object indexes."""
 
-    #: Default parameters for sessions opened via :meth:`engine`, set by the
-    #: declarative builder (:func:`repro.api.open_index`).  Class-level empty
-    #: mapping; builders assign an instance attribute.
+    #: Default parameters for sessions opened via :meth:`engine`: the
+    #: ``engine`` section of a spec or checkpoint, which
+    #: :func:`repro.api.builder.install_sections` assigns as an instance
+    #: attribute.  Class-level empty mapping.
     engine_defaults: Mapping[str, Any] = {}
 
     #: The active parallel-execution spec (``{"backend": ..., "workers": N}``)
@@ -369,8 +370,7 @@ class SpatialIndexFacade(abc.ABC):
         different shards never conflict.
 
         Parameters left unset fall back to the index's
-        :attr:`engine_defaults` (installed by the declarative builder's
-        ``engine`` spec section), then to the global defaults
+        :attr:`engine_defaults` (the spec's ``engine`` section), then to the global defaults
         (50 clients, 0.01 per I/O, 0.001 per op).
         """
         from repro.concurrency.engine import (  # local: engine imports nothing from core

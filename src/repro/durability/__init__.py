@@ -13,8 +13,8 @@ checkpoints:
 * :mod:`repro.durability.recovery` — replay of the intact log prefix on
   top of the latest checkpoint, truncating at the first torn frame.
 
-Typical usage is declarative — the builder attaches the manager and
-persistence does the rest::
+Typical usage is declarative — :func:`repro.open_index` attaches the
+manager and persistence does the rest::
 
     import repro
 

@@ -82,8 +82,8 @@ DEFAULT_GROUP_SIZE = 64
 def normalise_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate and normalise a ``{"dir", "sync", "group_size"}`` section.
 
-    Side-effect free (no directories are created), so the builder can
-    normalise a spec without touching disk.
+    Side-effect free (no directories are created), so a malformed spec is
+    rejected before the manager touches disk.
     """
     unknown = set(spec) - {"dir", "sync", "group_size"}
     if unknown:

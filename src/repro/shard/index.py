@@ -214,17 +214,6 @@ class ShardedIndex(SpatialIndexFacade):
         #: (``{"backend": ..., "workers": ...}``), ``None`` when serial.
         self.parallel_spec: Optional[Dict[str, object]] = None
 
-    @classmethod
-    def from_restored_shards(
-        cls, partitioner: Partitioner, shards: List[MovingObjectIndex]
-    ) -> "ShardedIndex":
-        """Assemble a sharded index from already-restored shard indexes.
-
-        Used by checkpoint loading: the object directory is a derived
-        structure and is rebuilt from the shards' own position tables.
-        """
-        return cls(config=shards[0].config, partitioner=partitioner, shards=shards)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

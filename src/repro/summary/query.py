@@ -22,6 +22,7 @@ from typing import Iterator, List
 
 from repro.geometry import Rect
 from repro.rtree.tree import RTree
+from repro.summary.direct_access import DirectAccessEntry
 from repro.summary.structure import SummaryStructure
 
 
@@ -58,7 +59,7 @@ def iter_summary_guided_range_query(
     # contain qualifying leaves, without reading any internal node from disk.
     frontier = [root_entry]
     while frontier and frontier[0].level > 1:
-        next_frontier = []
+        next_frontier: List[DirectAccessEntry] = []
         for entry in frontier:
             for child_page in entry.child_page_ids:
                 child_entry = summary.table.get(child_page)

@@ -40,7 +40,7 @@ hydration).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import Node
@@ -234,7 +234,7 @@ class SummaryStructure(TreeObserver):
             return 0.0
         return self.size_bytes() / tree_bytes
 
-    def maintenance_counters(self) -> dict:
+    def maintenance_counters(self) -> Dict[str, int]:
         """Counters describing how much maintenance the table has seen."""
         return {
             "mbr_updates": self.table.mbr_updates,
@@ -252,8 +252,8 @@ class SummaryStructure(TreeObserver):
         and the table's derived ``_parent_of`` / ``_by_level`` maps.
         """
         errors: List[str] = []
-        internal_pages = set()
-        leaf_pages = set()
+        internal_pages: Set[int] = set()
+        leaf_pages: Set[int] = set()
         for node, _parent in self.tree.iter_nodes():
             if node.is_leaf:
                 leaf_pages.add(node.page_id)

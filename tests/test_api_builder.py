@@ -5,13 +5,7 @@ import random
 
 import pytest
 
-from repro.api import (
-    IndexBuilder,
-    config_from_spec,
-    config_to_spec,
-    index_spec,
-    open_index,
-)
+from repro.api import config_from_spec, config_to_spec, index_spec, open_index
 from repro.core import IndexConfig, MovingObjectIndex, load_index, save_index
 from repro.geometry import Point, Rect
 from repro.shard import ShardedIndex
@@ -105,47 +99,51 @@ class TestOpenIndex:
         with pytest.raises(ValueError):
             open_index({"kind": "elastic"})
 
-
-class TestIndexBuilder:
-    def test_fluent_chain_equals_spec_construction(self):
-        built = (
-            IndexBuilder()
-            .strategy("LBU")
-            .page_size(512)
-            .buffer_percent(2.0)
-            .split("linear")
-            .params(epsilon=0.02)
-            .config_field("charge_hash_io", False)
-            .build()
-        )
-        from_spec = open_index(
-            {
-                "config": {
-                    "strategy": "LBU",
-                    "page_size": 512,
-                    "buffer_percent": 2.0,
-                    "split": "linear",
-                    "charge_hash_io": False,
-                    "params": {"epsilon": 0.02},
-                }
-            }
-        )
-        assert built.config == from_spec.config
-
-    def test_spec_emission_round_trips(self):
-        builder = IndexBuilder().strategy("TD").shards(4).engine(num_clients=16)
-        spec = builder.spec()
-        again = index_spec(open_index(spec))
-        assert again == spec
-
-    def test_to_json_is_parseable_and_equivalent(self):
-        builder = IndexBuilder().strategy("GBU").shards(2)
-        spec = json.loads(builder.to_json())
-        assert index_spec(open_index(spec)) == builder.spec()
-
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
-            IndexBuilder().shards(0)
+            open_index({"shards": 0})
+
+    def test_shard_count_conflicting_with_the_partitioner_rejected(self):
+        grid = {"kind": "grid", "columns": 2, "rows": 2}
+        with pytest.raises(ValueError, match="conflicts"):
+            open_index({"shards": 8, "partitioner": grid})
+        saved = index_spec(open_index({"shards": 4}))
+        with pytest.raises(ValueError, match="conflicts"):
+            open_index(saved, shards=8)
+        # Dropping the saved partitioner re-shards over a fresh grid.
+        assert open_index(saved, partitioner=None, shards=8).num_shards == 8
+        assert open_index({"shards": 4, "partitioner": grid}).num_shards == 4
+
+    def test_unknown_engine_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown spec keys \['num_client'\]"):
+            open_index({"engine": {"num_client": 8}})
+
+    def test_unknown_parallel_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown spec keys \['wokers'\]"):
+            open_index({"parallel": {"backend": "serial", "wokers": 3}})
+
+    def test_checkpoint_with_an_unknown_engine_key_rejected(self, tmp_path):
+        index = open_index({"engine": {"num_clients": 8}})
+        path = tmp_path / "checkpoint.json"
+        save_index(index, path)
+        document = json.loads(path.read_text())
+        document["engine"] = {"num_client": 8}
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"unknown spec keys \['num_client'\]"):
+            load_index(path)
+
+    def test_spec_emission_round_trips(self):
+        spec = index_spec(
+            open_index(
+                {"config": {"strategy": "TD"}, "shards": 4, "engine": {"num_clients": 16}}
+            )
+        )
+        assert spec["kind"] == "sharded"
+        assert spec["config"]["strategy"] == "TD"
+        assert spec["partitioner"] == {"kind": "grid", "columns": 2, "rows": 2}
+        assert spec["engine"] == {"num_clients": 16}
+        again = index_spec(open_index(spec))
+        assert again == spec
 
 
 class TestSpecCheckpointRoundTrip:

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.api import IndexBuilder, Update, index_spec, open_index
+from repro.api import Update, index_spec, open_index
 from repro.core.persistence import load_index, save_index
 from repro.durability import read_frames, recover_index, shard_log_paths
 from repro.geometry import Point, Rect
@@ -169,12 +169,12 @@ class TestCoordinatorSideLogging:
 
 
 class TestSpecAndCheckpointRoundTrip:
-    def test_builder_attaches_durability(self, tmp_path):
-        index = (
-            IndexBuilder()
-            .strategy("GBU")
-            .durability(tmp_path / "wal", sync="none", group_size=8)
-            .build()
+    def test_spec_attaches_durability(self, tmp_path):
+        index = open_index(
+            {
+                "config": {"strategy": "GBU"},
+                "durability": {"dir": tmp_path / "wal", "sync": "none", "group_size": 8},
+            }
         )
         assert index.durability is not None
         assert index.durability.to_spec() == {
@@ -191,7 +191,7 @@ class TestSpecAndCheckpointRoundTrip:
             "sync": "group",
             "group_size": 16,
         }
-        rebuilt = IndexBuilder.from_spec(index_spec(index)).spec()
+        rebuilt = index_spec(open_index(index_spec(index)))
         assert rebuilt["durability"] == index_spec(index)["durability"]
 
     def test_checkpoint_embeds_the_durability_section(self, tmp_path):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.api import IndexBuilder, RangeQuery, Update, index_spec, open_index
+from repro.api import RangeQuery, Update, index_spec, open_index
 from repro.api.errors import OperationError, WorkerFailedError
 from repro.core import IndexConfig, MovingObjectIndex, persistence
 from repro.core.persistence import load_index, save_index
@@ -65,8 +65,6 @@ class TestBackendLifecycle:
         index, _ = build_sharded()
         with pytest.raises(ValueError, match="unknown parallel backend"):
             index.set_parallel("thread")
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            IndexBuilder().shards(2).parallel("thread")
         with pytest.raises(ValueError, match="unknown parallel backend"):
             open_index({"kind": "sharded", "shards": 2, "parallel": {"backend": "thread"}})
 
@@ -160,27 +158,32 @@ class TestBackendLifecycle:
 
 
 class TestSpecAndCheckpointRoundTrip:
-    def test_builder_spec_round_trips_the_parallel_section(self):
-        builder = IndexBuilder().strategy("LBU").shards(4).parallel("process", 2)
-        spec = builder.spec()
-        assert spec["parallel"] == {"backend": "process", "workers": 2}
-        index = builder.build()
+    def test_spec_round_trips_the_parallel_section(self):
+        index = open_index(
+            {
+                "config": {"strategy": "LBU"},
+                "shards": 4,
+                "parallel": {"backend": "process", "workers": 2},
+            }
+        )
         try:
             assert index.parallel_spec == {"backend": "process", "workers": 2}
-            assert index_spec(index)["parallel"] == spec["parallel"]
+            spec = index_spec(index)
+            assert spec["parallel"] == {"backend": "process", "workers": 2}
             rebuilt = open_index(spec)
             try:
-                assert index_spec(rebuilt) == index_spec(index)
+                assert index_spec(rebuilt) == spec
             finally:
                 rebuilt.detach_parallel()
         finally:
             index.detach_parallel()
 
-    def test_builder_serial_clears_a_previous_parallel_choice(self):
-        builder = IndexBuilder().shards(2).parallel("process").parallel("serial")
-        assert "parallel" not in builder.spec()
-        index = builder.build()
+    def test_serial_override_clears_a_saved_parallel_choice(self):
+        saved = {"shards": 2, "parallel": {"backend": "process"}}
+        index = open_index(saved, parallel={"backend": "serial"})
+        assert index.num_shards == 2
         assert index.parallel_spec is None
+        assert "parallel" not in index_spec(index)
 
     def test_parallel_spec_conflicts_with_kind_single(self):
         with pytest.raises(ValueError, match="single"):
