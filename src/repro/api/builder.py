@@ -55,18 +55,12 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
         "page_size": config.page_size,
         "buffer_percent": config.buffer_percent,
         "strategy": config.strategy,
-        "split": config.split,
-        "reinsert_on_underflow": config.reinsert_on_underflow,
         "use_summary_for_queries": config.use_summary_for_queries,
-        "charge_hash_io": config.charge_hash_io,
-        "bulk_load_fill": config.bulk_load_fill,
-        "min_fill_factor": config.min_fill_factor,
         "params": {
             "epsilon": config.params.epsilon,
             "distance_threshold": config.params.distance_threshold,
             "level_threshold": config.params.level_threshold,
             "piggyback": config.params.piggyback,
-            "max_piggyback_objects": config.params.max_piggyback_objects,
         },
     }
 
@@ -75,6 +69,18 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
 # representation switches.  Whatever they say, the page images beside them
 # were always the columnar codec format, so such documents load as they are.
 _RETIRED_CONFIG_KEYS = ("node_layout", "page_store")
+
+# Settings that older specs and checkpoints carry but the index no longer
+# varies.  Each still loads at the one value the index always uses; any other
+# value raises, because the index cannot honour it.
+_RETIRED_CONFIG_VALUES: Dict[str, Any] = {
+    "split": "quadratic",
+    "reinsert_on_underflow": True,
+    "charge_hash_io": True,
+    "bulk_load_fill": 0.66,
+    "min_fill_factor": 0.4,
+}
+_RETIRED_PARAMS_VALUES: Dict[str, Any] = {"max_piggyback_objects": 8}
 
 
 def _reject_unknown_keys(
@@ -85,6 +91,18 @@ def _reject_unknown_keys(
         raise ValueError(f"unknown spec keys {sorted(unknown)!r} in {section!r}")
 
 
+def _drop_retired(
+    section: str, data: Mapping[str, Any], retired: Mapping[str, Any]
+) -> Dict[str, Any]:
+    for key, constant in retired.items():
+        if key in data and data[key] != constant:
+            raise ValueError(
+                f"{section}.{key} is retired and only accepts {constant!r}, "
+                f"got {data[key]!r}"
+            )
+    return {key: value for key, value in data.items() if key not in retired}
+
+
 def _field_names(schema: type) -> List[str]:
     return [field.name for field in dataclasses.fields(schema)]
 
@@ -93,15 +111,18 @@ def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
     """Rebuild an :class:`IndexConfig` from its (possibly partial) spec dict.
 
     Raises ``ValueError`` for a key neither :class:`IndexConfig` nor (under
-    ``"params"``) :class:`TuningParameters` declares.
+    ``"params"``) :class:`TuningParameters` declares, for a retired key at
+    any value other than the constant that replaced it, and for a malformed
+    value (see :class:`IndexConfig` and :class:`TuningParameters`).
     """
-    data = {
-        key: value for key, value in spec.items() if key not in _RETIRED_CONFIG_KEYS
-    }
+    data = _drop_retired("config", spec, _RETIRED_CONFIG_VALUES)
+    for key in _RETIRED_CONFIG_KEYS:
+        data.pop(key, None)
     params_data = data.pop("params", None)
     _reject_unknown_keys("config", data, _field_names(IndexConfig))
     if params_data is None:
         return IndexConfig(**data)
+    params_data = _drop_retired("config.params", params_data, _RETIRED_PARAMS_VALUES)
     _reject_unknown_keys("config.params", params_data, _field_names(TuningParameters))
     return IndexConfig(params=TuningParameters(**params_data), **data)
 
@@ -171,7 +192,7 @@ def open_index(
                        "cpu_time_per_op": ...},  # session defaults
             "rebalance": {"threshold": ..., "cooldown": ...,
                           "min_ops": ...},       # sharded: online rebalancer
-            "adaptive": {"enabled": ..., "cooldown": ...,
+            "adaptive": {"cooldown": ...,
                          "min_ops": ...},        # sharded: strategy selection
             "parallel": {"backend": "serial" | "process",
                          "workers": N},          # sharded: execution backend

@@ -76,7 +76,6 @@ from repro.durability.wal import (
 )
 from repro.geometry import Point, Rect
 from repro.rtree.bulk import bulk_load_str
-from repro.rtree.split import make_split_strategy
 from repro.rtree.tree import RTree
 from repro.rtree.validation import validate_tree
 from repro.secondary import ObjectHashIndex
@@ -100,10 +99,7 @@ class MovingObjectIndex(SpatialIndexFacade):
     def __init__(self, config: Optional[IndexConfig] = None) -> None:
         self.config = config if config is not None else IndexConfig()
         self.stats = IOStatistics()
-        self.layout = PageLayout(
-            page_size=self.config.page_size,
-            min_fill_factor=self.config.min_fill_factor,
-        )
+        self.layout = PageLayout(page_size=self.config.page_size)
         self.disk = DiskManager(page_size=self.config.page_size, stats=self.stats)
         # The buffer is sized after loading (it depends on the database size);
         # start unbuffered so that nothing is cached before the measured phase.
@@ -116,13 +112,9 @@ class MovingObjectIndex(SpatialIndexFacade):
         self.tree = RTree(
             self.buffer,
             layout=self.layout,
-            split_strategy=make_split_strategy(self.config.split),
             store_parent_pointers=self.config.needs_parent_pointers,
-            reinsert_on_underflow=self.config.reinsert_on_underflow,
         )
-        self.hash_index = ObjectHashIndex.build_from_tree(
-            self.tree, stats=self.stats, charge_io=self.config.charge_hash_io
-        )
+        self.hash_index = ObjectHashIndex.build_from_tree(self.tree, stats=self.stats)
         self.summary: Optional[SummaryStructure] = None
         if self.config.strategy == "GBU":
             self.summary = SummaryStructure.build_from_tree(self.tree)
@@ -160,7 +152,7 @@ class MovingObjectIndex(SpatialIndexFacade):
         if bulk:
             if self.tree.size != 0:
                 raise ValueError("bulk loading requires an empty index")
-            bulk_load_str(self.tree, objects, fill_factor=self.config.bulk_load_fill)
+            bulk_load_str(self.tree, objects)
         else:
             for oid, location in objects:
                 self.tree.insert(oid, location)

@@ -5,7 +5,7 @@ R-tree stored on the simulated paged disk, with
 
 * leaf entries ``(oid, rect)`` and internal entries ``(ptr, rect)``
   (:mod:`repro.rtree.node`),
-* quadratic, linear and R*-style node splits (:mod:`repro.rtree.split`),
+* Guttman's quadratic node split (:mod:`repro.rtree.split`),
 * top-down insertion and deletion with Guttman's CondenseTree re-insertion
   (:mod:`repro.rtree.tree`),
 * window (range) queries and a kNN extension (:mod:`repro.rtree.tree`),
@@ -21,7 +21,7 @@ knowing about them.
 
 from repro.rtree.node import Entry, Node
 from repro.rtree.observers import TreeObserver
-from repro.rtree.split import LinearSplit, QuadraticSplit, RStarSplit, SplitStrategy
+from repro.rtree.split import QuadraticSplit
 from repro.rtree.tree import RTree
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.validation import ValidationError, validate_tree
@@ -30,10 +30,7 @@ __all__ = [
     "Entry",
     "Node",
     "TreeObserver",
-    "SplitStrategy",
     "QuadraticSplit",
-    "LinearSplit",
-    "RStarSplit",
     "RTree",
     "bulk_load_str",
     "validate_tree",

@@ -1,50 +1,22 @@
-"""Node split algorithms.
+"""Guttman's quadratic node split.
 
 When an R-tree node overflows its page it is split into two nodes.  The
 paper's experiments use the original (Guttman) R-tree, whose standard split
-is the **quadratic** algorithm; the **linear** variant and an **R\\*-style**
-axis/overlap-minimising split are provided as well so ablations can study how
-the update strategies interact with the split policy.
-
-All strategies implement the same interface: given the overflowing entry
-list and the minimum number of entries a node must hold, return two disjoint
-groups that each satisfy the minimum.
+is the **quadratic** algorithm, and it is the only one this tree uses: given
+the overflowing entry list and the minimum number of entries a node must
+hold, it returns two disjoint groups that each satisfy the minimum.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.geometry import Rect, union_all
 from repro.rtree.node import Entry
 
 SplitResult = Tuple[List[Entry], List[Entry]]
 
 
-class SplitStrategy:
-    """Interface for node split algorithms."""
-
-    name = "abstract"
-
-    def split(self, entries: Sequence[Entry], min_entries: int) -> SplitResult:
-        """Partition *entries* into two groups of at least *min_entries* each."""
-        raise NotImplementedError
-
-    # -- shared helpers ------------------------------------------------------
-    @staticmethod
-    def _validate(entries: Sequence[Entry], min_entries: int) -> None:
-        if len(entries) < 2:
-            raise ValueError("cannot split fewer than two entries")
-        if min_entries < 1:
-            raise ValueError("min_entries must be at least 1")
-        if len(entries) < 2 * min_entries:
-            raise ValueError(
-                f"cannot split {len(entries)} entries into two groups of "
-                f"at least {min_entries}"
-            )
-
-
-class QuadraticSplit(SplitStrategy):
+class QuadraticSplit:
     """Guttman's quadratic split.
 
     Seeds are the pair of entries that would waste the most area if placed in
@@ -150,6 +122,18 @@ class QuadraticSplit(SplitStrategy):
         return group_a, group_b
 
     @staticmethod
+    def _validate(entries: Sequence[Entry], min_entries: int) -> None:
+        if len(entries) < 2:
+            raise ValueError("cannot split fewer than two entries")
+        if min_entries < 1:
+            raise ValueError("min_entries must be at least 1")
+        if len(entries) < 2 * min_entries:
+            raise ValueError(
+                f"cannot split {len(entries)} entries into two groups of "
+                f"at least {min_entries}"
+            )
+
+    @staticmethod
     def _pick_seeds(entries: Sequence[Entry]) -> Tuple[int, int]:
         bounds = [entry.rect.as_tuple() for entry in entries]
         areas = [(b[2] - b[0]) * (b[3] - b[1]) for b in bounds]
@@ -178,153 +162,3 @@ class QuadraticSplit(SplitStrategy):
                     worst_waste = waste
                     seeds = (i, j)
         return seeds
-
-    @staticmethod
-    def _pick_next(remaining: Sequence[Entry], mbr_a: Rect, mbr_b: Rect) -> int:
-        best_index = 0
-        best_difference = -1.0
-        for index, entry in enumerate(remaining):
-            d1 = mbr_a.enlargement_to_include(entry.rect)
-            d2 = mbr_b.enlargement_to_include(entry.rect)
-            difference = abs(d1 - d2)
-            if difference > best_difference:
-                best_difference = difference
-                best_index = index
-        return best_index
-
-
-class LinearSplit(SplitStrategy):
-    """Guttman's linear split.
-
-    Seeds are chosen by the greatest normalised separation along either axis;
-    remaining entries are assigned by least enlargement in arbitrary order.
-    """
-
-    name = "linear"
-
-    def split(self, entries: Sequence[Entry], min_entries: int) -> SplitResult:
-        self._validate(entries, min_entries)
-        remaining = list(entries)
-        seed_a, seed_b = self._pick_seeds(remaining)
-        for index in sorted((seed_a, seed_b), reverse=True):
-            remaining.pop(index)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = group_a[0].rect
-        mbr_b = group_b[0].rect
-
-        for position, entry in enumerate(remaining):
-            left = len(remaining) - position
-            if len(group_a) + left == min_entries:
-                group_a.extend(remaining[position:])
-                break
-            if len(group_b) + left == min_entries:
-                group_b.extend(remaining[position:])
-                break
-            if mbr_a.enlargement_to_include(entry.rect) <= mbr_b.enlargement_to_include(entry.rect):
-                group_a.append(entry)
-                mbr_a = mbr_a.union(entry.rect)
-            else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(entry.rect)
-        return group_a, group_b
-
-    @staticmethod
-    def _pick_seeds(entries: Sequence[Entry]) -> Tuple[int, int]:
-        overall = union_all(entry.rect for entry in entries)
-        width = overall.width or 1.0
-        height = overall.height or 1.0
-
-        # Along each axis: the entry with the highest low side and the entry
-        # with the lowest high side give the greatest separation.
-        highest_low_x = max(range(len(entries)), key=lambda i: entries[i].rect.xmin)
-        lowest_high_x = min(range(len(entries)), key=lambda i: entries[i].rect.xmax)
-        highest_low_y = max(range(len(entries)), key=lambda i: entries[i].rect.ymin)
-        lowest_high_y = min(range(len(entries)), key=lambda i: entries[i].rect.ymax)
-
-        separation_x = (
-            entries[highest_low_x].rect.xmin - entries[lowest_high_x].rect.xmax
-        ) / width
-        separation_y = (
-            entries[highest_low_y].rect.ymin - entries[lowest_high_y].rect.ymax
-        ) / height
-
-        if separation_x >= separation_y:
-            seeds = (lowest_high_x, highest_low_x)
-        else:
-            seeds = (lowest_high_y, highest_low_y)
-        if seeds[0] == seeds[1]:
-            # Degenerate data (e.g. identical rectangles): fall back to the
-            # first two entries.
-            return (0, 1)
-        return seeds
-
-
-class RStarSplit(SplitStrategy):
-    """R*-tree style split (Beckmann et al.).
-
-    Chooses the split axis by minimising the sum of MBR margins over all
-    legal distributions, then picks the distribution with the least overlap
-    (ties broken by least total area).
-    """
-
-    name = "rstar"
-
-    def split(self, entries: Sequence[Entry], min_entries: int) -> SplitResult:
-        self._validate(entries, min_entries)
-        best: Tuple[float, float, SplitResult] = None  # type: ignore[assignment]
-        best_axis_margin = float("inf")
-        chosen_axis_distributions: List[SplitResult] = []
-
-        for axis in ("x", "y"):
-            distributions = self._distributions(list(entries), min_entries, axis)
-            margin_sum = 0.0
-            for group_a, group_b in distributions:
-                margin_sum += union_all(e.rect for e in group_a).margin()
-                margin_sum += union_all(e.rect for e in group_b).margin()
-            if margin_sum < best_axis_margin:
-                best_axis_margin = margin_sum
-                chosen_axis_distributions = distributions
-
-        for group_a, group_b in chosen_axis_distributions:
-            mbr_a = union_all(e.rect for e in group_a)
-            mbr_b = union_all(e.rect for e in group_b)
-            overlap = mbr_a.overlap_area(mbr_b)
-            total_area = mbr_a.area() + mbr_b.area()
-            if best is None or (overlap, total_area) < (best[0], best[1]):
-                best = (overlap, total_area, (list(group_a), list(group_b)))
-        assert best is not None  # _validate guarantees at least one distribution
-        return best[2]
-
-    @staticmethod
-    def _distributions(
-        entries: List[Entry], min_entries: int, axis: str
-    ) -> List[SplitResult]:
-        if axis == "x":
-            by_low = sorted(entries, key=lambda e: (e.rect.xmin, e.rect.xmax))
-            by_high = sorted(entries, key=lambda e: (e.rect.xmax, e.rect.xmin))
-        else:
-            by_low = sorted(entries, key=lambda e: (e.rect.ymin, e.rect.ymax))
-            by_high = sorted(entries, key=lambda e: (e.rect.ymax, e.rect.ymin))
-
-        distributions: List[SplitResult] = []
-        total = len(entries)
-        for ordering in (by_low, by_high):
-            for k in range(min_entries, total - min_entries + 1):
-                distributions.append((ordering[:k], ordering[k:]))
-        return distributions
-
-
-def make_split_strategy(name: str) -> SplitStrategy:
-    """Factory used by experiment configuration files ("quadratic", "linear", "rstar")."""
-    strategies = {
-        QuadraticSplit.name: QuadraticSplit,
-        LinearSplit.name: LinearSplit,
-        RStarSplit.name: RStarSplit,
-    }
-    try:
-        return strategies[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown split strategy {name!r}; expected one of {sorted(strategies)}"
-        ) from None

@@ -37,13 +37,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry, Node, make_node
 from repro.rtree.observers import ObserverList, TreeObserver
-from repro.rtree.split import QuadraticSplit, SplitStrategy
+from repro.rtree.split import QuadraticSplit
 from repro.storage.buffer import BufferPool
 from repro.storage.sizing import PageLayout
 
 
 class RTree:
-    """A paged R-tree with pluggable split strategy and observer support.
+    """A paged Guttman R-tree (quadratic split) with observer support.
 
     Parameters
     ----------
@@ -54,32 +54,22 @@ class RTree:
         sees.
     layout:
         Page layout used to derive leaf/internal capacities.
-    split_strategy:
-        Node split algorithm; Guttman's quadratic split by default.
     store_parent_pointers:
         When ``True`` leaf nodes carry a parent pointer (the LBU
         configuration, Section 3.1).  This costs one entry slot of leaf
         capacity and forces extra leaf writes whenever leaves change parents.
-    reinsert_on_underflow:
-        When ``True`` (default) deletion uses Guttman's CondenseTree:
-        underflowing nodes are dissolved and their entries re-inserted.
-        When ``False`` underflowing nodes are simply left sparse.
     """
 
     def __init__(
         self,
         buffer: BufferPool,
         layout: Optional[PageLayout] = None,
-        split_strategy: Optional[SplitStrategy] = None,
         store_parent_pointers: bool = False,
-        reinsert_on_underflow: bool = True,
     ) -> None:
         self.buffer = buffer
         self.disk = buffer.disk
         self.layout = layout if layout is not None else PageLayout()
-        self.split_strategy = split_strategy if split_strategy is not None else QuadraticSplit()
         self.store_parent_pointers = store_parent_pointers
-        self.reinsert_on_underflow = reinsert_on_underflow
 
         self.leaf_capacity = self.layout.leaf_capacity(
             with_parent_pointer=store_parent_pointers
@@ -308,7 +298,7 @@ class RTree:
     def _split_node(self, node: Node) -> Node:
         """Split an overflowing *node*; return the newly created sibling."""
         min_entries = self.min_entries_for_level(node.level)
-        group_a, group_b = self.split_strategy.split(
+        group_a, group_b = QuadraticSplit().split(
             node.materialized_entries(), min_entries
         )
         sibling = self._allocate_node(node.level)
@@ -591,7 +581,7 @@ class RTree:
             node = path[index]
             parent = path[index - 1]
             min_entries = self.min_entries_for_level(node.level)
-            if self.reinsert_on_underflow and node.underflows(min_entries):
+            if node.underflows(min_entries):
                 parent.discard_entry(node.page_id)
                 modified.add(parent.page_id)
                 orphans.extend((node.level, entry) for entry in node.entries)

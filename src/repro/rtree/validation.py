@@ -14,9 +14,8 @@ integrated into R-trees as they preserve the index structure"):
    against the memo itself,
 3. every leaf is at level 0 and every root-to-leaf path has the same length,
 4. no node exceeds its capacity,
-5. non-root nodes satisfy the minimum fill (optional: bottom-up shifting and
-   bulk loading keep it, but a tree configured without reinsertion may
-   legitimately leave sparse nodes),
+5. non-root nodes satisfy the minimum fill (checked on request, with
+   ``check_min_fill``),
 6. object ids are unique across leaves,
 7. when parent pointers are stored, every leaf's pointer names its actual
    parent.

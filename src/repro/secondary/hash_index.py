@@ -4,10 +4,9 @@ The paper's bottom-up strategies assume a secondary index on object IDs that
 gives direct access to the R-tree leaf containing an object (Figure 2).  The
 cost analysis in Section 4.2 charges **one disk read per probe** ("an
 additional I/O to read the hash index giving direct access to the leaf
-node"), so by default every successful :meth:`ObjectHashIndex.lookup` bumps
-the shared ``hash_index_reads`` counter.  Applications that pin the hash
-table in memory can disable the charge with ``charge_io=False``; the
-benchmark harness keeps the paper's accounting.
+node"), so every :meth:`ObjectHashIndex.lookup` bumps the shared
+``hash_index_reads`` counter, hit or miss.  :meth:`ObjectHashIndex.peek` is
+the uncharged read for validators and tests.
 
 Maintenance is free of I/O (only the R-tree pages count towards the paper's
 I/O metric; the hash index is charged per probe, not per maintenance
@@ -40,15 +39,12 @@ class ObjectHashIndex(TreeObserver):
     Parameters
     ----------
     stats:
-        Shared I/O counters used to charge lookups.
-    charge_io:
-        When ``True`` (default) each lookup adds one ``hash_index_reads``,
+        Shared I/O counters; each lookup adds one ``hash_index_reads``,
         matching the paper's cost model.
     """
 
-    def __init__(self, stats: Optional[IOStatistics] = None, charge_io: bool = True) -> None:
+    def __init__(self, stats: Optional[IOStatistics] = None) -> None:
         self.stats = stats if stats is not None else IOStatistics()
-        self.charge_io = charge_io
         self._leaf_of: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -59,7 +55,6 @@ class ObjectHashIndex(TreeObserver):
         cls,
         tree: RTree,
         stats: Optional[IOStatistics] = None,
-        charge_io: bool = True,
     ) -> "ObjectHashIndex":
         """Create an index, populate it from *tree*, and register it as observer.
 
@@ -67,7 +62,7 @@ class ObjectHashIndex(TreeObserver):
         building the hash table is part of index construction, which happens
         before the measured phase of every experiment.
         """
-        index = cls(stats=stats if stats is not None else tree.disk.stats, charge_io=charge_io)
+        index = cls(stats=stats if stats is not None else tree.disk.stats)
         index.rebuild_from_tree(tree)
         tree.register_observer(index)
         return index
@@ -88,10 +83,9 @@ class ObjectHashIndex(TreeObserver):
     def lookup(self, oid: int) -> Optional[int]:
         """Return the leaf page id currently holding *oid* (or ``None``).
 
-        Charged as one disk read when ``charge_io`` is enabled.
+        Charged as one disk read.
         """
-        if self.charge_io:
-            self.stats.hash_index_reads += 1
+        self.stats.hash_index_reads += 1
         return self._leaf_of.get(oid)
 
     def peek(self, oid: int) -> Optional[int]:

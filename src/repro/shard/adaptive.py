@@ -86,19 +86,18 @@ def strategy_costs(
     distance: float,
     query_extent: float = DEFAULT_QUERY_EXTENT,
     use_summary_for_queries: bool = True,
-    charge_hash_io: bool = True,
     epsilon: float = 0.003,
 ) -> Dict[str, float]:
     """Expected disk transfers of the observed mix under each strategy.
 
     Per-operation costs come from the Section 4 models; tree-page accesses
     are scaled by *miss_ratio* (the shard's observed buffer miss fraction),
-    while bottom-up hash probes are charged in full when *charge_hash_io*
-    is set — the probe bypasses the buffer pool.  The returned mapping has
+    while bottom-up hash probes are charged in full — the probe bypasses the
+    buffer pool.  The returned mapping has
     one non-negative total per candidate strategy.
     """
     miss = max(0.0, min(1.0, miss_ratio))
-    probe = 1.0 if charge_hash_io else 0.0
+    probe = 1.0  # one unbuffered hash probe per bottom-up update
 
     query_plain = expected_query_node_accesses(shape, query_extent, query_extent)
     query_summary = leaf_level_query_accesses(shape, query_extent, query_extent)
@@ -145,11 +144,13 @@ def strategy_costs(
 class AdaptiveStrategyPolicy:
     """When a shard's observed mix is evidence enough to switch strategy.
 
+    Attaching a controller with this policy is what turns adaptive
+    selection on (:meth:`ShardedIndex.attach_adaptive
+    <repro.shard.index.ShardedIndex.attach_adaptive>`); attaching ``None``
+    turns it off.
+
     Attributes
     ----------
-    enabled:
-        Master switch; a disabled policy never proposes a change (the
-        controller still monitors, so flipping it on acts immediately).
     cooldown:
         Minimum recorded operations on a shard between consecutive switches
         of that shard, so a fresh strategy gets time to prove itself.
@@ -158,7 +159,6 @@ class AdaptiveStrategyPolicy:
         prevents a handful of early operations from being read as a trend.
     """
 
-    enabled: bool = True
     cooldown: int = 400
     min_ops: int = 128
 
@@ -173,7 +173,6 @@ class AdaptiveStrategyPolicy:
     def to_spec(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-safe), the ``adaptive`` builder spec section."""
         return {
-            "enabled": self.enabled,
             "cooldown": self.cooldown,
             "min_ops": self.min_ops,
         }
@@ -185,8 +184,14 @@ class AdaptiveStrategyPolicy:
         unknown = set(spec) - known
         if unknown:
             raise ValueError(f"unknown adaptive spec keys {sorted(unknown)!r}")
+        # Older specs and checkpoints carry the retired master switch; an
+        # attached controller is always on, so only ``true`` still loads.
+        if spec.get("enabled", True) != True:
+            raise ValueError(
+                f"adaptive 'enabled' is retired and only accepts true, "
+                f"got {spec['enabled']!r}; omit the adaptive section instead"
+            )
         return cls(
-            enabled=bool(spec.get("enabled", cls.enabled)),
             cooldown=int(spec.get("cooldown", cls.cooldown)),
             min_ops=int(spec.get("min_ops", cls.min_ops)),
         )
@@ -276,8 +281,6 @@ class AdaptiveStrategyController:
         the tree-shape measurement in :meth:`decide` is only worth paying
         once a switch is possible at all.
         """
-        if not self.policy.enabled:
-            return False
         return any(
             mix.total >= self.policy.evidence_required(self._shard_switches[i])
             for i, mix in enumerate(self.monitor.update_query_mix())
@@ -292,8 +295,6 @@ class AdaptiveStrategyController:
         incumbent strategy wins ties, so an idle ranking never churns.
         """
         decisions: List[StrategyDecision] = []
-        if not self.policy.enabled:
-            return decisions
         mixes = self.monitor.update_query_mix()
         for shard_id, shard in enumerate(sharded.shards):
             mix = mixes[shard_id]
@@ -310,7 +311,6 @@ class AdaptiveStrategyController:
                 distance=self.observed_distance(shard_id),
                 query_extent=self.query_extent,
                 use_summary_for_queries=shard.config.use_summary_for_queries,
-                charge_hash_io=shard.config.charge_hash_io,
                 epsilon=shard.config.params.epsilon,
             )
             current = str(shard.active_strategy)

@@ -37,8 +37,8 @@ def near_square_factoring(num_shards: int) -> Tuple[int, int]:
     ``columns x rows`` shape a fresh grid of the same shard count would
     have.
     """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
+    if not isinstance(num_shards, int) or isinstance(num_shards, bool) or num_shards <= 0:
+        raise ValueError(f"num_shards must be a positive int, got {num_shards!r}")
     rows = int(num_shards**0.5)
     while num_shards % rows:
         rows -= 1

@@ -210,8 +210,7 @@ class UpdateStrategy:
         with uncharged peeks, so the ladder pays the probe.  TD owns no hash
         index and stays uncharged.
         """
-        hash_index = self.hash_index
-        if hash_index is not None and hash_index.charge_io:
+        if self.hash_index is not None:
             self.stats.hash_index_reads += count
 
     def _insert_new(self, request: Request) -> UpdateOutcome:

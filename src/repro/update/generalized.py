@@ -56,6 +56,9 @@ from repro.update.base import (
 )
 from repro.update.params import TuningParameters
 
+#: The most source-leaf objects one sibling shift piggybacks into the sibling.
+MAX_PIGGYBACK_OBJECTS = 8
+
 
 class GeneralizedBottomUpUpdate(UpdateStrategy):
     """Algorithm 2 of the paper, with the Section 3.2.1 optimisations."""
@@ -193,8 +196,8 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
                 dirty = True
                 escalations.append(partial(self._ascend, leaf_page_id, oid, new_location))
 
-        if self.hash_index.charge_io:  # one probe per member that reached the leaf
-            self.stats.hash_index_reads += reached
+        # One hash probe per member that reached the leaf.
+        self.stats.hash_index_reads += reached
         if dirty:
             self.tree.write_node(leaf)
         for node in changed.values():
@@ -325,7 +328,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         # of the pristine source finds every eligible entry; the move budget
         # caps how many of them (in entry order) actually transfer.
         budget = min(
-            self.params.max_piggyback_objects,
+            MAX_PIGGYBACK_OBJECTS,
             self.tree.leaf_capacity - len(sibling),
             len(source) - self.tree.min_leaf_entries - len(pending),
         )

@@ -15,13 +15,26 @@ The paper exposes three tuning knobs plus a sibling-selection policy:
 * **piggyback** — when shifting an object to a sibling, also move other
   objects of the source leaf that fit in the sibling, redistributing objects
   and reducing overlap.  On by default (it is one of GBU's optimisations);
-  exposed so the ablation benchmarks can switch it off.
+  exposed so the ablation benchmarks can switch it off.  One shift moves at
+  most :data:`~repro.update.generalized.MAX_PIGGYBACK_OBJECTS` such objects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Optional
+
+
+def is_int(value: Any) -> bool:
+    """Whether *value* is an ``int`` proper (a ``bool`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_non_negative(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless *value* is a finite number ≥ 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,17 +45,13 @@ class TuningParameters:
     distance_threshold: float = 0.03
     level_threshold: Optional[int] = None
     piggyback: bool = True
-    max_piggyback_objects: int = 8
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.distance_threshold < 0:
-            raise ValueError("distance_threshold must be non-negative")
-        if self.level_threshold is not None and self.level_threshold < 0:
-            raise ValueError("level_threshold must be non-negative or None")
-        if self.max_piggyback_objects < 0:
-            raise ValueError("max_piggyback_objects must be non-negative")
+        check_non_negative("epsilon", self.epsilon)
+        check_non_negative("distance_threshold", self.distance_threshold)
+        level = self.level_threshold
+        if level is not None and (not is_int(level) or level < 0):
+            raise ValueError(f"level_threshold must be None or an int >= 0, got {level!r}")
 
     def with_overrides(self, **changes) -> "TuningParameters":
         """Return a copy with the given fields replaced."""

@@ -9,10 +9,34 @@ from repro.api import config_from_spec, config_to_spec, index_spec, open_index
 from repro.core import IndexConfig, MovingObjectIndex, load_index, save_index
 from repro.geometry import Point, Rect
 from repro.shard import ShardedIndex
+from repro.shard.adaptive import AdaptiveStrategyPolicy
 from repro.shard.partitioner import BoundaryPartitioner
 from repro.update import TuningParameters
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points
+
+
+def nested_spec(path, value):
+    """The spec that sets one dotted *path*: ``"config.page_size"`` -> ``{"config": {...}}``."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+# One malformed number per entry, each rejected where the spec is read.
+MALFORMED = [
+    ("config.buffer_percent", float("nan")),
+    ("config.buffer_percent", float("inf")),
+    ("config.page_size", 1024.5),
+    ("config.page_size", True),
+    ("config.strategy", 5),
+    ("config.params.epsilon", float("nan")),
+    ("config.params.epsilon", float("inf")),
+    ("config.params.distance_threshold", float("nan")),
+    ("config.params.distance_threshold", float("inf")),
+    ("config.params.level_threshold", 1.5),
+    ("shards", 2.5),
+]
 
 
 class TestConfigCodec:
@@ -21,10 +45,10 @@ class TestConfigCodec:
             strategy="LBU",
             page_size=512,
             buffer_percent=2.5,
-            split="rstar",
-            reinsert_on_underflow=False,
-            charge_hash_io=False,
-            params=TuningParameters(epsilon=0.01, level_threshold=2),
+            use_summary_for_queries=False,
+            params=TuningParameters(
+                epsilon=0.01, distance_threshold=0.05, level_threshold=2, piggyback=False
+            ),
         )
         assert config_from_spec(config_to_spec(config)) == config
 
@@ -103,6 +127,13 @@ class TestOpenIndex:
         with pytest.raises(ValueError):
             open_index({"shards": 0})
 
+    @pytest.mark.parametrize(
+        "path, value", MALFORMED, ids=[f"{path}={value}" for path, value in MALFORMED]
+    )
+    def test_malformed_numbers_rejected(self, path, value):
+        with pytest.raises(ValueError, match=path.rsplit(".", 1)[-1]):
+            open_index(nested_spec(path, value))
+
     def test_shard_count_conflicting_with_the_partitioner_rejected(self):
         grid = {"kind": "grid", "columns": 2, "rows": 2}
         with pytest.raises(ValueError, match="conflicts"):
@@ -144,6 +175,63 @@ class TestOpenIndex:
         assert spec["engine"] == {"num_clients": 16}
         again = index_spec(open_index(spec))
         assert again == spec
+
+
+# Settings the index no longer varies, each at the one value it always uses.
+RETIRED_CONFIG = {
+    "split": "quadratic",
+    "reinsert_on_underflow": True,
+    "charge_hash_io": True,
+    "bulk_load_fill": 0.66,
+    "min_fill_factor": 0.4,
+}
+RETIRED_KEYS = {*RETIRED_CONFIG, "max_piggyback_objects", "enabled"}
+RETIRED_OTHER_VALUES = [
+    ("config.split", "rstar"),
+    ("config.reinsert_on_underflow", False),
+    ("config.charge_hash_io", False),
+    ("config.bulk_load_fill", 0.9),
+    ("config.min_fill_factor", 0.3),
+    ("config.params.max_piggyback_objects", 4),
+    ("adaptive.enabled", False),
+]
+
+
+def spec_keys(spec):
+    """Every key of a nested spec dict, at any depth."""
+    keys = set()
+    for key, value in spec.items():
+        keys.add(key)
+        if isinstance(value, dict):
+            keys |= spec_keys(value)
+    return keys
+
+
+class TestRetiredKeys:
+    @pytest.mark.parametrize(
+        "path, value",
+        RETIRED_OTHER_VALUES,
+        ids=[f"{path}={value}" for path, value in RETIRED_OTHER_VALUES],
+    )
+    def test_any_other_value_is_rejected(self, path, value):
+        with pytest.raises(ValueError, match=path.rsplit(".", 1)[-1]):
+            open_index(nested_spec(path, value))
+
+    def test_every_retired_key_at_its_constant_opens(self):
+        index = open_index(
+            {
+                "config": {**RETIRED_CONFIG, "params": {"max_piggyback_objects": 8}},
+                "adaptive": {"enabled": True},
+            }
+        )
+        assert index.config == IndexConfig()
+        assert index.adaptive.policy == AdaptiveStrategyPolicy()
+
+    @pytest.mark.parametrize(
+        "spec", [{"kind": "single"}, {"shards": 2, "adaptive": {}}], ids=["single", "sharded"]
+    )
+    def test_index_spec_emits_no_retired_key(self, spec):
+        assert spec_keys(index_spec(open_index(spec))) & RETIRED_KEYS == set()
 
 
 class TestSpecCheckpointRoundTrip:

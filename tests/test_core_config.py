@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import config_from_spec
 from repro.core import IndexConfig
 from repro.update import TuningParameters
 
@@ -12,8 +13,7 @@ class TestDefaults:
         assert config.page_size == 1024
         assert config.buffer_percent == 1.0
         assert config.strategy == "GBU"
-        assert config.split == "quadratic"
-        assert config.reinsert_on_underflow is True
+        assert config.use_summary_for_queries is True
         assert config.params.epsilon == pytest.approx(0.003)
 
     def test_strategy_is_normalised_to_upper_case(self):
@@ -27,8 +27,10 @@ class TestValidation:
             IndexConfig(strategy="BTREE")
 
     def test_unknown_split_rejected(self):
-        with pytest.raises(ValueError):
-            IndexConfig(split="hilbert")
+        # The tree always splits quadratically; a spec naming any other split
+        # cannot be honoured.
+        with pytest.raises(ValueError, match="split"):
+            config_from_spec({"split": "hilbert"})
 
     def test_negative_page_size_rejected(self):
         with pytest.raises(ValueError):
@@ -39,10 +41,12 @@ class TestValidation:
             IndexConfig(buffer_percent=-0.5)
 
     def test_bad_bulk_fill_rejected(self):
-        with pytest.raises(ValueError):
-            IndexConfig(bulk_load_fill=0.0)
-        with pytest.raises(ValueError):
-            IndexConfig(bulk_load_fill=1.5)
+        # Bulk loading always packs at the fixed fill; older specs may only
+        # repeat that value.
+        with pytest.raises(ValueError, match="bulk_load_fill"):
+            config_from_spec({"bulk_load_fill": 0.0})
+        with pytest.raises(ValueError, match="bulk_load_fill"):
+            config_from_spec({"bulk_load_fill": 1.5})
 
 
 class TestDerivedProperties:

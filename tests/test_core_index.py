@@ -149,11 +149,13 @@ class TestStatisticsAndIntegrity:
         assert fresh_index(strategy="TD").summary is None
         assert fresh_index(strategy="LBU").summary is None
 
-    def test_charge_hash_io_can_be_disabled(self):
-        index = fresh_index(charge_hash_io=False)
+    @pytest.mark.parametrize("strategy", ["NAIVE", "LBU", "GBU"])
+    def test_bottom_up_update_charges_one_hash_probe(self, strategy):
+        # Section 4.2 charges every hash probe as one I/O.
+        index = fresh_index(strategy=strategy)
         index.load(make_points(100))
         index.update(0, Point(0.2, 0.2))
-        assert index.stats.hash_index_reads == 0
+        assert index.stats.hash_index_reads == 1
 
 
 class TestKnnEdgeCases:

@@ -134,6 +134,21 @@ class TestUpdateCostModels:
         top_down = TopDownCostModel(shape)
         assert bottom_up.worst_case_cost() <= top_down.best_case_cost()
 
+    def test_uncharged_hash_io_restores_the_paper_ranking(self):
+        # The bottom-up constants fold one hash probe into COST_IN_PLACE.
+        # With the probe free (the paper's logical accounting), a short move
+        # under LBU (no direct access table) or GBU costs fewer node
+        # accesses than a top-down update.
+        index = MovingObjectIndex(IndexConfig(strategy="TD", page_size=SMALL_PAGE_SIZE))
+        index.load(make_points(400, seed=3))
+        shape = TreeShape.from_tree(index.tree)
+        top_down = TopDownCostModel(shape).update_cost()
+        for use_direct_access_table in (False, True):
+            bottom_up = BottomUpCostModel(
+                shape, epsilon=0.003, use_direct_access_table=use_direct_access_table
+            )
+            assert bottom_up.update_cost(0.005) - 1.0 < top_down
+
     def test_without_direct_access_table_ascent_costs_scale_with_height(self):
         shape, _ = measured_shape()
         with_table = BottomUpCostModel(shape, use_direct_access_table=True)

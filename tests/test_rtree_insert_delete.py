@@ -119,16 +119,18 @@ class TestDeletion:
         expected = sorted(oid for oid, p in live.items() if window.contains_point(p))
         assert sorted(tree.range_query(window)) == expected
 
-    def test_delete_without_reinsertion_leaves_sparse_nodes(self):
-        tree = make_tree(reinsert_on_underflow=False)
+    def test_delete_reinserts_orphans_and_keeps_minimum_fill(self):
+        # CondenseTree dissolves underfull nodes and re-inserts their entries,
+        # so heavy deletion leaves every node at the minimum fill.
+        tree = make_tree()
         points = make_points(200)
         for oid, point in points:
             tree.insert(oid, point)
         for oid, point in points[:150]:
             tree.delete(oid, point)
-        # min-fill check must fail for at least the root path to be lenient;
-        # structural containment must still hold.
-        validate_tree(tree, check_min_fill=False, expected_size=50)
+        validate_tree(tree, check_min_fill=True, expected_size=50)
+        for oid, point in points[150:]:
+            assert oid in tree.point_query(point)
 
     def test_delete_from_leaf_requires_membership(self):
         tree = make_tree()

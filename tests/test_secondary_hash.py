@@ -10,14 +10,14 @@ from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
 from tests.conftest import SMALL_PAGE_SIZE, make_points
 
 
-def tree_with_index(count=300, charge_io=True):
+def tree_with_index(count=300):
     stats = IOStatistics()
     disk = DiskManager(page_size=SMALL_PAGE_SIZE, stats=stats)
     tree = RTree(BufferPool(disk, 0, stats), layout=PageLayout(page_size=SMALL_PAGE_SIZE))
     points = dict(make_points(count))
     for oid, point in points.items():
         tree.insert(oid, point)
-    index = ObjectHashIndex.build_from_tree(tree, charge_io=charge_io)
+    index = ObjectHashIndex.build_from_tree(tree)
     return tree, index, points, stats
 
 
@@ -53,11 +53,13 @@ class TestIOCharging:
             index.lookup(oid)
         assert stats.hash_index_reads == before + 10
 
-    def test_charging_can_be_disabled(self):
-        _, index, points, stats = tree_with_index(count=50, charge_io=False)
+    def test_repeated_lookup_charges_every_time(self):
+        _, index, points, stats = tree_with_index(count=50)
+        oid = next(iter(points))
         before = stats.hash_index_reads
-        index.lookup(next(iter(points)))
-        assert stats.hash_index_reads == before
+        for _ in range(3):
+            index.lookup(oid)
+        assert stats.hash_index_reads == before + 3
 
     def test_peek_never_charges(self):
         _, index, points, stats = tree_with_index(count=50)

@@ -30,7 +30,7 @@ from repro.shard.adaptive import (
 )
 from repro.shard.rebalance import UpdateQueryMix
 
-from tests.conftest import SMALL_PAGE_SIZE, build_index
+from tests.conftest import build_index
 
 
 class TestUpdateQueryMix:
@@ -67,7 +67,6 @@ class TestUpdateQueryMix:
 class TestAdaptiveStrategyPolicy:
     def test_defaults(self):
         policy = AdaptiveStrategyPolicy()
-        assert policy.enabled is True
         assert policy.cooldown == 400
         assert policy.min_ops == 128
 
@@ -88,7 +87,7 @@ class TestAdaptiveStrategyPolicy:
         assert policy.evidence_required(1) == 200
 
     def test_spec_round_trip(self):
-        policy = AdaptiveStrategyPolicy(enabled=False, cooldown=700, min_ops=9)
+        policy = AdaptiveStrategyPolicy(cooldown=700, min_ops=9)
         assert AdaptiveStrategyPolicy.from_spec(policy.to_spec()) == policy
 
     def test_partial_spec_fills_defaults(self):
@@ -156,19 +155,18 @@ class TestStrategyCosts:
         assert with_summary["GBU"] < without["GBU"]
         assert without["GBU"] == pytest.approx(without["TD"])
 
-    def test_uncharged_hash_io_restores_the_paper_ranking(self):
-        # With probes free (the paper's logical accounting) the bottom-up
-        # strategies beat TD on a pure short-move update workload.
-        shape = loaded_shape()
+    def test_hash_probe_is_charged_with_a_perfect_buffer(self):
+        # Tree pages scale with the miss ratio but the probe bypasses the
+        # buffer pool: with every page cached only the probes remain.
         costs = strategy_costs(
-            shape,
+            loaded_shape(),
             UpdateQueryMix(updates=1000, queries=0),
-            miss_ratio=1.0,
+            miss_ratio=0.0,
             distance=0.005,
-            charge_hash_io=False,
         )
-        assert costs["GBU"] < costs["TD"]
-        assert costs["LBU"] < costs["TD"]
+        assert costs["TD"] == 0.0
+        for name in ("NAIVE", "LBU", "GBU"):
+            assert costs[name] == pytest.approx(1000.0)
 
     def test_leaf_level_accesses_are_a_lower_bound_on_the_full_query(self):
         from repro.cost.model import expected_query_node_accesses
@@ -214,25 +212,6 @@ class TestAdaptiveStrategyController:
         assert restored.policy == controller.policy
         # The declarative spec stays policy-only.
         assert "switches" not in controller.to_spec()
-
-    def test_disabled_policy_never_triggers(self):
-        controller = AdaptiveStrategyController(
-            1, policy=AdaptiveStrategyPolicy(enabled=False, min_ops=1)
-        )
-        controller.monitor.record_update(0, 100)
-        assert controller.should_adapt(None) is False
-        assert controller.decide(_sharded_stub()) == []
-
-
-def _sharded_stub():
-    index = open_index(
-        {
-            "kind": "sharded",
-            "shards": 1,
-            "config": {"page_size": SMALL_PAGE_SIZE},
-        }
-    )
-    return index
 
 
 def attach_controller(index, min_ops=64, cooldown=200):
@@ -311,6 +290,17 @@ class TestAdaptiveLoop:
         assert sum(m.updates for m in mixes) > 0
         assert sum(m.queries for m in mixes) > 0
         assert controller.observed_distance(0) < DEFAULT_MOVE_DISTANCE
+
+    def test_detached_controller_never_triggers(self):
+        # Attaching the controller is what enables adaptation; detaching it
+        # stops every switch even under the workload that converges above.
+        index, positions, rng = self.build()
+        controller = attach_controller(index)
+        index.attach_adaptive(None)
+        self.drive(index, positions, rng)
+        assert index.auto_adapt() == 0
+        assert index.active_strategies() == ["NAIVE", "NAIVE"]
+        assert controller.switches == 0
 
     def test_auto_adapt_respects_the_evidence_gate(self):
         index, positions, rng = self.build()

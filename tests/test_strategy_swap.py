@@ -223,17 +223,13 @@ class TestSpecRoundTrip:
             "kind": "sharded",
             "shards": 4,
             "config": {"strategy": "TD", "page_size": SMALL_PAGE_SIZE},
-            "adaptive": {"enabled": True, "cooldown": 300, "min_ops": 64},
+            "adaptive": {"cooldown": 300, "min_ops": 64},
         }
         index = open_index(spec)
         assert index.adaptive is not None
         assert index.adaptive.policy.cooldown == 300
         round_tripped = index_spec(index)
-        assert round_tripped["adaptive"] == {
-            "enabled": True,
-            "cooldown": 300,
-            "min_ops": 64,
-        }
+        assert round_tripped["adaptive"] == {"cooldown": 300, "min_ops": 64}
         assert index_spec(open_index(round_tripped)) == round_tripped
 
     def test_unknown_adaptive_key_is_rejected(self):
@@ -248,4 +244,4 @@ class TestSpecRoundTrip:
 
     def test_adaptive_implies_sharded_topology(self):
         with pytest.raises(ValueError, match="conflicts"):
-            open_index({"kind": "single", "adaptive": {"enabled": True}})
+            open_index({"kind": "single", "adaptive": {"cooldown": 300}})

@@ -1,8 +1,12 @@
 """Tests for the tuning parameter bundle."""
 
+import math
+
 import pytest
 
+from repro.api import config_from_spec
 from repro.update import TuningParameters
+from repro.update.generalized import MAX_PIGGYBACK_OBJECTS
 
 
 class TestDefaults:
@@ -35,9 +39,18 @@ class TestValidation:
     def test_zero_level_threshold_allowed(self):
         assert TuningParameters(level_threshold=0).level_threshold == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon"):
+            TuningParameters(epsilon=value)
+
     def test_negative_piggyback_limit_rejected(self):
-        with pytest.raises(ValueError):
-            TuningParameters(max_piggyback_objects=-1)
+        # The piggyback limit is the constant MAX_PIGGYBACK_OBJECTS; a spec may
+        # repeat it but cannot set any other limit.
+        with pytest.raises(ValueError, match="max_piggyback_objects"):
+            config_from_spec({"params": {"max_piggyback_objects": -1}})
+        spec = {"params": {"max_piggyback_objects": MAX_PIGGYBACK_OBJECTS}}
+        assert config_from_spec(spec).params == TuningParameters()
 
 
 class TestOverrides:
