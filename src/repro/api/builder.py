@@ -36,7 +36,17 @@ True
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from repro.core.config import IndexConfig
 from repro.update.params import TuningParameters
@@ -143,10 +153,8 @@ def index_spec(index: "SpatialIndexFacade") -> Dict[str, Any]:
             "config": config_to_spec(index.config),
             "partitioner": index.partitioner.to_spec(),
         }
-        if index.rebalancer is not None:
-            spec["rebalance"] = index.rebalancer.to_spec()
-        if index.adaptive is not None:
-            spec["adaptive"] = index.adaptive.to_spec()
+        for section, controller in index.controllers.items():
+            spec[section] = controller.to_spec()
         if index.parallel_spec is not None:
             spec["parallel"] = dict(index.parallel_spec)
     else:
@@ -273,18 +281,20 @@ def install_sections(index: "SpatialIndexFacade", spec: Mapping[str, Any]) -> No
     from repro.shard.index import ShardedIndex
 
     if isinstance(index, ShardedIndex):
-        if spec.get("rebalance") is not None:
-            from repro.shard.rebalance import ShardRebalancer
+        from repro.shard import (
+            AdaptiveStrategyController,
+            MaintenanceController,
+            ShardRebalancer,
+        )
 
-            index.attach_rebalancer(
-                ShardRebalancer.from_spec(spec["rebalance"], index.num_shards)
-            )
-        if spec.get("adaptive") is not None:
-            from repro.shard.adaptive import AdaptiveStrategyController
-
-            index.attach_adaptive(
-                AdaptiveStrategyController.from_spec(spec["adaptive"], index.num_shards)
-            )
+        controllers: Tuple[Type[MaintenanceController[Any]], ...] = (
+            ShardRebalancer,
+            AdaptiveStrategyController,
+        )
+        for controller in controllers:
+            section = spec.get(controller.section)
+            if section is not None:
+                index.attach(controller.from_spec(section, index.num_shards))
     engine = spec.get("engine")
     if engine:
         _reject_unknown_keys("engine", engine, _ENGINE_KEYS)

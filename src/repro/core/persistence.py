@@ -192,15 +192,12 @@ def save_index(index, path: Union[str, Path]) -> None:
             # mirror shards would be stale).
             "shards": index.shard_documents(),
         }
-        if index.rebalancer is not None:
-            # Builder spec section plus the runtime counters, so a restored
-            # index resumes the same policy with its rebalance history.
-            document["rebalance"] = index.rebalancer.state_to_spec()
-        if index.adaptive is not None:
-            # Same shape: policy spec plus the switch counter.  The live
-            # per-shard strategies travel inside each shard document's
-            # ``active_strategy`` field, not here.
-            document["adaptive"] = index.adaptive.state_to_spec()
+        for section, controller in index.controllers.items():
+            # Builder spec section plus the runtime counters (rebalances,
+            # switches), so a restored index resumes the same policy with
+            # its history.  The live per-shard strategies travel inside each
+            # shard document's ``active_strategy`` field, not here.
+            document[section] = controller.state_to_spec()
         if index.parallel_spec is not None:
             # Builder spec section: the restored index re-attaches the same
             # execution backend.

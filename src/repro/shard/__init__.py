@@ -14,15 +14,21 @@ across **spatial shards**.  This package provides:
   across shard boundaries, fans queries out to only the intersecting
   shards, and composes per-shard DGL lock scopes under the online
   concurrent operation engine;
-* :mod:`repro.shard.rebalance` — the online :class:`ShardRebalancer`:
-  per-shard load monitoring, an imbalance trigger policy, a weighted
-  boundary-adjustment planner, and conflict-scheduled migration batches
-  that re-cut the partition under hotspot drift;
+* :mod:`repro.shard.control` — what both feedback loops share: the one
+  per-shard :class:`ShardLoadMonitor` an index feeds while any controller
+  is attached, the :class:`EvidenceGate` (``min_ops``/``cooldown``) each
+  controller's window must pass before it acts, and the
+  :class:`MaintenanceController` base with the spec codec of the
+  ``rebalance`` and ``adaptive`` sections;
+* :mod:`repro.shard.rebalance` — the online :class:`ShardRebalancer`: an
+  imbalance trigger on the gate, a weighted boundary-adjustment planner,
+  and conflict-scheduled migration batches that re-cut the partition under
+  hotspot drift;
 * :mod:`repro.shard.adaptive` — the cost-model-driven
-  :class:`AdaptiveStrategyController`: observes each shard's update/query
-  mix, movement distances and buffer hit ratio, ranks the four update
-  strategies with the Section 4 cost models and hot-swaps any shard whose
-  workload favours a different one;
+  :class:`AdaptiveStrategyController`: reads each shard's update/query
+  mix and movement distances from the monitor and its buffer hit ratio,
+  ranks the four update strategies with the Section 4 cost models and
+  hot-swaps any shard whose workload favours a different one;
 * :mod:`repro.shard.parallel` — the shard executors every shard-local step
   goes through as a picklable command: in-process (``serial``) or
   long-lived worker processes (``process``) — one interpreter, so identical
@@ -31,9 +37,14 @@ across **spatial shards**.  This package provides:
 
 from repro.shard.adaptive import (
     AdaptiveStrategyController,
-    AdaptiveStrategyPolicy,
     StrategyDecision,
     strategy_costs,
+)
+from repro.shard.control import (
+    EvidenceGate,
+    MaintenanceController,
+    ShardLoadMonitor,
+    UpdateQueryMix,
 )
 from repro.shard.index import MigrationOperation, ShardedIndex
 from repro.shard.parallel import (
@@ -56,16 +67,18 @@ from repro.shard.rebalance import (
     RebalancePlan,
     RebalancePolicy,
     RebalanceReport,
-    ShardLoadMonitor,
     ShardRebalancer,
     plan_boundaries,
 )
 
 __all__ = [
     "AdaptiveStrategyController",
-    "AdaptiveStrategyPolicy",
     "StrategyDecision",
     "strategy_costs",
+    "EvidenceGate",
+    "MaintenanceController",
+    "ShardLoadMonitor",
+    "UpdateQueryMix",
     "ShardedIndex",
     "MigrationOperation",
     "BACKENDS",
@@ -83,7 +96,6 @@ __all__ = [
     "RebalancePlan",
     "RebalancePolicy",
     "RebalanceReport",
-    "ShardLoadMonitor",
     "ShardRebalancer",
     "plan_boundaries",
 ]

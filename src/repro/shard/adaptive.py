@@ -2,14 +2,15 @@
 
 The paper's Section 4 cost formulas say *when* each update strategy should
 win; a live sharded index can act on them.  This module closes that loop the
-same way :mod:`repro.shard.rebalance` closes the load-skew loop:
+same way :mod:`repro.shard.rebalance` closes the load-skew loop, on the same
+observation and gating layer (:mod:`repro.shard.control`):
 
-* the :class:`~repro.shard.rebalance.ShardLoadMonitor` already counts every
-  routed operation per shard — :meth:`~repro.shard.rebalance.ShardLoadMonitor.update_query_mix`
-  turns the counters into the observed per-shard update/query mix;
-* :class:`AdaptiveStrategyPolicy` is the evidence/cooldown gate (the
-  :class:`~repro.shard.rebalance.RebalancePolicy` pattern: a minimum
-  evidence window before the first switch, a longer one between switches);
+* the index's one :class:`~repro.shard.control.ShardLoadMonitor` counts
+  every routed operation and in-shard move per shard; the controller's
+  window on it gives each shard's update/query mix and mean move distance;
+* the shared :class:`~repro.shard.control.EvidenceGate` holds a shard back
+  until its window has ``min_ops`` operations before its first switch and
+  ``cooldown`` operations between later ones;
 * :class:`AdaptiveStrategyController` evaluates the Section 4 models —
   :class:`~repro.cost.model.TopDownCostModel` and
   :class:`~repro.cost.model.BottomUpCostModel` against the live
@@ -34,7 +35,7 @@ answers window queries from leaf accesses alone).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cost.model import (
     BottomUpCostModel,
@@ -43,7 +44,12 @@ from repro.cost.model import (
     expected_query_node_accesses,
     window_overlap_probability,
 )
-from repro.shard.rebalance import ShardLoadMonitor, UpdateQueryMix
+from repro.shard.control import (
+    EvidenceGate,
+    MaintenanceController,
+    UpdateQueryMix,
+    check_count,
+)
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
@@ -140,63 +146,6 @@ def strategy_costs(
     }
 
 
-@dataclass
-class AdaptiveStrategyPolicy:
-    """When a shard's observed mix is evidence enough to switch strategy.
-
-    Attaching a controller with this policy is what turns adaptive
-    selection on (:meth:`ShardedIndex.attach_adaptive
-    <repro.shard.index.ShardedIndex.attach_adaptive>`); attaching ``None``
-    turns it off.
-
-    Attributes
-    ----------
-    cooldown:
-        Minimum recorded operations on a shard between consecutive switches
-        of that shard, so a fresh strategy gets time to prove itself.
-    min_ops:
-        Minimum recorded operations on a shard before its *first* switch;
-        prevents a handful of early operations from being read as a trend.
-    """
-
-    cooldown: int = 400
-    min_ops: int = 128
-
-    def __post_init__(self) -> None:
-        if self.cooldown < 0 or self.min_ops < 0:
-            raise ValueError("cooldown and min_ops must be non-negative")
-
-    def evidence_required(self, switches: int) -> int:
-        """Operations a shard needs in its window before a switch is considered."""
-        return self.min_ops if switches == 0 else max(self.min_ops, self.cooldown)
-
-    def to_spec(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-safe), the ``adaptive`` builder spec section."""
-        return {
-            "cooldown": self.cooldown,
-            "min_ops": self.min_ops,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "AdaptiveStrategyPolicy":
-        """Rebuild a policy from its (possibly partial) spec dict."""
-        known = {"enabled", "cooldown", "min_ops"}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown adaptive spec keys {sorted(unknown)!r}")
-        # Older specs and checkpoints carry the retired master switch; an
-        # attached controller is always on, so only ``true`` still loads.
-        if spec.get("enabled", True) != True:
-            raise ValueError(
-                f"adaptive 'enabled' is retired and only accepts true, "
-                f"got {spec['enabled']!r}; omit the adaptive section instead"
-            )
-        return cls(
-            cooldown=int(spec.get("cooldown", cls.cooldown)),
-            min_ops=int(spec.get("min_ops", cls.min_ops)),
-        )
-
-
 @dataclass(frozen=True)
 class StrategyDecision:
     """One shard's proposed strategy switch, with the ranking that chose it."""
@@ -216,52 +165,54 @@ class StrategyDecision:
         )
 
 
-class AdaptiveStrategyController:
+class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
     """Feedback loop: observe each shard's mix, switch it to the cheapest strategy.
 
-    Attach to a :class:`~repro.shard.index.ShardedIndex` (the ``adaptive``
-    spec section of :func:`repro.api.open_index` does this declaratively).
-    Once attached, the index records every routed operation into the
-    monitor; the auto-trigger hooks — the engine's maintenance interleave
-    for live sessions, the batch epilogue for serial batches — call
-    :meth:`~repro.shard.index.ShardedIndex.auto_adapt`, which executes the
-    :meth:`decide` proposals as hot swaps.  ``switches`` counts completed
-    switches across all shards and survives checkpoints
-    (:meth:`state_to_spec`).
+    Once attached, the auto-trigger hooks — the engine's maintenance
+    interleave for live sessions, the batch epilogue for serial batches —
+    call :meth:`~repro.shard.index.ShardedIndex.auto_adapt`, which executes
+    the :meth:`decide` proposals as hot swaps.  Each shard has its own
+    evidence window, restarted by its switch.  ``switches`` counts
+    completed switches across all shards and ``shard_switches`` per shard;
+    both survive checkpoints.
     """
 
-    #: Candidate strategies, re-exported for callers.
-    CANDIDATES: ClassVar[Tuple[str, ...]] = CANDIDATE_STRATEGIES
+    section = "adaptive"
+    state_keys = ("switches", "shard_switches")
+    # Older specs and checkpoints carry the retired master switch; an
+    # attached controller is always on, so only ``true`` still loads.
+    retired = {"enabled": True}
 
     def __init__(
         self,
         num_shards: int,
-        policy: Optional[AdaptiveStrategyPolicy] = None,
+        policy: Optional[EvidenceGate] = None,
         switches: int = 0,
+        shard_switches: Optional[List[int]] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.policy = policy if policy is not None else AdaptiveStrategyPolicy()
-        self.monitor = ShardLoadMonitor(num_shards)
-        self.switches = switches
+        super().__init__(num_shards, policy or EvidenceGate())
+        self.switches = check_count("switches", switches)
+        if shard_switches is None:
+            shard_switches = [0] * num_shards
+        if not isinstance(shard_switches, list) or len(shard_switches) != num_shards:
+            raise ValueError(
+                f"shard_switches must be a list of {num_shards} counts, "
+                f"got {shard_switches!r}"
+            )
+        self.shard_switches = [check_count("shard_switches", n) for n in shard_switches]
         self.query_extent = DEFAULT_QUERY_EXTENT
-        self._shard_switches: List[int] = [0] * num_shards
-        self._move_distance: List[float] = [0.0] * num_shards
-        self._moves: List[int] = [0] * num_shards
 
     # -- observation -----------------------------------------------------
-    def record_move(self, shard_id: int, distance: float) -> None:
-        """Fold one observed object movement distance into the shard's window."""
-        if distance < 0:
-            return
-        self._move_distance[shard_id] += distance
-        self._moves[shard_id] += 1
+    def evidence_required(self, shard_id: int) -> int:
+        """Operations the shard's window needs before a switch is considered."""
+        return self.policy.evidence_required(self.shard_switches[shard_id])
 
     def observed_distance(self, shard_id: int) -> float:
-        """Mean movement distance observed on the shard (default when idle)."""
-        if self._moves[shard_id] == 0:
+        """Mean movement distance in the shard's window (default when idle)."""
+        window = self.window()
+        if window.moves[shard_id] == 0:
             return DEFAULT_MOVE_DISTANCE
-        return self._move_distance[shard_id] / self._moves[shard_id]
+        return window.move_distance[shard_id] / window.moves[shard_id]
 
     @staticmethod
     def miss_ratio(shard: Any) -> float:
@@ -272,34 +223,20 @@ class AdaptiveStrategyController:
             return 1.0
         return max(0.0, min(1.0, 1.0 - stats.buffer_hits / logical))
 
-    # -- trigger ---------------------------------------------------------
-    def should_adapt(self, sharded: "ShardedIndex") -> bool:
-        """Cheap gate: has any shard accumulated enough evidence to rank?
-
-        Polled from the same places as
-        :meth:`~repro.shard.rebalance.ShardRebalancer.should_rebalance`;
-        the tree-shape measurement in :meth:`decide` is only worth paying
-        once a switch is possible at all.
-        """
-        return any(
-            mix.total >= self.policy.evidence_required(self._shard_switches[i])
-            for i, mix in enumerate(self.monitor.update_query_mix())
-        )
-
     # -- selection -------------------------------------------------------
     def decide(self, sharded: "ShardedIndex") -> List[StrategyDecision]:
         """Rank the candidates per shard; propose every beneficial switch.
 
-        A shard is considered once its window holds
-        :meth:`AdaptiveStrategyPolicy.evidence_required` operations.  The
-        incumbent strategy wins ties, so an idle ranking never churns.
+        A shard is ranked only once its window holds
+        :meth:`evidence_required` operations, so the tree-shape measurement
+        is paid only where a switch is possible.  The incumbent strategy
+        wins ties, so an idle ranking never churns.
         """
         decisions: List[StrategyDecision] = []
-        mixes = self.monitor.update_query_mix()
+        mixes = self.window().update_query_mix()
         for shard_id, shard in enumerate(sharded.shards):
             mix = mixes[shard_id]
-            required = self.policy.evidence_required(self._shard_switches[shard_id])
-            if mix.total < required:
+            if mix.total < self.evidence_required(shard_id):
                 continue
             shape = TreeShape.from_tree(shard.tree)
             if not shape.node_extents or not shape.node_extents[0]:
@@ -333,41 +270,15 @@ class AdaptiveStrategyController:
     def committed(self, shard_id: int) -> None:
         """Record a completed switch and restart that shard's evidence window."""
         self.switches += 1
-        self._shard_switches[shard_id] += 1
-        self.monitor.updates[shard_id] = 0
-        self.monitor.queries[shard_id] = 0
-        self.monitor.physical_io[shard_id] = 0
-        self._move_distance[shard_id] = 0.0
-        self._moves[shard_id] = 0
+        self.shard_switches[shard_id] += 1
+        self._mark.copy_shard(self.monitor, shard_id)
 
-    # -- persistence -----------------------------------------------------
-    def to_spec(self) -> Dict[str, Any]:
-        """The declarative (policy-only) spec section, JSON-round-trippable."""
-        return self.policy.to_spec()
-
-    def state_to_spec(self) -> Dict[str, Any]:
-        """Checkpoint form: the policy spec plus the runtime counters."""
-        spec = self.to_spec()
-        spec["switches"] = self.switches
-        return spec
-
-    @classmethod
-    def from_spec(
-        cls, spec: Dict[str, Any], num_shards: int
-    ) -> "AdaptiveStrategyController":
-        """Rebuild a controller from a policy spec or a checkpointed state spec."""
-        data = dict(spec)
-        switches = int(data.pop("switches", 0))
-        return cls(
-            num_shards,
-            policy=AdaptiveStrategyPolicy.from_spec(data),
-            switches=switches,
-        )
+    def describe(self, sharded: "ShardedIndex") -> str:
+        return f" strategies={sharded.active_strategies()}" + super().describe(sharded)
 
 
 __all__ = [
     "AdaptiveStrategyController",
-    "AdaptiveStrategyPolicy",
     "CANDIDATE_STRATEGIES",
     "DEFAULT_MOVE_DISTANCE",
     "DEFAULT_QUERY_EXTENT",

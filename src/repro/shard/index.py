@@ -85,6 +85,7 @@ from repro.durability.wal import (
 from repro.geometry import Point, Rect
 from repro.shard import parallel as shard_parallel
 from repro.shard.adaptive import AdaptiveStrategyController
+from repro.shard.control import MaintenanceController, ShardLoadMonitor
 from repro.shard.partitioner import GridPartitioner, Partitioner
 from repro.shard.rebalance import (
     RebalanceGroupMigration,
@@ -190,22 +191,13 @@ class ShardedIndex(SpatialIndexFacade):
         }
         #: Cross-shard migrations executed since the last statistics reset.
         self.migrations = 0
-        #: Optional online rebalancer (attached via :meth:`attach_rebalancer`
-        #: or the declarative ``rebalance`` spec section).  When present,
-        #: every routed operation is recorded into its load monitor and the
-        #: batch/engine paths auto-trigger boundary adjustments.
-        self.rebalancer: Optional[ShardRebalancer] = None
-        #: Optional adaptive strategy controller (attached via
-        #: :meth:`attach_adaptive` or the declarative ``adaptive`` spec
-        #: section).  When present, every routed operation is recorded into
-        #: its monitor and the batch/engine paths auto-trigger per-shard
-        #: strategy switches.
-        self.adaptive: Optional[AdaptiveStrategyController] = None
-        #: True while a rebalance migration executes: the rebalancer's own
-        #: traffic must not land in the load monitor's evidence window, or a
-        #: re-cut displacing more than ``cooldown`` objects would re-satisfy
-        #: the trigger gate by itself and storm.
-        self._suppress_load_recording = False
+        #: Attached maintenance controllers by spec section (``rebalance``,
+        #: ``adaptive``; see :meth:`attach`): the batch and engine paths
+        #: auto-trigger them.
+        self.controllers: Dict[str, MaintenanceController] = {}
+        #: The per-shard monitor every routed operation is recorded into;
+        #: exists only while a controller is attached.
+        self.monitor: Optional[ShardLoadMonitor] = None
         #: The shard executor every shard-local step goes through: the
         #: in-process :class:`~repro.shard.parallel.ShardBackend` by default,
         #: the process executor after :meth:`set_parallel`.
@@ -347,75 +339,54 @@ class ShardedIndex(SpatialIndexFacade):
         return super().engine(*args, **kwargs)
 
     # ------------------------------------------------------------------
-    # Rebalancing (repro.shard.rebalance)
+    # Maintenance controllers (repro.shard.control)
     # ------------------------------------------------------------------
-    def attach_rebalancer(self, rebalancer: Optional[ShardRebalancer]) -> None:
-        """Install (or remove, with ``None``) the online rebalancer.
+    @property
+    def rebalancer(self) -> Optional[ShardRebalancer]:
+        """The attached online rebalancer, if any."""
+        return self.controllers.get("rebalance")
 
-        Once attached, every routed operation is recorded into the
-        rebalancer's per-shard load monitor, and the auto-trigger hooks —
-        the engine's maintenance interleave for live sessions, the batch
-        epilogues for serial batches — consult its policy.
+    @property
+    def adaptive(self) -> Optional[AdaptiveStrategyController]:
+        """The attached adaptive strategy controller, if any."""
+        return self.controllers.get("adaptive")
+
+    def attach(self, controller: MaintenanceController) -> None:
+        """Install *controller* in its spec section, replacing any there.
+
+        Every attached controller reads the one per-shard :attr:`monitor`,
+        created with the first controller; the new controller's windows
+        open at the monitor's current counts.
         """
-        self.rebalancer = rebalancer
-        if rebalancer is not None:
-            rebalancer.monitor.reset(self.shards)
+        if self.monitor is None:
+            self.monitor = ShardLoadMonitor(self.num_shards)
+        self.controllers[controller.section] = controller
+        controller.monitor = self.monitor
+        controller.restart(self.shards)
 
-    def attach_adaptive(
-        self, adaptive: Optional[AdaptiveStrategyController]
-    ) -> None:
-        """Install (or remove, with ``None``) the adaptive strategy controller.
-
-        Once attached, every routed operation is recorded into the
-        controller's per-shard monitor, and the auto-trigger hooks — the
-        engine's maintenance interleave for live sessions, the batch
-        epilogues for serial batches — execute its cost-model proposals as
-        hot strategy swaps (:meth:`auto_adapt`).
-        """
-        self.adaptive = adaptive
-        if adaptive is not None:
-            adaptive.monitor.reset(self.shards)
+    def detach(self, section: str) -> None:
+        """Remove the controller of *section*; the last one takes the monitor."""
+        self.controllers.pop(section, None)
+        if not self.controllers:
+            self.monitor = None
 
     def _record_update(self, shard_id: int, count: int = 1) -> None:
-        if self._suppress_load_recording:
-            return
-        if self.rebalancer is not None:
-            self.rebalancer.monitor.record_update(shard_id, count)
-        if self.adaptive is not None:
-            self.adaptive.monitor.record_update(shard_id, count)
+        if self.monitor is not None:
+            self.monitor.record_update(shard_id, count)
 
     def _record_query(self, shard_id: int, count: int = 1) -> None:
-        if self._suppress_load_recording:
-            return
-        if self.rebalancer is not None:
-            self.rebalancer.monitor.record_query(shard_id, count)
-        if self.adaptive is not None:
-            self.adaptive.monitor.record_query(shard_id, count)
+        if self.monitor is not None:
+            self.monitor.record_query(shard_id, count)
 
-    def _record_move(
-        self, shard_id: int, old_location: Optional[Point], new_location: Point
+    def _record_moves(
+        self, shard_id: int, moves: Iterable[Tuple[Optional[Point], Point]]
     ) -> None:
-        """Feed an observed movement distance to the adaptive controller."""
-        if (
-            self.adaptive is None
-            or self._suppress_load_recording
-            or old_location is None
-        ):
-            return
-        self.adaptive.record_move(
-            shard_id, old_location.distance_to(new_location)
-        )
-
-    def _record_batch_moves(
-        self, shard_id: int, requests: List[BatchUpdate]
-    ) -> None:
-        """Feed a routed in-shard bucket's movement distances to the controller."""
-        if self.adaptive is None or self._suppress_load_recording:
-            return
-        for request in requests:
-            self._record_move(
-                shard_id, request.old_location, request.new_location
-            )
+        """Record in-shard ``(old, new)`` moves; unknown origins are skipped."""
+        monitor = self.monitor
+        if monitor is not None:
+            for old, new in moves:
+                if old is not None:
+                    monitor.record_move(shard_id, old.distance_to(new))
 
     def reroute(self, oid: int) -> bool:
         """Move *oid* to the shard its *current* position routes to.
@@ -438,32 +409,28 @@ class ShardedIndex(SpatialIndexFacade):
         return True
 
     def _unrecorded_migration(self, work):
-        """Run rebalance-migration *work* without it reading as shard load.
+        """Run maintenance *work* without it reading as shard load.
 
-        Both halves of the load signal are shielded: the update counters
-        (via the suppression flag the ``_record_*`` hooks consult) and the
-        physical I/O (by advancing the monitor's sampling marks past
-        whatever the work transferred).  Only the outermost frame measures
-        — a nested call (the per-object fallback inside a group) would
-        otherwise exclude its I/O twice and eat real client load.
+        Both halves of the load signal are shielded: the operation counters
+        (the monitor is unplugged while the work runs, so the ``_record_*``
+        hooks see none) and the physical I/O (the monitor's sampling marks
+        advance past whatever the work transferred).  A nested call (the
+        per-object fallback inside a group) finds the monitor unplugged and
+        measures nothing, so its I/O is not excluded twice.
         """
-        previous = self._suppress_load_recording
-        self._suppress_load_recording = True
-        rebalancer = self.rebalancer
-        before = (
-            [shard.total_physical_io() for shard in self.shards]
-            if rebalancer is not None and not previous
-            else None
-        )
+        monitor = self.monitor
+        if monitor is None:
+            return work()
+        self.monitor = None
+        before = [shard.total_physical_io() for shard in self.shards]
         try:
             return work()
         finally:
-            self._suppress_load_recording = previous
-            if before is not None:
-                for shard_id, shard in enumerate(self.shards):
-                    delta = shard.total_physical_io() - before[shard_id]
-                    if delta > 0:
-                        rebalancer.monitor.exclude_io(shard_id, delta)
+            self.monitor = monitor
+            for shard_id, shard in enumerate(self.shards):
+                delta = shard.total_physical_io() - before[shard_id]
+                if delta > 0:
+                    monitor.exclude_io(shard_id, delta)
 
     def migrate_leaf_group(
         self, source_id: int, leaf_page: int, oids: List[int]
@@ -484,7 +451,7 @@ class ShardedIndex(SpatialIndexFacade):
         client traffic.
 
         None of the group's work — neither its operation counts nor its
-        physical I/O — is recorded into the load monitor: the rebalancer's
+        physical I/O — is recorded into the monitor: the rebalancer's
         own traffic in the evidence window would re-satisfy the
         ``cooldown`` gate whenever a re-cut displaces more objects than the
         cooldown, storming into back-to-back rebalances.
@@ -599,7 +566,7 @@ class ShardedIndex(SpatialIndexFacade):
     ) -> RebalanceReport:
         """Adjust the partition boundaries to the observed load and migrate.
 
-        Plans new boundaries from the rebalancer's load monitor (each object
+        Plans new boundaries from the rebalancer's load window (each object
         weighted by its owning shard's load share, so the new cut equalises
         *load*), installs the new partitioner, and executes the required
         migrations as one conflict-scheduled batch through the concurrent
@@ -613,10 +580,10 @@ class ShardedIndex(SpatialIndexFacade):
         """
         rebalancer = self.rebalancer
         if rebalancer is None:
-            # One-shot controller: only meaningful with force=True, since an
-            # unattached index has recorded no load evidence.
+            # One-shot controller on a private monitor: only meaningful with
+            # force=True, since its window holds no load evidence.
             rebalancer = ShardRebalancer(self.num_shards)
-            rebalancer.monitor.reset(self.shards)
+            rebalancer.restart(self.shards)
         imbalance_before = self.population_imbalance()
         plan = self._triggered_plan(rebalancer, force=force)
         if plan is None:
@@ -662,7 +629,7 @@ class ShardedIndex(SpatialIndexFacade):
         plan = rebalancer.plan(self, force=force)
         if plan is None:
             if not force:
-                rebalancer.monitor.reset(self.shards)
+                rebalancer.restart(self.shards)
             return None
         self.partitioner = plan.partitioner
         self._log_repartition()
@@ -678,13 +645,11 @@ class ShardedIndex(SpatialIndexFacade):
         if self.durability is not None:
             self.durability.log_repartition(self.partitioner.to_spec())
 
-    def auto_rebalance(self) -> Optional[RebalanceReport]:
-        """Policy-gated :meth:`rebalance`, called by the serial batch epilogues."""
-        if self.rebalancer is None:
-            return None
-        if not self.rebalancer.should_rebalance(self):
-            return None
-        return self.rebalance()
+    def _auto_maintain(self) -> None:
+        """The serial batch epilogue: rebalance, then adapt, each gated."""
+        if self.rebalancer is not None:
+            self.rebalance()
+        self.auto_adapt()
 
     # ------------------------------------------------------------------
     # Update strategies (hot swap + adaptive selection)
@@ -724,7 +689,7 @@ class ShardedIndex(SpatialIndexFacade):
     def auto_adapt(self) -> int:
         """Policy-gated adaptive strategy switching; returns switches made.
 
-        Called by the same hooks as :meth:`auto_rebalance`.  Skipped under
+        Called by the same hooks as the gated :meth:`rebalance`.  Skipped under
         the process backend: the controller ranks strategies against the
         authoritative trees, which live in the workers there (explicit
         :meth:`set_strategy` calls still propagate).
@@ -732,12 +697,10 @@ class ShardedIndex(SpatialIndexFacade):
         adaptive = self.adaptive
         if adaptive is None or self._backend.remote:
             return 0
-        if not adaptive.should_adapt(self):
-            return 0
         decisions = adaptive.decide(self)
         for decision in decisions:
             # The swap itself (an LBU entry sweeps leaf parent pointers) is
-            # maintenance, not client load — shield the monitors the same
+            # maintenance, not client load — shield the monitor the same
             # way rebalance migrations are shielded.
             self._unrecorded_migration(
                 lambda d=decision: self.set_strategy(d.strategy, d.shard_id)
@@ -909,8 +872,8 @@ class ShardedIndex(SpatialIndexFacade):
         target = self.partitioner.shard_of(new_location)
         if target == source:
             self._record_update(source)
-            if self.adaptive is not None:
-                self._record_move(source, self.position_of(oid), new_location)
+            if self.monitor is not None:
+                self._record_moves(source, [(self.position_of(oid), new_location)])
             outcome = self._backend.run(
                 source, shard_parallel.Update(oid, new_location)
             )
@@ -1111,8 +1074,7 @@ class ShardedIndex(SpatialIndexFacade):
                     raise TypeError(f"unsupported batch operation {op!r}")
             self._flush_updates(run, result)
             self._merge_io_delta(result, before)
-            self.auto_rebalance()
-            self.auto_adapt()
+            self._auto_maintain()
         return result
 
     def _flush_updates(self, run: List[BatchUpdate], result: BatchReport) -> None:
@@ -1156,7 +1118,9 @@ class ShardedIndex(SpatialIndexFacade):
                 crossing.append(request)
         for shard_id, bucket in per_shard.items():
             self._record_update(shard_id, len(bucket))
-            self._record_batch_moves(shard_id, bucket)
+            self._record_moves(
+                shard_id, ((r.old_location, r.new_location) for r in bucket)
+            )
         return per_shard, crossing
 
     def _log_update_buckets(
@@ -1354,8 +1318,7 @@ class ShardedIndex(SpatialIndexFacade):
             # Batch-path auto-trigger: the schedule has drained and every
             # pre-committed position is applied, so a boundary adjustment is
             # planned against consistent state.
-            self.auto_rebalance()
-            self.auto_adapt()
+            self._auto_maintain()
 
         return PreparedBatch(operations=operations, result=result, finalize=finalize)
 
@@ -1368,10 +1331,8 @@ class ShardedIndex(SpatialIndexFacade):
     def reset_statistics(self) -> None:
         self._broadcast(shard_parallel.ResetStats())
         self.migrations = 0
-        if self.rebalancer is not None:
-            self.rebalancer.monitor.reset(self.shards)
-        if self.adaptive is not None:
-            self.adaptive.monitor.reset(self.shards)
+        for controller in self.controllers.values():
+            controller.restart(self.shards)
 
     def io_snapshot(self) -> IOStatistics:
         """The shards' I/O counters merged into one aggregate snapshot."""
@@ -1428,11 +1389,6 @@ class ShardedIndex(SpatialIndexFacade):
             f"{self.config.describe()} | objects={len(self._shard_of)} "
             f"populations={populations} migrations={self.migrations}"
         )
-        if self.rebalancer is not None:
-            text += f" rebalances={self.rebalancer.rebalances}"
-        if self.adaptive is not None:
-            text += (
-                f" strategies={self.active_strategies()} "
-                f"switches={self.adaptive.switches}"
-            )
+        for controller in self.controllers.values():
+            text += controller.describe(self)
         return text + f" parallel={self._backend.describe()}"

@@ -8,12 +8,11 @@ collapses.  This module adds the system's first feedback-driven control
 loop — an **online rebalancer** that watches per-shard load and re-cuts the
 partition boundaries so the hot region is spread over every shard:
 
-* :class:`ShardLoadMonitor` — per-shard update/query counters plus physical
-  I/O sampled from each shard's :class:`~repro.storage.stats.IOStatistics`;
-* :class:`RebalancePolicy` — the trigger rule: rebalance when the max/mean
-  per-shard load exceeds ``threshold``, at least ``min_ops`` operations have
-  been observed since the last boundary change, and ``cooldown`` operations
-  have passed between consecutive rebalances;
+* :class:`RebalancePolicy` — the trigger rule: the shared
+  :class:`~repro.shard.control.EvidenceGate` (``min_ops`` operations of
+  evidence before the first rebalance, ``cooldown`` between later ones) plus
+  a ``threshold`` on the max/mean per-shard load of the window, read from
+  the index's one :class:`~repro.shard.control.ShardLoadMonitor`;
 * :func:`plan_boundaries` — the boundary-adjustment planner: a weighted
   near-square cut of the unit square (columns split by x, each column split
   by y) where every object carries its owning shard's load share, so the new
@@ -46,7 +45,6 @@ from typing import (
     Hashable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -55,11 +53,18 @@ from typing import (
 from repro.api.operations import Update
 from repro.concurrency.scheduler import VirtualOperation
 from repro.geometry import Point, Rect
+from repro.shard.control import (
+    EvidenceGate,
+    MaintenanceController,
+    ShardLoadMonitor,
+    check_count,
+)
 from repro.shard.partitioner import (
     BoundaryPartitioner,
     QuantileGridPartitioner,
     near_square_factoring,
 )
+from repro.update.params import check_non_negative
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.concurrency.engine import OnlineOperationEngine
@@ -68,194 +73,32 @@ if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
 
 
-class _IOSource(Protocol):
-    """The slice of a shard the monitor samples (satisfied by any facade)."""
+@dataclass(kw_only=True)
+class RebalancePolicy(EvidenceGate):
+    """The evidence gate plus the load-skew trigger of the rebalancer.
 
-    def total_physical_io(self) -> int: ...
-
-
-@dataclass(frozen=True)
-class UpdateQueryMix:
-    """One shard's observed operation mix since the last monitor reset.
-
-    The consumer-facing view of the raw update/query counters: the adaptive
-    strategy controller weights its cost-model comparison by this mix, and
-    callers no longer re-derive ratios (with their own zero-total guards)
-    from the counter lists.
-    """
-
-    updates: int
-    queries: int
-
-    @property
-    def total(self) -> int:
-        """Recorded operations on the shard (updates + query visits)."""
-        return self.updates + self.queries
-
-    @property
-    def update_fraction(self) -> float:
-        """Updates as a fraction of the total (0.0 on an idle shard)."""
-        return self.updates / self.total if self.total else 0.0
-
-    @property
-    def query_fraction(self) -> float:
-        """Query visits as a fraction of the total (0.0 on an idle shard)."""
-        return self.queries / self.total if self.total else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Load monitoring
-# ---------------------------------------------------------------------------
-
-
-class ShardLoadMonitor:
-    """Per-shard load counters: updates, queries, and sampled physical I/O.
-
-    The sharded index records every routed operation against its shard;
-    :meth:`sample_io` folds in the physical page transfers each shard's
-    :class:`~repro.storage.stats.IOStatistics` accumulated since the last
-    sample (under the online engine those are the transfers the scheduler
-    charges to virtual clients — the same counters, viewed per shard).
-    ``load = updates + queries + physical I/O`` per shard, so an
-    I/O-heavy shard reads as hot even at moderate operation counts.
-    """
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.num_shards = num_shards
-        self.updates: List[int] = [0] * num_shards
-        self.queries: List[int] = [0] * num_shards
-        self.physical_io: List[int] = [0] * num_shards
-        self._io_marks: List[int] = [0] * num_shards
-
-    def record_update(self, shard_id: int, count: int = 1) -> None:
-        """Count *count* update-side operations (insert/update/delete) on a shard."""
-        self.updates[shard_id] += count
-
-    def record_query(self, shard_id: int, count: int = 1) -> None:
-        """Count *count* query-side visits (range/kNN fan-out) on a shard."""
-        self.queries[shard_id] += count
-
-    def sample_io(self, shards: Sequence[_IOSource]) -> None:
-        """Fold in each shard's physical I/O delta since the last sample."""
-        for shard_id, shard in enumerate(shards):
-            current = shard.total_physical_io()
-            delta = current - self._io_marks[shard_id]
-            if delta > 0:
-                self.physical_io[shard_id] += delta
-            self._io_marks[shard_id] = current
-
-    def exclude_io(self, shard_id: int, amount: int) -> None:
-        """Skip *amount* of a shard's physical I/O in the next sample.
-
-        Used by the rebalancer's migration paths: the migrations' own I/O
-        must not read as shard load, or the storm the cooldown exists to
-        prevent would re-trigger itself (the migration burst lands in the
-        evidence window :meth:`reset` just opened).
-        """
-        self._io_marks[shard_id] += amount
-
-    # -- derived views ---------------------------------------------------
-    def loads(self) -> List[float]:
-        """Combined per-shard load (operations + queries + physical I/O)."""
-        return [
-            float(self.updates[i] + self.queries[i] + self.physical_io[i])
-            for i in range(self.num_shards)
-        ]
-
-    def total_operations(self) -> int:
-        """Recorded operations (updates + query visits) since the last reset."""
-        return sum(self.updates) + sum(self.queries)
-
-    def update_query_mix(self) -> List[UpdateQueryMix]:
-        """Per-shard observed mix (ratio + totals) since the last reset."""
-        return [
-            UpdateQueryMix(updates=self.updates[i], queries=self.queries[i])
-            for i in range(self.num_shards)
-        ]
-
-    def imbalance(self) -> float:
-        """Max/mean of the per-shard loads (1.0 = balanced, also when idle)."""
-        loads = self.loads()
-        total = sum(loads)
-        if total <= 0:
-            return 1.0
-        return max(loads) * self.num_shards / total
-
-    def reset(self, shards: Optional[Sequence[_IOSource]] = None) -> None:
-        """Zero the counters; re-mark the I/O baselines when *shards* given."""
-        self.updates = [0] * self.num_shards
-        self.queries = [0] * self.num_shards
-        self.physical_io = [0] * self.num_shards
-        if shards is not None:
-            self._io_marks = [shard.total_physical_io() for shard in shards]
-        else:
-            self._io_marks = [0] * self.num_shards
-
-
-# ---------------------------------------------------------------------------
-# Trigger policy
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RebalancePolicy:
-    """When load skew is bad enough — and evidence fresh enough — to act.
-
-    Attributes
-    ----------
-    threshold:
-        Trigger when max/mean per-shard load exceeds this factor (the
-        ``shard_scaling`` hotspot runs reach ~4x on a 4-shard grid).
-    cooldown:
-        Minimum recorded operations between consecutive rebalances, so a
-        freshly cut partition gets time to prove itself before being re-cut.
-    min_ops:
-        Minimum recorded operations before the *first* trigger; prevents a
-        handful of early operations from being read as a trend.
+    ``threshold``: rebalance when the max/mean per-shard window load
+    exceeds this factor (the ``shard_scaling`` hotspot runs reach ~4x on a
+    4-shard grid).
     """
 
     threshold: float = 1.5
-    cooldown: int = 400
-    min_ops: int = 128
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        check_non_negative("threshold", self.threshold)
         if self.threshold <= 1.0:
-            raise ValueError("threshold must exceed 1.0 (1.0 = perfectly balanced)")
-        if self.cooldown < 0 or self.min_ops < 0:
-            raise ValueError("cooldown and min_ops must be non-negative")
+            raise ValueError(
+                f"threshold must exceed 1.0 (1.0 = perfectly balanced), "
+                f"got {self.threshold!r}"
+            )
+        self.threshold = float(self.threshold)
 
-    def evidence_required(self, rebalances: int) -> int:
-        """Operations needed in the window before a trigger is considered."""
-        return self.min_ops if rebalances == 0 else max(self.min_ops, self.cooldown)
-
-    def should_trigger(self, monitor: ShardLoadMonitor, rebalances: int) -> bool:
-        """Evidence check against *monitor* (counters since the last rebalance)."""
-        if monitor.total_operations() < self.evidence_required(rebalances):
+    def should_trigger(self, window: ShardLoadMonitor, rebalances: int) -> bool:
+        """Evidence and skew check against a rebalancer's *window*."""
+        if window.total_operations() < self.evidence_required(rebalances):
             return False
-        return monitor.imbalance() > self.threshold
-
-    def to_spec(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-safe), the ``rebalance`` builder spec section."""
-        return {
-            "threshold": self.threshold,
-            "cooldown": self.cooldown,
-            "min_ops": self.min_ops,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "RebalancePolicy":
-        """Rebuild a policy from its (possibly partial) spec dict."""
-        known = {"threshold", "cooldown", "min_ops"}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown rebalance spec keys {sorted(unknown)!r}")
-        return cls(
-            threshold=float(spec.get("threshold", cls.threshold)),
-            cooldown=int(spec.get("cooldown", cls.cooldown)),
-            min_ops=int(spec.get("min_ops", cls.min_ops)),
-        )
+        return window.imbalance() > self.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +289,6 @@ class RebalancePlan:
 
     partitioner: BoundaryPartitioner
     moves: List[int]
-    imbalance_before: float
-    loads: List[float] = field(default_factory=list)
     buckets: List[Tuple[int, int, List[int]]] = field(default_factory=list)
     loose: List[int] = field(default_factory=list)
 
@@ -471,18 +312,19 @@ class RebalanceReport:
         )
 
 
-class ShardRebalancer:
-    """Feedback loop: monitor shard load, re-cut boundaries, migrate objects.
+class ShardRebalancer(MaintenanceController[RebalancePolicy]):
+    """Feedback loop: watch shard load, re-cut boundaries, migrate objects.
 
-    Attach to a :class:`~repro.shard.index.ShardedIndex` (the ``rebalance``
-    spec section of :func:`repro.api.open_index` does this declaratively).
-    Once attached, the index records every routed operation into the
-    monitor; the auto-trigger hooks — the engine's maintenance interleave
-    for live sessions, the batch epilogue for serial batches — consult
-    :meth:`should_rebalance` and execute :meth:`plan` as conflict-scheduled
-    migration batches.  ``rebalances`` counts completed boundary changes and
-    survives checkpoints (:meth:`state_to_spec`).
+    Once attached, the auto-trigger hooks — the engine's maintenance
+    interleave for live sessions, the batch epilogue for serial batches —
+    consult :meth:`should_rebalance` and execute :meth:`plan` as
+    conflict-scheduled migration batches.  ``rebalances`` counts completed
+    boundary changes and survives checkpoints.
     """
+
+    section = "rebalance"
+    gate = RebalancePolicy
+    state_keys = ("rebalances",)
 
     def __init__(
         self,
@@ -490,13 +332,17 @@ class ShardRebalancer:
         policy: Optional[RebalancePolicy] = None,
         rebalances: int = 0,
     ) -> None:
-        self.policy = policy if policy is not None else RebalancePolicy()
-        self.monitor = ShardLoadMonitor(num_shards)
-        self.rebalances = rebalances
+        super().__init__(num_shards, policy or RebalancePolicy())
+        self.rebalances = check_count("rebalances", rebalances)
+
+    def restart(self, shards: Sequence[Any]) -> None:
+        """Open the window at the current counts and physical I/O."""
+        self.monitor.sample_io(shards)
+        super().restart(shards)
 
     # -- trigger ---------------------------------------------------------
     def should_rebalance(self, sharded: "ShardedIndex") -> bool:
-        """Sample I/O and evaluate the policy against the current counters.
+        """Sample I/O and evaluate the policy against the window.
 
         The cheap operation-count gate runs first: this method is polled
         before every engine operation draw, and the per-shard I/O sampling
@@ -505,12 +351,11 @@ class ShardRebalancer:
         """
         if sharded.num_shards <= 1:
             return False
-        if self.monitor.total_operations() < self.policy.evidence_required(
-            self.rebalances
-        ):
+        recorded = self.monitor.total_operations() - self._mark.total_operations()
+        if recorded < self.policy.evidence_required(self.rebalances):
             return False
         self.monitor.sample_io(sharded.shards)
-        return self.policy.should_trigger(self.monitor, self.rebalances)
+        return self.policy.should_trigger(self.window(), self.rebalances)
 
     # -- planning --------------------------------------------------------
     def plan(self, sharded: "ShardedIndex", force: bool = False) -> Optional[RebalancePlan]:
@@ -529,7 +374,7 @@ class ShardRebalancer:
         if sharded.num_shards <= 1 or len(sharded) == 0:
             return None
         self.monitor.sample_io(sharded.shards)
-        loads = self.monitor.loads()
+        loads = self.window().loads()
         populations = sharded.shard_populations()
         weights = [
             loads[shard_id] / populations[shard_id] if populations[shard_id] else 0.0
@@ -581,8 +426,6 @@ class ShardRebalancer:
         return RebalancePlan(
             partitioner=partitioner,
             moves=moves,
-            imbalance_before=self.monitor.imbalance(),
-            loads=loads,
             buckets=[
                 (shard_id, leaf_page, members)
                 for (shard_id, leaf_page), members in sorted(grouped.items())
@@ -594,29 +437,7 @@ class ShardRebalancer:
     def committed(self, sharded: "ShardedIndex") -> None:
         """Record a completed boundary change and restart the evidence window."""
         self.rebalances += 1
-        self.monitor.reset(sharded.shards)
-
-    # -- persistence -----------------------------------------------------
-    def to_spec(self) -> Dict[str, Any]:
-        """The declarative (policy-only) spec section, JSON-round-trippable."""
-        return self.policy.to_spec()
-
-    def state_to_spec(self) -> Dict[str, Any]:
-        """Checkpoint form: the policy spec plus the runtime counters."""
-        spec = self.to_spec()
-        spec["rebalances"] = self.rebalances
-        return spec
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any], num_shards: int) -> "ShardRebalancer":
-        """Rebuild a rebalancer from a policy spec or a checkpointed state spec."""
-        data = dict(spec)
-        rebalances = int(data.pop("rebalances", 0))
-        return cls(
-            num_shards,
-            policy=RebalancePolicy.from_spec(data),
-            rebalances=rebalances,
-        )
+        self.restart(sharded.shards)
 
 
 __all__ = [
@@ -625,8 +446,6 @@ __all__ = [
     "RebalancePlan",
     "RebalancePolicy",
     "RebalanceReport",
-    "ShardLoadMonitor",
     "ShardRebalancer",
-    "UpdateQueryMix",
     "plan_boundaries",
 ]

@@ -9,7 +9,7 @@ from repro.api import config_from_spec, config_to_spec, index_spec, open_index
 from repro.core import IndexConfig, MovingObjectIndex, load_index, save_index
 from repro.geometry import Point, Rect
 from repro.shard import ShardedIndex
-from repro.shard.adaptive import AdaptiveStrategyPolicy
+from repro.shard import EvidenceGate
 from repro.shard.partitioner import BoundaryPartitioner
 from repro.update import TuningParameters
 
@@ -225,7 +225,7 @@ class TestRetiredKeys:
             }
         )
         assert index.config == IndexConfig()
-        assert index.adaptive.policy == AdaptiveStrategyPolicy()
+        assert index.adaptive.policy == EvidenceGate()
 
     @pytest.mark.parametrize(
         "spec", [{"kind": "single"}, {"shards": 2, "adaptive": {}}], ids=["single", "sharded"]

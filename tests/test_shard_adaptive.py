@@ -1,7 +1,7 @@
 """Cost-model-driven per-shard strategy selection: the adaptive controller.
 
-Every layer of the feedback loop: the monitor's ``update_query_mix()`` view
-(ratio + totals), the evidence/cooldown policy and its spec codec, the
+Every layer of the feedback loop: the shared monitor's ``update_query_mix()``
+view (ratio + totals), the shared evidence gate and the section codec, the
 ``strategy_costs`` ranking (does the Section 4 model pick the right winner
 for the regimes the calibration benchmark measures?), the controller's
 trigger/decide/commit cycle, and the full loop on a live
@@ -20,17 +20,21 @@ from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
 from repro.shard import (
     AdaptiveStrategyController,
-    AdaptiveStrategyPolicy,
+    EvidenceGate,
     ShardLoadMonitor,
+    ShardRebalancer,
+    UpdateQueryMix,
     strategy_costs,
 )
+from repro.shard import adaptive as adaptive_module
 from repro.shard.adaptive import (
     DEFAULT_MOVE_DISTANCE,
     leaf_level_query_accesses,
 )
-from repro.shard.rebalance import UpdateQueryMix
 
-from tests.conftest import build_index
+from repro.workload import WorkloadGenerator, WorkloadSpec
+
+from tests.conftest import SMALL_PAGE_SIZE, build_index
 
 
 class TestUpdateQueryMix:
@@ -57,46 +61,69 @@ class TestUpdateQueryMix:
         assert mixes[0].update_fraction == pytest.approx(0.8)
         assert mixes[1].total == 0
 
-    def test_mix_resets_with_the_monitor(self):
+    def test_mix_restarts_at_a_mark(self):
         monitor = ShardLoadMonitor(2)
         monitor.record_update(1, 4)
-        monitor.reset()
-        assert all(m.total == 0 for m in monitor.update_query_mix())
+        mark = monitor.snapshot()
+        assert all(m.total == 0 for m in monitor.since(mark).update_query_mix())
 
 
-class TestAdaptiveStrategyPolicy:
+def adaptive_section(section):
+    """The adaptive controller a 2-shard index builds from *section*."""
+    return AdaptiveStrategyController.from_spec(section, 2)
+
+
+# One malformed ``adaptive`` section per entry, with the key its error names.
+MALFORMED_ADAPTIVE = [
+    ({"cool_down": 250}, "unknown adaptive spec keys"),
+    ([], "adaptive section must be a mapping"),
+    ({"cooldown": 1.7}, "cooldown"),
+    ({"cooldown": True}, "cooldown"),
+    ({"min_ops": "12"}, "min_ops"),
+    ({"min_ops": -0.5}, "min_ops"),
+    ({"switches": 1.5}, "switches"),
+    ({"shard_switches": [1]}, "shard_switches"),
+]
+
+
+class TestEvidenceGate:
     def test_defaults(self):
-        policy = AdaptiveStrategyPolicy()
+        policy = EvidenceGate()
         assert policy.cooldown == 400
         assert policy.min_ops == 128
 
     def test_negative_parameters_are_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveStrategyPolicy(cooldown=-1)
+            EvidenceGate(cooldown=-1)
         with pytest.raises(ValueError):
-            AdaptiveStrategyPolicy(min_ops=-5)
+            EvidenceGate(min_ops=-5)
 
     def test_evidence_required_grows_after_first_switch(self):
-        policy = AdaptiveStrategyPolicy(cooldown=500, min_ops=100)
+        policy = EvidenceGate(cooldown=500, min_ops=100)
         assert policy.evidence_required(0) == 100
         assert policy.evidence_required(1) == 500
         assert policy.evidence_required(3) == 500
 
     def test_cooldown_never_below_min_ops(self):
-        policy = AdaptiveStrategyPolicy(cooldown=50, min_ops=200)
+        policy = EvidenceGate(cooldown=50, min_ops=200)
         assert policy.evidence_required(1) == 200
 
     def test_spec_round_trip(self):
-        policy = AdaptiveStrategyPolicy(cooldown=700, min_ops=9)
-        assert AdaptiveStrategyPolicy.from_spec(policy.to_spec()) == policy
+        policy = EvidenceGate(cooldown=700, min_ops=9)
+        assert adaptive_section(policy.to_spec()).policy == policy
 
     def test_partial_spec_fills_defaults(self):
-        policy = AdaptiveStrategyPolicy.from_spec({"cooldown": 250})
-        assert policy == AdaptiveStrategyPolicy(cooldown=250)
+        policy = adaptive_section({"cooldown": 250}).policy
+        assert policy == EvidenceGate(cooldown=250)
 
-    def test_unknown_spec_keys_are_rejected(self):
-        with pytest.raises(ValueError, match="unknown adaptive spec keys"):
-            AdaptiveStrategyPolicy.from_spec({"cool_down": 250})
+    @pytest.mark.parametrize(
+        "section, match",
+        MALFORMED_ADAPTIVE,
+        ids=[repr(section) for section, _match in MALFORMED_ADAPTIVE],
+    )
+    def test_unknown_spec_keys_are_rejected(self, section, match):
+        with pytest.raises(ValueError, match=match):
+            open_index({"shards": 2, "adaptive": section})
 
 
 def loaded_shape(seed=3, num_objects=400):
@@ -184,8 +211,8 @@ class TestAdaptiveStrategyController:
     def test_observed_distance_defaults_until_moves_arrive(self):
         controller = AdaptiveStrategyController(2)
         assert controller.observed_distance(0) == DEFAULT_MOVE_DISTANCE
-        controller.record_move(0, 0.02)
-        controller.record_move(0, 0.04)
+        controller.monitor.record_move(0, 0.02)
+        controller.monitor.record_move(0, 0.04)
         assert controller.observed_distance(0) == pytest.approx(0.03)
         assert controller.observed_distance(1) == DEFAULT_MOVE_DISTANCE
 
@@ -193,15 +220,15 @@ class TestAdaptiveStrategyController:
         controller = AdaptiveStrategyController(2)
         controller.monitor.record_update(0, 50)
         controller.monitor.record_update(1, 30)
-        controller.record_move(0, 0.1)
+        controller.monitor.record_move(0, 0.1)
         controller.committed(0)
         assert controller.switches == 1
-        assert controller.monitor.updates == [0, 30]
+        assert controller.window().updates == [0, 30]
         assert controller.observed_distance(0) == DEFAULT_MOVE_DISTANCE
 
     def test_state_spec_round_trips_the_switch_counter(self):
         controller = AdaptiveStrategyController(
-            3, policy=AdaptiveStrategyPolicy(cooldown=600, min_ops=10)
+            3, policy=EvidenceGate(cooldown=600, min_ops=10)
         )
         controller.committed(1)
         controller.committed(2)
@@ -209,6 +236,7 @@ class TestAdaptiveStrategyController:
             controller.state_to_spec(), 3
         )
         assert restored.switches == 2
+        assert restored.shard_switches == [0, 1, 1]
         assert restored.policy == controller.policy
         # The declarative spec stays policy-only.
         assert "switches" not in controller.to_spec()
@@ -217,9 +245,9 @@ class TestAdaptiveStrategyController:
 def attach_controller(index, min_ops=64, cooldown=200):
     controller = AdaptiveStrategyController(
         index.num_shards,
-        policy=AdaptiveStrategyPolicy(cooldown=cooldown, min_ops=min_ops),
+        policy=EvidenceGate(cooldown=cooldown, min_ops=min_ops),
     )
-    index.attach_adaptive(controller)
+    index.attach(controller)
     return controller
 
 
@@ -282,11 +310,11 @@ class TestAdaptiveLoop:
         index.validate()
         assert f"strategies={index.active_strategies()}" in index.describe()
 
-    def test_recording_feeds_both_monitors(self):
+    def test_recording_feeds_the_adaptive_window(self):
         index, positions, rng = self.build()
         controller = attach_controller(index, min_ops=10**9)
         self.drive(index, positions, rng, steps=50)
-        mixes = controller.monitor.update_query_mix()
+        mixes = controller.window().update_query_mix()
         assert sum(m.updates for m in mixes) > 0
         assert sum(m.queries for m in mixes) > 0
         assert controller.observed_distance(0) < DEFAULT_MOVE_DISTANCE
@@ -296,7 +324,8 @@ class TestAdaptiveLoop:
         # stops every switch even under the workload that converges above.
         index, positions, rng = self.build()
         controller = attach_controller(index)
-        index.attach_adaptive(None)
+        index.detach("adaptive")
+        assert index.monitor is None  # nothing attached, nothing recorded
         self.drive(index, positions, rng)
         assert index.auto_adapt() == 0
         assert index.active_strategies() == ["NAIVE", "NAIVE"]
@@ -322,6 +351,19 @@ class TestAdaptiveLoop:
         assert restored.active_strategies() == index.active_strategies()
         restored.validate()
 
+    def test_restored_gate_equals_live_gate(self, tmp_path):
+        # One switch per shard moves each shard's gate from min_ops to the
+        # cooldown; the restored controller must keep that per-shard history.
+        index, positions, rng = self.build()
+        controller = attach_controller(index, min_ops=10, cooldown=400)
+        self.drive(index, positions, rng, steps=100)
+        assert controller.shard_switches == [1, 1]
+        save_index(index, tmp_path / "checkpoint.json")
+        restored = load_index(tmp_path / "checkpoint.json").adaptive
+        live_gate = [controller.evidence_required(i) for i in range(2)]
+        assert live_gate == [400, 400]
+        assert [restored.evidence_required(i) for i in range(2)] == live_gate
+
     def test_adaptive_runs_inside_engine_maintenance(self):
         index, positions, rng = self.build()
         controller = attach_controller(index)
@@ -343,3 +385,99 @@ class TestAdaptiveLoop:
         assert index.shards[0].active_strategy == "TD"
         assert controller.switches >= 1
         index.validate()
+
+
+def rebalance_window(index):
+    """Operations in the rebalancer's evidence window."""
+    return index.rebalancer.window().total_operations()
+
+
+def rebalance_loads(index):
+    """The rebalancer's per-shard window load, physical I/O sampled now."""
+    index.monitor.sample_io(index.shards)
+    return index.rebalancer.window().loads()
+
+
+def adaptive_window(index):
+    """Operations in each shard's adaptive evidence window."""
+    return [mix.total for mix in index.adaptive.window().update_query_mix()]
+
+
+class TestBothControllers:
+    """A rebalancer and an adaptive controller fed by one index."""
+
+    def build(self, buffer_percent=8.0):
+        loop = TestAdaptiveLoop()
+        index, positions, rng = loop.build(buffer_percent=buffer_percent)
+        index.attach(ShardRebalancer(index.num_shards))
+        attach_controller(index)
+        # 99 steps: drive() polls auto_adapt only on its 100th step.
+        loop.drive(index, positions, rng, steps=99)
+        return index, loop, positions, rng
+
+    def test_rebalance_commit_keeps_the_adaptive_window(self):
+        index, _loop, _positions, _rng = self.build()
+        window = adaptive_window(index)
+        assert min(window) > 0 and rebalance_window(index) > 0
+        assert index.rebalance(force=True).triggered
+        assert rebalance_window(index) == 0
+        assert adaptive_window(index) == window
+
+    def test_switch_keeps_the_rebalance_window(self):
+        index, _loop, _positions, _rng = self.build()
+        window = rebalance_window(index)
+        assert index.auto_adapt() == 2
+        assert index.active_strategies() == ["TD", "GBU"]
+        assert adaptive_window(index) == [0, 0]
+        assert rebalance_window(index) == window
+
+    def test_switch_io_stays_out_of_the_rebalance_load(self, monkeypatch):
+        # Without a buffer the LBU entry sweep's leaf writes reach the disk.
+        index, _loop, _positions, _rng = self.build(buffer_percent=0.0)
+        loads = rebalance_loads(index)
+        io_before = index.total_physical_io()
+        monkeypatch.setattr(
+            adaptive_module,
+            "strategy_costs",
+            lambda *args, **kwargs: {"TD": 2.0, "NAIVE": 2.0, "LBU": 1.0, "GBU": 2.0},
+        )
+        assert index.auto_adapt() == 2
+        assert index.active_strategies() == ["LBU", "LBU"]
+        assert index.total_physical_io() > io_before
+        assert rebalance_loads(index) == loads
+
+    def test_forced_rebalance_with_only_adaptive_plans_from_populations(self):
+        def forced_cut(**sections):
+            index = open_index(
+                {
+                    "kind": "sharded",
+                    "shards": 4,
+                    "config": {
+                        "strategy": "TD",
+                        "page_size": SMALL_PAGE_SIZE,
+                        "buffer_percent": 0.0,
+                    },
+                    **sections,
+                }
+            )
+            index.load(
+                WorkloadGenerator(
+                    WorkloadSpec(
+                        num_objects=200, num_updates=0, num_queries=0, seed=7,
+                        distribution="hotspot", hotspot_cells=2,
+                        hotspot_exponent=3.0,
+                    )
+                ).initial_objects()
+            )
+            # All recorded load lands on the top-right shard.
+            for _ in range(50):
+                index.range_query(Rect(0.8, 0.8, 0.95, 0.95))
+            assert index.rebalance(force=True).triggered
+            return index.partitioner.to_spec(), index.shard_populations()
+
+        populations = forced_cut()
+        assert populations[1] == [50, 50, 50, 50]
+        assert forced_cut(adaptive={}) == populations
+        # The same traffic seen by a rebalancer moves the cut: the check above
+        # is not vacuous.
+        assert forced_cut(rebalance={}) != populations

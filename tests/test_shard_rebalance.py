@@ -1,10 +1,10 @@
 """The online shard rebalancer: monitor, policy, planner, and the full loop.
 
-The tentpole of the rebalancing PR: a :class:`ShardRebalancer` attached to a
-:class:`ShardedIndex` watches per-shard load, re-cuts the partition
-boundaries when the max/mean load exceeds its threshold, and migrates the
-displaced objects — as bulk leaf groups scheduled through the concurrent
-engine, interleaved with live client traffic.  These tests cover every
+A :class:`ShardRebalancer` attached to a :class:`ShardedIndex` watches
+per-shard load, re-cuts the partition boundaries when the max/mean load
+exceeds its threshold, and migrates the displaced objects — as bulk leaf
+groups scheduled through the concurrent engine, interleaved with live client
+traffic.  These tests cover every
 layer: the load monitor's counters and I/O sampling, the trigger policy,
 the weighted boundary planner, the plan/migrate cycle (serial and
 scheduled), answer equivalence with a single index before, during ("mid
@@ -106,14 +106,29 @@ class TestShardLoadMonitor:
         index = build_hotspot_sharded()
         monitor = ShardLoadMonitor(index.num_shards)
         monitor.sample_io(index.shards)  # baseline marks
-        monitor.reset(index.shards)
+        mark = monitor.snapshot()
         index.range_query(Rect(0.0, 0.0, 0.3, 0.3))
         monitor.sample_io(index.shards)
-        assert sum(monitor.physical_io) > 0
+        assert sum(monitor.since(mark).physical_io) > 0
         # A second sample with no traffic adds nothing.
         snapshot = list(monitor.physical_io)
         monitor.sample_io(index.shards)
         assert monitor.physical_io == snapshot
+
+
+# One malformed ``rebalance`` section per entry, with the key its error names.
+MALFORMED_REBALANCE = [
+    ({"threshold": 1.0}, "threshold"),
+    ({"nope": 1}, "unknown rebalance spec keys"),
+    (5, "rebalance section must be a mapping"),
+    ({"cooldown": 1.7}, "cooldown"),
+    ({"cooldown": True}, "cooldown"),
+    ({"min_ops": "12"}, "min_ops"),
+    ({"min_ops": -0.5}, "min_ops"),
+    ({"threshold": float("nan")}, "threshold"),
+    ({"threshold": float("inf")}, "threshold"),
+    ({"rebalances": -1}, "rebalances"),
+]
 
 
 class TestRebalancePolicy:
@@ -141,13 +156,16 @@ class TestRebalancePolicy:
 
     def test_spec_round_trip(self):
         policy = RebalancePolicy(threshold=2.5, cooldown=123, min_ops=7)
-        assert RebalancePolicy.from_spec(policy.to_spec()) == policy
+        assert ShardRebalancer.from_spec(policy.to_spec(), 2).policy == policy
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            RebalancePolicy(threshold=1.0)
-        with pytest.raises(ValueError):
-            RebalancePolicy.from_spec({"nope": 1})
+    @pytest.mark.parametrize(
+        "section, match",
+        MALFORMED_REBALANCE,
+        ids=[repr(section) for section, _match in MALFORMED_REBALANCE],
+    )
+    def test_invalid_specs_rejected(self, section, match):
+        with pytest.raises(ValueError, match=match):
+            open_index({"shards": 2, "rebalance": section})
 
 
 class TestBoundaryPlanner:
@@ -236,7 +254,7 @@ class TestRebalanceCycle:
         """Between the boundary re-cut and the migrations, queries hold."""
         index = build_hotspot_sharded()
         rebalancer = ShardRebalancer(index.num_shards)
-        rebalancer.monitor.reset(index.shards)
+        rebalancer.restart(index.shards)
         plan = rebalancer.plan(index, force=True)
         assert plan is not None and plan.moves
 
@@ -268,7 +286,7 @@ class TestRebalanceCycle:
     def test_migrate_leaf_group_moves_a_planned_bucket(self):
         index = build_hotspot_sharded()
         rebalancer = ShardRebalancer(index.num_shards)
-        rebalancer.monitor.reset(index.shards)
+        rebalancer.restart(index.shards)
         plan = rebalancer.plan(index, force=True)
         index.partitioner = plan.partitioner
         assert plan.buckets
@@ -283,7 +301,7 @@ class TestRebalanceCycle:
     def test_migrate_leaf_group_tolerates_drifted_members(self):
         index = build_hotspot_sharded()
         rebalancer = ShardRebalancer(index.num_shards)
-        rebalancer.monitor.reset(index.shards)
+        rebalancer.restart(index.shards)
         plan = rebalancer.plan(index, force=True)
         index.partitioner = plan.partitioner
         source_id, leaf_page, members = max(
@@ -389,7 +407,7 @@ class TestAutoTrigger:
             rebalance={"threshold": 1.5, "min_ops": 100, "cooldown": 150}
         )
         fresh.rebalance(force=True)
-        assert fresh.rebalancer.monitor.total_operations() == 0
+        assert fresh.rebalancer.window().total_operations() == 0
 
     def test_rebalancer_survives_gbu_strategy(self):
         index = build_hotspot_sharded(
