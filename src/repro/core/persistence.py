@@ -2,12 +2,13 @@
 
 A monitoring service restarts; its index should not have to be rebuilt from a
 full scan of the object table.  This module provides a simple checkpoint
-format for both facade implementations: every R-tree node is written through
-the binary codec of :mod:`repro.storage.serialization`, along with the index
-configuration and the object-position table.  On load the R-tree pages are
-restored onto a fresh simulated disk and the secondary hash index and
-summary structure are re-bootstrapped from the tree (they are derived
-structures, exactly as the paper treats them).
+format for both facade implementations: the page images of the flushed
+simulated disk, copied as they are (the binary node codec of
+:mod:`repro.storage.serialization` wrote them), along with the index
+configuration and the tree's root, height and size.  On load the images are
+copied onto a fresh simulated disk, and the secondary hash index, the summary
+structure and the object positions are re-derived from the tree (they are
+derived structures, exactly as the paper treats them).
 
 A :class:`~repro.shard.index.ShardedIndex` checkpoints as one page-image
 section per shard plus the partitioner spec; its object directory is derived
@@ -44,18 +45,25 @@ from repro.geometry import Point
 # Version 3: the page header of a non-empty node carries its tight MBR
 # (NodeCodec flag bit 1).  The one decoder reads images with and without the
 # bit, so a version-2 checkpoint loads unchanged.
-FORMAT_VERSION = 3
-READABLE_FORMAT_VERSIONS = (2, FORMAT_VERSION)
+# Version 4: the pages are the flushed disk's images as they are (no decode
+# and re-encode), and the per-object position table is gone: positions are
+# re-derived from the leaves.  Older documents' tables are ignored.
+FORMAT_VERSION = 4
+READABLE_FORMAT_VERSIONS = (2, 3, FORMAT_VERSION)
 
 
 def _index_document(index: MovingObjectIndex) -> Dict:
-    """The checkpoint document body of one single-machine index."""
+    """The checkpoint document body of one single-machine index.
+
+    After the flush every page on the disk holds the image of its node's
+    current state, so the images are copied without touching the codec.
+    """
     index.buffer.flush()
-    codec = index.buffer.codec
-    pages = {}
-    for node, _parent in index.tree.iter_nodes():
-        image = codec.encode(node)
-        pages[str(node.page_id)] = base64.b64encode(image).decode("ascii")
+    disk = index.disk
+    pages = {
+        str(page_id): base64.b64encode(disk.peek(page_id)).decode("ascii")
+        for page_id in sorted(disk.page_ids())
+    }
 
     return {
         # The embedded configuration IS the declarative builder spec's
@@ -71,7 +79,6 @@ def _index_document(index: MovingObjectIndex) -> Dict:
             "size": index.tree.size,
         },
         "pages": pages,
-        "positions": {str(oid): [p.x, p.y] for oid, p in index._positions.items()},
     }
 
 
@@ -87,26 +94,25 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     index.tree._free_node(empty_root)
 
     tree_meta = document["tree"]
-    codec = index.buffer.codec
-    restored_pages = {}
-    for page_text, image_text in document["pages"].items():
-        page_id = int(page_text)
-        image = base64.b64decode(image_text.encode("ascii"))
-        node = codec.decode(page_id, image)
-        restored_pages[page_id] = node
+    images = {
+        int(page_text): base64.b64decode(image_text.encode("ascii"))
+        for page_text, image_text in document["pages"].items()
+    }
 
     # Allocate page ids on the fresh disk until every checkpointed id exists,
-    # then write the nodes into place through the (still unbuffered) pool,
-    # whose disk boundary encodes them again.
+    # then copy the images into place as they are.  The rebuild walks below
+    # decode every page of the tree, so a garbled image still fails the load.
     disk = index.disk
-    needed = set(restored_pages)
-    allocated = set()
-    while needed - allocated:
-        allocated.add(disk.allocate_page())
-    for page_id in sorted(allocated - needed):
+    missing = set(images)
+    allocated = []
+    while missing:
+        page_id = disk.allocate_page()
+        allocated.append(page_id)
+        missing.discard(page_id)
+    for page_id in sorted(set(allocated).difference(images)):
         disk.deallocate_page(page_id)
-    for page_id, node in restored_pages.items():
-        index.buffer.write(page_id, node)
+    for page_id, image in images.items():
+        disk.write_page(page_id, image)
 
     index.tree.root_page_id = tree_meta["root_page_id"]
     index.tree.height = tree_meta["height"]
@@ -119,18 +125,15 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     if index.summary is not None:
         index.summary.rebuild_from_tree()
 
-    # Object positions are rebuilt from the restored leaf entries — the
-    # authoritative, self-consistent source (and since format version 2 the
-    # page codec is binary64, so this is lossless).  The position table in
-    # the document is kept for human inspection and for objects that might
-    # not be point-shaped.
+    # Object positions are rebuilt from the restored leaf entries, the only
+    # source since format version 4 (the page codec is binary64 since
+    # version 2, so this is lossless; the tables older documents carry are
+    # ignored).
     positions = index._positions = {}
     for leaf in index.tree.leaf_nodes():
         it = iter(leaf.coords)  # centres read off the columns, as Rect.center()
         for xmin, ymin, xmax, ymax, oid in zip(it, it, it, it, leaf.children):
             positions[oid] = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
-    for oid_text, (x, y) in document["positions"].items():
-        positions.setdefault(int(oid_text), Point(x, y))
 
     # Re-enter the strategy that was live at checkpoint time (a plain
     # construction starts on ``config.strategy``).  The restored pages carry

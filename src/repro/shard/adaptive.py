@@ -155,15 +155,6 @@ class StrategyDecision:
     current: str
     costs: Dict[str, float] = field(compare=False)
 
-    def describe(self) -> str:
-        ranking = ", ".join(
-            f"{name}={self.costs[name]:.0f}"
-            for name in sorted(self.costs, key=lambda key: self.costs[key])
-        )
-        return (
-            f"shard {self.shard_id}: {self.current} -> {self.strategy} ({ranking})"
-        )
-
 
 class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
     """Feedback loop: observe each shard's mix, switch it to the cheapest strategy.
@@ -200,7 +191,6 @@ class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
                 f"got {shard_switches!r}"
             )
         self.shard_switches = [check_count("shard_switches", n) for n in shard_switches]
-        self.query_extent = DEFAULT_QUERY_EXTENT
 
     # -- observation -----------------------------------------------------
     def evidence_required(self, shard_id: int) -> int:
@@ -246,7 +236,6 @@ class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
                 mix,
                 miss_ratio=self.miss_ratio(shard),
                 distance=self.observed_distance(shard_id),
-                query_extent=self.query_extent,
                 use_summary_for_queries=shard.config.use_summary_for_queries,
                 epsilon=shard.config.params.epsilon,
             )

@@ -59,16 +59,6 @@ class UpdateQueryMix:
         """Recorded operations on the shard (updates + query visits)."""
         return self.updates + self.queries
 
-    @property
-    def update_fraction(self) -> float:
-        """Updates as a fraction of the total (0.0 on an idle shard)."""
-        return self.updates / self.total if self.total else 0.0
-
-    @property
-    def query_fraction(self) -> float:
-        """Query visits as a fraction of the total (0.0 on an idle shard)."""
-        return self.queries / self.total if self.total else 0.0
-
 
 class ShardLoadMonitor:
     """Per-shard counters: updates, query visits, moves and physical I/O.

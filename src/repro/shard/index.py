@@ -269,7 +269,7 @@ class ShardedIndex(SpatialIndexFacade):
         authoritative tree/page state pulled from the workers, the exact
         I/O and outcome counters the mirrors tracked, and their previous
         buffer capacities — but the buffer *contents* come back cold (page
-        images travel through the checkpoint codec, cached frames do not).
+        images travel in the checkpoint document, cached frames do not).
 
         A process backend that lost a worker cannot sync anything back: the
         call raises :class:`~repro.api.errors.WorkerFailedError` (the worker
@@ -315,15 +315,6 @@ class ShardedIndex(SpatialIndexFacade):
         backend instead of one per object.
         """
         return self._backend.run(shard_id, shard_parallel.LeafOf(tuple(oids)))
-
-    def set_io_latency(self, seconds: float) -> None:
-        """Charge *seconds* of real wall time per physical page transfer.
-
-        Applied to every shard's simulated disk — the worker-side ones under
-        the process backend, whose mirrors follow — so serial and parallel
-        runs pay the identical per-transfer cost.
-        """
-        self._broadcast(shard_parallel.SetIOLatency(seconds))
 
     def shard_documents(self) -> List[Dict]:
         """Checkpoint document bodies of every shard (worker-side when remote)."""
@@ -578,14 +569,17 @@ class ShardedIndex(SpatialIndexFacade):
         load has been recorded (or no rebalancer is attached) — the plan
         falls back to equalising shard populations.
         """
+        imbalance_before = self.population_imbalance()
         rebalancer = self.rebalancer
-        if rebalancer is None:
-            # One-shot controller on a private monitor: only meaningful with
-            # force=True, since its window holds no load evidence.
+        if rebalancer is None and force:
+            # One-shot controller on a private monitor: its window holds no
+            # load evidence, so the plan equalises populations.
             rebalancer = ShardRebalancer(self.num_shards)
             rebalancer.restart(self.shards)
-        imbalance_before = self.population_imbalance()
-        plan = self._triggered_plan(rebalancer, force=force)
+        plan = (
+            None if rebalancer is None
+            else self._triggered_plan(rebalancer, force=force)
+        )
         if plan is None:
             return RebalanceReport(
                 triggered=False,

@@ -37,13 +37,12 @@ inherited, so the payload is each shard's checkpoint document and the worker
 restores it (:func:`repro.core.persistence._restore_index`).  Both routes
 end in the same state, which is what a restore produces: a cold pool at the
 coordinator's capacity share (no frames, and no pins — those exist only
-inside a batch group), I/O and update-outcome counters equal to the
-coordinator's snapshot, the coordinator's disk-latency knob.  The
-coordinator flushes each shard's pool *before* the fork: the write-back is
-charged once, to counters the snapshot then captures, so the worker
-continues the coordinator's counter sequence exactly as it does after
-restoring a document (whose encoding flushes too) — serial ≡ fork ≡ spawn on
-every counter.  The way back (``detach_parallel`` / ``shard_documents``) is
+inside a batch group) and I/O and update-outcome counters equal to the
+coordinator's snapshot.  The coordinator flushes each shard's pool *before*
+the fork: the write-back is charged once, to counters the snapshot then
+captures, so the worker continues the coordinator's counter sequence
+exactly as it does after restoring a document (whose save flushes too) —
+serial ≡ fork ≡ spawn on every counter.  The way back (``detach_parallel`` / ``shard_documents``) is
 always the :class:`Checkpoint` command: worker-held state really does cross
 a pipe.
 
@@ -237,13 +236,6 @@ class Checkpoint:
     """Return the shard's full checkpoint document (page images + config)."""
 
 
-@dataclass(frozen=True)
-class SetIOLatency:
-    """Charge real wall-clock *seconds* per physical page transfer."""
-
-    seconds: float
-
-
 Command = Any  # any of the dataclasses above
 
 
@@ -328,9 +320,6 @@ def execute_command(shard, command: Command) -> Any:
         from repro.core.persistence import _index_document
 
         return _index_document(shard)
-    if isinstance(command, SetIOLatency):
-        shard.disk.io_latency_s = command.seconds
-        return None
     raise TypeError(f"unknown shard command {command!r}")
 
 
@@ -385,12 +374,8 @@ def _assign_counters(shard, state: Dict[str, Any]) -> None:
 
 def handover_state(shard) -> Dict[str, Any]:
     """What a shard taken over elsewhere continues from: its I/O and outcome
-    counters, its buffer share and its disk latency knob."""
-    return {
-        **_counters(shard),
-        "buffer_capacity": shard.buffer.capacity,
-        "io_latency": shard.disk.io_latency_s,
-    }
+    counters and its buffer share."""
+    return {**_counters(shard), "buffer_capacity": shard.buffer.capacity}
 
 
 def adopt_handover(shard, state: Dict[str, Any]) -> None:
@@ -400,7 +385,6 @@ def adopt_handover(shard, state: Dict[str, Any]) -> None:
     _assign_counters(shard, state)
     shard.buffer.clear()
     shard.buffer.capacity = state["buffer_capacity"]
-    shard.disk.io_latency_s = state["io_latency"]
 
 
 def _shard_state(shard) -> Dict[str, Any]:
@@ -425,8 +409,8 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]]) -> None:
     object a fork-started worker inherited, or its checkpoint document (page
     images + embedded config spec) under any other start method — plus what
     the worker resets it to: the coordinator's I/O and outcome counter
-    values (the worker continues the coordinator's sequence), the buffer
-    share, and the disk latency knob.
+    values (the worker continues the coordinator's sequence) and the buffer
+    share.
     """
     try:
         shards: Dict[int, Any] = {}
@@ -517,7 +501,7 @@ class ShardBackend:
 
 #: Seconds a dispatch (or the attach handshake) waits for one worker's reply
 #: before the worker counts as hung.  Generous on purpose: one reply can cover
-#: a whole batch bucket or a checkpoint with the simulated disk latency on.
+#: a whole batch bucket or a checkpoint of a large shard.
 DISPATCH_DEADLINE_S = 60.0
 
 
@@ -740,7 +724,7 @@ class ProcessBackend(ShardBackend):
                 positions.update(command.positions)
             elif kind is SetStrategy:
                 shard.active_strategy = payload
-            elif kind is ConfigureBuffer or kind is SetIOLatency:
+            elif kind is ConfigureBuffer:
                 execute_command(shard, command)  # knobs only: same on the mirror
         _assign_counters(shard, state)
         mbr = state["root_mbr"]
@@ -817,7 +801,6 @@ __all__ = [
     "Range",
     "RefreshSummary",
     "ResetStats",
-    "SetIOLatency",
     "SetStrategy",
     "ShardBackend",
     "Update",

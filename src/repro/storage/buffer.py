@@ -23,7 +23,7 @@ they are.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Set
 
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStatistics
@@ -81,11 +81,11 @@ class BufferPool:
         self.codec = codec
         # page_id -> payload; insertion order is LRU order (oldest first).
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
-        self._dirty: set = set()
+        self._dirty: Set[int] = set()
         # page_id -> pin count; pinned pages are exempt from eviction (a leaf
         # bucket of several updates pins its leaf so interleaved reads cannot
         # push it out of the pool mid-bucket).
-        self._pins: dict = {}
+        self._pins: Dict[int, int] = {}
 
     # -- sizing helpers -----------------------------------------------------
     @classmethod
@@ -294,6 +294,6 @@ class BufferPool:
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def resident_pages(self) -> list:
+    def resident_pages(self) -> List[int]:
         """Page ids currently buffered, oldest first (test helper)."""
         return list(self._frames.keys())

@@ -12,7 +12,6 @@ The disk never caches — caching is the buffer pool's job — so "one call to
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.storage.stats import IOStatistics
@@ -42,11 +41,6 @@ class DiskManager:
             raise ValueError("page_size must be positive")
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStatistics()
-        #: Real wall-clock seconds charged per physical page transfer
-        #: (0.0 = pure counting, the default).  Set it (``ShardedIndex.
-        #: set_io_latency``) to emulate an actual device: physical I/O then
-        #: costs wall time, which independent shard workers overlap.
-        self.io_latency_s: float = 0.0
         self._pages: Dict[int, Any] = {}
         self._next_page_id = 0
         self._free_list: List[int] = []
@@ -82,8 +76,6 @@ class DiskManager:
         except KeyError:
             raise PageNotFoundError(page_id) from None
         self.stats.physical_reads += 1
-        if self.io_latency_s > 0.0:
-            time.sleep(self.io_latency_s)
         return payload
 
     def write_page(self, page_id: int, payload: Any) -> None:
@@ -91,8 +83,6 @@ class DiskManager:
         if page_id not in self._pages:
             raise PageNotFoundError(page_id)
         self.stats.physical_writes += 1
-        if self.io_latency_s > 0.0:
-            time.sleep(self.io_latency_s)
         self._pages[page_id] = payload
 
     # -- inspection (not counted as I/O) --------------------------------------

@@ -123,7 +123,7 @@ class NodeCodec:
         if size < _PAGE_HEADER.size:
             raise SerializationError("page image shorter than the node header")
         flags = data[_FLAGS_OFFSET]
-        mbr = None
+        mbr: Optional[Rect] = None
         if flags & _FLAG_HAS_TIGHT_MBR:
             if size < _PAGE_HEADER_WITH_MBR.size:
                 raise SerializationError("page image shorter than its flagged header")

@@ -40,15 +40,13 @@ from tests.conftest import SMALL_PAGE_SIZE, build_index
 class TestUpdateQueryMix:
     def test_totals_and_fractions(self):
         mix = UpdateQueryMix(updates=30, queries=10)
+        assert (mix.updates, mix.queries) == (30, 10)
         assert mix.total == 40
-        assert mix.update_fraction == pytest.approx(0.75)
-        assert mix.query_fraction == pytest.approx(0.25)
 
     def test_idle_mix_has_zero_fractions(self):
         mix = UpdateQueryMix(updates=0, queries=0)
+        assert (mix.updates, mix.queries) == (0, 0)
         assert mix.total == 0
-        assert mix.update_fraction == 0.0
-        assert mix.query_fraction == 0.0
 
     def test_monitor_exposes_per_shard_mix(self):
         monitor = ShardLoadMonitor(3)
@@ -58,8 +56,7 @@ class TestUpdateQueryMix:
         mixes = monitor.update_query_mix()
         assert [m.updates for m in mixes] == [8, 0, 0]
         assert [m.queries for m in mixes] == [2, 0, 5]
-        assert mixes[0].update_fraction == pytest.approx(0.8)
-        assert mixes[1].total == 0
+        assert [m.total for m in mixes] == [10, 0, 5]
 
     def test_mix_restarts_at_a_mark(self):
         monitor = ShardLoadMonitor(2)

@@ -225,6 +225,20 @@ class TestRebalanceCycle:
         assert not report.triggered
         assert isinstance(index.partitioner, GridPartitioner)
 
+    def test_unforced_rebalance_on_a_bare_index_builds_no_controller(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unforced rebalance built a controller")
+
+        monkeypatch.setattr("repro.shard.index.ShardRebalancer", refuse)
+        index = build_hotspot_sharded()
+        assert index.rebalancer is None
+        report = index.rebalance()
+        assert not report.triggered
+        assert report.imbalance_before == report.imbalance_after
+        assert report.imbalance_before == index.population_imbalance()
+
     def test_rebalance_preserves_answers(self):
         config = IndexConfig(strategy="TD", page_size=SMALL_PAGE_SIZE)
         single = MovingObjectIndex(config)
