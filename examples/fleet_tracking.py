@@ -91,8 +91,9 @@ def simulate(strategy: str, seed: int = 7) -> dict:
         "strategy": strategy,
         "updates": update_count,
         "queries": query_count,
-        "avg_io_per_operation": index.stats.total_physical_io / (update_count + query_count),
-        "update_outcomes": index.strategy.outcome_fractions(),
+        "avg_io_per_operation": index.io_snapshot().total_physical_io
+        / (update_count + query_count),
+        "update_outcomes": index.shards[0].strategy.outcome_fractions(),
         "district_counts": district_counts,
     }
 

@@ -57,9 +57,10 @@ def main() -> None:
             )
         )
 
-    update_io = index.stats.total_physical_io
+    update_io = index.io_snapshot().total_physical_io
     print(f"updates: {num_updates}, avg disk I/O per update: {update_io / num_updates:.2f}")
-    print("update outcome mix:", index.strategy.outcome_fractions())
+    # A single index is one shard; its engine carries the strategy counters.
+    print("update outcome mix:", index.shards[0].strategy.outcome_fractions())
 
     # 4. Query the fresh index.  Results arrive through streaming cursors:
     #    the tree traversal advances only as far as the caller reads.
@@ -72,7 +73,7 @@ def main() -> None:
     for window in windows:
         cursor = index.execute(RangeQuery(window)).cursor()
         print(f"objects in {window}: {len(cursor.all())}")
-    query_io = index.stats.delta_since(snapshot).total_physical_io
+    query_io = index.io_snapshot().delta_since(snapshot).total_physical_io
     print(f"avg disk I/O per query: {query_io / len(windows):.2f}")
 
     # 5. Nearest neighbours of a point of interest — consume only what you

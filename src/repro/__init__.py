@@ -23,7 +23,8 @@ system stack:
 * :mod:`repro.cost` — the analytical cost model of Section 4;
 * :mod:`repro.bench` — the experiment harness reproducing every figure;
 * :mod:`repro.core` — the :class:`~repro.core.index.MovingObjectIndex`
-  facade tying everything together;
+  shard engine tying everything together (``open_index`` returns a
+  :class:`~repro.shard.index.ShardedIndex`; a single index is one shard);
 * :mod:`repro.api` — the typed public surface (API v2): first-class
   :class:`~repro.api.operations.Operation` dataclasses, the structured
   error taxonomy, streaming :class:`~repro.api.results.QueryCursor`\\ s,

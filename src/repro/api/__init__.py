@@ -4,7 +4,7 @@ This package is the single schema through which the index stack is driven:
 
 * :mod:`repro.api.operations` — frozen :class:`Operation` dataclasses
   (:class:`Insert`, :class:`Update`, :class:`Delete`, :class:`RangeQuery`,
-  :class:`KNN`) — the one operation currency from the facades down to
+  :class:`KNN`) — the one operation currency from the facade down to
   the concurrent engine's scheduler;
 * :mod:`repro.api.errors` — the structured error taxonomy
   (:class:`UnknownObjectError`, :class:`DuplicateObjectError`,

@@ -1,7 +1,7 @@
-"""Declarative index construction: one JSON-round-trippable spec, two facades.
+"""Declarative index construction: one JSON-round-trippable spec, one facade.
 
-* :func:`open_index` — build a :class:`~repro.core.index.MovingObjectIndex`
-  or a :class:`~repro.shard.index.ShardedIndex` from one plain-dict spec;
+* :func:`open_index` — build a :class:`~repro.shard.index.ShardedIndex` from
+  one plain-dict spec (``{"kind": "single"}``, the default, is one shard);
 * :func:`index_spec` — recover the canonical spec of a live index, such that
   ``open_index(index_spec(index))`` builds an equivalent empty index.
 
@@ -12,8 +12,10 @@ spec → index → checkpoint → load round-trips to the identical spec.
 
 >>> from repro.api import index_spec, open_index
 >>> index = open_index({"kind": "single", "config": {"strategy": "LBU"}})
->>> index.config.strategy
-'LBU'
+>>> (index.num_shards, index.config.strategy)
+(1, 'LBU')
+>>> index_spec(index)["kind"]
+'single'
 >>> sharded = open_index(
 ...     {
 ...         "config": {"strategy": "GBU", "buffer_percent": 2.0},
@@ -52,7 +54,7 @@ from repro.core.config import IndexConfig
 from repro.update.params import TuningParameters
 
 if TYPE_CHECKING:
-    from repro.core.protocol import SpatialIndexFacade
+    from repro.shard.index import ShardedIndex
 
 
 def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
@@ -137,28 +139,24 @@ def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
     return IndexConfig(params=TuningParameters(**params_data), **data)
 
 
-def index_spec(index: "SpatialIndexFacade") -> Dict[str, Any]:
+def index_spec(index: "ShardedIndex") -> Dict[str, Any]:
     """The canonical declarative spec of a live index.
 
     ``open_index(index_spec(index))`` constructs an equivalent *empty* index
     (specs describe configuration, not contents; contents travel through
     :mod:`repro.core.persistence` checkpoints, which embed this same spec).
     """
-    from repro.shard.index import ShardedIndex  # local: avoids import cycle
-
-    spec: Dict[str, Any]
-    if isinstance(index, ShardedIndex):
-        spec = {
-            "kind": "sharded",
-            "config": config_to_spec(index.config),
-            "partitioner": index.partitioner.to_spec(),
-        }
-        for section, controller in index.controllers.items():
-            spec[section] = controller.to_spec()
-        if index.parallel_spec is not None:
-            spec["parallel"] = dict(index.parallel_spec)
-    else:
-        spec = {"kind": "single", "config": config_to_spec(index.config)}
+    spec: Dict[str, Any] = {
+        "kind": "sharded",
+        "config": config_to_spec(index.config),
+        "partitioner": index.partitioner.to_spec(),
+    }
+    for section, controller in index.controllers.items():
+        spec[section] = controller.to_spec()
+    if index.parallel_spec is not None:
+        spec["parallel"] = dict(index.parallel_spec)
+    if len(spec) == 3 and spec["partitioner"] == _ONE_CELL:
+        spec = {"kind": "single", "config": spec["config"]}  # the shorthand
     if index.engine_defaults:
         spec["engine"] = dict(index.engine_defaults)
     if index.durability is not None:
@@ -177,16 +175,17 @@ _SPEC_KEYS = (
     "parallel",
     "durability",
 )
-# Any of these makes a spec without ``kind`` sharded (``shards: 1`` too: the
-# single-shard baseline the shard-scaling experiments compare against).
+# Any of these makes a spec without ``kind`` sharded; ``kind: "single"`` is
+# the shorthand for one shard over the unit square without any of them.
 _SHARDED_KEYS = ("shards", "partitioner", "rebalance", "adaptive", "parallel")
+_ONE_CELL = {"kind": "grid", "columns": 1, "rows": 1}
 _ENGINE_KEYS = ("num_clients", "time_per_io", "cpu_time_per_op")
 _PARALLEL_KEYS = ("backend", "workers")
 
 
 def open_index(
     spec: Optional[Dict[str, Any]] = None, **overrides: Any
-) -> "SpatialIndexFacade":
+) -> "ShardedIndex":
     """Build an index facade from one declarative spec dict.
 
     Spec schema (every key optional)::
@@ -215,11 +214,10 @@ def open_index(
     names its partitioner, so re-shard one with
     ``open_index(saved, partitioner=None, shards=8)``.  Unknown keys, at the
     top level or in any section, raise ``ValueError``.  The returned facade
-    is a :class:`~repro.core.index.MovingObjectIndex` or a
-    :class:`~repro.shard.index.ShardedIndex`; both speak the same
-    :class:`~repro.core.protocol.SpatialIndexFacade` surface.
+    is always a :class:`~repro.shard.index.ShardedIndex`; ``kind: "single"``
+    builds it with one shard, whose one
+    :class:`~repro.core.index.MovingObjectIndex` is the paper's system.
     """
-    from repro.core.index import MovingObjectIndex
     from repro.shard.index import ShardedIndex
     from repro.shard.partitioner import partitioner_from_spec
 
@@ -248,18 +246,14 @@ def open_index(
             raise ValueError(f"unknown parallel backend {backend!r}")
     config = config_from_spec(merged.get("config", {}))
 
-    index: "SpatialIndexFacade"
-    if sharded:
-        partitioner = merged.get("partitioner")
-        index = ShardedIndex(
-            config,
-            partitioner=(
-                partitioner_from_spec(partitioner) if partitioner is not None else None
-            ),
-            num_shards=merged.get("shards"),
-        )
-    else:
-        index = MovingObjectIndex(config)
+    partitioner = merged.get("partitioner")
+    index = ShardedIndex(
+        config,
+        partitioner=(
+            partitioner_from_spec(partitioner) if partitioner is not None else None
+        ),
+        num_shards=merged.get("shards") if sharded else 1,
+    )
     install_sections(index, merged)
     if merged.get("durability") is not None:
         from repro.durability.commit import DurabilityManager
@@ -270,7 +264,7 @@ def open_index(
     return index
 
 
-def install_sections(index: "SpatialIndexFacade", spec: Mapping[str, Any]) -> None:
+def install_sections(index: "ShardedIndex", spec: Mapping[str, Any]) -> None:
     """Install the ``rebalance``, ``adaptive`` and ``engine`` sections of *spec*.
 
     Shared by :func:`open_index` and :func:`repro.core.persistence.load_index`
@@ -278,23 +272,20 @@ def install_sections(index: "SpatialIndexFacade", spec: Mapping[str, Any]) -> No
     alike.  Durability and ``parallel`` stay with each caller: a restored
     index must replay its log before any worker process attaches.
     """
-    from repro.shard.index import ShardedIndex
+    from repro.shard import (
+        AdaptiveStrategyController,
+        MaintenanceController,
+        ShardRebalancer,
+    )
 
-    if isinstance(index, ShardedIndex):
-        from repro.shard import (
-            AdaptiveStrategyController,
-            MaintenanceController,
-            ShardRebalancer,
-        )
-
-        controllers: Tuple[Type[MaintenanceController[Any]], ...] = (
-            ShardRebalancer,
-            AdaptiveStrategyController,
-        )
-        for controller in controllers:
-            section = spec.get(controller.section)
-            if section is not None:
-                index.attach(controller.from_spec(section, index.num_shards))
+    controllers: Tuple[Type[MaintenanceController[Any]], ...] = (
+        ShardRebalancer,
+        AdaptiveStrategyController,
+    )
+    for controller in controllers:
+        section = spec.get(controller.section)
+        if section is not None:
+            index.attach(controller.from_spec(section, index.num_shards))
     engine = spec.get("engine")
     if engine:
         _reject_unknown_keys("engine", engine, _ENGINE_KEYS)

@@ -1,7 +1,7 @@
 """First-class operation model of the public API.
 
 One frozen dataclass per operation the index surface supports — the
-*single* schema every layer speaks: the facades execute them, the batch
+*single* schema every layer speaks: the facade executes them, the batch
 engine groups them, the concurrent engine predicts their lock scopes and
 schedules them, and the workload generator produces them.  Anything that is
 not an :class:`Operation` is rejected with

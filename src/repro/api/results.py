@@ -161,7 +161,7 @@ class OperationResult:
 class BatchReport:
     """What one batch execution did, and what it cost.
 
-    Built by the batch layer (:mod:`repro.update.batch`), both facades'
+    Built by the batch layer (:mod:`repro.update.batch`), the facade's
     ``execute_many`` and the concurrent engine's batch path: per-kind
     operation counts, group/coalescing/residual/migration statistics of the
     group-by-leaf pipeline, every window query's answer and every kNN's

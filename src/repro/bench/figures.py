@@ -475,7 +475,7 @@ def _run_fig8_throughput(scale: float, seed: int) -> List[MetricRow]:
     for fraction in UPDATE_FRACTIONS:
         for strategy in DEFAULT_STRATEGIES:
             generator = WorkloadGenerator(spec)
-            index = MovingObjectIndex(IndexConfig(strategy=strategy))
+            index = open_index({"kind": "single", "config": {"strategy": strategy}})
             index.load(generator.initial_objects())
             experiment = ThroughputExperiment(
                 num_operations=num_operations,
@@ -604,7 +604,7 @@ def _run_batch_throughput(scale: float, seed: int) -> List[MetricRow]:
         lock_waits = 0
         for label, clients in (("serial", 1), ("concurrent", BATCH_SCHEDULING_CLIENTS)):
             generator = WorkloadGenerator(spec)
-            index = MovingObjectIndex(IndexConfig(strategy=strategy))
+            index = open_index({"kind": "single", "config": {"strategy": strategy}})
             index.load(generator.initial_objects())
             operations = [Update(oid, new) for oid, _old, new in generator.updates()]
             result = index.engine(num_clients=clients).engine.run_batch(operations)

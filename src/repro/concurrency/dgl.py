@@ -139,7 +139,7 @@ class DGLProtocol:
 def namespace_pairs(
     pairs: Sequence[Tuple[object, "LockMode"]], namespace: object
 ) -> List[Tuple[object, "LockMode"]]:
-    """Qualify every granule with *namespace* (``None`` leaves them untouched).
+    """Qualify every granule with *namespace*.
 
     A sharded index namespaces each shard's granules with the shard id, so
     page ``17`` of shard 0 and page ``17`` of shard 3 — and likewise the two
@@ -148,8 +148,6 @@ def namespace_pairs(
     single scheduler, while a migration that names granules from two shards
     still locks both atomically.
     """
-    if namespace is None:
-        return list(pairs)
     return [((namespace, granule), mode) for granule, mode in pairs]
 
 

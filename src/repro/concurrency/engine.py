@@ -23,8 +23,8 @@ The engine is shared by every operation path:
   merge of its members' scopes, escalations included), and schedules
   non-conflicting buckets as concurrent virtual operations (conflict-aware
   batch scheduling);
-* **multi-client facades** — :class:`ConcurrentSession`, returned by
-  :meth:`repro.core.index.MovingObjectIndex.engine`, queues per-client work;
+* **multi-client sessions** — :class:`ConcurrentSession`, returned by
+  :meth:`repro.core.protocol.SpatialIndexFacade.engine`, queues per-client work;
   each operation's measured physical I/O lands in its client's
   :class:`~repro.concurrency.scheduler.ClientReport`.
 
@@ -59,7 +59,7 @@ class _LiveOperation(VirtualOperation):
 
     Carries one :class:`repro.api.operations.Operation` and reports under
     its ``kind``.  Lock scopes are predicted by the facade itself
-    (:meth:`~repro.core.protocol.SpatialIndexFacade.lock_requests_for`) and
+    (:meth:`~repro.shard.index.ShardedIndex.lock_requests_for`) and
     recomputed from the live index on every dispatch attempt; an update's
     *old* position is whatever the index holds at that moment, which is
     exactly the online semantics — a blocked update sees the positions its
@@ -105,9 +105,8 @@ class _LiveOperation(VirtualOperation):
 class GroupOperation(VirtualOperation):
     """One group-by-leaf batch bucket scheduled as a virtual operation.
 
-    Facades construct these in ``prepare_concurrent_batch``: a single index
-    hands every group to its one executor with no namespace; a sharded index
-    hands each group to the owning shard's executor and namespaces the lock
+    The facade constructs these in ``prepare_concurrent_batch``: it hands
+    each group to the owning shard's executor and namespaces the lock
     granules with the shard id, so group buckets of different shards never
     conflict.
     """
@@ -122,7 +121,7 @@ class GroupOperation(VirtualOperation):
         leaf_page: int,
         bucket,
         result,
-        namespace=None,
+        namespace: int,
     ):
         self.engine = engine
         self.executor = executor
@@ -151,7 +150,9 @@ class ReplayOperation(VirtualOperation):
     __slots__ = ("engine", "executor", "request", "result", "namespace")
     kind = "update"
 
-    def __init__(self, engine, executor: "BatchExecutor", request, result, namespace=None):
+    def __init__(
+        self, engine, executor: "BatchExecutor", request, result, namespace: int
+    ):
         self.engine = engine
         self.executor = executor
         self.request = request
@@ -210,12 +211,10 @@ class BatchScheduleResult:
 class OnlineOperationEngine:
     """Schedules live index operations over N virtual clients under DGL.
 
-    The engine is facade-generic: it drives anything implementing
-    :class:`~repro.core.protocol.SpatialIndexFacade` — lock scopes come from
-    the facade's ``lock_requests_for`` hook, batches from its
+    It drives the facade, :class:`~repro.shard.index.ShardedIndex`: lock
+    scopes come from its ``lock_requests_for`` hook, batches from its
     ``prepare_concurrent_batch`` hook, and each operation's physical I/O
-    from the change in its ``total_physical_io`` counter.  A sharded facade
-    thereby gets true multi-shard parallelism for free: its granules are
+    from the change in its ``total_physical_io`` counter.  Granules are
     namespaced per shard, so only operations touching the same shard can
     ever conflict.
     """
@@ -333,7 +332,7 @@ class OnlineOperationEngine:
         """Interleave the facade's maintenance work with a live stream.
 
         Before each client operation is handed to the scheduler the facade's
-        :meth:`~repro.core.protocol.SpatialIndexFacade.maintenance_operations`
+        :meth:`~repro.shard.index.ShardedIndex.maintenance_operations`
         hook is polled and its output lands on one maintenance queue
         **shared by every client stream**; each draw then dispatches at most
         one queued operation ahead of the client's own work.  A burst of
@@ -359,7 +358,7 @@ class OnlineOperationEngine:
 class ConcurrentSession:
     """Multi-client facade over the online engine.
 
-    Obtained from :meth:`repro.core.index.MovingObjectIndex.engine`::
+    Obtained from :meth:`repro.core.protocol.SpatialIndexFacade.engine`::
 
         from repro.api import RangeQuery, Update
 

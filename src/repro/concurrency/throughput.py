@@ -26,7 +26,7 @@ from repro.concurrency.engine import OnlineOperationEngine
 from repro.concurrency.scheduler import ScheduleResult
 
 if TYPE_CHECKING:  # avoid import cycles; both arrive as arguments
-    from repro.core.index import MovingObjectIndex
+    from repro.shard.index import ShardedIndex
     from repro.workload.generator import WorkloadGenerator
 
 
@@ -48,7 +48,7 @@ class ThroughputExperiment:
 
 
 def run_throughput(
-    index: "MovingObjectIndex",
+    index: "ShardedIndex",
     generator: "WorkloadGenerator",
     experiment: Optional[ThroughputExperiment] = None,
 ) -> ScheduleResult:

@@ -1,15 +1,12 @@
-"""High-level public API.
+"""The shard engine and the facade's shared surface.
 
-:class:`~repro.core.index.MovingObjectIndex` is the facade a downstream user
-interacts with: it wires together the simulated disk, the buffer pool, the
-R-tree, the secondary object-ID index, the summary structure and the chosen
-update strategy, and exposes ``insert`` / ``update`` / ``delete`` /
-``range_query`` / ``knn`` plus I/O statistics.
-
-:class:`~repro.core.config.IndexConfig` captures every knob — page size,
-buffer percentage, split algorithm, update strategy, and the paper's tuning
-parameters (ε, D, ℓ) — so an index configuration can be described, logged and
-reproduced as a single value.
+:class:`~repro.core.index.MovingObjectIndex` wires together the simulated
+disk, the buffer pool, the R-tree, the secondary object-ID index, the
+summary structure and the chosen update strategy: the paper's system, and
+one shard of the :class:`~repro.shard.index.ShardedIndex` facade that
+``open_index`` returns.  :class:`~repro.core.config.IndexConfig` captures
+every knob, so a configuration can be described, logged and reproduced as
+a single value; :mod:`repro.core.persistence` checkpoints an index.
 """
 
 from repro.core.config import IndexConfig

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.update.params import TuningParameters, check_non_negative, is_int
 
@@ -49,7 +50,7 @@ class IndexConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         object.__setattr__(self, "strategy", strategy)
 
-    def with_overrides(self, **changes) -> "IndexConfig":
+    def with_overrides(self, **changes: Any) -> "IndexConfig":
         """Return a copy of this configuration with the given fields replaced."""
         return replace(self, **changes)
 

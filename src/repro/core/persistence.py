@@ -1,26 +1,22 @@
-"""Saving and restoring an index (single or sharded).
+"""Saving and restoring an index.
 
 A monitoring service restarts; its index should not have to be rebuilt from a
-full scan of the object table.  This module provides a simple checkpoint
-format for both facade implementations: the page images of the flushed
-simulated disk, copied as they are (the binary node codec of
-:mod:`repro.storage.serialization` wrote them), along with the index
-configuration and the tree's root, height and size.  On load the images are
-copied onto a fresh simulated disk, and the secondary hash index, the summary
-structure and the object positions are re-derived from the tree (they are
-derived structures, exactly as the paper treats them).
+full scan of the object table.  A checkpoint is one JSON document holding the
+partitioner spec and, per shard, the page images of its flushed simulated
+disk copied as they are (the binary node codec of
+:mod:`repro.storage.serialization` wrote them, base64-encoded here), the
+shard's configuration and its tree's root, height and size.  On load the
+images are copied onto a fresh simulated disk, and each shard's secondary
+hash index, summary structure and object positions are re-derived from its
+tree in one uncharged walk (they are derived structures, exactly as the paper
+treats them); the shard directory is rebuilt from the shards.
 
-A :class:`~repro.shard.index.ShardedIndex` checkpoints as one page-image
-section per shard plus the partitioner spec; its object directory is derived
-and is rebuilt from the restored shards.  :func:`save_index` and
-:func:`load_index` dispatch on the index kind, so persistence is part of the
-facade surface both implementations share.
-
-The checkpoint is a single JSON document with base64-encoded page images —
-deliberately boring and dependency-free; the interesting part is that a
-restored index passes full structural validation and answers queries
-identically to the original, which the test suite checks (including after a
-concurrent engine run over a sharded index).
+Every index is a :class:`~repro.shard.index.ShardedIndex`, so every
+checkpoint is written in that one shape.  A document of the older
+single-index shape (one page-image section at the top level, no
+``partitioner``) loads as a one-shard index.  A restored index passes full
+structural validation and answers queries identically to the original, which
+the test suite checks (including after a concurrent engine run).
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 # Module import (not name import): repro.api.builder reaches back into
 # repro.core while initialising, so its names are resolved at call time.
@@ -38,6 +34,9 @@ import repro.api.builder as api_builder
 from repro.api.errors import CheckpointError
 from repro.core.index import MovingObjectIndex
 from repro.geometry import Point
+
+if TYPE_CHECKING:  # typing only: repro.shard imports this package
+    from repro.shard.index import ShardedIndex
 
 # Version 2: checkpoints use the lossless columnar page codec (binary64
 # coordinates) instead of the paper's 4-byte sizing-model format, so a
@@ -52,8 +51,8 @@ FORMAT_VERSION = 4
 READABLE_FORMAT_VERSIONS = (2, 3, FORMAT_VERSION)
 
 
-def _index_document(index: MovingObjectIndex) -> Dict:
-    """The checkpoint document body of one single-machine index.
+def _index_document(index: MovingObjectIndex) -> Dict[str, Any]:
+    """The checkpoint document body of one shard.
 
     After the flush every page on the disk holds the image of its node's
     current state, so the images are copied without touching the codec.
@@ -82,58 +81,52 @@ def _index_document(index: MovingObjectIndex) -> Dict:
     }
 
 
-def _restore_index(document: Dict) -> MovingObjectIndex:
-    """Rebuild one single-machine index from its checkpoint document body."""
-    config = api_builder.config_from_spec(document["config"])
-
-    index = MovingObjectIndex(config)
-
-    # Throw away the empty root the constructor made and restore the pages.
-    index.buffer.clear()
-    empty_root = index.tree.peek_node(index.tree.root_page_id)
-    index.tree._free_node(empty_root)
-
-    tree_meta = document["tree"]
+def _restore_index(document: Dict[str, Any]) -> MovingObjectIndex:
+    """Rebuild one shard from its checkpoint document body."""
+    index = MovingObjectIndex(api_builder.config_from_spec(document["config"]))
+    tree = index.tree
     images = {
         int(page_text): base64.b64decode(image_text.encode("ascii"))
         for page_text, image_text in document["pages"].items()
     }
 
     # Allocate page ids on the fresh disk until every checkpointed id exists,
-    # then copy the images into place as they are.  The rebuild walks below
-    # decode every page of the tree, so a garbled image still fails the load.
+    # free the ones no image names (the constructor's empty root among them,
+    # unless an image overwrites it), then copy the images in as they are.
+    index.buffer.clear()
     disk = index.disk
-    missing = set(images)
-    allocated = []
+    missing = set(images).difference(disk.page_ids())
     while missing:
-        page_id = disk.allocate_page()
-        allocated.append(page_id)
-        missing.discard(page_id)
-    for page_id in sorted(set(allocated).difference(images)):
+        missing.discard(disk.allocate_page())
+    for page_id in sorted(set(disk.page_ids()).difference(images)):
         disk.deallocate_page(page_id)
     for page_id, image in images.items():
         disk.write_page(page_id, image)
 
-    index.tree.root_page_id = tree_meta["root_page_id"]
-    index.tree.height = tree_meta["height"]
-    index.tree.size = tree_meta["size"]
-    index.tree.observers.root_changed(index.tree.root_page_id, index.tree.height)
+    tree_meta = document["tree"]
+    tree.root_page_id = tree_meta["root_page_id"]
+    tree.height = tree_meta["height"]
+    tree.size = tree_meta["size"]
+    tree.observers.root_changed(tree.root_page_id, tree.height)
 
-    # Rebuild the derived structures from the restored tree: the pages were
-    # put in place below the tree, so no write event announced their entries.
-    index.hash_index.rebuild_from_tree(index.tree)
-    if index.summary is not None:
-        index.summary.rebuild_from_tree()
-
-    # Object positions are rebuilt from the restored leaf entries, the only
-    # source since format version 4 (the page codec is binary64 since
-    # version 2, so this is lossless; the tables older documents carry are
-    # ignored).
-    positions = index._positions = {}
-    for leaf in index.tree.leaf_nodes():
-        it = iter(leaf.coords)  # centres read off the columns, as Rect.center()
-        for xmin, ymin, xmax, ymax, oid in zip(it, it, it, it, leaf.children):
-            positions[oid] = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
+    # The pages were put in place below the tree, so no write event announced
+    # their entries: one uncharged walk re-derives the hash index (empty on a
+    # fresh index), the summary and the positions, decoding each page once
+    # (so a garbled image still fails the load).  Positions come from the
+    # leaf entries since format version 4 (lossless: binary64 since version
+    # 2); the tables older documents carry are ignored.
+    summary, hash_index = index.summary, index.hash_index
+    if summary is not None:
+        summary.restart()
+    positions = index._positions
+    for node, _parent in tree.iter_nodes():
+        if summary is not None:
+            summary.record_node(node)
+        if node.level == 0:
+            hash_index.add_leaf(node)
+            it = iter(node.coords)  # centres read off the columns, as Rect.center()
+            for xmin, ymin, xmax, ymax, oid in zip(it, it, it, it, node.children):
+                positions[oid] = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
 
     # Re-enter the strategy that was live at checkpoint time (a plain
     # construction starts on ``config.strategy``).  The restored pages carry
@@ -171,8 +164,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def save_index(index, path: Union[str, Path]) -> None:
-    """Write a checkpoint of *index* (single or sharded) to *path*.
+def save_index(index: "ShardedIndex", path: Union[str, Path]) -> None:
+    """Write a checkpoint of *index* to *path*.
 
     The write is crash-atomic (temp file + fsync + ``os.replace``).  When
     the index has a durability manager attached and *path* is the manager's
@@ -183,41 +176,34 @@ def save_index(index, path: Union[str, Path]) -> None:
     it must not replay, or attach a second writer to, logs the live index
     still owns) and leaves the logs untouched.
     """
-    from repro.shard.index import ShardedIndex  # local: avoids an import cycle
-
-    if isinstance(index, ShardedIndex):
-        document = {
-            "format_version": FORMAT_VERSION,
-            "kind": "sharded",
-            "partitioner": index.partitioner.to_spec(),
-            # Under the process backend the workers hold the authoritative
-            # trees; shard_documents() checkpoints them in place (the local
-            # mirror shards would be stale).
-            "shards": index.shard_documents(),
-        }
-        for section, controller in index.controllers.items():
-            # Builder spec section plus the runtime counters (rebalances,
-            # switches), so a restored index resumes the same policy with
-            # its history.  The live per-shard strategies travel inside each
-            # shard document's ``active_strategy`` field, not here.
-            document[section] = controller.state_to_spec()
-        if index.parallel_spec is not None:
-            # Builder spec section: the restored index re-attaches the same
-            # execution backend.
-            document["parallel"] = dict(index.parallel_spec)
-    else:
-        document = {"format_version": FORMAT_VERSION, **_index_document(index)}
+    document: Dict[str, Any] = {
+        "format_version": FORMAT_VERSION,
+        "kind": "sharded",
+        "partitioner": index.partitioner.to_spec(),
+        # Under the process backend the workers hold the authoritative
+        # trees; shard_documents() checkpoints them in place (the local
+        # mirror shards would be stale).
+        "shards": index.shard_documents(),
+    }
+    for section, controller in index.controllers.items():
+        # Builder spec section plus the runtime counters (rebalances,
+        # switches), so a restored index resumes the same policy with its
+        # history.  The live per-shard strategies travel inside each shard
+        # document's ``active_strategy`` field, not here.
+        document[section] = controller.state_to_spec()
+    if index.parallel_spec is not None:
+        # Builder spec section: the restored index re-attaches the same
+        # execution backend.
+        document["parallel"] = dict(index.parallel_spec)
     if index.engine_defaults:
         # Builder spec section: restored indexes keep their session defaults,
         # so spec -> index -> checkpoint -> load round-trips to the same spec.
         document["engine"] = dict(index.engine_defaults)
     target = Path(path)
-    manager = getattr(index, "durability", None)
-    is_durable_checkpoint = (
-        manager is not None
-        and target.resolve() == manager.checkpoint_path.resolve()
-    )
-    if is_durable_checkpoint:
+    manager = index.durability
+    if manager is not None and target.resolve() != manager.checkpoint_path.resolve():
+        manager = None  # a plain export
+    if manager is not None:
         # Builder spec section: loading this checkpoint replays the WAL
         # tail from the manager's directory and re-attaches the manager.
         # A save to any *other* path is a plain export and deliberately
@@ -231,19 +217,17 @@ def save_index(index, path: Union[str, Path]) -> None:
         raise CheckpointError(
             f"failed to write checkpoint {target}: {error}"
         ) from error
-    if is_durable_checkpoint:
+    if manager is not None:
         # The durable checkpoint just landed: every logged record is now in
         # the checkpoint, so the logs restart empty (the LSN keeps counting).
         manager.rotate()
 
 
-def load_index(path: Union[str, Path]):
+def load_index(path: Union[str, Path]) -> "ShardedIndex":
     """Restore an index from a checkpoint file.
 
-    Returns a :class:`MovingObjectIndex` or a
-    :class:`~repro.shard.index.ShardedIndex`, depending on what was saved;
-    both come back with derived structures (hash indexes, summaries, the
-    shard directory) rebuilt and statistics reset.
+    The index comes back with its derived structures (hash indexes,
+    summaries, the shard directory) rebuilt and statistics reset.
 
     A checkpoint carrying a ``durability`` section replays the write-ahead
     log tail from that directory on top of the restored state (truncating
@@ -265,24 +249,29 @@ def load_index(path: Union[str, Path]):
             f"unsupported checkpoint format {document.get('format_version')!r}"
         )
 
-    if document.get("kind") == "sharded":
-        from repro.shard.index import ShardedIndex
-        from repro.shard.partitioner import partitioner_from_spec
+    from repro.shard.index import ShardedIndex
+    from repro.shard.partitioner import partitioner_from_spec
 
-        shards = [_restore_index(shard) for shard in document["shards"]]
-        index = ShardedIndex(
-            shards[0].config,
-            partitioner=partitioner_from_spec(document["partitioner"]),
-            shards=shards,
-        )
-        index.configure_buffer()  # facade contract: aggregate buffer split
-    else:
-        index = _restore_index(document)
+    # A single-index document (formats 2-4) is one shard's body at the top
+    # level, with no partitioner: a one-cell grid, as for ``kind: "single"``.
+    sharded = document.get("kind") == "sharded"
+    shards = [
+        _restore_index(section)
+        for section in (document["shards"] if sharded else [document])
+    ]
+    partitioner = document.get("partitioner")
+    index = ShardedIndex(
+        shards[0].config,
+        partitioner=None if partitioner is None else partitioner_from_spec(partitioner),
+        num_shards=len(shards),
+        shards=shards,
+    )
+    index.configure_buffer()  # the aggregate buffer split
     api_builder.install_sections(index, document)
     if document.get("durability"):
         # Replay before the parallel backend attaches: replay writes
-        # directly into the in-process shard facades, which must still
-        # be authoritative at that point.
+        # directly into the in-process shards, which must still be
+        # authoritative at that point.
         _replay_and_attach(index, document["durability"])
     parallel = document.get("parallel")
     # The thread executor is gone: a checkpoint that recorded it loads
@@ -292,7 +281,7 @@ def load_index(path: Union[str, Path]):
     return index
 
 
-def _replay_and_attach(index, spec: Dict) -> None:
+def _replay_and_attach(index: "ShardedIndex", spec: Dict[str, Any]) -> None:
     """Replay the WAL tail described by *spec* and re-attach its manager."""
     from repro.durability.commit import DurabilityManager
     from repro.durability.recovery import replay_into

@@ -1,9 +1,8 @@
 """Group commit: one manager owning every log of one durable index.
 
-A :class:`DurabilityManager` is attached to a facade (single
-:class:`~repro.core.index.MovingObjectIndex` or coordinator-side
-:class:`~repro.shard.index.ShardedIndex`) and is the only writer of its
-logs.  It owns three things the individual
+A :class:`DurabilityManager` is attached to the coordinator-side
+:class:`~repro.shard.index.ShardedIndex` facade and is the only writer of
+its logs.  It owns three things the individual
 :class:`~repro.durability.wal.WriteAheadLog` files cannot decide alone:
 
 * **the LSN** — one monotonic counter shared by *all* logs of the index,
@@ -17,8 +16,8 @@ logs.  It owns three things the individual
   fsyncs each dirty log **once**, when the outermost scope exits — the
   caller learns nothing before the call returns, so nothing is gained by
   syncing earlier.  A batch unit logged outside any scope (bulk
-  migration, repartition, strategy switch, the single index's one-unit
-  batch) is its own group and is fsynced at once; single-operation units
+  migration, repartition, strategy switch) is its own group and is
+  fsynced at once; single-operation units
   accumulate until ``group_size`` of them are pending;
 * **checkpoint rotation** — after a checkpoint lands, every log restarts
   empty while the LSN keeps counting.
@@ -26,8 +25,8 @@ logs.  It owns three things the individual
 Log layout under ``directory``::
 
     checkpoint.json      the checkpoint the logs are relative to
-    shard-0000.wal       per-shard redo logs (shard 0 doubles as the
-    shard-0001.wal       single-index log for a non-sharded facade)
+    shard-0000.wal       per-shard redo logs (a single index is one
+    shard-0001.wal       shard and logs to shard-0000.wal alone)
     meta.wal             coordinator metadata (repartition records)
 
 What a scoped call promises
@@ -66,7 +65,7 @@ from repro.durability.wal import (
     repartition_record,
 )
 
-#: Shard id of the single-index log (a non-sharded facade logs as shard 0).
+#: Shard id of the single-index log (a one-shard index logs as shard 0).
 SINGLE_SHARD = 0
 #: Internal shard id of the coordinator metadata log.
 META_SHARD = -1

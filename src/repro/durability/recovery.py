@@ -30,9 +30,11 @@ three things safe:
   for the departure taking effect, under every sync policy and regardless
   of the order the OS flushed the two logs.
 
-After replay a sharded index rebuilds its object directory from the shards'
-own position tables and installs the **last** logged repartition, so routing
-matches the recovered placement.
+Every index is a :class:`~repro.shard.index.ShardedIndex`, so there is one
+replay: each shard log into its shard (a single index is one shard and
+replays ``shard-0000.wal`` alone).  Afterwards the object directory is
+rebuilt from the shards' own position tables and the **last** logged
+repartition is installed, so routing matches the recovered placement.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.errors import CheckpointError, CorruptLogError
 from repro.durability.commit import checkpoint_path, meta_log_path, shard_log_paths
@@ -57,6 +59,9 @@ from repro.durability.wal import (
     LogRecord,
     read_frames,
 )
+
+if TYPE_CHECKING:  # typing only: repro.shard imports this package
+    from repro.shard.index import ShardedIndex
 
 #: Record kinds that (up)place an object at a position.
 _ARRIVALS = frozenset((KIND_INSERT, KIND_UPDATE, KIND_MIGRATE_IN))
@@ -99,22 +104,17 @@ def _tagged_frames(
         yield lsn, shard_id, records
 
 
-def replay_into(index: Any, directory: Union[str, Path]) -> RecoveryReport:
+def replay_into(index: "ShardedIndex", directory: Union[str, Path]) -> RecoveryReport:
     """Re-apply the intact WAL prefix under *directory* onto *index*.
 
-    *index* is a freshly checkpoint-restored facade — a single
-    :class:`~repro.core.index.MovingObjectIndex` (replays shard log 0) or a
-    :class:`~repro.shard.index.ShardedIndex` (replays each shard's log into
-    that shard, then rebuilds the object directory and applies the last
-    logged repartition).  Must run *before* a durability manager is
+    *index* is freshly checkpoint-restored: each shard's log replays into
+    that shard, then the object directory is rebuilt and the last logged
+    repartition applied.  Must run *before* a durability manager is
     attached, so replay itself is never re-logged.
     """
-    from repro.shard.index import ShardedIndex  # lazy: core imports this module's package
-
     directory = Path(directory)
     report = RecoveryReport()
-    sharded = isinstance(index, ShardedIndex)
-    subs: List[Any] = list(index.shards) if sharded else [index]
+    subs = index.shards
     logs = shard_log_paths(directory)
     for shard_id, path in logs.items():
         if shard_id >= len(subs):
@@ -188,7 +188,7 @@ def replay_into(index: Any, directory: Union[str, Path]) -> RecoveryReport:
                         f"log {shard_id}"
                     )
 
-    partitioner_spec: Any = None
+    partitioner_spec: Optional[Dict[str, object]] = None
     for lsn, records in read_frames(meta_log_path(directory)):
         report.frames += 1
         report.last_lsn = max(report.last_lsn, lsn)
@@ -201,23 +201,18 @@ def replay_into(index: Any, directory: Union[str, Path]) -> RecoveryReport:
                 )
             partitioner_spec = json.loads(record.payload.decode("utf-8"))
 
-    if sharded:
-        if partitioner_spec is not None:
-            from repro.shard.partitioner import partitioner_from_spec
+    if partitioner_spec is not None:
+        from repro.shard.partitioner import partitioner_from_spec
 
-            index.partitioner = partitioner_from_spec(partitioner_spec)
-            report.repartitioned = True
-        # The directory is derived state; replay wrote object placement
-        # directly into the shards, so rebuild it from them.
-        index._shard_of = {
-            oid: shard_id
-            for shard_id, sub in enumerate(subs)
-            for oid in sub._positions
-        }
+        index.partitioner = partitioner_from_spec(partitioner_spec)
+        report.repartitioned = True
+    # The directory is derived state; replay wrote object placement
+    # directly into the shards, so rebuild it from them.
+    index._shard_of = index._derive_directory()
     return report
 
 
-def recover_index(directory: Union[str, Path]) -> Any:
+def recover_index(directory: Union[str, Path]) -> "ShardedIndex":
     """Restore the durable index living under *directory*.
 
     Convenience wrapper: loads ``<directory>/checkpoint.json`` (which

@@ -123,7 +123,7 @@ class LogRecord:
 
 
 # ----------------------------------------------------------------------
-# Record constructors (the vocabulary the facades log with)
+# Record constructors (the vocabulary the facade logs with)
 # ----------------------------------------------------------------------
 def insert_record(oid: int, location: Point) -> LogRecord:
     return LogRecord(KIND_INSERT, oid=oid, x=location.x, y=location.y)

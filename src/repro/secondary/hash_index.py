@@ -75,7 +75,11 @@ class ObjectHashIndex(TreeObserver):
         """
         self._leaf_of.clear()
         for leaf in tree.leaf_nodes():
-            self._leaf_of.update(zip(leaf.children, repeat(leaf.page_id)))
+            self.add_leaf(leaf)
+
+    def add_leaf(self, leaf: Node) -> None:
+        """Point every object of *leaf* at it (the bulk paths' one step)."""
+        self._leaf_of.update(zip(leaf.children, repeat(leaf.page_id)))
 
     # ------------------------------------------------------------------
     # Lookup

@@ -7,9 +7,9 @@ across **spatial shards**.  This package provides:
 * :mod:`repro.shard.partitioner` — the spatial partitioners: a uniform
   :class:`GridPartitioner` and the pluggable-boundary
   :class:`BoundaryPartitioner`, both serialisable to plain-dict specs;
-* :mod:`repro.shard.index` — :class:`ShardedIndex`, a drop-in
-  :class:`~repro.core.protocol.SpatialIndexFacade` implementation that
-  routes every operation to one of N independent
+* :mod:`repro.shard.index` — :class:`ShardedIndex`, the one
+  :class:`~repro.core.protocol.SpatialIndexFacade` (a single index is its
+  one-shard case), which routes every operation to one of N independent
   :class:`~repro.core.index.MovingObjectIndex` shards, migrates objects
   across shard boundaries, fans queries out to only the intersecting
   shards, and composes per-shard DGL lock scopes under the online

@@ -1,13 +1,12 @@
-"""The sharded moving-object index.
+"""The sharded moving-object index: the one facade.
 
-:class:`ShardedIndex` scales the paper's system horizontally: a spatial
+:class:`ShardedIndex` is what ``open_index`` returns.  A spatial
 :class:`~repro.shard.partitioner.Partitioner` routes every operation to one
 of N independent :class:`~repro.core.index.MovingObjectIndex` shards, each
 with its own disk, buffer pool, R-tree, hash index, summary structure and
-I/O counters.  The facade satisfies the same
-:class:`~repro.core.protocol.SpatialIndexFacade` protocol as a single index,
-so benchmarks, examples, persistence and the concurrent operation engine
-drive either interchangeably.
+I/O counters.  A single index is the one-shard case (spec
+``{"kind": "single"}``): with one in-process shard and no controller
+attached, operations go straight to the shard without routing.
 
 Routing and migration
 ---------------------
@@ -25,9 +24,9 @@ Queries
 ``range_query`` fans out to only the shards whose boundary rectangles
 intersect the window; ``knn`` runs best-first over shard boundaries with a
 pruning radius — shards whose boundary lies farther than the current k-th
-candidate distance are never visited.  Both return exactly what a single
-index over the same objects returns (the equivalence test suite asserts
-this for 1, 2 and 8 shards, including boundary-crossing migrations).
+candidate distance are never visited.  Both return exactly what one shard
+over the same objects returns (the equivalence test suite asserts this for
+2 and 8 shards, including boundary-crossing migrations).
 
 Concurrency
 -----------
@@ -43,6 +42,7 @@ buckets of different shards schedule concurrently, which is what the
 from __future__ import annotations
 
 from contextlib import nullcontext
+from pathlib import Path
 from typing import (
     Any,
     ContextManager,
@@ -51,6 +51,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
 )
@@ -62,7 +63,7 @@ from repro.api.errors import (
     UnknownObjectError,
 )
 from repro.api.results import BatchReport, QueryCursor
-from repro.concurrency.dgl import namespace_pairs
+from repro.concurrency.dgl import DGLProtocol, namespace_pairs
 from repro.concurrency.engine import (
     GroupOperation,
     PreparedBatch,
@@ -73,6 +74,7 @@ from repro.concurrency.scheduler import VirtualOperation
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.core.protocol import SpatialIndexFacade
+from repro.durability.commit import DurabilityManager
 from repro.durability.wal import (
     LogRecord,
     delete_record,
@@ -135,6 +137,71 @@ class MigrationOperation(VirtualOperation):
         )
 
 
+def _shard_scope(
+    shard: MovingObjectIndex, op: api_ops.Operation
+) -> List[Tuple[Hashable, LockMode]]:
+    """One shard's DGL granule lock set for *op*, from its strategy's hooks.
+
+    A top-down update locks every leaf its descents may visit, the
+    bottom-up strategies lock the object's leaf plus shift candidates and
+    ancestor intents; an ``Update`` of an object the shard does not hold
+    predicts the insert the engine runs instead.  Recomputed on every
+    dispatch attempt against the live tree.
+    """
+    strategy = shard.strategy
+    if isinstance(op, api_ops.Update):
+        old_location = shard.position_of(op.oid)
+        if old_location is None:
+            requests = strategy.insert_lock_scope(op.new_location)
+        else:
+            requests = strategy.lock_scope(op.oid, old_location, op.new_location)
+    elif isinstance(op, api_ops.RangeQuery):
+        requests = strategy.query_lock_scope(op.window)
+    elif isinstance(op, api_ops.Insert):
+        requests = strategy.insert_lock_scope(op.location)
+    elif isinstance(op, api_ops.Delete):
+        location = shard.position_of(op.oid)
+        if location is None:
+            return []  # nothing to delete, nothing to lock
+        requests = strategy.delete_lock_scope(op.oid, location)
+    else:
+        # A kNN's reach depends on the data, so the prediction is
+        # conservative: the scope of a window query over the whole covered
+        # space (every leaf a best-first descent might read).
+        root_mbr = shard.tree.root_mbr()
+        window = root_mbr if root_mbr is not None else Rect.from_point(op.point)
+        requests = strategy.query_lock_scope(window)
+    return DGLProtocol.as_pairs(requests)
+
+
+class _OneShardDirectory(Mapping[int, int]):
+    """The object directory of a one-shard index, read off the shard.
+
+    Every object the shard holds is on shard 0, so the shard's position
+    table already is the directory; writes are no-ops.
+    """
+
+    def __init__(self, index: "ShardedIndex") -> None:
+        self.index = index
+
+    def __getitem__(self, oid: int) -> int:
+        if oid not in self.index.shards[0]._positions:
+            raise KeyError(oid)
+        return 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.index.shards[0]._positions)
+
+    def __len__(self) -> int:
+        return len(self.index.shards[0]._positions)
+
+    def __setitem__(self, oid: int, shard_id: int) -> None:
+        pass
+
+    def __delitem__(self, oid: int) -> None:
+        pass
+
+
 class ShardedIndex(SpatialIndexFacade):
     """N independent moving-object indexes behind one spatial router.
 
@@ -184,11 +251,7 @@ class ShardedIndex(SpatialIndexFacade):
         )
         #: Object directory: oid -> owning shard id.  The per-shard hash
         #: indexes remain authoritative for the leaf page within the shard.
-        self._shard_of: Dict[int, int] = {
-            oid: shard_id
-            for shard_id, shard in enumerate(self.shards)
-            for oid in shard._positions
-        }
+        self._shard_of = self._derive_directory()
         #: Cross-shard migrations executed since the last statistics reset.
         self.migrations = 0
         #: Attached maintenance controllers by spec section (``rebalance``,
@@ -205,6 +268,34 @@ class ShardedIndex(SpatialIndexFacade):
         #: Declarative ``parallel`` spec section of the attached backend
         #: (``{"backend": ..., "workers": ...}``), ``None`` when serial.
         self.parallel_spec: Optional[Dict[str, object]] = None
+        #: Attached :class:`~repro.durability.commit.DurabilityManager`, or
+        #: ``None`` without a write-ahead log.  When set, every mutation is
+        #: logged once it has been applied (apply first, log on success),
+        #: and checkpoints rotate the logs (see :mod:`repro.durability`).
+        self.durability: Optional[DurabilityManager] = None
+        self._retarget()
+
+    def _derive_directory(self) -> Any:
+        """The object directory derived from the shards' position tables."""
+        if self.num_shards == 1:
+            return _OneShardDirectory(self)
+        return {
+            oid: shard_id
+            for shard_id, shard in enumerate(self.shards)
+            for oid in shard._positions
+        }
+
+    def _retarget(self) -> None:
+        """Recompute :attr:`_solo` after the backend, shards or monitor changed.
+
+        ``_solo`` is the one in-process shard when there is nothing to route
+        or record (one shard, serial executor, no controller attached), and
+        ``None`` otherwise; the per-operation methods then call it directly.
+        """
+        direct = self.num_shards == 1 and not self._backend.remote
+        self._solo: Optional[MovingObjectIndex] = (
+            self.shards[0] if direct and self.monitor is None else None
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -261,6 +352,7 @@ class ShardedIndex(SpatialIndexFacade):
         )
         if backend != "serial":
             self.parallel_spec = {"backend": backend, "workers": self._backend.workers}
+        self._retarget()
 
     def detach_parallel(self) -> None:
         """Return to the in-process executor (syncing worker state back).
@@ -297,6 +389,7 @@ class ShardedIndex(SpatialIndexFacade):
                 restored = _restore_index(document)
                 shard_parallel.adopt_handover(restored, handovers[shard_id])
                 self.shards[shard_id] = restored
+        self._retarget()
 
     def _broadcast(self, command: shard_parallel.Command) -> List[Any]:
         """Run one *command* on every shard; the payloads in shard order."""
@@ -330,6 +423,49 @@ class ShardedIndex(SpatialIndexFacade):
         return super().engine(*args, **kwargs)
 
     # ------------------------------------------------------------------
+    # Durability
+    # ------------------------------------------------------------------
+    def attach_durability(self, manager: "DurabilityManager") -> None:
+        """Start write-ahead logging every mutation through *manager*.
+
+        The manager must describe the state the index currently holds (a
+        fresh empty index, or one just restored + replayed from the
+        manager's own directory) — attaching does not checkpoint; call
+        :meth:`checkpoint` (or ``load``, which checkpoints when durability
+        is attached) to establish the recovery baseline.
+        """
+        if self.durability is not None:
+            self.durability.close()
+        self.durability = manager
+
+    def detach_durability(self) -> None:
+        """Stop logging; flushes and closes the logs (no-op when detached)."""
+        if self.durability is not None:
+            self.durability.close()
+            self.durability = None
+
+    def checkpoint(self, path: Optional[Any] = None) -> Path:
+        """Write a checkpoint and — when it lands in the durability
+        directory — rotate the write-ahead logs.
+
+        With *path* omitted the checkpoint goes to the attached durability
+        manager's ``checkpoint.json`` (requires durability).  An explicit
+        *path* elsewhere is a plain export: the logs are left untouched, so
+        the durability directory keeps its own recovery timeline.
+        """
+        from repro.core.persistence import save_index  # local: import cycle
+
+        if path is None:
+            if self.durability is None:
+                raise ValueError(
+                    "checkpoint() without a path requires an attached "
+                    "durability manager; pass an explicit path instead"
+                )
+            path = self.durability.checkpoint_path
+        save_index(self, path)
+        return Path(path)
+
+    # ------------------------------------------------------------------
     # Maintenance controllers (repro.shard.control)
     # ------------------------------------------------------------------
     @property
@@ -354,12 +490,14 @@ class ShardedIndex(SpatialIndexFacade):
         self.controllers[controller.section] = controller
         controller.monitor = self.monitor
         controller.restart(self.shards)
+        self._retarget()
 
     def detach(self, section: str) -> None:
         """Remove the controller of *section*; the last one takes the monitor."""
         self.controllers.pop(section, None)
         if not self.controllers:
             self.monitor = None
+            self._retarget()
 
     def _record_update(self, shard_id: int, count: int = 1) -> None:
         if self.monitor is not None:
@@ -757,13 +895,17 @@ class ShardedIndex(SpatialIndexFacade):
         # the attached backend resolved rides along in memory.
         start_method = self._backend.start_method
         self.detach_parallel()
-        groups: List[List[Tuple[int, Point]]] = [[] for _ in range(self.num_shards)]
-        for oid, location in objects:
-            shard_id = self.partitioner.shard_of(location)
-            groups[shard_id].append((oid, location))
-            self._shard_of[oid] = shard_id
-        for shard, group in zip(self.shards, groups):
-            shard.load(group, bulk=bulk)
+        if self.num_shards == 1:
+            # Nothing to route, and the shard's positions are the directory.
+            self.shards[0].load(objects, bulk=bulk)
+        else:
+            groups: List[List[Tuple[int, Point]]] = [[] for _ in self.shards]
+            for oid, location in objects:
+                shard_id = self.partitioner.shard_of(location)
+                groups[shard_id].append((oid, location))
+                self._shard_of[oid] = shard_id
+            for shard, group in zip(self.shards, groups):
+                shard.load(group, bulk=bulk)
         # Re-split the aggregate buffer: per-shard loading sized each pool
         # against its own database; the facade contract sizes against the
         # aggregate and apportions by shard weight.
@@ -846,12 +988,15 @@ class ShardedIndex(SpatialIndexFacade):
     # Data operations
     # ------------------------------------------------------------------
     def insert(self, oid: int, location: Point) -> None:
+        """Insert a new object (:class:`DuplicateObjectError` when it exists)."""
         if oid in self._shard_of:
             raise DuplicateObjectError(oid)
         shard_id = self.partitioner.shard_of(location)
-        # Apply first, log on success (see MovingObjectIndex.insert): a
-        # shard that raises must leave the WAL silent, or recovery would
-        # replay a mutation the live index never performed.
+        # Apply first, log on success: a shard that raises must leave the
+        # WAL silent, or recovery would replay a mutation the live index
+        # never performed (redo replay is idempotent, so apply-then-log
+        # costs nothing; a crash in the gap loses an op that was never
+        # acknowledged durable).
         self._record_update(shard_id)
         self._backend.run(shard_id, shard_parallel.Insert(oid, location))
         self._shard_of[oid] = shard_id
@@ -859,7 +1004,17 @@ class ShardedIndex(SpatialIndexFacade):
             self.durability.log_record(shard_id, insert_record(oid, location))
 
     def update(self, oid: int, new_location: Point) -> UpdateOutcome:
-        """Route the update; migrate across shards when a boundary is crossed."""
+        """Route the update; migrate across shards when a boundary is crossed.
+
+        Raises :class:`~repro.api.errors.UnknownObjectError` (a ``KeyError``)
+        when the object is not indexed.
+        """
+        solo = self._solo
+        if solo is not None:
+            outcome = solo.update(oid, new_location)
+            if self.durability is not None:
+                self.durability.log_record(0, update_record(oid, new_location))
+            return outcome
         source = self._shard_of.get(oid)
         if source is None:
             raise UnknownObjectError(oid)
@@ -882,6 +1037,12 @@ class ShardedIndex(SpatialIndexFacade):
         return UpdateOutcome.MIGRATED
 
     def delete(self, oid: int, strict: bool = True) -> bool:
+        """Remove an object; ``True`` when it existed.
+
+        Deleting an absent object raises
+        :class:`~repro.api.errors.UnknownObjectError`, mirroring
+        :meth:`update`, unless ``strict=False``, which returns ``False``.
+        """
         shard_id = self._shard_of.get(oid)
         if shard_id is None:
             if strict:
@@ -921,6 +1082,9 @@ class ShardedIndex(SpatialIndexFacade):
         order, so the answer, order included, is the same under every
         executor.
         """
+        solo = self._solo
+        if solo is not None:
+            return solo.range_query(window)
         shard_ids = self._query_shards(window)
         for shard_id in shard_ids:
             self._record_query(shard_id)
@@ -942,6 +1106,9 @@ class ShardedIndex(SpatialIndexFacade):
         laziness degrades to shard granularity: reaching into a shard
         fetches (and charges) that whole shard's hits at once.
         """
+        solo = self._solo
+        if solo is not None:
+            return solo.stream_query(window)
 
         def hits() -> Iterator[int]:
             for shard_id in self._query_shards(window):
@@ -957,8 +1124,11 @@ class ShardedIndex(SpatialIndexFacade):
         the global order is known, so the merge itself is materialised (the
         per-shard searches prune against the running k-th distance, see
         :meth:`knn`); the cursor provides the uniform streaming interface
-        over the merged result.
+        over the merged result.  One shard streams its own search lazily.
         """
+        solo = self._solo
+        if solo is not None:
+            return solo.stream_knn(point, k)
         return QueryCursor(iter(self.knn(point, k)))
 
     def knn(self, point: Point, k: int) -> List[Tuple[float, int]]:
@@ -979,8 +1149,11 @@ class ShardedIndex(SpatialIndexFacade):
         current radius pays the I/O of the few candidates actually
         inspected, not of a full k-search.  Equal-distance candidates are
         still consumed (and merged in ``(distance, oid)`` order), keeping
-        ties bit-identical to the single-index facade.
+        ties bit-identical to one shard's own search.
         """
+        solo = self._solo
+        if solo is not None:
+            return solo.knn(point, k)
         if k <= 0:
             return []
         backend = self._backend
@@ -1201,12 +1374,10 @@ class ShardedIndex(SpatialIndexFacade):
     def _parse_operations(
         self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
     ) -> List[BatchOperation]:
-        # The shared stream grammar; unlike the single index the overlay is
-        # discarded — shard position maps advance when operations execute.
-        parsed, _overlay = parse_operation_stream(
+        # Shard position maps advance when the operations execute.
+        return parse_operation_stream(
             operations, self.position_of, strict_deletes=strict_deletes
         )
-        return parsed
 
     def _merge_io_delta(
         self, result: BatchReport, before: List[IOStatistics]
@@ -1229,11 +1400,15 @@ class ShardedIndex(SpatialIndexFacade):
         that touch the same shard can ever conflict, and a cross-shard
         migration names granules from both its shards.
         """
+        solo = self._solo
+        if solo is not None and isinstance(op, api_ops.Operation):
+            return namespace_pairs(_shard_scope(solo, op), 0)
+
         def scope(
             shard_id: int, shard_op: api_ops.Operation
         ) -> List[Tuple[Hashable, LockMode]]:
             return namespace_pairs(
-                self.shards[shard_id].lock_requests_for(shard_op), shard_id
+                _shard_scope(self.shards[shard_id], shard_op), shard_id
             )
 
         if isinstance(op, api_ops.Update):

@@ -254,11 +254,7 @@ def execute_command(shard, command: Command) -> Any:
     buckets, window and kNN visits, then the per-operation commands.
     """
     if isinstance(command, ApplyBatch):
-        requests = command.requests
-        positions = shard._positions
-        for request in requests:
-            positions[request.oid] = request.new_location
-        sub = shard.batch.execute(requests)
+        sub = shard._execute_operation_stream(command.requests)
         return (sub.groups, sub.largest_group, sub.residuals)
     if isinstance(command, Range):
         return shard.range_query(command.window)

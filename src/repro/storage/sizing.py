@@ -112,10 +112,3 @@ class PageLayout:
         table = internal_nodes * self.direct_access_entry_size
         bit_vector = (leaf_nodes + 7) // 8
         return table + bit_vector
-
-    def summary_to_tree_ratio(self, internal_nodes: int, leaf_nodes: int) -> float:
-        """Summary-structure size as a fraction of the R-tree size on disk."""
-        tree_bytes = (internal_nodes + leaf_nodes) * self.page_size
-        if tree_bytes == 0:
-            return 0.0
-        return self.summary_size_bytes(internal_nodes, leaf_nodes) / tree_bytes

@@ -88,19 +88,25 @@ class SummaryStructure(TreeObserver):
         never *required* there — it is the recovery and bulk-load path).
         Maintenance counters restart from zero, as after a fresh bootstrap.
         """
+        self.restart()
+        for node, _parent in self.tree.iter_nodes():
+            self.record_node(node)
+
+    def restart(self) -> None:
+        """Forget every node and take the tree's root and height: the empty
+        summary a walk then fills through :meth:`record_node` (a checkpoint
+        restore feeds one walk to every derived structure)."""
         self.table = DirectAccessTable()
         self.leaf_bits = LeafBitVector()
         self.root_page_id = self.tree.root_page_id
         self.height = self.tree.height
-        for node, _parent in self.tree.iter_nodes():
-            self._record_node(node)
 
     # ------------------------------------------------------------------
     # TreeObserver interface
     # ------------------------------------------------------------------
     def on_node_written(self, node: Node) -> None:
         if node.arrived is not None:
-            self._record_node(node)
+            self.record_node(node)
         elif node.level:
             # Same children as at the last write: only the MBR can have moved.
             self.table.set_mbr(node.page_id, node.mbr())
@@ -115,7 +121,7 @@ class SummaryStructure(TreeObserver):
         self.root_page_id = root_page_id
         self.height = height
 
-    def _record_node(self, node: Node) -> None:
+    def record_node(self, node: Node) -> None:
         """Register *node* whole: fullness bit, or table entry with its children."""
         if node.is_leaf:
             self.leaf_bits.set_fullness(

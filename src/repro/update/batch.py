@@ -66,16 +66,14 @@ def parse_operation_stream(
     operations: Iterable["api_ops.Operation"],
     position_of: "Callable[[int], Optional[Point]]",
     strict_deletes: bool = False,
-) -> Tuple[List[BatchOperation], Dict[int, Optional[Point]]]:
+) -> List[BatchOperation]:
     """Parse a stream of typed operations into executable batch operations.
 
-    This is the one stream grammar both facades share.  The stream is
-    validated against an overlay so a bad operation mid-stream (unknown oid,
-    duplicate insert, anything that is not an
-    :class:`~repro.api.operations.Operation`) raises before anything
-    executes.  *position_of* supplies the pre-stream position of an object;
-    the returned overlay maps each touched oid to its post-stream position
-    (``None`` = deleted), for callers that pre-commit a position map.
+    The one stream grammar of the facade's batch paths.  The stream is
+    validated against an overlay of the positions it assigns, so a bad
+    operation mid-stream (unknown oid, duplicate insert, anything that is
+    not an :class:`~repro.api.operations.Operation`) raises before anything
+    executes.  *position_of* supplies the pre-stream position of an object.
 
     A delete of an absent object raises
     :class:`~repro.api.errors.UnknownObjectError` under
@@ -112,7 +110,7 @@ def parse_operation_stream(
             parsed.append(op)
         else:
             raise InvalidOperationError(f"expected an Operation, got {op!r}")
-    return parsed, overlay
+    return parsed
 
 
 def coalesce_updates(
@@ -182,30 +180,21 @@ class BatchExecutor:
         self.hash_index = hash_index
         self.stats = stats if stats is not None else tree.disk.stats
 
-    def execute(self, operations: Iterable[BatchOperation]) -> BatchReport:
-        """Run *operations*; updates are batched, everything else is a barrier."""
-        result = BatchReport()
+    def execute(self, updates: Iterable[BatchUpdate]) -> BatchReport:
+        """Drain one run of updates, one leaf bucket at a time (serial execution).
+
+        The facade splits a stream at its barriers (inserts, deletes and
+        queries) and hands each run between them here.
+        """
         before = self.stats.snapshot()
-        run: List[BatchUpdate] = []
-        for op in operations:
-            if isinstance(op, BatchUpdate):
-                result.updates += 1
-                run.append(op)
-                continue
-            self._flush(run, result)
-            if isinstance(op, api_ops.RangeQuery):
-                result.queries.append(self.strategy.range_query(op.window))
-            elif isinstance(op, api_ops.Insert):
-                self.strategy.insert(op.oid, op.location)
-                result.inserts += 1
-            elif isinstance(op, DeleteOp):
-                self.strategy.delete(op.oid, op.location)
-                result.deletes += 1
-            elif isinstance(op, api_ops.KNN):
-                result.neighbors.append(self.tree.knn(op.point, op.k))
-            else:
-                raise TypeError(f"unsupported batch operation {op!r}")
-        self._flush(run, result)
+        plan = self.plan(updates)
+        result = BatchReport(updates=plan.requested, coalesced=plan.coalesced)
+        for request in plan.unindexed:
+            self.replay(request, result)  # not indexed yet: the update inserts it
+        buckets = plan.buckets
+        while buckets:
+            leaf_page, bucket = buckets.popitem(last=False)
+            self.execute_group(leaf_page, bucket, result, reroute=buckets)
         result.io = self.stats.snapshot().delta_since(before)
         return result
 
@@ -266,20 +255,6 @@ class BatchExecutor:
             self.replay(request, result)
         else:
             reroute.setdefault(current, []).append(request)
-
-    def _flush(self, run: List[BatchUpdate], result: BatchReport) -> None:
-        """Drain a run of updates, one leaf bucket at a time (serial execution)."""
-        if not run:
-            return
-        plan = self.plan(run)
-        run.clear()
-        result.coalesced += plan.coalesced
-        for request in plan.unindexed:
-            self.replay(request, result)  # not indexed yet: the update inserts it
-        buckets = plan.buckets
-        while buckets:
-            leaf_page, bucket = buckets.popitem(last=False)
-            self.execute_group(leaf_page, bucket, result, reroute=buckets)
 
     def replay(self, request: BatchUpdate, result: BatchReport) -> None:
         """Run one unindexed or re-routed member through the per-operation path."""

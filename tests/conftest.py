@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import IndexConfig, MovingObjectIndex
+from repro.shard import ShardedIndex
 from repro.geometry import Point
 from repro.rtree import RTree
 from repro.storage import BufferPool, DiskManager, IOStatistics, PageLayout
@@ -103,6 +104,15 @@ def build_index(strategy: str, num_objects: int = 600, seed: int = 11, **config_
     """Build and load a MovingObjectIndex for the given strategy."""
     config = IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE, **config_overrides)
     index = MovingObjectIndex(config)
+    index.load(make_points(num_objects, seed=seed))
+    return index
+
+
+def build_facade(strategy: str, num_objects: int = 600, seed: int = 11, **config_overrides):
+    """:func:`build_index`'s index behind the facade: a loaded one-shard
+    ``ShardedIndex``, what ``open_index({"kind": "single"})`` builds."""
+    config = IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE, **config_overrides)
+    index = ShardedIndex(config, num_shards=1)
     index.load(make_points(num_objects, seed=seed))
     return index
 

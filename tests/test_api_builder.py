@@ -76,8 +76,11 @@ class TestConfigCodec:
 
 class TestOpenIndex:
     def test_default_spec_builds_a_single_index(self):
+        # A single index is a one-shard ShardedIndex over a MovingObjectIndex.
         index = open_index()
-        assert isinstance(index, MovingObjectIndex)
+        assert isinstance(index, ShardedIndex)
+        assert index.num_shards == 1
+        assert isinstance(index.shards[0], MovingObjectIndex)
         assert index.config.strategy == "GBU"
 
     def test_sharded_spec_builds_a_sharded_index(self):
@@ -306,8 +309,7 @@ class TestSpecCheckpointRoundTrip:
         path = tmp_path / "checkpoint.json"
         save_index(index, path)
         document = json.loads(path.read_text())
-        sections = document["shards"] if kind == "sharded" else [document]
-        for section in sections:
+        for section in document["shards"]:
             section["config"].update(node_layout="object", page_store="object")
         path.write_text(json.dumps(document))
         restored = load_index(path)

@@ -1,14 +1,15 @@
 """Protocol-conformance suite of the typed operation API (v2).
 
-Parametrized over both facade implementations — the single
-:class:`MovingObjectIndex` and a 4-shard :class:`ShardedIndex` — this suite
-pins the central contract of the API redesign: for one seeded operation
-script, the typed surface (``execute`` / ``execute_many``) and the direct
-method calls produce byte-identical results — query and kNN answers, final
-positions, and outcome counts — on the per-operation, batch and
-concurrent-engine paths, and anything that is not a typed operation is
-turned away before any work runs.  It also covers the structured error
-taxonomy on every facade and the streaming cursors' exhaustion behaviour.
+On the one facade, a 4-shard :class:`ShardedIndex`, this suite pins the
+central contract of the API redesign: for one seeded operation script, the
+typed surface (``execute`` / ``execute_many``) and the direct method calls
+produce byte-identical results — query and kNN answers, final positions, and
+outcome counts — on the per-operation, batch and concurrent-engine paths, and
+anything that is not a typed operation is turned away before any work runs.
+It also covers the structured error taxonomy and the streaming cursors'
+exhaustion behaviour.  A single index (``{"kind": "single"}``) is the
+one-shard case, whose operations skip routing; ``TestOneShard`` holds that
+direct route to the routed one.
 """
 
 import random
@@ -24,9 +25,9 @@ from repro.api import (
     RangeQuery,
     UnknownObjectError,
     Update,
+    index_spec,
     open_index,
 )
-from repro.core.protocol import SpatialIndexFacade
 from repro.geometry import Point, Rect
 from repro.shard.index import ShardedIndex
 from repro.storage import BufferPool
@@ -34,21 +35,17 @@ from repro.update import UpdateOutcome
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points
 
-FACADE_KINDS = ("single", "sharded")
 NUM_OBJECTS = 150
 
 
-def build(kind, strategy="GBU", **config_overrides):
+def build(strategy="GBU", shards=4, **config_overrides):
     config = {"strategy": strategy, "page_size": SMALL_PAGE_SIZE}
     config.update(config_overrides)
-    spec = {"kind": kind, "config": config}
-    if kind == "sharded":
-        spec["shards"] = 4
-    return open_index(spec)
+    return open_index({"shards": shards, "config": config})
 
 
-def loaded(kind, strategy="GBU", num_objects=NUM_OBJECTS, seed=17, **overrides):
-    index = build(kind, strategy=strategy, **overrides)
+def loaded(strategy="GBU", num_objects=NUM_OBJECTS, seed=17, **overrides):
+    index = build(strategy=strategy, **overrides)
     index.load(make_points(num_objects, seed=seed))
     return index
 
@@ -79,15 +76,13 @@ def operation_script(seed=3, count=150, num_objects=NUM_OBJECTS):
 
 
 def outcome_counts(index):
-    """Aggregated per-outcome counters (summed over shards when sharded)."""
-    if isinstance(index, ShardedIndex):
-        totals = {outcome: 0 for outcome in UpdateOutcome}
-        for shard in index.shards:
-            for outcome, count in shard.strategy.outcome_counts.items():
-                totals[outcome] += count
-        totals[UpdateOutcome.MIGRATED] += index.migrations
-        return totals
-    return dict(index.strategy.outcome_counts)
+    """Per-outcome counters summed over the shards, migrations included."""
+    totals = {outcome: 0 for outcome in UpdateOutcome}
+    for shard in index.shards:
+        for outcome, count in shard.strategy.outcome_counts.items():
+            totals[outcome] += count
+    totals[UpdateOutcome.MIGRATED] += index.migrations
+    return totals
 
 
 def final_positions(index, script):
@@ -96,12 +91,11 @@ def final_positions(index, script):
 
 
 class TestPerOperationEquivalence:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
     @pytest.mark.parametrize("strategy", ["TD", "GBU"])
-    def test_typed_equals_direct(self, kind, strategy):
+    def test_typed_equals_direct(self, strategy):
         script = operation_script()
-        typed = loaded(kind, strategy=strategy)
-        direct = loaded(kind, strategy=strategy)
+        typed = loaded(strategy=strategy)
+        direct = loaded(strategy=strategy)
 
         typed_answers, direct_answers = [], []
         for op in script:
@@ -128,11 +122,10 @@ class TestPerOperationEquivalence:
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_batch_answers_match_per_operation_answers(self, kind):
+    def test_batch_answers_match_per_operation_answers(self):
         script = operation_script(seed=11)
-        batch = loaded(kind)
-        per_op = loaded(kind)
+        batch = loaded()
+        per_op = loaded()
 
         report = batch.execute_many(script)
         answers = []
@@ -156,9 +149,8 @@ class TestBatchEquivalence:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_knn_operations_schedule_under_the_engine(self, kind):
-        index = loaded(kind)
+    def test_knn_operations_schedule_under_the_engine(self):
+        index = loaded()
         session = index.engine(num_clients=2)
         session.submit(0, KNN(Point(0.5, 0.5), 3))
         session.submit(1, Update(0, Point(0.4, 0.4)))
@@ -168,25 +160,22 @@ class TestEngineEquivalence:
 
 
 class TestErrorTaxonomyOnFacades:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_update_unknown_object(self, kind):
-        index = loaded(kind)
+    def test_update_unknown_object(self):
+        index = loaded()
         with pytest.raises(UnknownObjectError):
             index.execute(Update(999_999, Point(0.5, 0.5)))
         with pytest.raises(KeyError):  # legacy-compatible
             index.update(999_999, Point(0.5, 0.5))
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_insert_duplicate_object(self, kind):
-        index = loaded(kind)
+    def test_insert_duplicate_object(self):
+        index = loaded()
         with pytest.raises(DuplicateObjectError):
             index.execute(Insert(0, Point(0.5, 0.5)))
         with pytest.raises(ValueError):  # legacy-compatible
             index.insert(0, Point(0.5, 0.5))
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_delete_missing_strict_and_lenient(self, kind):
-        index = loaded(kind)
+    def test_delete_missing_strict_and_lenient(self):
+        index = loaded()
         with pytest.raises(UnknownObjectError):
             index.execute(Delete(999_999))
         lenient = index.execute(Delete(999_999), strict=False)
@@ -194,26 +183,23 @@ class TestErrorTaxonomyOnFacades:
         assert lenient.value is False
         assert index.delete(999_999, strict=False) is False
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_non_strict_execute_captures_errors(self, kind):
-        index = loaded(kind)
+    def test_non_strict_execute_captures_errors(self):
+        index = loaded()
         result = index.execute(Update(999_999, Point(0.5, 0.5)), strict=False)
         assert not result.ok
         assert isinstance(result.error, UnknownObjectError)
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_unparseable_operations_always_raise(self, kind):
+    def test_unparseable_operations_always_raise(self):
         # There is no operation to attach a result to, so parse failures
         # raise even under strict=False.
         from repro.api import InvalidOperationError
 
-        index = loaded(kind)
+        index = loaded()
         with pytest.raises(InvalidOperationError):
             index.execute(("compact",), strict=False)
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_strict_batch_delete_raises_before_executing(self, kind):
-        index = loaded(kind)
+    def test_strict_batch_delete_raises_before_executing(self):
+        index = loaded()
         before = final_positions(index, [])
         with pytest.raises(UnknownObjectError):
             index.execute_many(
@@ -234,18 +220,16 @@ class TestTypedDoor:
 
     TUPLE = ("update", 0, Point(0.9, 0.9))
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_execute_rejects_a_tuple(self, kind):
-        index = loaded(kind)
+    def test_execute_rejects_a_tuple(self):
+        index = loaded()
         with pytest.raises(InvalidOperationError):
             index.execute(self.TUPLE)
         with pytest.raises(InvalidOperationError):
             index.execute(self.TUPLE, strict=False)
         assert index.position_of(0) != Point(0.9, 0.9)
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_execute_many_rejects_a_tuple_mid_stream(self, kind):
-        index = loaded(kind)
+    def test_execute_many_rejects_a_tuple_mid_stream(self):
+        index = loaded()
         before = final_positions(index, [])
         io = index.io_snapshot().as_dict()
         stream = [Update(1, Point(0.8, 0.8)), self.TUPLE, RangeQuery(Rect(0, 0, 1, 1))]
@@ -255,9 +239,8 @@ class TestTypedDoor:
         assert final_positions(index, []) == before
         assert index.io_snapshot().as_dict() == io
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_engine_paths_reject_a_tuple(self, kind):
-        index = loaded(kind)
+    def test_engine_paths_reject_a_tuple(self):
+        index = loaded()
         session = index.engine(num_clients=2)
         with pytest.raises(InvalidOperationError):
             session.submit(0, Update(1, Point(0.8, 0.8)), self.TUPLE)
@@ -268,16 +251,14 @@ class TestTypedDoor:
             session.engine.run_streams([[Update(1, Point(0.8, 0.8))], [object()]])
         assert index.position_of(1) != Point(0.8, 0.8)
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_rejected_durable_batch_leaves_no_trace(self, kind, tmp_path):
-        spec = {
-            "kind": kind,
-            "config": {"strategy": "GBU", "page_size": SMALL_PAGE_SIZE},
-            "durability": {"dir": str(tmp_path / "wal")},
-        }
-        if kind == "sharded":
-            spec["shards"] = 4
-        index = open_index(spec)
+    def test_rejected_durable_batch_leaves_no_trace(self, tmp_path):
+        index = open_index(
+            {
+                "shards": 4,
+                "config": {"strategy": "GBU", "page_size": SMALL_PAGE_SIZE},
+                "durability": {"dir": str(tmp_path / "wal")},
+            }
+        )
         index.load(make_points(NUM_OBJECTS, seed=17))
         index.execute_many([Update(2, Point(0.3, 0.3))])
         logs = sorted((tmp_path / "wal").glob("*.wal"))
@@ -297,9 +278,8 @@ class TestTypedDoor:
 
 
 class TestCursorsOnFacades:
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_stream_query_matches_range_query_and_exhausts(self, kind):
-        index = loaded(kind)
+    def test_stream_query_matches_range_query_and_exhausts(self):
+        index = loaded()
         window = Rect(0.2, 0.2, 0.7, 0.7)
         expected = index.range_query(window)
         cursor = index.stream_query(window)
@@ -311,9 +291,8 @@ class TestCursorsOnFacades:
         with pytest.raises(StopIteration):
             next(cursor)
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_stream_knn_matches_knn(self, kind):
-        index = loaded(kind)
+    def test_stream_knn_matches_knn(self):
+        index = loaded()
         probe = Point(0.5, 0.5)
         expected = index.knn(probe, 7)
         cursor = index.stream_knn(probe, 7)
@@ -321,9 +300,8 @@ class TestCursorsOnFacades:
         assert cursor.all() == expected[3:]
         assert cursor.exhausted
 
-    @pytest.mark.parametrize("kind", FACADE_KINDS)
-    def test_empty_window_cursor_is_born_exhausted_on_first_read(self, kind):
-        index = loaded(kind)
+    def test_empty_window_cursor_is_born_exhausted_on_first_read(self):
+        index = loaded()
         cursor = index.stream_query(Rect(5.0, 5.0, 6.0, 6.0))
         assert cursor.all() == []
         assert cursor.exhausted
@@ -333,11 +311,12 @@ class TestCursorsOnFacades:
         # TD + zero buffer: every node access is physical, so laziness is
         # directly visible in the counters.  The 4-shard serial index pins
         # laziness *inside* a shard: one result must cost less than the
-        # first shard's whole answer, not just less than every shard's.
+        # first shard's whole answer, not just less than every shard's.  One
+        # shard streams through the direct route.
         window = Rect(0.0, 0.0, 1.0, 1.0)
-        for kind in FACADE_KINDS:
-            index = loaded(kind, strategy="TD", buffer_percent=0.0)
-            first_shard = index.shards[0] if kind == "sharded" else index
+        for shards in (1, 4):
+            index = loaded(strategy="TD", buffer_percent=0.0, shards=shards)
+            first_shard = index.shards[0]
             before = index.io_snapshot().total_physical_io
             cursor = index.stream_query(window)
             assert index.io_snapshot().total_physical_io == before  # nothing read yet
@@ -349,32 +328,31 @@ class TestCursorsOnFacades:
             index.range_query(window)
             full_cost = index.io_snapshot().total_physical_io - full_io
             # One result costs strictly less than materialising the full set.
-            assert partial_io < full_cost, kind
+            assert partial_io < full_cost, shards
             shard_io = first_shard.io_snapshot().total_physical_io
             first_shard.range_query(window)
             shard_cost = first_shard.io_snapshot().total_physical_io - shard_io
-            assert partial_io < shard_cost, kind
+            assert partial_io < shard_cost, shards
 
     def test_streaming_knn_defers_io_until_consumption(self):
-        index = loaded("single", strategy="TD", buffer_percent=0.0)
-        before = index.stats.total_physical_io
+        # One shard: the kNN stream stays lazy (several shards merge first).
+        index = loaded(strategy="TD", buffer_percent=0.0, shards=1)
+        stats = index.shards[0].stats
+        before = stats.total_physical_io
         cursor = index.stream_knn(Point(0.5, 0.5), NUM_OBJECTS)
-        assert index.stats.total_physical_io == before
+        assert stats.total_physical_io == before
         cursor.fetch(1)
-        partial_io = index.stats.total_physical_io - before
+        partial_io = stats.total_physical_io - before
         assert partial_io > 0
-        snapshot = index.stats.total_physical_io
+        snapshot = stats.total_physical_io
         index.knn(Point(0.5, 0.5), NUM_OBJECTS)
-        full_cost = index.stats.total_physical_io - snapshot
+        full_cost = stats.total_physical_io - snapshot
         assert partial_io < full_cost
 
 
 class TestProtocolSurface:
-    def test_configure_buffer_is_part_of_the_protocol(self):
-        assert "configure_buffer" in SpatialIndexFacade.__abstractmethods__
-
     def test_sharded_buffer_split_preserves_the_aggregate_capacity(self):
-        index = loaded("sharded", num_objects=400)
+        index = loaded(num_objects=400)
         index.configure_buffer(5.0)
         total_pages = sum(len(shard.disk) for shard in index.shards)
         expected = BufferPool.capacity_for_percentage(5.0, total_pages)
@@ -411,3 +389,41 @@ class TestProtocolSurface:
         assert session.engine.scheduler.time_per_io == 0.02
         # Explicit arguments still win over the spec defaults.
         assert index.engine(num_clients=2).num_clients == 2
+
+
+class TestOneShard:
+    """A single index is one shard: its direct route (no routing, no
+    commands) does exactly what the routed path does on the same shard."""
+
+    @staticmethod
+    def run(index, script):
+        answers = []
+        for op in script:
+            result = index.execute(op)
+            if isinstance(op, (RangeQuery, KNN)):
+                answers.append(result.cursor().all())
+        return answers, final_positions(index, script), outcome_counts(index)
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_direct_route_matches_the_routed_path(self, strategy):
+        script = operation_script(seed=5)
+        direct = loaded(strategy=strategy, shards=1)
+        routed = loaded(strategy=strategy, shards=1)
+        assert direct._solo is direct.shards[0]
+        routed._solo = None  # what a controller or a worker backend turns off
+        assert self.run(direct, script) == self.run(routed, script)
+        assert direct.io_snapshot().as_dict() == routed.io_snapshot().as_dict()
+        direct.validate()
+        routed.validate()
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_kind_single_spec_round_trips(self, strategy):
+        spec = {"kind": "single", "config": {"strategy": strategy}}
+        index = open_index(spec)
+        assert isinstance(index, ShardedIndex) and index.num_shards == 1
+        saved = index_spec(index)
+        assert saved["kind"] == "single" and "partitioner" not in saved
+        assert saved["config"]["strategy"] == strategy
+        assert index_spec(open_index(saved)) == saved
+        # One shard with a shard-only section is not the shorthand.
+        assert index_spec(open_index({"shards": 1, "rebalance": {}}))["kind"] == "sharded"

@@ -22,7 +22,7 @@ from repro.api import Delete, Insert, RangeQuery, Update
 from repro.geometry import Point, Rect
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import build_index
+from tests.conftest import build_facade, build_index
 
 
 STRATEGIES = ["TD", "NAIVE", "LBU", "GBU"]
@@ -69,7 +69,7 @@ class TestBatchMatchesSequential:
             seed=23,
         )
         baseline = build_index(strategy, num_objects=300, seed=23)
-        batched = build_index(strategy, num_objects=300, seed=23)
+        batched = build_facade(strategy, num_objects=300, seed=23)
         gen_a, gen_b = WorkloadGenerator(spec), WorkloadGenerator(spec)
         for oid, _old, new in gen_a.updates():
             baseline.update(oid, new)
@@ -84,7 +84,7 @@ class TestBatchMatchesSequential:
         """A shuffled batch over distinct objects matches the ordered per-op run."""
         rng = random.Random(41)
         baseline = build_index(strategy, num_objects=350, seed=31)
-        batched = build_index(strategy, num_objects=350, seed=31)
+        batched = build_facade(strategy, num_objects=350, seed=31)
         for round_seed in (1, 2, 3):
             oids = rng.sample(range(350), 140)
             moves = []
@@ -114,7 +114,7 @@ class TestBatchMatchesSequential:
             seed=7,
         )
         baseline = build_index(strategy, num_objects=250, seed=7)
-        batched = build_index(strategy, num_objects=250, seed=7)
+        batched = build_facade(strategy, num_objects=250, seed=7)
         gen_a, gen_b = WorkloadGenerator(spec), WorkloadGenerator(spec)
 
         sequential_answers = []
@@ -136,7 +136,7 @@ class TestBatchMatchesSequential:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_inserts_and_deletes_flush_pending_updates(self, strategy):
         baseline = build_index(strategy, num_objects=200, seed=19)
-        batched = build_index(strategy, num_objects=200, seed=19)
+        batched = build_facade(strategy, num_objects=200, seed=19)
         rng = random.Random(19)
         ops = []
         next_oid = 200
@@ -191,11 +191,11 @@ class TestBatchCostAdvantage:
             seed=3,
         )
         per_op = build_index(strategy, num_objects=600, seed=3)
-        batched = build_index(strategy, num_objects=600, seed=3)
+        batched = build_facade(strategy, num_objects=600, seed=3)
         gen_a, gen_b = WorkloadGenerator(spec), WorkloadGenerator(spec)
         for oid, _old, new in gen_a.updates():
             per_op.update(oid, new)
         for chunk in gen_b.update_batches(500):
             batched.execute_many([Update(oid, new) for oid, _old, new in chunk])
-        assert batched.stats.physical_reads < per_op.stats.physical_reads
+        assert batched.io_snapshot().physical_reads < per_op.stats.physical_reads
         assert_equivalent(per_op, batched)

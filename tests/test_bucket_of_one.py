@@ -15,7 +15,7 @@ import pytest
 from repro.api import Update
 from repro.geometry import Point
 
-from tests.conftest import build_index, recorded_accesses
+from tests.conftest import build_facade, recorded_accesses
 
 OBJECTS = 220
 STEPS = 150
@@ -45,21 +45,22 @@ def _target(old, reach, dx, dy):
 
 def _step(index, oid, target, batched):
     """Apply one move; return everything the step did, for comparison."""
-    with recorded_accesses(index.buffer) as log:
+    shard = index.shards[0]
+    with recorded_accesses(shard.buffer) as log:
         if batched:
             index.execute_many([Update(oid, target)])
         else:
             index.update(oid, target)
-    encode = index.buffer.codec.encode
+    encode = shard.buffer.codec.encode
     return (
         log,
-        index.stats.as_dict(),
-        dict(index.strategy.outcome_counts),
-        sorted(index.disk.page_ids()),
+        shard.stats.as_dict(),
+        dict(shard.strategy.outcome_counts),
+        sorted(shard.disk.page_ids()),
         {
-            page: encode(index.tree.peek_node(page))
+            page: encode(shard.tree.peek_node(page))
             for _kind, page in log
-            if index.disk.contains(page)
+            if shard.disk.contains(page)
         },
     )
 
@@ -67,13 +68,13 @@ def _step(index, oid, target, batched):
 @pytest.mark.parametrize("buffer_percent", [0.0, 1.0, 100.0])
 @pytest.mark.parametrize("strategy", ["NAIVE", "LBU", "GBU"])
 def test_single_update_batches_are_per_op_updates(strategy, buffer_percent):
-    per_op = build_index(strategy, num_objects=OBJECTS, buffer_percent=buffer_percent)
-    batched = build_index(strategy, num_objects=OBJECTS, buffer_percent=buffer_percent)
+    per_op = build_facade(strategy, num_objects=OBJECTS, buffer_percent=buffer_percent)
+    batched = build_facade(strategy, num_objects=OBJECTS, buffer_percent=buffer_percent)
     for step, (oid, reach, dx, dy) in enumerate(_moves()):
         target = _target(per_op.position_of(oid), reach, dx, dy)
         expected = _step(per_op, oid, target, batched=False)
         assert _step(batched, oid, target, batched=True) == expected, step
-    classes = [outcome for outcome, count in per_op.strategy.outcome_counts.items() if count]
+    classes = [outcome for outcome, count in per_op.shards[0].strategy.outcome_counts.items() if count]
     assert len(classes) >= 2  # the stream leaves the leaf, not only moves in place
     per_op.validate()
     batched.validate()

@@ -6,27 +6,45 @@ import pytest
 
 from repro.api import KNN, Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockMode
-from repro.concurrency.dgl import DGLProtocol
+from repro.concurrency.dgl import DGLProtocol, namespace_pairs
 from repro.concurrency.locks import strongest_mode
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
+from repro.shard import ShardedIndex
 from repro.update.base import BatchUpdate
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
 
 
-def loaded(strategy, num_objects=800, seed=3, **spec_overrides):
-    spec = WorkloadSpec(
-        num_objects=num_objects,
-        num_updates=0,
-        num_queries=0,
-        seed=seed,
-        query_max_side=0.15,
-        **spec_overrides,
+def _generator(num_objects, seed, **spec_overrides):
+    return WorkloadGenerator(
+        WorkloadSpec(
+            num_objects=num_objects,
+            num_updates=0,
+            num_queries=0,
+            seed=seed,
+            query_max_side=0.15,
+            **spec_overrides,
+        )
     )
-    generator = WorkloadGenerator(spec)
+
+
+def loaded(strategy, num_objects=800, seed=3, **spec_overrides):
+    """A loaded shard engine and the generator it was loaded from."""
+    generator = _generator(num_objects, seed, **spec_overrides)
     index = MovingObjectIndex(IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE))
+    index.load(generator.initial_objects())
+    return index, generator
+
+
+def opened(strategy, num_objects=800, seed=3, **spec_overrides):
+    """:func:`loaded`'s index behind the facade: one shard, what
+    ``open_index({"kind": "single"})`` builds."""
+    generator = _generator(num_objects, seed, **spec_overrides)
+    index = ShardedIndex(
+        IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE), num_shards=1
+    )
     index.load(generator.initial_objects())
     return index, generator
 
@@ -163,28 +181,36 @@ def scoped_moves(index, count=160, seed=12):
 
 
 class TestSingleIndexLockScopes:
-    """``lock_requests_for`` dispatches each typed op to its strategy hook."""
+    """``lock_requests_for`` dispatches each typed op to its strategy hook;
+    a single index names its granules in shard 0's namespace."""
 
     @pytest.fixture
     def index(self):
-        return loaded("GBU", num_objects=300)[0]
+        return opened("GBU", num_objects=300)[0]
+
+    @staticmethod
+    def pairs(requests):
+        return namespace_pairs(DGLProtocol.as_pairs(requests), 0)
 
     def test_update_of_a_known_object_is_the_strategy_lock_scope(self, index):
         old, new = index.position_of(3), Point(0.52, 0.48)
-        assert index.lock_requests_for(Update(3, new)) == DGLProtocol.as_pairs(
-            index.strategy.lock_scope(3, old, new)
+        strategy = index.shards[0].strategy
+        assert index.lock_requests_for(Update(3, new)) == self.pairs(
+            strategy.lock_scope(3, old, new)
         )
 
     def test_update_of_an_unknown_object_is_the_insert_scope(self, index):
         new = Point(0.52, 0.48)
-        assert index.lock_requests_for(Update(99_999, new)) == DGLProtocol.as_pairs(
-            index.strategy.insert_lock_scope(new)
+        strategy = index.shards[0].strategy
+        assert index.lock_requests_for(Update(99_999, new)) == self.pairs(
+            strategy.insert_lock_scope(new)
         )
 
     def test_insert_is_the_insert_scope(self, index):
         location = Point(0.1, 0.9)
-        assert index.lock_requests_for(Insert(99_999, location)) == DGLProtocol.as_pairs(
-            index.strategy.insert_lock_scope(location)
+        strategy = index.shards[0].strategy
+        assert index.lock_requests_for(Insert(99_999, location)) == self.pairs(
+            strategy.insert_lock_scope(location)
         )
 
     def test_delete_of_an_absent_object_locks_nothing(self, index):
@@ -192,13 +218,15 @@ class TestSingleIndexLockScopes:
 
     def test_range_query_is_the_query_scope(self, index):
         window = Rect(0.2, 0.2, 0.4, 0.5)
-        assert index.lock_requests_for(RangeQuery(window)) == DGLProtocol.as_pairs(
-            index.strategy.query_lock_scope(window)
+        strategy = index.shards[0].strategy
+        assert index.lock_requests_for(RangeQuery(window)) == self.pairs(
+            strategy.query_lock_scope(window)
         )
 
     def test_knn_is_the_query_scope_of_the_root_mbr(self, index):
-        assert index.lock_requests_for(KNN(Point(0.5, 0.5), 4)) == DGLProtocol.as_pairs(
-            index.strategy.query_lock_scope(index.tree.root_mbr())
+        shard = index.shards[0]
+        assert index.lock_requests_for(KNN(Point(0.5, 0.5), 4)) == self.pairs(
+            shard.strategy.query_lock_scope(shard.tree.root_mbr())
         )
 
     def test_a_tuple_is_rejected(self, index):
@@ -208,7 +236,7 @@ class TestSingleIndexLockScopes:
 
 class TestConcurrentSession:
     def test_submit_and_run_per_client_queues(self):
-        index, _ = loaded("GBU", num_objects=300)
+        index, _ = opened("GBU", num_objects=300)
         session = index.engine(num_clients=4)
         target_a = Point(0.5, 0.5)
         target_b = Point(0.25, 0.75)
@@ -224,13 +252,13 @@ class TestConcurrentSession:
         index.validate()
 
     def test_submit_rejects_unknown_client(self):
-        index, _ = loaded("GBU", num_objects=300)
+        index, _ = opened("GBU", num_objects=300)
         session = index.engine(num_clients=2)
         with pytest.raises(ValueError):
             session.submit(2, RangeQuery(Rect(0.0, 0.0, 1.0, 1.0)))
 
     def test_insert_and_delete_operations(self):
-        index, _ = loaded("GBU", num_objects=300)
+        index, _ = opened("GBU", num_objects=300)
         session = index.engine(num_clients=2)
         new_oid = 10_000
         session.submit(0, Insert(new_oid, Point(0.4, 0.4)))
@@ -242,7 +270,7 @@ class TestConcurrentSession:
         index.validate()
 
     def test_run_mixed_deals_the_generator_stream(self):
-        index, generator = loaded("GBU", num_objects=500)
+        index, generator = opened("GBU", num_objects=500)
         session = index.engine(num_clients=8)
         result = session.run_mixed(generator, num_operations=120, update_fraction=0.5)
         assert result.operations == 120
@@ -250,7 +278,7 @@ class TestConcurrentSession:
         index.validate()
 
     def test_client_ledger_sums_to_index_physical_io(self):
-        index, generator = loaded("LBU", num_objects=500)
+        index, generator = opened("LBU", num_objects=500)
         session = index.engine(num_clients=6)
         before = index.io_snapshot()
         result = session.run_mixed(generator, num_operations=150, update_fraction=0.7)
@@ -290,7 +318,7 @@ class TestConflictAwareBatchScheduling:
         makespans = {}
         for label, clients in (("serial", 1), ("concurrent", 16)):
             generator = WorkloadGenerator(spec)
-            index = MovingObjectIndex(IndexConfig(strategy=strategy))
+            index = ShardedIndex(IndexConfig(strategy=strategy), num_shards=1)
             index.load(generator.initial_objects())
             ops = [Update(oid, new) for oid, _old, new in generator.updates()]
             result = index.engine(num_clients=clients).engine.run_batch(ops)
@@ -300,7 +328,7 @@ class TestConflictAwareBatchScheduling:
         assert makespans["concurrent"] < makespans["serial"]
 
     def test_run_batch_applies_all_updates(self):
-        index, generator = loaded("GBU", num_objects=600)
+        index, generator = opened("GBU", num_objects=600)
         session = index.engine(num_clients=8)
         updates = [Update(oid, new) for oid, _old, new in generator.updates(300)]
         result = session.engine.run_batch(updates)
@@ -312,7 +340,7 @@ class TestConflictAwareBatchScheduling:
 
     @pytest.mark.parametrize("bad", [RangeQuery(Rect(0.0, 0.0, 0.5, 0.5)), (3, Point(0.5, 0.5))])
     def test_run_batch_rejects_a_non_update_before_committing(self, bad):
-        index, _ = loaded("GBU", num_objects=200)
+        index, _ = opened("GBU", num_objects=200)
         positions = {oid: index.position_of(oid) for oid in range(200)}
         batch = [Update(1, Point(0.77, 0.77)), bad, Update(2, Point(0.1, 0.1))]
         with pytest.raises(InvalidOperationError):
@@ -323,7 +351,7 @@ class TestConflictAwareBatchScheduling:
     def test_run_batch_keeps_facade_positions_in_sync(self):
         """Direct engine.run_batch must update the facade's position map, or
         a later per-op update would hand the strategy a stale old position."""
-        index, generator = loaded("GBU", num_objects=400)
+        index, generator = opened("GBU", num_objects=400)
         updates = list(generator.updates(200))
         ops = [Update(oid, new) for oid, _old, new in updates]
         index.engine(num_clients=8).engine.run_batch(ops)
@@ -344,7 +372,7 @@ class TestConflictAwareBatchScheduling:
                 seed=21,
             )
             generator = WorkloadGenerator(spec)
-            index = MovingObjectIndex(IndexConfig(strategy="GBU"))
+            index = ShardedIndex(IndexConfig(strategy="GBU"), num_shards=1)
             index.load(generator.initial_objects())
             ops = [Update(oid, new) for oid, _old, new in generator.updates()]
             return index.engine(num_clients=12).engine.run_batch(ops)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.concurrency import ThroughputExperiment, run_throughput
-from repro.core import IndexConfig, MovingObjectIndex
+from repro.core import IndexConfig
+from repro.shard import ShardedIndex
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
@@ -14,7 +15,9 @@ def loaded(strategy, num_objects=800, seed=3):
         num_objects=num_objects, num_updates=0, num_queries=0, seed=seed, query_max_side=0.15
     )
     generator = WorkloadGenerator(spec)
-    index = MovingObjectIndex(IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE))
+    index = ShardedIndex(
+        IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE), num_shards=1
+    )
     index.load(generator.initial_objects())
     return index, generator
 

@@ -1,16 +1,19 @@
-"""Tests for index checkpointing (save/load), single and sharded."""
+"""Tests for index checkpointing (save/load) of one shard and of four."""
 
 import base64
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from repro.api import index_spec
 from repro.core import IndexConfig, MovingObjectIndex, load_index, save_index
 from repro.core.persistence import FORMAT_VERSION
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
+from repro.storage.serialization import NodeCodec
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE, make_points
@@ -31,7 +34,10 @@ def churn(index, num_objects, updates, seed):
 
 
 def build_and_churn(strategy="GBU", num_objects=300, updates=400, seed=5):
-    index = MovingObjectIndex(IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE))
+    """A churned single index: one shard, what ``{"kind": "single"}`` opens."""
+    index = ShardedIndex(
+        IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE), num_shards=1
+    )
     index.load(make_points(num_objects, seed=seed))
     churn(index, num_objects, updates, seed)
     return index
@@ -162,15 +168,15 @@ class TestRoundTrip:
             answer = restored.knn(Point(*probe["point"]), probe["k"])
             assert [[distance, oid] for distance, oid in answer] == probe["neighbours"]
 
-        # Saved again it is a version-4 document: no page was written since
-        # the load, so its pages are the version-2 images copied as they are
-        # (the decoder reads headers with and without the bound), and the
-        # round trip changes no answer.
+        # Saved again it is a version-4 document of one shard: no page was
+        # written since the load, so its pages are the version-2 images
+        # copied as they are (the decoder reads headers with and without the
+        # bound), and the round trip changes no answer.
         again = tmp_path / "again.json"
         save_index(restored, again)
         resaved = json.loads(again.read_text())
         assert resaved["format_version"] == FORMAT_VERSION == 4
-        assert resaved["pages"] == document["pages"]
+        assert [shard["pages"] for shard in resaved["shards"]] == [document["pages"]]
         reloaded = load_index(again)
         reloaded.validate()
         for probe in recorded["windows"]:
@@ -181,7 +187,7 @@ class TestRoundTrip:
         checkpoint = tmp_path / "index.json"
         save_index(original, checkpoint)
         restored = load_index(checkpoint)
-        assert restored.stats.total_physical_io == 0
+        assert restored.io_snapshot().total_physical_io == 0
 
 
 class TestShardedRoundTrip:
@@ -268,17 +274,17 @@ class TestPageImages:
     def test_flushed_disk_holds_the_tree_walk_images(self, strategy):
         # The premise of copying images: after a flush the disk holds
         # exactly the tree's pages, each the encoding of its live node.
-        index = build_and_churn(strategy=strategy)
-        assert disk_images(index) == walked_images(index)
+        shard = build_and_churn(strategy=strategy).shards[0]
+        assert disk_images(shard) == walked_images(shard)
 
     @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
     def test_saved_images_are_the_flushed_disk_images(self, tmp_path, strategy):
         index = build_and_churn(strategy=strategy)
         checkpoint = tmp_path / "index.json"
         save_index(index, checkpoint)
-        saved = saved_images(json.loads(checkpoint.read_text()))
-        assert saved == disk_images(index)
-        assert saved.keys() == walked_images(index).keys()
+        saved = saved_images(json.loads(checkpoint.read_text())["shards"][0])
+        assert saved == disk_images(index.shards[0])
+        assert saved.keys() == walked_images(index.shards[0]).keys()
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sharded_saved_images_are_each_shards_disk(self, tmp_path, backend):
@@ -313,20 +319,20 @@ class TestPageImages:
         index = build_and_churn()
         checkpoint = tmp_path / "index.json"
         save_index(index, checkpoint)
-        restored = load_index(checkpoint)
-        saved = saved_images(json.loads(checkpoint.read_text()))
+        restored = load_index(checkpoint).shards[0]
+        saved = saved_images(json.loads(checkpoint.read_text())["shards"][0])
         assert {
             page_id: restored.disk.peek(page_id)
             for page_id in restored.disk.page_ids()
         } == saved
-        assert restored.tree.root_page_id == index.tree.root_page_id
+        assert restored.tree.root_page_id == index.shards[0].tree.root_page_id
 
     def test_positions_are_rederived_from_the_leaves(self, tmp_path):
         index = build_and_churn()
         checkpoint = tmp_path / "index.json"
         save_index(index, checkpoint)
         document = json.loads(checkpoint.read_text())
-        assert "positions" not in document
+        assert "positions" not in document["shards"][0]
         restored = load_index(checkpoint)
         assert len(restored) == len(index) == 300
         for oid in range(300):
@@ -338,10 +344,11 @@ class TestPageImages:
         index = build_and_churn()
         checkpoint = tmp_path / "index.json"
         save_index(index, checkpoint)
-        document = json.loads(checkpoint.read_text())
-        # A version-3 document is version 4 plus the object-position table.
+        # A version-3 document is one index's version-4 body at the top
+        # level plus the object-position table.
+        document = json.loads(checkpoint.read_text())["shards"][0]
         positions = {
-            str(oid): [p.x, p.y] for oid, p in index._positions.items()
+            str(oid): [p.x, p.y] for oid, p in index.shards[0]._positions.items()
         }
         positions["0"] = [0.5, 0.5]  # disagrees with the leaves
         positions["424242"] = [0.5, 0.5]  # in no leaf
@@ -363,8 +370,79 @@ class TestPageImages:
         checkpoint = tmp_path / "index.json"
         save_index(index, checkpoint)
         document = json.loads(checkpoint.read_text())
-        root = str(document["tree"]["root_page_id"])
-        document["pages"][root] = base64.b64encode(b"\x00" * 5).decode("ascii")
+        body = document["shards"][0]
+        root = str(body["tree"]["root_page_id"])
+        body["pages"][root] = base64.b64encode(b"\x00" * 5).decode("ascii")
         checkpoint.write_text(json.dumps(document))
         with pytest.raises(ValueError):
             load_index(checkpoint)
+
+
+def single_document(index, version):
+    """*index* (one shard) saved in the single-index shape formats 2-4 used:
+    the shard's body at the top level, no ``kind`` and no partitioner."""
+    buffer = io.StringIO()
+    document = {"format_version": version, **index.shard_documents()[0]}
+    if version == 3:  # version 3 also carried the object-position table
+        document["positions"] = {
+            str(oid): [p.x, p.y] for oid, p in index.shards[0]._positions.items()
+        }
+    json.dump(document, buffer)
+    return buffer.getvalue()
+
+
+class TestSingleIndexDocuments:
+    """Checkpoints written by the single-index facade load as one shard."""
+
+    def assert_one_shard_twin(self, restored, index):
+        assert isinstance(restored, ShardedIndex) and restored.num_shards == 1
+        assert index_spec(restored)["kind"] == "single"
+        restored.validate()
+        assert len(restored) == len(index)
+        for oid in range(len(index)):
+            assert restored.position_of(oid) == index.position_of(oid)
+        for window in (Rect(0.1, 0.1, 0.4, 0.4), Rect.unit()):
+            assert restored.range_query(window) == index.range_query(window)
+        assert restored.knn(Point(0.5, 0.5), 9) == index.knn(Point(0.5, 0.5), 9)
+
+    def test_version_2_data_file_is_one_shard(self):
+        restored = load_index(DATA / "checkpoint_v2.json")
+        assert isinstance(restored, ShardedIndex) and restored.num_shards == 1
+        assert restored.active_strategies() == ["GBU"]
+        assert index_spec(restored)["kind"] == "single"
+
+    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_single_document_loads_as_one_shard(self, tmp_path, strategy, version):
+        index = build_and_churn(strategy=strategy, num_objects=200, updates=200)
+        checkpoint = tmp_path / "single.json"
+        checkpoint.write_text(single_document(index, version))
+        self.assert_one_shard_twin(load_index(checkpoint), index)
+
+
+class TestOneWalkRestore:
+    """Restore re-derives every structure from one walk: a page, one decode."""
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_load_decodes_each_page_once(self, tmp_path, monkeypatch, strategy):
+        index = build_and_churn_sharded("serial", strategy=strategy)
+        checkpoint = tmp_path / "index.json"
+        save_index(index, checkpoint)
+        pages = sum(len(shard.disk) for shard in index.shards)
+
+        decodes = []
+        decode = NodeCodec.decode
+
+        def counted(codec, page_id, image):
+            decodes.append(page_id)
+            return decode(codec, page_id, image)
+
+        monkeypatch.setattr(NodeCodec, "decode", counted)
+        # A fresh shard engine decodes its own empty root while it builds:
+        # that much is construction, whatever the checkpoint holds.
+        MovingObjectIndex(index.config)
+        construction = len(decodes)
+        decodes.clear()
+        restored = load_index(checkpoint)
+        assert len(decodes) == pages + index.num_shards * construction
+        restored.validate()

@@ -33,6 +33,7 @@ import pytest
 from repro.api import Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.core.persistence import load_index, save_index
+from repro.shard import ShardedIndex
 from repro.geometry import Point, Rect
 from repro.summary import SummaryStructure
 from repro.update import UpdateOutcome
@@ -121,10 +122,11 @@ def run_stream(strategy, buffer_percent, checkpoint_path):
     Returns the maintenance counters observed at each check.
     """
     rng = random.Random(1503)
-    index = MovingObjectIndex(
+    index = ShardedIndex(
         IndexConfig(
             strategy=strategy, page_size=SMALL_PAGE_SIZE, buffer_percent=buffer_percent
-        )
+        ),
+        num_shards=1,
     )
     positions = {oid: Point(rng.random(), rng.random()) for oid in range(500)}
     index.load(list(positions.items()))
@@ -164,8 +166,8 @@ def run_stream(strategy, buffer_percent, checkpoint_path):
             index.execute_many(batch)
 
         if step % CHECK_EVERY == 0:
-            assert_equals_rebuild(index)
-            summary = index.summary
+            assert_equals_rebuild(index.shards[0])
+            summary = index.shards[0].summary
             counters.append(
                 None
                 if summary is None

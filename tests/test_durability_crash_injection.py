@@ -407,7 +407,7 @@ class TestStrategySwitchCrashPoints:
             with open(log, "r+b") as handle:
                 handle.truncate(cut_at)
             recovered = load_index(tmp_path / "wal" / "checkpoint.json")
-            assert recovered.active_strategy == expected_strategy, cut_at
+            assert recovered.active_strategies() == [expected_strategy], cut_at
             assert recovered.config.strategy == "TD"
             assert_recovered_state(
                 recovered, apply_script(dict(baseline), intact)
@@ -440,7 +440,7 @@ class TestStrategySwitchCrashPoints:
         with open(log, "r+b") as handle:
             handle.truncate(offsets[6])
         recovered = load_index(tmp_path / "wal" / "checkpoint.json")
-        assert recovered.active_strategy == "GBU"
+        assert recovered.active_strategies() == ["GBU"]
         recovered.validate()
         recovered.detach_durability()
 

@@ -8,7 +8,8 @@ same range-query answers (compared sorted — the recovered tree is a
 physically different page layout holding the same content), same kNN
 answers, and a recovered structure that passes full validation.
 
-Covered here: every update strategy on the single and the 4-shard facade,
+Covered here: every update strategy on a single index (one shard) and on
+4 shards, a directory a single index wrote before it was one shard,
 batched and per-operation mutation paths, the concurrent engine, the
 ``process`` shard backend (coordinator-side logging), repartitioning, the
 builder/spec/checkpoint round trip, and log rotation across checkpoints.
@@ -86,6 +87,23 @@ class TestRecoveryEquivalence:
         live = run_mixed_workload(open_index(durable_spec(tmp_path, strategy, kind)))
         live.durability.flush()
         recovered = load_index(tmp_path / "wal" / "checkpoint.json")
+        assert_equivalent(live, recovered)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_single_index_directory_recovers_as_one_shard(self, tmp_path, strategy):
+        # A directory a single index left behind: its checkpoint is the
+        # shard body at the top level (formats 2-4), its log shard-0000.wal.
+        live = run_mixed_workload(open_index(durable_spec(tmp_path, strategy, "single")))
+        live.durability.flush()
+        assert set(shard_log_paths(tmp_path / "wal")) == {0}
+        path = tmp_path / "wal" / "checkpoint.json"
+        document = json.loads(path.read_text())
+        (body,) = document.pop("shards")
+        del document["kind"], document["partitioner"]
+        path.write_text(json.dumps({**document, **body}))
+        recovered = load_index(path)
+        assert recovered.num_shards == 1
+        assert index_spec(recovered) == index_spec(live)
         assert_equivalent(live, recovered)
 
     @pytest.mark.parametrize("sync", ("always", "group", "none"))
@@ -255,13 +273,14 @@ class TestSpecAndCheckpointRoundTrip:
         def failing_update(oid, old_location, new_location):
             raise RuntimeError("injected strategy failure")
 
-        original = live.strategy.update
-        live.strategy.update = failing_update
+        strategy = live.shards[0].strategy
+        original = strategy.update
+        strategy.update = failing_update
         try:
             with pytest.raises(RuntimeError):
                 live.update(4, Point(0.25, 0.25))
         finally:
-            live.strategy.update = original
+            strategy.update = original
         assert live.position_of(4) == position_before
         live.durability.flush()
         logged_oids = [
@@ -278,6 +297,7 @@ class TestSpecAndCheckpointRoundTrip:
         live = run_mixed_workload(
             open_index(durable_spec(tmp_path, "GBU", "sharded")), objects=60
         )
-        assert all(shard.durability is None for shard in live.shards)
+        # The shards have no logging hooks: only the coordinator logs.
+        assert not any(hasattr(shard, "durability") for shard in live.shards)
         # Exactly the coordinator's logs exist: one per shard plus meta.
         assert set(shard_log_paths(tmp_path / "wal")) <= set(range(4))

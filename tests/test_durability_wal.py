@@ -18,7 +18,6 @@ import pytest
 
 from repro.api import open_index
 from repro.api.errors import CheckpointError, CorruptLogError
-from repro.core import IndexConfig, MovingObjectIndex
 from repro.core.persistence import load_index, save_index
 from repro.durability import (
     DEFAULT_GROUP_SIZE,
@@ -488,7 +487,7 @@ class TestSpecValidation:
 
 class TestAtomicCheckpoint:
     def build(self):
-        index = MovingObjectIndex(IndexConfig(strategy="TD"))
+        index = open_index({"config": {"strategy": "TD"}})
         index.load([(oid, Point(0.1 * oid, 0.1 * oid)) for oid in range(1, 9)])
         return index
 

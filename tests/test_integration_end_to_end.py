@@ -10,8 +10,9 @@ import pytest
 from repro.bench.experiment import run_strategies
 from repro.bench.reporting import pivot_by_strategy
 from repro.concurrency import ThroughputExperiment, run_throughput
-from repro.core import IndexConfig, MovingObjectIndex
+from repro.core import IndexConfig
 from repro.geometry import Rect
+from repro.shard import ShardedIndex
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
@@ -79,8 +80,9 @@ class TestThroughputIntegration:
                     num_objects=800, num_updates=0, num_queries=0, seed=3, query_max_side=0.15
                 )
                 generator = WorkloadGenerator(spec)
-                index = MovingObjectIndex(
-                    IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE)
+                index = ShardedIndex(
+                    IndexConfig(strategy=strategy, page_size=SMALL_PAGE_SIZE),
+                    num_shards=1,
                 )
                 index.load(generator.initial_objects())
                 result = run_throughput(

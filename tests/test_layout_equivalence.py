@@ -15,9 +15,10 @@ import random
 import pytest
 
 from repro.api import Delete, Insert, RangeQuery, Update
-from repro.core import IndexConfig, MovingObjectIndex
+from repro.core import IndexConfig
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry, Node
+from repro.shard import ShardedIndex
 
 from tests import golden_object_layout as golden
 
@@ -39,7 +40,8 @@ def make_workload(objects=600, moves=1200, seed=97):
 
 
 def build(strategy):
-    return MovingObjectIndex(IndexConfig(strategy=strategy))
+    """A single index: one shard, what ``open_index({"kind": "single"})`` builds."""
+    return ShardedIndex(IndexConfig(strategy=strategy), num_shards=1)
 
 
 def io_tuple(index):
@@ -56,7 +58,7 @@ def outcome_values(index):
     """Non-zero outcome counts keyed by outcome name, as the fixtures store them."""
     return {
         outcome.value: count
-        for outcome, count in index.strategy.outcome_counts.items()
+        for outcome, count in index.shards[0].strategy.outcome_counts.items()
         if count
     }
 

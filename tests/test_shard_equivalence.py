@@ -100,11 +100,15 @@ class TestBatchEquivalence:
     def test_execute_many_matches_single_index_batches(self):
         config = IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE)
 
-        def run_batched(index):
+        def run_batched(index, batched=True):
             generator = WorkloadGenerator(SPEC)
             index.load(generator.initial_objects())
             for batch in generator.update_batches(250):
-                index.execute_many(Update(oid, new) for oid, _old, new in batch)
+                if batched:
+                    index.execute_many(Update(oid, new) for oid, _old, new in batch)
+                else:  # the oracle: one engine, update by update
+                    for oid, _old, new in batch:
+                        index.update(oid, new)
             queries = [
                 sorted(index.range_query(window)) for window in generator.queries()
             ]
@@ -114,7 +118,7 @@ class TestBatchEquivalence:
             index.validate()
             return queries, positions
 
-        expected = run_batched(MovingObjectIndex(config))
+        expected = run_batched(MovingObjectIndex(config), batched=False)
         for num_shards in SHARD_COUNTS:
             sharded = ShardedIndex(
                 config, partitioner=GridPartitioner.for_shards(num_shards)
@@ -124,16 +128,19 @@ class TestBatchEquivalence:
     def test_engine_batches_commit_identical_final_positions(self):
         config = IndexConfig(strategy="GBU", page_size=SMALL_PAGE_SIZE)
 
-        def run_engine_batch(index):
+        def run_engine_batch(index, engine=True):
             generator = WorkloadGenerator(SPEC)
             index.load(generator.initial_objects())
-            session = index.engine(num_clients=8)
             updates = [Update(oid, new) for oid, _old, new in generator.updates(600)]
-            session.engine.run_batch(updates)
+            if engine:
+                index.engine(num_clients=8).engine.run_batch(updates)
+            else:  # the oracle: one engine, update by update
+                for update in updates:
+                    index.update(update.oid, update.new_location)
             index.validate()
             return {oid: index.position_of(oid) for oid in range(SPEC.num_objects)}
 
-        expected = run_engine_batch(MovingObjectIndex(config))
+        expected = run_engine_batch(MovingObjectIndex(config), engine=False)
         for num_shards in SHARD_COUNTS:
             sharded = ShardedIndex(
                 config, partitioner=GridPartitioner.for_shards(num_shards)

@@ -18,14 +18,14 @@ import pytest
 
 from repro.api import RangeQuery, Update, index_spec, open_index
 from repro.api.errors import OperationError, WorkerFailedError
-from repro.core import IndexConfig, MovingObjectIndex, persistence
+from repro.core import IndexConfig, persistence
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect
 from repro.shard import BACKENDS, GridPartitioner, ShardedIndex
 from repro.shard import parallel as shard_parallel
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import SMALL_PAGE_SIZE
+from tests.conftest import SMALL_PAGE_SIZE, make_points
 
 SPEC = WorkloadSpec(
     num_objects=200, num_updates=300, num_queries=6, seed=5, max_distance=0.08
@@ -149,12 +149,26 @@ class TestBackendLifecycle:
         index.detach_parallel()
         index.engine(num_clients=2)  # serial again: engine works
 
-    def test_single_index_refuses_parallel_backends(self):
-        single = MovingObjectIndex(IndexConfig(page_size=SMALL_PAGE_SIZE))
-        single.set_parallel("serial")  # accepted no-op
+    def test_single_index_runs_on_one_worker(self):
+        # A single index is one shard, so it can move into one worker: the
+        # answers match the serial twin and the state comes back on detach.
+        twins = [
+            ShardedIndex(IndexConfig(page_size=SMALL_PAGE_SIZE), num_shards=1)
+            for _ in range(2)
+        ]
+        for twin in twins:
+            twin.load(make_points(200, seed=4))
+        single, serial = twins
+        single.set_parallel("process")
+        assert single.parallel_spec == {"backend": "process", "workers": 1}
+        for index in twins:
+            index.update(3, Point(0.5, 0.5))
+        window = Rect(0.2, 0.2, 0.7, 0.7)
+        assert single.range_query(window) == serial.range_query(window)
+        assert single.knn(Point(0.5, 0.5), 5) == serial.knn(Point(0.5, 0.5), 5)
         single.detach_parallel()
-        with pytest.raises(ValueError, match="sharded"):
-            single.set_parallel("process")
+        assert single.position_of(3) == Point(0.5, 0.5)
+        single.validate()
 
 
 class TestSpecAndCheckpointRoundTrip:

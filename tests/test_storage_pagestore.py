@@ -17,7 +17,7 @@ from repro.storage import serialization
 from repro.storage.serialization import NodeCodec, SerializationError
 
 from tests import golden_object_layout as golden
-from tests.conftest import build_index
+from tests.conftest import build_facade
 
 # Coordinates deliberately not representable in binary32: 0.1's float64
 # expansion, a tiny offset, and a value needing more than 24 mantissa bits.
@@ -299,12 +299,13 @@ class TestNodeResidentFrames:
     @pytest.mark.parametrize("strategy", ["GBU", "LBU"])
     def test_binary_store_reproduces_object_store_answers_and_io(self, strategy, buffer_percent):
         # The fixtures were recorded on a disk of node objects (no codec).
-        index = build_index(strategy, num_objects=400, buffer_percent=buffer_percent)
+        index = build_facade(strategy, num_objects=400, buffer_percent=buffer_percent)
         answers = _mixed_stream(index, seed=1303)
         index.validate()
+        stats = index.shards[0].stats
         assert answers == golden.FRAMES_ANSWERS[strategy]
-        assert index.stats.as_dict() == golden.FRAMES_STATS[(strategy, buffer_percent)]
-        assert index.stats.physical_reads > 0
+        assert stats.as_dict() == golden.FRAMES_STATS[(strategy, buffer_percent)]
+        assert stats.physical_reads > 0
 
     @pytest.mark.parametrize("capacity", [0, 3, 10_000])
     def test_codec_runs_once_per_physical_transfer(self, capacity):
@@ -402,9 +403,9 @@ class TestNodeResidentFrames:
     def test_checkpoint_restore_with_unflushed_dirty_frames(self, tmp_path):
         from repro.core.persistence import load_index, save_index
 
-        index = build_index("GBU", num_objects=300, buffer_percent=100.0)
+        index = build_facade("GBU", num_objects=300, buffer_percent=100.0)
         _mixed_stream(index, seed=77, steps=120)
-        assert index.buffer.dirty_count > 0  # the newest state is in frames only
+        assert index.shards[0].buffer.dirty_count > 0  # the newest state is in frames only
         window = Rect(0.1, 0.1, 0.9, 0.9)
         expected = sorted(index.range_query(window))
         neighbours = index.knn(Point(0.4, 0.6), 8)
@@ -413,10 +414,8 @@ class TestNodeResidentFrames:
         restored.validate()
         assert sorted(restored.range_query(window)) == expected
         assert restored.knn(Point(0.4, 0.6), 8) == neighbours
-        assert all(
-            isinstance(restored.disk.peek(page_id), bytes)
-            for page_id in restored.disk.page_ids()
-        )
+        disk = restored.shards[0].disk
+        assert all(isinstance(disk.peek(page_id), bytes) for page_id in disk.page_ids())
 
     def test_process_workers_hydrate_from_unflushed_dirty_frames(self):
         from repro.core import IndexConfig

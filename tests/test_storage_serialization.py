@@ -15,7 +15,7 @@ from repro.rtree import Entry, Node
 from repro.storage import PageLayout
 from repro.storage.serialization import NodeCodec
 
-from tests.conftest import SMALL_PAGE_SIZE, build_index, make_points
+from tests.conftest import SMALL_PAGE_SIZE, build_facade, build_index, make_points
 
 # <HHIB4d> then the tight MBR <4d>; each entry is <4d> coordinates and one <I> id.
 HEADER_WITH_MBR = 41 + 32
@@ -110,7 +110,7 @@ class TestImageSize:
 class TestWholeTreeSerialization:
     @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
     def test_every_node_of_a_real_tree_round_trips(self, strategy):
-        index = build_index(strategy, num_objects=400)
+        index = build_facade(strategy, num_objects=400)
         rng = random.Random(5)
         # Short moves, so that the bottom-up strategies leave ε-slack bounds on some leaves.
         moves = []
@@ -120,7 +120,7 @@ class TestWholeTreeSerialization:
             moves.append(Update(oid, Point(x, y)))
         index.execute_many(moves)
         codec = NodeCodec()
-        nodes = [node for node, _parent in index.tree.iter_nodes()]
+        nodes = [node for node, _parent in index.shards[0].tree.iter_nodes()]
         assert len(nodes) > 1
         if strategy in ("LBU", "GBU"):
             assert any(node.stored_mbr is not None for node in nodes)

@@ -90,12 +90,3 @@ class TestSummarySizing:
         small = layout.summary_size_bytes(internal_nodes=10, leaf_nodes=100)
         large = layout.summary_size_bytes(internal_nodes=100, leaf_nodes=1000)
         assert large > small
-
-    def test_summary_ratio_is_small_fraction_of_tree(self):
-        layout = PageLayout(page_size=1024)
-        # Roughly the paper's setting: ~1% internal nodes.
-        ratio = layout.summary_to_tree_ratio(internal_nodes=150, leaf_nodes=20_000)
-        assert ratio < 0.01
-
-    def test_summary_ratio_of_empty_tree_is_zero(self):
-        assert PageLayout().summary_to_tree_ratio(0, 0) == 0.0

@@ -21,7 +21,7 @@ from repro.api import index_spec, open_index
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect
 
-from tests.conftest import SMALL_PAGE_SIZE, build_index, make_points
+from tests.conftest import SMALL_PAGE_SIZE, build_facade, build_index, make_points
 
 
 STRATEGIES = ("TD", "NAIVE", "LBU", "GBU")
@@ -116,12 +116,12 @@ class TestSingleIndexSwap:
             index.validate()
 
     def test_checkpoint_round_trips_the_live_strategy(self, tmp_path):
-        index = build_index("TD", num_objects=120, seed=5)
+        index = build_facade("TD", num_objects=120, seed=5)
         index.set_strategy("GBU")
         apply_stream(index, update_stream(120, 80, seed=7))
         save_index(index, tmp_path / "checkpoint.json")
         restored = load_index(tmp_path / "checkpoint.json")
-        assert restored.active_strategy == "GBU"
+        assert restored.active_strategies() == ["GBU"]
         assert restored.config.strategy == "TD"
         stream = update_stream(120, 80, seed=12)
         apply_stream(index, stream)

@@ -30,7 +30,7 @@ from repro.update import BatchUpdate, UpdateOutcome
 from repro.update.batch import DeleteOp, parse_operation_stream
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import SMALL_PAGE_SIZE, build_index, make_points
+from tests.conftest import SMALL_PAGE_SIZE, build_facade, build_index, make_points
 
 
 class TestCapacityForPercentage:
@@ -178,7 +178,7 @@ class TestTreeGroupPrimitives:
 
 class TestBatchExecutor:
     def test_coalesces_repeated_updates_of_one_object(self):
-        index = build_index("GBU", num_objects=200)
+        index = build_facade("GBU", num_objects=200)
         final = Point(0.42, 0.42)
         result = index.execute_many([Update(5, Point(0.1, 0.1)), Update(5, Point(0.9, 0.9)), Update(5, final)])
         assert result.updates == 3
@@ -187,36 +187,37 @@ class TestBatchExecutor:
         assert sorted(index.range_query(Rect.from_point(final)))[0:1] == [5]
 
     def test_groups_never_outnumber_touched_leaves(self):
-        index = build_index("GBU", num_objects=400)
+        index = build_facade("GBU", num_objects=400)
         moves = []
         for oid in range(0, 200):
             position = index.position_of(oid)
             moves.append(Update(oid, Point(position.x, position.y)))  # no-op moves
         result = index.execute_many(moves)
-        distinct_leaves = {index.hash_index.peek(move.oid) for move in moves}
+        distinct_leaves = {index.shards[0].hash_index.peek(move.oid) for move in moves}
         assert result.groups <= len(distinct_leaves)
         assert result.residuals == 0
         assert result.largest_group >= 2
 
     def test_per_batch_io_snapshot_is_a_delta(self):
-        index = build_index("GBU", num_objects=300)
+        index = build_facade("GBU", num_objects=300)
         first = index.execute_many([Update(oid, Point(0.5, 0.5)) for oid in range(20)])
-        global_before = index.stats.snapshot()
+        stats = index.shards[0].stats
+        global_before = stats.snapshot()
         second = index.execute_many([Update(oid, Point(0.51, 0.51)) for oid in range(20)])
-        assert second.io.logical_reads <= index.stats.logical_reads
-        delta = index.stats.delta_since(global_before)
+        assert second.io.logical_reads <= stats.logical_reads
+        delta = stats.delta_since(global_before)
         assert second.io.physical_reads == delta.physical_reads
         assert second.io.logical_writes == delta.logical_writes
         assert first.io.total_physical_io >= 0
 
     def test_execute_many_rejects_unknown_update(self):
-        index = build_index("TD", num_objects=50)
+        index = build_facade("TD", num_objects=50)
         with pytest.raises(KeyError):
             index.execute_many([Update(10**9, Point(0.5, 0.5))])
 
     def test_rejected_batch_leaves_positions_untouched(self):
         """A parse error mid-stream must not desync the position map."""
-        index = build_index("TD", num_objects=50)
+        index = build_facade("TD", num_objects=50)
         before = index.position_of(1)
         with pytest.raises(KeyError):
             index.execute_many([Update(1, Point(0.77, 0.77)), Update(10**9, Point(0.5, 0.5))])
@@ -229,7 +230,7 @@ class TestBatchExecutor:
         index.validate()
 
     def test_execute_many_insert_then_update_then_delete(self):
-        index = build_index("NAIVE", num_objects=60)
+        index = build_facade("NAIVE", num_objects=60)
         size = len(index)
         result = index.execute_many(
             [
@@ -248,12 +249,12 @@ class TestBatchExecutor:
         index.validate()
 
     def test_delete_of_absent_object_is_skipped(self):
-        index = build_index("TD", num_objects=40)
+        index = build_facade("TD", num_objects=40)
         result = index.execute_many([Delete(10**9)], strict=False)
         assert result.deletes == 0
 
     def test_outcome_counters_cover_batched_updates(self):
-        index = build_index("GBU", num_objects=300)
+        index = build_facade("GBU", num_objects=300)
         spec = WorkloadSpec(
             num_objects=300, num_updates=400, num_queries=0, max_distance=0.02, seed=11
         )
@@ -262,9 +263,10 @@ class TestBatchExecutor:
             [Update(oid, new) for oid, _old, new in generator.updates()]
         )
         applied = result.updates - result.coalesced
-        assert index.strategy.update_count == applied
-        assert sum(index.strategy.outcome_counts.values()) == applied
-        assert index.strategy.outcome_counts[UpdateOutcome.IN_PLACE] > 0
+        strategy = index.shards[0].strategy
+        assert strategy.update_count == applied
+        assert sum(strategy.outcome_counts.values()) == applied
+        assert strategy.outcome_counts[UpdateOutcome.IN_PLACE] > 0
 
     def test_batchupdate_namedtuple_shape(self):
         request = BatchUpdate(3, Point(0.1, 0.2), Point(0.3, 0.4))
@@ -273,14 +275,14 @@ class TestBatchExecutor:
 
 
 class TestParseOperationStream:
-    """The one stream grammar both facades share, driven directly."""
+    """The facade's one stream grammar, driven directly."""
 
     def test_typed_ops_pass_through_and_mutations_gain_positions(self):
         positions = {1: Point(0.1, 0.1), 2: Point(0.2, 0.2)}
         insert = Insert(9, Point(0.9, 0.9))
         query = RangeQuery(Rect(0.0, 0.0, 0.5, 0.5))
         knn = KNN(Point(0.5, 0.5), 2)
-        parsed, overlay = parse_operation_stream(
+        parsed = parse_operation_stream(
             [
                 insert,
                 Update(9, Point(0.8, 0.8)),
@@ -300,15 +302,14 @@ class TestParseOperationStream:
         assert parsed[1] == BatchUpdate(9, Point(0.9, 0.9), Point(0.8, 0.8))
         assert parsed[3] == BatchUpdate(1, Point(0.1, 0.1), Point(0.3, 0.3))
         assert parsed[5] == DeleteOp(2, Point(0.2, 0.2))
-        assert overlay == {9: Point(0.8, 0.8), 1: Point(0.3, 0.3), 2: None}
 
     def test_absent_delete_is_dropped_leniently_and_raises_strictly(self):
         positions = {1: Point(0.1, 0.1)}
-        parsed, overlay = parse_operation_stream(
+        parsed = parse_operation_stream(
             [Delete(1), Delete(1), Delete(7)], positions.get
         )
+        # The second delete of 1 sees the first one's effect: nothing left.
         assert parsed == [DeleteOp(1, Point(0.1, 0.1))]
-        assert overlay == {1: None}
         with pytest.raises(UnknownObjectError):
             parse_operation_stream([Delete(7)], positions.get, strict_deletes=True)
 
@@ -327,16 +328,17 @@ class TestParseOperationStream:
 
 class TestSummaryBulkRefresh:
     def test_rebuild_matches_incremental_maintenance(self):
-        index = build_index("GBU", num_objects=400)
+        index = build_facade("GBU", num_objects=400)
         spec = WorkloadSpec(
             num_objects=400, num_updates=600, num_queries=0, max_distance=0.08, seed=2
         )
         generator = WorkloadGenerator(spec)
         index.execute_many([Update(oid, new) for oid, _old, new in generator.updates()])
-        assert index.summary.consistency_errors() == []
+        shard = index.shards[0]
+        assert shard.summary.consistency_errors() == []
         index.refresh_summary()
-        assert index.summary.consistency_errors() == []
-        assert index.summary.root_page_id == index.tree.root_page_id
+        assert shard.summary.consistency_errors() == []
+        assert shard.summary.root_page_id == shard.tree.root_page_id
 
     def test_rebuild_repairs_a_corrupted_summary(self):
         index = build_index("GBU", num_objects=300)
@@ -378,7 +380,7 @@ class TestGeneratorBatchedStream:
             num_objects=200, num_updates=300, num_queries=100, max_distance=0.05, seed=6
         )
         per_op = build_index("GBU", num_objects=200, seed=6)
-        batched = build_index("GBU", num_objects=200, seed=6)
+        batched = build_facade("GBU", num_objects=200, seed=6)
         sequential_answers = []
         for op in WorkloadGenerator(spec).operations(250, 0.6):
             if isinstance(op, Update):
@@ -448,11 +450,12 @@ class GroupPassProbe:
 
     def __init__(self, objects=500, seed=7):
         self.rng = random.Random(seed)
-        self.index = build_index("GBU", num_objects=objects, buffer_percent=100.0)
+        self.index = build_facade("GBU", num_objects=objects, buffer_percent=100.0)
+        self.shard = self.index.shards[0]
         for _ in range(2 * objects):  # churn: full leaves, overlapping siblings
             oid = self.rng.randrange(objects)
             self.index.update(oid, _step(self.rng, self.index.position_of(oid), 0.08))
-        bits = self.index.summary.leaf_bits
+        bits = self.shard.summary.leaf_bits
         self.asked = []  # pages is_full was called with
         real_is_full = bits.is_full
 
@@ -462,7 +465,7 @@ class GroupPassProbe:
 
         bits.is_full = is_full
         self.passes = []  # (leaf page, is_full calls made by its local rungs)
-        strategy = self.index.strategy
+        strategy = self.shard.strategy
         real_apply_group = strategy.apply_group
 
         def apply_group(leaf_page, group):
@@ -475,7 +478,7 @@ class GroupPassProbe:
 
     def bound_for(self, oid, target):
         """``(gate, covering, siblings)`` of a one-update group, read before it runs."""
-        index = self.index
+        index = self.shard
         leaf_page = index.hash_index.peek(oid)
         parent_entry = index.summary.parent_entry_of_leaf(leaf_page)
         siblings = [p for p in parent_entry.child_page_ids if p != leaf_page]
@@ -506,7 +509,7 @@ class TestGroupPassWorkBound:
         index = probe.index
         moves = [
             Update(leaf.entry_at(0).child, leaf.effective_mbr().center())
-            for leaf in index.tree.leaf_nodes()
+            for leaf in probe.shard.tree.leaf_nodes()
         ]
         result = index.execute_many(moves)
         assert result.groups == len(moves) and result.residuals == 0

@@ -165,3 +165,58 @@ class TestPiggybacking:
         assert sorted(with_piggyback.range_query(window)) == sorted(
             without_piggyback.range_query(window)
         )
+
+
+class TestShiftLockScope:
+    """The predicted DGL scope of a sibling shift out of a leaf one entry
+    above minimum fill covers every page the executed update touches."""
+
+    @staticmethod
+    def shift_case(tree, summary):
+        """A leaf, a non-full sibling under the same parent, and a target
+        inside the sibling's MBR and no other child's."""
+        for parent, _ in tree.iter_nodes():
+            if parent.level != 1:
+                continue
+            children = {page: tree.peek_node(page) for page in parent.child_ids()}
+            for sibling_page, sibling in children.items():
+                if summary.leaf_bits.is_full(sibling_page):
+                    continue
+                target = sibling.mbr().center()
+                covering = [p for p, c in children.items() if c.mbr().contains_point(target)]
+                if covering != [sibling_page]:
+                    continue
+                leaf_page = next(p for p in children if p != sibling_page)
+                return leaf_page, sibling_page, target
+        raise AssertionError("no shift case in the tree")
+
+    def test_shift_from_a_leaf_one_above_minimum_fill(self):
+        from repro.concurrency.dgl import DGLProtocol
+        from repro.concurrency.locks import LockMode
+        from repro.update import TuningParameters
+
+        from tests.conftest import recorded_accesses
+
+        # ε large enough that the directional extension would also cover the
+        # move, D = 0 so the shift is tried first: the sibling is in the
+        # scope only because removing the object leaves the leaf at minimum.
+        index = build_index(
+            "GBU", params=TuningParameters(epsilon=0.5, distance_threshold=0.0)
+        )
+        tree = index.tree
+        leaf_page, sibling_page, target = self.shift_case(tree, index.summary)
+        # Trim the leaf to exactly one entry above minimum fill.
+        while len(tree.peek_node(leaf_page)) > tree.min_leaf_entries + 1:
+            index.delete(tree.peek_node(leaf_page).child_ids()[-1])
+        assert len(tree.peek_node(leaf_page)) == tree.min_leaf_entries + 1
+        oid = tree.peek_node(leaf_page).child_ids()[0]
+
+        scope = DGLProtocol.as_pairs(
+            index.strategy.lock_scope(oid, index.position_of(oid), target)
+        )
+        assert (sibling_page, LockMode.EXCLUSIVE) in scope
+        with recorded_accesses(index.buffer) as accesses:
+            outcome = index.update(oid, target)
+        assert outcome is UpdateOutcome.SIBLING_SHIFT
+        assert {page for _kind, page in accesses} <= {granule for granule, _mode in scope}
+        index.validate()
