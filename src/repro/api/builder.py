@@ -146,17 +146,14 @@ def index_spec(index: "ShardedIndex") -> Dict[str, Any]:
     (specs describe configuration, not contents; contents travel through
     :mod:`repro.core.persistence` checkpoints, which embed this same spec).
     """
-    spec: Dict[str, Any] = {
-        "kind": "sharded",
-        "config": config_to_spec(index.config),
-        "partitioner": index.partitioner.to_spec(),
-    }
+    spec: Dict[str, Any] = {"kind": "single", "config": config_to_spec(index.config)}
+    if index.num_shards > 1:
+        spec["kind"] = "sharded"
+        spec["partitioner"] = index.partitioner.to_spec()
     for section, controller in index.controllers.items():
         spec[section] = controller.to_spec()
     if index.parallel_spec is not None:
         spec["parallel"] = dict(index.parallel_spec)
-    if len(spec) == 3 and spec["partitioner"] == _ONE_CELL:
-        spec = {"kind": "single", "config": spec["config"]}  # the shorthand
     if index.engine_defaults:
         spec["engine"] = dict(index.engine_defaults)
     if index.durability is not None:
@@ -175,10 +172,10 @@ _SPEC_KEYS = (
     "parallel",
     "durability",
 )
-# Any of these makes a spec without ``kind`` sharded; ``kind: "single"`` is
-# the shorthand for one shard over the unit square without any of them.
+# Any of these makes a spec without ``kind`` sharded.  ``kind: "single"`` is
+# one shard over the unit square: it takes every section, but no ``shards``
+# count or ``partitioner`` that names a second cell.
 _SHARDED_KEYS = ("shards", "partitioner", "rebalance", "adaptive", "parallel")
-_ONE_CELL = {"kind": "grid", "columns": 1, "rows": 1}
 _ENGINE_KEYS = ("num_clients", "time_per_io", "cpu_time_per_op")
 _PARALLEL_KEYS = ("backend", "workers")
 
@@ -198,11 +195,11 @@ def open_index(
             "engine": {"num_clients": ..., "time_per_io": ...,
                        "cpu_time_per_op": ...},  # session defaults
             "rebalance": {"threshold": ..., "cooldown": ...,
-                          "min_ops": ...},       # sharded: online rebalancer
+                          "min_ops": ...},       # online rebalancer
             "adaptive": {"cooldown": ...,
-                         "min_ops": ...},        # sharded: strategy selection
+                         "min_ops": ...},        # strategy selection
             "parallel": {"backend": "serial" | "process",
-                         "workers": N},          # sharded: execution backend
+                         "workers": N},          # execution backend
             "durability": {"dir": "...", "sync": "always"|"group"|"none",
                            "group_size": N},     # write-ahead logging
         }
@@ -216,7 +213,11 @@ def open_index(
     top level or in any section, raise ``ValueError``.  The returned facade
     is always a :class:`~repro.shard.index.ShardedIndex`; ``kind: "single"``
     builds it with one shard, whose one
-    :class:`~repro.core.index.MovingObjectIndex` is the paper's system.
+    :class:`~repro.core.index.MovingObjectIndex` is the paper's system.  A
+    single index takes every section (``rebalance``, ``adaptive``,
+    ``parallel``, ...) and still has one shard; a ``shards`` count or
+    ``partitioner`` naming more than one cell conflicts with it.
+    :func:`index_spec` writes every one-cell index as ``kind: "single"``.
     """
     from repro.shard.index import ShardedIndex
     from repro.shard.partitioner import partitioner_from_spec
@@ -226,14 +227,22 @@ def open_index(
     kind = merged.get("kind")
     if kind not in (None, "single", "sharded"):
         raise ValueError(f"unknown index kind {kind!r}")
-    sharded = kind == "sharded" or any(
-        merged.get(key) is not None for key in _SHARDED_KEYS
+    partitioner_spec = merged.get("partitioner")
+    partitioner = (
+        partitioner_from_spec(partitioner_spec) if partitioner_spec is not None else None
     )
-    if kind == "single" and sharded:
-        raise ValueError(
-            "kind 'single' conflicts with a shards/partitioner/"
-            "rebalance/adaptive/parallel entry"
-        )
+    if kind == "single":
+        shards = merged.get("shards")
+        if (shards is not None and shards != 1) or (
+            partitioner is not None and partitioner.num_shards != 1
+        ):
+            raise ValueError(
+                "kind 'single' is one shard; it conflicts with a shards count "
+                "or partitioner of more than one cell"
+            )
+    sharded = kind == "sharded" or (
+        kind is None and any(merged.get(key) is not None for key in _SHARDED_KEYS)
+    )
     parallel = merged.get("parallel")
     if parallel is not None:
         # Checked before anything is built: a bad backend must not leave a
@@ -246,12 +255,9 @@ def open_index(
             raise ValueError(f"unknown parallel backend {backend!r}")
     config = config_from_spec(merged.get("config", {}))
 
-    partitioner = merged.get("partitioner")
     index = ShardedIndex(
         config,
-        partitioner=(
-            partitioner_from_spec(partitioner) if partitioner is not None else None
-        ),
+        partitioner=partitioner,
         num_shards=merged.get("shards") if sharded else 1,
     )
     install_sections(index, merged)

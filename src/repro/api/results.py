@@ -194,11 +194,6 @@ class BatchReport:
     io: Optional["IOStatistics"] = None
 
     @property
-    def grouped_updates(self) -> int:
-        """Updates settled by leaf buckets (after coalescing)."""
-        return self.updates - self.coalesced - self.residuals - self.migrations
-
-    @property
     def operations(self) -> int:
         """Total operations the batch carried out."""
         return (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
@@ -165,21 +165,3 @@ def run_figure_point(
     if config_overrides:
         config = config.with_overrides(**config_overrides)
     return run_experiment(config, spec, validate=validate)
-
-
-def run_strategies(
-    strategies: Iterable[str],
-    spec: WorkloadSpec,
-    config_overrides: Optional[Dict] = None,
-    param_overrides: Optional[Dict] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run several strategies on identical workloads; return results by name."""
-    results: Dict[str, ExperimentResult] = {}
-    for strategy in strategies:
-        results[strategy] = run_figure_point(
-            strategy,
-            spec,
-            config_overrides=config_overrides,
-            param_overrides=param_overrides,
-        )
-    return results

@@ -38,7 +38,7 @@ from repro.api.operations import Operation, RangeQuery, Update
 from repro.bench.experiment import ExperimentResult, run_figure_point
 from repro.bench.metrics import MetricRow
 from repro.bench.metrics import pivot_by_strategy as _pivot
-from repro.concurrency.throughput import ThroughputExperiment, run_throughput
+from repro.concurrency.engine import OnlineOperationEngine
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.cost.model import BottomUpCostModel, TopDownCostModel, TreeShape
@@ -477,12 +477,8 @@ def _run_fig8_throughput(scale: float, seed: int) -> List[MetricRow]:
             generator = WorkloadGenerator(spec)
             index = open_index({"kind": "single", "config": {"strategy": strategy}})
             index.load(generator.initial_objects())
-            experiment = ThroughputExperiment(
-                num_operations=num_operations,
-                update_fraction=fraction,
-                num_clients=THROUGHPUT_CLIENTS,
-            )
-            result = run_throughput(index, generator, experiment)
+            engine = OnlineOperationEngine(index, num_clients=THROUGHPUT_CLIENTS)
+            result = engine.run(generator.operations(num_operations, fraction))
             rows.append(_throughput_row("update_fraction", fraction, strategy, result))
     return rows
 
@@ -531,7 +527,7 @@ def _run_contention_sweep(scale: float, seed: int) -> List[MetricRow]:
     stream over the clients (one stream per client), each operation predicts
     its granule lock scope and executes for real, so the sweep exposes how
     each strategy's lock footprint limits its scaling — the Section 3.2.2
-    argument the record/replay pipeline could not show.
+    argument.
     """
     rows: List[MetricRow] = []
     spec, num_operations = _throughput_workload(scale, seed)

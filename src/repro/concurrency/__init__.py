@@ -13,8 +13,9 @@ This package provides:
 * :mod:`repro.concurrency.locks` — a generic multi-granularity lock manager
   (S / X / IS / IX modes);
 * :mod:`repro.concurrency.dgl` — the DGL protocol layer: granule identities
-  (leaf pages, the external granule, the coarse tree granule), lock-request
-  records, and the derivation of lock sets from observed page accesses;
+  (leaf pages, the external granule, the coarse tree granule), the
+  lock-request record the strategies' ``lock_scope()`` hooks predict, and
+  the helpers that merge, namespace and pair requests for the lock manager;
 * :mod:`repro.concurrency.scheduler` — the deterministic logical-clock
   scheduler of N virtual clients (real OS threads would be serialised by
   the Python interpreter's global lock and distort the measurement);
@@ -22,16 +23,15 @@ This package provides:
   operations predict their lock scope through the strategies'
   ``lock_scope()`` hooks, execute for real under the scheduler, and block
   on conflict; shared by single operations, conflict-aware batch group
-  scheduling, and multi-client session streams;
-* :mod:`repro.concurrency.throughput` — the end-to-end throughput
-  experiment used for Figure 8, driving the engine.
+  scheduling, multi-client session streams and the Figure 8 throughput
+  runner of :mod:`repro.bench.figures`.
 """
 
 from repro.concurrency.dgl import (
     EXTERNAL_GRANULE,
     TREE_GRANULE,
-    DGLProtocol,
     GranuleLockRequest,
+    as_pairs,
     merge_requests,
     namespace_pairs,
 )
@@ -50,13 +50,12 @@ from repro.concurrency.scheduler import (
     ScheduleResult,
     VirtualOperation,
 )
-from repro.concurrency.throughput import ThroughputExperiment, run_throughput
 
 __all__ = [
     "LockManager",
     "LockMode",
-    "DGLProtocol",
     "GranuleLockRequest",
+    "as_pairs",
     "merge_requests",
     "EXTERNAL_GRANULE",
     "TREE_GRANULE",
@@ -71,6 +70,4 @@ __all__ = [
     "ReplayOperation",
     "PreparedBatch",
     "namespace_pairs",
-    "ThroughputExperiment",
-    "run_throughput",
 ]

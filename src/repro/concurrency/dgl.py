@@ -16,14 +16,18 @@ entries of the summary structure are protected the same way (the paper
 attaches three lock bits to each direct-access-table entry; here the summary
 granule shares the lock id of the node it summarises, which is equivalent).
 
-:class:`DGLProtocol` turns a recorded operation — which pages it read and
-wrote — into the list of granule lock requests the operation would issue.
+The lock sets are *predicted*, not observed: each update strategy's
+``lock_scope`` hooks name the granules an operation may touch, as
+:class:`GranuleLockRequest` records, before it runs, and the online engine
+(:mod:`repro.concurrency.engine`) acquires them all-or-nothing.  This module
+holds the granule identities, the request record and the helpers that turn
+requests into the ``(resource, mode)`` pairs the lock manager takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.concurrency.locks import LockMode, strongest_mode
 
@@ -45,100 +49,18 @@ TREE_GRANULE = "tree"
 class GranuleLockRequest:
     """One granule to lock and the mode to lock it in."""
 
-    granule: object
+    granule: Hashable
     mode: LockMode
 
 
-@dataclass
-class DGLProtocol:
-    """Maps recorded page accesses to DGL granule lock requests.
-
-    Parameters
-    ----------
-    leaf_pages:
-        The set of page ids that are currently leaf pages; only these are
-        lockable granules (internal nodes are not locked under DGL — that is
-        the point of granular locking).
-    lock_internal_as_intention:
-        When ``True``, internal pages touched by an operation contribute
-        intention locks on the *tree granule* (a single coarse resource).
-        This models the lightweight intention tagging DGL performs on its
-        way down; it only matters for fairness accounting, not for
-        correctness of the simulation, and is enabled by default.
-    """
-
-    leaf_pages: Set[int] = field(default_factory=set)
-    lock_internal_as_intention: bool = True
-
-    TREE_GRANULE = TREE_GRANULE
-
-    # ------------------------------------------------------------------
-    # Granule bookkeeping
-    # ------------------------------------------------------------------
-    def register_leaf(self, page_id: int) -> None:
-        self.leaf_pages.add(page_id)
-
-    def forget_leaf(self, page_id: int) -> None:
-        self.leaf_pages.discard(page_id)
-
-    def is_leaf_granule(self, page_id: int) -> bool:
-        return page_id in self.leaf_pages
-
-    # ------------------------------------------------------------------
-    # Lock-request derivation
-    # ------------------------------------------------------------------
-    def requests_for_update(
-        self,
-        pages_read: Iterable[int],
-        pages_written: Iterable[int],
-    ) -> List[GranuleLockRequest]:
-        """Lock requests for an update operation.
-
-        Leaf pages written are locked exclusively; leaf pages only read are
-        locked shared (an update reads sibling leaves it decides not to use).
-        If the update wrote no existing leaf (it created a brand-new leaf or
-        went through the external region) the external granule is locked
-        exclusively, which is DGL's phantom protection for inserts into
-        uncovered space.
-        """
-        written = {page for page in pages_written if page in self.leaf_pages}
-        read_only = {
-            page
-            for page in pages_read
-            if page in self.leaf_pages and page not in written
-        }
-        requests = [GranuleLockRequest(page, LockMode.EXCLUSIVE) for page in sorted(written)]
-        requests.extend(
-            GranuleLockRequest(page, LockMode.SHARED) for page in sorted(read_only)
-        )
-        if not written:
-            requests.append(GranuleLockRequest(EXTERNAL_GRANULE, LockMode.EXCLUSIVE))
-        if self.lock_internal_as_intention:
-            requests.append(
-                GranuleLockRequest(self.TREE_GRANULE, LockMode.INTENTION_EXCLUSIVE)
-            )
-        return requests
-
-    def requests_for_query(self, pages_read: Iterable[int]) -> List[GranuleLockRequest]:
-        """Lock requests for a window query: shared locks on every leaf read."""
-        leaves = {page for page in pages_read if page in self.leaf_pages}
-        requests = [GranuleLockRequest(page, LockMode.SHARED) for page in sorted(leaves)]
-        if self.lock_internal_as_intention:
-            requests.append(
-                GranuleLockRequest(self.TREE_GRANULE, LockMode.INTENTION_SHARED)
-            )
-        return requests
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def as_pairs(requests: Sequence[GranuleLockRequest]) -> List[Tuple[object, LockMode]]:
-        """Convert requests to the ``(resource, mode)`` pairs the lock manager takes."""
-        return [(request.granule, request.mode) for request in requests]
+def as_pairs(requests: Sequence[GranuleLockRequest]) -> List[Tuple[Hashable, LockMode]]:
+    """Convert requests to the ``(resource, mode)`` pairs the lock manager takes."""
+    return [(request.granule, request.mode) for request in requests]
 
 
 def namespace_pairs(
-    pairs: Sequence[Tuple[object, "LockMode"]], namespace: object
-) -> List[Tuple[object, "LockMode"]]:
+    pairs: Sequence[Tuple[Hashable, LockMode]], namespace: Hashable
+) -> List[Tuple[Hashable, LockMode]]:
     """Qualify every granule with *namespace*.
 
     A sharded index namespaces each shard's granules with the shard id, so
@@ -161,7 +83,7 @@ def merge_requests(requests: Iterable[GranuleLockRequest]) -> List[GranuleLockRe
     for contention accounting.  Order of first appearance is preserved, so
     merged scopes are deterministic.
     """
-    merged: "dict[object, LockMode]" = {}
+    merged: Dict[Hashable, LockMode] = {}
     for request in requests:
         held = merged.get(request.granule)
         merged[request.granule] = (

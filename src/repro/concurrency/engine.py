@@ -37,11 +37,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
 import repro.api.operations as api_ops
 from repro.api.errors import InvalidOperationError
-from repro.concurrency.dgl import DGLProtocol, namespace_pairs
+from repro.concurrency.dgl import as_pairs, namespace_pairs
+from repro.concurrency.locks import LockMode
 from repro.concurrency.scheduler import (
     OperationScheduler,
     ScheduleResult,
@@ -50,8 +62,13 @@ from repro.concurrency.scheduler import (
 
 if TYPE_CHECKING:  # imported lazily to keep the package import-cycle free
     from repro.api.results import BatchReport
-    from repro.core.protocol import SpatialIndexFacade
+    from repro.shard.index import ShardedIndex
+    from repro.update.base import BatchUpdate
     from repro.update.batch import BatchExecutor
+    from repro.workload.generator import WorkloadGenerator
+
+#: The ``(granule, mode)`` lock set a virtual operation acquires.
+LockPairs = List[Tuple[Hashable, LockMode]]
 
 
 class _LiveOperation(VirtualOperation):
@@ -68,37 +85,46 @@ class _LiveOperation(VirtualOperation):
 
     __slots__ = ("engine", "operation", "kind")
 
-    def __init__(self, engine: "OnlineOperationEngine", operation: "api_ops.Operation"):
+    def __init__(
+        self, engine: "OnlineOperationEngine", operation: "api_ops.Operation"
+    ) -> None:
         if not isinstance(operation, api_ops.Operation):
             raise InvalidOperationError(f"expected an Operation, got {operation!r}")
         self.engine = engine
         self.operation = operation
         self.kind = operation.kind
 
-    def lock_requests(self):
+    def lock_requests(self) -> LockPairs:
         return self.engine.index.lock_requests_for(self.operation)
 
     def execute(self, client: int) -> int:
         index = self.engine.index
         op = self.operation
+        work: Callable[[], object]
         if isinstance(op, api_ops.Update):
-            if op.oid in index:
-                work = lambda: index.update(op.oid, op.new_location)
+            oid, location = op.oid, op.new_location
+            if oid in index:
+                work = lambda: index.update(oid, location)
             else:
                 # Online upsert semantics: a stream may update an object a
                 # concurrent delete already removed; treat it as (re-)insert.
-                work = lambda: index.insert(op.oid, op.new_location)
+                work = lambda: index.insert(oid, location)
         elif isinstance(op, api_ops.Insert):
-            work = lambda: index.insert(op.oid, op.location)
+            oid, location = op.oid, op.location
+            work = lambda: index.insert(oid, location)
         elif isinstance(op, api_ops.Delete):
             # Non-strict: deleting an object a concurrent operation already
             # removed is a no-op for the stream, not an error.
-            work = lambda: index.delete(op.oid, strict=False)
+            oid = op.oid
+            work = lambda: index.delete(oid, strict=False)
         elif isinstance(op, api_ops.KNN):
-            work = lambda: index.knn(op.point, op.k)
-        else:
-            window = op.window  # type: ignore[union-attr]
+            point, k = op.point, op.k
+            work = lambda: index.knn(point, k)
+        elif isinstance(op, api_ops.RangeQuery):
+            window = op.window
             work = lambda: index.range_query(window)
+        else:
+            raise InvalidOperationError(f"expected an Operation, got {op!r}")
         return self.engine.measure(work)
 
 
@@ -116,13 +142,13 @@ class GroupOperation(VirtualOperation):
 
     def __init__(
         self,
-        engine,
+        engine: "OnlineOperationEngine",
         executor: "BatchExecutor",
         leaf_page: int,
-        bucket,
-        result,
+        bucket: List["BatchUpdate"],
+        result: "BatchReport",
         namespace: int,
-    ):
+    ) -> None:
         self.engine = engine
         self.executor = executor
         self.leaf_page = leaf_page
@@ -130,8 +156,8 @@ class GroupOperation(VirtualOperation):
         self.result = result
         self.namespace = namespace
 
-    def lock_requests(self):
-        pairs = DGLProtocol.as_pairs(
+    def lock_requests(self) -> LockPairs:
+        pairs = as_pairs(
             self.executor.strategy.group_lock_scope(self.leaf_page, self.bucket)
         )
         return namespace_pairs(pairs, self.namespace)
@@ -151,16 +177,21 @@ class ReplayOperation(VirtualOperation):
     kind = "update"
 
     def __init__(
-        self, engine, executor: "BatchExecutor", request, result, namespace: int
-    ):
+        self,
+        engine: "OnlineOperationEngine",
+        executor: "BatchExecutor",
+        request: "BatchUpdate",
+        result: "BatchReport",
+        namespace: int,
+    ) -> None:
         self.engine = engine
         self.executor = executor
         self.request = request
         self.result = result
         self.namespace = namespace
 
-    def lock_requests(self):
-        pairs = DGLProtocol.as_pairs(
+    def lock_requests(self) -> LockPairs:
+        pairs = as_pairs(
             self.executor.strategy.lock_scope(
                 self.request.oid,
                 self.request.old_location,
@@ -221,7 +252,7 @@ class OnlineOperationEngine:
 
     def __init__(
         self,
-        index: "SpatialIndexFacade",
+        index: "ShardedIndex",
         num_clients: int = 50,
         time_per_io: float = 0.01,
         cpu_time_per_op: float = 0.001,
@@ -378,7 +409,7 @@ class ConcurrentSession:
         self._queues: Dict[int, List["api_ops.Operation"]] = {}
 
     @property
-    def index(self) -> "SpatialIndexFacade":
+    def index(self) -> "ShardedIndex":
         return self.engine.index
 
     @property
@@ -419,12 +450,8 @@ class ConcurrentSession:
         self._queues = {}
         return self.engine.run_streams(streams)
 
-    def run_shared(self, operations: Iterable) -> ScheduleResult:
-        """Execute a shared stream (clients draw operations in order)."""
-        return self.engine.run(operations)
-
     def run_mixed(
-        self, generator, num_operations: int, update_fraction: float
+        self, generator: "WorkloadGenerator", num_operations: int, update_fraction: float
     ) -> ScheduleResult:
         """Execute a generator's mixed stream dealt over this session's clients."""
         streams = generator.client_streams(

@@ -1,8 +1,8 @@
 """Multi-granularity lock manager.
 
 A small but complete lock manager supporting the classic multi-granularity
-modes (IS, IX, S, X), a standard compatibility matrix, FIFO wait queues and
-per-holder bookkeeping.  It is deliberately free of threads: callers (the
+modes (IS, IX, S, X), a standard compatibility matrix and all-or-nothing
+acquisition of a whole lock set.  It is deliberately free of threads: callers (the
 DGL protocol layer and the discrete-event operation scheduler) decide *when*
 a waiting request is retried, which keeps scheduled runs deterministic.
 """
@@ -10,8 +10,8 @@ a waiting request is retried, which keeps scheduled runs deterministic.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict, deque
-from typing import Deque, Dict, Hashable, List, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Hashable, List, Optional, Tuple
 
 
 class LockMode(enum.Enum):
@@ -65,8 +65,6 @@ class LockManager:
     def __init__(self) -> None:
         # resource -> owner -> mode
         self._grants: Dict[Hashable, Dict[Hashable, LockMode]] = defaultdict(dict)
-        # resource -> queue of (owner, mode) requests that had to wait
-        self._waiters: Dict[Hashable, Deque[Tuple[Hashable, LockMode]]] = defaultdict(deque)
         self.grant_count = 0
         self.wait_count = 0
 
@@ -78,17 +76,6 @@ class LockManager:
                 continue
             if not compatible(held_mode, mode):
                 return False
-        return True
-
-    def try_acquire(self, resource: Hashable, owner: Hashable, mode: LockMode) -> bool:
-        """Acquire if possible; returns ``True`` on success (no queueing)."""
-        held = self._grants[resource].get(owner)
-        if held is not None and _stronger_or_equal(held, mode):
-            return True
-        if not self.can_grant(resource, owner, mode):
-            return False
-        self._grants[resource][owner] = _strongest(held, mode)
-        self.grant_count += 1
         return True
 
     def try_acquire_all(
@@ -127,16 +114,6 @@ class LockManager:
         """Current holders of *resource* and their modes (copy)."""
         return dict(self._grants.get(resource, {}))
 
-    def locks_of(self, owner: Hashable) -> Set[Hashable]:
-        """Resources currently held by *owner*."""
-        return {
-            resource for resource, grants in self._grants.items() if owner in grants
-        }
-
-    def held_resources(self) -> Set[Hashable]:
-        """Every resource with at least one holder."""
-        return set(self._grants)
-
 
 def _stronger_or_equal(held: LockMode, requested: LockMode) -> bool:
     order = {
@@ -166,7 +143,7 @@ def strongest_mode(held: LockMode, requested: LockMode) -> LockMode:
     return _strongest(held, requested)
 
 
-def _strongest(held, requested: LockMode) -> LockMode:
+def _strongest(held: Optional[LockMode], requested: LockMode) -> LockMode:
     if held is None:
         return requested
     if _stronger_or_equal(held, requested):

@@ -19,10 +19,9 @@ being measured, so concurrency is modelled on a **logical clock**:
 4. the makespan is the logical time at which the last operation completes,
    and throughput is operations divided by makespan.
 
-Unlike the record/replay pipeline this replaces, interleavings are *live*:
-the order in which operations acquire locks is the order in which they
-mutate the index, so contention shapes both the schedule and the work
-itself.  Determinism is preserved because the event queue ordering is total
+Interleavings are *live*: the order in which operations acquire locks is
+the order in which they mutate the index, so contention shapes both the
+schedule and the work itself.  Determinism is preserved because the event queue ordering is total
 (ties broken by client id) and clients are dispatched in id order — the same
 seed always yields the identical makespan.
 """

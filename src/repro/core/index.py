@@ -277,11 +277,3 @@ class MovingObjectIndex:
             if summary_errors:
                 raise AssertionError("; ".join(summary_errors))
         return report
-
-    def describe(self) -> str:
-        """Human-readable one-line summary of the index state."""
-        counts = self.tree.node_count()
-        return (
-            f"{self.config.describe()} | objects={len(self._positions)} "
-            f"height={self.tree.height} leaves={counts['leaf']} internals={counts['internal']}"
-        )

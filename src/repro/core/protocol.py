@@ -16,7 +16,7 @@ system.  The abstract methods below are only what this shared code calls.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Tuple, cast
 
 import repro.api.operations as api_ops
 from repro.api.errors import InvalidOperationError, OperationError
@@ -25,6 +25,7 @@ from repro.geometry import Point, Rect
 
 if TYPE_CHECKING:  # typing only; avoids import cycles at runtime
     from repro.concurrency.engine import ConcurrentSession
+    from repro.shard.index import ShardedIndex
     from repro.update import UpdateOutcome
 
 
@@ -156,7 +157,7 @@ class SpatialIndexFacade(abc.ABC):
             cpu_time_per_op = float(defaults.get("cpu_time_per_op", 0.001))
         return ConcurrentSession(
             OnlineOperationEngine(
-                self,
+                cast("ShardedIndex", self),  # the one facade the engine drives
                 num_clients=num_clients,
                 time_per_io=time_per_io,
                 cpu_time_per_op=cpu_time_per_op,

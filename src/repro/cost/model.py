@@ -29,9 +29,8 @@ does not exceed the best top-down case for realistic tree heights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from repro.rtree.tree import RTree
 
@@ -80,11 +79,6 @@ class TreeShape:
         width = sum(w for w, _ in leaves) / len(leaves)
         height = sum(h for _, h in leaves) / len(leaves)
         return (width, height)
-
-    def nodes_at_level(self, level: int) -> int:
-        if level < 0 or level >= len(self.node_extents):
-            return 0
-        return len(self.node_extents[level])
 
 
 def expected_query_node_accesses(
@@ -184,11 +178,3 @@ class BottomUpCostModel:
             + p_out * p_extend * self.COST_EXTEND
             + p_out * (1.0 - p_extend) * escalate_cost
         )
-
-    def worst_case_cost(self) -> float:
-        """Upper bound of the bottom-up update cost (object moved the maximum distance)."""
-        return self.update_cost(math.sqrt(2.0))
-
-    def cost_curve(self, distances: Sequence[float]) -> List[Tuple[float, float]]:
-        """``(distance, expected cost)`` pairs for plotting/reporting."""
-        return [(distance, self.update_cost(distance)) for distance in distances]

@@ -37,7 +37,6 @@ from repro.durability.commit import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SYNC,
     META_SHARD,
-    SINGLE_SHARD,
     DurabilityManager,
     checkpoint_path,
     meta_log_path,
@@ -83,6 +82,5 @@ __all__ = [
     "SYNC_POLICIES",
     "DEFAULT_SYNC",
     "DEFAULT_GROUP_SIZE",
-    "SINGLE_SHARD",
     "META_SHARD",
 ]

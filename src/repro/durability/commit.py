@@ -65,8 +65,6 @@ from repro.durability.wal import (
     repartition_record,
 )
 
-#: Shard id of the single-index log (a one-shard index logs as shard 0).
-SINGLE_SHARD = 0
 #: Internal shard id of the coordinator metadata log.
 META_SHARD = -1
 
@@ -335,7 +333,6 @@ __all__ = [
     "shard_log_paths",
     "meta_log_path",
     "checkpoint_path",
-    "SINGLE_SHARD",
     "META_SHARD",
     "DEFAULT_SYNC",
     "DEFAULT_GROUP_SIZE",

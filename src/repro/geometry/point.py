@@ -65,10 +65,6 @@ class Point:
         """Euclidean distance between this point and *other*."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def manhattan_distance_to(self, other: "Point") -> float:
-        """Manhattan (L1) distance between this point and *other*."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
     def translated(self, dx: float, dy: float) -> "Point":
         """Return a new point displaced by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)

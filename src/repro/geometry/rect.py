@@ -15,7 +15,7 @@ algorithms rely on:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Type
+from typing import Iterable, Iterator, Optional, Tuple, Type
 
 from repro.geometry.point import Point
 
@@ -83,23 +83,6 @@ class Rect:
         return cls._raw(x, y, x, y)
 
     @classmethod
-    def from_points(cls, a: Point, b: Point) -> "Rect":
-        """Smallest rectangle covering the two points *a* and *b*."""
-        return cls(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-
-    @classmethod
-    def from_center(cls, center: Point, width: float, height: float) -> "Rect":
-        """Rectangle of the given extent centred on *center*."""
-        if width < 0 or height < 0:
-            raise ValueError("width and height must be non-negative")
-        return cls(
-            center.x - width / 2.0,
-            center.y - height / 2.0,
-            center.x + width / 2.0,
-            center.y + height / 2.0,
-        )
-
-    @classmethod
     def unit(cls) -> "Rect":
         """The unit square ``[0, 1] x [0, 1]`` — the paper's data space."""
         return cls(0.0, 0.0, 1.0, 1.0)
@@ -147,10 +130,6 @@ class Rect:
         """Area of the rectangle (zero for degenerate rectangles)."""
         return self.width * self.height
 
-    def margin(self) -> float:
-        """Half-perimeter; the R*-split heuristic minimises this."""
-        return self.width + self.height
-
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
@@ -190,38 +169,10 @@ class Rect:
             max(self.ymax, other.ymax),
         )
 
-    def union_point(self, point: Point) -> "Rect":
-        """Smallest rectangle covering this rectangle and *point*."""
-        return Rect._raw(
-            min(self.xmin, point.x),
-            min(self.ymin, point.y),
-            max(self.xmax, point.x),
-            max(self.ymax, point.y),
-        )
-
-    def intersection(self, other: "Rect") -> Optional["Rect"]:
-        """Overlap region of this rectangle and *other*, or ``None``."""
-        xmin = max(self.xmin, other.xmin)
-        ymin = max(self.ymin, other.ymin)
-        xmax = min(self.xmax, other.xmax)
-        ymax = min(self.ymax, other.ymax)
-        if xmin > xmax or ymin > ymax:
-            return None
-        return Rect._raw(xmin, ymin, xmax, ymax)
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the overlap region (zero if disjoint)."""
-        overlap = self.intersection(other)
-        return 0.0 if overlap is None else overlap.area()
-
     # -- metrics used by the R-tree algorithms ---------------------------------
     def enlargement_to_include(self, other: "Rect") -> float:
         """Area increase needed to cover *other* (Guttman's ChooseLeaf metric)."""
         return self.union(other).area() - self.area()
-
-    def enlargement_to_include_point(self, point: Point) -> float:
-        """Area increase needed to cover *point*."""
-        return self.union_point(point).area() - self.area()
 
     def min_distance_to_point(self, point: Point) -> float:
         """Minimum Euclidean distance from *point* to this rectangle.
@@ -335,10 +286,3 @@ def union_all(rects: Iterable[Rect]) -> Rect:
         if rect.ymax > ymax:
             ymax = rect.ymax
     return Rect._raw(xmin, ymin, xmax, ymax)
-
-
-def rects_from_sequence(values: Sequence[float]) -> Rect:
-    """Build a :class:`Rect` from a flat ``(xmin, ymin, xmax, ymax)`` sequence."""
-    if len(values) != 4:
-        raise ValueError("expected exactly four coordinates")
-    return Rect(values[0], values[1], values[2], values[3])

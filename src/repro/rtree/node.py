@@ -223,7 +223,11 @@ class Node:
         del coords[base : base + 4]
 
     def find_entry(self, child: int) -> Optional[Entry]:
-        """The entry whose object id / child pointer equals *child*, if any."""
+        """The entry whose object id / child pointer equals *child*, if any.
+
+        Nothing in the engine calls it; it stays because the end-to-end
+        tracer (``benchmarks/e2e/tracing.py``) wraps it by name.
+        """
         index = self._index_of(child)
         return self.entry_at(index) if index >= 0 else None
 

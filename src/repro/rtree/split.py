@@ -134,12 +134,6 @@ class QuadraticSplit:
             )
 
     @staticmethod
-    def _pick_seeds(entries: Sequence[Entry]) -> Tuple[int, int]:
-        bounds = [entry.rect.as_tuple() for entry in entries]
-        areas = [(b[2] - b[0]) * (b[3] - b[1]) for b in bounds]
-        return QuadraticSplit._pick_seeds_from_bounds(bounds, areas)
-
-    @staticmethod
     def _pick_seeds_from_bounds(
         bounds: Sequence[Tuple[float, float, float, float]],
         areas: Sequence[float],

@@ -659,7 +659,11 @@ class RTree:
                 stack.extend(node.intersecting_children(window))
 
     def point_query(self, point: Point) -> List[int]:
-        """Return the object ids whose MBRs contain *point*."""
+        """Return the object ids whose MBRs contain *point*.
+
+        No engine caller; the query and work-bound tests use it as the
+        degenerate window query.
+        """
         return self.range_query(Rect.from_point(point))
 
     def knn(self, point: Point, k: int) -> List[Tuple[float, int]]:
@@ -769,12 +773,6 @@ class RTree:
         """Yield every leaf node."""
         for node, _ in self.iter_nodes(charge_io=charge_io):
             if node.is_leaf:
-                yield node
-
-    def internal_nodes(self, charge_io: bool = False):
-        """Yield every internal node."""
-        for node, _ in self.iter_nodes(charge_io=charge_io):
-            if not node.is_leaf:
                 yield node
 
     def node_count(self) -> Dict[str, int]:

@@ -63,7 +63,7 @@ from repro.api.errors import (
     UnknownObjectError,
 )
 from repro.api.results import BatchReport, QueryCursor
-from repro.concurrency.dgl import DGLProtocol, namespace_pairs
+from repro.concurrency.dgl import as_pairs, namespace_pairs
 from repro.concurrency.engine import (
     GroupOperation,
     PreparedBatch,
@@ -171,7 +171,7 @@ def _shard_scope(
         root_mbr = shard.tree.root_mbr()
         window = root_mbr if root_mbr is not None else Rect.from_point(op.point)
         requests = strategy.query_lock_scope(window)
-    return DGLProtocol.as_pairs(requests)
+    return as_pairs(requests)
 
 
 class _OneShardDirectory(Mapping[int, int]):
@@ -439,7 +439,11 @@ class ShardedIndex(SpatialIndexFacade):
         self.durability = manager
 
     def detach_durability(self) -> None:
-        """Stop logging; flushes and closes the logs (no-op when detached)."""
+        """Stop logging; flushes and closes the logs (no-op when detached).
+
+        The end-to-end harness calls it to close a run's logs before the
+        crash-recovery check; nothing in the engine does.
+        """
         if self.durability is not None:
             self.durability.close()
             self.durability = None

@@ -52,7 +52,7 @@ from typing import (
 
 from repro.api.operations import Update
 from repro.concurrency.scheduler import VirtualOperation
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.shard.control import (
     EvidenceGate,
     MaintenanceController,

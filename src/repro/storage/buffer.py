@@ -214,6 +214,7 @@ class BufferPool:
                 break  # the remaining excess frames are all still pinned
 
     def is_pinned(self, page_id: int) -> bool:
+        """Introspection for the pin-accounting tests (no engine caller)."""
         return page_id in self._pins
 
     def discard(self, page_id: int) -> None:
@@ -292,8 +293,12 @@ class BufferPool:
 
     @property
     def dirty_count(self) -> int:
+        """Introspection for the write-back work-bound tests (no engine caller)."""
         return len(self._dirty)
 
     def resident_pages(self) -> List[int]:
-        """Page ids currently buffered, oldest first (test helper)."""
+        """Page ids currently buffered, oldest first.
+
+        Introspection for the LRU and work-bound tests (no engine caller).
+        """
         return list(self._frames.keys())

@@ -110,8 +110,3 @@ class DiskManager:
     def page_ids(self) -> Iterator[int]:
         """Iterate over all allocated page identifiers (no I/O charged)."""
         return iter(list(self._pages.keys()))
-
-    @property
-    def database_size_bytes(self) -> int:
-        """Total size of the allocated pages in bytes."""
-        return len(self._pages) * self.page_size

@@ -106,9 +106,3 @@ class PageLayout:
         ratio at roughly 20 %, which this layout reproduces for 1 KB pages.
         """
         return self.mbr_size + 2 * self.pointer_size + 4  # +4 for the level/flags
-
-    def summary_size_bytes(self, internal_nodes: int, leaf_nodes: int) -> int:
-        """Approximate main-memory footprint of the summary structure."""
-        table = internal_nodes * self.direct_access_entry_size
-        bit_vector = (leaf_nodes + 7) // 8
-        return table + bit_vector

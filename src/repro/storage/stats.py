@@ -60,10 +60,6 @@ class IOStatistics:
         return self.physical_reads + self.physical_writes + self.hash_index_reads
 
     @property
-    def total_logical_io(self) -> int:
-        return self.logical_reads + self.logical_writes
-
-    @property
     def hit_ratio(self) -> float:
         """Buffer hit ratio over logical reads (0.0 when nothing was read)."""
         if self.logical_reads == 0:
@@ -110,7 +106,11 @@ class IOStatistics:
 
     # -- bookkeeping ---------------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:
-        """Increment the labelled counter *name* in :attr:`extra`."""
+        """Increment the labelled counter *name* in :attr:`extra`.
+
+        Only tests call it; they check that labelled counters survive
+        snapshots, deltas and merges.
+        """
         self.extra[name] = self.extra.get(name, 0) + amount
 
     def snapshot(self) -> "IOStatistics":

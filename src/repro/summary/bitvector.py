@@ -52,11 +52,6 @@ class LeafBitVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self._full)
 
-    @property
-    def full_count(self) -> int:
-        """Number of leaves currently marked full."""
-        return sum(1 for is_full in self._full.values() if is_full)
-
     def size_bytes(self) -> int:
         """Size of the conceptual bit vector in bytes (one bit per leaf)."""
         return (len(self._full) + 7) // 8

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 
 
 class DirectAccessEntry:
@@ -30,9 +30,6 @@ class DirectAccessEntry:
         self.level = level
         self.mbr = mbr
         self.child_page_ids = list(child_page_ids)
-
-    def contains_child(self, page_id: int) -> bool:
-        return page_id in self.child_page_ids
 
     def __repr__(self) -> str:
         return (
@@ -128,11 +125,6 @@ class DirectAccessTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def levels(self) -> List[int]:
-        """Levels present in the table, ascending (2 is the lowest internal
-        level with internal children; 1 is the leaf-parent level)."""
-        return sorted(self._by_level)
-
     def entries_at_level(self, level: int) -> Iterator[DirectAccessEntry]:
         """Iterate over the entries of internal nodes at *level*."""
         for page_id in self._by_level.get(level, []):
@@ -144,23 +136,6 @@ class DirectAccessTable:
         if parent_page is None:
             return None
         return self._entries.get(parent_page)
-
-    def scan_parent_of(self, page_id: int, level: int) -> Optional[DirectAccessEntry]:
-        """Find the parent of *page_id* by scanning the entries at *level*.
-
-        This is the literal lookup of the paper's Algorithm 3 ("for each
-        parent entry whose MBR contains node ... if some child offset matches
-        node offset").  It returns the same entry as :meth:`parent_of`; tests
-        assert the equivalence.
-        """
-        for entry in self.entries_at_level(level):
-            if entry.contains_child(page_id):
-                return entry
-        return None
-
-    def entries_containing(self, point: Point, level: int) -> List[DirectAccessEntry]:
-        """Entries at *level* whose MBR contains *point* (used in tests/ablations)."""
-        return [entry for entry in self.entries_at_level(level) if entry.mbr.contains_point(point)]
 
     # ------------------------------------------------------------------
     # Consistency checking (tests, ``index.validate()``)

@@ -151,9 +151,6 @@ class SummaryStructure(TreeObserver):
         entry = self.root_entry()
         return entry.mbr if entry is not None else None
 
-    def is_leaf_full(self, leaf_page_id: int) -> bool:
-        return self.leaf_bits.is_full(leaf_page_id)
-
     def parent_entry_of_leaf(self, leaf_page_id: int) -> Optional[DirectAccessEntry]:
         """Entry of the level-1 node whose children include *leaf_page_id*."""
         return self.table.parent_of(leaf_page_id)
@@ -241,7 +238,11 @@ class SummaryStructure(TreeObserver):
         return self.size_bytes() / tree_bytes
 
     def maintenance_counters(self) -> Dict[str, int]:
-        """Counters describing how much maintenance the table has seen."""
+        """Counters describing how much maintenance the table has seen.
+
+        Read only by tests today; kept as a counter for the planned
+        in-engine metrics registry.
+        """
         return {
             "mbr_updates": self.table.mbr_updates,
             "entry_insertions": self.table.entry_insertions,

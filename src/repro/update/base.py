@@ -349,7 +349,11 @@ class UpdateStrategy:
         }
 
     def top_down_fraction(self) -> float:
-        """Fraction of updates that degenerated to a full top-down update."""
+        """Fraction of updates that degenerated to a full top-down update.
+
+        Read only by tests today; kept as a counter for the planned
+        in-engine metrics registry.
+        """
         if self.update_count == 0:
             return 0.0
         return self.outcome_counts[UpdateOutcome.TOP_DOWN] / self.update_count

@@ -16,7 +16,7 @@ depends on the previous one through the movement model).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import repro.api.operations as api_ops
 from repro.geometry import Point, Rect
@@ -26,20 +26,6 @@ from repro.workload.queries import QueryWorkload
 from repro.workload.spec import WorkloadSpec
 
 UpdateRequest = Tuple[int, Point, Point]  # (oid, old_position, new_position)
-
-
-def _chunks(items: Iterable, batch_size: int) -> Iterator[List]:
-    """Yield *items* in lists of *batch_size* (the last one may be shorter)."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    batch: List = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 class WorkloadGenerator:
@@ -76,10 +62,6 @@ class WorkloadGenerator:
         """``(oid, position)`` pairs for the initial index load."""
         return list(enumerate(self._positions))
 
-    def current_position(self, oid: int) -> Point:
-        """The generator's view of where *oid* currently is."""
-        return self._positions[oid]
-
     # ------------------------------------------------------------------
     # Update stream
     # ------------------------------------------------------------------
@@ -100,22 +82,6 @@ class WorkloadGenerator:
             new = self._movement.next_position(oid, old)
             self._positions[oid] = new
             yield oid, old, new
-
-    # ------------------------------------------------------------------
-    # Batched update stream (batch execution engine)
-    # ------------------------------------------------------------------
-    def update_batches(
-        self, batch_size: int, count: int = None
-    ) -> Iterator[List[UpdateRequest]]:
-        """Yield the update stream chopped into lists of *batch_size*.
-
-        The concatenation of the yielded batches is exactly the sequence
-        :meth:`updates` would produce from the same generator state (the
-        last batch may be shorter), so per-operation and batched executions
-        of one spec consume byte-identical workloads — the property the
-        batch-vs-per-op benchmark relies on.
-        """
-        return _chunks(self.updates(count), batch_size)
 
     # ------------------------------------------------------------------
     # Query stream
@@ -170,14 +136,3 @@ class WorkloadGenerator:
         ):
             streams[position % num_clients].append(operation)
         return streams
-
-    def mixed_operation_batches(
-        self, count: int, update_fraction: float, batch_size: int
-    ) -> Iterator[List["api_ops.Operation"]]:
-        """The typed :meth:`operations` stream chopped into *batch_size* lists.
-
-        Batches respect the stream order, so feeding each batch to
-        ``execute_many`` (queries act as barriers) yields the same query
-        answers as driving the unbatched stream through per-op calls.
-        """
-        return _chunks(self.operations(count, update_fraction), batch_size)

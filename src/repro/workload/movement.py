@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.geometry import Point
 
@@ -84,12 +84,3 @@ class MovementModel:
             direction = self.rng.uniform(0.0, 2.0 * math.pi)
             self._trend_direction[oid] = direction
         return direction
-
-    def with_max_distance(self, max_distance: float) -> "MovementModel":
-        """A copy of this model with a different maximum distance (fresh RNG state)."""
-        return MovementModel(
-            max_distance=max_distance,
-            seed=random.Random(self.rng.random()),
-            trend_fraction=self.trend_fraction,
-            trend_strength=self.trend_strength,
-        )

@@ -13,7 +13,7 @@ the unit square.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Union
+from typing import Iterator, Union
 
 from repro.geometry import Rect
 
@@ -56,10 +56,6 @@ class QueryWorkload:
         xmax = min(1.0, cx + width / 2.0)
         ymax = min(1.0, cy + height / 2.0)
         return Rect(xmin, ymin, xmax, ymax)
-
-    def windows(self, count: int) -> List[Rect]:
-        """A list of *count* query windows."""
-        return [self.next_window() for _ in range(count)]
 
     def iter_windows(self, count: int) -> Iterator[Rect]:
         """Iterate over *count* query windows without materialising the list."""

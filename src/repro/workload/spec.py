@@ -8,15 +8,12 @@ harness combines one :class:`WorkloadSpec` with one
 :class:`~repro.core.config.IndexConfig` per experimental point.
 
 The paper runs at 1-10 million objects and updates; this reproduction scales
-the defaults down (see DESIGN.md, "Substitutions") while keeping every ratio
-configurable, so the spec also records the paper-scale values it stands in
-for (``paper_num_objects`` etc.) purely for reporting.
+the defaults down while keeping every ratio configurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -36,10 +33,6 @@ class WorkloadSpec:
     #: Zipf weights ``1/rank**hotspot_exponent``.
     hotspot_cells: int = 4
     hotspot_exponent: float = 1.5
-    #: Paper-scale counterparts, recorded for reporting only.
-    paper_num_objects: Optional[int] = 1_000_000
-    paper_num_updates: Optional[int] = 1_000_000
-    paper_num_queries: Optional[int] = 1_000_000
 
     def __post_init__(self) -> None:
         if self.num_objects <= 0:

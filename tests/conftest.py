@@ -87,6 +87,30 @@ def recorded_accesses(pool: BufferPool):
         vars(pool).update(shadowed)
 
 
+def chunks(items, batch_size: int):
+    """Yield *items* in lists of *batch_size* (the last one may be shorter)."""
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    batch = []
+    for item in items:
+        batch.append(item)
+        if len(batch) == batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
+def update_batches(generator: WorkloadGenerator, batch_size: int, count=None):
+    """*generator*'s update stream chopped into lists of *batch_size*.
+
+    The batches concatenate to exactly the sequence ``generator.updates``
+    would produce from the same generator state, so per-operation and
+    batched runs of one spec consume identical workloads.
+    """
+    return chunks(generator.updates(count), batch_size)
+
+
 def make_points(count: int, seed: int = 7) -> list:
     generator = random.Random(seed)
     return [(oid, Point(generator.random(), generator.random())) for oid in range(count)]

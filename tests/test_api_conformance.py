@@ -425,5 +425,6 @@ class TestOneShard:
         assert saved["kind"] == "single" and "partitioner" not in saved
         assert saved["config"]["strategy"] == strategy
         assert index_spec(open_index(saved)) == saved
-        # One shard with a shard-only section is not the shorthand.
-        assert index_spec(open_index({"shards": 1, "rebalance": {}}))["kind"] == "sharded"
+        # A one-cell index with a maintenance section is still kind single.
+        with_section = index_spec(open_index({"shards": 1, "rebalance": {}}))
+        assert with_section["kind"] == "single" and "rebalance" in with_section

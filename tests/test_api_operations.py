@@ -141,7 +141,6 @@ class TestResultEnvelopes:
         report.queries.append([1, 2])
         report.neighbors.append([(0.1, 7)])
         assert report.operations == 10 + 2 + 1 + 1 + 1
-        assert report.grouped_updates == 10 - 3 - 2 - 1
         assert "knn=1" in report.describe()
 
 

@@ -22,7 +22,7 @@ from repro.api import Delete, Insert, RangeQuery, Update
 from repro.geometry import Point, Rect
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import build_facade, build_index
+from tests.conftest import build_facade, build_index, update_batches
 
 
 STRATEGIES = ["TD", "NAIVE", "LBU", "GBU"]
@@ -73,7 +73,7 @@ class TestBatchMatchesSequential:
         gen_a, gen_b = WorkloadGenerator(spec), WorkloadGenerator(spec)
         for oid, _old, new in gen_a.updates():
             baseline.update(oid, new)
-        for chunk in gen_b.update_batches(150):
+        for chunk in update_batches(gen_b, 150):
             batched.execute_many([Update(oid, new) for oid, _old, new in chunk])
         assert_equivalent(baseline, batched)
         for oid in range(300):
@@ -195,7 +195,7 @@ class TestBatchCostAdvantage:
         gen_a, gen_b = WorkloadGenerator(spec), WorkloadGenerator(spec)
         for oid, _old, new in gen_a.updates():
             per_op.update(oid, new)
-        for chunk in gen_b.update_batches(500):
+        for chunk in update_batches(gen_b, 500):
             batched.execute_many([Update(oid, new) for oid, _old, new in chunk])
         assert batched.io_snapshot().physical_reads < per_op.stats.physical_reads
         assert_equivalent(per_op, batched)

@@ -1,98 +1,38 @@
 """Tests for the DGL protocol layer."""
 
-from repro.concurrency import DGLProtocol, LockMode
-from repro.concurrency.dgl import EXTERNAL_GRANULE
+from repro.concurrency import LockManager, LockMode
+from repro.concurrency.dgl import TREE_GRANULE, GranuleLockRequest, as_pairs
+
+S, X = LockMode.SHARED, LockMode.EXCLUSIVE
+IS, IX = LockMode.INTENTION_SHARED, LockMode.INTENTION_EXCLUSIVE
 
 
-class TestGranuleBookkeeping:
-    def test_register_and_forget_leaves(self):
-        protocol = DGLProtocol()
-        protocol.register_leaf(5)
-        assert protocol.is_leaf_granule(5)
-        protocol.forget_leaf(5)
-        assert not protocol.is_leaf_granule(5)
+def update_scope(leaf):
+    """A bottom-up update's scope: X on its leaf, IX on the tree granule."""
+    return [GranuleLockRequest(leaf, X), GranuleLockRequest(TREE_GRANULE, IX)]
 
 
-class TestUpdateRequests:
-    def test_written_leaves_locked_exclusively(self):
-        protocol = DGLProtocol(leaf_pages={1, 2, 3})
-        requests = protocol.requests_for_update(pages_read=[1, 10], pages_written=[2])
-        modes = {request.granule: request.mode for request in requests}
-        assert modes[2] == LockMode.EXCLUSIVE
-        assert modes[1] == LockMode.SHARED
-        assert 10 not in modes  # internal pages are not leaf granules
-
-    def test_written_leaf_not_also_locked_shared(self):
-        protocol = DGLProtocol(leaf_pages={1})
-        requests = protocol.requests_for_update(pages_read=[1], pages_written=[1])
-        granule_modes = [(r.granule, r.mode) for r in requests if r.granule == 1]
-        assert granule_modes == [(1, LockMode.EXCLUSIVE)]
-
-    def test_update_without_leaf_writes_locks_external_granule(self):
-        protocol = DGLProtocol(leaf_pages={1, 2})
-        requests = protocol.requests_for_update(pages_read=[7], pages_written=[9])
-        granules = {request.granule for request in requests}
-        assert EXTERNAL_GRANULE in granules
-
-    def test_update_with_leaf_writes_does_not_lock_external(self):
-        protocol = DGLProtocol(leaf_pages={1})
-        requests = protocol.requests_for_update(pages_read=[], pages_written=[1])
-        granules = {request.granule for request in requests}
-        assert EXTERNAL_GRANULE not in granules
-
-    def test_tree_granule_gets_intention_exclusive(self):
-        protocol = DGLProtocol(leaf_pages={1})
-        requests = protocol.requests_for_update(pages_read=[], pages_written=[1])
-        modes = {request.granule: request.mode for request in requests}
-        assert modes[DGLProtocol.TREE_GRANULE] == LockMode.INTENTION_EXCLUSIVE
-
-    def test_intention_tagging_can_be_disabled(self):
-        protocol = DGLProtocol(leaf_pages={1}, lock_internal_as_intention=False)
-        requests = protocol.requests_for_update(pages_read=[], pages_written=[1])
-        assert DGLProtocol.TREE_GRANULE not in {request.granule for request in requests}
+def query_scope(*leaves):
+    """A window query's scope: S on every leaf it reads, IS on the tree."""
+    return [GranuleLockRequest(leaf, S) for leaf in leaves] + [
+        GranuleLockRequest(TREE_GRANULE, IS)
+    ]
 
 
-class TestQueryRequests:
-    def test_query_locks_leaves_shared(self):
-        protocol = DGLProtocol(leaf_pages={1, 2, 3})
-        requests = protocol.requests_for_query(pages_read=[1, 3, 7])
-        modes = {request.granule: request.mode for request in requests}
-        assert modes[1] == LockMode.SHARED
-        assert modes[3] == LockMode.SHARED
-        assert 7 not in modes
-
-    def test_query_gets_intention_shared_on_tree_granule(self):
-        protocol = DGLProtocol(leaf_pages={1})
-        requests = protocol.requests_for_query(pages_read=[1])
-        modes = {request.granule: request.mode for request in requests}
-        assert modes[DGLProtocol.TREE_GRANULE] == LockMode.INTENTION_SHARED
-
+class TestAsPairs:
     def test_as_pairs(self):
-        protocol = DGLProtocol(leaf_pages={1})
-        requests = protocol.requests_for_query(pages_read=[1])
-        pairs = DGLProtocol.as_pairs(requests)
-        assert (1, LockMode.SHARED) in pairs
+        assert as_pairs(query_scope(1)) == [(1, S), (TREE_GRANULE, IS)]
 
 
 class TestCompatibilityScenarios:
     def test_bottom_up_update_conflicts_with_query_on_same_leaf(self):
         """The consistency argument of Section 3.2.2: a query's shared lock
         on a leaf granule and an update's exclusive lock collide."""
-        from repro.concurrency import LockManager
-
-        protocol = DGLProtocol(leaf_pages={1, 2})
         manager = LockManager()
-        update_requests = protocol.requests_for_update(pages_read=[], pages_written=[1])
-        query_requests = protocol.requests_for_query(pages_read=[1, 2])
-        assert manager.try_acquire_all(DGLProtocol.as_pairs(update_requests), owner="updater")
-        assert not manager.try_acquire_all(DGLProtocol.as_pairs(query_requests), owner="reader")
+        assert manager.try_acquire_all(as_pairs(update_scope(1)), owner="updater")
+        assert not manager.try_acquire_all(as_pairs(query_scope(1, 2)), owner="reader")
 
     def test_operations_on_disjoint_leaves_do_not_conflict(self):
-        from repro.concurrency import LockManager
-
-        protocol = DGLProtocol(leaf_pages={1, 2})
         manager = LockManager()
-        first = protocol.requests_for_update(pages_read=[], pages_written=[1])
-        second = protocol.requests_for_update(pages_read=[], pages_written=[2])
-        assert manager.try_acquire_all(DGLProtocol.as_pairs(first), owner="a")
-        assert manager.try_acquire_all(DGLProtocol.as_pairs(second), owner="b")
+        assert manager.try_acquire_all(as_pairs(update_scope(1)), owner="a")
+        assert manager.try_acquire_all(as_pairs(update_scope(2)), owner="b")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import KNN, Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockMode
-from repro.concurrency.dgl import DGLProtocol, namespace_pairs
+from repro.concurrency.dgl import as_pairs, namespace_pairs
 from repro.concurrency.locks import strongest_mode
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
@@ -190,7 +190,7 @@ class TestSingleIndexLockScopes:
 
     @staticmethod
     def pairs(requests):
-        return namespace_pairs(DGLProtocol.as_pairs(requests), 0)
+        return namespace_pairs(as_pairs(requests), 0)
 
     def test_update_of_a_known_object_is_the_strategy_lock_scope(self, index):
         old, new = index.position_of(3), Point(0.52, 0.48)

@@ -10,6 +10,15 @@ IS = LockMode.INTENTION_SHARED
 IX = LockMode.INTENTION_EXCLUSIVE
 
 
+def acquire(manager, resource, owner, mode):
+    """One lock through the all-or-nothing entry point."""
+    return manager.try_acquire_all([(resource, mode)], owner)
+
+
+def locks_of(manager, owner, resources=("leaf1", "leaf2", "tree")):
+    return {resource for resource in resources if owner in manager.holders(resource)}
+
+
 class TestCompatibilityMatrix:
     def test_shared_locks_are_compatible(self):
         assert compatible(S, S)
@@ -30,39 +39,39 @@ class TestCompatibilityMatrix:
 
 
 class TestAcquisition:
-    def test_try_acquire_grants_free_resource(self):
+    def test_acquire_grants_free_resource(self):
         manager = LockManager()
-        assert manager.try_acquire("leaf1", owner="a", mode=X)
+        assert acquire(manager, "leaf1", "a", X)
         assert manager.holders("leaf1") == {"a": X}
 
     def test_conflicting_request_is_denied(self):
         manager = LockManager()
-        manager.try_acquire("leaf1", owner="a", mode=X)
-        assert not manager.try_acquire("leaf1", owner="b", mode=S)
+        acquire(manager, "leaf1", "a", X)
+        assert not acquire(manager, "leaf1", "b", S)
 
     def test_compatible_requests_coexist(self):
         manager = LockManager()
-        assert manager.try_acquire("leaf1", "a", S)
-        assert manager.try_acquire("leaf1", "b", S)
+        assert acquire(manager, "leaf1", "a", S)
+        assert acquire(manager, "leaf1", "b", S)
         assert set(manager.holders("leaf1")) == {"a", "b"}
 
     def test_reacquisition_by_same_owner_is_noop(self):
         manager = LockManager()
-        assert manager.try_acquire("leaf1", "a", X)
-        assert manager.try_acquire("leaf1", "a", X)
-        assert manager.try_acquire("leaf1", "a", S)  # weaker request under X
+        assert acquire(manager, "leaf1", "a", X)
+        assert acquire(manager, "leaf1", "a", X)
+        assert acquire(manager, "leaf1", "a", S)  # weaker request under X
 
     def test_upgrade_from_shared_to_exclusive_when_alone(self):
         manager = LockManager()
-        manager.try_acquire("leaf1", "a", S)
-        assert manager.try_acquire("leaf1", "a", X)
+        acquire(manager, "leaf1", "a", S)
+        assert acquire(manager, "leaf1", "a", X)
         assert manager.holders("leaf1")["a"] == X
 
     def test_upgrade_blocked_by_other_shared_holder(self):
         manager = LockManager()
-        manager.try_acquire("leaf1", "a", S)
-        manager.try_acquire("leaf1", "b", S)
-        assert not manager.try_acquire("leaf1", "a", X)
+        acquire(manager, "leaf1", "a", S)
+        acquire(manager, "leaf1", "b", S)
+        assert not acquire(manager, "leaf1", "a", X)
 
 
 class TestAllOrNothing:
@@ -70,19 +79,19 @@ class TestAllOrNothing:
         manager = LockManager()
         requests = [("leaf1", X), ("leaf2", S), ("tree", IX)]
         assert manager.try_acquire_all(requests, owner="a")
-        assert manager.locks_of("a") == {"leaf1", "leaf2", "tree"}
+        assert locks_of(manager, "a") == {"leaf1", "leaf2", "tree"}
 
     def test_acquire_all_fails_without_partial_grants(self):
         manager = LockManager()
-        manager.try_acquire("leaf2", "other", X)
+        acquire(manager, "leaf2", "other", X)
         requests = [("leaf1", X), ("leaf2", X)]
         assert not manager.try_acquire_all(requests, owner="a")
-        assert manager.locks_of("a") == set()
+        assert locks_of(manager, "a") == set()
         assert manager.wait_count == 1
 
     def test_acquire_all_allows_already_held_resources(self):
         manager = LockManager()
-        manager.try_acquire("leaf1", "a", X)
+        acquire(manager, "leaf1", "a", X)
         assert manager.try_acquire_all([("leaf1", S), ("leaf2", S)], owner="a")
 
 
@@ -91,15 +100,15 @@ class TestRelease:
         manager = LockManager()
         manager.try_acquire_all([("leaf1", X), ("leaf2", X)], owner="a")
         manager.release_all("a")
-        assert manager.try_acquire("leaf1", "b", X)
-        assert manager.try_acquire("leaf2", "b", X)
-        assert manager.held_resources() == {"leaf1", "leaf2"}
+        assert acquire(manager, "leaf1", "b", X)
+        assert acquire(manager, "leaf2", "b", X)
+        assert manager.holders("leaf1") == manager.holders("leaf2") == {"b": X}
 
     def test_release_of_unknown_owner_is_silent(self):
         LockManager().release_all("ghost")
 
     def test_grant_counter_increments(self):
         manager = LockManager()
-        manager.try_acquire("leaf1", "a", S)
-        manager.try_acquire("leaf1", "b", S)
+        acquire(manager, "leaf1", "a", S)
+        acquire(manager, "leaf1", "b", S)
         assert manager.grant_count == 2

@@ -1,8 +1,8 @@
-"""Integration tests for the online throughput experiment (Figure 8 machinery)."""
+"""Integration tests for the online engine's throughput (Figure 8 machinery)."""
 
 import pytest
 
-from repro.concurrency import ThroughputExperiment, run_throughput
+from repro.concurrency import OnlineOperationEngine
 from repro.core import IndexConfig
 from repro.shard import ShardedIndex
 from repro.workload import WorkloadGenerator, WorkloadSpec
@@ -22,23 +22,17 @@ def loaded(strategy, num_objects=800, seed=3):
     return index, generator
 
 
-class TestExperimentConfig:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputExperiment(num_operations=0)
-        with pytest.raises(ValueError):
-            ThroughputExperiment(update_fraction=1.5)
+def run_mix(index, generator, num_operations, update_fraction, num_clients):
+    """The generator's mixed stream run online over *num_clients* clients."""
+    engine = OnlineOperationEngine(index, num_clients=num_clients)
+    return engine.run(generator.operations(num_operations, update_fraction))
 
 
 class TestEndToEnd:
     def test_throughput_positive_for_all_strategies(self):
         for strategy in ("TD", "NAIVE", "LBU", "GBU"):
             index, generator = loaded(strategy, num_objects=500)
-            result = run_throughput(
-                index,
-                generator,
-                ThroughputExperiment(num_operations=150, update_fraction=0.5, num_clients=8),
-            )
+            result = run_mix(index, generator, 150, 0.5, 8)
             assert result.throughput > 0
             assert result.operations == 150
 
@@ -47,11 +41,7 @@ class TestEndToEnd:
         structural invariants hold afterwards."""
         index, generator = loaded("GBU")
         before = {oid: index.position_of(oid) for oid in range(len(index))}
-        run_throughput(
-            index,
-            generator,
-            ThroughputExperiment(num_operations=120, update_fraction=1.0, num_clients=8),
-        )
+        run_mix(index, generator, 120, 1.0, 8)
         index.validate()
         moved = sum(
             1 for oid, position in before.items() if index.position_of(oid) != position
@@ -63,15 +53,7 @@ class TestEndToEnd:
         outcomes = []
         for _ in range(2):
             index, generator = loaded("GBU", num_objects=600, seed=11)
-            outcomes.append(
-                run_throughput(
-                    index,
-                    generator,
-                    ThroughputExperiment(
-                        num_operations=200, update_fraction=0.6, num_clients=16
-                    ),
-                )
-            )
+            outcomes.append(run_mix(index, generator, 200, 0.6, 16))
         assert outcomes[0].makespan == outcomes[1].makespan
         assert outcomes[0].lock_waits == outcomes[1].lock_waits
         assert outcomes[0].total_physical_io == outcomes[1].total_physical_io
@@ -82,13 +64,7 @@ class TestEndToEnd:
         throughput = {}
         for strategy in ("TD", "LBU", "GBU"):
             index, generator = loaded(strategy, num_objects=1500, seed=5)
-            throughput[strategy] = run_throughput(
-                index,
-                generator,
-                ThroughputExperiment(
-                    num_operations=400, update_fraction=0.8, num_clients=50
-                ),
-            ).throughput
+            throughput[strategy] = run_mix(index, generator, 400, 0.8, 50).throughput
         assert throughput["GBU"] >= throughput["LBU"] >= throughput["TD"]
 
     def test_pure_query_mix_equalises_td_and_lbu(self):
@@ -97,22 +73,12 @@ class TestEndToEnd:
         outcomes = {}
         for strategy in ("TD", "LBU"):
             index, generator = loaded(strategy, num_objects=500, seed=9)
-            outcomes[strategy] = run_throughput(
-                index,
-                generator,
-                ThroughputExperiment(num_operations=100, update_fraction=0.0, num_clients=8),
-            )
+            outcomes[strategy] = run_mix(index, generator, 100, 0.0, 8)
         assert outcomes["TD"].throughput == pytest.approx(outcomes["LBU"].throughput, rel=1e-6)
 
     def test_more_clients_never_reduce_throughput(self):
         results = {}
         for clients in (2, 16):
             index, generator = loaded("GBU", num_objects=600, seed=7)
-            results[clients] = run_throughput(
-                index,
-                generator,
-                ThroughputExperiment(
-                    num_operations=150, update_fraction=0.5, num_clients=clients
-                ),
-            )
+            results[clients] = run_mix(index, generator, 150, 0.5, clients)
         assert results[16].throughput >= results[2].throughput - 1e-9

@@ -128,13 +128,6 @@ class TestStatisticsAndIntegrity:
         with pytest.raises(AssertionError):
             index.validate()
 
-    def test_describe_mentions_strategy_and_size(self):
-        index = fresh_index(strategy="LBU")
-        index.load(make_points(120))
-        text = index.describe()
-        assert "LBU" in text
-        assert "objects=120" in text
-
     def test_every_strategy_facade_round_trips(self):
         for strategy in ("TD", "NAIVE", "LBU", "GBU"):
             index = fresh_index(strategy=strategy)

@@ -47,20 +47,14 @@ class TestTreeShape:
         shape, index = measured_shape()
         assert shape.height == index.tree.height
         counts = index.tree.node_count()
-        assert shape.nodes_at_level(0) == counts["leaf"]
-        assert sum(shape.nodes_at_level(level) for level in range(1, shape.height)) == counts[
-            "internal"
-        ]
+        assert len(shape.node_extents[0]) == counts["leaf"]
+        assert sum(len(extents) for extents in shape.node_extents[1:]) == counts["internal"]
 
     def test_average_leaf_extent_is_positive_and_small(self):
         shape, _ = measured_shape()
         width, height = shape.average_leaf_extent()
         assert 0 < width < 0.5
         assert 0 < height < 0.5
-
-    def test_nodes_at_missing_level_is_zero(self):
-        shape, _ = measured_shape()
-        assert shape.nodes_at_level(99) == 0
 
 
 class TestQueryCost:
@@ -132,7 +126,8 @@ class TestUpdateCostModels:
             pytest.skip("tree too shallow for the paper's bound")
         bottom_up = BottomUpCostModel(shape)
         top_down = TopDownCostModel(shape)
-        assert bottom_up.worst_case_cost() <= top_down.best_case_cost()
+        # The worst case: the object moved the whole diagonal.
+        assert bottom_up.update_cost(math.sqrt(2.0)) <= top_down.best_case_cost()
 
     def test_uncharged_hash_io_restores_the_paper_ranking(self):
         # The bottom-up constants fold one hash probe into COST_IN_PLACE.
@@ -167,13 +162,6 @@ class TestUpdateCostModels:
         tight = BottomUpCostModel(shape, epsilon=0.001)
         loose = BottomUpCostModel(shape, epsilon=0.05)
         assert loose.probability_extendable(0.05) >= tight.probability_extendable(0.05)
-
-    def test_cost_curve_shape(self):
-        shape, _ = measured_shape()
-        model = BottomUpCostModel(shape)
-        curve = model.cost_curve([0.01, 0.05, 0.1])
-        assert [d for d, _ in curve] == [0.01, 0.05, 0.1]
-        assert all(cost > 0 for _, cost in curve)
 
     def test_measured_gbu_update_cost_within_model_envelope(self):
         """The measured average GBU update I/O must land between the model's

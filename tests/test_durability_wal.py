@@ -23,7 +23,6 @@ from repro.durability import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SYNC,
     META_SHARD,
-    SINGLE_SHARD,
     SYNC_POLICIES,
     DurabilityManager,
     WriteAheadLog,

@@ -59,9 +59,6 @@ class TestDistances:
         point = Point(0.42, 0.42)
         assert point.distance_to(point) == 0.0
 
-    def test_manhattan_distance(self):
-        assert Point(0.0, 0.0).manhattan_distance_to(Point(0.3, 0.4)) == pytest.approx(0.7)
-
     def test_max_distance_within_unit_square(self):
         assert Point(0.0, 0.0).distance_to(Point(1.0, 1.0)) == pytest.approx(math.sqrt(2.0))
 

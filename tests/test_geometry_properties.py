@@ -49,10 +49,6 @@ class TestUnionProperties:
     def test_union_all_matches_pairwise_union(self, a, b, c):
         assert union_all([a, b, c]) == a.union(b).union(c)
 
-    @given(rects(), points())
-    def test_union_point_contains_point(self, rect, point):
-        assert rect.union_point(point).contains_point(point)
-
     @given(rects(), rects())
     def test_enlargement_is_non_negative(self, a, b):
         assert a.enlargement_to_include(b) >= -1e-12
@@ -67,19 +63,6 @@ class TestContainmentAndOverlapProperties:
     @given(rects(), rects())
     def test_intersection_is_symmetric(self, a, b):
         assert a.intersects(b) == b.intersects(a)
-
-    @given(rects(), rects())
-    def test_intersection_region_contained_in_both(self, a, b):
-        region = a.intersection(b)
-        if region is not None:
-            assert a.contains_rect(region)
-            assert b.contains_rect(region)
-
-    @given(rects(), rects())
-    def test_overlap_area_bounded_by_each_area(self, a, b):
-        overlap = a.overlap_area(b)
-        assert overlap <= a.area() + 1e-12
-        assert overlap <= b.area() + 1e-12
 
     @given(rects(), points())
     def test_min_distance_zero_iff_contained(self, rect, point):

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.geometry import Point, Rect, union_all
-from repro.geometry.rect import rects_from_sequence
 
 
 class TestConstruction:
@@ -24,18 +23,6 @@ class TestConstruction:
         rect = Rect.from_point(Point(0.2, 0.8))
         assert rect.as_tuple() == (0.2, 0.8, 0.2, 0.8)
 
-    def test_from_points_orders_coordinates(self):
-        rect = Rect.from_points(Point(0.8, 0.1), Point(0.2, 0.9))
-        assert rect.as_tuple() == (0.2, 0.1, 0.8, 0.9)
-
-    def test_from_center(self):
-        rect = Rect.from_center(Point(0.5, 0.5), 0.2, 0.4)
-        assert rect.as_tuple() == pytest.approx((0.4, 0.3, 0.6, 0.7))
-
-    def test_from_center_rejects_negative_extent(self):
-        with pytest.raises(ValueError):
-            Rect.from_center(Point(0.5, 0.5), -0.1, 0.1)
-
     def test_unit_square(self):
         assert Rect.unit().as_tuple() == (0.0, 0.0, 1.0, 1.0)
 
@@ -48,13 +35,6 @@ class TestConstruction:
         rect = Rect(0, 1, 2, 3)
         assert all(type(value) is float for value in rect.as_tuple())
         assert rect == Rect(0.0, 1.0, 2.0, 3.0)
-
-    def test_rects_from_sequence(self):
-        assert rects_from_sequence([0.1, 0.2, 0.3, 0.4]) == Rect(0.1, 0.2, 0.3, 0.4)
-
-    def test_rects_from_sequence_wrong_length(self):
-        with pytest.raises(ValueError):
-            rects_from_sequence([0.1, 0.2, 0.3])
 
 
 def _built_every_way():
@@ -105,10 +85,9 @@ class TestValueSemantics:
 
 
 class TestMeasures:
-    def test_area_and_margin(self):
+    def test_area(self):
         rect = Rect(0.0, 0.0, 0.4, 0.25)
         assert rect.area() == pytest.approx(0.1)
-        assert rect.margin() == pytest.approx(0.65)
 
     def test_width_height_center(self):
         rect = Rect(0.1, 0.2, 0.5, 0.8)
@@ -137,28 +116,12 @@ class TestPredicates:
         assert a.intersects(Rect(0.5, 0.0, 0.9, 0.5))  # edge touch counts
         assert not a.intersects(Rect(0.51, 0.51, 0.9, 0.9))
 
-    def test_intersection_region(self):
-        a = Rect(0.0, 0.0, 0.5, 0.5)
-        b = Rect(0.25, 0.25, 1.0, 1.0)
-        assert a.intersection(b) == Rect(0.25, 0.25, 0.5, 0.5)
-        assert a.intersection(Rect(0.6, 0.6, 0.9, 0.9)) is None
-
-    def test_overlap_area(self):
-        a = Rect(0.0, 0.0, 0.5, 0.5)
-        b = Rect(0.25, 0.25, 0.75, 0.75)
-        assert a.overlap_area(b) == pytest.approx(0.0625)
-        assert a.overlap_area(Rect(0.6, 0.6, 0.7, 0.7)) == 0.0
-
 
 class TestCombination:
     def test_union(self):
         a = Rect(0.0, 0.0, 0.3, 0.3)
         b = Rect(0.5, 0.6, 0.7, 0.9)
         assert a.union(b) == Rect(0.0, 0.0, 0.7, 0.9)
-
-    def test_union_point(self):
-        rect = Rect(0.2, 0.2, 0.4, 0.4)
-        assert rect.union_point(Point(0.9, 0.1)) == Rect(0.2, 0.1, 0.9, 0.4)
 
     def test_union_all(self):
         rects = [Rect(0.1, 0.1, 0.2, 0.2), Rect(0.5, 0.0, 0.6, 0.3), Rect(0.0, 0.4, 0.1, 0.9)]
@@ -172,10 +135,6 @@ class TestCombination:
         rect = Rect(0.0, 0.0, 0.5, 0.5)
         assert rect.enlargement_to_include(Rect(0.2, 0.2, 0.4, 0.4)) == 0.0
         assert rect.enlargement_to_include(Rect(0.0, 0.0, 1.0, 0.5)) == pytest.approx(0.25)
-
-    def test_enlargement_to_include_point(self):
-        rect = Rect(0.0, 0.0, 0.5, 0.5)
-        assert rect.enlargement_to_include_point(Point(1.0, 0.5)) == pytest.approx(0.25)
 
     def test_min_distance_to_point(self):
         rect = Rect(0.0, 0.0, 1.0, 1.0)

@@ -7,9 +7,9 @@ qualitative findings that the paper's evaluation is built on.
 
 import pytest
 
-from repro.bench.experiment import run_strategies
+from repro.bench.experiment import run_figure_point
 from repro.bench.reporting import pivot_by_strategy
-from repro.concurrency import ThroughputExperiment, run_throughput
+from repro.concurrency import OnlineOperationEngine
 from repro.core import IndexConfig
 from repro.geometry import Rect
 from repro.shard import ShardedIndex
@@ -25,7 +25,10 @@ OVERRIDES = {"page_size": SMALL_PAGE_SIZE}
 @pytest.fixture(scope="module")
 def three_strategy_results():
     """One shared run of TD / LBU / GBU on an identical workload."""
-    return run_strategies(("TD", "LBU", "GBU"), SPEC, config_overrides=OVERRIDES)
+    return {
+        strategy: run_figure_point(strategy, SPEC, config_overrides=OVERRIDES)
+        for strategy in ("TD", "LBU", "GBU")
+    }
 
 
 class TestHeadlineFindings:
@@ -61,12 +64,12 @@ class TestBufferEffect:
     def test_buffering_reduces_update_io_for_every_strategy(self):
         small_spec = SPEC.with_overrides(num_updates=800, num_queries=50)
         for strategy in ("TD", "LBU", "GBU"):
-            unbuffered = run_strategies(
-                (strategy,), small_spec, config_overrides=dict(OVERRIDES, buffer_percent=0.0)
-            )[strategy]
-            buffered = run_strategies(
-                (strategy,), small_spec, config_overrides=dict(OVERRIDES, buffer_percent=10.0)
-            )[strategy]
+            unbuffered = run_figure_point(
+                strategy, small_spec, config_overrides=dict(OVERRIDES, buffer_percent=0.0)
+            )
+            buffered = run_figure_point(
+                strategy, small_spec, config_overrides=dict(OVERRIDES, buffer_percent=10.0)
+            )
             assert buffered.avg_update_io < unbuffered.avg_update_io
 
 
@@ -85,13 +88,8 @@ class TestThroughputIntegration:
                     num_shards=1,
                 )
                 index.load(generator.initial_objects())
-                result = run_throughput(
-                    index,
-                    generator,
-                    ThroughputExperiment(
-                        num_operations=250, update_fraction=fraction, num_clients=8
-                    ),
-                )
+                engine = OnlineOperationEngine(index, num_clients=8)
+                result = engine.run(generator.operations(250, fraction))
                 tps[strategy] = result.throughput
             ratios.append(tps["GBU"] / tps["TD"])
         assert ratios[-1] > 1.0

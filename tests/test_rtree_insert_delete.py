@@ -238,7 +238,6 @@ class TestTraversalHelpers:
         for oid, point in make_points(250):
             tree.insert(oid, point)
         assert sum(1 for _ in tree.leaf_nodes()) == tree.node_count()["leaf"]
-        assert sum(1 for _ in tree.internal_nodes()) == tree.node_count()["internal"]
 
     def test_root_mbr_none_for_empty_tree(self):
         assert make_tree().root_mbr() is None

@@ -21,7 +21,7 @@ from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import SMALL_PAGE_SIZE
+from tests.conftest import SMALL_PAGE_SIZE, update_batches
 
 SHARD_COUNTS = (1, 2, 8)
 
@@ -103,7 +103,7 @@ class TestBatchEquivalence:
         def run_batched(index, batched=True):
             generator = WorkloadGenerator(SPEC)
             index.load(generator.initial_objects())
-            for batch in generator.update_batches(250):
+            for batch in update_batches(generator, 250):
                 if batched:
                     index.execute_many(Update(oid, new) for oid, _old, new in batch)
                 else:  # the oracle: one engine, update by update
@@ -341,7 +341,7 @@ class TestExecutionBackendEquivalence:
             sharded.load(generator.initial_objects())
             if backend != "serial":
                 sharded.set_parallel(backend=backend, start_method=start_method)
-            for batch in generator.update_batches(150):
+            for batch in update_batches(generator, 150):
                 sharded.execute_many(Update(oid, new) for oid, _old, new in batch)
             result = (
                 [sorted(sharded.range_query(w)) for w in generator.queries()],

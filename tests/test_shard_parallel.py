@@ -199,11 +199,28 @@ class TestSpecAndCheckpointRoundTrip:
         assert index.parallel_spec is None
         assert "parallel" not in index_spec(index)
 
-    def test_parallel_spec_conflicts_with_kind_single(self):
-        with pytest.raises(ValueError, match="single"):
-            open_index(
-                {"kind": "single", "parallel": {"backend": "process", "workers": 2}}
-            )
+    def test_single_index_spec_round_trips_on_one_worker(self):
+        # A single index is one shard, so the shorthand takes a parallel
+        # section like the live object does: open on one worker, take the
+        # spec, reopen.
+        index = open_index(
+            {"kind": "single", "parallel": {"backend": "process", "workers": 1}}
+        )
+        try:
+            assert index.num_shards == 1
+            assert index.parallel_spec == {"backend": "process", "workers": 1}
+            index.load(make_points(50, seed=2))
+            spec = index_spec(index)
+            assert spec["kind"] == "single" and "partitioner" not in spec
+            assert spec["parallel"] == {"backend": "process", "workers": 1}
+            rebuilt = open_index(spec)
+            try:
+                assert rebuilt.num_shards == 1
+                assert index_spec(rebuilt) == spec
+            finally:
+                rebuilt.detach_parallel()
+        finally:
+            index.detach_parallel()
 
     def test_checkpoint_round_trips_with_live_workers(self, tmp_path):
         index, generator = build_sharded()

@@ -344,7 +344,7 @@ class TestAutoTrigger:
         index = build_hotspot_sharded(rebalance=self.POLICY)
         before = index.population_imbalance()
         session = index.engine()
-        result = session.run_shared(local_update_stream(index, 400))
+        result = session.engine.run(local_update_stream(index, 400))
         assert index.rebalancer.rebalances == 1
         assert result.kinds.get("rebalance", 0) > 0
         assert index.population_imbalance() < before
@@ -367,7 +367,7 @@ class TestAutoTrigger:
                 WorkloadSpec(num_objects=600, num_updates=0, num_queries=0, seed=7)
             ).initial_objects()
         )
-        index.engine().run_shared(local_update_stream(index, 400))
+        index.engine().engine.run(local_update_stream(index, 400))
         assert index.rebalancer.rebalances == 0
         assert isinstance(index.partitioner, GridPartitioner)
 
@@ -382,7 +382,7 @@ class TestAutoTrigger:
             if stream is None:
                 stream = local_update_stream(index, 400)
             session = index.engine()
-            session.run_shared(list(stream))
+            session.engine.run(list(stream))
             index.validate()
             final[attach] = {
                 oid: index.position_of(oid) for oid in range(600)
@@ -413,7 +413,7 @@ class TestAutoTrigger:
         # rebalance (the hot region is re-cut and the skew is gone), not one
         # per cooldown window.
         session = index.engine()
-        session.run_shared(local_update_stream(index, 600))
+        session.engine.run(local_update_stream(index, 600))
         assert index.rebalancer.rebalances == 1
         # A forced serial rebalance likewise leaves the window empty: the
         # migrations themselves were never recorded as load.
@@ -427,7 +427,7 @@ class TestAutoTrigger:
         index = build_hotspot_sharded(
             rebalance=self.POLICY, strategy="GBU"
         )
-        index.engine().run_shared(local_update_stream(index, 400))
+        index.engine().engine.run(local_update_stream(index, 400))
         assert index.rebalancer.rebalances == 1
         index.validate()
 
@@ -451,9 +451,14 @@ class TestSpecAndPersistence:
         }
         assert index_spec(open_index(emitted)) == emitted
 
-    def test_rebalance_spec_requires_sharded_kind(self):
-        with pytest.raises(ValueError):
-            open_index({"kind": "single", "rebalance": {"threshold": 2.0}})
+    def test_rebalance_section_on_a_single_index_stays_one_shard(self):
+        index = open_index({"kind": "single", "rebalance": {"threshold": 2.0}})
+        assert index.num_shards == 1 and index.rebalancer.policy.threshold == 2.0
+        saved = index_spec(index)
+        assert saved["kind"] == "single" and "partitioner" not in saved
+        assert index_spec(open_index(saved)) == saved
+        with pytest.raises(ValueError, match="single"):
+            open_index(saved, shards=4)
 
     def test_checkpoint_preserves_rebalancer_state(self, tmp_path):
         index = build_hotspot_sharded(

@@ -32,12 +32,6 @@ class TestAllocation:
         with pytest.raises(ValueError):
             DiskManager(page_size=0)
 
-    def test_database_size_bytes(self):
-        disk = DiskManager(page_size=512)
-        for _ in range(3):
-            disk.allocate_page()
-        assert disk.database_size_bytes == 3 * 512
-
 
 class TestReadWrite:
     def test_write_then_read_round_trips(self):

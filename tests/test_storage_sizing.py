@@ -84,9 +84,3 @@ class TestSummarySizing:
         # The paper reports the table entry at roughly 20 % of the node size
         # (and far less for large pages); it must at least be well under half.
         assert layout.direct_access_entry_size < 0.25 * layout.page_size
-
-    def test_summary_size_grows_with_node_count(self):
-        layout = PageLayout()
-        small = layout.summary_size_bytes(internal_nodes=10, leaf_nodes=100)
-        large = layout.summary_size_bytes(internal_nodes=100, leaf_nodes=1000)
-        assert large > small

@@ -9,7 +9,6 @@ class TestCounters:
     def test_counters_start_at_zero(self):
         stats = IOStatistics()
         assert stats.total_physical_io == 0
-        assert stats.total_logical_io == 0
         assert stats.hit_ratio == 0.0
 
     def test_total_physical_io_includes_hash_probes(self):

@@ -242,6 +242,9 @@ class TestSpecRoundTrip:
                 }
             )
 
-    def test_adaptive_implies_sharded_topology(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            open_index({"kind": "single", "adaptive": {"cooldown": 300}})
+    def test_adaptive_on_a_single_index_stays_one_shard(self):
+        index = open_index({"kind": "single", "adaptive": {"cooldown": 300}})
+        assert index.num_shards == 1 and index.adaptive.policy.cooldown == 300
+        saved = index_spec(index)
+        assert saved["kind"] == "single" and "partitioner" not in saved
+        assert index_spec(open_index(saved)) == saved

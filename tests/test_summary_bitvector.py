@@ -38,13 +38,6 @@ class TestBitVector:
         assert len(bits) == 3
         assert sorted(bits) == [1, 2, 3]
 
-    def test_full_count(self):
-        bits = LeafBitVector()
-        bits.set_fullness(1, True)
-        bits.set_fullness(2, False)
-        bits.set_fullness(3, True)
-        assert bits.full_count == 2
-
     def test_updates_overwrite_previous_state(self):
         bits = LeafBitVector()
         bits.set_fullness(9, True)

@@ -1,6 +1,6 @@
 """Tests for the direct access table."""
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.summary import DirectAccessTable
 
 
@@ -45,7 +45,7 @@ class TestUpsertAndLookup:
         table.remove(10)
         assert table.get(10) is None
         assert table.entry_removals == 1
-        assert table.levels() == []
+        assert list(table.entries_at_level(1)) == []
 
     def test_remove_missing_is_silent(self):
         DirectAccessTable().remove(99)
@@ -59,12 +59,6 @@ class TestUpsertAndLookup:
 
 
 class TestLevelOrganisation:
-    def test_levels_sorted_ascending(self):
-        table = DirectAccessTable()
-        table.upsert(30, 3, rect(0, 0, 1, 1), [20])
-        table.upsert(20, 2, rect(0, 0, 1, 1), [10])
-        table.upsert(10, 1, rect(0, 0, 1, 1), [1])
-        assert table.levels() == [1, 2, 3]
 
     def test_entries_at_level(self):
         table = DirectAccessTable()
@@ -72,13 +66,6 @@ class TestLevelOrganisation:
         table.upsert(12, 1, rect(0.5, 0, 1, 1), [2])
         table.upsert(20, 2, rect(0, 0, 1, 1), [11, 12])
         assert sorted(e.page_id for e in table.entries_at_level(1)) == [11, 12]
-
-    def test_entries_containing_point(self):
-        table = DirectAccessTable()
-        table.upsert(11, 1, rect(0, 0, 0.5, 1), [1])
-        table.upsert(12, 1, rect(0.5, 0, 1, 1), [2])
-        hits = table.entries_containing(Point(0.25, 0.5), level=1)
-        assert [e.page_id for e in hits] == [11]
 
 
 class TestParentLookup:
@@ -104,7 +91,12 @@ class TestParentLookup:
     def test_scan_parent_matches_reverse_map(self):
         table = self.build()
         for child, level in ((1, 1), (2, 1), (3, 1), (4, 1), (11, 2), (12, 2)):
-            scanned = table.scan_parent_of(child, level)
+            # The literal lookup of the paper's Algorithm 3: scan the level.
+            scanned = next(
+                entry
+                for entry in table.entries_at_level(level)
+                if child in entry.child_page_ids
+            )
             direct = table.parent_of(child)
             assert scanned.page_id == direct.page_id
 
@@ -114,11 +106,6 @@ class TestParentLookup:
         table.upsert(11, 1, rect(0, 0, 0.5, 1), [1])
         table.upsert(12, 1, rect(0.5, 0, 1, 1), [2, 3, 4])
         assert table.parent_of(2).page_id == 12
-
-    def test_contains_child(self):
-        table = self.build()
-        assert table.get(11).contains_child(1)
-        assert not table.get(11).contains_child(3)
 
 
 class TestSizing:

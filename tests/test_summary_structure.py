@@ -94,7 +94,7 @@ class TestMaintenance:
 
     def test_self_check_recomputes_the_mbr_it_compares_against(self):
         tree, summary, _, _ = tree_with_summary(count=200)
-        node = next(iter(tree.internal_nodes()))
+        node = next(node for node, _parent in tree.iter_nodes() if not node.is_leaf)
         assert summary.table.get(node.page_id).mbr == node.mbr()
         # The columns move behind the node's back: memo and table still
         # agree with each other, and neither bounds the entries any more.
@@ -195,7 +195,7 @@ class TestParentAndSiblingLookups:
     def test_is_leaf_full_matches_reality(self):
         tree, summary, _, _ = tree_with_summary()
         for leaf in tree.leaf_nodes():
-            assert summary.is_leaf_full(leaf.page_id) == (
+            assert summary.leaf_bits.is_full(leaf.page_id) == (
                 len(leaf.entries) >= tree.leaf_capacity
             )
 

@@ -30,7 +30,14 @@ from repro.update import BatchUpdate, UpdateOutcome
 from repro.update.batch import DeleteOp, parse_operation_stream
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
-from tests.conftest import SMALL_PAGE_SIZE, build_facade, build_index, make_points
+from tests.conftest import (
+    SMALL_PAGE_SIZE,
+    build_facade,
+    build_index,
+    chunks,
+    make_points,
+    update_batches,
+)
 
 
 class TestCapacityForPercentage:
@@ -356,7 +363,7 @@ class TestGeneratorBatchedStream:
     def test_batches_concatenate_to_the_sequential_stream(self):
         spec = WorkloadSpec(num_objects=100, num_updates=250, num_queries=0, seed=5)
         sequential = list(WorkloadGenerator(spec).updates())
-        batches = list(WorkloadGenerator(spec).update_batches(64))
+        batches = list(update_batches(WorkloadGenerator(spec), 64))
         assert [len(batch) for batch in batches] == [64, 64, 64, 58]
         flattened = [request for batch in batches for request in batch]
         assert flattened == sequential
@@ -364,18 +371,10 @@ class TestGeneratorBatchedStream:
     def test_batch_size_must_be_positive(self):
         spec = WorkloadSpec(num_objects=10, num_updates=10, num_queries=0)
         with pytest.raises(ValueError):
-            list(WorkloadGenerator(spec).update_batches(0))
+            list(update_batches(WorkloadGenerator(spec), 0))
 
-    def test_mixed_operation_batches_preserve_order(self):
-        spec = WorkloadSpec(num_objects=100, num_updates=300, num_queries=100, seed=9)
-        sequential = list(WorkloadGenerator(spec).operations(200, 0.5))
-        batches = list(
-            WorkloadGenerator(spec).mixed_operation_batches(200, 0.5, batch_size=33)
-        )
-        assert [item for batch in batches for item in batch] == sequential
-
-    def test_mixed_operation_batches_feed_execute_many(self):
-        """The documented integration: batches go straight into execute_many()."""
+    def test_chunked_operation_stream_feeds_execute_many(self):
+        """Chunks of the typed stream go straight into execute_many()."""
         spec = WorkloadSpec(
             num_objects=200, num_updates=300, num_queries=100, max_distance=0.05, seed=6
         )
@@ -388,9 +387,7 @@ class TestGeneratorBatchedStream:
             else:
                 sequential_answers.append(sorted(per_op.range_query(op.window)))
         batch_answers = []
-        for batch in WorkloadGenerator(spec).mixed_operation_batches(
-            250, 0.6, batch_size=40
-        ):
+        for batch in chunks(WorkloadGenerator(spec).operations(250, 0.6), 40):
             result = batched.execute_many(batch)
             batch_answers.extend(sorted(answer) for answer in result.queries)
         assert batch_answers == sequential_answers

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.geometry import Point, Rect
 from repro.update import UpdateOutcome
 
@@ -191,7 +193,7 @@ class TestShiftLockScope:
         raise AssertionError("no shift case in the tree")
 
     def test_shift_from_a_leaf_one_above_minimum_fill(self):
-        from repro.concurrency.dgl import DGLProtocol
+        from repro.concurrency.dgl import as_pairs
         from repro.concurrency.locks import LockMode
         from repro.update import TuningParameters
 
@@ -211,7 +213,7 @@ class TestShiftLockScope:
         assert len(tree.peek_node(leaf_page)) == tree.min_leaf_entries + 1
         oid = tree.peek_node(leaf_page).child_ids()[0]
 
-        scope = DGLProtocol.as_pairs(
+        scope = as_pairs(
             index.strategy.lock_scope(oid, index.position_of(oid), target)
         )
         assert (sibling_page, LockMode.EXCLUSIVE) in scope
@@ -219,4 +221,78 @@ class TestShiftLockScope:
             outcome = index.update(oid, target)
         assert outcome is UpdateOutcome.SIBLING_SHIFT
         assert {page for _kind, page in accesses} <= {granule for granule, _mode in scope}
+        index.validate()
+
+
+def _reach(index, want, seed=1, budget=300):
+    """Run updates until one comes back as *want*; return its predicted
+    scope granules and the pages it touched (``recorded_accesses``)."""
+    from repro.concurrency.dgl import as_pairs
+
+    from tests.conftest import recorded_accesses
+
+    tree, rng = index.tree, random.Random(seed)
+    oids = list(range(len(index)))
+    rng.shuffle(oids)
+    # Objects in the emptiest leaves first: a leaf at minimum fill cannot
+    # give an object up, which is where GBU falls back to top-down.
+    oids.sort(key=lambda oid: len(tree.peek_node(index.hash_index.peek(oid))))
+    for oid in oids[:budget]:
+        old = index.position_of(oid)
+        if want is UpdateOutcome.IN_PLACE:
+            new = old
+        elif want is UpdateOutcome.EXTENDED:
+            mbr = tree.peek_node(index.hash_index.peek(oid)).mbr()
+            new = Point(min(mbr.xmax + 0.001, 1.0), old.y)
+        else:
+            new = Point(rng.random(), rng.random())
+        scope = as_pairs(index.strategy.lock_scope(oid, old, new))
+        with recorded_accesses(index.buffer) as accesses:
+            outcome = index.update(oid, new)
+        if outcome is want:
+            return {granule for granule, _mode in scope}, accesses
+    pytest.fail(f"no update came back {want.name} in {budget} tries")
+
+
+def _scope_gap(reason):
+    return pytest.mark.xfail(raises=AssertionError, strict=True, reason=reason)
+
+
+_READS_UNLOCKED_INTERNALS = (
+    "the re-insert descent reads internal nodes the scope does not name"
+)
+
+
+class TestLockScopeCoverage:
+    """Every page an executed update touches lies inside the DGL scope its
+    strategy predicted for it, for each outcome the strategy can reach."""
+
+    @pytest.mark.parametrize(
+        "strategy, want",
+        [
+            ("LBU", UpdateOutcome.IN_PLACE),
+            ("LBU", UpdateOutcome.EXTENDED),
+            pytest.param(
+                "LBU", UpdateOutcome.TOP_DOWN, marks=_scope_gap(_READS_UNLOCKED_INTERNALS)
+            ),
+            ("GBU", UpdateOutcome.IN_PLACE),
+            ("GBU", UpdateOutcome.EXTENDED),
+            pytest.param(
+                "GBU", UpdateOutcome.ASCENDED, marks=_scope_gap(_READS_UNLOCKED_INTERNALS)
+            ),
+            pytest.param(
+                "GBU",
+                UpdateOutcome.TOP_DOWN,
+                marks=_scope_gap(
+                    "the delete's underflow re-inserts a leaf's survivors into "
+                    "leaves and parents the scope does not name, and writes them"
+                ),
+            ),
+        ],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_executed_pages_lie_inside_the_predicted_scope(self, strategy, want):
+        index = build_index(strategy)
+        granules, accesses = _reach(index, want)
+        assert {page for _kind, page in accesses} <= granules
         index.validate()

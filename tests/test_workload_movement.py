@@ -55,12 +55,6 @@ class TestBoundedMovement:
         )
         assert fast_total > slow_total
 
-    def test_with_max_distance_builds_adjusted_copy(self):
-        model = MovementModel(max_distance=0.05, seed=1, trend_fraction=0.5)
-        copy = model.with_max_distance(0.2)
-        assert copy.max_distance == 0.2
-        assert copy.trend_fraction == 0.5
-
 
 class TestTrendingObjects:
     def test_invalid_fractions_rejected(self):
