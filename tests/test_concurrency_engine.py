@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.api import KNN, Delete, Insert, InvalidOperationError, RangeQuery, Update
-from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockMode
+from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockManager, LockMode
 from repro.concurrency.dgl import as_pairs, namespace_pairs
 from repro.concurrency.locks import strongest_mode
 from repro.core import IndexConfig, MovingObjectIndex
@@ -178,6 +178,78 @@ def scoped_moves(index, count=160, seed=12):
         )
         requests.append(BatchUpdate(oid, old, new))
     return requests
+
+
+class TestScopesCoverWhatOperationsTouch:
+    """Predicted scopes against the live index, for every strategy: the
+    granules an operation needs are the granules its scope names."""
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_query_scope_covers_the_leaf_of_every_result(self, strategy):
+        index, generator = loaded(strategy, num_objects=400)
+        found = 0
+        for window in generator.queries(20):
+            shared = {
+                request.granule
+                for request in index.strategy.query_lock_scope(window)
+                if request.mode == LockMode.SHARED
+            }
+            for oid in index.range_query(window):
+                assert index.hash_index.peek(oid) in shared
+                found += 1
+        assert found >= 20
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_update_scope_locks_the_objects_leaf_exclusively(self, strategy):
+        index, _ = loaded(strategy, num_objects=400)
+        for request in scoped_moves(index, count=60):
+            held = {
+                granule.granule: granule.mode
+                for granule in index.strategy.lock_scope(*request)
+            }
+            assert held[index.hash_index.peek(request.oid)] == LockMode.EXCLUSIVE
+
+    @pytest.mark.parametrize("strategy", ["TD", "NAIVE", "LBU", "GBU"])
+    def test_update_conflicts_with_a_query_over_its_old_position(self, strategy):
+        """Section 3.2.2's consistency argument on predicted scopes: a query
+        that could return the object cannot run beside its update."""
+        index, _ = loaded(strategy, num_objects=400)
+        for request in scoped_moves(index, count=60):
+            manager = LockManager()
+            assert manager.try_acquire_all(
+                as_pairs(index.strategy.lock_scope(*request)), "updater"
+            )
+            query = index.strategy.query_lock_scope(Rect.from_point(request.old_location))
+            assert not manager.try_acquire_all(as_pairs(query), "reader")
+
+    def test_delete_scope_locks_the_objects_leaf_exclusively(self):
+        index, _ = loaded("GBU", num_objects=400)
+        for oid in range(0, 400, 7):
+            held = {
+                request.granule: request.mode
+                for request in index.strategy.delete_lock_scope(oid, index.position_of(oid))
+            }
+            assert held[index.hash_index.peek(oid)] == LockMode.EXCLUSIVE
+            assert held[TREE_GRANULE] == LockMode.INTENTION_EXCLUSIVE
+
+    def test_insert_lands_in_the_predicted_leaf(self):
+        """Without a split, a new object goes to the leaf its scope locks."""
+        index, _ = loaded("GBU", num_objects=400)
+        rng = random.Random(4)
+        checked = 0
+        for oid in range(10_000, 10_040):
+            location = Point(rng.random(), rng.random())
+            predicted = {
+                request.granule
+                for request in index.strategy.insert_lock_scope(location)
+                if request.mode == LockMode.EXCLUSIVE
+            }
+            pages = len(index.tree.disk)
+            index.insert(oid, location)
+            if len(index.tree.disk) == pages:
+                assert index.hash_index.peek(oid) in predicted
+                checked += 1
+        assert checked >= 20
 
 
 class TestSingleIndexLockScopes:

@@ -1,7 +1,7 @@
 """Tests for the multi-granularity lock manager."""
 
 from repro.concurrency import LockManager, LockMode
-from repro.concurrency.locks import compatible
+from repro.concurrency.locks import compatible, strongest_mode
 
 
 S = LockMode.SHARED
@@ -37,6 +37,26 @@ class TestCompatibilityMatrix:
         assert not compatible(S, IX)
         assert not compatible(IX, S)
 
+    def test_matrix_is_symmetric(self):
+        for held in LockMode:
+            for requested in LockMode:
+                assert compatible(held, requested) == compatible(requested, held)
+
+    def test_intention_shared_conflicts_only_with_exclusive(self):
+        assert [mode for mode in LockMode if not compatible(IS, mode)] == [X]
+
+
+class TestStrongestMode:
+    def test_result_dominates_both_modes_whatever_the_order(self):
+        """The merged mode blocks whatever either input blocks."""
+        for a in LockMode:
+            for b in LockMode:
+                merged = strongest_mode(a, b)
+                assert merged == strongest_mode(b, a)
+                for other in LockMode:
+                    if not compatible(a, other) or not compatible(b, other):
+                        assert not compatible(merged, other)
+
 
 class TestAcquisition:
     def test_acquire_grants_free_resource(self):
@@ -66,6 +86,19 @@ class TestAcquisition:
         acquire(manager, "leaf1", "a", S)
         assert acquire(manager, "leaf1", "a", X)
         assert manager.holders("leaf1")["a"] == X
+
+    def test_shared_plus_intention_exclusive_upgrades_to_exclusive(self):
+        manager = LockManager()
+        acquire(manager, "tree", "a", S)
+        assert acquire(manager, "tree", "a", IX)
+        assert manager.holders("tree") == {"a": X}
+        assert not acquire(manager, "tree", "b", IS)
+
+    def test_can_grant_ignores_the_owners_own_locks(self):
+        manager = LockManager()
+        acquire(manager, "leaf1", "a", X)
+        assert manager.can_grant("leaf1", "a", S)
+        assert not manager.can_grant("leaf1", "b", IS)
 
     def test_upgrade_blocked_by_other_shared_holder(self):
         manager = LockManager()
