@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.core.config import IndexConfig
-from repro.update.params import TuningParameters
+from repro.update.params import TuningParameters, is_int
 
 if TYPE_CHECKING:
     from repro.shard.index import ShardedIndex
@@ -95,6 +95,21 @@ _RETIRED_CONFIG_VALUES: Dict[str, Any] = {
 _RETIRED_PARAMS_VALUES: Dict[str, Any] = {"max_piggyback_objects": 8}
 
 
+def spec_section(spec: Mapping[str, Any], name: str) -> Optional[Mapping[str, Any]]:
+    """The *name* section of *spec*, ``None`` when absent.
+
+    A section that is present but not a mapping raises ``ValueError``.
+    """
+    value = spec.get(name)
+    return None if value is None else _mapping(name, value)
+
+
+def _mapping(section: str, value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"spec section {section!r} must be a mapping, got {value!r}")
+    return value
+
+
 def _reject_unknown_keys(
     section: str, data: Mapping[str, Any], known: Iterable[str]
 ) -> None:
@@ -119,7 +134,7 @@ def _field_names(schema: type) -> List[str]:
     return [field.name for field in dataclasses.fields(schema)]
 
 
-def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
+def config_from_spec(spec: Mapping[str, Any]) -> IndexConfig:
     """Rebuild an :class:`IndexConfig` from its (possibly partial) spec dict.
 
     Raises ``ValueError`` for a key neither :class:`IndexConfig` nor (under
@@ -127,14 +142,16 @@ def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
     any value other than the constant that replaced it, and for a malformed
     value (see :class:`IndexConfig` and :class:`TuningParameters`).
     """
-    data = _drop_retired("config", spec, _RETIRED_CONFIG_VALUES)
+    data = _drop_retired("config", _mapping("config", spec), _RETIRED_CONFIG_VALUES)
     for key in _RETIRED_CONFIG_KEYS:
         data.pop(key, None)
     params_data = data.pop("params", None)
     _reject_unknown_keys("config", data, _field_names(IndexConfig))
     if params_data is None:
         return IndexConfig(**data)
-    params_data = _drop_retired("config.params", params_data, _RETIRED_PARAMS_VALUES)
+    params_data = _drop_retired(
+        "config.params", _mapping("config.params", params_data), _RETIRED_PARAMS_VALUES
+    )
     _reject_unknown_keys("config.params", params_data, _field_names(TuningParameters))
     return IndexConfig(params=TuningParameters(**params_data), **data)
 
@@ -243,17 +260,13 @@ def open_index(
     sharded = kind == "sharded" or (
         kind is None and any(merged.get(key) is not None for key in _SHARDED_KEYS)
     )
-    parallel = merged.get("parallel")
+    parallel = spec_section(merged, "parallel")
     if parallel is not None:
         # Checked before anything is built: a bad backend must not leave a
         # durability directory behind.
-        from repro.shard.parallel import BACKENDS
-
-        _reject_unknown_keys("parallel", parallel, _PARALLEL_KEYS)
-        backend = parallel.get("backend", "process")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown parallel backend {backend!r}")
-    config = config_from_spec(merged.get("config", {}))
+        check_parallel(parallel)
+    durability = spec_section(merged, "durability")
+    config = config_from_spec(spec_section(merged, "config") or {})
 
     index = ShardedIndex(
         config,
@@ -261,10 +274,10 @@ def open_index(
         num_shards=merged.get("shards") if sharded else 1,
     )
     install_sections(index, merged)
-    if merged.get("durability") is not None:
+    if durability is not None:
         from repro.durability.commit import DurabilityManager
 
-        index.attach_durability(DurabilityManager.from_spec(merged["durability"]))
+        index.attach_durability(DurabilityManager.from_spec(durability))
     if parallel is not None:
         index.set_parallel(**parallel)
     return index
@@ -292,10 +305,32 @@ def install_sections(index: "ShardedIndex", spec: Mapping[str, Any]) -> None:
         section = spec.get(controller.section)
         if section is not None:
             index.attach(controller.from_spec(section, index.num_shards))
-    engine = spec.get("engine")
+    engine = spec_section(spec, "engine")
     if engine:
         _reject_unknown_keys("engine", engine, _ENGINE_KEYS)
         index.engine_defaults = dict(engine)
+        try:
+            index.engine()  # the scheduler applies its own rules to each value
+        except (TypeError, ValueError) as error:
+            raise ValueError(
+                f"malformed engine section {dict(engine)!r}: {error}"
+            ) from error
+
+
+def check_parallel(parallel: Mapping[str, Any]) -> None:
+    """Reject unknown keys, an unknown backend and a bad ``workers`` count.
+
+    Shared by :func:`open_index` and :func:`repro.core.persistence.load_index`.
+    """
+    from repro.shard.parallel import BACKENDS
+
+    _reject_unknown_keys("parallel", parallel, _PARALLEL_KEYS)
+    backend = parallel.get("backend", "process")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown parallel backend {backend!r}")
+    workers = parallel.get("workers")
+    if workers is not None and not (is_int(workers) and workers >= 0):
+        raise ValueError(f"parallel.workers must be an int >= 0, got {workers!r}")
 
 
 __all__ = [

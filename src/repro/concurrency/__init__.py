@@ -18,13 +18,16 @@ This package provides:
   the helpers that merge, namespace and pair requests for the lock manager;
 * :mod:`repro.concurrency.scheduler` — the deterministic logical-clock
   scheduler of N virtual clients (real OS threads would be serialised by
-  the Python interpreter's global lock and distort the measurement);
+  the Python interpreter's global lock and distort the measurement) and
+  its one unit of work, :class:`VirtualOperation`: a ``kind`` label, a
+  lock-scope callable and a work callable;
 * :mod:`repro.concurrency.engine` — the online operation engine: live
   operations predict their lock scope through the strategies'
   ``lock_scope()`` hooks, execute for real under the scheduler, and block
   on conflict; shared by single operations, conflict-aware batch group
   scheduling, multi-client session streams and the Figure 8 throughput
-  runner of :mod:`repro.bench.figures`.
+  runner of :mod:`repro.bench.figures`.  Batch buckets, migrations and
+  rebalance moves are :class:`VirtualOperation` values the facade builds.
 """
 
 from repro.concurrency.dgl import (
@@ -38,10 +41,8 @@ from repro.concurrency.dgl import (
 from repro.concurrency.engine import (
     BatchScheduleResult,
     ConcurrentSession,
-    GroupOperation,
     OnlineOperationEngine,
     PreparedBatch,
-    ReplayOperation,
 )
 from repro.concurrency.locks import LockManager, LockMode
 from repro.concurrency.scheduler import (
@@ -66,8 +67,6 @@ __all__ = [
     "OnlineOperationEngine",
     "ConcurrentSession",
     "BatchScheduleResult",
-    "GroupOperation",
-    "ReplayOperation",
     "PreparedBatch",
     "namespace_pairs",
 ]

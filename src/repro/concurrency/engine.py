@@ -37,23 +37,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
-    Hashable,
     Iterable,
     Iterator,
     List,
     Sequence,
-    Tuple,
 )
 
 import repro.api.operations as api_ops
 from repro.api.errors import InvalidOperationError
-from repro.concurrency.dgl import as_pairs, namespace_pairs
-from repro.concurrency.locks import LockMode
 from repro.concurrency.scheduler import (
     OperationScheduler,
     ScheduleResult,
@@ -63,147 +60,32 @@ from repro.concurrency.scheduler import (
 if TYPE_CHECKING:  # imported lazily to keep the package import-cycle free
     from repro.api.results import BatchReport
     from repro.shard.index import ShardedIndex
-    from repro.update.base import BatchUpdate
-    from repro.update.batch import BatchExecutor
     from repro.workload.generator import WorkloadGenerator
 
-#: The ``(granule, mode)`` lock set a virtual operation acquires.
-LockPairs = List[Tuple[Hashable, LockMode]]
 
+def _live_work(index: "ShardedIndex", op: object) -> Callable[[], object]:
+    """The facade call that executes the typed operation *op* live.
 
-class _LiveOperation(VirtualOperation):
-    """A typed facade operation scheduled and executed online.
-
-    Carries one :class:`repro.api.operations.Operation` and reports under
-    its ``kind``.  Lock scopes are predicted by the facade itself
-    (:meth:`~repro.shard.index.ShardedIndex.lock_requests_for`) and
-    recomputed from the live index on every dispatch attempt; an update's
-    *old* position is whatever the index holds at that moment, which is
-    exactly the online semantics — a blocked update sees the positions its
-    predecessors committed.
+    An update decides when it runs whether the object is in the index: a
+    stream may update an object a concurrent delete already removed, and
+    online upsert semantics (re-)insert it.  A delete is non-strict for
+    the same reason.  Anything that is not an operation raises
+    :class:`~repro.api.errors.InvalidOperationError`.
     """
-
-    __slots__ = ("engine", "operation", "kind")
-
-    def __init__(
-        self, engine: "OnlineOperationEngine", operation: "api_ops.Operation"
-    ) -> None:
-        if not isinstance(operation, api_ops.Operation):
-            raise InvalidOperationError(f"expected an Operation, got {operation!r}")
-        self.engine = engine
-        self.operation = operation
-        self.kind = operation.kind
-
-    def lock_requests(self) -> LockPairs:
-        return self.engine.index.lock_requests_for(self.operation)
-
-    def execute(self, client: int) -> int:
-        index = self.engine.index
-        op = self.operation
-        work: Callable[[], object]
-        if isinstance(op, api_ops.Update):
-            oid, location = op.oid, op.new_location
-            if oid in index:
-                work = lambda: index.update(oid, location)
-            else:
-                # Online upsert semantics: a stream may update an object a
-                # concurrent delete already removed; treat it as (re-)insert.
-                work = lambda: index.insert(oid, location)
-        elif isinstance(op, api_ops.Insert):
-            oid, location = op.oid, op.location
-            work = lambda: index.insert(oid, location)
-        elif isinstance(op, api_ops.Delete):
-            # Non-strict: deleting an object a concurrent operation already
-            # removed is a no-op for the stream, not an error.
-            oid = op.oid
-            work = lambda: index.delete(oid, strict=False)
-        elif isinstance(op, api_ops.KNN):
-            point, k = op.point, op.k
-            work = lambda: index.knn(point, k)
-        elif isinstance(op, api_ops.RangeQuery):
-            window = op.window
-            work = lambda: index.range_query(window)
-        else:
-            raise InvalidOperationError(f"expected an Operation, got {op!r}")
-        return self.engine.measure(work)
-
-
-class GroupOperation(VirtualOperation):
-    """One group-by-leaf batch bucket scheduled as a virtual operation.
-
-    The facade constructs these in ``prepare_concurrent_batch``: it hands
-    each group to the owning shard's executor and namespaces the lock
-    granules with the shard id, so group buckets of different shards never
-    conflict.
-    """
-
-    __slots__ = ("engine", "executor", "leaf_page", "bucket", "result", "namespace")
-    kind = "group"
-
-    def __init__(
-        self,
-        engine: "OnlineOperationEngine",
-        executor: "BatchExecutor",
-        leaf_page: int,
-        bucket: List["BatchUpdate"],
-        result: "BatchReport",
-        namespace: int,
-    ) -> None:
-        self.engine = engine
-        self.executor = executor
-        self.leaf_page = leaf_page
-        self.bucket = bucket
-        self.result = result
-        self.namespace = namespace
-
-    def lock_requests(self) -> LockPairs:
-        pairs = as_pairs(
-            self.executor.strategy.group_lock_scope(self.leaf_page, self.bucket)
+    if isinstance(op, api_ops.Update):
+        oid, location = op.oid, op.new_location
+        return lambda: (
+            index.update(oid, location) if oid in index else index.insert(oid, location)
         )
-        return namespace_pairs(pairs, self.namespace)
-
-    def execute(self, client: int) -> int:
-        return self.engine.measure(
-            lambda: self.executor.execute_group(
-                self.leaf_page, self.bucket, self.result
-            )
-        )
-
-
-class ReplayOperation(VirtualOperation):
-    """A batch member with no indexed leaf, run as a per-operation update."""
-
-    __slots__ = ("engine", "executor", "request", "result", "namespace")
-    kind = "update"
-
-    def __init__(
-        self,
-        engine: "OnlineOperationEngine",
-        executor: "BatchExecutor",
-        request: "BatchUpdate",
-        result: "BatchReport",
-        namespace: int,
-    ) -> None:
-        self.engine = engine
-        self.executor = executor
-        self.request = request
-        self.result = result
-        self.namespace = namespace
-
-    def lock_requests(self) -> LockPairs:
-        pairs = as_pairs(
-            self.executor.strategy.lock_scope(
-                self.request.oid,
-                self.request.old_location,
-                self.request.new_location,
-            )
-        )
-        return namespace_pairs(pairs, self.namespace)
-
-    def execute(self, client: int) -> int:
-        return self.engine.measure(
-            lambda: self.executor.replay(self.request, self.result)
-        )
+    if isinstance(op, api_ops.Insert):
+        return partial(index.insert, op.oid, op.location)
+    if isinstance(op, api_ops.Delete):
+        return partial(index.delete, op.oid, strict=False)
+    if isinstance(op, api_ops.KNN):
+        return partial(index.knn, op.point, op.k)
+    if isinstance(op, api_ops.RangeQuery):
+        return partial(index.range_query, op.window)
+    raise InvalidOperationError(f"expected an Operation, got {op!r}")
 
 
 @dataclass
@@ -245,7 +127,8 @@ class OnlineOperationEngine:
     It drives the facade, :class:`~repro.shard.index.ShardedIndex`: lock
     scopes come from its ``lock_requests_for`` hook, batches from its
     ``prepare_concurrent_batch`` hook, and each operation's physical I/O
-    from the change in its ``total_physical_io`` counter.  Granules are
+    from the change in its ``total_physical_io`` counter, which the
+    scheduler reads around the operation's work.  Granules are
     namespaced per shard, so only operations touching the same shard can
     ever conflict.
     """
@@ -259,6 +142,7 @@ class OnlineOperationEngine:
     ) -> None:
         self.index = index
         self.scheduler = OperationScheduler(
+            index.total_physical_io,
             num_clients=num_clients,
             time_per_io=time_per_io,
             cpu_time_per_op=cpu_time_per_op,
@@ -272,10 +156,6 @@ class OnlineOperationEngine:
         #: live index at dispatch, so draining leftovers at the start of
         #: the next run is safe self-healing, not stale replay.
         self._maintenance: Deque[VirtualOperation] = deque()
-
-    @property
-    def num_clients(self) -> int:
-        return self.scheduler.num_clients
 
     # ------------------------------------------------------------------
     # Execution paths
@@ -318,20 +198,17 @@ class OnlineOperationEngine:
         sees the batch, so a rejected batch commits no position.  The facade
         validates the updates (an unknown oid raises before anything
         executes), plans the batch (coalescing repeated updates of one
-        object exactly as the serial path does) and hands back virtual
-        operations: group-by-leaf buckets whose lock set is the strategy's
-        ``group_lock_scope()``, per-operation updates for unindexed members,
-        and — on a sharded facade — cross-shard migrations that lock both
-        shards.  Operations with disjoint granule sets execute concurrently,
-        operations sharing a granule serialise — so the batch's makespan
-        reflects its real conflict structure, and is strictly below serial
-        execution whenever at least two groups are disjoint.
+        object exactly as the serial path does) and hands back its
+        ``group``, ``update`` and ``migration`` operations.  Operations with
+        disjoint granule sets execute concurrently, operations sharing a
+        granule serialise — so the batch's makespan reflects its real
+        conflict structure.
         """
         updates = list(updates)
         for update in updates:
             if not isinstance(update, api_ops.Update):
                 raise InvalidOperationError(f"expected an Update, got {update!r}")
-        prepared = self.index.prepare_concurrent_batch(self, updates)
+        prepared = self.index.prepare_concurrent_batch(updates)
         schedule = self.scheduler.run(iter(prepared.operations))
         prepared.finalize()
         return BatchScheduleResult(schedule=schedule, batch=prepared.result)
@@ -339,23 +216,18 @@ class OnlineOperationEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def measure(self, work: Callable[[], object]) -> int:
-        """Run *work* and return its physical I/O count.
-
-        A virtual operation's ``execute(client)`` returns this count, which
-        the scheduler adds to that client's
-        :class:`~repro.concurrency.scheduler.ClientReport` — the one
-        per-client I/O ledger.
-        """
-        index = self.index
-        before = index.total_physical_io()
-        work()
-        return index.total_physical_io() - before
-
     def _live_operations(
         self, operations: Iterable["api_ops.Operation"]
-    ) -> List[_LiveOperation]:
-        return [_LiveOperation(self, operation) for operation in operations]
+    ) -> List[VirtualOperation]:
+        """Typed operations as scheduled work; the whole stream is checked first."""
+        index = self.index
+        live: List[VirtualOperation] = []
+        for op in operations:
+            work = _live_work(index, op)
+            live.append(
+                VirtualOperation(op.kind, partial(index.lock_requests_for, op), work)
+            )
+        return live
 
     def _with_maintenance(
         self, operations: Iterable[VirtualOperation]
@@ -377,11 +249,11 @@ class OnlineOperationEngine:
         """
         queue = self._maintenance
         for operation in operations:
-            queue.extend(self.index.maintenance_operations(self))
+            queue.extend(self.index.maintenance_operations())
             if queue:
                 yield queue.popleft()
             yield operation
-        queue.extend(self.index.maintenance_operations(self))
+        queue.extend(self.index.maintenance_operations())
         while queue:
             yield queue.popleft()
 
@@ -414,7 +286,7 @@ class ConcurrentSession:
 
     @property
     def num_clients(self) -> int:
-        return self.engine.num_clients
+        return self.engine.scheduler.num_clients
 
     # ------------------------------------------------------------------
     def submit(

@@ -1,18 +1,19 @@
 """Deterministic discrete-event scheduler for virtual clients.
 
 This is the concurrency substrate shared by every operation path: single
-operations, batch groups and multi-client streams are all scheduled as
-:class:`VirtualOperation` work items over *N* virtual clients under a
-:class:`~repro.concurrency.locks.LockManager`.  Real OS threads in CPython
-would be serialised by the interpreter lock and hide exactly the effect
-being measured, so concurrency is modelled on a **logical clock**:
+operations, batch groups, migrations and multi-client streams are all
+scheduled as :class:`VirtualOperation` values over *N* virtual clients
+under a :class:`~repro.concurrency.locks.LockManager`.  Real OS threads in
+CPython would be serialised by the interpreter lock and hide exactly the
+effect being measured, so concurrency is modelled on a **logical clock**:
 
 1. an idle client draws its next operation (from a shared stream or its own
    per-client stream), asks the operation for its granule lock set, and
    tries to acquire it all-or-nothing;
 2. on success the operation **executes immediately and for real** against
-   the index; its measured physical I/O determines how long the client is
-   busy on the logical clock (``io × time_per_io + cpu_time_per_op``);
+   the index; the physical I/O the scheduler's ``io_counter`` advances by
+   meanwhile determines how long the client is busy on the logical clock
+   (``io × time_per_io + cpu_time_per_op``);
 3. on conflict the client blocks; it retries — with a freshly recomputed
    lock scope, since the tree may have changed — every time some other
    client completes and releases locks;
@@ -34,28 +35,26 @@ from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
 
 from repro.concurrency.locks import LockManager, LockMode
 
+#: The ``(granule, mode)`` lock set a virtual operation acquires.
+LockPairs = List[Tuple[Hashable, LockMode]]
 
+
+@dataclass(frozen=True, slots=True)
 class VirtualOperation:
-    """One schedulable unit of work.
+    """One schedulable unit of work: a label, a lock scope and the work.
 
-    Subclasses supply the two halves the scheduler needs: the granule lock
-    set (recomputed on every dispatch attempt, so predictions track the live
-    index) and the real execution, which returns the physical I/O count that
-    the logical clock converts into busy time.
+    ``lock_scope`` is called on every dispatch attempt, so the prediction
+    tracks the live index; ``work`` runs once the scope is granted, for
+    real, and its result is ignored — the scheduler measures the physical
+    I/O around it.  ``kind`` is the reporting label: the typed operation
+    model's kinds (:attr:`repro.api.operations.Operation.kind`: "update",
+    "insert", "delete", "query", "knn") plus the batch-level "group" and
+    "migration" and the rebalancer's "rebalance".
     """
 
-    #: Reporting label, matching the typed operation model's kinds
-    #: (:attr:`repro.api.operations.Operation.kind`: "update", "query",
-    #: "knn", ...) plus the batch-level labels "group" and "migration".
-    kind: str = "operation"
-
-    def lock_requests(self) -> List[Tuple[Hashable, LockMode]]:
-        """``(granule, mode)`` pairs to acquire before running."""
-        raise NotImplementedError
-
-    def execute(self, client: int) -> int:
-        """Run the operation for real; returns its physical I/O count."""
-        raise NotImplementedError
+    kind: str
+    lock_scope: Callable[[], LockPairs]
+    work: Callable[[], object]
 
 
 @dataclass
@@ -108,6 +107,10 @@ class OperationScheduler:
 
     Parameters
     ----------
+    io_counter:
+        Reads a monotone physical I/O count; an operation's I/O is how far
+        its ``work`` advances it.  The online engine passes the facade's
+        ``total_physical_io``.
     num_clients:
         Number of concurrent virtual clients (the paper uses 50).
     time_per_io:
@@ -120,6 +123,7 @@ class OperationScheduler:
 
     def __init__(
         self,
+        io_counter: Callable[[], int],
         num_clients: int = 50,
         time_per_io: float = 0.01,
         cpu_time_per_op: float = 0.001,
@@ -131,6 +135,7 @@ class OperationScheduler:
         self.num_clients = num_clients
         self.time_per_io = time_per_io
         self.cpu_time_per_op = cpu_time_per_op
+        self.io_counter = io_counter
 
     # ------------------------------------------------------------------
     def run(self, operations: Iterable[VirtualOperation]) -> ScheduleResult:
@@ -175,11 +180,11 @@ class OperationScheduler:
 
         def try_start(client: int, operation: VirtualOperation, now: float) -> bool:
             nonlocal total_busy, executed
-            if not lock_manager.try_acquire_all(
-                operation.lock_requests(), owner=client
-            ):
+            if not lock_manager.try_acquire_all(operation.lock_scope(), owner=client):
                 return False
-            io_cost = operation.execute(client)
+            before = self.io_counter()
+            operation.work()
+            io_cost = self.io_counter() - before
             duration = max(io_cost, 0) * self.time_per_io + self.cpu_time_per_op
             heapq.heappush(running, (now + duration, client))
             report = clients[client]
@@ -188,8 +193,7 @@ class OperationScheduler:
             report.physical_io += max(io_cost, 0)
             total_busy += duration
             executed += 1
-            kind = getattr(operation, "kind", "operation")
-            kinds[kind] = kinds.get(kind, 0) + 1
+            kinds[operation.kind] = kinds.get(operation.kind, 0) + 1
             return True
 
         while True:

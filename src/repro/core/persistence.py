@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Union
 
 # Module import (not name import): repro.api.builder reaches back into
 # repro.core while initialising, so its names are resolved at call time.
@@ -268,20 +268,22 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
     )
     index.configure_buffer()  # the aggregate buffer split
     api_builder.install_sections(index, document)
-    if document.get("durability"):
+    durability = api_builder.spec_section(document, "durability")
+    if durability:
         # Replay before the parallel backend attaches: replay writes
         # directly into the in-process shards, which must still be
         # authoritative at that point.
-        _replay_and_attach(index, document["durability"])
-    parallel = document.get("parallel")
+        _replay_and_attach(index, durability)
+    parallel = api_builder.spec_section(document, "parallel")
     # The thread executor is gone: a checkpoint that recorded it loads
     # on the in-process (serial) executor, which it only ever wrapped.
     if parallel and parallel.get("backend") != "thread":
+        api_builder.check_parallel(parallel)
         index.set_parallel(**parallel)
     return index
 
 
-def _replay_and_attach(index: "ShardedIndex", spec: Dict[str, Any]) -> None:
+def _replay_and_attach(index: "ShardedIndex", spec: Mapping[str, Any]) -> None:
     """Replay the WAL tail described by *spec* and re-attach its manager."""
     from repro.durability.commit import DurabilityManager
     from repro.durability.recovery import replay_into

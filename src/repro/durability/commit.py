@@ -82,6 +82,8 @@ def normalise_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     Side-effect free (no directories are created), so a malformed spec is
     rejected before the manager touches disk.
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"durability spec must be a mapping, got {spec!r}")
     unknown = set(spec) - {"dir", "sync", "group_size"}
     if unknown:
         raise ValueError(f"unknown durability spec keys: {sorted(unknown)}")

@@ -36,8 +36,11 @@ Two corruption classes are kept deliberately distinct:
   miss them.
 * a **corrupt frame** — a frame that passes the length and CRC checks yet
   decodes to nonsense (unknown kind byte, record overrunning the body, LSN
-  running backwards).  That is media/logic corruption, not a crash, and
-  always raises :class:`~repro.api.errors.CorruptLogError`.
+  running backwards), or a CRC mismatch in the *middle* of the log: the
+  bad body lies inside the file and a CRC-valid frame starts right after
+  it.  A crash only tears the last write, so that is media/logic
+  corruption; it always raises :class:`~repro.api.errors.CorruptLogError`,
+  and nothing truncates the acknowledged frames after it.
 
 Sync policy is the writer's knob (see
 :class:`~repro.durability.commit.DurabilityManager`): the log itself only
@@ -222,6 +225,18 @@ def _decode_body(body: bytes, where: str) -> Tuple[int, List[LogRecord]]:
     return int(lsn), records
 
 
+def _frame_at(data: bytes, offset: int) -> bool:
+    """Whether a complete, CRC-valid frame starts at *offset* of *data*."""
+    if offset + _FRAME_HEADER.size > len(data):
+        return False
+    body_length, crc = _FRAME_HEADER.unpack_from(data, offset)
+    body_start = offset + _FRAME_HEADER.size
+    if not _BODY_PREFIX.size <= body_length <= MAX_FRAME_BODY:
+        return False
+    body = data[body_start : body_start + body_length]
+    return len(body) == body_length and zlib.crc32(body) == crc
+
+
 def _scan_frames(
     data: bytes, name: str, strict: bool
 ) -> Iterator[Tuple[int, List[LogRecord], int]]:
@@ -252,7 +267,7 @@ def _scan_frames(
             return
         body = data[body_start : body_start + body_length]
         if zlib.crc32(body) != crc:
-            if strict:
+            if strict or _frame_at(data, body_start + body_length):
                 raise CorruptLogError(f"{where}: CRC mismatch")
             return
         lsn, records = _decode_body(body, where)
@@ -279,7 +294,9 @@ def read_frames(
 
     A frame that passes the CRC yet decodes to nonsense, or whose LSN runs
     backwards, raises :class:`CorruptLogError` in **both** modes: that is
-    not what a crash produces.
+    not what a crash produces.  Neither is a CRC mismatch followed by a
+    CRC-valid frame — the bad frame is in the middle of the log, not torn
+    at its tail — so that raises in both modes too.
     """
     path = Path(path)
     if not path.exists():
@@ -296,7 +313,9 @@ def intact_prefix_length(path: Union[str, Path]) -> int:
     mid-append.  A writer reopening the log must truncate to this length
     before appending: frames written after a torn frame would be
     unreachable (:func:`read_frames` stops at the tear), so the next
-    recovery would silently lose them.
+    recovery would silently lose them.  A log with a corrupt frame in its
+    middle raises :class:`~repro.api.errors.CorruptLogError` instead: the
+    frames after it are intact and must not be cut off.
     """
     path = Path(path)
     if not path.exists():

@@ -45,7 +45,7 @@ the disk and therefore never affect the I/O metrics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Iterator, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rtree.node import Node
@@ -88,7 +88,7 @@ class ObserverList:
         if observer in self._observers:
             self._observers.remove(observer)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[TreeObserver]:
         return iter(self._observers)
 
     def __len__(self) -> int:

@@ -21,9 +21,10 @@ across **spatial shards**.  This package provides:
   :class:`MaintenanceController` base with the spec codec of the
   ``rebalance`` and ``adaptive`` sections;
 * :mod:`repro.shard.rebalance` — the online :class:`ShardRebalancer`: an
-  imbalance trigger on the gate, a weighted boundary-adjustment planner,
-  and conflict-scheduled migration batches that re-cut the partition under
-  hotspot drift;
+  imbalance trigger on the gate and a weighted boundary-adjustment planner
+  whose :class:`RebalancePlan` re-cuts the partition under hotspot drift
+  (the index runs the plan's moves directly, or schedules them on a live
+  session's maintenance queue);
 * :mod:`repro.shard.adaptive` — the cost-model-driven
   :class:`AdaptiveStrategyController`: reads each shard's update/query
   mix and movement distances from the monitor and its buffer hit ratio,
@@ -46,7 +47,7 @@ from repro.shard.control import (
     ShardLoadMonitor,
     UpdateQueryMix,
 )
-from repro.shard.index import MigrationOperation, ShardedIndex
+from repro.shard.index import ShardedIndex
 from repro.shard.parallel import (
     BACKENDS,
     ProcessBackend,
@@ -62,8 +63,6 @@ from repro.shard.partitioner import (
     partitioner_from_spec,
 )
 from repro.shard.rebalance import (
-    RebalanceGroupMigration,
-    RebalanceMigration,
     RebalancePlan,
     RebalancePolicy,
     RebalanceReport,
@@ -80,7 +79,6 @@ __all__ = [
     "ShardLoadMonitor",
     "UpdateQueryMix",
     "ShardedIndex",
-    "MigrationOperation",
     "BACKENDS",
     "ShardBackend",
     "ProcessBackend",
@@ -91,8 +89,6 @@ __all__ = [
     "QuantileGridPartitioner",
     "near_square_factoring",
     "partitioner_from_spec",
-    "RebalanceGroupMigration",
-    "RebalanceMigration",
     "RebalancePlan",
     "RebalancePolicy",
     "RebalanceReport",

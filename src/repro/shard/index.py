@@ -42,12 +42,12 @@ buckets of different shards schedule concurrently, which is what the
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
     ContextManager,
     Dict,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -64,13 +64,8 @@ from repro.api.errors import (
 )
 from repro.api.results import BatchReport, QueryCursor
 from repro.concurrency.dgl import as_pairs, namespace_pairs
-from repro.concurrency.engine import (
-    GroupOperation,
-    PreparedBatch,
-    ReplayOperation,
-)
-from repro.concurrency.locks import LockMode
-from repro.concurrency.scheduler import VirtualOperation
+from repro.concurrency.engine import PreparedBatch
+from repro.concurrency.scheduler import LockPairs, VirtualOperation
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.core.protocol import SpatialIndexFacade
@@ -90,8 +85,6 @@ from repro.shard.adaptive import AdaptiveStrategyController
 from repro.shard.control import MaintenanceController, ShardLoadMonitor
 from repro.shard.partitioner import GridPartitioner, Partitioner
 from repro.shard.rebalance import (
-    RebalanceGroupMigration,
-    RebalanceMigration,
     RebalancePlan,
     RebalanceReport,
     ShardRebalancer,
@@ -100,6 +93,7 @@ from repro.storage import IOStatistics
 from repro.update import UpdateOutcome
 from repro.update.base import BatchUpdate
 from repro.update.batch import (
+    BatchExecutor,
     BatchOperation,
     DeleteOp,
     coalesce_updates,
@@ -107,39 +101,25 @@ from repro.update.batch import (
 )
 
 
-class MigrationOperation(VirtualOperation):
-    """A batch member whose move crosses a shard boundary.
-
-    A migration *is* an update whose lock scope happens to span two shards,
-    so its scope — delete scope in the source shard plus insert scope in the
-    target shard, both namespaced, acquired all-or-nothing — is the
-    ``lock_requests_for`` prediction of the member's :class:`Update`.  A
-    migration therefore serialises with exactly the operations it truly
-    conflicts with in either shard and nothing else.
-    """
-
-    __slots__ = ("engine", "sharded", "update", "request", "result")
-    kind = "migration"
-
-    def __init__(self, engine, sharded: "ShardedIndex", request: BatchUpdate, result):
-        self.engine = engine
-        self.sharded = sharded
-        self.update = api_ops.Update(request.oid, request.new_location)
-        self.request = request
-        self.result = result
-
-    def lock_requests(self):
-        return self.sharded.lock_requests_for(self.update)
-
-    def execute(self, client: int) -> int:
-        return self.engine.measure(
-            lambda: self.sharded._execute_migration(self.request, self.result)
-        )
+def _group_scope(
+    executor: BatchExecutor, leaf_page: int, bucket: List[BatchUpdate], namespace: int
+) -> LockPairs:
+    """A batch bucket's granules: its strategy's ``group_lock_scope``, namespaced."""
+    requests = executor.strategy.group_lock_scope(leaf_page, bucket)
+    return namespace_pairs(as_pairs(requests), namespace)
 
 
-def _shard_scope(
-    shard: MovingObjectIndex, op: api_ops.Operation
-) -> List[Tuple[Hashable, LockMode]]:
+def _replay_scope(
+    executor: BatchExecutor, request: BatchUpdate, namespace: int
+) -> LockPairs:
+    """An unindexed batch member's granules: its per-operation update scope."""
+    requests = executor.strategy.lock_scope(
+        request.oid, request.old_location, request.new_location
+    )
+    return namespace_pairs(as_pairs(requests), namespace)
+
+
+def _shard_scope(shard: MovingObjectIndex, op: api_ops.Operation) -> LockPairs:
     """One shard's DGL granule lock set for *op*, from its strategy's hooks.
 
     A top-down update locks every leaf its descents may visit, the
@@ -524,9 +504,9 @@ class ShardedIndex(SpatialIndexFacade):
     def reroute(self, oid: int) -> bool:
         """Move *oid* to the shard its *current* position routes to.
 
-        The primitive a :class:`~repro.shard.rebalance.RebalanceMigration`
-        executes: re-reading the live position makes the operation safe
-        against races with concurrent updates — an object that has already
+        The rebalancer's per-object move (a plan's loose members): re-reading
+        the live position makes the operation safe against races with
+        concurrent updates — an object that has already
         moved on (or away) since the plan was drawn is re-routed to where it
         now belongs, or not at all.  Returns ``True`` when a migration
         actually happened.
@@ -570,8 +550,7 @@ class ShardedIndex(SpatialIndexFacade):
     ) -> int:
         """Bulk re-route a planned source-leaf bucket; returns objects moved.
 
-        The group primitive a
-        :class:`~repro.shard.rebalance.RebalanceGroupMigration` executes:
+        The rebalancer's per-leaf move, paid per *leaf*, not per object:
         every member still owned by the source shard, still on the planned
         leaf and still routed elsewhere is migrated with **one** source-side
         removal pass (one CondenseTree for the whole bucket,
@@ -694,18 +673,18 @@ class ShardedIndex(SpatialIndexFacade):
         ]
         self.durability.log_unit(frames, barrier=True)
 
-    def rebalance(
-        self, force: bool = False, num_clients: Optional[int] = None
-    ) -> RebalanceReport:
+    def rebalance(self, force: bool = False) -> RebalanceReport:
         """Adjust the partition boundaries to the observed load and migrate.
 
         Plans new boundaries from the rebalancer's load window (each object
         weighted by its owning shard's load share, so the new cut equalises
-        *load*), installs the new partitioner, and executes the required
-        migrations as one conflict-scheduled batch through the concurrent
-        engine — each migration locks its source-shard delete scope and its
-        destination-shard insert scope all-or-nothing, exactly like a
-        boundary-crossing update.
+        *load*), installs the new partitioner, and runs the plan directly,
+        the same way under every executor: :meth:`migrate_leaf_group` for
+        each leaf bucket, then :meth:`reroute` for each loose member.  A
+        live engine session instead schedules the same moves through its
+        maintenance queue (:meth:`maintenance_operations`), where each
+        locks its source-shard delete scope and destination-shard insert
+        scope all-or-nothing and interleaves with the client operations.
 
         With ``force=True`` the policy trigger is bypassed and — when no
         load has been recorded (or no rebalancer is attached) — the plan
@@ -728,24 +707,15 @@ class ShardedIndex(SpatialIndexFacade):
                 imbalance_before=imbalance_before,
                 imbalance_after=imbalance_before,
             )
-        schedule = None
-        if self._backend.remote:
-            # Worker-owned shards: the engine cannot schedule in-process
-            # migrations, so the plan executes directly — bulk leaf-group
-            # handoffs between workers, then the loose members.
-            for shard_id, leaf_page, members in plan.buckets:
-                self.migrate_leaf_group(shard_id, leaf_page, members)
-            for oid in plan.loose:
-                self.reroute(oid)
-        else:
-            engine = self.engine(num_clients=num_clients).engine
-            schedule = engine.scheduler.run(iter(self._migration_batch(engine, plan)))
+        for shard_id, leaf_page, members in plan.buckets:
+            self.migrate_leaf_group(shard_id, leaf_page, members)
+        for oid in plan.loose:
+            self.reroute(oid)
         return RebalanceReport(
             triggered=True,
             imbalance_before=imbalance_before,
             imbalance_after=self.population_imbalance(),
             moves=len(plan.moves),
-            schedule=schedule,
         )
 
     def _triggered_plan(
@@ -844,7 +814,7 @@ class ShardedIndex(SpatialIndexFacade):
             adaptive.committed(decision.shard_id)
         return len(decisions)
 
-    def maintenance_operations(self, engine) -> List[VirtualOperation]:
+    def maintenance_operations(self) -> List[VirtualOperation]:
         """Engine SPI: inject rebalance migrations into a live schedule.
 
         Called by the online engine between operation draws.  When the
@@ -871,18 +841,47 @@ class ShardedIndex(SpatialIndexFacade):
         plan = self._triggered_plan(rebalancer)
         if plan is None:
             return []
-        return self._migration_batch(engine, plan)
+        return self._migration_batch(plan)
 
-    def _migration_batch(self, engine, plan: RebalancePlan) -> List[VirtualOperation]:
-        """A plan's moves as schedulable operations: leaf buckets + loose members."""
-        operations: List[VirtualOperation] = [
-            RebalanceGroupMigration(engine, self, shard_id, leaf_page, members)
+    def _migration_batch(self, plan: RebalancePlan) -> List[VirtualOperation]:
+        """A plan's moves as ``rebalance`` operations: buckets, then loose members."""
+        operations = [
+            VirtualOperation(
+                "rebalance",
+                partial(self._reroute_scope, members),
+                partial(self.migrate_leaf_group, shard_id, leaf_page, members),
+            )
             for shard_id, leaf_page, members in plan.buckets
         ]
         operations.extend(
-            RebalanceMigration(engine, self, oid) for oid in plan.loose
+            VirtualOperation(
+                "rebalance",
+                partial(self._reroute_scope, [oid]),
+                partial(self.reroute, oid),
+            )
+            for oid in plan.loose
         )
         return operations
+
+    def _reroute_scope(self, oids: List[int]) -> LockPairs:
+        """The granules re-routing *oids* from their live positions locks.
+
+        Each object's scope is the update scope of a zero-distance move:
+        for an object whose directory shard disagrees with the partitioner
+        that is the cross-shard migration scope (delete granules in the
+        source shard plus insert granules in the destination, both
+        namespaced).  An object already deleted names nothing; pairs two
+        members share are named once.
+        """
+        positions = [(oid, self.position_of(oid)) for oid in oids]
+        return list(
+            dict.fromkeys(
+                pair
+                for oid, position in positions
+                if position is not None
+                for pair in self.lock_requests_for(api_ops.Update(oid, position))
+            )
+        )
 
     # ------------------------------------------------------------------
     # Loading
@@ -1394,9 +1393,7 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Engine SPI (repro.core.protocol; sessions open via engine())
     # ------------------------------------------------------------------
-    def lock_requests_for(
-        self, op: api_ops.Operation
-    ) -> List[Tuple[Hashable, LockMode]]:
+    def lock_requests_for(self, op: api_ops.Operation) -> LockPairs:
         """Predict an operation's lock set across shards.
 
         Each shard's granules are namespaced with its shard id, so scopes
@@ -1408,9 +1405,7 @@ class ShardedIndex(SpatialIndexFacade):
         if solo is not None and isinstance(op, api_ops.Operation):
             return namespace_pairs(_shard_scope(solo, op), 0)
 
-        def scope(
-            shard_id: int, shard_op: api_ops.Operation
-        ) -> List[Tuple[Hashable, LockMode]]:
+        def scope(shard_id: int, shard_op: api_ops.Operation) -> LockPairs:
             return namespace_pairs(
                 _shard_scope(self.shards[shard_id], shard_op), shard_id
             )
@@ -1439,42 +1434,56 @@ class ShardedIndex(SpatialIndexFacade):
         return [pair for sid in shard_ids for pair in scope(sid, op)]
 
     def prepare_concurrent_batch(
-        self, engine, updates: Iterable[api_ops.Update]
+        self, updates: Iterable[api_ops.Update]
     ) -> PreparedBatch:
         """Plan one batch as per-shard group buckets plus migration ops.
 
         In-shard requests go through each shard's group-by-leaf planner and
-        become :class:`~repro.concurrency.engine.GroupOperation`\\ s whose
-        granules carry the shard namespace — buckets of different shards are
-        disjoint by construction and schedule fully in parallel.  Boundary-
-        crossing requests become :class:`MigrationOperation`\\ s locking both
-        shards.  Shard position maps are pre-committed for in-shard members
-        (their group/replay passes never consult them); migrations commit
-        their own state when they execute.
+        become ``group`` operations whose granules carry the shard namespace
+        — buckets of different shards are disjoint by construction and
+        schedule fully in parallel; members with no indexed leaf become
+        ``update`` operations.  A boundary-crossing request becomes a
+        ``migration``: an update whose scope spans two shards, so it locks
+        exactly what ``lock_requests_for`` predicts for its
+        :class:`~repro.api.operations.Update`.  Shard position maps are
+        pre-committed for in-shard members (their group/replay passes never
+        consult them); migrations commit their own state when they execute.
         """
         pending, requested, coalesced = coalesce_updates(
             self._parse_operations(updates, strict_deletes=True)
         )
         result = BatchReport(updates=requested, coalesced=coalesced)
         per_shard, crossing = self._route(pending.values())
-        operations: List[VirtualOperation] = [
-            MigrationOperation(engine, self, request, result) for request in crossing
+        operations = [
+            VirtualOperation(
+                "migration",
+                partial(
+                    self.lock_requests_for,
+                    api_ops.Update(request.oid, request.new_location),
+                ),
+                partial(self._execute_migration, request, result),
+            )
+            for request in crossing
         ]
         for shard_id, requests in per_shard.items():
             shard = self.shards[shard_id]
-            plan = shard.batch.plan(requests)
+            executor = shard.batch
+            plan = executor.plan(requests)
             for request in requests:
                 shard._positions[request.oid] = request.new_location
-            for request in plan.unindexed:
-                operations.append(
-                    ReplayOperation(
-                        engine, shard.batch, request, result, namespace=shard_id
-                    )
-                )
             operations.extend(
-                GroupOperation(
-                    engine, shard.batch, leaf_page, bucket, result,
-                    namespace=shard_id,
+                VirtualOperation(
+                    "update",
+                    partial(_replay_scope, executor, request, shard_id),
+                    partial(executor.replay, request, result),
+                )
+                for request in plan.unindexed
+            )
+            operations.extend(
+                VirtualOperation(
+                    "group",
+                    partial(_group_scope, executor, leaf_page, bucket, shard_id),
+                    partial(executor.execute_group, leaf_page, bucket, result),
                 )
                 for leaf_page, bucket in plan.buckets.items()
             )

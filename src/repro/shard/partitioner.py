@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import abc
 import bisect
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.geometry import Point, Rect
+from repro.update.params import is_int
 
 
 def near_square_factoring(num_shards: int) -> Tuple[int, int]:
@@ -96,8 +97,10 @@ class GridPartitioner(Partitioner):
     """
 
     def __init__(self, columns: int, rows: int = 1) -> None:
-        if columns <= 0 or rows <= 0:
-            raise ValueError("columns and rows must be positive")
+        if not (is_int(columns) and is_int(rows) and columns > 0 and rows > 0):
+            raise ValueError(
+                f"columns and rows must be positive ints, got {columns!r} x {rows!r}"
+            )
         self.columns = columns
         self.rows = rows
 
@@ -236,14 +239,25 @@ class QuantileGridPartitioner(BoundaryPartitioner):
 
 
 def partitioner_from_spec(spec: Dict) -> Partitioner:
-    """Rebuild a partitioner from its :meth:`~Partitioner.to_spec` dict."""
+    """Rebuild a partitioner from its :meth:`~Partitioner.to_spec` dict.
+
+    A spec that is not a mapping, names an unknown kind, or lacks or
+    mistypes a field of its kind raises ``ValueError``.
+    """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"partitioner spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "grid":
-        return GridPartitioner(columns=spec["columns"], rows=spec["rows"])
-    if kind == "boundaries":
-        return BoundaryPartitioner(
-            [Rect(*values) for values in spec["boundaries"]]
-        )
-    if kind == "quantile_grid":
-        return QuantileGridPartitioner(spec["x_cuts"], spec["y_cuts"])
+    try:
+        if kind == "grid":
+            return GridPartitioner(columns=spec["columns"], rows=spec["rows"])
+        if kind == "boundaries":
+            return BoundaryPartitioner(
+                [Rect(*values) for values in spec["boundaries"]]
+            )
+        if kind == "quantile_grid":
+            return QuantileGridPartitioner(spec["x_cuts"], spec["y_cuts"])
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"malformed {kind} partitioner spec {spec!r}: {error!r}"
+        ) from error
     raise ValueError(f"unknown partitioner spec kind {kind!r}")

@@ -18,40 +18,30 @@ partition boundaries so the hot region is spread over every shard:
   by y) where every object carries its owning shard's load share, so the new
   :class:`~repro.shard.partitioner.BoundaryPartitioner` equalises *load*,
   not just population;
-* :class:`RebalanceMigration` — one object's move to its re-routed shard,
-  scheduled through the concurrent engine exactly like a boundary-crossing
-  update migration: the lock scope names the delete granules in the source
-  shard and the insert granules in the destination shard, acquired
-  all-or-nothing, so rebalance traffic interleaves safely with live client
-  sessions and serialises only with operations it truly conflicts with;
+* :class:`RebalancePlan` — the new partition plus its moves, grouped by
+  ``(source shard, source leaf)`` so each bucket migrates in bulk;
 * :class:`ShardRebalancer` — the controller gluing these together, attached
   to a :class:`~repro.shard.index.ShardedIndex` via the declarative
   ``rebalance`` spec section (:func:`repro.api.open_index`) and checkpointed
   by :mod:`repro.core.persistence`.
 
-Every migration re-reads the object's *live* position at dispatch time, so a
-plan races safely with concurrent updates: an object that moved (or was
-deleted) after planning is re-routed to wherever it now belongs — or not at
-all — never to a stale position.
+The index executes a plan: :meth:`~repro.shard.index.ShardedIndex.rebalance`
+runs it directly (``migrate_leaf_group`` per bucket, then ``reroute`` per
+loose member), and a live engine session schedules the same moves as
+``rebalance`` operations on its maintenance queue, each locking the delete
+granules in the source shard and the insert granules in the destination
+shard all-or-nothing, so rebalance traffic interleaves safely with client
+operations.  Every move re-reads the object's *live* position when it
+runs, so a plan races safely with concurrent updates: an object that moved
+(or was deleted) after planning is re-routed to wherever it now belongs —
+or not at all — never to a stale position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.operations import Update
-from repro.concurrency.scheduler import VirtualOperation
 from repro.geometry import Point
 from repro.shard.control import (
     EvidenceGate,
@@ -67,9 +57,6 @@ from repro.shard.partitioner import (
 from repro.update.params import check_non_negative
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
-    from repro.concurrency.engine import OnlineOperationEngine
-    from repro.concurrency.locks import LockMode
-    from repro.concurrency.scheduler import ScheduleResult
     from repro.shard.index import ShardedIndex
 
 
@@ -182,98 +169,6 @@ def plan_boundaries(
 
 
 # ---------------------------------------------------------------------------
-# Scheduled migration
-# ---------------------------------------------------------------------------
-
-
-class RebalanceMigration(VirtualOperation):
-    """One object's re-route to the shard its position now belongs to.
-
-    Scheduled through the concurrent engine like every other operation: the
-    lock scope — recomputed from the live index on each dispatch attempt —
-    is the update scope of a zero-distance move, which for an object whose
-    directory shard disagrees with the partitioner is exactly the
-    cross-shard migration scope: delete granules in the source shard plus
-    insert granules in the destination shard, both namespaced, acquired
-    all-or-nothing.  Concurrent client operations on other granules
-    interleave freely; an object deleted (or already re-routed) by the time
-    the migration dispatches degrades to a no-op.
-    """
-
-    __slots__ = ("engine", "sharded", "oid")
-    kind = "rebalance"
-
-    def __init__(
-        self, engine: "OnlineOperationEngine", sharded: "ShardedIndex", oid: int
-    ) -> None:
-        self.engine = engine
-        self.sharded = sharded
-        self.oid = oid
-
-    def lock_requests(self) -> List[Tuple[Hashable, "LockMode"]]:
-        position = self.sharded.position_of(self.oid)
-        if position is None:
-            return []  # object vanished; executing is a no-op
-        return self.sharded.lock_requests_for(Update(self.oid, position))
-
-    def execute(self, client: int) -> int:
-        return self.engine.measure(lambda: self.sharded.reroute(self.oid))
-
-
-class RebalanceGroupMigration(VirtualOperation):
-    """A whole source-leaf bucket of displaced objects, migrated in bulk.
-
-    The scheduled form of
-    :meth:`~repro.shard.index.ShardedIndex.migrate_leaf_group`: one
-    source-side removal pass and one bulk insert per destination shard move
-    the entire bucket, so the migration cost is paid per *leaf*, not per
-    object — the same group-by-leaf amortisation the batch update engine
-    applies to client updates.  The lock scope is the union of the members'
-    migration scopes (source delete granules + destination insert granules,
-    recomputed from the live index on every dispatch attempt), acquired
-    all-or-nothing; members that drifted since planning degrade to the
-    per-object path inside the group executor.
-    """
-
-    __slots__ = ("engine", "sharded", "source_id", "leaf_page", "oids")
-    kind = "rebalance"
-
-    def __init__(
-        self,
-        engine: "OnlineOperationEngine",
-        sharded: "ShardedIndex",
-        source_id: int,
-        leaf_page: int,
-        oids: List[int],
-    ) -> None:
-        self.engine = engine
-        self.sharded = sharded
-        self.source_id = source_id
-        self.leaf_page = leaf_page
-        self.oids = oids
-
-    def lock_requests(self) -> List[Tuple[Hashable, "LockMode"]]:
-        pairs: List[Tuple[Hashable, "LockMode"]] = []
-        seen: Set[Tuple[Hashable, "LockMode"]] = set()
-        for oid in self.oids:
-            position = self.sharded.position_of(oid)
-            if position is None:
-                continue
-            for pair in self.sharded.lock_requests_for(Update(oid, position)):
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        return pairs
-
-    def execute(self, client: int) -> int:
-        return self.engine.measure(
-            lambda: self.sharded.migrate_leaf_group(
-                self.source_id, self.leaf_page, self.oids
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
 # The controller
 # ---------------------------------------------------------------------------
 
@@ -283,8 +178,10 @@ class RebalancePlan:
     """A planned boundary adjustment: the new partition plus the moves it needs.
 
     ``buckets`` groups the moves by ``(source shard, source leaf)`` — the
-    unit :class:`RebalanceGroupMigration` executes — and ``loose`` holds the
-    members with no indexed leaf at planning time (migrated per object).
+    unit :meth:`~repro.shard.index.ShardedIndex.migrate_leaf_group` moves
+    in bulk — and ``loose`` holds the members with no indexed leaf at
+    planning time (moved per object by
+    :meth:`~repro.shard.index.ShardedIndex.reroute`).
     """
 
     partitioner: BoundaryPartitioner
@@ -301,7 +198,6 @@ class RebalanceReport:
     imbalance_before: float = 1.0
     imbalance_after: float = 1.0
     moves: int = 0
-    schedule: Optional["ScheduleResult"] = None
 
     def describe(self) -> str:
         if not self.triggered:
@@ -317,9 +213,10 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
 
     Once attached, the auto-trigger hooks — the engine's maintenance
     interleave for live sessions, the batch epilogue for serial batches —
-    consult :meth:`should_rebalance` and execute :meth:`plan` as
-    conflict-scheduled migration batches.  ``rebalances`` counts completed
-    boundary changes and survives checkpoints.
+    consult :meth:`should_rebalance` and execute :meth:`plan`: scheduled on
+    the maintenance queue under a session, directly otherwise.
+    ``rebalances`` counts completed boundary changes and survives
+    checkpoints.
     """
 
     section = "rebalance"
@@ -441,8 +338,6 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
 
 
 __all__ = [
-    "RebalanceGroupMigration",
-    "RebalanceMigration",
     "RebalancePlan",
     "RebalancePolicy",
     "RebalanceReport",

@@ -39,6 +39,24 @@ MALFORMED = [
 ]
 
 
+# One malformed section per entry: the section is not a mapping, or a value
+# inside it has the wrong type or range.
+MALFORMED_SECTIONS = [
+    {"engine": 5},
+    {"parallel": []},
+    {"parallel": 3},
+    {"parallel": {"workers": "two"}},
+    {"config": []},
+    {"config": {"params": 3}},
+    {"durability": 5},
+    {"partitioner": 5},
+    {"partitioner": {"kind": "grid", "columns": "a"}},
+    {"partitioner": {"kind": "grid", "columns": 2.5, "rows": 1}},
+    {"engine": {"num_clients": "x"}},
+    {"engine": {"num_clients": 0}},
+]
+
+
 class TestConfigCodec:
     def test_round_trip_preserves_every_field(self):
         config = IndexConfig(
@@ -164,6 +182,21 @@ class TestOpenIndex:
         document["engine"] = {"num_client": 8}
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match=r"unknown spec keys \['num_client'\]"):
+            load_index(path)
+
+    @pytest.mark.parametrize("spec", MALFORMED_SECTIONS, ids=json.dumps)
+    def test_malformed_sections_raise_value_error(self, spec, tmp_path):
+        with pytest.raises(ValueError):
+            open_index(spec)
+        ((section, value),) = spec.items()
+        if section == "config":
+            return  # a checkpoint carries its configuration per shard
+        path = tmp_path / "checkpoint.json"
+        save_index(open_index({"shards": 2}), path)
+        document = json.loads(path.read_text())
+        document[section] = value
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError):
             load_index(path)
 
     def test_spec_emission_round_trips(self):

@@ -4,33 +4,30 @@ import pytest
 
 from repro.concurrency import LockMode, OperationScheduler, VirtualOperation
 
-
-class SyntheticOp(VirtualOperation):
-    """A canned operation: fixed lock set, fixed I/O cost, executes a callback."""
-
-    def __init__(self, io, granule=None, mode=LockMode.EXCLUSIVE, on_execute=None):
-        self.io = io
-        self.pairs = [(granule, mode)] if granule is not None else []
-        self.on_execute = on_execute
-        self.executed_by = None
-
-    def lock_requests(self):
-        return list(self.pairs)
-
-    def execute(self, client):
-        self.executed_by = client
-        if self.on_execute is not None:
-            self.on_execute(client)
-        return self.io
+#: The synthetic disk every canned operation charges its I/O to.
+DISK = {"io": 0}
 
 
-def op(io, granule=None, mode=LockMode.EXCLUSIVE):
-    return SyntheticOp(io, granule=granule, mode=mode)
+def make_scheduler(**kwargs):
+    """A scheduler that measures the synthetic disk's I/O counter."""
+    return OperationScheduler(lambda: DISK["io"], **kwargs)
+
+
+def op(io, granule=None, mode=LockMode.EXCLUSIVE, on_execute=None):
+    """A canned operation: fixed lock set, fixed I/O cost, runs a callback."""
+    pairs = [(granule, mode)] if granule is not None else []
+
+    def work():
+        DISK["io"] += io
+        if on_execute is not None:
+            on_execute()
+
+    return VirtualOperation("synthetic", lambda: list(pairs), work)
 
 
 class TestScheduler:
     def test_independent_operations_run_in_parallel(self):
-        scheduler = OperationScheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
         result = scheduler.run([op(io=10, granule=i) for i in range(4)])
         # Four non-conflicting operations of 0.1s each on four clients: the
         # makespan is one operation's duration.
@@ -39,20 +36,20 @@ class TestScheduler:
         assert result.lock_waits == 0
 
     def test_conflicting_operations_serialise(self):
-        scheduler = OperationScheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
         result = scheduler.run([op(io=10, granule="hot") for _ in range(4)])
         assert result.makespan == pytest.approx(0.4)
         assert result.lock_waits > 0
 
     def test_shared_locks_do_not_serialise(self):
-        scheduler = OperationScheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=4, time_per_io=0.01, cpu_time_per_op=0.0)
         result = scheduler.run(
             [op(io=10, granule="hot", mode=LockMode.SHARED) for _ in range(4)]
         )
         assert result.makespan == pytest.approx(0.1)
 
     def test_single_client_serialises_everything(self):
-        scheduler = OperationScheduler(num_clients=1, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=1, time_per_io=0.01, cpu_time_per_op=0.0)
         result = scheduler.run([op(io=5, granule=i) for i in range(6)])
         assert result.makespan == pytest.approx(0.3)
 
@@ -60,56 +57,71 @@ class TestScheduler:
         def traces():
             return [op(io=4, granule=i % 7) for i in range(50)]
 
-        few = OperationScheduler(num_clients=2, time_per_io=0.01).run(traces())
-        many = OperationScheduler(num_clients=16, time_per_io=0.01).run(traces())
+        few = make_scheduler(num_clients=2, time_per_io=0.01).run(traces())
+        many = make_scheduler(num_clients=16, time_per_io=0.01).run(traces())
         assert many.throughput >= few.throughput - 1e-9
 
     def test_execution_is_real_and_ordered_by_lock_grants(self):
         """Conflicting operations mutate shared state in lock-grant order."""
         log = []
         ops = [
-            SyntheticOp(10, granule="hot", on_execute=lambda c, i=i: log.append(i))
+            op(10, granule="hot", on_execute=lambda i=i: log.append(i))
             for i in range(4)
         ]
-        OperationScheduler(num_clients=4, time_per_io=0.01).run(ops)
+        make_scheduler(num_clients=4, time_per_io=0.01).run(ops)
         assert log == [0, 1, 2, 3]
 
+    def test_lock_scope_is_predicted_at_every_dispatch_attempt(self):
+        calls = []
+
+        def scope():
+            calls.append(len(calls))
+            return [("hot", LockMode.EXCLUSIVE)]
+
+        probe = VirtualOperation("probe", scope, lambda: None)
+        scheduler = make_scheduler(num_clients=2, time_per_io=0.01, cpu_time_per_op=0.0)
+        result = scheduler.run([op(io=10, granule="hot"), probe])
+        # Predicted afresh at the draw, at the retry pass of the same tick
+        # (still blocked) and at the retry after the release (granted).
+        assert len(calls) == 3
+        assert result.kinds == {"synthetic": 1, "probe": 1}
+
     def test_operation_count_and_client_reports(self):
-        scheduler = OperationScheduler(num_clients=2, time_per_io=0.01)
+        scheduler = make_scheduler(num_clients=2, time_per_io=0.01)
         result = scheduler.run([op(io=1, granule=1), op(io=1, granule=2)])
         assert result.operations == 2
         assert sum(report.operations for report in result.clients.values()) == 2
         assert result.total_physical_io == 2
 
     def test_empty_stream(self):
-        result = OperationScheduler(num_clients=2).run([])
+        result = make_scheduler(num_clients=2).run([])
         assert result.operations == 0
         assert result.throughput == 0.0
 
     def test_utilisation_bounded_by_one(self):
         traces = [op(io=3, granule=i % 3) for i in range(30)]
-        result = OperationScheduler(num_clients=5, time_per_io=0.01).run(traces)
+        result = make_scheduler(num_clients=5, time_per_io=0.01).run(traces)
         assert 0.0 < result.utilisation <= 1.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            OperationScheduler(num_clients=0)
+            make_scheduler(num_clients=0)
         with pytest.raises(ValueError):
-            OperationScheduler(time_per_io=-1.0)
+            make_scheduler(time_per_io=-1.0)
 
     def test_determinism(self):
         def traces():
             return [op(io=(i % 5) + 1, granule=i % 4) for i in range(60)]
 
-        first = OperationScheduler(num_clients=6, time_per_io=0.01).run(traces())
-        second = OperationScheduler(num_clients=6, time_per_io=0.01).run(traces())
+        first = make_scheduler(num_clients=6, time_per_io=0.01).run(traces())
+        second = make_scheduler(num_clients=6, time_per_io=0.01).run(traces())
         assert first.makespan == second.makespan
         assert first.lock_waits == second.lock_waits
 
 
 class TestPerClientStreams:
     def test_streams_are_consumed_per_client(self):
-        scheduler = OperationScheduler(num_clients=3, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=3, time_per_io=0.01, cpu_time_per_op=0.0)
         streams = [[op(io=10, granule=f"g{c}") for _ in range(2)] for c in range(3)]
         result = scheduler.run_streams(streams)
         assert result.operations == 6
@@ -120,22 +132,22 @@ class TestPerClientStreams:
             assert report.operations == 2
 
     def test_client_count_follows_streams(self):
-        scheduler = OperationScheduler(num_clients=50)
+        scheduler = make_scheduler(num_clients=50)
         result = scheduler.run_streams([[op(io=1, granule=1)]])
         assert result.num_clients == 1
 
     def test_uneven_streams(self):
-        scheduler = OperationScheduler(num_clients=2, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=2, time_per_io=0.01, cpu_time_per_op=0.0)
         result = scheduler.run_streams([[op(io=10, granule="a")], []])
         assert result.operations == 1
         assert result.makespan == pytest.approx(0.1)
 
     def test_empty_streams_rejected(self):
         with pytest.raises(ValueError):
-            OperationScheduler().run_streams([])
+            make_scheduler().run_streams([])
 
     def test_conflicting_streams_serialise_across_clients(self):
-        scheduler = OperationScheduler(num_clients=2, time_per_io=0.01, cpu_time_per_op=0.0)
+        scheduler = make_scheduler(num_clients=2, time_per_io=0.01, cpu_time_per_op=0.0)
         streams = [[op(io=10, granule="hot")], [op(io=10, granule="hot")]]
         result = scheduler.run_streams(streams)
         assert result.makespan == pytest.approx(0.2)

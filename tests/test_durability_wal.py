@@ -190,6 +190,26 @@ class TestCorruptFrames:
             with pytest.raises(CorruptLogError):
                 list(read_frames(path, strict=strict))
 
+    def test_crc_mismatch_in_the_middle_is_corruption_not_a_tear(self, tmp_path):
+        """A bad frame followed by an intact one is not what a crash leaves:
+        both reads raise, and reopening for append cuts nothing off."""
+        path = tmp_path / "log.wal"
+        log = WriteAheadLog(path)
+        for lsn in (1, 2, 3):
+            log.append(lsn, [delete_record(lsn)])
+            log.sync()
+        log.close()
+        frame_size = path.stat().st_size // 3
+        data = bytearray(path.read_bytes())
+        data[frame_size + _FRAME_HEADER.size + 1] ^= 0xFF  # a body byte of frame 2
+        path.write_bytes(bytes(data))
+        for strict in (False, True):
+            with pytest.raises(CorruptLogError):
+                list(read_frames(path, strict=strict))
+        with pytest.raises(CorruptLogError):
+            WriteAheadLog(path)
+        assert path.read_bytes() == bytes(data)
+
 
 class TestWriteAheadLogLifecycle:
     def test_append_sets_dirty_and_sync_clears_it(self, tmp_path):

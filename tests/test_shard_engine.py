@@ -6,8 +6,6 @@ from repro.api import Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.core import IndexConfig
 from repro.geometry import Point, Rect
 from repro.shard import GridPartitioner, ShardedIndex
-from repro.shard.index import MigrationOperation
-from repro.update import BatchUpdate
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import SMALL_PAGE_SIZE
@@ -52,17 +50,12 @@ class TestShardedLockScopes:
     def test_batch_migration_locks_its_update_scope(self):
         index, _ = build_sharded(num_shards=2)
         oid = next(oid for oid in range(400) if index.shard_for(oid) == 0)
-        position = index.position_of(oid)
-        across = Point(0.95, position.y)
-        migration = MigrationOperation(
-            None, index, BatchUpdate(oid, position, across), None
-        )
+        across = Point(0.95, index.position_of(oid).y)
+        (migration,) = index.prepare_concurrent_batch([Update(oid, across)]).operations
         # Reported under its own label, scheduled under the update's scope.
         assert migration.kind == "migration"
-        assert migration.lock_requests() == index.lock_requests_for(
-            Update(oid, across)
-        )
-        assert shard_namespaces(migration.lock_requests()) == {0, 1}
+        assert migration.lock_scope() == index.lock_requests_for(Update(oid, across))
+        assert shard_namespaces(migration.lock_scope()) == {0, 1}
 
     def test_query_locks_exactly_the_intersecting_shards(self):
         index, _ = build_sharded(num_shards=2)

@@ -292,11 +292,11 @@ class TestRemoteRebalance:
         serial_report = serial.rebalance(force=True)
         assert report.triggered
         assert report.moves == serial_report.moves > 0
+        # One plan, run one way under both executors: the same trees.
         assert index.migrations == serial.migrations > 0
-        populations = index.shard_populations()
-        assert max(populations) - min(populations) <= max(
-            serial.shard_populations()
-        ) - min(serial.shard_populations()) + 1
+        assert index.shard_populations() == serial.shard_populations()
+        assert index.io_snapshot() == serial.io_snapshot()
+        assert index.shard_documents() == serial.shard_documents()
         window = Rect(0.0, 0.0, 1.0, 1.0)
         assert sorted(index.range_query(window)) == sorted(
             serial.range_query(window)
