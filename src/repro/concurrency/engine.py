@@ -131,6 +131,9 @@ class OnlineOperationEngine:
     scheduler reads around the operation's work.  Granules are
     namespaced per shard, so only operations touching the same shard can
     ever conflict.
+
+    Lock scopes are predicted from the coordinator's shard trees, so the
+    engine refuses an index on the process backend, when opened and when run.
     """
 
     def __init__(
@@ -141,6 +144,7 @@ class OnlineOperationEngine:
         cpu_time_per_op: float = 0.001,
     ) -> None:
         self.index = index
+        self._check_in_process()
         self.scheduler = OperationScheduler(
             index.total_physical_io,
             num_clients=num_clients,
@@ -167,6 +171,7 @@ class OnlineOperationEngine:
         not an :class:`~repro.api.operations.Operation` raises
         :class:`~repro.api.errors.InvalidOperationError`.
         """
+        self._check_in_process()
         return self.scheduler.run(
             self._with_maintenance(self._live_operations(operations))
         )
@@ -183,6 +188,7 @@ class OnlineOperationEngine:
         for the session to drain.  Every stream is checked before anything
         runs, as in :meth:`run`.
         """
+        self._check_in_process()
         return self.scheduler.run_streams(
             [
                 self._with_maintenance(self._live_operations(stream))
@@ -204,6 +210,7 @@ class OnlineOperationEngine:
         granule serialise — so the batch's makespan reflects its real
         conflict structure.
         """
+        self._check_in_process()
         updates = list(updates)
         for update in updates:
             if not isinstance(update, api_ops.Update):
@@ -216,6 +223,12 @@ class OnlineOperationEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _check_in_process(self) -> None:
+        if self.index.parallel_spec is not None:
+            raise RuntimeError(
+                "the engine drives in-process shards; detach the process backend first"
+            )
+
     def _live_operations(
         self, operations: Iterable["api_ops.Operation"]
     ) -> List[VirtualOperation]:

@@ -128,10 +128,13 @@ class OperationScheduler:
         time_per_io: float = 0.01,
         cpu_time_per_op: float = 0.001,
     ) -> None:
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if time_per_io < 0 or cpu_time_per_op < 0:
-            raise ValueError("times must be non-negative")
+        # A bool is an int to Python, but neither a count nor a duration.
+        if type(num_clients) is not int or num_clients < 1:
+            raise ValueError(f"num_clients must be an int >= 1, got {num_clients!r}")
+        times = {"time_per_io": time_per_io, "cpu_time_per_op": cpu_time_per_op}
+        for name, value in times.items():
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value >= 0):
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
         self.num_clients = num_clients
         self.time_per_io = time_per_io
         self.cpu_time_per_op = cpu_time_per_op

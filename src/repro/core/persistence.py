@@ -9,7 +9,7 @@ shard's configuration and its tree's root, height and size.  On load the
 images are copied onto a fresh simulated disk, and each shard's secondary
 hash index, summary structure and object positions are re-derived from its
 tree in one uncharged walk (they are derived structures, exactly as the paper
-treats them); the shard directory is rebuilt from the shards.
+treats them); the positions are also the record of which shard owns what.
 
 Every index is a :class:`~repro.shard.index.ShardedIndex`, so every
 checkpoint is written in that one shape.  A document of the older
@@ -227,7 +227,7 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
     """Restore an index from a checkpoint file.
 
     The index comes back with its derived structures (hash indexes,
-    summaries, the shard directory) rebuilt and statistics reset.
+    summaries, position tables) rebuilt and statistics reset.
 
     A checkpoint carrying a ``durability`` section replays the write-ahead
     log tail from that directory on top of the restored state (truncating
@@ -275,9 +275,11 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
         # authoritative at that point.
         _replay_and_attach(index, durability)
     parallel = api_builder.spec_section(document, "parallel")
-    # The thread executor is gone: a checkpoint that recorded it loads
-    # on the in-process (serial) executor, which it only ever wrapped.
-    if parallel and parallel.get("backend") != "thread":
+    if parallel:
+        # The retired thread executor only ever wrapped the serial one: a
+        # checkpoint that recorded it is checked, then loads serial.
+        if parallel.get("backend") == "thread":
+            parallel = {**parallel, "backend": "serial"}
         api_builder.check_parallel(parallel)
         index.set_parallel(**parallel)
     return index

@@ -150,11 +150,11 @@ class SpatialIndexFacade(abc.ABC):
 
         defaults = self.engine_defaults
         if num_clients is None:
-            num_clients = int(defaults.get("num_clients", 50))
+            num_clients = defaults.get("num_clients", 50)
         if time_per_io is None:
-            time_per_io = float(defaults.get("time_per_io", 0.01))
+            time_per_io = defaults.get("time_per_io", 0.01)
         if cpu_time_per_op is None:
-            cpu_time_per_op = float(defaults.get("cpu_time_per_op", 0.001))
+            cpu_time_per_op = defaults.get("cpu_time_per_op", 0.001)
         return ConcurrentSession(
             OnlineOperationEngine(
                 cast("ShardedIndex", self),  # the one facade the engine drives

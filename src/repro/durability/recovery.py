@@ -19,22 +19,23 @@ three things safe:
 * double-logged fallback paths (a bulk leaf-group migration that degrades
   to per-object reroutes);
 * asymmetric torn tails of a migration's two logs: an arrival record whose
-  matching departure was torn away moves the object anyway (the ownership
-  map deletes it from the stale shard), so the migration replays whole from
-  either surviving half that contains the arrival.  The reverse asymmetry —
-  a durable departure whose matching arrival was lost in another log's torn
-  tail — is an **orphaned departure**: both halves of a migration share one
-  LSN, so replay detects the missing arrival and skips the departure, and
-  the object stays on its source shard at its old position instead of
-  vanishing.  The arrival frame's durability is thereby the precondition
-  for the departure taking effect, under every sync policy and regardless
-  of the order the OS flushed the two logs.
+  matching departure was torn away moves the object anyway (replay deletes
+  it from whichever other shard still holds it), so the migration replays
+  whole from either surviving half that contains the arrival.  The reverse
+  asymmetry — a durable departure whose matching arrival was lost in
+  another log's torn tail — is an **orphaned departure**: both halves of a
+  migration share one LSN, so replay detects the missing arrival and skips
+  the departure, and the object stays on its source shard at its old
+  position instead of vanishing.  The arrival frame's durability is thereby
+  the precondition for the departure taking effect, under every sync policy
+  and regardless of the order the OS flushed the two logs.
 
 Every index is a :class:`~repro.shard.index.ShardedIndex`, so there is one
 replay: each shard log into its shard (a single index is one shard and
-replays ``shard-0000.wal`` alone).  Afterwards the object directory is
-rebuilt from the shards' own position tables and the **last** logged
-repartition is installed, so routing matches the recovered placement.
+replays ``shard-0000.wal`` alone).  The shards' position tables are the
+only record of ownership, so replay writing into the shards is the whole
+placement; afterwards the **last** logged repartition is installed, so
+routing matches the recovered placement.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def replay_into(index: "ShardedIndex", directory: Union[str, Path]) -> RecoveryR
     """Re-apply the intact WAL prefix under *directory* onto *index*.
 
     *index* is freshly checkpoint-restored: each shard's log replays into
-    that shard, then the object directory is rebuilt and the last logged
-    repartition applied.  Must run *before* a durability manager is
-    attached, so replay itself is never re-logged.
+    that shard, then the last logged repartition is applied.  Must run
+    *before* a durability manager is attached, so replay itself is never
+    re-logged.
     """
     directory = Path(directory)
     report = RecoveryReport()
@@ -122,16 +123,6 @@ def replay_into(index: "ShardedIndex", directory: Union[str, Path]) -> RecoveryR
                 f"{path.name} names shard {shard_id}, but the checkpoint "
                 f"restored only {len(subs)} shard(s)"
             )
-
-    #: Which sub-index currently holds each object, in replay's view.  An
-    #: arrival for an object another shard still holds deletes the stale
-    #: copy first — that is what repairs a migration whose departure record
-    #: was torn away while its arrival survived.
-    owner: Dict[int, int] = {
-        oid: shard_id
-        for shard_id, sub in enumerate(subs)
-        for oid in sub._positions
-    }
 
     streams = [_tagged_frames(sid, path) for sid, path in sorted(logs.items())]
     merged = heapq.merge(*streams)
@@ -167,21 +158,23 @@ def replay_into(index: "ShardedIndex", directory: Union[str, Path]) -> RecoveryR
                     # log leaves the shard on its at-crash strategy.
                     sub.set_strategy(record.payload.decode("utf-8"))
                 elif record.kind in _ARRIVALS:
-                    stale = owner.get(record.oid)
+                    # An arrival for an object another shard still holds
+                    # deletes the stale copy first — that is what repairs a
+                    # migration whose departure record was torn away while
+                    # its arrival survived.
+                    stale = index.shard_for(record.oid)
                     if stale is not None and stale != shard_id:
                         subs[stale].delete(record.oid)
                     if record.oid in sub._positions:
                         sub.update(record.oid, record.position())
                     else:
                         sub.insert(record.oid, record.position())
-                    owner[record.oid] = shard_id
                 elif record.kind in _DEPARTURES:
                     # Tolerant: the object may already have left this shard
                     # (a departure whose matching arrival replayed first, or
                     # a double-logged reroute fallback).
-                    if owner.get(record.oid) == shard_id:
+                    if record.oid in sub._positions:
                         sub.delete(record.oid)
-                        del owner[record.oid]
                 else:
                     raise CorruptLogError(
                         f"record kind {record.kind!r} is not valid in shard "
@@ -206,9 +199,6 @@ def replay_into(index: "ShardedIndex", directory: Union[str, Path]) -> RecoveryR
 
         index.partitioner = partitioner_from_spec(partitioner_spec)
         report.repartitioned = True
-    # The directory is derived state; replay wrote object placement
-    # directly into the shards, so rebuild it from them.
-    index._shard_of = index._derive_directory()
     return report
 
 

@@ -228,7 +228,7 @@ class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
             mix = mixes[shard_id]
             if mix.total < self.evidence_required(shard_id):
                 continue
-            shape = TreeShape.from_tree(shard.tree)
+            shape = sharded.tree_shape(shard_id)
             if not shape.node_extents or not shape.node_extents[0]:
                 continue  # empty shard: nothing to rank
             costs = strategy_costs(

@@ -10,13 +10,14 @@ attached, operations go straight to the shard without routing.
 
 Routing and migration
 ---------------------
-A shard-level **object directory** maps each object id to its owning shard;
-the per-shard hash indexes stay authoritative for the object's leaf page
-within that shard.  An update whose new position stays inside the owning
-shard's region is executed by that shard's strategy exactly as before — the
-common case, by the paper's locality argument.  An update that crosses a
-partition boundary becomes a **migration**: delete from the old shard,
-insert into the new one, directory updated
+Each shard's position table is the one record of which objects it owns:
+the coordinator keeps no directory of its own, and finds an object's shard
+by asking the shards (:meth:`ShardedIndex.shard_for`); the per-shard hash
+indexes lead on to the object's leaf page.  An update whose new position
+stays inside the owning shard's region is executed by that shard's strategy
+exactly as before — the common case, by the paper's locality argument.  An
+update that crosses a partition boundary becomes a **migration**: delete
+from the old shard, insert into the new one
 (:attr:`~repro.update.base.UpdateOutcome.MIGRATED`).
 
 Queries
@@ -51,7 +52,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
 )
@@ -69,6 +69,7 @@ from repro.concurrency.scheduler import LockPairs, VirtualOperation
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.core.protocol import SpatialIndexFacade
+from repro.cost.model import TreeShape
 from repro.durability.commit import DurabilityManager
 from repro.durability.wal import (
     LogRecord,
@@ -154,34 +155,6 @@ def _shard_scope(shard: MovingObjectIndex, op: api_ops.Operation) -> LockPairs:
     return as_pairs(requests)
 
 
-class _OneShardDirectory(Mapping[int, int]):
-    """The object directory of a one-shard index, read off the shard.
-
-    Every object the shard holds is on shard 0, so the shard's position
-    table already is the directory; writes are no-ops.
-    """
-
-    def __init__(self, index: "ShardedIndex") -> None:
-        self.index = index
-
-    def __getitem__(self, oid: int) -> int:
-        if oid not in self.index.shards[0]._positions:
-            raise KeyError(oid)
-        return 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.index.shards[0]._positions)
-
-    def __len__(self) -> int:
-        return len(self.index.shards[0]._positions)
-
-    def __setitem__(self, oid: int, shard_id: int) -> None:
-        pass
-
-    def __delitem__(self, oid: int) -> None:
-        pass
-
-
 class ShardedIndex(SpatialIndexFacade):
     """N independent moving-object indexes behind one spatial router.
 
@@ -229,9 +202,6 @@ class ShardedIndex(SpatialIndexFacade):
             if shards is not None
             else [MovingObjectIndex(self.config) for _ in range(partitioner.num_shards)]
         )
-        #: Object directory: oid -> owning shard id.  The per-shard hash
-        #: indexes remain authoritative for the leaf page within the shard.
-        self._shard_of = self._derive_directory()
         #: Cross-shard migrations executed since the last statistics reset.
         self.migrations = 0
         #: Attached maintenance controllers by spec section (``rebalance``,
@@ -245,25 +215,12 @@ class ShardedIndex(SpatialIndexFacade):
         #: in-process :class:`~repro.shard.parallel.ShardBackend` by default,
         #: the process executor after :meth:`set_parallel`.
         self._backend: shard_parallel.ShardBackend = shard_parallel.ShardBackend(self)
-        #: Declarative ``parallel`` spec section of the attached backend
-        #: (``{"backend": ..., "workers": ...}``), ``None`` when serial.
-        self.parallel_spec: Optional[Dict[str, object]] = None
         #: Attached :class:`~repro.durability.commit.DurabilityManager`, or
         #: ``None`` without a write-ahead log.  When set, every mutation is
         #: logged once it has been applied (apply first, log on success),
         #: and checkpoints rotate the logs (see :mod:`repro.durability`).
         self.durability: Optional[DurabilityManager] = None
         self._retarget()
-
-    def _derive_directory(self) -> Any:
-        """The object directory derived from the shards' position tables."""
-        if self.num_shards == 1:
-            return _OneShardDirectory(self)
-        return {
-            oid: shard_id
-            for shard_id, shard in enumerate(self.shards)
-            for oid in shard._positions
-        }
 
     def _retarget(self) -> None:
         """Recompute :attr:`_solo` after the backend, shards or monitor changed.
@@ -272,7 +229,7 @@ class ShardedIndex(SpatialIndexFacade):
         or record (one shard, serial executor, no controller attached), and
         ``None`` otherwise; the per-operation methods then call it directly.
         """
-        direct = self.num_shards == 1 and not self._backend.remote
+        direct = self.num_shards == 1 and self.parallel_spec is None
         self._solo: Optional[MovingObjectIndex] = (
             self.shards[0] if direct and self.monitor is None else None
         )
@@ -285,15 +242,15 @@ class ShardedIndex(SpatialIndexFacade):
         return self.partitioner.num_shards
 
     def shard_for(self, oid: int) -> Optional[int]:
-        """The shard currently owning *oid* (``None`` if absent)."""
-        return self._shard_of.get(oid)
+        """The shard whose position table holds *oid* (``None`` if absent)."""
+        for shard_id, shard in enumerate(self.shards):
+            if oid in shard._positions:
+                return shard_id
+        return None
 
     def shard_populations(self) -> List[int]:
-        """Number of objects per shard (directory view)."""
-        populations = [0] * self.num_shards
-        for shard_id in self._shard_of.values():
-            populations[shard_id] += 1
-        return populations
+        """Number of objects per shard."""
+        return [len(shard) for shard in self.shards]
 
     def population_imbalance(self) -> float:
         """Max/mean of the shard populations (1.0 = balanced, also when empty)."""
@@ -303,13 +260,21 @@ class ShardedIndex(SpatialIndexFacade):
             return 1.0
         return max(populations) * self.num_shards / total
 
-    def object_directory(self) -> Iterable[int]:
-        """The object ids currently routed (directory keys; do not mutate)."""
-        return self._shard_of.keys()
+    def object_directory(self) -> List[int]:
+        """The object ids currently indexed, shard by shard."""
+        return [oid for shard in self.shards for oid in shard._positions]
 
     # ------------------------------------------------------------------
     # Parallel execution (repro.shard.parallel)
     # ------------------------------------------------------------------
+    @property
+    def parallel_spec(self) -> Optional[Dict[str, object]]:
+        """The attached executor's ``parallel`` spec section, ``None`` when serial."""
+        backend = self._backend
+        if backend.name == "serial":
+            return None
+        return {"backend": backend.name, "workers": backend.workers}
+
     def set_parallel(
         self,
         backend: str = "process",
@@ -330,8 +295,6 @@ class ShardedIndex(SpatialIndexFacade):
         self._backend = shard_parallel.make_backend(
             self, backend, workers=workers, start_method=start_method
         )
-        if backend != "serial":
-            self.parallel_spec = {"backend": backend, "workers": self._backend.workers}
         self._retarget()
 
     def detach_parallel(self) -> None:
@@ -350,7 +313,7 @@ class ShardedIndex(SpatialIndexFacade):
         """
         backend = self._backend
         documents = None
-        if backend.remote:
+        if self.parallel_spec is not None:
             # Detaching is maintenance, not workload: the worker-side buffer
             # flush the checkpoint performs must not leak into the counters,
             # so the pre-checkpoint mirror values are what detach restores.
@@ -358,7 +321,6 @@ class ShardedIndex(SpatialIndexFacade):
             documents = self.shard_documents()
         backend.close()
         self._backend = shard_parallel.ShardBackend(self)
-        self.parallel_spec = None
         if documents is not None:
             from repro.core.persistence import _restore_index
 
@@ -390,17 +352,13 @@ class ShardedIndex(SpatialIndexFacade):
         return self._backend.run(shard_id, shard_parallel.LeafOf(tuple(oids)))
 
     def shard_documents(self) -> List[Dict]:
-        """Checkpoint document bodies of every shard (worker-side when remote)."""
+        """Checkpoint document bodies of every shard (worker-side when parallel)."""
         return self._broadcast(shard_parallel.Checkpoint())
 
-    def engine(self, *args, **kwargs):
-        if self._backend.remote:
-            raise RuntimeError(
-                "the concurrent operation engine drives shard state "
-                "in-process; detach the process backend first "
-                "(set_parallel('serial'))"
-            )
-        return super().engine(*args, **kwargs)
+    def tree_shape(self, shard_id: int) -> TreeShape:
+        """Uncharged shape of one shard's tree, measured where the tree lives
+        (the adaptive controller ranks strategies against it)."""
+        return self._backend.run(shard_id, shard_parallel.Shape())
 
     # ------------------------------------------------------------------
     # Durability
@@ -511,10 +469,11 @@ class ShardedIndex(SpatialIndexFacade):
         now belongs, or not at all.  Returns ``True`` when a migration
         actually happened.
         """
-        position = self.position_of(oid)
-        if position is None:
+        source = self.shard_for(oid)
+        if source is None:
             return False
-        if self.partitioner.shard_of(position) == self._shard_of.get(oid):
+        position = self.shards[source].position_of(oid)
+        if self.partitioner.shard_of(position) == source:
             return False
         self._unrecorded_migration(
             lambda: self._execute_migration(BatchUpdate(oid, position, position))
@@ -581,11 +540,9 @@ class ShardedIndex(SpatialIndexFacade):
         source = self.shards[source_id]
         candidates: List[Tuple[int, int, Point]] = []
         for oid in oids:
-            if self._shard_of.get(oid) != source_id:
-                continue  # a concurrent update already migrated it
             position = source.position_of(oid)
             if position is None:
-                continue
+                continue  # a concurrent update already migrated it
             target = self.partitioner.shard_of(position)
             if target == source_id:
                 continue  # moved back inside the source region meanwhile
@@ -636,9 +593,6 @@ class ShardedIndex(SpatialIndexFacade):
                 for target, group in per_target.items()
             }
         )
-        for target, group in per_target.items():
-            for oid in group:
-                self._shard_of[oid] = target
         self._log_group_migration(source_id, per_target, positions)
         self.migrations += len(confirmed)
         return len(confirmed) + sum(1 for oid in drifted if self.reroute(oid))
@@ -795,13 +749,12 @@ class ShardedIndex(SpatialIndexFacade):
     def auto_adapt(self) -> int:
         """Policy-gated adaptive strategy switching; returns switches made.
 
-        Called by the same hooks as the gated :meth:`rebalance`.  Skipped under
-        the process backend: the controller ranks strategies against the
-        authoritative trees, which live in the workers there (explicit
-        :meth:`set_strategy` calls still propagate).
+        Called by the same hooks as the gated :meth:`rebalance`, under every
+        executor: the controller measures each shard's tree through
+        :meth:`tree_shape`.
         """
         adaptive = self.adaptive
-        if adaptive is None or self._backend.remote:
+        if adaptive is None:
             return 0
         decisions = adaptive.decide(self)
         for decision in decisions:
@@ -825,11 +778,6 @@ class ShardedIndex(SpatialIndexFacade):
         are handed to the scheduler, where they interleave with the live
         client operations under ordinary all-or-nothing granule locking.
         """
-        if self._backend.remote:
-            # Remote shards cannot participate in the engine's in-process
-            # lock schedule; rebalancing under the process backend runs
-            # through :meth:`rebalance` instead.
-            return []
         # Strategy switches are coordinator-local and instantaneous in
         # virtual time — executed inline at the same maintenance point the
         # rebalancer uses (between operation draws; lock scopes are
@@ -867,7 +815,7 @@ class ShardedIndex(SpatialIndexFacade):
         """The granules re-routing *oids* from their live positions locks.
 
         Each object's scope is the update scope of a zero-distance move:
-        for an object whose directory shard disagrees with the partitioner
+        for an object whose owning shard disagrees with the partitioner
         that is the cross-shard migration scope (delete granules in the
         source shard plus insert granules in the destination, both
         namespaced).  An object already deleted names nothing; pairs two
@@ -899,14 +847,12 @@ class ShardedIndex(SpatialIndexFacade):
         start_method = self._backend.start_method
         self.detach_parallel()
         if self.num_shards == 1:
-            # Nothing to route, and the shard's positions are the directory.
+            # One cell: routing every object would only cost set-up time.
             self.shards[0].load(objects, bulk=bulk)
         else:
             groups: List[List[Tuple[int, Point]]] = [[] for _ in self.shards]
             for oid, location in objects:
-                shard_id = self.partitioner.shard_of(location)
-                groups[shard_id].append((oid, location))
-                self._shard_of[oid] = shard_id
+                groups[self.partitioner.shard_of(location)].append((oid, location))
             for shard, group in zip(self.shards, groups):
                 shard.load(group, bulk=bulk)
         # Re-split the aggregate buffer: per-shard loading sized each pool
@@ -992,7 +938,7 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     def insert(self, oid: int, location: Point) -> None:
         """Insert a new object (:class:`DuplicateObjectError` when it exists)."""
-        if oid in self._shard_of:
+        if oid in self:
             raise DuplicateObjectError(oid)
         shard_id = self.partitioner.shard_of(location)
         # Apply first, log on success: a shard that raises must leave the
@@ -1002,7 +948,6 @@ class ShardedIndex(SpatialIndexFacade):
         # acknowledged durable).
         self._record_update(shard_id)
         self._backend.run(shard_id, shard_parallel.Insert(oid, location))
-        self._shard_of[oid] = shard_id
         if self.durability is not None:
             self.durability.log_record(shard_id, insert_record(oid, location))
 
@@ -1018,7 +963,7 @@ class ShardedIndex(SpatialIndexFacade):
             if self.durability is not None:
                 self.durability.log_record(0, update_record(oid, new_location))
             return outcome
-        source = self._shard_of.get(oid)
+        source = self.shard_for(oid)
         if source is None:
             raise UnknownObjectError(oid)
         target = self.partitioner.shard_of(new_location)
@@ -1035,7 +980,7 @@ class ShardedIndex(SpatialIndexFacade):
                 )
             return outcome
         self._execute_migration(
-            BatchUpdate(oid, self.position_of(oid), new_location)
+            BatchUpdate(oid, self.shards[source].position_of(oid), new_location)
         )
         return UpdateOutcome.MIGRATED
 
@@ -1046,14 +991,13 @@ class ShardedIndex(SpatialIndexFacade):
         :class:`~repro.api.errors.UnknownObjectError`, mirroring
         :meth:`update`, unless ``strict=False``, which returns ``False``.
         """
-        shard_id = self._shard_of.get(oid)
+        shard_id = self.shard_for(oid)
         if shard_id is None:
             if strict:
                 raise UnknownObjectError(oid)
             return False
         self._record_update(shard_id)
         removed = self._backend.run(shard_id, shard_parallel.Delete(oid))
-        del self._shard_of[oid]
         if self.durability is not None:
             self.durability.log_record(shard_id, delete_record(oid))
         return bool(removed)
@@ -1180,16 +1124,17 @@ class ShardedIndex(SpatialIndexFacade):
         return best
 
     def position_of(self, oid: int) -> Optional[Point]:
-        shard_id = self._shard_of.get(oid)
-        if shard_id is None:
-            return None
-        return self.shards[shard_id].position_of(oid)
+        for shard in self.shards:
+            position = shard._positions.get(oid)
+            if position is not None:
+                return position
+        return None
 
     def __len__(self) -> int:
-        return len(self._shard_of)
+        return sum(len(shard) for shard in self.shards)
 
     def __contains__(self, oid: int) -> bool:
-        return oid in self._shard_of
+        return any(oid in shard._positions for shard in self.shards)
 
     # ------------------------------------------------------------------
     # Batch operations (per-shard group-by-leaf buckets)
@@ -1281,7 +1226,7 @@ class ShardedIndex(SpatialIndexFacade):
         per_shard: Dict[int, List[BatchUpdate]] = {}
         crossing: List[BatchUpdate] = []
         for request in requests:
-            source = self._shard_of.get(request.oid)
+            source = self.shard_for(request.oid)
             if source == self.partitioner.shard_of(request.new_location):
                 per_shard.setdefault(source, []).append(request)
             else:
@@ -1324,15 +1269,15 @@ class ShardedIndex(SpatialIndexFacade):
         self, request: BatchUpdate, result: Optional[BatchReport] = None
     ) -> None:
         """Delete from the source shard, insert into the target, re-route."""
-        source = self._shard_of.get(request.oid)
+        source = self.shard_for(request.oid)
         target = self.partitioner.shard_of(request.new_location)
         # The log frames are computed against the pre-move routing but
         # appended only after both shards applied their halves (apply
         # first, log on success — a shard that raises leaves the WAL
         # silent).  One commit unit across both shard logs, arrival first:
         # a torn tail that keeps the arrival but loses the departure
-        # replays as the whole migration (recovery's ownership map evicts
-        # the stale source copy), and the reverse asymmetry — departure
+        # replays as the whole migration (recovery evicts the stale source
+        # copy), and the reverse asymmetry — departure
         # durable, arrival lost — is detected by recovery as an orphaned
         # departure (both halves share the LSN) and skipped.
         frames: Optional[Dict[int, Tuple[LogRecord, ...]]] = None
@@ -1370,7 +1315,6 @@ class ShardedIndex(SpatialIndexFacade):
         self._backend.run(
             target, shard_parallel.Insert(request.oid, request.new_location)
         )
-        self._shard_of[request.oid] = target
         if self.durability is not None and frames is not None:
             self.durability.log_unit(frames, barrier=False)
 
@@ -1411,7 +1355,7 @@ class ShardedIndex(SpatialIndexFacade):
             )
 
         if isinstance(op, api_ops.Update):
-            source = self._shard_of.get(op.oid)
+            source = self.shard_for(op.oid)
             target = self.partitioner.shard_of(op.new_location)
             if source == target:
                 return scope(source, op)
@@ -1421,7 +1365,7 @@ class ShardedIndex(SpatialIndexFacade):
         if isinstance(op, api_ops.Insert):
             return scope(self.partitioner.shard_of(op.location), op)
         if isinstance(op, api_ops.Delete):
-            source = self._shard_of.get(op.oid)
+            source = self.shard_for(op.oid)
             return [] if source is None else scope(source, op)
         if isinstance(op, api_ops.RangeQuery):
             shard_ids: Iterable[int] = self._query_shards(op.window)
@@ -1524,23 +1468,24 @@ class ShardedIndex(SpatialIndexFacade):
         self._broadcast(shard_parallel.RefreshSummary())
 
     def validate(self, check_min_fill: bool = False) -> dict:
-        """Validate every shard, the directory, and the spatial routing.
+        """Validate ownership, the spatial routing, and every shard.
 
-        Structural validation runs where the authoritative trees live —
-        in-process normally, in the workers under the process backend; the
-        directory and routing invariants are checked against the (exact)
-        coordinator position mirrors either way.
+        Ownership and routing are checked first, against the (exact)
+        coordinator position tables: no object may sit in two shards, and
+        the partitioner must route each stored position to the shard
+        holding it.  Structural validation then runs where the
+        authoritative trees live — in-process normally, in the workers
+        under the process backend.
         """
-        reports = self._broadcast(shard_parallel.Validate(check_min_fill))
         errors: List[str] = []
         for shard_id, shard in enumerate(self.shards):
-            for oid in shard._positions:
-                if self._shard_of.get(oid) != shard_id:
-                    errors.append(
-                        f"object {oid}: directory says shard "
-                        f"{self._shard_of.get(oid)}, shard {shard_id} holds it"
-                    )
-                position = shard._positions.get(oid)
+            later = list(enumerate(self.shards))[shard_id + 1 :]
+            for oid, position in shard._positions.items():
+                for other_id, other in later:
+                    if oid in other._positions:
+                        errors.append(
+                            f"object {oid}: held by shards {shard_id} and {other_id}"
+                        )
                 # Routing consistency: the partitioner (which clamps into
                 # the unit square) must still assign the stored position to
                 # the shard holding it — the invariant update() maintains.
@@ -1550,16 +1495,12 @@ class ShardedIndex(SpatialIndexFacade):
                         f"{self.partitioner.shard_of(position)}, stored in "
                         f"{shard_id}"
                     )
-        if len(self._shard_of) != sum(len(shard) for shard in self.shards):
-            errors.append(
-                f"directory holds {len(self._shard_of)} objects, shards hold "
-                f"{sum(len(shard) for shard in self.shards)}"
-            )
         if errors:
             raise AssertionError("; ".join(errors))
+        reports = self._broadcast(shard_parallel.Validate(check_min_fill))
         return {
             "shards": len(self.shards),
-            "objects": len(self._shard_of),
+            "objects": len(self),
             "heights": [report["height"] for report in reports],
             "reports": reports,
         }
@@ -1568,7 +1509,7 @@ class ShardedIndex(SpatialIndexFacade):
         populations = self.shard_populations()
         text = (
             f"sharded[{self.num_shards}x] {self.partitioner.describe()} | "
-            f"{self.config.describe()} | objects={len(self._shard_of)} "
+            f"{self.config.describe()} | objects={len(self)} "
             f"populations={populations} migrations={self.migrations}"
         )
         for controller in self.controllers.values():

@@ -99,6 +99,7 @@ from typing import (
 )
 
 from repro.api.errors import WorkerFailedError
+from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
 from repro.storage.stats import IOStatistics
@@ -174,6 +175,11 @@ class LeafOf:
     """Uncharged leaf-page lookups (rebalance planning); one entry per oid."""
 
     oids: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Uncharged measure of the shard tree's shape (adaptive ranking)."""
 
 
 @dataclass(frozen=True)
@@ -276,6 +282,8 @@ def execute_command(shard, command: Command) -> Any:
         return shard.update(command.oid, command.new_location)
     if isinstance(command, LeafOf):
         return [shard.hash_index.peek(oid) for oid in command.oids]
+    if isinstance(command, Shape):
+        return TreeShape.from_tree(shard.tree)
     if isinstance(command, ExportGroup):
         path = shard.tree.find_path_to_leaf(
             command.leaf_page, Rect.from_point(command.hint)
@@ -453,12 +461,11 @@ class ShardBackend:
 
     ``run`` executes one command against one shard, ``dispatch`` per-shard
     command lists (each in order), ``iter_range`` streams one shard's window
-    hits.  ``remote`` says whether the coordinator's shard objects are
-    authoritative (serial) or mirrors (process).
+    hits.  Under any executor but this one the coordinator's shard objects
+    are mirrors, not the authoritative shards.
     """
 
     name = "serial"
-    remote = False
     #: The multiprocessing start method in use (process backend only).
     start_method: Optional[str] = None
 
@@ -543,7 +550,6 @@ class ProcessBackend(ShardBackend):
     """
 
     name = "process"
-    remote = True
 
     def __init__(
         self,
@@ -798,6 +804,7 @@ __all__ = [
     "RefreshSummary",
     "ResetStats",
     "SetStrategy",
+    "Shape",
     "ShardBackend",
     "Update",
     "Validate",

@@ -281,13 +281,14 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
             if not force:
                 return None
             weights = [1.0] * sharded.num_shards
-        records: List[Tuple[int, Point, int]] = []
-        for oid in sorted(sharded.object_directory()):
-            position = sharded.position_of(oid)
-            shard_id = sharded.shard_for(oid)
-            if position is None or shard_id is None:
-                continue
-            records.append((oid, position, shard_id))
+        records: List[Tuple[int, Point, int]] = sorted(
+            (
+                (oid, position, shard_id)
+                for shard_id, shard in enumerate(sharded.shards)
+                for oid, position in shard._positions.items()
+            ),
+            key=lambda record: record[0],
+        )
         partitioner = plan_boundaries(
             [(position, weights[shard_id]) for _oid, position, shard_id in records],
             sharded.num_shards,

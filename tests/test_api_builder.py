@@ -54,6 +54,14 @@ MALFORMED_SECTIONS = [
     {"partitioner": {"kind": "grid", "columns": 2.5, "rows": 1}},
     {"engine": {"num_clients": "x"}},
     {"engine": {"num_clients": 0}},
+    {"engine": {"num_clients": 2.5}},
+    {"engine": {"num_clients": True}},
+    {"engine": {"time_per_io": True}},
+    {"engine": {"cpu_time_per_op": "0.1"}},
+    {"engine": {"num_clients": 2.5, "time_per_io": True}},
+    # The retired thread executor still gets its section checked.
+    {"parallel": {"backend": "thread", "wokers": "x"}},
+    {"parallel": {"backend": "thread", "workers": "x"}},
 ]
 
 

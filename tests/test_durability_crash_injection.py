@@ -101,10 +101,7 @@ def apply_script(positions, script):
 
 
 def assert_recovered_state(recovered, expected_positions):
-    table = getattr(recovered, "_shard_of", None)
-    if table is None:
-        table = recovered._positions
-    assert sorted(table) == sorted(expected_positions)
+    assert sorted(recovered.object_directory()) == sorted(expected_positions)
     for oid, position in expected_positions.items():
         assert recovered.position_of(oid) == position
     assert sorted(recovered.range_query(WHOLE_SPACE)) == sorted(expected_positions)
@@ -214,7 +211,7 @@ class TestOrphanedDepartures:
         index.load(
             [(oid, Point(rng.random(), rng.random())) for oid in range(80)]
         )
-        oid = next(o for o, sid in index._shard_of.items() if sid == 0)
+        oid = next(o for o in range(80) if index.shard_for(o) == 0)
         old_position = index.position_of(oid)
         target_position = next(
             p
@@ -222,7 +219,7 @@ class TestOrphanedDepartures:
             if index.partitioner.shard_of(p) == 1
         )
         index.update(oid, target_position)  # the cross-shard migration
-        assert index._shard_of[oid] == 1
+        assert index.shard_for(oid) == 1
         index.durability.flush()
         index.detach_durability()
 
@@ -234,8 +231,10 @@ class TestOrphanedDepartures:
         recovered = load_index(tmp_path / "wal" / "checkpoint.json")
         # The object survived — still on its source shard, old position —
         # instead of being deleted by the orphaned departure.
-        assert sorted(recovered._shard_of) == sorted(index._shard_of)
-        assert recovered._shard_of[oid] == 0
+        assert sorted(recovered.object_directory()) == sorted(
+            index.object_directory()
+        )
+        assert recovered.shard_for(oid) == 0
         assert recovered.position_of(oid) == old_position
         assert oid in recovered.range_query(WHOLE_SPACE)
         recovered.validate()
@@ -340,7 +339,9 @@ class TestShardedCrashPoints:
             assert_recovered_state(recovered, expected_positions)
             # Placement matches the reference replay too: a half-replayed
             # migration must land the object on the arrival shard.
-            assert recovered._shard_of == expected_owner
+            assert {
+                oid: recovered.shard_for(oid) for oid in recovered.object_directory()
+            } == expected_owner
             recovered.detach_durability()
 
 
@@ -459,7 +460,7 @@ class TestStrategySwitchCrashPoints:
         )
         baseline = {oid: index.position_of(oid) for oid in range(80)}
         local = sorted(
-            oid for oid, sid in index._shard_of.items() if sid == 1
+            oid for oid in index.object_directory() if index.shard_for(oid) == 1
         )[:12]
 
         def move_within_shard_1(oid):

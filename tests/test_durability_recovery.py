@@ -57,10 +57,7 @@ def run_mixed_workload(index, seed=11, objects=150):
 
 
 def oids_of(index):
-    table = getattr(index, "_shard_of", None)
-    if table is None:
-        table = index._positions
-    return sorted(table)
+    return sorted(index.object_directory())
 
 
 def assert_equivalent(live, recovered, seed=23):

@@ -298,14 +298,21 @@ class TestAdaptiveLoop:
             if step % 100 == 99:
                 index.auto_adapt()
 
-    def test_mixed_workload_converges_to_per_shard_strategies(self):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_mixed_workload_converges_to_per_shard_strategies(self, backend):
+        # The controller ranks the trees where they live, so it converges
+        # the same way when worker processes own the shards.
         index, positions, rng = self.build()
         controller = attach_controller(index)
-        self.drive(index, positions, rng)
-        assert index.active_strategies() == ["TD", "GBU"]
-        assert controller.switches >= 2
-        index.validate()
-        assert f"strategies={index.active_strategies()}" in index.describe()
+        index.set_parallel(backend)
+        try:
+            self.drive(index, positions, rng)
+            assert index.active_strategies() == ["TD", "GBU"]
+            assert controller.switches >= 2
+            index.validate()
+            assert f"strategies={index.active_strategies()}" in index.describe()
+        finally:
+            index.detach_parallel()
 
     def test_recording_feeds_the_adaptive_window(self):
         index, positions, rng = self.build()

@@ -94,11 +94,16 @@ class TestRoutingAndMigration:
             index.delete(5)
         assert not index.delete(5, strict=False)
 
-    def test_validate_detects_directory_corruption(self):
+    def test_validate_detects_an_object_held_by_two_shards(self):
         index = build_sharded(num_shards=4)
-        oid = next(iter(index._shard_of))
-        index._shard_of[oid] = (index._shard_of[oid] + 1) % index.num_shards
-        with pytest.raises(AssertionError):
+        oid = index.object_directory()[0]
+        owner = index.shard_for(oid)
+        other = (owner + 1) % index.num_shards
+        index.shards[other]._positions[oid] = index.position_of(oid)
+        first, second = sorted((owner, other))
+        with pytest.raises(
+            AssertionError, match=rf"object {oid}: held by shards {first} and {second}"
+        ):
             index.validate()
 
 

@@ -142,12 +142,23 @@ class TestBackendLifecycle:
             index.detach_parallel()
 
     def test_engine_is_refused_under_process_backend(self):
-        index, _ = build_sharded()
+        index, generator = build_sharded()
+        session = index.engine(num_clients=2)  # opened while serial
         index.set_parallel("process", workers=2)
         with pytest.raises(RuntimeError, match="detach"):
             index.engine()
+        # A session opened before the attach would predict its lock scopes
+        # from coordinator trees nothing writes any more: it refuses too.
+        updates = [Update(oid, new) for oid, _old, new in generator.updates(200)]
+        before = {oid: index.position_of(oid) for oid in range(SPEC.num_objects)}
+        engine = session.engine
+        for run in (engine.run, engine.run_batch, lambda ops: engine.run_streams([ops])):
+            with pytest.raises(RuntimeError, match="detach"):
+                run(updates)
+        assert {oid: index.position_of(oid) for oid in range(SPEC.num_objects)} == before
         index.detach_parallel()
         index.engine(num_clients=2)  # serial again: engine works
+        assert engine.run(updates).operations == len(updates)
 
     def test_single_index_runs_on_one_worker(self):
         # A single index is one shard, so it can move into one worker: the
