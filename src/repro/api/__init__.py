@@ -14,7 +14,9 @@ This package is the single schema through which the index stack is driven:
   :class:`BatchReport`, and the streaming :class:`QueryCursor`;
 * :mod:`repro.api.builder` — the declarative entry point
   :func:`open_index`, whose one JSON-round-trippable spec is shared with
-  persistence checkpoints.
+  persistence checkpoints;
+* :mod:`repro.api.schema` — the one table of spec keys that every spec
+  reader and every class built from a spec section checks against.
 
 Typical usage::
 

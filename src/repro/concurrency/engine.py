@@ -51,6 +51,7 @@ from typing import (
 
 import repro.api.operations as api_ops
 from repro.api.errors import InvalidOperationError
+from repro.api.schema import default
 from repro.concurrency.scheduler import (
     OperationScheduler,
     ScheduleResult,
@@ -139,9 +140,9 @@ class OnlineOperationEngine:
     def __init__(
         self,
         index: "ShardedIndex",
-        num_clients: int = 50,
-        time_per_io: float = 0.01,
-        cpu_time_per_op: float = 0.001,
+        num_clients: int = default("engine", "num_clients"),
+        time_per_io: float = default("engine", "time_per_io"),
+        cpu_time_per_op: float = default("engine", "cpu_time_per_op"),
     ) -> None:
         self.index = index
         self._check_in_process()

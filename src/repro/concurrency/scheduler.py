@@ -33,6 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.api.schema import default, read
 from repro.concurrency.locks import LockManager, LockMode
 
 #: The ``(granule, mode)`` lock set a virtual operation acquires.
@@ -119,22 +120,25 @@ class OperationScheduler:
         of the paper's era; only ratios matter for the reproduced trends.
     cpu_time_per_op:
         Fixed CPU service time added to every operation.
+
+    The three are the ``engine`` keys of :data:`repro.api.schema.SPEC_KEYS`.
     """
 
     def __init__(
         self,
         io_counter: Callable[[], int],
-        num_clients: int = 50,
-        time_per_io: float = 0.01,
-        cpu_time_per_op: float = 0.001,
+        num_clients: int = default("engine", "num_clients"),
+        time_per_io: float = default("engine", "time_per_io"),
+        cpu_time_per_op: float = default("engine", "cpu_time_per_op"),
     ) -> None:
-        # A bool is an int to Python, but neither a count nor a duration.
-        if type(num_clients) is not int or num_clients < 1:
-            raise ValueError(f"num_clients must be an int >= 1, got {num_clients!r}")
-        times = {"time_per_io": time_per_io, "cpu_time_per_op": cpu_time_per_op}
-        for name, value in times.items():
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value >= 0):
-                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+        read(
+            "engine",
+            {
+                "num_clients": num_clients,
+                "time_per_io": time_per_io,
+                "cpu_time_per_op": cpu_time_per_op,
+            },
+        )
         self.num_clients = num_clients
         self.time_per_io = time_per_io
         self.cpu_time_per_op = cpu_time_per_op

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.update.params import TuningParameters, check_non_negative, is_int
+from repro.api.schema import default, read
+from repro.update.params import TuningParameters
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,9 @@ class IndexConfig:
     * ``use_summary_for_queries`` — let GBU answer window queries through the
       summary structure (Section 3.2); exposed for ablations.
 
+    Each field's default and rule is its ``config`` key in
+    :data:`repro.api.schema.SPEC_KEYS`.
+
     The rest of the structure is the one the paper evaluates and is not
     configurable: a Guttman R-tree with the quadratic split and CondenseTree
     re-insertion on underflow (:mod:`repro.rtree`), STR bulk loading at the
@@ -33,22 +37,16 @@ class IndexConfig:
     (:class:`~repro.storage.serialization.NodeCodec`).
     """
 
-    page_size: int = 1024
-    buffer_percent: float = 1.0
-    strategy: str = "GBU"
+    page_size: int = default("config", "page_size")
+    buffer_percent: float = default("config", "buffer_percent")
+    strategy: str = default("config", "strategy")
     params: TuningParameters = field(default_factory=TuningParameters.paper_defaults)
-    use_summary_for_queries: bool = True
+    use_summary_for_queries: bool = default("config", "use_summary_for_queries")
 
     def __post_init__(self) -> None:
-        if not is_int(self.page_size) or self.page_size <= 0:
-            raise ValueError(f"page_size must be a positive int, got {self.page_size!r}")
-        check_non_negative("buffer_percent", self.buffer_percent)
-        if not isinstance(self.strategy, str):
-            raise ValueError(f"strategy must be a str, got {self.strategy!r}")
-        strategy = self.strategy.upper()
-        if strategy not in {"TD", "NAIVE", "LBU", "GBU"}:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        object.__setattr__(self, "strategy", strategy)
+        fields = dict(vars(self), params=vars(self.params))
+        # The strategy comes back upper-cased.
+        object.__setattr__(self, "strategy", read("config", fields)["strategy"])
 
     def with_overrides(self, **changes: Any) -> "IndexConfig":
         """Return a copy of this configuration with the given fields replaced."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.errors import DuplicateObjectError, UnknownObjectError
+from repro.api.schema import read
 from repro.api.results import BatchReport, QueryCursor
 from repro.core.config import IndexConfig
 from repro.geometry import Point, Rect
@@ -41,7 +42,7 @@ from repro.summary import SummaryStructure
 from repro.update import UpdateOutcome, make_strategy
 from repro.update.base import BatchUpdate, UpdateStrategy
 from repro.update.batch import BatchExecutor
-from repro.update.factory import strategy_names, strategy_requires_parent_pointers
+from repro.update.factory import strategy_requires_parent_pointers
 
 
 class MovingObjectIndex:
@@ -135,11 +136,7 @@ class MovingObjectIndex:
         :attr:`active_strategy`, which checkpoints round-trip.  Switching to
         the already-active strategy is a no-op.
         """
-        key = name.upper()
-        if key not in strategy_names():
-            raise ValueError(
-                f"unknown strategy {name!r}; expected one of {strategy_names()}"
-            )
+        key: str = read("config", {"strategy": name})["strategy"]
         if key == self.active_strategy:
             return key
         self.strategy.uninstall()
@@ -272,6 +269,13 @@ class MovingObjectIndex:
         hash_errors = self.hash_index.consistency_errors(self.tree)
         if hash_errors:
             raise AssertionError("; ".join(hash_errors))
+        # The hash index matches the tree, so the position table (the owner
+        # record) must name exactly its objects; keys views compare as sets.
+        if self._positions.keys() != self.hash_index.object_ids():
+            raise AssertionError(
+                "position table and tree hold different objects: "
+                f"{sorted(self._positions.keys() ^ self.hash_index.object_ids())}"
+            )
         if self.summary is not None:
             summary_errors = self.summary.consistency_errors()
             if summary_errors:

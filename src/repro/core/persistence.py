@@ -26,12 +26,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 # Module import (not name import): repro.api.builder reaches back into
 # repro.core while initialising, so its names are resolved at call time.
 import repro.api.builder as api_builder
 from repro.api.errors import CheckpointError
+from repro.api.schema import read
 from repro.core.index import MovingObjectIndex
 from repro.geometry import Point
 
@@ -49,6 +50,9 @@ if TYPE_CHECKING:  # typing only: repro.shard imports this package
 # re-derived from the leaves.  Older documents' tables are ignored.
 FORMAT_VERSION = 4
 READABLE_FORMAT_VERSIONS = (2, 3, FORMAT_VERSION)
+
+#: The builder spec sections a checkpoint carries at its top level.
+_SECTIONS = ("partitioner", "engine", "rebalance", "adaptive", "parallel", "durability")
 
 
 def _index_document(index: MovingObjectIndex) -> Dict[str, Any]:
@@ -252,6 +256,11 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
     from repro.shard.index import ShardedIndex
     from repro.shard.partitioner import partitioner_from_spec
 
+    # The top-level sections are builder spec sections; only a checkpoint
+    # may still hold a retired value such as the thread executor.
+    sections = read(
+        "spec", {name: document.get(name) for name in _SECTIONS}, checkpoint=True
+    )
     # A single-index document (formats 2-4) is one shard's body at the top
     # level, with no partitioner: a one-cell grid, as for ``kind: "single"``.
     sharded = document.get("kind") == "sharded"
@@ -259,7 +268,7 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
         _restore_index(section)
         for section in (document["shards"] if sharded else [document])
     ]
-    partitioner = document.get("partitioner")
+    partitioner = sections["partitioner"]
     index = ShardedIndex(
         shards[0].config,
         partitioner=None if partitioner is None else partitioner_from_spec(partitioner),
@@ -267,34 +276,5 @@ def load_index(path: Union[str, Path]) -> "ShardedIndex":
         shards=shards,
     )
     index.configure_buffer()  # the aggregate buffer split
-    api_builder.install_sections(index, document)
-    durability = api_builder.spec_section(document, "durability")
-    if durability:
-        # Replay before the parallel backend attaches: replay writes
-        # directly into the in-process shards, which must still be
-        # authoritative at that point.
-        _replay_and_attach(index, durability)
-    parallel = api_builder.spec_section(document, "parallel")
-    if parallel:
-        # The retired thread executor only ever wrapped the serial one: a
-        # checkpoint that recorded it is checked, then loads serial.
-        if parallel.get("backend") == "thread":
-            parallel = {**parallel, "backend": "serial"}
-        api_builder.check_parallel(parallel)
-        index.set_parallel(**parallel)
+    api_builder.install_sections(index, sections, replay=True)
     return index
-
-
-def _replay_and_attach(index: "ShardedIndex", spec: Mapping[str, Any]) -> None:
-    """Replay the WAL tail described by *spec* and re-attach its manager."""
-    from repro.durability.commit import DurabilityManager
-    from repro.durability.recovery import replay_into
-
-    manager = DurabilityManager.from_spec(spec)
-    report = replay_into(index, manager.directory)
-    if report.records:
-        # Replay is maintenance, not workload: re-split the buffer against
-        # the (possibly grown) database and zero the counters again.
-        index.configure_buffer()
-        index.reset_statistics()
-    index.attach_durability(manager)

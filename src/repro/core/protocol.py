@@ -141,25 +141,24 @@ class SpatialIndexFacade(abc.ABC):
 
         Parameters left unset fall back to the index's
         :attr:`engine_defaults` (the spec's ``engine`` section), then to the
-        global defaults (50 clients, 0.01 per I/O, 0.001 per op).
+        ``engine`` defaults of :data:`repro.api.schema.SPEC_KEYS` (50
+        clients, 0.01 per I/O, 0.001 per op).
         """
         from repro.concurrency.engine import (  # local: engine imports nothing from core
             ConcurrentSession,
             OnlineOperationEngine,
         )
 
-        defaults = self.engine_defaults
-        if num_clients is None:
-            num_clients = defaults.get("num_clients", 50)
-        if time_per_io is None:
-            time_per_io = defaults.get("time_per_io", 0.01)
-        if cpu_time_per_op is None:
-            cpu_time_per_op = defaults.get("cpu_time_per_op", 0.001)
+        given = {
+            "num_clients": num_clients,
+            "time_per_io": time_per_io,
+            "cpu_time_per_op": cpu_time_per_op,
+        }
+        settings = {**self.engine_defaults}
+        settings.update((name, value) for name, value in given.items() if value is not None)
         return ConcurrentSession(
             OnlineOperationEngine(
                 cast("ShardedIndex", self),  # the one facade the engine drives
-                num_clients=num_clients,
-                time_per_io=time_per_io,
-                cpu_time_per_op=cpu_time_per_op,
+                **settings,
             )
         )

@@ -40,7 +40,6 @@ from repro.durability.commit import (
     DurabilityManager,
     checkpoint_path,
     meta_log_path,
-    normalise_spec,
     shard_log_paths,
 )
 from repro.durability.recovery import RecoveryReport, recover_index, replay_into
@@ -75,7 +74,6 @@ __all__ = [
     "migrate_in_record",
     "migrate_out_record",
     "repartition_record",
-    "normalise_spec",
     "shard_log_paths",
     "meta_log_path",
     "checkpoint_path",

@@ -52,13 +52,14 @@ matter which backend executes it.
 
 from __future__ import annotations
 
+import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Sequence, Set, Union
 
+from repro.api.schema import default, read
 from repro.durability.wal import (
-    SYNC_POLICIES,
     LogRecord,
     WriteAheadLog,
     last_lsn,
@@ -72,33 +73,8 @@ _SHARD_LOG_PATTERN = re.compile(r"^shard-(\d{4})\.wal$")
 _META_LOG_NAME = "meta.wal"
 _CHECKPOINT_NAME = "checkpoint.json"
 
-DEFAULT_SYNC = "group"
-DEFAULT_GROUP_SIZE = 64
-
-
-def normalise_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate and normalise a ``{"dir", "sync", "group_size"}`` section.
-
-    Side-effect free (no directories are created), so a malformed spec is
-    rejected before the manager touches disk.
-    """
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"durability spec must be a mapping, got {spec!r}")
-    unknown = set(spec) - {"dir", "sync", "group_size"}
-    if unknown:
-        raise ValueError(f"unknown durability spec keys: {sorted(unknown)}")
-    if "dir" not in spec:
-        raise ValueError("durability spec requires a 'dir' key")
-    directory = str(spec["dir"])
-    sync = str(spec.get("sync", DEFAULT_SYNC))
-    if sync not in SYNC_POLICIES:
-        raise ValueError(
-            f"durability sync policy must be one of {SYNC_POLICIES}, got {sync!r}"
-        )
-    group_size = spec.get("group_size", DEFAULT_GROUP_SIZE)
-    if not isinstance(group_size, int) or isinstance(group_size, bool) or group_size < 1:
-        raise ValueError(f"durability group_size must be a positive int, got {group_size!r}")
-    return {"dir": directory, "sync": sync, "group_size": group_size}
+DEFAULT_SYNC: str = default("durability", "sync")
+DEFAULT_GROUP_SIZE: int = default("durability", "group_size")
 
 
 def shard_log_paths(directory: Union[str, Path]) -> Dict[int, Path]:
@@ -136,12 +112,13 @@ class DurabilityManager:
         sync: str = DEFAULT_SYNC,
         group_size: int = DEFAULT_GROUP_SIZE,
     ) -> None:
-        spec = normalise_spec(
-            {"dir": str(directory), "sync": sync, "group_size": group_size}
+        read(
+            "durability",
+            {"dir": os.fspath(directory), "sync": sync, "group_size": group_size},
         )
-        self.directory = Path(spec["dir"])
-        self.sync_policy: str = spec["sync"]
-        self.group_size: int = spec["group_size"]
+        self.directory = Path(directory)
+        self.sync_policy = sync
+        self.group_size = group_size
         self.directory.mkdir(parents=True, exist_ok=True)
         self._logs: Dict[int, WriteAheadLog] = {}
         self._dirty: Set[int] = set()
@@ -314,12 +291,9 @@ class DurabilityManager:
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, Any]) -> "DurabilityManager":
-        normalised = normalise_spec(spec)
-        return cls(
-            normalised["dir"],
-            sync=normalised["sync"],
-            group_size=normalised["group_size"],
-        )
+        """The manager of a ``durability`` section, read before any directory is made."""
+        data = read("durability", spec)
+        return cls(data.pop("dir"), **data)
 
     def __repr__(self) -> str:
         return (
@@ -331,7 +305,6 @@ class DurabilityManager:
 
 __all__ = [
     "DurabilityManager",
-    "normalise_spec",
     "shard_log_paths",
     "meta_log_path",
     "checkpoint_path",

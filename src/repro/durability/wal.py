@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.api.errors import CorruptLogError
+from repro.api.schema import SPEC_KEYS
 from repro.geometry import Point
 
 #: Writer sync policies: ``always`` fsyncs every frame; ``group`` fsyncs once
@@ -69,7 +70,7 @@ from repro.geometry import Point
 #: that returned is durable in full; one that did not may survive as any
 #: per-log prefix of its frames, which recovery merges without losing or
 #: duplicating an object (see :mod:`repro.durability.commit`).
-SYNC_POLICIES: Tuple[str, ...] = ("always", "group", "none")
+SYNC_POLICIES: Tuple[str, ...] = SPEC_KEYS["durability"]["sync"].choices
 
 KIND_INSERT = "insert"
 KIND_UPDATE = "update"

@@ -25,7 +25,7 @@ wholesale (bulk load, split), which list every id — one C-level
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional
+from typing import Dict, KeysView, List, Optional
 
 from repro.rtree.node import Node
 from repro.rtree.observers import TreeObserver
@@ -101,6 +101,10 @@ class ObjectHashIndex(TreeObserver):
 
     def __len__(self) -> int:
         return len(self._leaf_of)
+
+    def object_ids(self) -> KeysView[int]:
+        """The indexed object ids, as a live view (nothing is copied)."""
+        return self._leaf_of.keys()
 
     # ------------------------------------------------------------------
     # TreeObserver interface

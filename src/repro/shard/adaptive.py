@@ -44,12 +44,8 @@ from repro.cost.model import (
     expected_query_node_accesses,
     window_overlap_probability,
 )
-from repro.shard.control import (
-    EvidenceGate,
-    MaintenanceController,
-    UpdateQueryMix,
-    check_count,
-)
+from repro.api.schema import SPEC_KEYS, read
+from repro.shard.control import EvidenceGate, MaintenanceController, UpdateQueryMix
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
@@ -63,7 +59,7 @@ DEFAULT_MOVE_DISTANCE = 0.05
 
 #: The candidate strategies, in the factory's canonical order (ties in the
 #: cost ranking resolve towards the front, after preferring the incumbent).
-CANDIDATE_STRATEGIES: Tuple[str, ...] = ("TD", "NAIVE", "LBU", "GBU")
+CANDIDATE_STRATEGIES: Tuple[str, ...] = SPEC_KEYS["config"]["strategy"].choices
 
 
 def leaf_level_query_accesses(
@@ -170,9 +166,6 @@ class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
 
     section = "adaptive"
     state_keys = ("switches", "shard_switches")
-    # Older specs and checkpoints carry the retired master switch; an
-    # attached controller is always on, so only ``true`` still loads.
-    retired = {"enabled": True}
 
     def __init__(
         self,
@@ -182,15 +175,15 @@ class AdaptiveStrategyController(MaintenanceController[EvidenceGate]):
         shard_switches: Optional[List[int]] = None,
     ) -> None:
         super().__init__(num_shards, policy or EvidenceGate())
-        self.switches = check_count("switches", switches)
+        read(self.section, {"switches": switches, "shard_switches": shard_switches})
         if shard_switches is None:
             shard_switches = [0] * num_shards
-        if not isinstance(shard_switches, list) or len(shard_switches) != num_shards:
+        if len(shard_switches) != num_shards:
             raise ValueError(
-                f"shard_switches must be a list of {num_shards} counts, "
-                f"got {shard_switches!r}"
+                f"shard_switches must hold {num_shards} counts, got {shard_switches!r}"
             )
-        self.shard_switches = [check_count("shard_switches", n) for n in shard_switches]
+        self.switches = switches
+        self.shard_switches = list(shard_switches)
 
     # -- observation -----------------------------------------------------
     def evidence_required(self, shard_id: int) -> int:

@@ -22,25 +22,16 @@ from typing import (
     Dict,
     Generic,
     List,
-    Mapping,
     Sequence,
     Tuple,
     Type,
     TypeVar,
 )
 
-from repro.update.params import check_non_negative, is_int
+from repro.api.schema import default, read
 
 #: The per-shard counter columns of a :class:`ShardLoadMonitor`.
 _COLUMNS = ("updates", "queries", "physical_io", "moves", "move_distance")
-
-
-def check_count(name: str, value: Any) -> int:
-    """Return *value* if it is an ``int`` ≥ 0, else raise ``ValueError``."""
-    if not is_int(value):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    check_non_negative(name, value)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -170,12 +161,14 @@ class EvidenceGate:
     ones, so a fresh partition or strategy gets time to prove itself.
     """
 
-    cooldown: int = 400
-    min_ops: int = 128
+    #: The spec section whose keys give the fields' defaults and rules.
+    section: ClassVar[str] = "adaptive"
+
+    cooldown: int = default("adaptive", "cooldown")
+    min_ops: int = default("adaptive", "min_ops")
 
     def __post_init__(self) -> None:
-        check_count("cooldown", self.cooldown)
-        check_count("min_ops", self.min_ops)
+        read(self.section, dataclasses.asdict(self))
 
     def evidence_required(self, actions: int) -> int:
         """Operations a window needs after *actions* earlier actions."""
@@ -205,8 +198,6 @@ class MaintenanceController(Generic[GateT]):
     gate: ClassVar[Type[EvidenceGate]] = EvidenceGate
     #: Runtime counters (attributes) the checkpoint form adds.
     state_keys: ClassVar[Tuple[str, ...]] = ()
-    #: Retired section keys, each with the one value it still accepts.
-    retired: ClassVar[Dict[str, Any]] = {}
 
     def __init__(self, num_shards: int, policy: GateT) -> None:
         self.policy = policy
@@ -236,25 +227,10 @@ class MaintenanceController(Generic[GateT]):
 
     @classmethod
     def from_spec(cls: Type[ControllerT], spec: Any, num_shards: int) -> ControllerT:
-        """Rebuild a controller from its spec section or checkpoint form.
-
-        Raises ``ValueError`` naming the key for a section that is not a
-        mapping, an unknown key, a retired key at another value than its
-        constant, and a malformed value.
-        """
-        if not isinstance(spec, Mapping):
-            raise ValueError(f"{cls.section} section must be a mapping, got {spec!r}")
-        data = dict(spec)
-        for key, constant in cls.retired.items():
-            if data.pop(key, constant) != constant:
-                raise ValueError(
-                    f"{cls.section}.{key} is retired and only accepts "
-                    f"{constant!r}, got {spec[key]!r}"
-                )
+        """Rebuild a controller from its spec section or checkpoint form, read
+        against :data:`repro.api.schema.SPEC_KEYS`."""
+        data = read(cls.section, spec)
         state = {key: data.pop(key) for key in cls.state_keys if key in data}
-        unknown = set(data) - {field.name for field in dataclasses.fields(cls.gate)}
-        if unknown:
-            raise ValueError(f"unknown {cls.section} spec keys {sorted(unknown)!r}")
         return cls(num_shards, cls.gate(**data), **state)
 
 
@@ -263,5 +239,4 @@ __all__ = [
     "MaintenanceController",
     "ShardLoadMonitor",
     "UpdateQueryMix",
-    "check_count",
 ]

@@ -99,6 +99,7 @@ from typing import (
 )
 
 from repro.api.errors import WorkerFailedError
+from repro.api.schema import SPEC_KEYS
 from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
@@ -769,7 +770,7 @@ class ProcessBackend(ShardBackend):
         return f"process[{self.workers}]"
 
 
-BACKENDS = ("serial", "process")
+BACKENDS: Tuple[str, ...] = SPEC_KEYS["parallel"]["backend"].choices
 
 
 def make_backend(

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import abc
 import bisect
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.api.schema import read
 from repro.geometry import Point, Rect
-from repro.update.params import is_int
 
 
 def near_square_factoring(num_shards: int) -> Tuple[int, int]:
@@ -38,8 +38,7 @@ def near_square_factoring(num_shards: int) -> Tuple[int, int]:
     ``columns x rows`` shape a fresh grid of the same shard count would
     have.
     """
-    if not isinstance(num_shards, int) or isinstance(num_shards, bool) or num_shards <= 0:
-        raise ValueError(f"num_shards must be a positive int, got {num_shards!r}")
+    read("spec", {"shards": num_shards})
     rows = int(num_shards**0.5)
     while num_shards % rows:
         rows -= 1
@@ -63,7 +62,7 @@ class Partitioner(abc.ABC):
         """The boundary rectangle of *shard* (contains all its positions)."""
 
     @abc.abstractmethod
-    def to_spec(self) -> Dict:
+    def to_spec(self) -> Dict[str, Any]:
         """Plain-dict description, round-trippable via :func:`partitioner_from_spec`."""
 
     # ------------------------------------------------------------------
@@ -97,10 +96,7 @@ class GridPartitioner(Partitioner):
     """
 
     def __init__(self, columns: int, rows: int = 1) -> None:
-        if not (is_int(columns) and is_int(rows) and columns > 0 and rows > 0):
-            raise ValueError(
-                f"columns and rows must be positive ints, got {columns!r} x {rows!r}"
-            )
+        read("partitioner", {"kind": "grid", "columns": columns, "rows": rows})
         self.columns = columns
         self.rows = rows
 
@@ -133,7 +129,7 @@ class GridPartitioner(Partitioner):
             (row + 1) / self.rows,
         )
 
-    def to_spec(self) -> Dict:
+    def to_spec(self) -> Dict[str, Any]:
         return {"kind": "grid", "columns": self.columns, "rows": self.rows}
 
     def describe(self) -> str:
@@ -150,8 +146,8 @@ class BoundaryPartitioner(Partitioner):
     """
 
     def __init__(self, boundaries: Sequence[Rect]) -> None:
-        if not boundaries:
-            raise ValueError("at least one boundary rectangle is required")
+        boxes = [rect.as_tuple() for rect in boundaries]
+        read("partitioner", {"kind": "boundaries", "boundaries": boxes})
         self._boundaries = list(boundaries)
 
     @property
@@ -170,7 +166,7 @@ class BoundaryPartitioner(Partitioner):
     def boundary(self, shard: int) -> Rect:
         return self._boundaries[shard]
 
-    def to_spec(self) -> Dict:
+    def to_spec(self) -> Dict[str, Any]:
         return {
             "kind": "boundaries",
             "boundaries": [list(rect.as_tuple()) for rect in self._boundaries],
@@ -194,8 +190,7 @@ class QuantileGridPartitioner(BoundaryPartitioner):
     """
 
     def __init__(self, x_cuts: Sequence[float], y_cuts: Sequence[Sequence[float]]) -> None:
-        if len(x_cuts) < 2:
-            raise ValueError("x_cuts must have at least two entries (0.0 and 1.0)")
+        read("partitioner", {"kind": "quantile_grid", "x_cuts": x_cuts, "y_cuts": y_cuts})
         if len(y_cuts) != len(x_cuts) - 1:
             raise ValueError("one y-cut list is required per column")
         rows = {len(cuts) - 1 for cuts in y_cuts}
@@ -227,7 +222,7 @@ class QuantileGridPartitioner(BoundaryPartitioner):
         row = bisect.bisect_left(column_cuts, clamped.y, 1, len(column_cuts) - 1) - 1
         return column * self._rows + row
 
-    def to_spec(self) -> Dict:
+    def to_spec(self) -> Dict[str, Any]:
         return {
             "kind": "quantile_grid",
             "x_cuts": list(self._x_cuts),
@@ -238,26 +233,16 @@ class QuantileGridPartitioner(BoundaryPartitioner):
         return f"quantile grid {len(self._y_cuts)}x{self._rows}"
 
 
-def partitioner_from_spec(spec: Dict) -> Partitioner:
+def partitioner_from_spec(spec: Any) -> Partitioner:
     """Rebuild a partitioner from its :meth:`~Partitioner.to_spec` dict.
 
-    A spec that is not a mapping, names an unknown kind, or lacks or
-    mistypes a field of its kind raises ``ValueError``.
+    The spec is read against its kind's keys in
+    :data:`repro.api.schema.SPEC_KEYS`: a spec that is not a mapping, names
+    an unknown kind, or lacks, mistypes or adds a key raises ``ValueError``.
     """
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"partitioner spec must be a mapping, got {spec!r}")
-    kind = spec.get("kind")
-    try:
-        if kind == "grid":
-            return GridPartitioner(columns=spec["columns"], rows=spec["rows"])
-        if kind == "boundaries":
-            return BoundaryPartitioner(
-                [Rect(*values) for values in spec["boundaries"]]
-            )
-        if kind == "quantile_grid":
-            return QuantileGridPartitioner(spec["x_cuts"], spec["y_cuts"])
-    except (KeyError, TypeError) as error:
-        raise ValueError(
-            f"malformed {kind} partitioner spec {spec!r}: {error!r}"
-        ) from error
-    raise ValueError(f"unknown partitioner spec kind {kind!r}")
+    data = read("partitioner", spec)
+    if data["kind"] == "grid":
+        return GridPartitioner(columns=data["columns"], rows=data["rows"])
+    if data["kind"] == "boundaries":
+        return BoundaryPartitioner([Rect(*values) for values in data["boundaries"]])
+    return QuantileGridPartitioner(data["x_cuts"], data["y_cuts"])

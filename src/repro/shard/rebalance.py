@@ -43,18 +43,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import Point
-from repro.shard.control import (
-    EvidenceGate,
-    MaintenanceController,
-    ShardLoadMonitor,
-    check_count,
-)
+from repro.api.schema import default, read
+from repro.shard.control import EvidenceGate, MaintenanceController, ShardLoadMonitor
 from repro.shard.partitioner import (
     BoundaryPartitioner,
     QuantileGridPartitioner,
     near_square_factoring,
 )
-from repro.update.params import check_non_negative
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
@@ -69,17 +64,9 @@ class RebalancePolicy(EvidenceGate):
     4-shard grid).
     """
 
-    threshold: float = 1.5
+    section = "rebalance"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_non_negative("threshold", self.threshold)
-        if self.threshold <= 1.0:
-            raise ValueError(
-                f"threshold must exceed 1.0 (1.0 = perfectly balanced), "
-                f"got {self.threshold!r}"
-            )
-        self.threshold = float(self.threshold)
+    threshold: float = default("rebalance", "threshold")
 
     def should_trigger(self, window: ShardLoadMonitor, rebalances: int) -> bool:
         """Evidence and skew check against a rebalancer's *window*."""
@@ -230,7 +217,8 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
         rebalances: int = 0,
     ) -> None:
         super().__init__(num_shards, policy or RebalancePolicy())
-        self.rebalances = check_count("rebalances", rebalances)
+        read(self.section, {"rebalances": rebalances})
+        self.rebalances = rebalances
 
     def restart(self, shards: Sequence[Any]) -> None:
         """Open the window at the current counts and physical I/O."""

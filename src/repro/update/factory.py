@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.api.schema import SPEC_KEYS
 from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
 from repro.storage.stats import IOStatistics
@@ -27,8 +28,8 @@ from repro.update.topdown import TopDownUpdate
 
 
 def strategy_names() -> List[str]:
-    """Names accepted by :func:`make_strategy`."""
-    return ["TD", "NAIVE", "LBU", "GBU"]
+    """Names accepted by :func:`make_strategy`: the ``config.strategy`` choices."""
+    return list(SPEC_KEYS["config"]["strategy"].choices)
 
 
 def strategy_requires_parent_pointers(name: str) -> bool:

@@ -21,43 +21,32 @@ The paper exposes three tuning knobs plus a sibling-selection policy:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
-
-def is_int(value: Any) -> bool:
-    """Whether *value* is an ``int`` proper (a ``bool`` is not a count)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_non_negative(name: str, value: Any) -> None:
-    """Raise ``ValueError`` unless *value* is a finite number ≥ 0."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+from repro.api.schema import default, read
 
 
 @dataclass(frozen=True)
 class TuningParameters:
-    """Parameter bundle shared by the bottom-up strategies."""
+    """Parameter bundle shared by the bottom-up strategies.
 
-    epsilon: float = 0.003
-    distance_threshold: float = 0.03
-    level_threshold: Optional[int] = None
-    piggyback: bool = True
+    The defaults and the rules of each field are the ``config.params`` keys
+    of :data:`repro.api.schema.SPEC_KEYS`.
+    """
+
+    epsilon: float = default("config.params", "epsilon")
+    distance_threshold: float = default("config.params", "distance_threshold")
+    level_threshold: Optional[int] = default("config.params", "level_threshold")
+    piggyback: bool = default("config.params", "piggyback")
 
     def __post_init__(self) -> None:
-        check_non_negative("epsilon", self.epsilon)
-        check_non_negative("distance_threshold", self.distance_threshold)
-        level = self.level_threshold
-        if level is not None and (not is_int(level) or level < 0):
-            raise ValueError(f"level_threshold must be None or an int >= 0, got {level!r}")
+        read("config.params", vars(self))
 
     def with_overrides(self, **changes) -> "TuningParameters":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-    # The defaults above are the bold values of the paper's Table 1.
     @classmethod
     def paper_defaults(cls) -> "TuningParameters":
         """Defaults from Table 1: ε = 0.003, D = 0.03, L = height − 1."""

@@ -1,7 +1,10 @@
 """Tests for the declarative builder: specs, round-trips, checkpoint sharing."""
 
+import functools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,11 @@ MALFORMED = [
     ("config.params.distance_threshold", float("inf")),
     ("config.params.level_threshold", 1.5),
     ("shards", 2.5),
+    # A bool is not a number, and a non-bool is not a flag.
+    ("config.buffer_percent", True),
+    ("config.params.epsilon", True),
+    ("config.params.piggyback", "false"),
+    ("config.use_summary_for_queries", "no"),
 ]
 
 
@@ -62,7 +70,68 @@ MALFORMED_SECTIONS = [
     # The retired thread executor still gets its section checked.
     {"parallel": {"backend": "thread", "wokers": "x"}},
     {"parallel": {"backend": "thread", "workers": "x"}},
+    {"engine": {"cpu_time_per_op": float("inf")}},
+    {"kind": "single", "shards": True},
+    {"partitioner": {"kind": "grid", "columns": 2, "rows": 1, "extra": 3}},
+    # The log directory is a non-empty str, and nothing is created for a
+    # malformed section.
+    {"durability": {}},
+    {"durability": {"dir": None}},
+    {"durability": {"dir": 5}},
+    {"durability": {"dir": ""}},
+    {"durability": {"dir": "wal", "sync": "fsync-sometimes"}},
+    {"durability": {"dir": "wal", "group_size": 0}},
+    {"durability": {"dir": "wal", "group_size": True}},
+    {"durability": {"dir": "wal", "flush": "never"}},
 ]
+
+#: The top-level sections of a checkpoint document; its ``config`` sections
+#: sit in each shard's body.
+CHECKPOINT_SECTIONS = (
+    "partitioner",
+    "engine",
+    "rebalance",
+    "adaptive",
+    "parallel",
+    "durability",
+)
+
+
+def merge(target, patch):
+    """Write *patch* into *target*, nested dicts key by key."""
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(target.get(key), dict):
+            merge(target[key], value)
+        else:
+            target[key] = value
+
+
+@functools.lru_cache(maxsize=None)
+def empty_checkpoint():
+    """The JSON text of an empty 2-shard index's checkpoint, written once."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "checkpoint.json"
+        save_index(open_index({"shards": 2}), path)
+        return path.read_text()
+
+
+def checkpoint_carrying(tmp_path, spec):
+    """A 2-shard checkpoint carrying *spec*'s sections, or ``None`` if it
+    names none a checkpoint carries."""
+    path = tmp_path / "checkpoint.json"
+    document = json.loads(empty_checkpoint())
+    carried = False
+    for name, value in spec.items():
+        if name == "config":
+            for body in document["shards"]:
+                merge(body, {"config": value})
+        elif name in CHECKPOINT_SECTIONS:
+            document[name] = value
+        else:
+            continue
+        carried = True
+    path.write_text(json.dumps(document))
+    return path if carried else None
 
 
 class TestConfigCodec:
@@ -159,9 +228,14 @@ class TestOpenIndex:
     @pytest.mark.parametrize(
         "path, value", MALFORMED, ids=[f"{path}={value}" for path, value in MALFORMED]
     )
-    def test_malformed_numbers_rejected(self, path, value):
-        with pytest.raises(ValueError, match=path.rsplit(".", 1)[-1]):
+    def test_malformed_numbers_rejected(self, path, value, tmp_path):
+        name = path.rsplit(".", 1)[-1]
+        with pytest.raises(ValueError, match=name):
             open_index(nested_spec(path, value))
+        checkpoint = checkpoint_carrying(tmp_path, nested_spec(path, value))
+        if checkpoint is not None:
+            with pytest.raises(ValueError, match=name):
+                load_index(checkpoint)
 
     def test_shard_count_conflicting_with_the_partitioner_rejected(self):
         grid = {"kind": "grid", "columns": 2, "rows": 2}
@@ -193,19 +267,16 @@ class TestOpenIndex:
             load_index(path)
 
     @pytest.mark.parametrize("spec", MALFORMED_SECTIONS, ids=json.dumps)
-    def test_malformed_sections_raise_value_error(self, spec, tmp_path):
+    def test_malformed_sections_raise_value_error(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a relative log directory would go
         with pytest.raises(ValueError):
             open_index(spec)
-        ((section, value),) = spec.items()
-        if section == "config":
-            return  # a checkpoint carries its configuration per shard
-        path = tmp_path / "checkpoint.json"
-        save_index(open_index({"shards": 2}), path)
-        document = json.loads(path.read_text())
-        document[section] = value
-        path.write_text(json.dumps(document))
-        with pytest.raises(ValueError):
-            load_index(path)
+        assert list(tmp_path.iterdir()) == []
+        checkpoint = checkpoint_carrying(tmp_path, spec)
+        if checkpoint is not None:
+            with pytest.raises(ValueError):
+                load_index(checkpoint)
+            assert list(tmp_path.iterdir()) == [checkpoint]
 
     def test_spec_emission_round_trips(self):
         spec = index_spec(
@@ -257,19 +328,21 @@ class TestRetiredKeys:
         RETIRED_OTHER_VALUES,
         ids=[f"{path}={value}" for path, value in RETIRED_OTHER_VALUES],
     )
-    def test_any_other_value_is_rejected(self, path, value):
-        with pytest.raises(ValueError, match=path.rsplit(".", 1)[-1]):
+    def test_any_other_value_is_rejected(self, path, value, tmp_path):
+        name = path.rsplit(".", 1)[-1]
+        with pytest.raises(ValueError, match=name):
             open_index(nested_spec(path, value))
+        with pytest.raises(ValueError, match=name):
+            load_index(checkpoint_carrying(tmp_path, nested_spec(path, value)))
 
-    def test_every_retired_key_at_its_constant_opens(self):
-        index = open_index(
-            {
-                "config": {**RETIRED_CONFIG, "params": {"max_piggyback_objects": 8}},
-                "adaptive": {"enabled": True},
-            }
-        )
-        assert index.config == IndexConfig()
-        assert index.adaptive.policy == EvidenceGate()
+    def test_every_retired_key_at_its_constant_opens(self, tmp_path):
+        spec = {
+            "config": {**RETIRED_CONFIG, "params": {"max_piggyback_objects": 8}},
+            "adaptive": {"enabled": True},
+        }
+        for index in (open_index(spec), load_index(checkpoint_carrying(tmp_path, spec))):
+            assert index.config == IndexConfig()
+            assert index.adaptive.policy == EvidenceGate()
 
     @pytest.mark.parametrize(
         "spec", [{"kind": "single"}, {"shards": 2, "adaptive": {}}], ids=["single", "sharded"]

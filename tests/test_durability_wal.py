@@ -32,7 +32,6 @@ from repro.durability import (
     meta_log_path,
     migrate_in_record,
     migrate_out_record,
-    normalise_spec,
     read_frames,
     recover_index,
     repartition_record,
@@ -479,29 +478,6 @@ class TestCallScope:
         manager.flush()
         assert manager._dirty == set()
         manager.close()
-
-
-class TestSpecValidation:
-    def test_normalise_fills_defaults(self):
-        assert normalise_spec({"dir": "/x"}) == {
-            "dir": "/x",
-            "sync": DEFAULT_SYNC,
-            "group_size": DEFAULT_GROUP_SIZE,
-        }
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {},  # missing dir
-            {"dir": "/x", "sync": "fsync-sometimes"},
-            {"dir": "/x", "group_size": 0},
-            {"dir": "/x", "group_size": True},  # bool is not a count
-            {"dir": "/x", "flush": "never"},  # unknown key
-        ],
-    )
-    def test_bad_specs_are_rejected(self, spec):
-        with pytest.raises(ValueError):
-            normalise_spec(spec)
 
 
 class TestAtomicCheckpoint:

@@ -72,8 +72,8 @@ def adaptive_section(section):
 
 # One malformed ``adaptive`` section per entry, with the key its error names.
 MALFORMED_ADAPTIVE = [
-    ({"cool_down": 250}, "unknown adaptive spec keys"),
-    ([], "adaptive section must be a mapping"),
+    ({"cool_down": 250}, r"unknown spec keys \['cool_down'\] in 'adaptive'"),
+    ([], "spec section 'adaptive' must be a mapping"),
     ({"cooldown": 1.7}, "cooldown"),
     ({"cooldown": True}, "cooldown"),
     ({"min_ops": "12"}, "min_ops"),

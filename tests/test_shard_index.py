@@ -106,6 +106,16 @@ class TestRoutingAndMigration:
         ):
             index.validate()
 
+    def test_validate_detects_a_position_table_naming_other_objects(self):
+        # The count stays right: one object swapped for one the tree lacks.
+        index = build_sharded(num_shards=2)
+        positions = index.shards[0]._positions
+        oid = next(iter(positions))
+        positions[10_000] = positions.pop(oid)
+        assert 10_000 in index
+        with pytest.raises(AssertionError, match=rf"\[{oid}, 10000\]"):
+            index.validate()
+
 
 class TestQueries:
     def test_range_query_matches_brute_force(self):

@@ -119,8 +119,8 @@ class TestShardLoadMonitor:
 # One malformed ``rebalance`` section per entry, with the key its error names.
 MALFORMED_REBALANCE = [
     ({"threshold": 1.0}, "threshold"),
-    ({"nope": 1}, "unknown rebalance spec keys"),
-    (5, "rebalance section must be a mapping"),
+    ({"nope": 1}, r"unknown spec keys \['nope'\] in 'rebalance'"),
+    (5, "spec section 'rebalance' must be a mapping"),
     ({"cooldown": 1.7}, "cooldown"),
     ({"cooldown": True}, "cooldown"),
     ({"min_ops": "12"}, "min_ops"),
