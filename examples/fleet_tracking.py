@@ -25,6 +25,7 @@ import random
 import repro
 from repro import Point, Rect
 from repro.api import KNN, RangeQuery, Update
+from repro.update import outcome_fractions
 from repro.workload import MovementModel
 
 FLEET_SIZE = 3_000
@@ -93,7 +94,7 @@ def simulate(strategy: str, seed: int = 7) -> dict:
         "queries": query_count,
         "avg_io_per_operation": index.io_snapshot().total_physical_io
         / (update_count + query_count),
-        "update_outcomes": index.shards[0].strategy.outcome_fractions(),
+        "update_outcomes": outcome_fractions(index.io_snapshot()),
         "district_counts": district_counts,
     }
 

@@ -18,6 +18,7 @@ import random
 import repro
 from repro import Point, Rect
 from repro.api import KNN, RangeQuery, Update
+from repro.update import outcome_fractions
 
 SPEC = {
     # The defaults follow the paper: 1 KB pages, a buffer sized at 1 % of
@@ -59,8 +60,8 @@ def main() -> None:
 
     update_io = index.io_snapshot().total_physical_io
     print(f"updates: {num_updates}, avg disk I/O per update: {update_io / num_updates:.2f}")
-    # A single index is one shard; its engine carries the strategy counters.
-    print("update outcome mix:", index.shards[0].strategy.outcome_fractions())
+    # The update classes are counted with the I/O counters.
+    print("update outcome mix:", outcome_fractions(index.io_snapshot()))
 
     # 4. Query the fresh index.  Results arrive through streaming cursors:
     #    the tree traversal advances only as far as the caller reads.

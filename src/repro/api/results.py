@@ -18,14 +18,10 @@ the replacement contract:
 >>> cursor = QueryCursor(iter([3, 1, 2]))
 >>> cursor.fetch(2)
 [3, 1]
->>> cursor.exhausted
-False
 >>> list(cursor)
 [2]
->>> cursor.exhausted
-True
->>> cursor.consumed
-3
+>>> cursor.fetch(5)
+[]
 """
 
 from __future__ import annotations
@@ -58,27 +54,18 @@ class QueryCursor(Generic[T], Iterator[T]):
     Wraps a lazy result source (a generator walking the R-tree).  Results
     are produced on demand: each ``next()`` advances the traversal just far
     enough to surface one hit, and the I/O it causes is charged when — and
-    only if — the caller actually consumes it.  The cursor tracks how many
-    results it handed out and whether the source ran dry, which the
-    conformance suite uses to assert exhaustion behaviour.
+    only if — the caller actually consumes it.  A drained cursor keeps
+    returning nothing.
     """
 
     def __init__(self, source: Iterable[T]) -> None:
         self._source: Iterator[T] = iter(source)
-        self._consumed = 0
-        self._exhausted = False
 
     def __iter__(self) -> "QueryCursor[T]":
         return self
 
     def __next__(self) -> T:
-        try:
-            item = next(self._source)
-        except StopIteration:
-            self._exhausted = True
-            raise
-        self._consumed += 1
-        return item
+        return next(self._source)
 
     def fetch(self, count: int) -> List[T]:
         """Up to *count* further results (fewer when the source runs dry)."""
@@ -93,26 +80,8 @@ class QueryCursor(Generic[T], Iterator[T]):
         return results
 
     def all(self) -> List[T]:
-        """Every remaining result, materialised.
-
-        Drains the source in one ``list()`` call rather than one
-        :meth:`__next__` per hit; the bookkeeping lands where a hit-by-hit
-        drain would have left it.
-        """
-        results = list(self._source)
-        self._consumed += len(results)
-        self._exhausted = True
-        return results
-
-    @property
-    def consumed(self) -> int:
-        """How many results this cursor has handed out so far."""
-        return self._consumed
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the underlying traversal has run dry."""
-        return self._exhausted
+        """Every remaining result, materialised in one ``list()`` call."""
+        return list(self._source)
 
 
 @dataclass
@@ -128,18 +97,13 @@ class OperationResult:
     * ``RangeQuery`` / ``KNN`` — ``value`` is a :class:`QueryCursor`.
 
     Under ``strict`` execution (the default) errors raise; under
-    ``strict=False`` they are captured in ``error`` and ``ok`` is False.
+    ``strict=False`` they are captured in ``error``.
     """
 
     operation: Operation
     value: Any = None
     outcome: Optional["UpdateOutcome"] = None
     error: Optional[OperationError] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the operation executed without error."""
-        return self.error is None
 
     def cursor(self) -> "QueryCursor[Any]":
         """The result cursor of a query operation (raises otherwise)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 #: The default of a key that its section must name.
@@ -67,14 +67,20 @@ def _retired(value: Any) -> Key:
     return Key(type(value), None, retired=value)
 
 
+#: The most shards one index may have: 128x the largest count any test,
+#: figure or workload uses (8), so a mistyped count raises instead of
+#: building one index per cell.
+MAX_SHARDS = 1024
+
 _COORDINATE = Key(float)
+_SHARD_COUNT = Key(int, low=1, high=MAX_SHARDS)
 _GATE = {"cooldown": Key(int, 400, low=0), "min_ops": Key(int, 128, low=0)}
 
 SPEC_KEYS: Dict[str, Dict[str, Key]] = {
     "spec": {
         "kind": Key(str, None, choices=("single", "sharded"), nullable=True),
         "config": _section("config"),
-        "shards": Key(int, None, low=1, nullable=True),
+        "shards": replace(_SHARD_COUNT, default=None, nullable=True),
         "partitioner": _section("partitioner"),
         "engine": _section("engine"),
         "rebalance": _section("rebalance"),
@@ -140,17 +146,24 @@ SPEC_KEYS: Dict[str, Dict[str, Key]] = {
     # The partitioner section is read by its ``kind``.
     "partitioner.grid": {
         "kind": Key(str, choices=("grid",)),
-        "columns": Key(int, low=1),
-        "rows": Key(int, low=1),
+        "columns": _SHARD_COUNT,
+        "rows": _SHARD_COUNT,
     },
     "partitioner.boundaries": {
         "kind": Key(str, choices=("boundaries",)),
-        "boundaries": Key(list, low=1, items=Key(list, low=4, high=4, items=_COORDINATE)),
+        "boundaries": Key(
+            list, low=1, high=MAX_SHARDS, items=Key(list, low=4, high=4, items=_COORDINATE)
+        ),
     },
     "partitioner.quantile_grid": {
         "kind": Key(str, choices=("quantile_grid",)),
-        "x_cuts": Key(list, low=2, items=_COORDINATE),
-        "y_cuts": Key(list, low=1, items=Key(list, low=2, items=_COORDINATE)),
+        "x_cuts": Key(list, low=2, high=MAX_SHARDS + 1, items=_COORDINATE),
+        "y_cuts": Key(
+            list,
+            low=1,
+            high=MAX_SHARDS,
+            items=Key(list, low=2, high=MAX_SHARDS + 1, items=_COORDINATE),
+        ),
     },
 }
 
@@ -194,6 +207,15 @@ def read(section: str, data: Any, *, checkpoint: bool = False) -> Dict[str, Any]
         if key.default is REQUIRED and name not in data:
             raise ValueError(f"{prefix}{name} is required")
     return values
+
+
+def check_shard_count(path: str, count: int) -> None:
+    """Raise ``ValueError`` (naming *path*) unless 1 <= *count* <= :data:`MAX_SHARDS`.
+
+    The partitioners whose cell count is a product of keys check it here,
+    before any cell is built.
+    """
+    _value(path, _SHARD_COUNT, count, False)
 
 
 def _is(kind: type, value: Any) -> bool:
@@ -250,4 +272,14 @@ def _value(path: str, key: Key, value: Any, checkpoint: bool) -> Any:
     return checked
 
 
-__all__ = ["ANY", "Key", "LIVE", "REQUIRED", "SPEC_KEYS", "default", "read"]
+__all__ = [
+    "ANY",
+    "Key",
+    "LIVE",
+    "MAX_SHARDS",
+    "REQUIRED",
+    "SPEC_KEYS",
+    "check_shard_count",
+    "default",
+    "read",
+]

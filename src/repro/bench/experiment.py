@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.storage.stats import IOStatistics
+from repro.update.base import outcome_fractions
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -139,7 +140,7 @@ def run_experiment(
         spec=spec,
         update_phase=update_phase,
         query_phase=query_phase,
-        outcome_fractions=index.strategy.outcome_fractions(),
+        outcome_fractions=outcome_fractions(update_io),
         tree_stats=index.tree.node_count() | {"height": index.tree.height},
         summary_size_ratio=summary_ratio,
         final_stats=index.stats.snapshot(),

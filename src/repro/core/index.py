@@ -240,12 +240,11 @@ class MovingObjectIndex:
     # Statistics and integrity
     # ------------------------------------------------------------------
     def reset_statistics(self) -> None:
-        """Zero the I/O counters and the strategy's outcome counters."""
+        """Zero the shard's counters: page I/O and update outcomes."""
         self.stats.reset()
-        self.strategy.reset_counters()
 
     def io_snapshot(self) -> IOStatistics:
-        """A copy of the current I/O counters."""
+        """A copy of the current counters (page I/O and update outcomes)."""
         return self.stats.snapshot()
 
     def total_physical_io(self) -> int:

@@ -108,7 +108,7 @@ class RTree:
         materialises a new one (decoded from the page image when the pool
         has a codec).
         """
-        node = self.buffer.read(page_id)
+        node: Optional[Node] = self.buffer.read(page_id)
         if node is None:
             raise LookupError(f"page {page_id} does not hold an R-tree node")
         return node
@@ -132,7 +132,8 @@ class RTree:
         reached the disk yet are seen — lock-scope prediction runs against
         the live tree, not the possibly stale on-disk image.
         """
-        return self.buffer.peek(page_id)
+        node: Node = self.buffer.peek(page_id)
+        return node
 
     def _allocate_node(self, level: int) -> Node:
         node = make_node(page_id=self.disk.allocate_page(), level=level)
@@ -371,7 +372,8 @@ class RTree:
         missing = [child for child in ids if not node.has_child(child)]
         if missing:
             raise LookupError(f"entries {missing} not found in node {node.page_id}")
-        return [node.remove_entry(child) for child in ids]
+        # Every id is present (checked above), so no ``None`` is dropped.
+        return [entry for entry in map(node.remove_entry, ids) if entry is not None]
 
     def add_entries(self, node: Node, entries: Sequence[Entry]) -> None:
         """Add several entries to an in-memory *node* (no write issued).
@@ -752,7 +754,7 @@ class RTree:
     # ------------------------------------------------------------------
     # Traversal helpers (used by summary construction, validation, stats)
     # ------------------------------------------------------------------
-    def iter_nodes(self, charge_io: bool = False):
+    def iter_nodes(self, charge_io: bool = False) -> Iterator[Tuple[Node, Optional[int]]]:
         """Yield ``(node, parent_page_id)`` for every node in the tree.
 
         With ``charge_io=False`` (default) nodes are read via
@@ -769,7 +771,7 @@ class RTree:
                 for child in node.child_ids():
                     stack.append((child, page_id))
 
-    def leaf_nodes(self, charge_io: bool = False):
+    def leaf_nodes(self, charge_io: bool = False) -> Iterator[Node]:
         """Yield every leaf node."""
         for node, _ in self.iter_nodes(charge_io=charge_io):
             if node.is_leaf:
@@ -788,12 +790,13 @@ class RTree:
         From the root's frame when resident, else from its page header alone.
         """
         page_id = self.root_page_id
-        root = self.buffer.resident(page_id)
+        root: Optional[Node] = self.buffer.resident(page_id)
         if root is None:
             codec = self.buffer.codec
             if codec is not None:
                 return codec.decode_mbr(page_id, self.disk.peek(page_id))
-            root = self.disk.peek(page_id)
+            stored: Node = self.disk.peek(page_id)
+            root = stored
         return root.mbr() if len(root) else None
 
     # ------------------------------------------------------------------

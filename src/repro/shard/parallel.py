@@ -72,7 +72,7 @@ charge I/O a sequential probe never pays.
 
 Every worker reply carries, besides the command payloads, a state envelope
 per touched shard: a full :class:`~repro.storage.stats.IOStatistics`
-snapshot and the update-outcome counters (copied field-wise into the
+snapshot, update-outcome counts included (assigned in place into the
 coordinator's mirror, so ``io_snapshot``/batch I/O deltas/rebalance load
 sampling/outcome mixes keep working unchanged), the tree's root MBR, and the
 disk page count; :meth:`ProcessBackend._sync_mirror` is the one place a
@@ -103,8 +103,7 @@ from repro.api.schema import SPEC_KEYS
 from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
-from repro.storage.stats import IOStatistics
-from repro.update.base import BatchUpdate, UpdateStrategy
+from repro.update.base import BatchUpdate
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
@@ -338,56 +337,16 @@ def _execute_all(
     }
 
 
-def assign_stats(target: IOStatistics, source: IOStatistics) -> None:
-    """Overwrite *target*'s counters in place with *source*'s values.
-
-    The coordinator keeps each shard's :class:`IOStatistics` object identity
-    stable (the buffer pool, disk manager and hash index of the mirror all
-    hold references to it), so syncing worker counters must assign fields,
-    not replace the object.
-    """
-    target.physical_reads = source.physical_reads
-    target.physical_writes = source.physical_writes
-    target.logical_reads = source.logical_reads
-    target.logical_writes = source.logical_writes
-    target.buffer_hits = source.buffer_hits
-    target.dirty_evictions = source.dirty_evictions
-    target.hash_index_reads = source.hash_index_reads
-    target.over_capacity_peak = source.over_capacity_peak
-    target.extra = dict(source.extra)
-
-
-def _counters(shard) -> Dict[str, Any]:
-    """A shard's I/O and update-outcome counters as plain data.  The outcomes
-    are ints in :class:`~repro.update.base.UpdateOutcome` declaration order
-    (the order every strategy builds ``outcome_counts`` in, and keeps: it is
-    only updated in place), then ``update_count`` — a small pickle."""
-    strategy: UpdateStrategy = shard.strategy
-    outcomes = (*strategy.outcome_counts.values(), strategy.update_count)
-    return {"stats": shard.stats.snapshot(), "outcomes": outcomes}
-
-
-def _assign_counters(shard, state: Dict[str, Any]) -> None:
-    """Overwrite *shard*'s counters in place with a :func:`_counters` state."""
-    assign_stats(shard.stats, state["stats"])
-    strategy: UpdateStrategy = shard.strategy
-    counts, outcomes = strategy.outcome_counts, state["outcomes"]
-    if outcomes != (*counts.values(), strategy.update_count):
-        counts.update(zip(tuple(counts), outcomes))
-        strategy.update_count = outcomes[-1]
-
-
 def handover_state(shard) -> Dict[str, Any]:
-    """What a shard taken over elsewhere continues from: its I/O and outcome
-    counters and its buffer share."""
-    return {**_counters(shard), "buffer_capacity": shard.buffer.capacity}
+    """What a shard taken over elsewhere continues from: its counters (I/O
+    and update outcomes) and its buffer share."""
+    return {"stats": shard.stats.snapshot(), "buffer_capacity": shard.buffer.capacity}
 
 
 def adopt_handover(shard, state: Dict[str, Any]) -> None:
     """Reset a taken-over shard to a :func:`handover_state`, with a cold pool
     (a worker at attach, the coordinator at detach)."""
-    shard.reset_statistics()
-    _assign_counters(shard, state)
+    shard.stats.assign(state["stats"])
     shard.buffer.clear()
     shard.buffer.capacity = state["buffer_capacity"]
 
@@ -396,7 +355,7 @@ def _shard_state(shard) -> Dict[str, Any]:
     """The per-shard state envelope piggybacked on every worker reply."""
     mbr = shard.tree.root_mbr()
     return {
-        **_counters(shard),
+        "stats": shard.stats.snapshot(),
         "root_mbr": None if mbr is None else tuple(mbr),
         "pages": len(shard.disk),
     }
@@ -729,7 +688,7 @@ class ProcessBackend(ShardBackend):
                 shard.active_strategy = payload
             elif kind is ConfigureBuffer:
                 execute_command(shard, command)  # knobs only: same on the mirror
-        _assign_counters(shard, state)
+        shard.stats.assign(state["stats"])
         mbr = state["root_mbr"]
         self._root_mbrs[shard_id] = None if mbr is None else Rect(*mbr)
         self._disk_pages[shard_id] = state["pages"]
@@ -810,7 +769,6 @@ __all__ = [
     "Update",
     "Validate",
     "adopt_handover",
-    "assign_stats",
     "execute_command",
     "handover_state",
     "make_backend",

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import abc
 import bisect
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.schema import read
+from repro.api.schema import check_shard_count, read
 from repro.geometry import Point, Rect
 
 
@@ -97,6 +97,7 @@ class GridPartitioner(Partitioner):
 
     def __init__(self, columns: int, rows: int = 1) -> None:
         read("partitioner", {"kind": "grid", "columns": columns, "rows": rows})
+        check_shard_count("partitioner.grid.columns * rows", columns * rows)
         self.columns = columns
         self.rows = rows
 
@@ -139,15 +140,25 @@ class GridPartitioner(Partitioner):
 class BoundaryPartitioner(Partitioner):
     """Explicit boundary rectangles — the pluggable partition spec.
 
-    The rectangles must jointly cover the unit square; a position belongs to
-    the first rectangle that contains it (rectangles may share edges, as
-    tiles do).  This is the escape hatch for skew-aware layouts: carve the
-    hot region into many small shards and the cold remainder into few.
+    The rectangles must jointly cover the unit square (a set that leaves a
+    gap raises ``ValueError``), so every position has an owner whose
+    boundary contains it — the invariant the kNN pruning bound relies on.
+    A position belongs to the first rectangle that contains it (rectangles
+    may share edges, as tiles do).  This is the escape hatch for skew-aware
+    layouts: carve the hot region into many small shards and the cold
+    remainder into few.
     """
 
     def __init__(self, boundaries: Sequence[Rect]) -> None:
         boxes = [rect.as_tuple() for rect in boundaries]
         read("partitioner", {"kind": "boundaries", "boundaries": boxes})
+        gap = _coverage_gap(boundaries)
+        if gap is not None:
+            left, right, reach = gap
+            raise ValueError(
+                "partitioner.boundaries.boundaries must cover the unit square, "
+                f"got none above y = {reach} for {left} < x < {right}"
+            )
         self._boundaries = list(boundaries)
 
     @property
@@ -176,6 +187,31 @@ class BoundaryPartitioner(Partitioner):
         return f"boundaries[{len(self._boundaries)}]"
 
 
+def _coverage_gap(boxes: Sequence[Rect]) -> Optional[Tuple[float, float, float]]:
+    """Where *boxes* leave part of the unit square uncovered, else ``None``.
+
+    An x-slab sweep, O(n² log n) for n boxes: between consecutive x-edges
+    the boxes spanning the whole slab must cover [0, 1] in y.  A gap is
+    reported as ``(left, right, reach)``: in the slab ``left < x < right``
+    the coverage from y = 0 stops at ``reach``.
+    """
+    edges = sorted(
+        {0.0, 1.0}
+        | {min(1.0, max(0.0, x)) for box in boxes for x in (box.xmin, box.xmax)}
+    )
+    for left, right in zip(edges, edges[1:]):
+        reach = 0.0
+        for low, high in sorted(
+            (box.ymin, box.ymax) for box in boxes if box.xmin <= left and box.xmax >= right
+        ):
+            if low > reach:
+                break
+            reach = max(reach, high)
+        if reach < 1.0:
+            return left, right, reach
+    return None
+
+
 class QuantileGridPartitioner(BoundaryPartitioner):
     """A ``columns x rows`` grid with per-column quantile cuts, O(log n) routing.
 
@@ -186,7 +222,9 @@ class QuantileGridPartitioner(BoundaryPartitioner):
     the cut arrays instead of scanning every rectangle — the post-rebalance
     routing stays as cheap as the uniform grid it replaced.  A point exactly
     on an interior cut belongs to the lower/left cell, matching the
-    first-containing-rectangle rule of the rectangle list.
+    first-containing-rectangle rule of the rectangle list.  Every cut list
+    starts at 0.0, ends at 1.0 and never decreases, so the cells tile the
+    unit square by construction.
     """
 
     def __init__(self, x_cuts: Sequence[float], y_cuts: Sequence[Sequence[float]]) -> None:
@@ -196,21 +234,23 @@ class QuantileGridPartitioner(BoundaryPartitioner):
         rows = {len(cuts) - 1 for cuts in y_cuts}
         if len(rows) != 1:
             raise ValueError("every column must have the same number of rows")
-        self._x_cuts = [float(value) for value in x_cuts]
-        self._y_cuts = [[float(value) for value in cuts] for cuts in y_cuts]
         self._rows = rows.pop()
-        super().__init__(
-            [
-                Rect(
-                    self._x_cuts[column],
-                    column_cuts[row],
-                    self._x_cuts[column + 1],
-                    column_cuts[row + 1],
-                )
-                for column, column_cuts in enumerate(self._y_cuts)
-                for row in range(self._rows)
-            ]
-        )
+        check_shard_count("partitioner.quantile_grid cells", len(y_cuts) * self._rows)
+        self._x_cuts = _cut_list("x_cuts", x_cuts)
+        self._y_cuts = [
+            _cut_list(f"y_cuts[{column}]", cuts) for column, cuts in enumerate(y_cuts)
+        ]
+        # The cut rule tiles the square, so the base class's sweep is skipped.
+        self._boundaries = [
+            Rect(
+                self._x_cuts[column],
+                column_cuts[row],
+                self._x_cuts[column + 1],
+                column_cuts[row + 1],
+            )
+            for column, column_cuts in enumerate(self._y_cuts)
+            for row in range(self._rows)
+        ]
 
     def shard_of(self, point: Point) -> int:
         clamped = point.clamped()
@@ -231,6 +271,17 @@ class QuantileGridPartitioner(BoundaryPartitioner):
 
     def describe(self) -> str:
         return f"quantile grid {len(self._y_cuts)}x{self._rows}"
+
+
+def _cut_list(name: str, cuts: Sequence[float]) -> List[float]:
+    """*cuts* as floats; raises unless they run from 0.0 to 1.0, never decreasing."""
+    values = [float(value) for value in cuts]
+    if values[0] != 0.0 or values[-1] != 1.0 or values != sorted(values):
+        raise ValueError(
+            f"partitioner.quantile_grid.{name} must start at 0.0, end at 1.0 "
+            f"and never decrease, got {list(cuts)!r}"
+        )
+    return values
 
 
 def partitioner_from_spec(spec: Any) -> Partitioner:

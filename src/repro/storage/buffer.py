@@ -23,10 +23,13 @@ they are.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set
 
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStatistics
+
+if TYPE_CHECKING:
+    from repro.geometry import Rect
 
 #: Sentinel distinguishing "frame absent" from any real payload.
 _MISSING = object()
@@ -38,6 +41,8 @@ class PageCodec(Protocol):
     def encode(self, payload: Any) -> bytes: ...
 
     def decode(self, page_id: int, data: bytes) -> Any: ...
+
+    def decode_mbr(self, page_id: int, data: bytes) -> Optional[Rect]: ...
 
 
 class BufferPool:

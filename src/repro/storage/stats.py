@@ -3,14 +3,15 @@
 The experiments in the paper report *average disk I/O per operation*; this
 module provides the counters all other components write into.  A single
 :class:`IOStatistics` instance is shared by the disk manager, the buffer
-pool, and the secondary hash index so that one object tells the whole story
-of an experiment run.
+pool, the secondary hash index and the update strategy (which counts each
+update's class in :attr:`IOStatistics.extra`) so that one object tells the
+whole story of an experiment run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, Tuple
 
 
 @dataclass
@@ -49,8 +50,9 @@ class IOStatistics:
     dirty_evictions: int = 0
     hash_index_reads: int = 0
     over_capacity_peak: int = 0
-    # Optional labelled counters for ad-hoc instrumentation (e.g. per update
-    # kind).  Not part of the core metrics but handy in tests and ablations.
+    # Labelled counters beside the page counters: the update strategies count
+    # each update's class here (``UpdateOutcome`` values), so the classes
+    # snapshot, delta, merge, reset and travel with the page counters.
     extra: Dict[str, int] = field(default_factory=dict)
 
     # -- derived metrics ---------------------------------------------------
@@ -75,19 +77,15 @@ class IOStatistics:
         """Add *other*'s counters into this instance in place; returns ``self``.
 
         This is how cross-shard counters aggregate: a sharded index merges
-        its shards' snapshots into one set of counters instead of summing
-        each field by hand.
+        its shards' snapshots into one set of counters.
         """
-        self.physical_reads += other.physical_reads
-        self.physical_writes += other.physical_writes
-        self.logical_reads += other.logical_reads
-        self.logical_writes += other.logical_writes
-        self.buffer_hits += other.buffer_hits
-        self.dirty_evictions += other.dirty_evictions
-        self.hash_index_reads += other.hash_index_reads
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _FLOWS:
+            mine[name] += theirs[name]
         self.over_capacity_peak = max(self.over_capacity_peak, other.over_capacity_peak)
+        extra = self.extra
         for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0) + value
+            extra[key] = extra.get(key, 0) + value
         return self
 
     def __add__(self, other: "IOStatistics") -> "IOStatistics":
@@ -106,74 +104,59 @@ class IOStatistics:
 
     # -- bookkeeping ---------------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:
-        """Increment the labelled counter *name* in :attr:`extra`.
-
-        Only tests call it; they check that labelled counters survive
-        snapshots, deltas and merges.
-        """
+        """Increment the labelled counter *name* in :attr:`extra`."""
         self.extra[name] = self.extra.get(name, 0) + amount
 
     def snapshot(self) -> "IOStatistics":
         """Return an independent copy of the current counter values."""
-        copy = IOStatistics(
-            physical_reads=self.physical_reads,
-            physical_writes=self.physical_writes,
-            logical_reads=self.logical_reads,
-            logical_writes=self.logical_writes,
-            buffer_hits=self.buffer_hits,
-            dirty_evictions=self.dirty_evictions,
-            hash_index_reads=self.hash_index_reads,
-            over_capacity_peak=self.over_capacity_peak,
-        )
-        copy.extra = dict(self.extra)
+        copy = IOStatistics.__new__(IOStatistics)
+        copy.assign(self)
         return copy
 
+    def assign(self, source: "IOStatistics") -> None:
+        """Overwrite every counter in place with *source*'s values.
+
+        The disk manager, buffer pool, hash index and update strategy of a
+        shard all hold its counters by reference, so counters synced from
+        elsewhere (a worker's reply, a handover) are assigned, not swapped.
+        """
+        self.__dict__.update(source.__dict__)
+        self.extra = dict(source.extra)
+
     def delta_since(self, earlier: "IOStatistics") -> "IOStatistics":
-        """Return the difference between this snapshot and an *earlier* one."""
-        delta = IOStatistics(
-            physical_reads=self.physical_reads - earlier.physical_reads,
-            physical_writes=self.physical_writes - earlier.physical_writes,
-            logical_reads=self.logical_reads - earlier.logical_reads,
-            logical_writes=self.logical_writes - earlier.logical_writes,
-            buffer_hits=self.buffer_hits - earlier.buffer_hits,
-            dirty_evictions=self.dirty_evictions - earlier.dirty_evictions,
-            hash_index_reads=self.hash_index_reads - earlier.hash_index_reads,
-            # A peak is a level, not a flow: the delta reports how far the
-            # high-water mark rose over the interval (never negative).
-            over_capacity_peak=max(
-                0, self.over_capacity_peak - earlier.over_capacity_peak
-            ),
+        """The counters moved since an *earlier* snapshot (unmoved labels left out)."""
+        delta = IOStatistics.__new__(IOStatistics)
+        mine, theirs, into = self.__dict__, earlier.__dict__, delta.__dict__
+        for name in _FLOWS:
+            into[name] = mine[name] - theirs[name]
+        # A peak is a level, not a flow: the delta reports how far the
+        # high-water mark rose over the interval (never negative).
+        delta.over_capacity_peak = max(
+            0, self.over_capacity_peak - earlier.over_capacity_peak
         )
-        keys = set(self.extra) | set(earlier.extra)
+        now, then = self.extra, earlier.extra
         delta.extra = {
-            key: self.extra.get(key, 0) - earlier.extra.get(key, 0) for key in keys
+            key: moved
+            for key in {**now, **then}
+            if (moved := now.get(key, 0) - then.get(key, 0))
         }
         return delta
 
     def reset(self) -> None:
-        """Zero every counter in place."""
-        self.physical_reads = 0
-        self.physical_writes = 0
-        self.logical_reads = 0
-        self.logical_writes = 0
-        self.buffer_hits = 0
-        self.dirty_evictions = 0
-        self.hash_index_reads = 0
-        self.over_capacity_peak = 0
-        self.extra.clear()
+        """Zero every counter in place, the labelled ones included."""
+        self.assign(IOStatistics())
 
     def as_dict(self) -> Dict[str, int]:
-        """Flat dictionary view used by the benchmark reporting layer."""
-        result = {
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "logical_reads": self.logical_reads,
-            "logical_writes": self.logical_writes,
-            "buffer_hits": self.buffer_hits,
-            "dirty_evictions": self.dirty_evictions,
-            "hash_index_reads": self.hash_index_reads,
-            "over_capacity_peak": self.over_capacity_peak,
-            "total_physical_io": self.total_physical_io,
-        }
-        result.update(self.extra)
+        """The page counters and their total, without the labelled counters."""
+        result = {name: value for name, value in self.__dict__.items() if name != "extra"}
+        result["total_physical_io"] = self.total_physical_io
         return result
+
+
+#: The counters that accumulate: every field but the level ``over_capacity_peak``
+#: (merged by maximum) and the labelled ``extra``.
+_FLOWS: Tuple[str, ...] = tuple(
+    spec.name
+    for spec in fields(IOStatistics)
+    if spec.name not in ("over_capacity_peak", "extra")
+)

@@ -27,7 +27,7 @@ may visit; the bottom-up strategies lock the object's leaf, candidate shift
 siblings and the adjusted ancestors — the Section 3.2.2 asymmetry.
 """
 
-from repro.update.base import BatchUpdate, UpdateOutcome, UpdateStrategy
+from repro.update.base import BatchUpdate, UpdateOutcome, UpdateStrategy, outcome_fractions
 from repro.update.batch import BatchExecutor, DeleteOp
 from repro.update.factory import make_strategy, strategy_names
 from repro.update.generalized import GeneralizedBottomUpUpdate
@@ -48,5 +48,6 @@ __all__ = [
     "LocalizedBottomUpUpdate",
     "GeneralizedBottomUpUpdate",
     "make_strategy",
+    "outcome_fractions",
     "strategy_names",
 ]

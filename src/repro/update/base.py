@@ -3,9 +3,11 @@
 Every strategy turns an update request — "object *oid*, last seen at
 *old_location*, is now at *new_location*" — into a sequence of index
 operations, and reports which of the paper's update classes the request fell
-into (:class:`UpdateOutcome`).  The per-class counters a strategy keeps are
-what reproduce statements such as "82 % of the updates remain top-down" for
-the naive strategy and the TD-fallback rates discussed for GBU.
+into (:class:`UpdateOutcome`).  The per-class counts, kept beside the page
+counters in the shard's :class:`~repro.storage.stats.IOStatistics` and read
+with :func:`outcome_fractions`, are what reproduce statements such as "82 %
+of the updates remain top-down" for the naive strategy and the TD-fallback
+rates discussed for GBU.
 
 A bottom-up strategy's algorithm is written once, as a **ladder over a leaf
 bucket** — the n ≥ 1 pending requests whose objects share one leaf
@@ -85,10 +87,6 @@ class UpdateStrategy:
     def __init__(self, tree: RTree, stats: Optional[IOStatistics] = None) -> None:
         self.tree = tree
         self.stats = stats if stats is not None else tree.disk.stats
-        self.outcome_counts: Dict[UpdateOutcome, int] = {
-            outcome: 0 for outcome in UpdateOutcome
-        }
-        self.update_count = 0
 
     # ------------------------------------------------------------------
     # Lifecycle (hot swap — repro.core.index.MovingObjectIndex.set_strategy)
@@ -334,34 +332,28 @@ class UpdateStrategy:
     # Reporting
     # ------------------------------------------------------------------
     def record_outcome(self, outcome: UpdateOutcome) -> None:
-        """Count one completed update (used by both per-op and batch paths)."""
-        self.outcome_counts[outcome] += 1
-        self.update_count += 1
+        """Count one completed update (used by both per-op and batch paths).
 
-    def outcome_fractions(self) -> Dict[str, float]:
-        """Fraction of updates per outcome (empty dict before any update)."""
-        if self.update_count == 0:
-            return {}
-        return {
-            outcome.value: count / self.update_count
-            for outcome, count in self.outcome_counts.items()
-            if count
-        }
-
-    def top_down_fraction(self) -> float:
-        """Fraction of updates that degenerated to a full top-down update.
-
-        Read only by tests today; kept as a counter for the planned
-        in-engine metrics registry.
+        The count lives in the shard's :class:`IOStatistics`, so it outlives
+        a strategy switch and restarts only with the I/O counters.
         """
-        if self.update_count == 0:
-            return 0.0
-        return self.outcome_counts[UpdateOutcome.TOP_DOWN] / self.update_count
+        self.stats.bump(outcome.value)
 
-    def reset_counters(self) -> None:
-        for outcome in self.outcome_counts:
-            self.outcome_counts[outcome] = 0
-        self.update_count = 0
+    @property
+    def outcome_counts(self) -> Dict[UpdateOutcome, int]:
+        """Updates per class so far, read from the shard's counters."""
+        extra = self.stats.extra
+        return {outcome: extra.get(outcome.value, 0) for outcome in UpdateOutcome}
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(updates={self.update_count})"
+
+def outcome_fractions(stats: IOStatistics) -> Dict[str, float]:
+    """Fraction of the updates counted in *stats* per class (``{}`` before any).
+
+    *stats* may be a shard's live counters, an ``io_snapshot()`` or a delta
+    such as a ``BatchReport.io``: the mix of exactly the updates it covers.
+    """
+    counts = {outcome.value: stats.extra.get(outcome.value, 0) for outcome in UpdateOutcome}
+    total = sum(counts.values())
+    if total == 0:
+        return {}
+    return {name: count / total for name, count in counts.items() if count}

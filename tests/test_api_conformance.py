@@ -179,14 +179,14 @@ class TestErrorTaxonomyOnFacades:
         with pytest.raises(UnknownObjectError):
             index.execute(Delete(999_999))
         lenient = index.execute(Delete(999_999), strict=False)
-        assert lenient.ok
+        assert lenient.error is None
         assert lenient.value is False
         assert index.delete(999_999, strict=False) is False
 
     def test_non_strict_execute_captures_errors(self):
         index = loaded()
         result = index.execute(Update(999_999, Point(0.5, 0.5)), strict=False)
-        assert not result.ok
+        assert result.error is not None
         assert isinstance(result.error, UnknownObjectError)
 
     def test_unparseable_operations_always_raise(self):
@@ -286,8 +286,6 @@ class TestCursorsOnFacades:
         head = cursor.fetch(5)
         tail = cursor.all()
         assert head + tail == expected
-        assert cursor.exhausted
-        assert cursor.consumed == len(expected)
         with pytest.raises(StopIteration):
             next(cursor)
 
@@ -298,14 +296,13 @@ class TestCursorsOnFacades:
         cursor = index.stream_knn(probe, 7)
         assert cursor.fetch(3) == expected[:3]
         assert cursor.all() == expected[3:]
-        assert cursor.exhausted
+        assert cursor.fetch(1) == []
 
     def test_empty_window_cursor_is_born_exhausted_on_first_read(self):
         index = loaded()
         cursor = index.stream_query(Rect(5.0, 5.0, 6.0, 6.0))
         assert cursor.all() == []
-        assert cursor.exhausted
-        assert cursor.consumed == 0
+        assert cursor.fetch(1) == []
 
     def test_streaming_defers_io_until_consumption(self):
         # TD + zero buffer: every node access is physical, so laziness is

@@ -78,14 +78,11 @@ class TestErrorTaxonomy:
 
 
 class TestQueryCursor:
-    def test_fetch_all_consumed_exhausted(self):
+    def test_fetch_then_all(self):
         cursor = QueryCursor(iter([5, 3, 1, 2]))
         assert cursor.fetch(2) == [5, 3]
-        assert cursor.consumed == 2
-        assert not cursor.exhausted
         assert cursor.all() == [1, 2]
-        assert cursor.consumed == 4
-        assert cursor.exhausted
+        assert cursor.fetch(1) == []
 
     def test_exhausted_cursor_keeps_returning_empty(self):
         cursor = QueryCursor(iter([1]))
@@ -98,7 +95,7 @@ class TestQueryCursor:
     def test_fetch_beyond_the_source_stops_short(self):
         cursor = QueryCursor(iter([1, 2]))
         assert cursor.fetch(10) == [1, 2]
-        assert cursor.exhausted
+        assert cursor.all() == []
 
     def test_fetch_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -122,7 +119,7 @@ class TestResultEnvelopes:
     def test_operation_result_cursor_accessor(self):
         query = RangeQuery(Rect(0, 0, 1, 1))
         result = OperationResult(query, value=QueryCursor(iter([1])))
-        assert result.ok
+        assert result.error is None
         assert result.cursor().all() == [1]
         bad = OperationResult(Delete(1), value=True)
         with pytest.raises(TypeError):
@@ -130,7 +127,7 @@ class TestResultEnvelopes:
 
     def test_operation_result_describe(self):
         failed = OperationResult(Delete(1), error=UnknownObjectError(1))
-        assert not failed.ok
+        assert failed.error is not None
         assert "error" in failed.describe()
 
     def test_batch_report_counts(self):
@@ -178,7 +175,7 @@ class TestPicklability:
         )
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
-        assert clone.ok
+        assert clone.error is None
 
     def test_batch_report_round_trips(self):
         import pickle

@@ -7,6 +7,7 @@ A spec with a value the table rejects must raise.
 
 import math
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.api import index_spec, open_index
 from repro.api.errors import OperationError
-from repro.api.schema import ANY, LIVE, REQUIRED, SPEC_KEYS
+from repro.api.schema import ANY, LIVE, MAX_SHARDS, REQUIRED, SPEC_KEYS, read
 
 #: Draws kept small, because the fuzz opens every spec it draws.
 SIZES = {"shards": 4, "columns": 3, "rows": 3, "page_size": 4096}
@@ -158,3 +159,45 @@ def test_index_spec_writes_the_table_defaults(section, tmp_path):
         if key.retired is LIVE and key.section is None and name != "dir"
     }
     assert {name: written[name] for name in expected} == expected
+
+
+class TestShardBound:
+    """A partition has at most ``MAX_SHARDS`` cells, checked before any is built."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"shards": 1_000_000},
+            {"partitioner": {"kind": "grid", "columns": 1000, "rows": 1000}},
+            {"partitioner": {"kind": "grid", "columns": MAX_SHARDS + 1, "rows": 1}},
+            {
+                "partitioner": {
+                    "kind": "boundaries",
+                    "boundaries": [[0, 0, 1, 1]] * (MAX_SHARDS + 1),
+                }
+            },
+            {
+                "partitioner": {
+                    "kind": "quantile_grid",
+                    "x_cuts": [i / 64 for i in range(65)],
+                    "y_cuts": [[j / 17 for j in range(18)]] * 64,
+                }
+            },
+        ],
+    )
+    def test_oversized_partitions_raise_at_once(self, spec):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"<= {MAX_SHARDS}"):
+            open_index(spec)
+        assert time.perf_counter() - started < 1.0
+
+    def test_the_bound_itself_is_accepted(self):
+        grid = {"partitioner": {"kind": "grid", "columns": 32, "rows": 32}}
+        assert read("spec", grid)["partitioner"]["columns"] == 32
+        assert read("spec", {"shards": MAX_SHARDS}) == {"shards": MAX_SHARDS}
+
+
+def test_a_partition_that_leaves_a_gap_raises_at_open():
+    spec = {"partitioner": {"kind": "boundaries", "boundaries": [[0, 0, 0.1, 0.1]]}}
+    with pytest.raises(ValueError, match="must cover the unit square"):
+        open_index(spec)

@@ -119,7 +119,8 @@ class TestStatisticsAndIntegrity:
         index.update(0, Point(0.4, 0.4))
         index.reset_statistics()
         assert index.stats.total_physical_io == 0
-        assert index.strategy.update_count == 0
+        assert index.stats.extra == {}
+        assert sum(index.strategy.outcome_counts.values()) == 0
 
     def test_validate_detects_hash_corruption(self):
         index = fresh_index()

@@ -50,10 +50,7 @@ SPEC = WorkloadSpec(
 
 def shard_outcome_counts(sharded):
     """Per-shard update-outcome counters as the coordinator sees them."""
-    return [
-        (dict(shard.strategy.outcome_counts), shard.strategy.update_count)
-        for shard in sharded.shards
-    ]
+    return [dict(shard.strategy.outcome_counts) for shard in sharded.shards]
 
 
 def run_workload(index, spec=SPEC):

@@ -88,10 +88,20 @@ class TestBoundaryPartitioner:
         # the shared edge belongs to the first rectangle listing it
         assert partitioner.shard_of(Point(0.5, 0.5)) == 0
 
-    def test_uncovered_position_is_an_error(self):
-        partitioner = BoundaryPartitioner([Rect(0.0, 0.0, 0.4, 0.4)])
-        with pytest.raises(ValueError):
-            partitioner.shard_of(Point(0.9, 0.9))
+    def test_boundaries_that_leave_a_gap_are_rejected(self):
+        with pytest.raises(ValueError, match="must cover the unit square"):
+            BoundaryPartitioner([Rect(0.0, 0.0, 0.4, 0.4)])
+        # Covered in every x-slab but one, where a sliver of y is missing.
+        with pytest.raises(ValueError, match="0.5 < x < 1.0"):
+            BoundaryPartitioner(
+                [Rect(0.0, 0.0, 0.5, 1.0), Rect(0.5, 0.0, 1.0, 0.6), Rect(0.5, 0.61, 1.0, 1.0)]
+            )
+
+    def test_overlapping_and_overhanging_tiles_are_accepted(self):
+        partitioner = BoundaryPartitioner(
+            [Rect(-1.0, -1.0, 0.6, 2.0), Rect(0.4, 0.0, 1.0, 0.5), Rect(0.4, 0.5, 2.0, 1.0)]
+        )
+        assert partitioner.shard_of(Point(0.9, 0.9)) == 2
 
     def test_spec_round_trip(self):
         partitioner = self.halves()
@@ -165,3 +175,19 @@ class TestQuantileGridPartitioner:
             QuantileGridPartitioner([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             QuantileGridPartitioner([0.0, 0.5, 1.0], [[0.0, 1.0], [0.0, 0.5, 1.0]])
+
+    @pytest.mark.parametrize(
+        "x_cuts, y_cuts",
+        [
+            ([0.1, 1.0], [[0.0, 1.0]]),  # does not start at 0.0
+            ([0.0, 0.9], [[0.0, 1.0]]),  # does not end at 1.0
+            ([0.0, 0.6, 0.4, 1.0], [[0.0, 1.0]] * 3),  # decreases
+            ([0.0, 1.0], [[0.0, 0.7, 0.5, 1.0]]),  # a column's y-cuts decrease
+            ([0.0, 1.0], [[0.0, 0.5]]),  # a column stops short of the top
+        ],
+    )
+    def test_cuts_that_do_not_tile_the_square_are_rejected(self, x_cuts, y_cuts):
+        from repro.shard import QuantileGridPartitioner
+
+        with pytest.raises(ValueError, match="must start at 0.0, end at 1.0"):
+            QuantileGridPartitioner(x_cuts, y_cuts)

@@ -38,23 +38,21 @@ ALLOWED = {
     "SpatialIndexFacade.execute_many": f"{_E2E}: the batch workloads' entry point",
     "recover_index": f"{_E2E}: the durable workload's recovery check",
     # The typed result and session surface that callers drive.
-    "QueryCursor.fetch": f"{_API}: the examples page through cursors with it",
-    "QueryCursor.consumed": f"{_API}: cursor progress",
-    "QueryCursor.exhausted": f"{_API}: cursor progress",
-    "OperationResult.ok": f"{_API}: the strict=False error check",
-    "ConcurrentSession.submit": f"{_API}: queues a client's operations",
-    "ShardedIndex.detach": f"{_API}: removes a maintenance controller (README)",
-    "ShardedIndex.io_snapshot": f"{_API}: the facade's I/O counters (examples read them)",
-    "Rect.enlargement_to_include": f"{_API}: the scalar Guttman metric the kernels batch",
-    "union_all": f"{_API}: the scalar union the kernels batch",
+    "UpdateStrategy.outcome_counts": f"{_E2E}: the traced pass reads the outcome mix",
+    # The typed result and session surface that callers drive.
+    "QueryCursor.fetch": f"{_API}: README/examples call it",
+    "ConcurrentSession.submit": f"{_API}: README/examples call it",
+    "ShardedIndex.detach": f"{_API}: README/examples call it",
+    "ShardedIndex.io_snapshot": f"{_API}: README/examples call it",
+    # Scalar references of the batched geometry kernels.
+    "Rect.enlargement_to_include": "scalar reference the kernel tests compare against",
+    "union_all": "scalar reference the kernel tests compare against",
     # Counters kept for the planned in-engine metrics registry.
-    "UpdateStrategy.top_down_fraction": "counter for the planned metrics registry",
     "SummaryStructure.maintenance_counters": "counter for the planned metrics registry",
     # Introspection that the work-bound tests of kept code read.
     "BufferPool.resident_pages": "introspection for the LRU and work-bound tests",
     "BufferPool.dirty_count": "introspection for the write-back tests",
     "BufferPool.is_pinned": "introspection for the pin-accounting tests",
-    "IOStatistics.bump": "labelled counters the statistics tests exercise",
     "RTree.point_query": "the degenerate window query the query tests use",
     "LockManager.holders": "introspection for the lock-manager tests",
     "DirectAccessTable.entries_at_level": "the by-level view the summary tests read",

@@ -111,13 +111,41 @@ class TestResetAndExport:
         assert stats.logical_writes == 0
         assert stats.extra == {}
 
-    def test_as_dict_contains_core_and_extra_keys(self):
+    def test_as_dict_holds_the_page_counters_only(self):
         stats = IOStatistics(physical_reads=1, physical_writes=2, hash_index_reads=3)
         stats.bump("splits", 7)
         exported = stats.as_dict()
         assert exported["physical_reads"] == 1
         assert exported["total_physical_io"] == 6
-        assert exported["splits"] == 7
+        assert "splits" not in exported
+        assert list(exported) == [
+            "physical_reads",
+            "physical_writes",
+            "logical_reads",
+            "logical_writes",
+            "buffer_hits",
+            "dirty_evictions",
+            "hash_index_reads",
+            "over_capacity_peak",
+            "total_physical_io",
+        ]
+
+    def test_assign_overwrites_in_place(self):
+        stats = IOStatistics(physical_reads=5)
+        stats.bump("in_place", 2)
+        source = IOStatistics(physical_writes=3, over_capacity_peak=1)
+        source.bump("top_down")
+        stats.assign(source)
+        assert stats == source
+        source.bump("top_down")
+        assert stats.extra == {"top_down": 1}  # a copy, not the source's dict
+
+    def test_delta_leaves_out_labels_that_did_not_move(self):
+        stats = IOStatistics()
+        stats.bump("in_place", 2)
+        before = stats.snapshot()
+        stats.bump("top_down")
+        assert stats.delta_since(before).extra == {"top_down": 1}
 
 
 class TestOverCapacityPeak:

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.update import outcome_fractions
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import build_index
@@ -98,5 +99,5 @@ class TestIOOrderingExpectations:
         for name in ("NAIVE", "LBU", "GBU"):
             index = build_index(name, num_objects=400, seed=41)
             apply_workload(index, num_updates=800, max_distance=0.05)
-            fractions[name] = index.strategy.top_down_fraction()
+            fractions[name] = outcome_fractions(index.stats).get("top_down", 0.0)
         assert fractions["GBU"] <= fractions["LBU"] <= fractions["NAIVE"]

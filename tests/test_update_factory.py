@@ -14,6 +14,7 @@ from repro.update import (
     TuningParameters,
     UpdateOutcome,
     make_strategy,
+    outcome_fractions,
     strategy_names,
 )
 from repro.update.factory import strategy_requires_parent_pointers
@@ -80,7 +81,7 @@ class TestFactory:
 
 
 class TestSharedInterface:
-    def test_outcome_fraction_bookkeeping(self):
+    def test_outcome_counts_land_in_the_stats(self):
         tree = make_tree()
         strategy = make_strategy("TD", tree)
         from repro.geometry import Point
@@ -88,21 +89,20 @@ class TestSharedInterface:
         positions = dict(make_points(200))
         strategy.update(1, positions[1], Point(0.2, 0.2))
         strategy.update(2, positions[2], Point(0.35, 0.3))
-        fractions = strategy.outcome_fractions()
-        assert fractions == {"top_down": 1.0}
-        assert strategy.update_count == 2
+        assert strategy.stats.extra == {"top_down": 2}
+        assert outcome_fractions(strategy.stats) == {"top_down": 1.0}
+        assert strategy.outcome_counts[UpdateOutcome.TOP_DOWN] == 2
 
-    def test_reset_counters(self):
+    def test_counts_reset_with_the_stats(self):
         tree = make_tree()
         strategy = make_strategy("TD", tree)
         from repro.geometry import Point
 
         positions = dict(make_points(200))
         strategy.update(1, positions[1], Point(0.2, 0.2))
-        strategy.reset_counters()
-        assert strategy.update_count == 0
-        assert strategy.outcome_fractions() == {}
-        assert strategy.top_down_fraction() == 0.0
+        strategy.stats.reset()
+        assert outcome_fractions(strategy.stats) == {}
+        assert sum(strategy.outcome_counts.values()) == 0
 
     def test_update_of_unknown_object_inserts_it(self):
         tree = make_tree()
@@ -123,6 +123,14 @@ class TestSharedInterface:
         assert strategy.delete(50_000, Point(0.42, 0.42))
         assert 50_000 not in tree.point_query(Point(0.42, 0.42))
 
-    def test_repr_shows_update_count(self):
-        strategy = make_strategy("TD", make_tree())
-        assert "updates=0" in repr(strategy)
+    def test_a_new_strategy_on_the_same_stats_continues_the_counts(self):
+        tree = make_tree()
+        strategy = make_strategy("TD", tree)
+        from repro.geometry import Point
+
+        positions = dict(make_points(200))
+        strategy.update(1, positions[1], Point(0.2, 0.2))
+        successor = make_strategy("NAIVE", tree, stats=strategy.stats)
+        successor.update(1, Point(0.2, 0.2), Point(0.2, 0.2))
+        assert successor.outcome_counts[UpdateOutcome.TOP_DOWN] == 1
+        assert sum(successor.outcome_counts.values()) == 2

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.update import UpdateOutcome
+from repro.update import UpdateOutcome, outcome_fractions
 
 from tests.conftest import build_index
 
@@ -47,7 +47,7 @@ class TestUpdateOutcomes:
         """GBU's whole point: almost every update is handled bottom-up."""
         index = build_index("GBU", num_objects=500, seed=2)
         drive(index, 1000, step_choices=[0.01, 0.05], seed=5)
-        assert index.strategy.top_down_fraction() < 0.05
+        assert outcome_fractions(index.stats).get("top_down", 0.0) < 0.05
 
     def test_move_outside_root_mbr_goes_top_down(self):
         index = build_index("GBU", num_objects=300)

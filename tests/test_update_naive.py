@@ -3,7 +3,7 @@
 import random
 
 from repro.geometry import Point
-from repro.update import UpdateOutcome
+from repro.update import UpdateOutcome, outcome_fractions
 
 from tests.conftest import build_index
 
@@ -79,4 +79,5 @@ class TestNaiveBottomUp:
                 min(1, max(0, p.x + rng_fast.uniform(-0.2, 0.2))),
                 min(1, max(0, p.y + rng_fast.uniform(-0.2, 0.2))),
             ))
-        assert fast.strategy.top_down_fraction() > slow.strategy.top_down_fraction()
+        top_down = [outcome_fractions(index.stats).get("top_down", 0.0) for index in (fast, slow)]
+        assert top_down[0] > top_down[1]

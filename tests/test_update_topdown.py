@@ -4,7 +4,7 @@ import random
 
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
-from repro.update import UpdateOutcome
+from repro.update import UpdateOutcome, outcome_fractions
 
 from tests.conftest import SMALL_PAGE_SIZE, build_index, make_points
 
@@ -16,7 +16,7 @@ class TestTopDownUpdates:
         for oid in range(50):
             index.update(oid, Point(rng.random(), rng.random()))
         assert index.strategy.outcome_counts[UpdateOutcome.TOP_DOWN] == 50
-        assert index.strategy.top_down_fraction() == 1.0
+        assert outcome_fractions(index.stats) == {"top_down": 1.0}
 
     def test_update_moves_the_object(self):
         index = build_index("TD", num_objects=100)
