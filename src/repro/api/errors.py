@@ -104,7 +104,7 @@ class WorkerFailedError(OperationError, RuntimeError):
     within the dispatch deadline) fails the whole backend: its workers are
     stopped, every later dispatch and ``detach_parallel()`` raise this error
     again, and the tree state the workers held since attach is lost — reload
-    the index from its checkpoint/WAL.  A command that merely raised inside a
+    the index from its checkpoint/WAL.  A shard call that merely raised in a
     live worker surfaces as the same type with the remote traceback, and the
     backend keeps serving.  Inherits ``RuntimeError`` because that is what
     the backend raised before the failure had a type.

@@ -154,7 +154,7 @@ class BatchReport:
     residuals: int = 0
     #: Updates that crossed a shard boundary (sharded index only).
     migrations: int = 0
-    #: Per-batch I/O delta (``None`` until execution finishes).
+    #: Per-batch I/O delta, set by ``execute_many`` when the call finishes.
     io: Optional["IOStatistics"] = None
 
     @property

@@ -257,13 +257,16 @@ def _value(path: str, key: Key, value: Any, checkpoint: bool) -> Any:
         checked = key.legacy.get(checked, checked)
     if key.fold:
         checked = checked.upper()
-    size = len(checked) if key.kind in (str, list) else checked
-    if (
-        (key.choices and checked not in key.choices)
-        or (key.low is not None and (size <= key.low if key.above else size < key.low))
-        or (key.high is not None and size > key.high)
-    ):
+    if key.choices and checked not in key.choices:
         raise ValueError(f"{path} must be {_describe(key)}, got {value!r}")
+    sized = key.kind in (str, list)
+    size = len(checked) if sized else checked
+    if (key.low is not None and (size <= key.low if key.above else size < key.low)) or (
+        key.high is not None and size > key.high
+    ):
+        # A sized value is reported by its length: the list itself can be huge.
+        got = f"a {type(value).__name__} of length {size}" if sized else repr(value)
+        raise ValueError(f"{path} must be {_describe(key)}, got {got}")
     if key.items is not None:
         return [
             _value(f"{path}[{index}]", key.items, item, checkpoint)

@@ -21,18 +21,26 @@ Figure 5–7 rows) drives the engine directly::
 The engine tracks each object's current position so callers only supply the
 new position on update (the strategies internally need the old one to apply
 the distance-threshold optimisation and to fall back to top-down deletion).
+
+Every step a ``ShardedIndex`` asks of a shard is one method of this class,
+named by attribute (``MovingObjectIndex.insert``); the shard executor
+(:mod:`repro.shard.parallel`) calls it in-process or, under the process
+backend, sends its name and arguments to the worker that owns the shard.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import bisect
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.errors import DuplicateObjectError, UnknownObjectError
 from repro.api.schema import read
-from repro.api.results import BatchReport, QueryCursor
+from repro.api.results import QueryCursor
 from repro.core.config import IndexConfig
+from repro.cost.model import TreeShape
 from repro.geometry import Point, Rect
 from repro.rtree.bulk import bulk_load_str
+from repro.rtree.node import Entry
 from repro.rtree.tree import RTree
 from repro.rtree.validation import validate_tree
 from repro.secondary import ObjectHashIndex
@@ -80,9 +88,7 @@ class MovingObjectIndex:
             use_summary_for_queries=self.config.use_summary_for_queries,
         )
         self.strategy.install()  # idempotent: construction already wired the state
-        self.batch = BatchExecutor(
-            self.tree, self.strategy, self.hash_index, stats=self.stats
-        )
+        self.batch = BatchExecutor(self.strategy, self.hash_index)
         #: The strategy currently live on this index.  ``config.strategy``
         #: stays the *initial* strategy; :meth:`set_strategy` moves this.
         self.active_strategy: str = self.config.strategy
@@ -115,10 +121,14 @@ class MovingObjectIndex:
     def configure_buffer(self, percent: Optional[float] = None) -> None:
         """(Re)size the buffer pool as a percentage of the current database size."""
         percent = self.config.buffer_percent if percent is None else percent
-        self.buffer.clear()
-        self.buffer.capacity = BufferPool.capacity_for_percentage(
-            percent, len(self.disk)
+        self.set_buffer_capacity(
+            BufferPool.capacity_for_percentage(percent, len(self.disk))
         )
+
+    def set_buffer_capacity(self, capacity: int) -> None:
+        """Install *capacity* frames as the buffer pool's size (clears the pool)."""
+        self.buffer.clear()
+        self.buffer.capacity = capacity
 
     def set_strategy(self, name: str) -> str:
         """Switch to update strategy *name* in place, without a rebuild.
@@ -214,21 +224,83 @@ class MovingObjectIndex:
         """Streaming counterpart of :meth:`knn`: pairs surface best-first."""
         return QueryCursor(self.tree.iter_knn(point, k))
 
-    def _execute_operation_stream(self, requests: Sequence[BatchUpdate]) -> BatchReport:
+    def knn_probe(
+        self, point: Point, k: int, best: Sequence[Tuple[float, int]]
+    ) -> List[Tuple[float, int]]:
+        """One shard's step of the cross-shard best-first kNN.
+
+        *best* is the running merged best list (the pruning radius): the
+        shard's distance-ordered stream is consumed only while candidates
+        can still enter the top *k*.  Returns the updated list, a new one
+        (*best* is never mutated).
+        """
+        merged = list(best)
+        for candidate in self.tree.iter_knn(point, k):
+            if len(merged) >= k and candidate[0] > merged[-1][0]:
+                break  # stream is distance-ordered: nothing closer follows
+            bisect.insort(merged, candidate)
+            del merged[k:]
+        return merged
+
+    def _execute_operation_stream(
+        self, requests: Sequence[BatchUpdate]
+    ) -> Tuple[int, int, int]:
         """Run one coalesced run of updates through the group-by-leaf executor.
 
         Positions are pre-committed first (the group passes never consult
-        them).  The body of the shard's ``ApplyBatch`` command; the name is
+        them).  Returns ``(groups, largest_group, residuals)``; the name is
         kept for the end-to-end benchmark's trace wrap list.
         """
         positions = self._positions
         for request in requests:
             positions[request.oid] = request.new_location
-        return self.batch.execute(requests)
+        report = self.batch.execute(requests)
+        return report.groups, report.largest_group, report.residuals
 
     def position_of(self, oid: int) -> Optional[Point]:
         """Last recorded position of *oid* (``None`` if absent)."""
         return self._positions.get(oid)
+
+    # ------------------------------------------------------------------
+    # Rebalance handoff and uncharged planning reads
+    # ------------------------------------------------------------------
+    def leaf_pages_of(self, oids: Sequence[int]) -> List[Optional[int]]:
+        """Uncharged leaf-page lookups, one per oid (rebalance planning)."""
+        return [self.hash_index.peek(oid) for oid in oids]
+
+    def tree_shape(self) -> TreeShape:
+        """Uncharged measure of the tree's shape (adaptive ranking)."""
+        return TreeShape.from_tree(self.tree)
+
+    def export_group(
+        self, leaf_page: int, oids: Sequence[int], hint: Point
+    ) -> Optional[List[Tuple[int, Rect]]]:
+        """Source half of a rebalance leaf-group handoff.
+
+        Removes *oids* from the leaf *leaf_page* with one CondenseTree pass
+        (:meth:`~repro.rtree.tree.RTree.remove_group`) and returns their
+        ``(oid, rect)`` entries.  When the leaf dissolved or a member left
+        it since planning, nothing is mutated and the result is ``None``.
+        """
+        path = self.tree.find_path_to_leaf(leaf_page, Rect.from_point(hint))
+        if path is None:
+            return None
+        try:
+            moved = self.tree.remove_group(path, oids)
+        except LookupError:
+            return None  # a member left the (still existing) leaf
+        for oid in oids:
+            self._positions.pop(oid, None)
+        return [(entry.child, entry.rect) for entry in moved]
+
+    def import_group(
+        self,
+        entries: Sequence[Tuple[int, Rect]],
+        positions: Sequence[Tuple[int, Point]],
+    ) -> None:
+        """Destination half of a rebalance handoff: bulk-insert the entries."""
+        self.tree.insert_group([Entry(rect, oid) for oid, rect in entries])
+        self._positions.update(positions)
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -242,6 +314,12 @@ class MovingObjectIndex:
     def reset_statistics(self) -> None:
         """Zero the shard's counters: page I/O and update outcomes."""
         self.stats.reset()
+
+    def checkpoint_document(self) -> Dict[str, Any]:
+        """The shard's checkpoint document (page images + config spec)."""
+        from repro.core.persistence import _index_document
+
+        return _index_document(self)
 
     def io_snapshot(self) -> IOStatistics:
         """A copy of the current counters (page I/O and update outcomes)."""

@@ -31,9 +31,9 @@ across **spatial shards**.  This package provides:
   ranks the four update strategies with the Section 4 cost models and
   hot-swaps any shard whose workload favours a different one;
 * :mod:`repro.shard.parallel` — the shard executors every shard-local step
-  goes through as a picklable command: in-process (``serial``) or
-  long-lived worker processes (``process``) — one interpreter, so identical
-  answers and I/O counters.
+  goes through as one ``MovingObjectIndex`` method call: in-process
+  (``serial``) or long-lived worker processes (``process``, which send the
+  method's name) — the same methods, so identical answers and I/O counters.
 """
 
 from repro.shard.adaptive import (

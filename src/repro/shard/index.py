@@ -47,6 +47,7 @@ from functools import partial
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     ContextManager,
     Dict,
     Iterable,
@@ -288,7 +289,7 @@ class ShardedIndex(SpatialIndexFacade):
         (default: one per shard) that take over the shard state — forked
         workers adopt the live shards, any other *start_method* restores
         their checkpoint documents — and the local shard objects become
-        metadata mirrors.  Both run the same commands, so answers,
+        metadata mirrors.  Both run the same shard methods, so answers,
         tie-breaks, update outcomes and I/O counters are identical.
         """
         self.detach_parallel()
@@ -333,10 +334,10 @@ class ShardedIndex(SpatialIndexFacade):
                 self.shards[shard_id] = restored
         self._retarget()
 
-    def _broadcast(self, command: shard_parallel.Command) -> List[Any]:
-        """Run one *command* on every shard; the payloads in shard order."""
+    def _broadcast(self, method: Callable[..., Any], *args: Any) -> List[Any]:
+        """``method(shard, *args)`` on every shard; the results in shard order."""
         payloads = self._backend.dispatch(
-            {shard_id: [command] for shard_id in range(self.num_shards)}
+            {shard_id: [(method, args)] for shard_id in range(self.num_shards)}
         )
         return [payloads[shard_id][0] for shard_id in range(self.num_shards)]
 
@@ -349,16 +350,16 @@ class ShardedIndex(SpatialIndexFacade):
         through this method — one round trip per shard under the process
         backend instead of one per object.
         """
-        return self._backend.run(shard_id, shard_parallel.LeafOf(tuple(oids)))
+        return self._backend.run(shard_id, MovingObjectIndex.leaf_pages_of, oids)
 
     def shard_documents(self) -> List[Dict]:
         """Checkpoint document bodies of every shard (worker-side when parallel)."""
-        return self._broadcast(shard_parallel.Checkpoint())
+        return self._broadcast(MovingObjectIndex.checkpoint_document)
 
     def tree_shape(self, shard_id: int) -> TreeShape:
         """Uncharged shape of one shard's tree, measured where the tree lives
         (the adaptive controller ranks strategies against it)."""
-        return self._backend.run(shard_id, shard_parallel.Shape())
+        return self._backend.run(shard_id, MovingObjectIndex.tree_shape)
 
     # ------------------------------------------------------------------
     # Durability
@@ -534,9 +535,9 @@ class ShardedIndex(SpatialIndexFacade):
     def _migrate_leaf_group_unrecorded(
         self, source_id: int, leaf_page: int, oids: List[int]
     ) -> int:
-        """The handoff as commands: ``LeafOf`` confirms the members,
-        ``ExportGroup`` removes them from the source shard (mutating nothing
-        if the leaf dissolved), ``ImportGroup`` bulk-inserts per destination."""
+        """The handoff as shard calls: ``leaf_pages_of`` confirms the members,
+        ``export_group`` removes them from the source shard (mutating nothing
+        if the leaf dissolved), ``import_group`` bulk-inserts per destination."""
         source = self.shards[source_id]
         candidates: List[Tuple[int, int, Point]] = []
         for oid in oids:
@@ -563,20 +564,19 @@ class ShardedIndex(SpatialIndexFacade):
                 confirmed.append((oid, target, position))
         if not confirmed:
             return sum(1 for oid in drifted if self.reroute(oid))
-        export = self._backend.run(
+        exported = self._backend.run(
             source_id,
-            shard_parallel.ExportGroup(
-                leaf_page,
-                tuple(oid for oid, _t, _p in confirmed),
-                confirmed[0][2],
-            ),
+            MovingObjectIndex.export_group,
+            leaf_page,
+            tuple(oid for oid, _t, _p in confirmed),
+            confirmed[0][2],
         )
-        if not export["ok"]:
+        if exported is None:
             # The leaf dissolved, or a member left it after confirmation —
             # nothing was mutated; fall back to the per-object path.
             moved_count = sum(1 for oid, _t, _p in confirmed if self.reroute(oid))
             return moved_count + sum(1 for oid in drifted if self.reroute(oid))
-        rect_of: Dict[int, Rect] = dict(export["entries"])
+        rect_of: Dict[int, Rect] = dict(exported)
         per_target: Dict[int, List[int]] = {}
         positions: Dict[int, Point] = {}
         for oid, target, position in confirmed:
@@ -585,9 +585,12 @@ class ShardedIndex(SpatialIndexFacade):
         self._backend.dispatch(
             {
                 target: [
-                    shard_parallel.ImportGroup(
-                        tuple((oid, rect_of[oid]) for oid in group),
-                        tuple((oid, positions[oid]) for oid in group),
+                    (
+                        MovingObjectIndex.import_group,
+                        (
+                            tuple((oid, rect_of[oid]) for oid in group),
+                            tuple((oid, positions[oid]) for oid in group),
+                        ),
                     )
                 ]
                 for target, group in per_target.items()
@@ -721,8 +724,8 @@ class ShardedIndex(SpatialIndexFacade):
     def set_strategy(self, name: str, shard_id: Optional[int] = None) -> str:
         """Hot-swap the update strategy of one shard (or, default, all).
 
-        The swap happens where the authoritative tree lives, through a
-        :class:`~repro.shard.parallel.SetStrategy` command (under the process
+        The swap happens where the authoritative tree lives, through
+        ``MovingObjectIndex.set_strategy`` on the shard (under the process
         backend the coordinator mirror tracks only the active-strategy name;
         mirror trees stay untouched — they are replaced wholesale on
         detach).  With a durability manager attached, an actual change is
@@ -739,7 +742,7 @@ class ShardedIndex(SpatialIndexFacade):
                 f"shard_id {shard_id} out of range for {self.num_shards} shards"
             )
         previous = self.shards[shard_id].active_strategy
-        key = self._backend.run(shard_id, shard_parallel.SetStrategy(key))
+        key = self._backend.run(shard_id, MovingObjectIndex.set_strategy, key)
         if key != previous and self.durability is not None:
             self.durability.log_unit(
                 {shard_id: (set_strategy_record(key),)}, barrier=True
@@ -928,7 +931,7 @@ class ShardedIndex(SpatialIndexFacade):
                             shares[donor] -= 1
         self._backend.dispatch(
             {
-                shard_id: [shard_parallel.ConfigureBuffer(share)]
+                shard_id: [(MovingObjectIndex.set_buffer_capacity, (share,))]
                 for shard_id, share in enumerate(shares)
             }
         )
@@ -947,7 +950,7 @@ class ShardedIndex(SpatialIndexFacade):
         # costs nothing; a crash in the gap loses an op that was never
         # acknowledged durable).
         self._record_update(shard_id)
-        self._backend.run(shard_id, shard_parallel.Insert(oid, location))
+        self._backend.run(shard_id, MovingObjectIndex.insert, oid, location)
         if self.durability is not None:
             self.durability.log_record(shard_id, insert_record(oid, location))
 
@@ -972,7 +975,7 @@ class ShardedIndex(SpatialIndexFacade):
             if self.monitor is not None:
                 self._record_moves(source, [(self.position_of(oid), new_location)])
             outcome = self._backend.run(
-                source, shard_parallel.Update(oid, new_location)
+                source, MovingObjectIndex.update, oid, new_location
             )
             if self.durability is not None:
                 self.durability.log_record(
@@ -997,7 +1000,7 @@ class ShardedIndex(SpatialIndexFacade):
                 raise UnknownObjectError(oid)
             return False
         self._record_update(shard_id)
-        removed = self._backend.run(shard_id, shard_parallel.Delete(oid))
+        removed = self._backend.run(shard_id, MovingObjectIndex.delete, oid)
         if self.durability is not None:
             self.durability.log_record(shard_id, delete_record(oid))
         return bool(removed)
@@ -1036,7 +1039,10 @@ class ShardedIndex(SpatialIndexFacade):
         for shard_id in shard_ids:
             self._record_query(shard_id)
         payloads = self._backend.dispatch(
-            {shard_id: [shard_parallel.Range(window)] for shard_id in shard_ids}
+            {
+                shard_id: [(MovingObjectIndex.range_query, (window,))]
+                for shard_id in shard_ids
+            }
         )
         results: List[int] = []
         for shard_id in shard_ids:
@@ -1120,7 +1126,7 @@ class ShardedIndex(SpatialIndexFacade):
             # Probes stay sequential: each one's radius depends on the
             # previous shard's answer, and a speculative parallel probe
             # would charge I/O a sequential one never pays.
-            best = backend.run(shard_id, shard_parallel.KNNProbe(point, k, best))
+            best = backend.run(shard_id, MovingObjectIndex.knn_probe, point, k, best)
         return best
 
     def position_of(self, oid: int) -> Optional[Point]:
@@ -1207,7 +1213,7 @@ class ShardedIndex(SpatialIndexFacade):
         # group-by-leaf step.
         payloads = self._backend.dispatch(
             {
-                shard_id: [shard_parallel.ApplyBatch(requests)]
+                shard_id: [(MovingObjectIndex._execute_operation_stream, (requests,))]
                 for shard_id, requests in per_shard.items()
             }
         )
@@ -1305,7 +1311,7 @@ class ShardedIndex(SpatialIndexFacade):
                 }
         if source is not None:
             self._record_update(source)
-            self._backend.run(source, shard_parallel.Delete(request.oid))
+            self._backend.run(source, MovingObjectIndex.delete, request.oid)
             self.migrations += 1
             if result is not None:
                 result.migrations += 1
@@ -1313,7 +1319,7 @@ class ShardedIndex(SpatialIndexFacade):
             result.residuals += 1  # not indexed yet: plain insert
         self._record_update(target)
         self._backend.run(
-            target, shard_parallel.Insert(request.oid, request.new_location)
+            target, MovingObjectIndex.insert, request.oid, request.new_location
         )
         if self.durability is not None and frames is not None:
             self.durability.log_unit(frames, barrier=False)
@@ -1455,7 +1461,7 @@ class ShardedIndex(SpatialIndexFacade):
     # Statistics and integrity
     # ------------------------------------------------------------------
     def reset_statistics(self) -> None:
-        self._broadcast(shard_parallel.ResetStats())
+        self._broadcast(MovingObjectIndex.reset_statistics)
         self.migrations = 0
         for controller in self.controllers.values():
             controller.restart(self.shards)
@@ -1465,7 +1471,7 @@ class ShardedIndex(SpatialIndexFacade):
         return IOStatistics.sum(shard.io_snapshot() for shard in self.shards)
 
     def refresh_summary(self) -> None:
-        self._broadcast(shard_parallel.RefreshSummary())
+        self._broadcast(MovingObjectIndex.refresh_summary)
 
     def validate(self, check_min_fill: bool = False) -> dict:
         """Validate ownership, the spatial routing, and every shard.
@@ -1497,7 +1503,7 @@ class ShardedIndex(SpatialIndexFacade):
                     )
         if errors:
             raise AssertionError("; ".join(errors))
-        reports = self._broadcast(shard_parallel.Validate(check_min_fill))
+        reports = self._broadcast(MovingObjectIndex.validate, check_min_fill)
         return {
             "shards": len(self.shards),
             "objects": len(self),

@@ -4,15 +4,14 @@ A :class:`~repro.shard.index.ShardedIndex` owns N fully independent
 :class:`~repro.core.index.MovingObjectIndex` shards — disjoint trees, disks,
 buffers and counters — so shard-local work commutes freely across shards.
 The coordinator never touches a shard's tree itself: every shard-local step
-is a picklable **command** (:class:`Insert`, :class:`ApplyBatch`,
-:class:`Range`, :class:`KNNProbe`, the rebalance leaf-group
-:class:`ExportGroup`/:class:`ImportGroup` pair, …), one function
-(:func:`execute_command`) interprets a command against one shard, and the
-attached executor decides *where* that interpreter runs — the two differ
-only in transport:
+is one call of a ``MovingObjectIndex`` method, named by attribute, with its
+arguments (``run(shard_id, MovingObjectIndex.insert, oid, location)``;
+``dispatch`` takes per-shard lists of ``(method, args)`` pairs, each list run
+in order).  The attached executor decides *where* that call runs — the two
+differ only in transport:
 
-* :class:`ShardBackend` (``serial``) — the in-process executor: commands
-  run inline against the authoritative shard objects, window streams stay
+* :class:`ShardBackend` (``serial``) — the in-process executor: it calls
+  the method on the authoritative shard object, and window streams stay
   lazy inside a shard (the default, and the baseline the process executor
   must match bit for bit);
 * :class:`ProcessBackend` — one long-lived worker process per shard slot
@@ -20,11 +19,12 @@ only in transport:
   worker ``i % workers``).  Each worker owns the authoritative copy of its
   shards from attach time on (see *Attach* below), and the coordinator
   keeps per-shard **mirrors** of the metadata the router needs between
-  dispatches (object positions, I/O counters, root MBRs, disk sizes).
-  Commands are batched **per worker per dispatch** — one pipe message
-  carries every command a dispatch has for that worker — which amortises
-  IPC over whole batch buckets instead of paying a round trip per
-  operation.
+  dispatches (object positions, I/O counters, root MBRs, disk sizes).  A
+  call crosses the pipe as the method's ``__name__`` and its arguments, and
+  the worker runs ``getattr(shard, name)(*args)``.  Calls are batched **per
+  worker per dispatch** — one pipe message carries every call a dispatch
+  has for that worker — which amortises IPC over whole batch buckets
+  instead of paying a round trip per operation.
 
 Attach
 ------
@@ -42,35 +42,36 @@ coordinator's snapshot.  The coordinator flushes each shard's pool *before*
 the fork: the write-back is charged once, to counters the snapshot then
 captures, so the worker continues the coordinator's counter sequence
 exactly as it does after restoring a document (whose save flushes too) —
-serial ≡ fork ≡ spawn on every counter.  The way back (``detach_parallel`` / ``shard_documents``) is
-always the :class:`Checkpoint` command: worker-held state really does cross
-a pipe.
+serial ≡ fork ≡ spawn on every counter.  The way back (``detach_parallel`` /
+``shard_documents``) is always ``MovingObjectIndex.checkpoint_document``:
+worker-held state really does cross a pipe.
 
 Worker failure
 --------------
 A worker that dies, or does not answer within :data:`DISPATCH_DEADLINE_S`,
 fails the whole backend: every worker is killed and reaped and
-:class:`~repro.api.errors.WorkerFailedError` is raised — from that dispatch
-and from every later one, ``detach_parallel``'s included, so the
-coordinator's stale mirror shards are never installed as if they were
-current.  Tree state the workers held since attach is gone; the caller
-reloads from checkpoint/WAL.  A command that merely *raises* inside a live
-worker surfaces as the same error type but leaves the backend serving.
+:class:`~repro.api.errors.WorkerFailedError`, naming the methods in flight,
+is raised — from that dispatch and from every later one,
+``detach_parallel``'s included, so the coordinator's stale mirror shards are
+never installed as if they were current.  Tree state the workers held since
+attach is gone; the caller reloads from checkpoint/WAL.  A call that merely
+*raises* inside a live worker surfaces as the same error type but leaves the
+backend serving.
 
 Determinism and exactness
 -------------------------
 Executors are not allowed to change answers or costs, and cannot: both run
-the same commands through the same interpreter (``ApplyBatch``
-pre-commits positions then runs the shard's group-by-leaf executor;
-``KNNProbe`` consumes the shard's distance-ordered stream against the
-running cross-shard best list), so results, tie-breaks, update outcomes and
-logical/physical I/O counters are identical — the shard-equivalence suite
-asserts this per strategy.  Cross-shard kNN probes stay sequential even
-under the process backend: the pruning radius each probe carries comes from
-the previous shard's answer, and probing speculatively in parallel would
-charge I/O a sequential probe never pays.
+the same shard methods (``_execute_operation_stream`` pre-commits positions
+then runs the shard's group-by-leaf executor; ``knn_probe`` consumes the
+shard's distance-ordered stream against the running cross-shard best list),
+so results, tie-breaks, update outcomes and logical/physical I/O counters
+are identical — the shard-equivalence suite asserts this per strategy.
+Cross-shard kNN probes stay sequential even under the process backend: the
+pruning radius each probe carries comes from the previous shard's answer,
+and probing speculatively in parallel would charge I/O a sequential probe
+never pays.
 
-Every worker reply carries, besides the command payloads, a state envelope
+Every worker reply carries, besides the call results, a state envelope
 per touched shard: a full :class:`~repro.storage.stats.IOStatistics`
 snapshot, update-outcome counts included (assigned in place into the
 coordinator's mirror, so ``io_snapshot``/batch I/O deltas/rebalance load
@@ -81,14 +82,14 @@ mirror is written.
 
 from __future__ import annotations
 
-import bisect
 import multiprocessing
 import os
 import weakref
-from dataclasses import dataclass, field
+from types import MethodType
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -100,241 +101,50 @@ from typing import (
 
 from repro.api.errors import WorkerFailedError
 from repro.api.schema import SPEC_KEYS
-from repro.cost.model import TreeShape
-from repro.geometry import Point, Rect
-from repro.rtree.node import Entry
-from repro.update.base import BatchUpdate
+from repro.core.index import MovingObjectIndex
+from repro.geometry import Rect
 
 if TYPE_CHECKING:  # runtime-import free: shard.index imports this module
     from repro.shard.index import ShardedIndex
 
-# ---------------------------------------------------------------------------
-# The command protocol (everything here must pickle cleanly)
-# ---------------------------------------------------------------------------
+#: One shard-local step: a ``MovingObjectIndex`` method and its arguments.
+Call = Tuple[Callable[..., Any], Tuple[Any, ...]]
+#: The same step on the wire: the method's name instead of the method.
+NamedCall = Tuple[str, Tuple[Any, ...]]
 
 
-@dataclass(frozen=True)
-class Insert:
-    """Insert a new object into the shard."""
-
-    oid: int
-    location: Point
-
-
-@dataclass(frozen=True)
-class Update:
-    """In-shard move through the shard's update strategy; returns the outcome."""
-
-    oid: int
-    new_location: Point
-
-
-@dataclass(frozen=True)
-class Delete:
-    """Remove an object from the shard; returns whether it existed."""
-
-    oid: int
+#: The method names :meth:`ProcessBackend._sync_mirror` keys on, read off
+#: the methods themselves so that renaming one fails at import.
+_STREAM, _UPDATE, _INSERT, _DELETE, _EXPORT, _IMPORT, _STRATEGY, _BUFFER = (
+    method.__name__
+    for method in (
+        MovingObjectIndex._execute_operation_stream,
+        MovingObjectIndex.update,
+        MovingObjectIndex.insert,
+        MovingObjectIndex.delete,
+        MovingObjectIndex.export_group,
+        MovingObjectIndex.import_group,
+        MovingObjectIndex.set_strategy,
+        MovingObjectIndex.set_buffer_capacity,
+    )
+)
 
 
-@dataclass(frozen=True)
-class ApplyBatch:
-    """One shard's coalesced batch bucket, run through the group-by-leaf executor.
-
-    Positions are pre-committed, then the shard's
-    :class:`~repro.update.batch.BatchExecutor` runs.  Returns the sub-result
-    counters ``(groups, largest_group, residuals)``.
-    """
-
-    requests: Sequence[BatchUpdate]
-
-
-@dataclass(frozen=True)
-class Range:
-    """Window query against this shard; returns the shard's hits in order."""
-
-    window: Rect
-
-
-@dataclass(frozen=True)
-class KNNProbe:
-    """One shard's step of the cross-shard best-first kNN.
-
-    Carries the running merged best list (the pruning radius); the executor
-    consumes the shard's distance-ordered stream only while candidates can
-    still enter the top *k* and returns the updated best list (a new list:
-    the carried one is never mutated).
-    """
-
-    point: Point
-    k: int
-    best: Sequence[Tuple[float, int]]
-
-
-@dataclass(frozen=True)
-class LeafOf:
-    """Uncharged leaf-page lookups (rebalance planning); one entry per oid."""
-
-    oids: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Uncharged measure of the shard tree's shape (adaptive ranking)."""
-
-
-@dataclass(frozen=True)
-class ExportGroup:
-    """Source half of a rebalance leaf-group handoff.
-
-    Removes the confirmed members from the planned leaf with one
-    CondenseTree pass (:meth:`~repro.rtree.tree.RTree.remove_group`) and
-    returns their entry rectangles.  When the leaf dissolved or a member
-    left it since planning, nothing is mutated and ``ok`` is False — the
-    coordinator falls back to per-object reroutes.
-    """
-
-    leaf_page: int
-    oids: Tuple[int, ...]
-    hint: Point
-
-
-@dataclass(frozen=True)
-class ImportGroup:
-    """Destination half of a rebalance handoff: bulk-insert exported entries."""
-
-    entries: Tuple[Tuple[int, Rect], ...]
-    positions: Tuple[Tuple[int, Point], ...]
-
-
-@dataclass(frozen=True)
-class ConfigureBuffer:
-    """Install this shard's share of the aggregate buffer capacity (clears it)."""
-
-    capacity: int
-
-
-@dataclass(frozen=True)
-class ResetStats:
-    """Zero the shard's I/O and outcome counters."""
-
-
-@dataclass(frozen=True)
-class Validate:
-    """Run the shard's structural validation; returns its report."""
-
-    check_min_fill: bool = False
-
-
-@dataclass(frozen=True)
-class RefreshSummary:
-    """Rebuild the shard's summary structure from the tree (GBU)."""
-
-
-@dataclass(frozen=True)
-class SetStrategy:
-    """Hot-swap the shard's update strategy in place; returns the new name."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Return the shard's full checkpoint document (page images + config)."""
-
-
-Command = Any  # any of the dataclasses above
-
-
-# ---------------------------------------------------------------------------
-# The shared interpreter: one command against one shard
-# ---------------------------------------------------------------------------
-
-
-def execute_command(shard, command: Command) -> Any:
-    """Run one *command* against one :class:`MovingObjectIndex` shard.
-
-    This is the single interpreter every executor shares — the serial
-    executor calls it in-process, the worker main loop calls it in its own
-    process — so a command means exactly one thing regardless of
-    where the shard lives.  The chain is ordered by frequency: batch
-    buckets, window and kNN visits, then the per-operation commands.
-    """
-    if isinstance(command, ApplyBatch):
-        sub = shard._execute_operation_stream(command.requests)
-        return (sub.groups, sub.largest_group, sub.residuals)
-    if isinstance(command, Range):
-        return shard.range_query(command.window)
-    if isinstance(command, KNNProbe):
-        k = command.k
-        best: List[Tuple[float, int]] = list(command.best)
-        for candidate in shard.tree.iter_knn(command.point, k):
-            if len(best) >= k and candidate[0] > best[-1][0]:
-                break  # stream is distance-ordered: nothing closer follows
-            bisect.insort(best, candidate)
-            del best[k:]
-        return best
-    if isinstance(command, Insert):
-        shard.insert(command.oid, command.location)
-        return None
-    if isinstance(command, Delete):
-        return shard.delete(command.oid)
-    if isinstance(command, Update):
-        return shard.update(command.oid, command.new_location)
-    if isinstance(command, LeafOf):
-        return [shard.hash_index.peek(oid) for oid in command.oids]
-    if isinstance(command, Shape):
-        return TreeShape.from_tree(shard.tree)
-    if isinstance(command, ExportGroup):
-        path = shard.tree.find_path_to_leaf(
-            command.leaf_page, Rect.from_point(command.hint)
-        )
-        if path is None:
-            return {"ok": False}
-        try:
-            moved = shard.tree.remove_group(path, list(command.oids))
-        except LookupError:
-            # A member left the (still existing) leaf — nothing was mutated.
-            return {"ok": False}
-        for oid in command.oids:
-            shard._positions.pop(oid, None)
-        return {"ok": True, "entries": [(entry.child, entry.rect) for entry in moved]}
-    if isinstance(command, ImportGroup):
-        # Entries are immutable values: re-creating them in the exported
-        # order is the same bulk-insert input the removed entries were.
-        shard.tree.insert_group(
-            [Entry(rect, oid) for oid, rect in command.entries]
-        )
-        shard._positions.update(command.positions)
-        return None
-    if isinstance(command, ConfigureBuffer):
-        shard.buffer.clear()
-        shard.buffer.capacity = command.capacity
-        return None
-    if isinstance(command, ResetStats):
-        shard.reset_statistics()
-        return None
-    if isinstance(command, Validate):
-        return shard.validate(check_min_fill=command.check_min_fill)
-    if isinstance(command, RefreshSummary):
-        shard.refresh_summary()
-        return None
-    if isinstance(command, SetStrategy):
-        return shard.set_strategy(command.name)
-    if isinstance(command, Checkpoint):
-        from repro.core.persistence import _index_document
-
-        return _index_document(shard)
-    raise TypeError(f"unknown shard command {command!r}")
-
-
-def _execute_all(
-    shards: Any, per_shard: Dict[int, Sequence[Command]]
+def _run_calls(
+    shards: Any, per_shard: Dict[int, Sequence[Any]], bind: Callable[[Any, Any], Any]
 ) -> Dict[int, List[Any]]:
-    """Run each shard's command list, in order, against ``shards[shard_id]``."""
+    """The one call interpreter: each shard's ``(method, args)`` calls, in
+    order.  *bind* turns the method into a callable on the shard —
+    ``getattr`` on the method's name in a worker, method binding
+    in-process."""
     return {
-        shard_id: [execute_command(shards[shard_id], command) for command in commands]
-        for shard_id, commands in per_shard.items()
+        shard_id: [bind(shards[shard_id], method)(*args) for method, args in calls]
+        for shard_id, calls in per_shard.items()
     }
+
+
+def _bind(shard: MovingObjectIndex, method: Callable[..., Any]) -> Any:
+    return MethodType(method, shard)
 
 
 def handover_state(shard) -> Dict[str, Any]:
@@ -347,8 +157,7 @@ def adopt_handover(shard, state: Dict[str, Any]) -> None:
     """Reset a taken-over shard to a :func:`handover_state`, with a cold pool
     (a worker at attach, the coordinator at detach)."""
     shard.stats.assign(state["stats"])
-    shard.buffer.clear()
-    shard.buffer.capacity = state["buffer_capacity"]
+    shard.set_buffer_capacity(state["buffer_capacity"])
 
 
 def _shard_state(shard) -> Dict[str, Any]:
@@ -367,7 +176,7 @@ def _shard_state(shard) -> Dict[str, Any]:
 
 
 def _worker_main(conn, init: Dict[int, Dict[str, Any]]) -> None:
-    """Own a set of shards and serve batched command dispatches over *conn*.
+    """Own a set of shards and serve batched call dispatches over *conn*.
 
     ``init`` maps shard id -> attach payload: the shard itself — the live
     object a fork-started worker inherited, or its checkpoint document (page
@@ -400,7 +209,7 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]]) -> None:
             return
         _tag, per_shard = message
         try:
-            payloads = _execute_all(shards, per_shard)
+            payloads = _run_calls(shards, per_shard, getattr)
             state = {shard_id: _shard_state(shards[shard_id]) for shard_id in per_shard}
             conn.send({"ok": True, "payloads": payloads, "state": state})
         except BaseException as error:
@@ -419,10 +228,11 @@ def _worker_main(conn, init: Dict[int, Dict[str, Any]]) -> None:
 class ShardBackend:
     """The in-process (serial) shard executor, and every executor's surface.
 
-    ``run`` executes one command against one shard, ``dispatch`` per-shard
-    command lists (each in order), ``iter_range`` streams one shard's window
-    hits.  Under any executor but this one the coordinator's shard objects
-    are mirrors, not the authoritative shards.
+    ``run`` calls one ``MovingObjectIndex`` method on one shard,
+    ``dispatch`` per-shard lists of ``(method, args)`` calls (each list in
+    order), ``iter_range`` streams one shard's window hits.  Under any
+    executor but this one the coordinator's shard objects are mirrors, not
+    the authoritative shards.
     """
 
     name = "serial"
@@ -434,14 +244,12 @@ class ShardBackend:
         #: Worker count, clamped to ``[1, shards]`` (default: one per shard).
         self.workers = max(1, min(workers or sharded.num_shards, sharded.num_shards))
 
-    def run(self, shard_id: int, command: Command) -> Any:
-        """One command against one shard — no per-call containers."""
-        return execute_command(self.sharded.shards[shard_id], command)
+    def run(self, shard_id: int, method: Callable[..., Any], *args: Any) -> Any:
+        """``method(shard, *args)`` on one shard — no per-call containers."""
+        return method(self.sharded.shards[shard_id], *args)
 
-    def dispatch(
-        self, per_shard: Dict[int, Sequence[Command]]
-    ) -> Dict[int, List[Any]]:
-        return _execute_all(self.sharded.shards, per_shard)
+    def dispatch(self, per_shard: Dict[int, Sequence[Call]]) -> Dict[int, List[Any]]:
+        return _run_calls(self.sharded.shards, per_shard, _bind)
 
     def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
         """One shard's window hits, read from the tree only as consumed."""
@@ -502,7 +310,7 @@ class ProcessBackend(ShardBackend):
     coordinator flushed the shard's pool (before the fork, or as part of
     encoding the document), so the write-back is charged exactly once and
     the worker continues the coordinator's counter sequence.  It then serves
-    command batches until detached; the coordinator's shard objects become
+    call batches until detached; the coordinator's shard objects become
     mirrors, kept in step by :meth:`_sync_mirror` after every reply.
 
     A dead or hung worker fails the backend for good: see the module
@@ -559,9 +367,7 @@ class ProcessBackend(ShardBackend):
                     shard.buffer.flush()
                     state = shard
                 else:
-                    from repro.core.persistence import _index_document
-
-                    state = _index_document(shard)  # flushes, like the above
+                    state = shard.checkpoint_document()  # flushes, like the above
                 init[shard_id] = {"shard": state, **handover_state(shard)}
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
@@ -591,7 +397,7 @@ class ProcessBackend(ShardBackend):
                 )
 
     def _fail(
-        self, worker_id: int, how: str, bundle: Optional[Dict[int, List[Command]]]
+        self, worker_id: int, how: str, bundle: Optional[Dict[int, List[NamedCall]]]
     ) -> NoReturn:
         """A worker is dead or hung: kill and reap them all, fail for good.
 
@@ -600,8 +406,8 @@ class ProcessBackend(ShardBackend):
         if bundle is None:
             in_flight = "attach"
         else:
-            kinds = {type(c).__name__ for cs in bundle.values() for c in cs}
-            in_flight = "+".join(sorted(kinds))
+            names = {name for calls in bundle.values() for name, _args in calls}
+            in_flight = "+".join(sorted(names))
         self._failure = (
             f"shard worker {worker_id} {how} during {in_flight}; every worker "
             "of this backend was stopped and the tree state they held since "
@@ -611,7 +417,7 @@ class ProcessBackend(ShardBackend):
         raise WorkerFailedError(self._failure)
 
     def _reply(
-        self, worker_id: int, bundle: Optional[Dict[int, List[Command]]]
+        self, worker_id: int, bundle: Optional[Dict[int, List[NamedCall]]]
     ) -> Dict[str, Any]:
         """The next message from *worker_id* — or the end of the backend."""
         conn = self._connections[worker_id]
@@ -622,14 +428,14 @@ class ProcessBackend(ShardBackend):
             self._fail(worker_id, "died", bundle)
         self._fail(worker_id, f"timed out ({DISPATCH_DEADLINE_S:g} s)", bundle)
 
-    def dispatch(
-        self, per_shard: Dict[int, Sequence[Command]]
-    ) -> Dict[int, List[Any]]:
+    def dispatch(self, per_shard: Dict[int, Sequence[Call]]) -> Dict[int, List[Any]]:
         if self._failure is not None:
             raise WorkerFailedError(self._failure)
-        per_worker: Dict[int, Dict[int, List[Command]]] = {}
-        for shard_id, commands in per_shard.items():
-            per_worker.setdefault(self._owner[shard_id], {})[shard_id] = list(commands)
+        per_worker: Dict[int, Dict[int, List[NamedCall]]] = {}
+        for shard_id, calls in per_shard.items():
+            per_worker.setdefault(self._owner[shard_id], {})[shard_id] = [
+                (method.__name__, args) for method, args in calls
+            ]
         # One message per involved worker — send everything first so workers
         # run concurrently, then collect.
         for worker_id, bundle in per_worker.items():
@@ -651,55 +457,52 @@ class ProcessBackend(ShardBackend):
             for shard_id, state in reply["state"].items():
                 self._sync_mirror(shard_id, bundle[shard_id], replied[shard_id], state)
         if errors:
-            # The workers are alive and in step; only these commands failed.
+            # The workers are alive and in step; only these calls failed.
             raise WorkerFailedError("; ".join(errors))
         return payloads
 
     def _sync_mirror(
         self,
         shard_id: int,
-        commands: Sequence[Command],
+        calls: Sequence[NamedCall],
         payloads: Sequence[Any],
         state: Dict[str, Any],
     ) -> None:
         """Bring the coordinator's mirror of one shard in step with a reply:
-        what each executed command implies for positions, strategy name and
+        what each executed call implies for positions, strategy name and
         knobs, then the state envelope.  Mirror trees are never touched."""
         shard = self.sharded.shards[shard_id]
         positions = shard._positions
-        for command, payload in zip(commands, payloads):
-            kind = type(command)
-            if kind is ApplyBatch:
-                for request in command.requests:
+        for (name, args), payload in zip(calls, payloads):
+            if name == _STREAM:
+                for request in args[0]:
                     positions[request.oid] = request.new_location
-            elif kind is Update:
-                positions[command.oid] = command.new_location
-            elif kind is Insert:
-                positions[command.oid] = command.location
-            elif kind is Delete:
-                positions.pop(command.oid, None)
-            elif kind is ExportGroup:
-                if payload["ok"]:
-                    for oid in command.oids:
+            elif name == _UPDATE or name == _INSERT:
+                positions[args[0]] = args[1]
+            elif name == _DELETE:
+                positions.pop(args[0], None)
+            elif name == _EXPORT:
+                if payload is not None:
+                    for oid in args[1]:
                         positions.pop(oid, None)
-            elif kind is ImportGroup:
-                positions.update(command.positions)
-            elif kind is SetStrategy:
+            elif name == _IMPORT:
+                positions.update(args[1])
+            elif name == _STRATEGY:
                 shard.active_strategy = payload
-            elif kind is ConfigureBuffer:
-                execute_command(shard, command)  # knobs only: same on the mirror
+            elif name == _BUFFER:
+                shard.set_buffer_capacity(*args)  # knobs only: same on the mirror
         shard.stats.assign(state["stats"])
         mbr = state["root_mbr"]
         self._root_mbrs[shard_id] = None if mbr is None else Rect(*mbr)
         self._disk_pages[shard_id] = state["pages"]
 
-    def run(self, shard_id: int, command: Command) -> Any:
-        return self.dispatch({shard_id: [command]})[shard_id][0]
+    def run(self, shard_id: int, method: Callable[..., Any], *args: Any) -> Any:
+        return self.dispatch({shard_id: [(method, args)]})[shard_id][0]
 
     def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
         # Laziness ends at the pipe: reaching into a shard fetches (and
         # charges) that shard's whole answer.
-        return self.run(shard_id, Range(window))
+        return self.run(shard_id, MovingObjectIndex.range_query, window)
 
     def root_mbr(self, shard_id: int) -> Optional[Rect]:
         return self._root_mbrs[shard_id]
@@ -749,27 +552,10 @@ def make_backend(
 
 
 __all__ = [
-    "ApplyBatch",
     "BACKENDS",
-    "Checkpoint",
-    "ConfigureBuffer",
-    "Delete",
-    "ExportGroup",
-    "ImportGroup",
-    "Insert",
-    "KNNProbe",
-    "LeafOf",
     "ProcessBackend",
-    "Range",
-    "RefreshSummary",
-    "ResetStats",
-    "SetStrategy",
-    "Shape",
     "ShardBackend",
-    "Update",
-    "Validate",
     "adopt_handover",
-    "execute_command",
     "handover_state",
     "make_backend",
 ]

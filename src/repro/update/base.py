@@ -29,7 +29,17 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.concurrency.dgl import (
     EXTERNAL_GRANULE,
@@ -67,6 +77,8 @@ class UpdateOutcome(enum.Enum):
 #: One request of a leaf bucket, ``(oid, old_location, new_location)``: a
 #: :class:`BatchUpdate`, or the plain tuple a per-operation update builds.
 Request = Tuple[int, Point, Point]
+#: A caller's own request type: the unsettled members come back as given.
+AnyRequest = TypeVar("AnyRequest", bound=Request)
 #: A bucket member's next rung, run once the bucket's leaf is released.
 Escalation = Callable[[], UpdateOutcome]
 #: What a bucket's local rungs leave: ``(outcomes, escalations, unsettled)``.
@@ -125,8 +137,8 @@ class UpdateStrategy:
         return escalations[0]() if escalations else outcomes[0]
 
     def update_group(
-        self, leaf_page_id: int, group: Sequence[Request]
-    ) -> List[Request]:
+        self, leaf_page_id: int, group: Sequence[AnyRequest]
+    ) -> List[AnyRequest]:
         """Run the ladder over a bucket of requests whose objects share one leaf.
 
         The local rungs run with the leaf pinned across the members (a
@@ -351,6 +363,9 @@ def outcome_fractions(stats: IOStatistics) -> Dict[str, float]:
 
     *stats* may be a shard's live counters, an ``io_snapshot()`` or a delta
     such as a ``BatchReport.io``: the mix of exactly the updates it covers.
+    On a sharded index those are the in-shard updates only: a migration
+    runs as a delete plus an insert, records no outcome, and is counted in
+    ``ShardedIndex.migrations`` and ``BatchReport.migrations`` instead.
     """
     counts = {outcome.value: stats.extra.get(outcome.value, 0) for outcome in UpdateOutcome}
     total = sum(counts.values())

@@ -42,9 +42,7 @@ from repro.api.errors import (
 )
 from repro.api.results import BatchReport
 from repro.geometry import Point
-from repro.rtree.tree import RTree
 from repro.secondary import ObjectHashIndex
-from repro.storage.stats import IOStatistics
 from repro.update.base import BatchUpdate, UpdateStrategy
 
 
@@ -164,21 +162,12 @@ class BatchExecutor:
     the strategy's ladder (:meth:`~repro.update.base.UpdateStrategy.update_group`).
     Leaves are resolved with uncharged :meth:`ObjectHashIndex.peek` calls —
     planning is main-memory work; the ladder charges one probe per member
-    that reaches its leaf, keeping the paper's accounting.  *stats* are the
-    shared counters the per-batch I/O delta is taken from.
+    that reaches its leaf, keeping the paper's accounting.
     """
 
-    def __init__(
-        self,
-        tree: RTree,
-        strategy: UpdateStrategy,
-        hash_index: ObjectHashIndex,
-        stats: Optional[IOStatistics] = None,
-    ) -> None:
-        self.tree = tree
+    def __init__(self, strategy: UpdateStrategy, hash_index: ObjectHashIndex) -> None:
         self.strategy = strategy
         self.hash_index = hash_index
-        self.stats = stats if stats is not None else tree.disk.stats
 
     def execute(self, updates: Iterable[BatchUpdate]) -> BatchReport:
         """Drain one run of updates, one leaf bucket at a time (serial execution).
@@ -186,7 +175,6 @@ class BatchExecutor:
         The facade splits a stream at its barriers (inserts, deletes and
         queries) and hands each run between them here.
         """
-        before = self.stats.snapshot()
         plan = self.plan(updates)
         result = BatchReport(updates=plan.requested, coalesced=plan.coalesced)
         for request in plan.unindexed:
@@ -195,7 +183,6 @@ class BatchExecutor:
         while buckets:
             leaf_page, bucket = buckets.popitem(last=False)
             self.execute_group(leaf_page, bucket, result, reroute=buckets)
-        result.io = self.stats.snapshot().delta_since(before)
         return result
 
     def plan(self, updates: Iterable[BatchUpdate]) -> BatchPlan:

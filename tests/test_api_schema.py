@@ -191,6 +191,27 @@ class TestShardBound:
             open_index(spec)
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize(
+        "partitioner, length",
+        [
+            ({"kind": "boundaries", "boundaries": [[0, 0, 1, 1]] * 1025}, 1025),
+            (
+                {
+                    "kind": "quantile_grid",
+                    "x_cuts": [i / 2000 for i in range(2001)],
+                    "y_cuts": [[0.0, 1.0]] * 2000,
+                },
+                2001,
+            ),
+        ],
+    )
+    def test_a_length_error_names_the_length_not_the_list(self, partitioner, length):
+        with pytest.raises(ValueError) as raised:
+            open_index({"partitioner": partitioner})
+        message = str(raised.value)
+        assert len(message) < 200
+        assert message.endswith(f"got a list of length {length}")
+
     def test_the_bound_itself_is_accepted(self):
         grid = {"partitioner": {"kind": "grid", "columns": 32, "rows": 32}}
         assert read("spec", grid)["partitioner"]["columns"] == 32

@@ -8,6 +8,7 @@ serial executor's round trips counted through a recording fake, what an
 attach is allowed to cost, and what a dead or hung worker turns into.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -18,7 +19,7 @@ import pytest
 
 from repro.api import RangeQuery, Update, index_spec, open_index
 from repro.api.errors import OperationError, WorkerFailedError
-from repro.core import IndexConfig, persistence
+from repro.core import IndexConfig, MovingObjectIndex, persistence
 from repro.core.persistence import load_index, save_index
 from repro.geometry import Point, Rect
 from repro.shard import BACKENDS, GridPartitioner, ShardedIndex
@@ -320,7 +321,7 @@ class TestRemoteRebalance:
 class RecordingBackend(shard_parallel.ShardBackend):
     """The in-process executor, logging every round trip it is asked for.
 
-    One entry per ``run``/``dispatch`` call: the ``(shard, command kind)``
+    One entry per ``run``/``dispatch`` call: the ``(shard, method name)``
     pairs it carried — what a process backend would put on its pipes.
     """
 
@@ -328,13 +329,13 @@ class RecordingBackend(shard_parallel.ShardBackend):
         super().__init__(sharded)
         self.round_trips = []
 
-    def run(self, shard_id, command):
-        self.round_trips.append([(shard_id, type(command).__name__)])
-        return super().run(shard_id, command)
+    def run(self, shard_id, method, *args):
+        self.round_trips.append([(shard_id, method.__name__)])
+        return super().run(shard_id, method, *args)
 
     def dispatch(self, per_shard):
         self.round_trips.append(
-            [(sid, type(c).__name__) for sid, cs in per_shard.items() for c in cs]
+            [(sid, m.__name__) for sid, calls in per_shard.items() for m, _a in calls]
         )
         return super().dispatch(per_shard)
 
@@ -361,35 +362,36 @@ class TestRecordedRoundTrips:
         ops.extend(updates[5 * 41 :])
         result = index.execute_many(ops)
         kinds = [sorted({kind for _sid, kind in trip}) for trip in recorder.round_trips]
-        migrations = sum(1 for trip in kinds if trip == ["Delete"])
+        migrations = sum(1 for trip in kinds if trip == ["delete"])
         assert migrations == result.migrations == 14
-        assert kinds.count(["Insert"]) == migrations
-        assert kinds.count(["ApplyBatch"]) == 6  # one per barrier segment
-        assert kinds.count(["Range"]) == 5  # one per barrier, all its shards
+        assert kinds.count(["insert"]) == migrations
+        # One batch step per barrier segment.
+        assert kinds.count(["_execute_operation_stream"]) == 6
+        assert kinds.count(["range_query"]) == 5  # one per barrier, all its shards
         assert len(recorder.round_trips) == 6 + 5 + 2 * migrations
         assert sum(len(trip) for trip in recorder.round_trips) == 58
         for trip in recorder.round_trips:
             shard_ids = [sid for sid, _kind in trip]
-            assert len(shard_ids) == len(set(shard_ids))  # one command per shard
+            assert len(shard_ids) == len(set(shard_ids))  # one call per shard
 
     def test_range_query_is_one_round_trip(self, recorded):
         index, _generator, recorder = recorded
         window = Rect(0.3, 0.3, 0.7, 0.7)
         index.range_query(window)
-        assert recorder.round_trips == [[(sid, "Range") for sid in range(4)]]
+        assert recorder.round_trips == [[(sid, "range_query") for sid in range(4)]]
 
     def test_knn_probes_visited_shards_only(self, recorded):
         index, _generator, recorder = recorded
         point = Point(0.1, 0.1)
         best = index.knn(point, 5)
-        assert recorder.round_trips == [[(0, "KNNProbe")]]
+        assert recorder.round_trips == [[(0, "knn_probe")]]
         radius = best[-1][0]
         for shard_id in range(1, 4):
             bound = index.shards[shard_id].tree.root_mbr()
             assert bound.min_distance_to_point(point) > radius  # pruned
         recorder.round_trips.clear()
         index.knn(Point(0.5, 0.5), 5)
-        assert [trip[0][1] for trip in recorder.round_trips] == ["KNNProbe"] * 4
+        assert [trip[0][1] for trip in recorder.round_trips] == ["knn_probe"] * 4
 
 
 class TestStreamingUnderBackend:
@@ -480,10 +482,10 @@ class TestWorkerFailureSurface:
         assert issubclass(WorkerFailedError, OperationError)
         with pytest.raises(WorkerFailedError, match="worker 0 failed") as raised:
             # An update for an object the worker has never seen violates
-            # the routed-command contract and surfaces as a worker error.
-            index._backend.run(0, shard_parallel.Update(999_999, Point(0, 0)))
+            # the routed-call contract and surfaces as a worker error.
+            index._backend.run(0, MovingObjectIndex.update, 999_999, Point(0, 0))
         assert isinstance(raised.value, RuntimeError)
-        # The worker is alive and in step: only that command failed.
+        # The worker is alive and in step: only that call failed.
         assert len(index.range_query(self.WINDOW)) == SPEC.num_objects
         index.detach_parallel()
         index.validate()
@@ -505,7 +507,7 @@ class TestWorkerFailureSurface:
         os.kill(backend._processes[1].pid, signal.SIGSTOP)
         started = time.perf_counter()
         with pytest.raises(
-            WorkerFailedError, match=r"worker 1 timed out \(0\.3 s\) during Range"
+            WorkerFailedError, match=r"worker 1 timed out \(0\.3 s\) during range_query"
         ):
             index.range_query(self.WINDOW)
         assert time.perf_counter() - started < 3.0
@@ -514,18 +516,19 @@ class TestWorkerFailureSurface:
     @needs_fork
     def test_worker_dying_mid_apply_batch(self, monkeypatch):
         sentinel = 7
-        execute_command = shard_parallel.execute_command
+        batch_step = MovingObjectIndex._execute_operation_stream
 
-        def dies_on_sentinel(shard, command):
-            if isinstance(command, shard_parallel.ApplyBatch) and any(
-                request.oid == sentinel for request in command.requests
-            ):
+        @functools.wraps(batch_step)  # keeps the name the call crosses the pipe as
+        def dies_on_sentinel(shard, requests):
+            if any(request.oid == sentinel for request in requests):
                 os._exit(1)
-            return execute_command(shard, command)
+            return batch_step(shard, requests)
 
         index, generator = build_sharded()
         # Patched before the attach: the forked workers inherit it.
-        monkeypatch.setattr(shard_parallel, "execute_command", dies_on_sentinel)
+        monkeypatch.setattr(
+            MovingObjectIndex, "_execute_operation_stream", dies_on_sentinel
+        )
         index.set_parallel("process", workers=2)
         batch = [
             Update(oid, new) for oid, _old, new in generator.updates(60) if oid != sentinel
@@ -533,8 +536,10 @@ class TestWorkerFailureSurface:
         index.execute_many(batch)
         here = index.position_of(sentinel)
         started = time.perf_counter()
-        with pytest.raises(WorkerFailedError, match=r"died during \S*ApplyBatch"):
-            # A nudge inside the object's own shard: it rides an ApplyBatch.
+        with pytest.raises(
+            WorkerFailedError, match=r"died during \S*_execute_operation_stream"
+        ):
+            # A nudge inside the object's own shard: it rides a batch step.
             index.execute_many(batch[:5] + [Update(sentinel, Point(here.x + 1e-9, here.y))])
         assert time.perf_counter() - started < shard_parallel.DISPATCH_DEADLINE_S / 10
         self.assert_backend_is_gone(index)

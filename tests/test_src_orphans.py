@@ -44,6 +44,7 @@ ALLOWED = {
     "ConcurrentSession.submit": f"{_API}: README/examples call it",
     "ShardedIndex.detach": f"{_API}: README/examples call it",
     "ShardedIndex.io_snapshot": f"{_API}: README/examples call it",
+    "ShardedIndex.refresh_summary": f"{_API}: the bulk summary-rebuild hook the summary tests drive",
     # Scalar references of the batched geometry kernels.
     "Rect.enlargement_to_include": "scalar reference the kernel tests compare against",
     "union_all": "scalar reference the kernel tests compare against",
