@@ -149,8 +149,8 @@ class BatchReport:
     groups: int = 0
     #: Size of the largest single group.
     largest_group: int = 0
-    #: Updates replayed through the per-operation path: members not indexed
-    #: yet, and members re-routed after their leaf changed under the engine.
+    #: Updates replayed through the per-operation path: members the engine
+    #: re-routed because their leaf changed since planning.
     residuals: int = 0
     #: Updates that crossed a shard boundary (sharded index only).
     migrations: int = 0

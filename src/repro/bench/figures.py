@@ -809,8 +809,8 @@ def _run_rebalance_hotspot(scale: float, seed: int) -> List[MetricRow]:
                         if index.rebalancer is not None
                         else 0
                     ),
-                    # Scheduled rebalance operations (leaf buckets + loose
-                    # members), not objects moved — migrations counts those.
+                    # Scheduled rebalance operations (one per leaf bucket),
+                    # not objects moved — migrations counts those.
                     "rebalance_ops": float(result.kinds.get("rebalance", 0)),
                 },
             )

@@ -14,8 +14,9 @@ This package provides:
   (S / X / IS / IX modes);
 * :mod:`repro.concurrency.dgl` — the DGL protocol layer: granule identities
   (leaf pages, the external granule, the coarse tree granule), the
-  lock-request record the strategies' ``lock_scope()`` hooks predict, and
-  the helpers that merge, namespace and pair requests for the lock manager;
+  ``(granule, mode)`` request pair the strategies' ``lock_scope()`` hooks
+  predict and the lock manager takes, and the helpers that merge and
+  namespace request sets;
 * :mod:`repro.concurrency.scheduler` — the deterministic logical-clock
   scheduler of N virtual clients (real OS threads would be serialised by
   the Python interpreter's global lock and distort the measurement) and
@@ -34,7 +35,6 @@ from repro.concurrency.dgl import (
     EXTERNAL_GRANULE,
     TREE_GRANULE,
     GranuleLockRequest,
-    as_pairs,
     merge_requests,
     namespace_pairs,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "LockManager",
     "LockMode",
     "GranuleLockRequest",
-    "as_pairs",
     "merge_requests",
     "EXTERNAL_GRANULE",
     "TREE_GRANULE",

@@ -17,17 +17,17 @@ attaches three lock bits to each direct-access-table entry; here the summary
 granule shares the lock id of the node it summarises, which is equivalent).
 
 The lock sets are *predicted*, not observed: each update strategy's
-``lock_scope`` hooks name the granules an operation may touch, as
-:class:`GranuleLockRequest` records, before it runs, and the online engine
+``lock_scope`` hooks name the granules an operation may touch before it
+runs, as :class:`GranuleLockRequest` pairs — the ``(resource, mode)`` pairs
+the lock manager takes — and the online engine
 (:mod:`repro.concurrency.engine`) acquires them all-or-nothing.  This module
-holds the granule identities, the request record and the helpers that turn
-requests into the ``(resource, mode)`` pairs the lock manager takes.
+holds the granule identities, the request pair and the two rewrites a
+scope gets: duplicates merged, and granules namespaced by shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence
 
 from repro.concurrency.locks import LockMode, strongest_mode
 
@@ -45,22 +45,16 @@ EXTERNAL_GRANULE = "external"
 TREE_GRANULE = "tree"
 
 
-@dataclass(frozen=True)
-class GranuleLockRequest:
-    """One granule to lock and the mode to lock it in."""
+class GranuleLockRequest(NamedTuple):
+    """One granule to lock and the mode to lock it in: a lock-manager pair."""
 
     granule: Hashable
     mode: LockMode
 
 
-def as_pairs(requests: Sequence[GranuleLockRequest]) -> List[Tuple[Hashable, LockMode]]:
-    """Convert requests to the ``(resource, mode)`` pairs the lock manager takes."""
-    return [(request.granule, request.mode) for request in requests]
-
-
 def namespace_pairs(
-    pairs: Sequence[Tuple[Hashable, LockMode]], namespace: Hashable
-) -> List[Tuple[Hashable, LockMode]]:
+    pairs: Sequence[GranuleLockRequest], namespace: Hashable
+) -> List[GranuleLockRequest]:
     """Qualify every granule with *namespace*.
 
     A sharded index namespaces each shard's granules with the shard id, so
@@ -70,7 +64,9 @@ def namespace_pairs(
     single scheduler, while a migration that names granules from two shards
     still locks both atomically.
     """
-    return [((namespace, granule), mode) for granule, mode in pairs]
+    return [
+        GranuleLockRequest((namespace, granule), mode) for granule, mode in pairs
+    ]
 
 
 def merge_requests(requests: Iterable[GranuleLockRequest]) -> List[GranuleLockRequest]:

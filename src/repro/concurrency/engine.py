@@ -206,7 +206,7 @@ class OnlineOperationEngine:
         validates the updates (an unknown oid raises before anything
         executes), plans the batch (coalescing repeated updates of one
         object exactly as the serial path does) and hands back its
-        ``group``, ``update`` and ``migration`` operations.  Operations with
+        ``group`` and ``migration`` operations.  Operations with
         disjoint granule sets execute concurrently, operations sharing a
         granule serialise — so the batch's makespan reflects its real
         conflict structure.

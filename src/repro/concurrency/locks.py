@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 
 class LockMode(enum.Enum):
-    """Lock modes in increasing order of strength (IS < IX < S < X)."""
+    """Lock modes: IS < IX < X and IS < S < X; IX and S join to X."""
 
     INTENTION_SHARED = "IS"
     INTENTION_EXCLUSIVE = "IX"
@@ -23,33 +23,33 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
-#: Compatibility matrix: ``_COMPATIBLE[(held, requested)]`` is True when a
-#: lock held in mode *held* allows another transaction to acquire *requested*.
-_COMPATIBLE: Dict[Tuple[LockMode, LockMode], bool] = {}
+IS, IX, S, X = (
+    LockMode.INTENTION_SHARED,
+    LockMode.INTENTION_EXCLUSIVE,
+    LockMode.SHARED,
+    LockMode.EXCLUSIVE,
+)
 
-
-def _fill_compatibility() -> None:
-    IS, IX, S, X = (
-        LockMode.INTENTION_SHARED,
-        LockMode.INTENTION_EXCLUSIVE,
-        LockMode.SHARED,
-        LockMode.EXCLUSIVE,
-    )
-    table = {
-        (IS, IS): True, (IS, IX): True, (IS, S): True, (IS, X): False,
-        (IX, IS): True, (IX, IX): True, (IX, S): False, (IX, X): False,
-        (S, IS): True, (S, IX): False, (S, S): True, (S, X): False,
-        (X, IS): False, (X, IX): False, (X, S): False, (X, X): False,
-    }
-    _COMPATIBLE.update(table)
-
-
-_fill_compatibility()
+#: The mode lattice, one cell per ``(held, requested)`` pair: their *join*
+#: (the weakest mode that dominates both; S and IX are incomparable and join
+#: to X, the conservative upgrade) and whether *requested* can be granted to
+#: another owner alongside *held*.
+_LATTICE: Dict[Tuple[LockMode, LockMode], Tuple[LockMode, bool]] = {
+    (IS, IS): (IS, True), (IS, IX): (IX, True), (IS, S): (S, True), (IS, X): (X, False),
+    (IX, IS): (IX, True), (IX, IX): (IX, True), (IX, S): (X, False), (IX, X): (X, False),
+    (S, IS): (S, True), (S, IX): (X, False), (S, S): (S, True), (S, X): (X, False),
+    (X, IS): (X, False), (X, IX): (X, False), (X, S): (X, False), (X, X): (X, False),
+}
 
 
 def compatible(held: LockMode, requested: LockMode) -> bool:
     """``True`` when *requested* can be granted alongside a lock held in *held*."""
-    return _COMPATIBLE[(held, requested)]
+    return _LATTICE[held, requested][1]
+
+
+def strongest_mode(held: LockMode, requested: LockMode) -> LockMode:
+    """The weakest mode that dominates both arguments (their join)."""
+    return _LATTICE[held, requested][0]
 
 
 class LockManager:
@@ -65,8 +65,6 @@ class LockManager:
     def __init__(self) -> None:
         # resource -> owner -> mode
         self._grants: Dict[Hashable, Dict[Hashable, LockMode]] = defaultdict(dict)
-        self.grant_count = 0
-        self.wait_count = 0
 
     # ------------------------------------------------------------------
     def can_grant(self, resource: Hashable, owner: Hashable, mode: LockMode) -> bool:
@@ -79,7 +77,7 @@ class LockManager:
         return True
 
     def try_acquire_all(
-        self, requests: List[Tuple[Hashable, LockMode]], owner: Hashable
+        self, requests: Sequence[Tuple[Hashable, LockMode]], owner: Hashable
     ) -> bool:
         """Atomically acquire every lock in *requests* or none of them.
 
@@ -89,15 +87,14 @@ class LockManager:
         """
         for resource, mode in requests:
             held = self._grants[resource].get(owner)
-            if held is not None and _stronger_or_equal(held, mode):
-                continue
+            if held is not None and _LATTICE[held, mode][0] is held:
+                continue  # already held in a mode that dominates *mode*
             if not self.can_grant(resource, owner, mode):
-                self.wait_count += 1
                 return False
         for resource, mode in requests:
-            held = self._grants[resource].get(owner)
-            self._grants[resource][owner] = _strongest(held, mode)
-            self.grant_count += 1
+            grants = self._grants[resource]
+            held = grants.get(owner)
+            grants[owner] = mode if held is None else _LATTICE[held, mode][0]
         return True
 
     def release_all(self, owner: Hashable) -> None:
@@ -114,42 +111,3 @@ class LockManager:
         """Current holders of *resource* and their modes (copy)."""
         return dict(self._grants.get(resource, {}))
 
-
-def _stronger_or_equal(held: LockMode, requested: LockMode) -> bool:
-    order = {
-        LockMode.INTENTION_SHARED: 0,
-        LockMode.INTENTION_EXCLUSIVE: 1,
-        LockMode.SHARED: 2,
-        LockMode.EXCLUSIVE: 3,
-    }
-    # S and IX are incomparable in general; treating S >= IX would wrongly
-    # allow a writer to proceed under a shared lock, so only X dominates S,
-    # and only X/IX dominate IX.
-    if held == requested:
-        return True
-    if held == LockMode.EXCLUSIVE:
-        return True
-    if held == LockMode.SHARED and requested == LockMode.INTENTION_SHARED:
-        return True
-    if held == LockMode.INTENTION_EXCLUSIVE and requested == LockMode.INTENTION_SHARED:
-        return True
-    return order[held] >= order[requested] and (held, requested) not in {
-        (LockMode.SHARED, LockMode.INTENTION_EXCLUSIVE),
-    }
-
-
-def strongest_mode(held: LockMode, requested: LockMode) -> LockMode:
-    """The weakest mode that dominates both arguments (public helper)."""
-    return _strongest(held, requested)
-
-
-def _strongest(held: Optional[LockMode], requested: LockMode) -> LockMode:
-    if held is None:
-        return requested
-    if _stronger_or_equal(held, requested):
-        return held
-    if _stronger_or_equal(requested, held):
-        return requested
-    # S + IX (or vice versa) combine to X-equivalent strength; granting X is
-    # the conservative upgrade.
-    return LockMode.EXCLUSIVE

@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.schema import default, read
-from repro.concurrency.locks import LockManager, LockMode
-
-#: The ``(granule, mode)`` lock set a virtual operation acquires.
-LockPairs = List[Tuple[Hashable, LockMode]]
+from repro.concurrency.dgl import GranuleLockRequest
+from repro.concurrency.locks import LockManager
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +52,7 @@ class VirtualOperation:
     """
 
     kind: str
-    lock_scope: Callable[[], LockPairs]
+    lock_scope: Callable[[], List[GranuleLockRequest]]
     work: Callable[[], object]
 
 

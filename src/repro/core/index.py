@@ -254,8 +254,7 @@ class MovingObjectIndex:
         positions = self._positions
         for request in requests:
             positions[request.oid] = request.new_location
-        report = self.batch.execute(requests)
-        return report.groups, report.largest_group, report.residuals
+        return self.batch.execute(requests)
 
     def position_of(self, oid: int) -> Optional[Point]:
         """Last recorded position of *oid* (``None`` if absent)."""

@@ -64,9 +64,9 @@ from repro.api.errors import (
     UnknownObjectError,
 )
 from repro.api.results import BatchReport, QueryCursor
-from repro.concurrency.dgl import as_pairs, namespace_pairs
+from repro.concurrency.dgl import GranuleLockRequest, namespace_pairs
 from repro.concurrency.engine import PreparedBatch
-from repro.concurrency.scheduler import LockPairs, VirtualOperation
+from repro.concurrency.scheduler import VirtualOperation
 from repro.core.config import IndexConfig
 from repro.core.index import MovingObjectIndex
 from repro.core.protocol import SpatialIndexFacade
@@ -105,23 +105,16 @@ from repro.update.batch import (
 
 def _group_scope(
     executor: BatchExecutor, leaf_page: int, bucket: List[BatchUpdate], namespace: int
-) -> LockPairs:
+) -> List[GranuleLockRequest]:
     """A batch bucket's granules: its strategy's ``group_lock_scope``, namespaced."""
-    requests = executor.strategy.group_lock_scope(leaf_page, bucket)
-    return namespace_pairs(as_pairs(requests), namespace)
-
-
-def _replay_scope(
-    executor: BatchExecutor, request: BatchUpdate, namespace: int
-) -> LockPairs:
-    """An unindexed batch member's granules: its per-operation update scope."""
-    requests = executor.strategy.lock_scope(
-        request.oid, request.old_location, request.new_location
+    return namespace_pairs(
+        executor.strategy.group_lock_scope(leaf_page, bucket), namespace
     )
-    return namespace_pairs(as_pairs(requests), namespace)
 
 
-def _shard_scope(shard: MovingObjectIndex, op: api_ops.Operation) -> LockPairs:
+def _shard_scope(
+    shard: MovingObjectIndex, op: api_ops.Operation
+) -> List[GranuleLockRequest]:
     """One shard's DGL granule lock set for *op*, from its strategy's hooks.
 
     A top-down update locks every leaf its descents may visit, the
@@ -153,7 +146,7 @@ def _shard_scope(shard: MovingObjectIndex, op: api_ops.Operation) -> LockPairs:
         root_mbr = shard.tree.root_mbr()
         window = root_mbr if root_mbr is not None else Rect.from_point(op.point)
         requests = strategy.query_lock_scope(window)
-    return as_pairs(requests)
+    return requests
 
 
 class ShardedIndex(SpatialIndexFacade):
@@ -463,12 +456,12 @@ class ShardedIndex(SpatialIndexFacade):
     def reroute(self, oid: int) -> bool:
         """Move *oid* to the shard its *current* position routes to.
 
-        The rebalancer's per-object move (a plan's loose members): re-reading
-        the live position makes the operation safe against races with
-        concurrent updates — an object that has already
-        moved on (or away) since the plan was drawn is re-routed to where it
-        now belongs, or not at all.  Returns ``True`` when a migration
-        actually happened.
+        The per-object fallback of :meth:`migrate_leaf_group` for members
+        that drifted off their planned leaf: re-reading the live position
+        makes the operation safe against races with concurrent updates — an
+        object that has already moved on (or away) since the plan was drawn
+        is re-routed to where it now belongs, or not at all.  Returns
+        ``True`` when a migration actually happened.
         """
         source = self.shard_for(oid)
         if source is None:
@@ -637,11 +630,13 @@ class ShardedIndex(SpatialIndexFacade):
         weighted by its owning shard's load share, so the new cut equalises
         *load*), installs the new partitioner, and runs the plan directly,
         the same way under every executor: :meth:`migrate_leaf_group` for
-        each leaf bucket, then :meth:`reroute` for each loose member.  A
-        live engine session instead schedules the same moves through its
-        maintenance queue (:meth:`maintenance_operations`), where each
-        locks its source-shard delete scope and destination-shard insert
-        scope all-or-nothing and interleaves with the client operations.
+        each leaf bucket (every planned move has an indexed leaf:
+        :meth:`validate` holds each position table equal to its hash
+        index).  A live engine session instead schedules the same moves
+        through its maintenance queue (:meth:`maintenance_operations`),
+        where each locks its source-shard delete scope and destination-shard
+        insert scope all-or-nothing and interleaves with the client
+        operations.
 
         With ``force=True`` the policy trigger is bypassed and — when no
         load has been recorded (or no rebalancer is attached) — the plan
@@ -666,8 +661,6 @@ class ShardedIndex(SpatialIndexFacade):
             )
         for shard_id, leaf_page, members in plan.buckets:
             self.migrate_leaf_group(shard_id, leaf_page, members)
-        for oid in plan.loose:
-            self.reroute(oid)
         return RebalanceReport(
             triggered=True,
             imbalance_before=imbalance_before,
@@ -777,9 +770,9 @@ class ShardedIndex(SpatialIndexFacade):
         rebalancer's policy triggers (:meth:`_triggered_plan`), the new
         boundaries are installed immediately (queries stay correct
         mid-rebalance: shard selection also consults content MBRs) and the
-        plan's migration operations — bulk leaf groups plus loose members —
-        are handed to the scheduler, where they interleave with the live
-        client operations under ordinary all-or-nothing granule locking.
+        plan's migration operations — one per leaf bucket — are handed to
+        the scheduler, where they interleave with the live client
+        operations under ordinary all-or-nothing granule locking.
         """
         # Strategy switches are coordinator-local and instantaneous in
         # virtual time — executed inline at the same maintenance point the
@@ -795,8 +788,8 @@ class ShardedIndex(SpatialIndexFacade):
         return self._migration_batch(plan)
 
     def _migration_batch(self, plan: RebalancePlan) -> List[VirtualOperation]:
-        """A plan's moves as ``rebalance`` operations: buckets, then loose members."""
-        operations = [
+        """A plan's moves as ``rebalance`` operations, one per leaf bucket."""
+        return [
             VirtualOperation(
                 "rebalance",
                 partial(self._reroute_scope, members),
@@ -804,17 +797,8 @@ class ShardedIndex(SpatialIndexFacade):
             )
             for shard_id, leaf_page, members in plan.buckets
         ]
-        operations.extend(
-            VirtualOperation(
-                "rebalance",
-                partial(self._reroute_scope, [oid]),
-                partial(self.reroute, oid),
-            )
-            for oid in plan.loose
-        )
-        return operations
 
-    def _reroute_scope(self, oids: List[int]) -> LockPairs:
+    def _reroute_scope(self, oids: List[int]) -> List[GranuleLockRequest]:
         """The granules re-routing *oids* from their live positions locks.
 
         Each object's scope is the update scope of a zero-distance move:
@@ -1227,8 +1211,8 @@ class ShardedIndex(SpatialIndexFacade):
     def _route(
         self, requests: Iterable[BatchUpdate]
     ) -> Tuple[Dict[int, List[BatchUpdate]], List[BatchUpdate]]:
-        """Split coalesced requests into recorded in-shard buckets and the
-        boundary crossings (migrations, or inserts of unknown objects)."""
+        """Split coalesced requests of indexed objects into recorded
+        in-shard buckets and the boundary crossings (migrations)."""
         per_shard: Dict[int, List[BatchUpdate]] = {}
         crossing: List[BatchUpdate] = []
         for request in requests:
@@ -1274,55 +1258,40 @@ class ShardedIndex(SpatialIndexFacade):
     def _execute_migration(
         self, request: BatchUpdate, result: Optional[BatchReport] = None
     ) -> None:
-        """Delete from the source shard, insert into the target, re-route."""
+        """Delete from the source shard, insert into the target, re-route.
+
+        *request* names an indexed object whose new position routes to
+        another shard: the parser rejects unknown objects, and every caller
+        (the batch router, :meth:`update`, :meth:`reroute`) checks the
+        routing first, against the partitioner the migration runs under.
+        """
         source = self.shard_for(request.oid)
         target = self.partitioner.shard_of(request.new_location)
-        # The log frames are computed against the pre-move routing but
-        # appended only after both shards applied their halves (apply
-        # first, log on success — a shard that raises leaves the WAL
-        # silent).  One commit unit across both shard logs, arrival first:
-        # a torn tail that keeps the arrival but loses the departure
+        # The log frames are appended only after both shards applied their
+        # halves (apply first, log on success — a shard that raises leaves
+        # the WAL silent).  One commit unit across both shard logs, arrival
+        # first: a torn tail that keeps the arrival but loses the departure
         # replays as the whole migration (recovery evicts the stale source
-        # copy), and the reverse asymmetry — departure
-        # durable, arrival lost — is detected by recovery as an orphaned
-        # departure (both halves share the LSN) and skipped.
-        frames: Optional[Dict[int, Tuple[LogRecord, ...]]] = None
-        if self.durability is not None:
-            if source is None:
-                frames = {
-                    target: (insert_record(request.oid, request.new_location),)
-                }
-            elif source == target:
-                # Routed back into its own shard (the partitioner moved
-                # between planning and execution): departure before arrival,
-                # mirroring the delete+insert this method performs.
-                frames = {
-                    source: (
-                        migrate_out_record(request.oid),
-                        migrate_in_record(request.oid, request.new_location),
-                    )
-                }
-            else:
-                frames = {
-                    target: (
-                        migrate_in_record(request.oid, request.new_location),
-                    ),
-                    source: (migrate_out_record(request.oid),),
-                }
-        if source is not None:
-            self._record_update(source)
-            self._backend.run(source, MovingObjectIndex.delete, request.oid)
-            self.migrations += 1
-            if result is not None:
-                result.migrations += 1
-        elif result is not None:
-            result.residuals += 1  # not indexed yet: plain insert
+        # copy), and the reverse asymmetry — departure durable, arrival
+        # lost — is detected by recovery as an orphaned departure (both
+        # halves share the LSN) and skipped.
+        self._record_update(source)
+        self._backend.run(source, MovingObjectIndex.delete, request.oid)
+        self.migrations += 1
+        if result is not None:
+            result.migrations += 1
         self._record_update(target)
         self._backend.run(
             target, MovingObjectIndex.insert, request.oid, request.new_location
         )
-        if self.durability is not None and frames is not None:
-            self.durability.log_unit(frames, barrier=False)
+        if self.durability is not None:
+            self.durability.log_unit(
+                {
+                    target: (migrate_in_record(request.oid, request.new_location),),
+                    source: (migrate_out_record(request.oid),),
+                },
+                barrier=False,
+            )
 
     def _parse_operations(
         self, operations: Iterable[api_ops.Operation], strict_deletes: bool = False
@@ -1343,7 +1312,7 @@ class ShardedIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     # Engine SPI (repro.core.protocol; sessions open via engine())
     # ------------------------------------------------------------------
-    def lock_requests_for(self, op: api_ops.Operation) -> LockPairs:
+    def lock_requests_for(self, op: api_ops.Operation) -> List[GranuleLockRequest]:
         """Predict an operation's lock set across shards.
 
         Each shard's granules are namespaced with its shard id, so scopes
@@ -1355,7 +1324,9 @@ class ShardedIndex(SpatialIndexFacade):
         if solo is not None and isinstance(op, api_ops.Operation):
             return namespace_pairs(_shard_scope(solo, op), 0)
 
-        def scope(shard_id: int, shard_op: api_ops.Operation) -> LockPairs:
+        def scope(
+            shard_id: int, shard_op: api_ops.Operation
+        ) -> List[GranuleLockRequest]:
             return namespace_pairs(
                 _shard_scope(self.shards[shard_id], shard_op), shard_id
             )
@@ -1391,13 +1362,13 @@ class ShardedIndex(SpatialIndexFacade):
         In-shard requests go through each shard's group-by-leaf planner and
         become ``group`` operations whose granules carry the shard namespace
         — buckets of different shards are disjoint by construction and
-        schedule fully in parallel; members with no indexed leaf become
-        ``update`` operations.  A boundary-crossing request becomes a
+        schedule fully in parallel.  A boundary-crossing request becomes a
         ``migration``: an update whose scope spans two shards, so it locks
         exactly what ``lock_requests_for`` predicts for its
         :class:`~repro.api.operations.Update`.  Shard position maps are
-        pre-committed for in-shard members (their group/replay passes never
+        pre-committed for in-shard members (their group passes never
         consult them); migrations commit their own state when they execute.
+        The run is coalesced here, once; the shard planners only bucket it.
         """
         pending, requested, coalesced = coalesce_updates(
             self._parse_operations(updates, strict_deletes=True)
@@ -1418,24 +1389,16 @@ class ShardedIndex(SpatialIndexFacade):
         for shard_id, requests in per_shard.items():
             shard = self.shards[shard_id]
             executor = shard.batch
-            plan = executor.plan(requests)
+            buckets = executor.plan(requests)
             for request in requests:
                 shard._positions[request.oid] = request.new_location
-            operations.extend(
-                VirtualOperation(
-                    "update",
-                    partial(_replay_scope, executor, request, shard_id),
-                    partial(executor.replay, request, result),
-                )
-                for request in plan.unindexed
-            )
             operations.extend(
                 VirtualOperation(
                     "group",
                     partial(_group_scope, executor, leaf_page, bucket, shard_id),
                     partial(executor.execute_group, leaf_page, bucket, result),
                 )
-                for leaf_page, bucket in plan.buckets.items()
+                for leaf_page, bucket in buckets.items()
             )
         before = [shard.stats.snapshot() for shard in self.shards]
 

@@ -26,20 +26,20 @@ partition boundaries so the hot region is spread over every shard:
   by :mod:`repro.core.persistence`.
 
 The index executes a plan: :meth:`~repro.shard.index.ShardedIndex.rebalance`
-runs it directly (``migrate_leaf_group`` per bucket, then ``reroute`` per
-loose member), and a live engine session schedules the same moves as
-``rebalance`` operations on its maintenance queue, each locking the delete
-granules in the source shard and the insert granules in the destination
-shard all-or-nothing, so rebalance traffic interleaves safely with client
-operations.  Every move re-reads the object's *live* position when it
-runs, so a plan races safely with concurrent updates: an object that moved
-(or was deleted) after planning is re-routed to wherever it now belongs —
-or not at all — never to a stale position.
+runs it directly (``migrate_leaf_group`` per bucket), and a live engine
+session schedules the same moves as ``rebalance`` operations on its
+maintenance queue, each locking the delete granules in the source shard and
+the insert granules in the destination shard all-or-nothing, so rebalance
+traffic interleaves safely with client operations.  Every move re-reads
+the object's *live* position when it runs, so a plan races safely with
+concurrent updates: an object that moved (or was deleted) after planning is
+re-routed to wherever it now belongs — or not at all — never to a stale
+position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import Point
@@ -166,15 +166,13 @@ class RebalancePlan:
 
     ``buckets`` groups the moves by ``(source shard, source leaf)`` — the
     unit :meth:`~repro.shard.index.ShardedIndex.migrate_leaf_group` moves
-    in bulk — and ``loose`` holds the members with no indexed leaf at
-    planning time (moved per object by
-    :meth:`~repro.shard.index.ShardedIndex.reroute`).
+    in bulk.  Every move has a leaf: ``validate()`` holds each shard's
+    position table equal to its hash index.
     """
 
     partitioner: BoundaryPartitioner
     moves: List[int]
-    buckets: List[Tuple[int, int, List[int]]] = field(default_factory=list)
-    loose: List[int] = field(default_factory=list)
+    buckets: List[Tuple[int, int, List[int]]]
 
 
 @dataclass
@@ -282,32 +280,22 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
             sharded.num_shards,
         )
         moves: List[int] = []
-        pending: List[Tuple[int, int]] = []
+        by_shard: Dict[int, List[int]] = {}
         for oid, position, shard_id in records:
             if partitioner.shard_of(position) == shard_id:
                 continue
             moves.append(oid)
-            pending.append((oid, shard_id))
+            by_shard.setdefault(shard_id, []).append(oid)
         if not moves:
             return None
         # Resolve leaf ownership in one batched (uncharged) lookup per shard
         # rather than one hash probe per object — under the process backend
         # each shard's batch is a single worker round-trip.
-        by_shard: Dict[int, List[int]] = {}
-        for oid, shard_id in pending:
-            by_shard.setdefault(shard_id, []).append(oid)
-        leaf_of: Dict[Tuple[int, int], Optional[int]] = {}
+        grouped: Dict[Tuple[int, int], List[int]] = {}
         for shard_id, oids in by_shard.items():
             pages = sharded.leaf_pages_of(shard_id, oids)
             for oid, leaf_page in zip(oids, pages):
-                leaf_of[(shard_id, oid)] = leaf_page
-        grouped: Dict[Tuple[int, int], List[int]] = {}
-        loose: List[int] = []
-        for oid, shard_id in pending:
-            leaf_page = leaf_of[(shard_id, oid)]
-            if leaf_page is None:
-                loose.append(oid)
-            else:
+                assert leaf_page is not None, f"object {oid} is not indexed"
                 grouped.setdefault((shard_id, leaf_page), []).append(oid)
         return RebalancePlan(
             partitioner=partitioner,
@@ -316,7 +304,6 @@ class ShardRebalancer(MaintenanceController[RebalancePolicy]):
                 (shard_id, leaf_page, members)
                 for (shard_id, leaf_page), members in sorted(grouped.items())
             ],
-            loose=loose,
         )
 
     # -- bookkeeping -----------------------------------------------------

@@ -5,7 +5,8 @@ object's leaf.  When updates arrive in batches, many of them target the same
 leaf — Gaussian and skewed workloads concentrate hot objects on hot pages —
 so the batch engine
 
-1. **plans in memory**: pending updates are coalesced per object and grouped
+1. **plans in memory**: the facade coalesces each run of pending updates
+   per object once (:func:`coalesce_updates`), and the planner groups them
    by their current leaf page, resolved through uncharged peeks at the
    object-ID hash index;
 2. **runs the strategy's ladder once per bucket**
@@ -13,8 +14,10 @@ so the batch engine
    and write for the bucket, each member that leaves the leaf continuing up
    the same ladder — the code a per-operation update runs, since one update
    is the bucket of one;
-3. **replays only what it cannot bucket**: members not indexed yet and, under
-   the concurrent engine, members whose leaf changed since planning.
+3. **replays only what it cannot bucket**: under the concurrent engine,
+   members whose leaf changed since planning.  Every member is an indexed
+   object — the parser rejects an update of an unknown one — so none lacks
+   a leaf.
 
 A batch yields the same query answers as applying its operations one by one:
 every operation carries the object's absolute new position, and repeated
@@ -31,7 +34,6 @@ re-resolves its members' leaves when it runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import repro.api.operations as api_ops
@@ -119,7 +121,7 @@ def coalesce_updates(
     Returns ``(pending, requested, coalesced)``: the surviving requests in
     first-seen order, the number submitted, and the number superseded.  A
     coalesced request keeps the **first** old position and the **latest**
-    new one.  The planner and the sharded router both coalesce with this.
+    new one.  The sharded router coalesces each run with this, once.
     """
     pending: "OrderedDict[int, BatchUpdate]" = OrderedDict()
     requested = coalesced = 0
@@ -134,31 +136,11 @@ def coalesce_updates(
     return pending, requested, coalesced
 
 
-@dataclass
-class BatchPlan:
-    """Group-by-leaf partitioning of one update batch.
-
-    ``buckets`` maps each target leaf page to its pending updates in stream
-    order; the buckets' granule lock sets are what the concurrent engine
-    schedules against each other (conflict-aware batch scheduling), and the
-    serial path drains them front to back.  Planning is main-memory work:
-    leaves are resolved through uncharged hash-index peeks.
-    """
-
-    buckets: "OrderedDict[int, List[BatchUpdate]]"
-    #: Members with no indexed leaf yet (replayed through the per-op path).
-    unindexed: List[BatchUpdate]
-    #: Updates submitted, before coalescing.
-    requested: int
-    #: Updates superseded by a later update to the same object.
-    coalesced: int
-
-
 class BatchExecutor:
     """Executes operation streams with group-by-leaf amortisation.
 
-    A run of updates between barriers is coalesced and bucketed by current
-    leaf once (:meth:`plan`); each bucket is one :meth:`execute_group` run of
+    A coalesced run of updates between barriers is bucketed by current leaf
+    once (:meth:`plan`); each bucket is one :meth:`execute_group` run of
     the strategy's ladder (:meth:`~repro.update.base.UpdateStrategy.update_group`).
     Leaves are resolved with uncharged :meth:`ObjectHashIndex.peek` calls —
     planning is main-memory work; the ladder charges one probe per member
@@ -169,38 +151,37 @@ class BatchExecutor:
         self.strategy = strategy
         self.hash_index = hash_index
 
-    def execute(self, updates: Iterable[BatchUpdate]) -> BatchReport:
-        """Drain one run of updates, one leaf bucket at a time (serial execution).
+    def execute(self, updates: Iterable[BatchUpdate]) -> Tuple[int, int, int]:
+        """Drain one coalesced run, one leaf bucket at a time (serial execution).
 
         The facade splits a stream at its barriers (inserts, deletes and
-        queries) and hands each run between them here.
+        queries) and hands each run between them here.  Returns ``(groups,
+        largest_group, residuals)``, the counts the facade's report adds up.
         """
-        plan = self.plan(updates)
-        result = BatchReport(updates=plan.requested, coalesced=plan.coalesced)
-        for request in plan.unindexed:
-            self.replay(request, result)  # not indexed yet: the update inserts it
-        buckets = plan.buckets
+        result = BatchReport()
+        buckets = self.plan(updates)
         while buckets:
             leaf_page, bucket = buckets.popitem(last=False)
             self.execute_group(leaf_page, bucket, result, reroute=buckets)
-        return result
+        return result.groups, result.largest_group, result.residuals
 
-    def plan(self, updates: Iterable[BatchUpdate]) -> BatchPlan:
-        """Coalesce *updates* per object and bucket them by current leaf.
+    def plan(
+        self, updates: Iterable[BatchUpdate]
+    ) -> "OrderedDict[int, List[BatchUpdate]]":
+        """Bucket *updates* — distinct, indexed objects — by current leaf.
 
-        Shared by the serial drain and the concurrent engine, which schedules
-        the buckets against each other.
+        Maps each leaf page to its members in stream order.  Shared by the
+        serial drain and the concurrent engine, which schedules the buckets'
+        granule lock sets against each other (conflict-aware batch
+        scheduling).  Planning is main-memory work: leaves are resolved
+        through uncharged hash-index peeks.
         """
-        pending, requested, coalesced = coalesce_updates(updates)
         buckets: "OrderedDict[int, List[BatchUpdate]]" = OrderedDict()
-        unindexed: List[BatchUpdate] = []
-        for request in pending.values():
+        for request in updates:
             leaf_page = self.hash_index.peek(request.oid)
-            if leaf_page is None:
-                unindexed.append(request)
-            else:
-                buckets.setdefault(leaf_page, []).append(request)
-        return BatchPlan(buckets, unindexed, requested, coalesced)
+            assert leaf_page is not None, f"object {request.oid} is not indexed"
+            buckets.setdefault(leaf_page, []).append(request)
+        return buckets
 
     def execute_group(
         self,
@@ -244,6 +225,6 @@ class BatchExecutor:
             reroute.setdefault(current, []).append(request)
 
     def replay(self, request: BatchUpdate, result: BatchReport) -> None:
-        """Run one unindexed or re-routed member through the per-operation path."""
+        """Run one re-routed member through the per-operation path."""
         self.strategy.update(*request)
         result.residuals += 1

@@ -7,7 +7,6 @@ from repro.concurrency.dgl import (
     EXTERNAL_GRANULE,
     TREE_GRANULE,
     GranuleLockRequest,
-    as_pairs,
     merge_requests,
     namespace_pairs,
 )
@@ -55,7 +54,7 @@ class TestUpdateRequests:
 
     def test_written_leaf_not_also_locked_shared(self):
         merged = merge_requests([GranuleLockRequest(1, S), GranuleLockRequest(1, X)])
-        assert as_pairs(merged) == [(1, X)]
+        assert merged == [(1, X)]
 
     def test_update_without_leaf_writes_locks_external_granule(self, index):
         """A move out of every leaf region grows the covered space: DGL's
@@ -89,8 +88,8 @@ class TestQueryRequests:
         scope = modes(index.strategy.query_lock_scope(Rect(0.0, 0.0, 1.0, 1.0)))
         assert scope[TREE_GRANULE] == IS
 
-    def test_as_pairs(self):
-        assert as_pairs(query_scope(1)) == [(1, S), (TREE_GRANULE, IS)]
+    def test_requests_are_lock_manager_pairs(self):
+        assert query_scope(1) == [(1, S), (TREE_GRANULE, IS)]
 
 
 class TestMergeRequests:
@@ -112,17 +111,13 @@ class TestMergeRequests:
 class TestNamespaces:
     def test_same_granule_in_two_namespaces_does_not_conflict(self):
         manager = LockManager()
-        assert manager.try_acquire_all(namespace_pairs(as_pairs(update_scope(17)), 0), "a")
-        assert manager.try_acquire_all(namespace_pairs(as_pairs(update_scope(17)), 3), "b")
-        assert not manager.try_acquire_all(
-            namespace_pairs(as_pairs(query_scope(17)), 3), "c"
-        )
+        assert manager.try_acquire_all(namespace_pairs(update_scope(17), 0), "a")
+        assert manager.try_acquire_all(namespace_pairs(update_scope(17), 3), "b")
+        assert not manager.try_acquire_all(namespace_pairs(query_scope(17), 3), "c")
 
     def test_a_scope_spanning_two_namespaces_locks_both(self):
         manager = LockManager()
-        pairs = namespace_pairs(as_pairs(update_scope(5)), 0) + namespace_pairs(
-            as_pairs(update_scope(5)), 1
-        )
+        pairs = namespace_pairs(update_scope(5), 0) + namespace_pairs(update_scope(5), 1)
         assert manager.try_acquire_all(pairs, "migration")
         for namespace in (0, 1):
             assert manager.holders((namespace, 5)) == {"migration": X}
@@ -133,10 +128,10 @@ class TestCompatibilityScenarios:
         """The consistency argument of Section 3.2.2: a query's shared lock
         on a leaf granule and an update's exclusive lock collide."""
         manager = LockManager()
-        assert manager.try_acquire_all(as_pairs(update_scope(1)), owner="updater")
-        assert not manager.try_acquire_all(as_pairs(query_scope(1, 2)), owner="reader")
+        assert manager.try_acquire_all(update_scope(1), owner="updater")
+        assert not manager.try_acquire_all(query_scope(1, 2), owner="reader")
 
     def test_operations_on_disjoint_leaves_do_not_conflict(self):
         manager = LockManager()
-        assert manager.try_acquire_all(as_pairs(update_scope(1)), owner="a")
-        assert manager.try_acquire_all(as_pairs(update_scope(2)), owner="b")
+        assert manager.try_acquire_all(update_scope(1), owner="a")
+        assert manager.try_acquire_all(update_scope(2), owner="b")

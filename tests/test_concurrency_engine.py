@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import KNN, Delete, Insert, InvalidOperationError, RangeQuery, Update
 from repro.concurrency import EXTERNAL_GRANULE, TREE_GRANULE, LockManager, LockMode
-from repro.concurrency.dgl import as_pairs, namespace_pairs
+from repro.concurrency.dgl import namespace_pairs
 from repro.concurrency.locks import strongest_mode
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
@@ -216,11 +216,9 @@ class TestScopesCoverWhatOperationsTouch:
         index, _ = loaded(strategy, num_objects=400)
         for request in scoped_moves(index, count=60):
             manager = LockManager()
-            assert manager.try_acquire_all(
-                as_pairs(index.strategy.lock_scope(*request)), "updater"
-            )
+            assert manager.try_acquire_all(index.strategy.lock_scope(*request), "updater")
             query = index.strategy.query_lock_scope(Rect.from_point(request.old_location))
-            assert not manager.try_acquire_all(as_pairs(query), "reader")
+            assert not manager.try_acquire_all(query, "reader")
 
     def test_delete_scope_locks_the_objects_leaf_exclusively(self):
         index, _ = loaded("GBU", num_objects=400)
@@ -262,7 +260,7 @@ class TestSingleIndexLockScopes:
 
     @staticmethod
     def pairs(requests):
-        return namespace_pairs(as_pairs(requests), 0)
+        return namespace_pairs(requests, 0)
 
     def test_update_of_a_known_object_is_the_strategy_lock_scope(self, index):
         old, new = index.position_of(3), Point(0.52, 0.48)

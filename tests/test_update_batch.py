@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import repro.shard.index as shard_index_module
 import repro.update.batch as batch_module
 from repro.api import (
     KNN,
@@ -27,7 +28,7 @@ from repro.geometry import Point, Rect
 from repro.rtree.node import Entry
 from repro.storage import BufferPool, DiskManager, IOStatistics
 from repro.update import BatchUpdate, UpdateOutcome
-from repro.update.batch import DeleteOp, parse_operation_stream
+from repro.update.batch import DeleteOp, coalesce_updates, parse_operation_stream
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.conftest import (
@@ -192,6 +193,24 @@ class TestBatchExecutor:
         assert result.coalesced == 2
         assert index.position_of(5) == final
         assert sorted(index.range_query(Rect.from_point(final)))[0:1] == [5]
+
+    def test_execute_many_coalesces_a_run_once(self, monkeypatch):
+        """The router coalesces each run; the shard's planner only buckets it."""
+        index = build_facade("GBU", num_objects=200)
+        calls = []
+        real = batch_module.coalesce_updates
+
+        def counted(updates):
+            calls.append(1)
+            return real(updates)
+
+        monkeypatch.setattr(batch_module, "coalesce_updates", counted)
+        monkeypatch.setattr(shard_index_module, "coalesce_updates", counted)
+        result = index.execute_many(
+            [Update(oid, Point(0.5, 0.5)) for oid in (1, 2, 1, 3)]
+        )
+        assert result.coalesced == 1 and calls == [1]
+        index.validate()
 
     def test_groups_never_outnumber_touched_leaves(self):
         index = build_facade("GBU", num_objects=400)
@@ -399,38 +418,47 @@ class TestGeneratorBatchedStream:
 
 
 class TestBatchPlan:
-    def test_plan_coalesces_and_buckets_by_leaf(self):
+    def test_plan_buckets_a_coalesced_run_by_leaf(self):
         index = build_index("GBU", num_objects=200)
         a, b = 3, 4
         pos_a, pos_b = index.position_of(a), index.position_of(b)
-        plan = index.batch.plan(
+        pending, requested, coalesced = coalesce_updates(
             [
                 BatchUpdate(a, pos_a, Point(0.31, 0.31)),
                 BatchUpdate(b, pos_b, Point(0.72, 0.72)),
                 BatchUpdate(a, Point(0.31, 0.31), Point(0.33, 0.33)),
             ]
         )
-        assert plan.requested == 3
-        assert plan.coalesced == 1
-        assert not plan.unindexed
-        members = [u for bucket in plan.buckets.values() for u in bucket]
-        assert len(members) == 2
-        coalesced_a = next(u for u in members if u.oid == a)
+        assert (requested, coalesced) == (3, 1)
         # Earliest old position, latest new position.
-        assert coalesced_a.old_location == pos_a
-        assert coalesced_a.new_location == Point(0.33, 0.33)
+        assert pending[a] == BatchUpdate(a, pos_a, Point(0.33, 0.33))
+        buckets = index.batch.plan(pending.values())
+        members = [u for bucket in buckets.values() for u in bucket]
+        assert sorted(members) == sorted(pending.values())
         # Every member is bucketed under its current leaf page.
-        for leaf_page, bucket in plan.buckets.items():
+        for leaf_page, bucket in buckets.items():
             for request in bucket:
                 assert index.hash_index.peek(request.oid) == leaf_page
 
-    def test_plan_routes_unknown_objects_to_unindexed(self):
-        index = build_index("GBU", num_objects=50)
-        plan = index.batch.plan(
-            [BatchUpdate(99_999, Point(0.1, 0.1), Point(0.2, 0.2))]
+    def test_no_unindexed_object_reaches_the_plan(self):
+        """An update of an object not indexed yet is turned away by the parser,
+        lenient or not, so the planner only ever sees indexed objects."""
+        index = build_facade("GBU", num_objects=50)
+        size, io = len(index), index.io_snapshot().as_dict()
+        with pytest.raises(UnknownObjectError):
+            index.execute_many(
+                [Update(900, Point(0.5, 0.5)), Insert(900, Point(0.2, 0.2))],
+                strict=False,
+            )
+        assert len(index) == size and index.position_of(900) is None
+        assert index.io_snapshot().as_dict() == io
+        # Inserted first, the object is indexed by the time its run is planned.
+        result = index.execute_many(
+            [Insert(900, Point(0.2, 0.2)), Update(900, Point(0.5, 0.5))]
         )
-        assert not plan.buckets
-        assert len(plan.unindexed) == 1
+        assert (result.inserts, result.updates) == (1, 1)
+        assert 900 in index.range_query(Rect.from_point(Point(0.5, 0.5)))
+        index.validate()
 
     def test_plan_charges_no_io(self):
         index = build_index("GBU", num_objects=200)
@@ -539,6 +567,7 @@ class TestGroupPassWorkBound:
         index.validate()
 
     def test_executor_coalesces_a_run_once(self, monkeypatch):
+        """The executor is handed a coalesced run and adds no second pass."""
         index = build_index("GBU", num_objects=200)
         calls = []
         real = batch_module.coalesce_updates
@@ -547,11 +576,11 @@ class TestGroupPassWorkBound:
             "coalesce_updates",
             lambda updates: calls.append(1) or real(updates),
         )
-        ops = [
+        pending, _requested, _coalesced = real(
             BatchUpdate(oid, index.position_of(oid), Point(0.5, 0.5))
             for oid in (1, 2, 1, 3)
-        ]
-        result = index.batch.execute(ops)
-        # One run between barriers: planned, and so coalesced, once.
-        assert result.coalesced == 1 and calls == [1]
-        assert len(index.batch.plan(ops).buckets) >= 1 and calls == [1, 1]
+        )
+        ops = list(pending.values())
+        groups, largest_group, residuals = index.batch.execute(ops)
+        assert groups >= 1 and 1 <= largest_group <= 3 and residuals == 0
+        assert sum(map(len, index.batch.plan(ops).values())) == 3 and calls == []

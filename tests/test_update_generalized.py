@@ -193,7 +193,6 @@ class TestShiftLockScope:
         raise AssertionError("no shift case in the tree")
 
     def test_shift_from_a_leaf_one_above_minimum_fill(self):
-        from repro.concurrency.dgl import as_pairs
         from repro.concurrency.locks import LockMode
         from repro.update import TuningParameters
 
@@ -213,9 +212,7 @@ class TestShiftLockScope:
         assert len(tree.peek_node(leaf_page)) == tree.min_leaf_entries + 1
         oid = tree.peek_node(leaf_page).child_ids()[0]
 
-        scope = as_pairs(
-            index.strategy.lock_scope(oid, index.position_of(oid), target)
-        )
+        scope = index.strategy.lock_scope(oid, index.position_of(oid), target)
         assert (sibling_page, LockMode.EXCLUSIVE) in scope
         with recorded_accesses(index.buffer) as accesses:
             outcome = index.update(oid, target)
@@ -227,8 +224,6 @@ class TestShiftLockScope:
 def _reach(index, want, seed=1, budget=300):
     """Run updates until one comes back as *want*; return its predicted
     scope granules and the pages it touched (``recorded_accesses``)."""
-    from repro.concurrency.dgl import as_pairs
-
     from tests.conftest import recorded_accesses
 
     tree, rng = index.tree, random.Random(seed)
@@ -246,7 +241,7 @@ def _reach(index, want, seed=1, budget=300):
             new = Point(min(mbr.xmax + 0.001, 1.0), old.y)
         else:
             new = Point(rng.random(), rng.random())
-        scope = as_pairs(index.strategy.lock_scope(oid, old, new))
+        scope = index.strategy.lock_scope(oid, old, new)
         with recorded_accesses(index.buffer) as accesses:
             outcome = index.update(oid, new)
         if outcome is want:
