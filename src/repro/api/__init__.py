@@ -53,6 +53,7 @@ from repro.api.errors import (
     InvalidNeighborCountError,
     InvalidOperationError,
     InvalidWindowError,
+    NonFiniteCoordinateError,
     OperationError,
     UnknownObjectError,
     WorkerFailedError,
@@ -80,6 +81,7 @@ __all__ = [
     "UnknownObjectError",
     "DuplicateObjectError",
     "InvalidWindowError",
+    "NonFiniteCoordinateError",
     "InvalidNeighborCountError",
     "InvalidOperationError",
     "CheckpointError",

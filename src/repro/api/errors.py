@@ -55,6 +55,19 @@ class InvalidWindowError(OperationError, TypeError):
         self.window = window
 
 
+class NonFiniteCoordinateError(OperationError, ValueError):
+    """A position, kNN point or query window has a NaN or infinite coordinate.
+
+    Raised when the operation is built (and by the facade's ``insert`` /
+    ``update``), so no counter, position or page has changed yet.  Node
+    entries must be finite: the geometry kernels' answers assume it.
+    """
+
+    def __init__(self, operand: Any) -> None:
+        super().__init__(f"coordinates must be finite, got {operand!r}")
+        self.operand = operand
+
+
 class InvalidNeighborCountError(OperationError, ValueError):
     """A ``KNN`` asked for a negative or non-integer number of neighbours."""
 
@@ -119,6 +132,7 @@ __all__ = [
     "UnknownObjectError",
     "DuplicateObjectError",
     "InvalidWindowError",
+    "NonFiniteCoordinateError",
     "InvalidNeighborCountError",
     "InvalidOperationError",
     "CheckpointError",

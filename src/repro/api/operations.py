@@ -20,14 +20,29 @@ Update(oid=42, new_location=Point(0.3, 0.4))
 Traceback (most recent call last):
     ...
 repro.api.errors.InvalidNeighborCountError: k must be a non-negative integer, got -1
+>>> Update(42, Point(float("nan"), 0.4))
+Traceback (most recent call last):
+    ...
+repro.api.errors.NonFiniteCoordinateError: coordinates must be finite, got Point(nan, 0.4)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
-from repro.api.errors import InvalidNeighborCountError, InvalidWindowError
+from repro.api.errors import (
+    InvalidNeighborCountError,
+    InvalidWindowError,
+    NonFiniteCoordinateError,
+)
 from repro.geometry import Point, Rect
+
+
+def require_finite(point: Point) -> None:
+    """Raise :class:`NonFiniteCoordinateError` unless both coordinates are finite."""
+    if not (isfinite(point.x) and isfinite(point.y)):
+        raise NonFiniteCoordinateError(point)
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,9 @@ class Insert(Operation):
     location: Point
     kind = "insert"
 
+    def __post_init__(self) -> None:
+        require_finite(self.location)
+
 
 @dataclass(frozen=True)
 class Update(Operation):
@@ -65,6 +83,9 @@ class Update(Operation):
     oid: int
     new_location: Point
     kind = "update"
+
+    def __post_init__(self) -> None:
+        require_finite(self.new_location)
 
 
 @dataclass(frozen=True)
@@ -85,6 +106,14 @@ class RangeQuery(Operation):
     def __post_init__(self) -> None:
         if not isinstance(self.window, Rect):
             raise InvalidWindowError(self.window)
+        window = self.window
+        if not (
+            isfinite(window.xmin)
+            and isfinite(window.ymin)
+            and isfinite(window.xmax)
+            and isfinite(window.ymax)
+        ):
+            raise NonFiniteCoordinateError(window)
 
 
 @dataclass(frozen=True)
@@ -98,6 +127,7 @@ class KNN(Operation):
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InvalidNeighborCountError(self.k)
+        require_finite(self.point)
 
 
 __all__ = [

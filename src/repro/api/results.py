@@ -5,9 +5,9 @@ signalled failure with bare ``KeyError``/``bool`` returns.  This module is
 the replacement contract:
 
 * :class:`QueryCursor` — an iterator over query results that *streams*:
-  the underlying tree traversal advances only as the cursor is consumed, so
-  a caller that stops after ten hits pays the I/O of ten hits, not of the
-  whole result set;
+  the underlying tree traversal advances only as the cursor is consumed, one
+  leaf at a time, so a caller that stops after ten hits pays the I/O of the
+  leaves holding them, not of the whole result set;
 * :class:`OperationResult` — the uniform outcome envelope of one executed
   operation (value, update outcome, or structured error);
 * :class:`BatchReport` — what one batch did: the per-kind counts and I/O
@@ -51,11 +51,13 @@ T = TypeVar("T")
 class QueryCursor(Generic[T], Iterator[T]):
     """A streaming iterator over query results.
 
-    Wraps a lazy result source (a generator walking the R-tree).  Results
-    are produced on demand: each ``next()`` advances the traversal just far
-    enough to surface one hit, and the I/O it causes is charged when — and
-    only if — the caller actually consumes it.  A drained cursor keeps
-    returning nothing.
+    Wraps a lazy result source.  A window query's source is the tree
+    traversal's per-leaf hit lists flattened with
+    ``itertools.chain.from_iterable``: a ``next()`` that finds the current
+    leaf's list used up advances the traversal to the next leaf holding a
+    hit and takes that leaf's hits whole, so the I/O is charged per leaf,
+    when — and only if — the caller consumes a hit from it, and no Python
+    frame resumes per hit.  A drained cursor keeps returning nothing.
     """
 
     def __init__(self, source: Iterable[T]) -> None:

@@ -31,6 +31,7 @@ backend, sends its name and arguments to the worker that owns the shard.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.errors import DuplicateObjectError, UnknownObjectError
@@ -214,7 +215,7 @@ class MovingObjectIndex:
 
     def stream_query(self, window: Rect) -> "QueryCursor[int]":
         """Streaming counterpart of :meth:`range_query` (same answer, same order)."""
-        return QueryCursor(self.strategy.iter_range_query(window))
+        return QueryCursor(chain.from_iterable(self.strategy.iter_range_query(window)))
 
     def knn(self, point: Point, k: int) -> List[Tuple[float, int]]:
         """The *k* objects nearest to *point* as ``(distance, oid)`` pairs."""

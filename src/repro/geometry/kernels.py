@@ -17,6 +17,13 @@ mirrors the scalar formulas operation for operation, so a sweep over a node's
 buffer answers exactly what the per-entry ``Rect`` calls would.  The property
 suite in ``tests/test_geometry_kernels.py`` enforces this contract.
 
+Precondition: every coordinate in a buffer and every query operand is
+finite, and every rectangle is ordered (``xmin <= xmax``, ``ymin <= ymax``).
+The typed operations (:mod:`repro.api.operations`) and the facade's
+``insert``/``update`` reject NaN and infinite coordinates before they reach
+a tree, and ``Rect`` rejects unordered bounds; the intersection kernels rely
+on the precondition to skip reading an entry's far corner.
+
 There is one implementation, in pure Python: at the node sizes the paper's
 1 KB pages produce (at most 49 entries, about 30 per call in the benchmark
 workloads) a vectorised sweep costs more to set up than the loop it
@@ -92,18 +99,18 @@ def intersects_many(
 ) -> List[int]:
     """Indices of rectangles overlapping the window (boundary touch counts).
 
-    Mirrors :meth:`Rect.intersects`.
+    Mirrors :meth:`Rect.intersects` with :func:`intersects_ids`'s lazy reads.
     """
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
-        if not (
-            coords[index + 2] < xmin
-            or xmax < coords[index]
-            or coords[index + 3] < ymin
-            or ymax < coords[index + 1]
-        ):
-            append(index >> 2)
+        x = coords[index]
+        if x > xmax or (x < xmin and coords[index + 2] < xmin):
+            continue
+        y = coords[index + 1]
+        if y > ymax or (y < ymin and coords[index + 3] < ymin):
+            continue
+        append(index >> 2)
     return hits
 
 
@@ -120,17 +127,26 @@ def intersects_ids(
     Gather variant of :func:`intersects_many`: one pass over the buffer that
     collects the matching entry ids directly, skipping the intermediate index
     list (node scans always want the ids, not the positions).
+
+    An entry's far corner is read only when its near one cannot decide: a
+    rectangle whose ``xmin`` lies right of the window is out, one whose
+    ``xmin`` lies inside the window's x-span overlaps it in x, and only an
+    ``xmin`` left of the window needs ``xmax`` (the same for y).  For a
+    moving point inside the window that is two reads instead of four.  This
+    agrees with :meth:`Rect.intersects` for every entry whose coordinates
+    are finite and ordered (``xmin <= xmax``, ``ymin <= ymax``) — the
+    module's precondition.
     """
     hits: List[int] = []
     append = hits.append
     for index in range(0, len(coords), 4):
-        if not (
-            coords[index + 2] < xmin
-            or xmax < coords[index]
-            or coords[index + 3] < ymin
-            or ymax < coords[index + 1]
-        ):
-            append(ids[index >> 2])
+        x = coords[index]
+        if x > xmax or (x < xmin and coords[index + 2] < xmin):
+            continue
+        y = coords[index + 1]
+        if y > ymax or (y < ymin and coords[index + 3] < ymin):
+            continue
+        append(ids[index >> 2])
     return hits
 
 

@@ -374,7 +374,24 @@ class Node:
 
     # -- batch scans (kernel-backed hot paths) -------------------------------
     def intersecting_children(self, window: Rect) -> List[int]:
-        """Entry ids whose MBR intersects *window*, in entry order."""
+        """Entry ids whose MBR intersects *window*, in entry order.
+
+        A node whose memoised MBR lies inside *window* answers every id
+        without a scan.  That is exact: the memo is either ``None`` or the
+        union of every entry, so each entry lies inside the window too.  The
+        memo is read as it is, never rebuilt here (a rebuild is a sweep the
+        scan would not have made), and the answer is a fresh list, so a
+        half-read query cursor holding it is safe from later writes.
+        """
+        mbr = self._mbr
+        if (
+            mbr is not None
+            and window.xmin <= mbr.xmin
+            and window.ymin <= mbr.ymin
+            and mbr.xmax <= window.xmax
+            and mbr.ymax <= window.ymax
+        ):
+            return self.children.tolist()
         return kernels.intersects_ids(
             self.coords,
             self.children,

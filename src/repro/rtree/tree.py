@@ -32,6 +32,7 @@ Levels are numbered from the leaves (leaf level = 0, root level =
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.geometry import Point, Rect
@@ -641,24 +642,28 @@ class RTree:
     # ------------------------------------------------------------------
     def range_query(self, window: Rect) -> List[int]:
         """Return the object ids whose MBRs intersect *window* (top-down search)."""
-        return list(self.iter_range_query(window))
+        return list(chain.from_iterable(self.iter_range_query(window)))
 
-    def iter_range_query(self, window: Rect) -> Iterator[int]:
-        """Stream the object ids whose MBRs intersect *window*.
+    def iter_range_query(self, window: Rect) -> Iterator[List[int]]:
+        """Stream the hits of the window query *window*, one leaf's list at a time.
 
-        The traversal advances lazily: each ``next()`` reads only as many
-        nodes as needed to surface one hit, so a consumer that stops early
-        pays only the I/O of what it consumed.  The yield order is exactly
-        the order :meth:`range_query` materialises (same depth-first stack
-        discipline) — streaming and list execution are byte-identical.
+        Each ``next()`` reads nodes up to the next leaf that holds a hit and
+        yields that leaf's hits as one list (never an empty one), so a
+        consumer that stops early pays only the I/O of the leaves it
+        reached.  Flattened with ``itertools.chain.from_iterable`` the ids
+        come in exactly the order :meth:`range_query` materialises (same
+        depth-first stack discipline), without a generator resumption per
+        hit.
         """
         stack = [self.root_page_id]
         while stack:
             node = self.read_node(stack.pop())
+            hits = node.intersecting_children(window)
             if node.is_leaf:
-                yield from node.intersecting_children(window)
+                if hits:
+                    yield hits
             else:
-                stack.extend(node.intersecting_children(window))
+                stack.extend(hits)
 
     def point_query(self, point: Point) -> List[int]:
         """Return the object ids whose MBRs contain *point*.

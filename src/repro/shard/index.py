@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
+from itertools import chain
+from math import isfinite
 from pathlib import Path
 from typing import (
     Any,
@@ -61,6 +63,7 @@ import repro.api.operations as api_ops
 from repro.api.errors import (
     DuplicateObjectError,
     InvalidOperationError,
+    NonFiniteCoordinateError,
     UnknownObjectError,
 )
 from repro.api.results import BatchReport, QueryCursor
@@ -470,7 +473,7 @@ class ShardedIndex(SpatialIndexFacade):
         if self.partitioner.shard_of(position) == source:
             return False
         self._unrecorded_migration(
-            lambda: self._execute_migration(BatchUpdate(oid, position, position))
+            lambda: self._execute_migration(source, BatchUpdate(oid, position, position))
         )
         return True
 
@@ -924,7 +927,13 @@ class ShardedIndex(SpatialIndexFacade):
     # Data operations
     # ------------------------------------------------------------------
     def insert(self, oid: int, location: Point) -> None:
-        """Insert a new object (:class:`DuplicateObjectError` when it exists)."""
+        """Insert a new object (:class:`DuplicateObjectError` when it exists).
+
+        A NaN or infinite coordinate raises
+        :class:`~repro.api.errors.NonFiniteCoordinateError` before anything
+        changes.
+        """
+        api_ops.require_finite(location)
         if oid in self:
             raise DuplicateObjectError(oid)
         shard_id = self.partitioner.shard_of(location)
@@ -942,8 +951,13 @@ class ShardedIndex(SpatialIndexFacade):
         """Route the update; migrate across shards when a boundary is crossed.
 
         Raises :class:`~repro.api.errors.UnknownObjectError` (a ``KeyError``)
-        when the object is not indexed.
+        when the object is not indexed, and
+        :class:`~repro.api.errors.NonFiniteCoordinateError` for a NaN or
+        infinite coordinate, both before anything changes.
         """
+        # require_finite inlined: this is the per-update path.
+        if not (isfinite(new_location.x) and isfinite(new_location.y)):
+            raise NonFiniteCoordinateError(new_location)
         solo = self._solo
         if solo is not None:
             outcome = solo.update(oid, new_location)
@@ -967,7 +981,7 @@ class ShardedIndex(SpatialIndexFacade):
                 )
             return outcome
         self._execute_migration(
-            BatchUpdate(oid, self.shards[source].position_of(oid), new_location)
+            source, BatchUpdate(oid, self.shards[source].position_of(oid), new_location)
         )
         return UpdateOutcome.MIGRATED
 
@@ -1038,21 +1052,23 @@ class ShardedIndex(SpatialIndexFacade):
 
         The qualifying shards are selected up front (an uncharged check of
         partition boundaries and root MBRs); each shard's own traversal then
-        streams lazily, in the same shard order — and therefore the same
-        result order — as :meth:`range_query`.  Under the process backend
-        laziness degrades to shard granularity: reaching into a shard
-        fetches (and charges) that whole shard's hits at once.
+        streams lazily, one leaf's hit list at a time, in the same shard
+        order — and therefore the same result order — as :meth:`range_query`.
+        The cursor flattens the lists, so no coordinator frame resumes per
+        hit.  Under the process backend laziness degrades to shard
+        granularity: reaching into a shard fetches (and charges) that whole
+        shard's hits at once, as one list.
         """
         solo = self._solo
         if solo is not None:
             return solo.stream_query(window)
 
-        def hits() -> Iterator[int]:
+        def leaf_hits() -> Iterator[List[int]]:
             for shard_id in self._query_shards(window):
                 self._record_query(shard_id)
                 yield from self._backend.iter_range(shard_id, window)
 
-        return QueryCursor(hits())
+        return QueryCursor(chain.from_iterable(leaf_hits()))
 
     def stream_knn(self, point: Point, k: int) -> QueryCursor:
         """Cursor over the merged k nearest neighbours across shards.
@@ -1190,8 +1206,8 @@ class ShardedIndex(SpatialIndexFacade):
         result.coalesced += coalesced
         run.clear()
         per_shard, crossing = self._route(pending.values())
-        for request in crossing:
-            self._execute_migration(request, result)
+        for source, request in crossing:
+            self._execute_migration(source, request, result)
         # Every shard's bucket goes out in one dispatch (the process backend
         # sends one message per worker); each runs the pre-commit +
         # group-by-leaf step.
@@ -1210,17 +1226,18 @@ class ShardedIndex(SpatialIndexFacade):
 
     def _route(
         self, requests: Iterable[BatchUpdate]
-    ) -> Tuple[Dict[int, List[BatchUpdate]], List[BatchUpdate]]:
+    ) -> Tuple[Dict[int, List[BatchUpdate]], List[Tuple[int, BatchUpdate]]]:
         """Split coalesced requests of indexed objects into recorded
-        in-shard buckets and the boundary crossings (migrations)."""
+        in-shard buckets and the boundary crossings (migrations), each
+        crossing paired with the shard it leaves."""
         per_shard: Dict[int, List[BatchUpdate]] = {}
-        crossing: List[BatchUpdate] = []
+        crossing: List[Tuple[int, BatchUpdate]] = []
         for request in requests:
             source = self.shard_for(request.oid)
             if source == self.partitioner.shard_of(request.new_location):
                 per_shard.setdefault(source, []).append(request)
             else:
-                crossing.append(request)
+                crossing.append((source, request))
         for shard_id, bucket in per_shard.items():
             self._record_update(shard_id, len(bucket))
             self._record_moves(
@@ -1256,16 +1273,16 @@ class ShardedIndex(SpatialIndexFacade):
         )
 
     def _execute_migration(
-        self, request: BatchUpdate, result: Optional[BatchReport] = None
+        self, source: int, request: BatchUpdate, result: Optional[BatchReport] = None
     ) -> None:
-        """Delete from the source shard, insert into the target, re-route.
+        """Delete from the *source* shard, insert into the target, re-route.
 
-        *request* names an indexed object whose new position routes to
-        another shard: the parser rejects unknown objects, and every caller
-        (the batch router, :meth:`update`, :meth:`reroute`) checks the
-        routing first, against the partitioner the migration runs under.
+        *request* names an object indexed on *source* whose new position
+        routes to another shard: the parser rejects unknown objects, and
+        every caller (the batch router, :meth:`update`, :meth:`reroute`)
+        has looked *source* up and checked the routing first, against the
+        partitioner the migration runs under.
         """
-        source = self.shard_for(request.oid)
         target = self.partitioner.shard_of(request.new_location)
         # The log frames are appended only after both shards applied their
         # halves (apply first, log on success — a shard that raises leaves
@@ -1382,9 +1399,9 @@ class ShardedIndex(SpatialIndexFacade):
                     self.lock_requests_for,
                     api_ops.Update(request.oid, request.new_location),
                 ),
-                partial(self._execute_migration, request, result),
+                partial(self._execute_migration, source, request, result),
             )
-            for request in crossing
+            for source, request in crossing
         ]
         for shard_id, requests in per_shard.items():
             shard = self.shards[shard_id]

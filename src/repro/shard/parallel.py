@@ -251,8 +251,8 @@ class ShardBackend:
     def dispatch(self, per_shard: Dict[int, Sequence[Call]]) -> Dict[int, List[Any]]:
         return _run_calls(self.sharded.shards, per_shard, _bind)
 
-    def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
-        """One shard's window hits, read from the tree only as consumed."""
+    def iter_range(self, shard_id: int, window: Rect) -> Iterable[List[int]]:
+        """One shard's window hits, one leaf's list at a time, read only as consumed."""
         return self.sharded.shards[shard_id].strategy.iter_range_query(window)
 
     def root_mbr(self, shard_id: int) -> Optional[Rect]:
@@ -499,10 +499,10 @@ class ProcessBackend(ShardBackend):
     def run(self, shard_id: int, method: Callable[..., Any], *args: Any) -> Any:
         return self.dispatch({shard_id: [(method, args)]})[shard_id][0]
 
-    def iter_range(self, shard_id: int, window: Rect) -> Iterable[int]:
+    def iter_range(self, shard_id: int, window: Rect) -> Iterable[List[int]]:
         # Laziness ends at the pipe: reaching into a shard fetches (and
-        # charges) that shard's whole answer.
-        return self.run(shard_id, MovingObjectIndex.range_query, window)
+        # charges) that shard's whole answer, which comes back as one list.
+        return [self.run(shard_id, MovingObjectIndex.range_query, window)]
 
     def root_mbr(self, shard_id: int) -> Optional[Rect]:
         return self._root_mbrs[shard_id]

@@ -14,10 +14,17 @@ overlap the window — needed for their children's MBRs — and the overlapping
 leaves themselves.  The answer set is identical to
 :meth:`repro.rtree.tree.RTree.range_query`; only the number of internal-node
 reads differs.
+
+:func:`iter_summary_guided_range_query` streams the disk phase at leaf
+granularity, like :meth:`~repro.rtree.tree.RTree.iter_range_query`: each
+step reads up to the next leaf that holds a hit and yields that leaf's hits
+as one list, which a query cursor flattens with
+``itertools.chain.from_iterable``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, List
 
 from repro.geometry import Rect
@@ -33,17 +40,18 @@ def summary_guided_range_query(
 
     Returns the object ids whose MBRs intersect *window*.
     """
-    return list(iter_summary_guided_range_query(tree, summary, window))
+    return list(chain.from_iterable(iter_summary_guided_range_query(tree, summary, window)))
 
 
 def iter_summary_guided_range_query(
     tree: RTree, summary: SummaryStructure, window: Rect
-) -> Iterator[int]:
-    """Stream the summary-guided window query's hits lazily.
+) -> Iterator[List[int]]:
+    """Stream the summary-guided window query's hits, one leaf's list at a time.
 
     The in-memory descent over the direct access table runs up front (it
     costs no I/O); the disk phase — reading qualifying level-1 nodes and
-    leaves — advances only as the iterator is consumed.  The yield order is
+    leaves — advances only as the iterator is consumed, one leaf that holds
+    a hit per step (empty leaves yield nothing).  Flattened, the lists give
     exactly :func:`summary_guided_range_query`'s materialised order.
     """
     root_entry = summary.root_entry()
@@ -72,5 +80,6 @@ def iter_summary_guided_range_query(
     for entry in frontier:
         level1_node = tree.read_node(entry.page_id)
         for child_page in level1_node.intersecting_children(window):
-            leaf = tree.read_node(child_page)
-            yield from leaf.intersecting_children(window)
+            hits = tree.read_node(child_page).intersecting_children(window)
+            if hits:
+                yield hits

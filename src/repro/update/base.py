@@ -174,11 +174,12 @@ class UpdateStrategy:
         """Answer a window query; strategies may override (GBU uses the summary)."""
         return self.tree.range_query(window)
 
-    def iter_range_query(self, window: Rect) -> Iterator[int]:
-        """Stream a window query's hits lazily (same order as :meth:`range_query`).
+    def iter_range_query(self, window: Rect) -> Iterator[List[int]]:
+        """Stream a window query's hits lazily, one leaf's hit list at a time.
 
+        Flattened, the lists give :meth:`range_query`'s answer in its order.
         Backs the public API's :class:`~repro.api.results.QueryCursor`:
-        traversal I/O is paid only for results actually consumed.  GBU
+        traversal I/O is paid only for the leaves actually reached.  GBU
         overrides this with the summary-guided descent.
         """
         return self.tree.iter_range_query(window)

@@ -108,7 +108,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
             return summary_guided_range_query(self.tree, self.summary, window)
         return self.tree.range_query(window)
 
-    def iter_range_query(self, window: Rect) -> Iterator[int]:
+    def iter_range_query(self, window: Rect) -> Iterator[List[int]]:
         if self.use_summary_for_queries:
             return iter_summary_guided_range_query(self.tree, self.summary, window)
         return self.tree.iter_range_query(window)

@@ -12,16 +12,20 @@ one-shard case, whose operations skip routing; ``TestOneShard`` holds that
 direct route to the routed one.
 """
 
+import os
 import random
+import sys
 
 import pytest
 
+import repro
 from repro.api import (
     KNN,
     Delete,
     DuplicateObjectError,
     Insert,
     InvalidOperationError,
+    NonFiniteCoordinateError,
     RangeQuery,
     UnknownObjectError,
     Update,
@@ -73,6 +77,36 @@ def operation_script(seed=3, count=150, num_objects=NUM_OBJECTS):
         else:
             ops.append(KNN(Point(rng.random(), rng.random()), 5))
     return ops
+
+
+def leaf_read_marks(index, window):
+    """What a zero-buffer window query reads, from uncharged peeks.
+
+    Returns ``(marks, total)``: one ``(reads, hits)`` pair per leaf holding
+    a hit, in cursor order, where *reads* counts the nodes the query has
+    read up to and including that leaf, and the reads of the whole query.
+    TD descends the tree depth-first off a stack (children pushed in entry
+    order, so popped last first); GBU's summary path answers the levels
+    above 1 from the direct access table and reads only the level-1 nodes
+    and leaves, in entry order.  Shards come in fan-out order.
+    """
+    marks, reads = [], 0
+    for shard_id in index._query_shards(window):
+        shard = index.shards[shard_id]
+        tree = shard.tree
+        summary_path = shard.config.strategy == "GBU" and tree.height > 1
+        pending = [tree.root_page_id]
+        while pending:
+            node = tree.peek_node(pending.pop())
+            if not summary_path or node.level <= 1:
+                reads += 1
+            children = [e.child for e in node.entries if e.rect.intersects(window)]
+            if node.is_leaf:
+                if children:
+                    marks.append((reads, children))
+            else:
+                pending.extend(reversed(children) if summary_path else children)
+    return marks, reads
 
 
 def outcome_counts(index):
@@ -182,6 +216,28 @@ class TestErrorTaxonomyOnFacades:
         assert lenient.error is None
         assert lenient.value is False
         assert index.delete(999_999, strict=False) is False
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_non_finite_coordinates_change_nothing(self, shards):
+        index = loaded(shards=shards)
+        nan, inf = float("nan"), float("inf")
+        before = (len(index), final_positions(index, []), index.io_snapshot().as_dict())
+        with pytest.raises(NonFiniteCoordinateError):
+            index.execute(Update(3, Point(nan, 0.5)))
+        with pytest.raises(NonFiniteCoordinateError):
+            index.execute(Insert(99_999, Point(inf, 0.2)))
+        with pytest.raises(NonFiniteCoordinateError):
+            index.execute_many([Update(1, Point(0.8, 0.8)), Update(3, Point(0.5, -inf))])
+        with pytest.raises(NonFiniteCoordinateError):
+            index.update(3, Point(nan, 0.5))
+        with pytest.raises(NonFiniteCoordinateError):
+            index.insert(99_999, Point(inf, 0.2))
+        with pytest.raises(NonFiniteCoordinateError):
+            index.execute(RangeQuery(Rect(0.0, 0.0, nan, 1.0)))
+        with pytest.raises(NonFiniteCoordinateError):
+            index.execute(KNN(Point(0.5, inf), 3))
+        assert (len(index), final_positions(index, []), index.io_snapshot().as_dict()) == before
+        index.validate()
 
     def test_non_strict_execute_captures_errors(self):
         index = loaded()
@@ -304,32 +360,49 @@ class TestCursorsOnFacades:
         assert cursor.all() == []
         assert cursor.fetch(1) == []
 
-    def test_streaming_defers_io_until_consumption(self):
-        # TD + zero buffer: every node access is physical, so laziness is
-        # directly visible in the counters.  The 4-shard serial index pins
-        # laziness *inside* a shard: one result must cost less than the
-        # first shard's whole answer, not just less than every shard's.  One
-        # shard streams through the direct route.
-        window = Rect(0.0, 0.0, 1.0, 1.0)
-        for shards in (1, 4):
-            index = loaded(strategy="TD", buffer_percent=0.0, shards=shards)
-            first_shard = index.shards[0]
-            before = index.io_snapshot().total_physical_io
-            cursor = index.stream_query(window)
-            assert index.io_snapshot().total_physical_io == before  # nothing read yet
-            first = cursor.fetch(1)
-            assert first
-            partial_io = index.io_snapshot().total_physical_io - before
-            assert partial_io > 0
-            full_io = index.io_snapshot().total_physical_io
-            index.range_query(window)
-            full_cost = index.io_snapshot().total_physical_io - full_io
-            # One result costs strictly less than materialising the full set.
-            assert partial_io < full_cost, shards
-            shard_io = first_shard.io_snapshot().total_physical_io
-            first_shard.range_query(window)
-            shard_cost = first_shard.io_snapshot().total_physical_io - shard_io
-            assert partial_io < shard_cost, shards
+    @pytest.mark.parametrize("strategy", ["TD", "GBU"])  # tree path, summary path
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reads_after_each_fetch_end_at_the_leaf_of_the_last_hit(self, strategy, shards):
+        # Zero buffer: every node access is physical, so laziness shows in
+        # the counters exactly — nothing is read before the first fetch,
+        # and no fetch reads past the leaf holding its hit.  The 4-shard
+        # index pins laziness inside a shard, not only across shards.
+        index = loaded(strategy=strategy, buffer_percent=0.0, shards=shards)
+        window = Rect(0.1, 0.15, 0.75, 0.8)
+        marks, total = leaf_read_marks(index, window)
+        assert len(marks) > 3
+        before = index.io_snapshot().total_physical_io
+        cursor = index.stream_query(window)
+        for reads, hits in marks:
+            for oid in hits:
+                assert cursor.fetch(1) == [oid]
+                assert index.io_snapshot().total_physical_io - before == reads
+        assert cursor.fetch(1) == []
+        assert index.io_snapshot().total_physical_io - before == total
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_all_enters_fewer_frames_than_it_returns_hits(self, shards):
+        # No generator resumes per hit: a leaf's hits come as one list that
+        # the cursor flattens in C.  Default 1 KB pages, every page resident.
+        index = open_index({"shards": shards, "config": {"buffer_percent": 100.0}})
+        index.load(make_points(2_000))
+        window = Rect(0.05, 0.05, 0.95, 0.95)
+        expected = index.range_query(window)
+        package = os.path.dirname(repro.__file__)
+        frames = []
+
+        def count(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames.append(frame.f_code.co_name)
+
+        cursor = index.stream_query(window)
+        sys.setprofile(count)
+        try:
+            hits = cursor.all()
+        finally:
+            sys.setprofile(None)
+        assert hits == expected
+        assert 0 < len(frames) < len(hits)
 
     def test_streaming_knn_defers_io_until_consumption(self):
         # One shard: the kNN stream stays lazy (several shards merge first).

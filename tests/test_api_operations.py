@@ -11,6 +11,7 @@ from repro.api import (
     InvalidNeighborCountError,
     InvalidOperationError,
     InvalidWindowError,
+    NonFiniteCoordinateError,
     OperationError,
     OperationResult,
     QueryCursor,
@@ -52,6 +53,18 @@ class TestOperationModel:
             KNN(Point(0.5, 0.5), 2.5)
         assert KNN(Point(0.5, 0.5), 0).k == 0  # permissive like the facade
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates_are_rejected(self, bad):
+        for build in (
+            lambda: Insert(1, Point(bad, 0.5)),
+            lambda: Update(1, Point(0.5, bad)),
+            lambda: KNN(Point(bad, 0.5), 3),
+            lambda: RangeQuery(Rect(0.1, 0.1, 0.5, abs(bad))),  # ordered, so
+            lambda: RangeQuery(Rect(-abs(bad), 0.1, 0.5, 0.5)),  # Rect accepts it
+        ):
+            with pytest.raises(NonFiniteCoordinateError):
+                build()
+
 
 class TestErrorTaxonomy:
     def test_every_error_is_an_operation_error(self):
@@ -61,6 +74,7 @@ class TestErrorTaxonomy:
             InvalidWindowError,
             InvalidNeighborCountError,
             InvalidOperationError,
+            NonFiniteCoordinateError,
         ):
             assert issubclass(error_type, OperationError)
 

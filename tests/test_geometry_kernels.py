@@ -76,15 +76,8 @@ class TestUnionBounds:
 
 
 class TestIntersectsMany:
-    @settings(max_examples=150)
-    @given(coord_buffers(), rect_tuples())
-    def test_matches_scalar_intersects(self, coords, window):
-        expected = [
-            index
-            for index, rect in enumerate(rects_of(coords))
-            if rect.intersects(Rect(*window))
-        ]
-        assert kernels.intersects_many(coords, *window) == expected
+    # The property against Rect.intersects is TestGatherVariants', whose
+    # buffers are richer in points and window-touching rectangles.
 
     def test_touching_edge_counts_as_intersection(self):
         coords = array("d", [0.0, 0.0, 0.5, 0.5])
@@ -97,15 +90,47 @@ class TestIntersectsMany:
         assert kernels.intersects_many(coords, 0.25, 0.25, 0.75, 0.75) == [0, 1]
 
 
+@st.composite
+def windows_and_buffers(draw):
+    """A window and a buffer rich in points and rectangles touching the window.
+
+    ``intersects_ids`` reads an entry's far corner only when its near one is
+    left of (below) the window, so the cases that matter are sides lying
+    exactly on the window's edges and degenerate rectangles.
+    """
+    window = draw(rect_tuples())
+    wx0, wy0, wx1, wy1 = window
+    buffer = array("d")
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        x0, y0, x1, y1 = draw(rect_tuples())
+        shape = draw(st.integers(min_value=0, max_value=5))  # 0: as drawn
+        if shape == 1:
+            x1, y1 = x0, y0  # a point
+        elif shape == 2:
+            x0, x1 = min(x0, wx0), wx0  # right side on the window's left edge
+        elif shape == 3:
+            x0, x1 = wx1, max(x1, wx1)  # left side on the window's right edge
+        elif shape == 4:
+            y0, y1 = min(y0, wy0), wy0
+        elif shape == 5:
+            y0, y1 = wy1, max(y1, wy1)
+        buffer.extend((x0, y0, x1, y1))
+    return window, buffer
+
+
 class TestGatherVariants:
-    """The *_ids kernels return ``ids[i]`` for exactly the matching indices."""
+    """The *_ids kernels return ``ids[i]`` for exactly the matching entries."""
 
     @settings(max_examples=150)
-    @given(coord_buffers(), rect_tuples())
-    def test_intersects_ids_matches_index_variant(self, coords, window):
+    @given(windows_and_buffers())
+    def test_intersects_ids_matches_scalar_intersects(self, case):
+        window, coords = case
         ids = array("I", range(100, 100 + len(coords) // 4))
-        expected = [ids[i] for i in kernels.intersects_many(coords, *window)]
+        expected = [
+            ids[i] for i, rect in enumerate(rects_of(coords)) if rect.intersects(Rect(*window))
+        ]
         assert kernels.intersects_ids(coords, ids, *window) == expected
+        assert kernels.intersects_many(coords, *window) == [i - 100 for i in expected]
 
     @settings(max_examples=150)
     @given(coord_buffers(), coordinates, coordinates)

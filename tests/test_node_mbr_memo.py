@@ -2,7 +2,7 @@
 
 :meth:`repro.rtree.node.Node.mbr` is a memo the node's write methods adjust
 by the rectangle that came or went, the page codec persists in the page
-header, and a decoded node starts from.  Three things are checked here:
+header, and a decoded node starts from.  Four things are checked here:
 
 * **memo ≡ sweep** (Hypothesis) — along random sequences of every write
   method and codec round trips, ``node.mbr()`` equals a fresh
@@ -10,6 +10,10 @@ header, and a decoded node starts from.  Three things are checked here:
   coarse grid so that moves onto, along and off the boundary and degenerate
   (point) rectangles are the common case, and with the memo left unknown for
   stretches of writes.
+* **the covered scan** — ``Node.intersecting_children`` returns every id
+  without a kernel scan when the memo lies inside the window; with the memo
+  set, unknown, dropped by a boundary departure, and on a leaf with ε-slack
+  it answers what the per-entry ``Rect.intersects`` answers.
 * **the work bound** — counting ``kernels.union_bounds`` calls: an in-place
   update of an interior point on a freshly decoded leaf sweeps nothing, and
   a seeded GBU stream at a 1 % pool stays under 0.3 sweeps per update (it
@@ -68,8 +72,16 @@ operations = st.lists(
 )
 
 
+#: Inside the coordinate square, so a stale memo would wrongly cover it.
+HALF_WINDOW = Rect(0.25, 0.25, 0.75, 0.75)
+
+
 def assert_memo_is_the_sweep(node, model):
     assert node.entries == model
+    # Before mbr(): the covered-node shortcut reads the memo as it stands.
+    assert node.intersecting_children(HALF_WINDOW) == kernels.intersects_ids(
+        node.coords, node.children, *HALF_WINDOW.as_tuple()
+    )
     if model:
         assert node.mbr().as_tuple() == kernels.union_bounds(node.coords)
     else:
@@ -188,6 +200,70 @@ class TestDeltaRules:
         with pytest.raises(ValueError):
             node.mbr()
         assert sweeps.calls == 1  # the empty node's mbr() is the sweep that raises
+
+
+class TestCoveredScan:
+    """``intersecting_children`` answers like the kernel scan in every memo
+    state, and skips the scan only when the memo lies inside the window."""
+
+    WINDOWS = (
+        Rect(0.0, 0.0, 1.0, 1.0),  # covers everything
+        Rect(0.2, 0.2, 0.8, 0.8),  # exactly the square's bound
+        Rect(0.1, 0.1, 0.5, 0.9),  # partial
+        Rect(0.85, 0.0, 1.0, 1.0),  # misses the square
+    )
+
+    @staticmethod
+    def scans(monkeypatch):
+        calls = []
+        original = kernels.intersects_ids
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "intersects_ids", counting)
+        return calls
+
+    def assert_agrees(self, node):
+        for window in self.WINDOWS:
+            expected = [
+                entry.child for entry in node.entries if entry.rect.intersects(window)
+            ]
+            assert node.intersecting_children(window) == expected
+
+    def test_memo_set(self, monkeypatch):
+        node = square_leaf()
+        calls = self.scans(monkeypatch)
+        self.assert_agrees(node)
+        assert len(calls) == 2  # the two covering windows skip the scan
+
+    def test_memo_unknown(self, monkeypatch):
+        node = Node(page_id=1, level=0, entries=square_leaf().entries)
+        assert node._mbr is None
+        calls = self.scans(monkeypatch)
+        self.assert_agrees(node)
+        assert len(calls) == len(self.WINDOWS) and node._mbr is None  # no rebuild
+
+    def test_after_a_boundary_departure(self, monkeypatch):
+        node = square_leaf()
+        assert node.set_rect(3, Rect.from_point(Point(0.5, 0.6)))  # held xmax, ymax
+        assert node._mbr is None
+        self.assert_agrees(node)
+        assert node.mbr() == Rect(0.2, 0.2, 0.8, 0.8)
+        calls = self.scans(monkeypatch)
+        self.assert_agrees(node)
+        assert len(calls) == 2
+
+    def test_leaf_with_epsilon_slack(self):
+        leaf = square_leaf()
+        leaf.stored_mbr = Rect(0.15, 0.15, 0.85, 0.85)
+        parent = Node(page_id=2, level=1, entries=[Entry(leaf.stored_mbr, leaf.page_id)])
+        assert parent.mbr() == leaf.stored_mbr
+        self.assert_agrees(leaf)
+        self.assert_agrees(parent)
+        assert parent.intersecting_children(Rect(0.82, 0.82, 0.9, 0.9)) == [leaf.page_id]
+        assert leaf.intersecting_children(Rect(0.82, 0.82, 0.9, 0.9)) == []
 
 
 # ---------------------------------------------------------------------------

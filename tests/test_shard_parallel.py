@@ -96,6 +96,13 @@ class TestBackendLifecycle:
         ):
             index.update(oid, new)
             serial_index.update(soid, snew)
+        # The buffer split reads the disk sizes the workers report: each
+        # shard gets the share the serial executor gives it.
+        index.configure_buffer(30.0)
+        serial_index.configure_buffer(30.0)
+        shares = [shard.buffer.capacity for shard in serial_index.shards]
+        assert len(set(shares)) > 1  # disk sizes differ, so the split shows
+        assert [shard.buffer.capacity for shard in index.shards] == shares
         # The I/O contract holds while the backend is attached; detach
         # restores the trees and the exact counters but (documented) brings
         # the buffers back cold, so the snapshot is taken first.
